@@ -16,7 +16,7 @@ open Viewobject
 let quick = ref false
 let json_path : string option ref = ref None
 
-(* --only e17 (or --only e15,e16): run a subset of the experiments —
+(* --only e17 (or --only e16,e17): run a subset of the experiments —
    iteration and CI triage; the gate still wants the full set. *)
 let only : string list ref = ref []
 
@@ -1252,127 +1252,6 @@ let surfaces () =
                    dept_name ORDER BY n DESC"));
        ])
 
-(* --- E15: sharded engine — commits/sec vs domains ---------------------- *)
-
-let e15 () =
-  section "E15: sharded engine by dependency island (DESIGN.md section 5.7)";
-  let islands = 8 in
-  let rows = 4 and fanout = if !quick then 8 else 32 in
-  let per_client = if !quick then 4 else 16 in
-  let batch = islands * per_client in
-  (* One client domain per island, each alternating a pre-derived
-     forward/backward replacement on its island's object — every commit
-     is a real edit and any even count restores the store. With
-     [cross_every] = m > 0, every m-th pair goes through the island's
-     risky REF object instead (bounce + coordinator). *)
-  let run_batch eng specs ~cross_every =
-    let clients =
-      List.map
-        (fun (obj, (fwd, back), cross) ->
-          Domain.spawn (fun () ->
-              for j = 0 to (per_client / 2) - 1 do
-                let name, (f, b) =
-                  match cross with
-                  | Some (cname, cpair)
-                    when cross_every > 0 && j mod cross_every = 0 ->
-                      cname, cpair
-                  | _ -> obj, (fwd, back)
-                in
-                let commit r =
-                  let o = Penguin.Sharded.update eng name r in
-                  if not (Transaction.is_committed o.Vo_core.Engine.result)
-                  then
-                    failwith
-                      (Fmt.str "E15: %s rejected: %a" name
-                         Vo_core.Engine.pp_outcome o)
-                in
-                commit f;
-                commit b
-              done))
-        specs
-    in
-    List.iter Domain.join clients
-  in
-  let specs_of ws ~cross =
-    List.init islands (fun k ->
-        let isl = Fmt.str "isl%d" k in
-        ( isl,
-          Workloads.flip_pair ws ~object_name:isl
-            ~label:(Workloads.island_name k "PIV")
-            ~attr:"val",
-          if cross then
-            let r = Fmt.str "ref%d" k in
-            Some
-              ( r,
-                Workloads.flip_pair ws ~object_name:r
-                  ~label:(Workloads.island_name k "REF")
-                  ~attr:"note" )
-          else None ))
-  in
-  (* Sweep 1: disjoint islands, domains 1/2/4/8 — pure lane parallelism. *)
-  let ws = Workloads.islands_workspace ~islands ~rows ~fanout () in
-  let specs = specs_of ws ~cross:false in
-  let sweep = if !quick then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let engines =
-    List.map (fun d -> d, Penguin.Sharded.create ~domains:d ws) sweep
-  in
-  let rows_t =
-    run_group "shard.throughput"
-      (List.map
-         (fun (d, eng) ->
-           Test.make
-             ~name:(Fmt.str "batch=%03d:domains=%d" batch d)
-             (stage (fun () -> run_batch eng specs ~cross_every:0)))
-         engines)
-  in
-  List.iter (fun (_, eng) -> Penguin.Sharded.shutdown eng) engines;
-  let ns_at d =
-    List.assoc_opt
-      (Fmt.str "shard.throughput batch=%03d:domains=%d" batch d)
-      rows_t
-  in
-  let cps ns = float_of_int batch *. 1e9 /. ns in
-  let cores = Domain.recommended_domain_count () in
-  (match (ns_at 1, ns_at 4) with
-  | Some n1, Some n4 when Float.is_finite n1 && Float.is_finite n4 ->
-      let speedup = n1 /. n4 in
-      Fmt.pr
-        "@.E15 acceptance: %.0f commits/sec at 1 domain, %.0f at 4 — %.2fx \
-         (target >= 2.5x) %s@."
-        (cps n1) (cps n4) speedup
-        (if speedup >= 2.5 then "PASS"
-         else if cores < 4 then
-           Fmt.str "SKIP (host has %d core(s); scaling needs >= 4)" cores
-         else "FAIL")
-  | _ ->
-      Option.iter
-        (fun n1 ->
-          Option.iter
-            (fun n2 ->
-              Fmt.pr
-                "@.E15 (quick): %.0f commits/sec at 1 domain, %.0f at 2 \
-                 (%.2fx)@."
-                (cps n1) (cps n2) (n1 /. n2))
-            (ns_at 2))
-        (ns_at 1));
-  (* Sweep 2: stitched islands, fixed pool — throughput vs the fraction
-     of commits that must serialize through the coordinator. *)
-  let wsx = Workloads.islands_workspace ~cross:true ~islands ~rows ~fanout () in
-  let specsx = specs_of wsx ~cross:true in
-  let pool = if !quick then 2 else 4 in
-  let engx = Penguin.Sharded.create ~domains:pool wsx in
-  let ratios = if !quick then [ 0; 4 ] else [ 0; 8; 4; 2 ] in
-  ignore
-    (run_group "shard.cross"
-       (List.map
-          (fun every ->
-            let pct = if every = 0 then 0 else 100 / every in
-            Test.make
-              ~name:(Fmt.str "domains=%d:cross=%02d%%" pool pct)
-              (stage (fun () -> run_batch engx specsx ~cross_every:every)))
-          ratios));
-  Penguin.Sharded.shutdown engx
-
 (* --- E16: journal-shipping replication --------------------------------- *)
 
 let e16 () =
@@ -2008,7 +1887,6 @@ let () =
   want "e12" e12;
   want "e13" e13;
   want "e14" e14;
-  want "e15" e15;
   want "e16" e16;
   want "e17" e17;
   want "e18" e18;

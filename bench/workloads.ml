@@ -264,158 +264,3 @@ let mini_omega =
   with
   | Ok vo -> vo
   | Error e -> invalid_arg e
-
-(* --- disjoint dependency islands: the E15 sharding workload ----------- *)
-
-(* [islands] independent two-level ownership islands
-
-     I<k>_PIV --* I<k>_SUB          (always)
-     I<k>_PIV --* I<k>_REF, I<k>_TGT   and
-     I<k>_REF --> I<(k+1) mod n>_TGT   (with [cross])
-
-   Ownership keeps each island's four relations colocated on one shard;
-   with [cross] the REF -> TGT reference stitches neighbouring islands,
-   making exactly REF and TGT risky (their integrity footprint can read
-   the neighbour shard) while PIV and SUB stay shard-local. Names are
-   zero-padded so island k is shard k under the stable partition
-   ordering. *)
-
-let island_name k suffix = Fmt.str "I%02d_%s" k suffix
-
-let islands_graph ?(cross = false) n =
-  let piv k =
-    Schema.make_exn ~name:(island_name k "PIV")
-      ~attributes:[ Attribute.int "ida"; Attribute.str "val" ]
-      ~key:[ "ida" ]
-  in
-  let sub k =
-    Schema.make_exn ~name:(island_name k "SUB")
-      ~attributes:
-        [ Attribute.int "ida"; Attribute.int "idb"; Attribute.str "sval" ]
-      ~key:[ "ida"; "idb" ]
-  in
-  let ref_ k =
-    Schema.make_exn ~name:(island_name k "REF")
-      ~attributes:
-        [ Attribute.int "ida"; Attribute.int "idr"; Attribute.int "peer_a";
-          Attribute.int "peer_t"; Attribute.str "note" ]
-      ~key:[ "ida"; "idr" ]
-  in
-  let tgt k =
-    Schema.make_exn ~name:(island_name k "TGT")
-      ~attributes:
-        [ Attribute.int "ida"; Attribute.int "idt"; Attribute.str "tval" ]
-      ~key:[ "ida"; "idt" ]
-  in
-  let schemas =
-    List.concat
-      (List.init n (fun k ->
-           if cross then [ piv k; sub k; ref_ k; tgt k ]
-           else [ piv k; sub k ]))
-  in
-  let conns =
-    List.concat
-      (List.init n (fun k ->
-           let own suffix =
-             Connection.ownership (island_name k "PIV") (island_name k suffix)
-               ~on:([ "ida" ], [ "ida" ])
-           in
-           if cross then
-             [ own "SUB"; own "REF"; own "TGT";
-               Connection.reference (island_name k "REF")
-                 (island_name ((k + 1) mod n) "TGT")
-                 ~on:([ "peer_a"; "peer_t" ], [ "ida"; "idt" ]) ]
-           else [ own "SUB" ]))
-  in
-  Schema_graph.make_exn schemas conns
-
-(* [rows] pivot tuples per island, [fanout] SUB children each; with
-   [cross], one REF and one TGT row per island (REF 0 of island k points
-   at TGT (0,0) of island k+1, which always exists). *)
-let islands_db ?(cross = false) g ~islands ~rows ~fanout =
-  let ins rel bindings db =
-    match Database.insert db rel (Tuple.make bindings) with
-    | Ok db -> db
-    | Error e -> invalid_arg (Database.error_to_string e)
-  in
-  let island db k =
-    let db =
-      List.fold_left
-        (fun db i ->
-          let db =
-            ins (island_name k "PIV")
-              [ "ida", Value.Int i; "val", Value.Str "a" ]
-              db
-          in
-          List.fold_left
-            (fun db j ->
-              ins (island_name k "SUB")
-                [ "ida", Value.Int i; "idb", Value.Int j;
-                  "sval", Value.Str (Fmt.str "s%d" j) ]
-                db)
-            db
-            (List.init fanout Fun.id))
-        db
-        (List.init rows Fun.id)
-    in
-    if not cross then db
-    else
-      db
-      |> ins (island_name k "TGT")
-           [ "ida", Value.Int 0; "idt", Value.Int 0; "tval", Value.Str "t" ]
-      |> ins (island_name k "REF")
-           [ "ida", Value.Int 0; "idr", Value.Int 0; "peer_a", Value.Int 0;
-             "peer_t", Value.Int 0; "note", Value.Str "n" ]
-  in
-  List.fold_left island (Schema_graph.create_database g)
-    (List.init islands Fun.id)
-
-(* A workspace over the islands with one hierarchical object per island
-   ("isl<k>", pivot + SUB children) and, with [cross], one flat object
-   per REF relation ("ref<k>") whose updates touch a risky relation. *)
-let islands_workspace ?(cross = false) ~islands ~rows ~fanout () =
-  let g = islands_graph ~cross islands in
-  let db = islands_db ~cross g ~islands ~rows ~fanout in
-  let ws = { (Penguin.Workspace.create g) with Penguin.Workspace.db } in
-  let define ws ~name ~pivot ~keep =
-    match Penguin.Workspace.define_object ws ~name ~pivot ~keep with
-    | Ok ws -> ws
-    | Error e -> invalid_arg e
-  in
-  List.fold_left
-    (fun ws k ->
-      let ws =
-        define ws ~name:(Fmt.str "isl%d" k)
-          ~pivot:(island_name k "PIV")
-          ~keep:[ island_name k "PIV", []; island_name k "SUB", [] ]
-      in
-      if cross then
-        define ws ~name:(Fmt.str "ref%d" k)
-          ~pivot:(island_name k "REF")
-          ~keep:[ island_name k "REF", [] ]
-      else ws)
-    ws
-    (List.init islands Fun.id)
-
-(* A forward/backward replacement pair on one object instance: both
-   requests are pre-derived, so a client alternating fwd;back commits
-   real edits every time and leaves the store as it found it after any
-   even number of commits. *)
-let flip_pair ws ~object_name ~label ~attr =
-  let inst =
-    match Penguin.Workspace.instances ws object_name with
-    | Ok (i :: _) -> i
-    | Ok [] -> invalid_arg (object_name ^ ": no instances")
-    | Error e -> invalid_arg e
-  in
-  let flipped =
-    match
-      Vo_core.Request.modify_where inst ~label
-        ~sel:(fun _ -> true)
-        ~f:(fun t -> Tuple.set t attr (Value.Str "flip"))
-    with
-    | Ok i -> i
-    | Error e -> invalid_arg e
-  in
-  ( Vo_core.Request.replace ~old_instance:inst ~new_instance:flipped,
-    Vo_core.Request.replace ~old_instance:flipped ~new_instance:inst )

@@ -774,117 +774,6 @@ let stats_cmd =
              layer and print the metrics registry.")
     Term.(const stats $ trace_term $ json $ updates)
 
-(* --- shard ------------------------------------------------------------ *)
-
-let shard_plan fixture =
-  let ws = or_die (workspace_of fixture) in
-  let plan = Structural.Partition.compute ws.Penguin.Workspace.graph in
-  Fmt.pr "%a@." Structural.Partition.pp plan
-
-let shard_plan_cmd =
-  Cmd.v
-    (Cmd.info "plan"
-       ~doc:"Print a fixture's dependency-island partition: which shard \
-             each relation lives on and which relations are risky \
-             (incident to a cross-shard reference).")
-    Term.(const shard_plan $ fixture_arg)
-
-let shard_root_arg =
-  Arg.(required & opt (some string) None
-       & info [ "root" ] ~docv:"DIR" ~doc:"Sharded store root directory.")
-
-let shard_init fixture root max_shards =
-  let ws = or_die (workspace_of fixture) in
-  let plan =
-    or_die (Penguin.Shard_store.init ?max_shards ~root ws)
-  in
-  Fmt.pr "initialized %d-shard store for %s at %s@.%a@."
-    (Structural.Partition.count plan)
-    fixture root Structural.Partition.pp plan
-
-let shard_init_cmd =
-  let max_shards =
-    Arg.(value & opt (some int) None
-         & info [ "max-shards" ] ~docv:"N"
-             ~doc:"Fold the islands onto at most $(docv) shards.")
-  in
-  Cmd.v
-    (Cmd.info "init"
-       ~doc:"Create a sharded store for a fixture: per-island snapshot \
-             files and journals under a common root.")
-    Term.(const shard_init $ fixture_arg $ shard_root_arg $ max_shards)
-
-let shard_info root =
-  let o = or_die (Penguin.Shard_store.open_store ~root ()) in
-  Fmt.pr "%a@.%a@."
-    Structural.Partition.pp o.Penguin.Shard_store.plan
-    Penguin.Shard_store.pp_report o.Penguin.Shard_store.report
-
-let shard_info_cmd =
-  Cmd.v
-    (Cmd.info "info"
-       ~doc:"Open a sharded store read-only and print its partition, \
-             per-shard versions and recovery report (torn tails, \
-             resolved two-phase commits).")
-    Term.(const shard_info $ shard_root_arg)
-
-let shard_update () root object_name stmt =
-  let eng = or_die (Penguin.Sharded.open_store ~root ()) in
-  let finish code =
-    Penguin.Sharded.shutdown eng;
-    exit code
-  in
-  (match
-     Penguin.Upql.requests
-       (Penguin.Sharded.to_workspace eng)
-       ~object_name stmt
-   with
-  | Error e ->
-      Fmt.epr "error: %s@." e;
-      finish 1
-  | Ok reqs ->
-      let outcomes =
-        List.map (fun r -> Penguin.Sharded.update eng object_name r) reqs
-      in
-      List.iter (fun o -> Fmt.pr "%a@." Vo_core.Engine.pp_outcome o) outcomes;
-      Fmt.pr "%d instance(s) affected; store at global v%d@."
-        (List.length
-           (List.filter
-              (fun (o : Vo_core.Engine.outcome) ->
-                Option.is_some (Vo_core.Engine.committed o))
-              outcomes))
-        (Penguin.Sharded.version eng));
-  List.iter
-    (fun (s : Penguin.Sharded.shard_info) ->
-      Fmt.pr "shard %d (lane %d): v%d, %d commit(s), %d cross@." s.shard
-        s.lane s.version s.commits s.cross_commits)
-    (Penguin.Sharded.shards eng);
-  finish 0
-
-let shard_update_cmd =
-  let object_name =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"OBJECT" ~doc:"View-object name.")
-  in
-  let stmt =
-    Arg.(required & pos 1 (some string) None
-         & info [] ~docv:"STATEMENT" ~doc:"Update-language statement.")
-  in
-  Cmd.v
-    (Cmd.info "update"
-       ~doc:"Update through a view object against a sharded store: \
-             single-island updates commit on their shard's lane, \
-             cross-island ones through the two-phase coordinator.")
-    Term.(const shard_update $ trace_term $ shard_root_arg $ object_name
-          $ stmt)
-
-let shard_cmd =
-  Cmd.group
-    (Cmd.info "shard"
-       ~doc:"Sharded stores: one snapshot + journal per dependency \
-             island, commits on parallel per-shard lanes.")
-    [ shard_plan_cmd; shard_init_cmd; shard_info_cmd; shard_update_cmd ]
-
 (* --- replica ---------------------------------------------------------- *)
 
 let replica_feed from sock =
@@ -1078,32 +967,16 @@ let replica_oql_cmd =
     Term.(const replica_oql $ trace_term $ target_arg $ from_arg $ sock_arg
           $ object_name $ query)
 
-let replica_promote () target root peers =
-  match target, root with
-  | Some target, None ->
-      let ws, epoch = or_die (Penguin.Replica.promote_store ~peers target) in
-      Fmt.pr "promoted %s: writable at v%d, epoch %d@." target
-        (Penguin.Workspace.version ws)
-        epoch
-  | None, Some root ->
-      let opened, epoch = or_die (Penguin.Replica.Sharded.promote_root root) in
-      Fmt.pr "promoted sharded root %s: epoch %d@.%a@." root epoch
-        Penguin.Shard_store.pp_report opened.Penguin.Shard_store.report
-  | _ ->
-      Fmt.epr "error: pass exactly one of TARGET or --root ROOT@.";
-      exit 1
+let replica_promote () target peers =
+  let ws, epoch = or_die (Penguin.Replica.promote_store ~peers target) in
+  Fmt.pr "promoted %s: writable at v%d, epoch %d@." target
+    (Penguin.Workspace.version ws)
+    epoch
 
 let replica_promote_cmd =
   let target =
-    Arg.(value & pos 0 (some string) None
+    Arg.(required & pos 0 (some string) None
          & info [] ~docv:"TARGET" ~doc:"Follower store to promote.")
-  in
-  let root =
-    Arg.(value & opt (some string) None
-         & info [ "root" ] ~docv:"DIR"
-             ~doc:"Promote a sharded follower root instead: repair every \
-                   shard to a consistent cut (closing dangling 2PC) and \
-                   bump the manifest epoch.")
   in
   let peers =
     Arg.(value & opt (list string) []
@@ -1119,7 +992,7 @@ let replica_promote_cmd =
              under the store lock, rotate into a fresh snapshot at the \
              next epoch, and come up writable. Deposed leaders persisting \
              with the old epoch are fenced.")
-    Term.(const replica_promote $ trace_term $ target $ root $ peers)
+    Term.(const replica_promote $ trace_term $ target $ peers)
 
 let replica_cmd =
   Cmd.group
@@ -1549,7 +1422,7 @@ let main_cmd =
           translation (Barsalou, Keller, Siambela & Wiederhold, SIGMOD '91).")
     [ figures_cmd; show_cmd; sql_cmd; oql_cmd; update_cmd; insert_cmd;
       dialog_cmd; dot_cmd; export_cmd; import_cmd; schema_cmd; session_cmd;
-      stats_cmd; shard_cmd; replica_cmd; serve_cmd; client_cmd ]
+      stats_cmd; replica_cmd; serve_cmd; client_cmd ]
 
 let setup_logging () =
   match Option.map String.lowercase_ascii (Sys.getenv_opt "PENGUIN_LOG") with

@@ -1,9 +1,10 @@
 (* Domain-safe: counters and gauges are [Atomic.t] cells (an increment
-   is one fetch-and-add — no torn counts under concurrent shard
-   engines), histograms serialize multi-field observations behind a
-   per-histogram mutex, and registration takes a registry mutex. The
-   enabled flag stays a plain ref: readers race it, but a stale read
-   only delays enabling by one operation, never corrupts a value. *)
+   is one fetch-and-add — no torn counts when a server domain and its
+   in-process clients record at once), histograms serialize
+   multi-field observations behind a per-histogram mutex, and
+   registration takes a registry mutex. The enabled flag stays a plain
+   ref: readers race it, but a stale read only delays enabling by one
+   operation, never corrupts a value. *)
 
 let on = ref false
 let enable () = on := true

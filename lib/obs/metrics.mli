@@ -13,11 +13,14 @@
     the process; {!reset} zeroes values but keeps registrations, so a
     test can measure one scenario in isolation. The registry is
     domain-safe: counters and gauges are [Atomic.t] cells (increments
-    are fetch-and-add — concurrent shard engines never tear a count),
+    are fetch-and-add, so concurrent recorders never tear a count),
     histograms serialize their multi-field updates behind a
-    per-histogram mutex, and registration itself is mutex-guarded, so
-    one engine per shard can record into shared metrics from its own
-    domain. *)
+    per-histogram mutex, and registration itself is mutex-guarded. The
+    recorders that share one registry across domains are a
+    [Penguin.Server] run in its own domain beside in-process clients —
+    [Stats.exercise], bench E17 and the server, replica and
+    observability tests — and the two-domain hammer in the
+    observability suite. *)
 
 val enable : unit -> unit
 val disable : unit -> unit

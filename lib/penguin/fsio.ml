@@ -159,18 +159,6 @@ let with_lock ?deadline_ns ?clock path f =
       let* () = acquire ?deadline_ns ?clock ~path:lp fd in
       f ())
 
-(* Multi-lock acquisition is nested [with_lock]s in the order given.
-   Deadlock freedom is the caller's contract: every holder of more than
-   one of these locks must request them in one agreed global order.
-   For sharded stores that order is ascending shard id — shard paths
-   are zero-padded ([SHARD_007]), so sorting the paths sorts the ids. *)
-let with_locks ?deadline_ns ?clock paths f =
-  let rec go = function
-    | [] -> f ()
-    | p :: rest -> with_lock ?deadline_ns ?clock p (fun () -> go rest)
-  in
-  go (List.sort_uniq String.compare paths)
-
 module Fault = struct
   module M = Obs.Metrics
 

@@ -71,25 +71,12 @@ val with_lock :
     worst a torn journal tail, which replay discards in memory).
 
     The lock file is always derived from the guarded path ({!lock_path}
-    — [path ^ ".lock"]), never a fixed name: a sharded store locks each
-    shard's own [SHARD_<i>.lock], so single-shard commits on different
-    shards never contend. *)
-
-val with_locks :
-  ?deadline_ns:float ->
-  ?clock:Resilience.Clock.t ->
-  string list ->
-  (unit -> ('a, Error.t) result) ->
-  ('a, Error.t) result
-(** Hold the locks of several paths at once (nested {!with_lock}s),
-    acquiring in sorted path order after deduplication. {b Lock-ordering
-    rule}: every process that takes more than one of a store's shard
-    locks must acquire them in ascending shard id — this function
-    enforces it by sorting, and shard file names are zero-padded so
-    lexicographic path order {e is} shard-id order. Two cross-shard
-    committers then always request their common locks in the same
-    order, which makes deadlock impossible; a single-shard commit takes
-    only its own shard's lock and never waits on an unrelated shard. *)
+    — [path ^ ".lock"]), never a fixed name, so each store has its own
+    lock. Its holders are the CLI's [session commit], which holds it
+    across reopen → rebase → persist; [Server.serve], which holds it for
+    the serving process's whole lifetime (the {!Recovery.Appender}
+    contract); and follower promotion, which holds it while it bumps
+    the epoch. *)
 
 (** Seeded injection of non-crash faults into any {!t}.
 

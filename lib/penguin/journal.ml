@@ -166,64 +166,23 @@ let header_of_payload payload =
       Ok (base, epoch)
   | _ -> Error "journal: bad header record"
 
-let commit_payload entries =
+(* One record is one commit batch. *)
+type record = Commit_log.entry list
+
+let record_payload entries =
   Sexp.to_string (l (atom "commit" :: List.map entry_to_sexp entries))
-
-(* Two-phase cross-shard commit records. A [prepare] carries the gid,
-   the full participant set, and this shard's entries; a [decide] on the
-   decision shard (the lowest participant id) is the global commit
-   point; a [mark] closes the gid on a participant so replay applies the
-   held entries without consulting the decision shard. *)
-type record =
-  | Commit of Commit_log.entry list
-  | Prepare of {
-      gid : string;
-      shards : int list;
-      entries : Commit_log.entry list;
-    }
-  | Decide of string
-  | Mark of string
-
-let record_payload = function
-  | Commit entries -> commit_payload entries
-  | Prepare { gid; shards; entries } ->
-      Sexp.to_string
-        (l
-           (atom "prepare" :: atom gid
-           :: l (atom "shards" :: List.map int_atom shards)
-           :: List.map entry_to_sexp entries))
-  | Decide gid -> Sexp.to_string (l [ atom "decide"; atom gid ])
-  | Mark gid -> Sexp.to_string (l [ atom "mark"; atom gid ])
-
-let entries_of_sexps items =
-  List.fold_left
-    (fun acc e ->
-      let* es = acc in
-      let* e = entry_of_sexp e in
-      Ok (es @ [ e ]))
-    (Ok []) items
 
 let record_of_payload payload =
   let* doc = Sexp.parse payload in
   let* items = Sexp.as_list doc in
   match items with
   | Sexp.Atom "commit" :: entries ->
-      let* entries = entries_of_sexps entries in
-      Ok (Commit entries)
-  | Sexp.Atom "prepare" :: Sexp.Atom gid
-    :: Sexp.List (Sexp.Atom "shards" :: shards) :: entries ->
-      let* shards =
-        List.fold_left
-          (fun acc s ->
-            let* ss = acc in
-            let* s = int_of_sexp s in
-            Ok (ss @ [ s ]))
-          (Ok []) shards
-      in
-      let* entries = entries_of_sexps entries in
-      Ok (Prepare { gid; shards; entries })
-  | [ Sexp.Atom "decide"; Sexp.Atom gid ] -> Ok (Decide gid)
-  | [ Sexp.Atom "mark"; Sexp.Atom gid ] -> Ok (Mark gid)
+      List.fold_left
+        (fun acc e ->
+          let* es = acc in
+          let* e = entry_of_sexp e in
+          Ok (es @ [ e ]))
+        (Ok []) entries
   | _ -> Error "journal: bad commit record"
 
 (* --- framing ---------------------------------------------------------- *)
@@ -266,27 +225,23 @@ let decode_frames ?(off0 = 0) content =
 let initialize ?(epoch = 0) t ~base =
   Fsio.atomic_write t.io ~path:t.path (frame (header_payload ~base ~epoch))
 
-let append_record_sized t ?(sync = true) record =
-  Obs.Trace.with_span "journal.append" ~tags:[ "sync", string_of_bool sync ]
-  @@ fun () ->
-  M.time m_append_ns @@ fun () ->
-  M.Counter.incr m_appends;
-  let framed = frame (record_payload record) in
-  let* () = t.io.Fsio.write ~path:t.path ~append:true framed in
-  let* () =
-    if sync then begin
-      M.Counter.incr m_fsyncs;
-      t.io.Fsio.sync t.path
-    end
-    else Ok ()
-  in
-  Ok (String.length framed)
-
-let append_record t ?sync record =
-  Result.map (fun (_ : int) -> ()) (append_record_sized t ?sync record)
-
-let append_sized t ?sync entries =
-  if entries = [] then Ok 0 else append_record_sized t ?sync (Commit entries)
+let append_sized t ?(sync = true) entries =
+  if entries = [] then Ok 0
+  else
+    Obs.Trace.with_span "journal.append" ~tags:[ "sync", string_of_bool sync ]
+    @@ fun () ->
+    M.time m_append_ns @@ fun () ->
+    M.Counter.incr m_appends;
+    let framed = frame (record_payload entries) in
+    let* () = t.io.Fsio.write ~path:t.path ~append:true framed in
+    let* () =
+      if sync then begin
+        M.Counter.incr m_fsyncs;
+        t.io.Fsio.sync t.path
+      end
+      else Ok ()
+    in
+    Ok (String.length framed)
 
 let append t ?sync entries =
   Result.map (fun (_ : int) -> ()) (append_sized t ?sync entries)
@@ -295,7 +250,6 @@ type replay = {
   base : int;
   epoch : int;
   entries : Commit_log.entry list;
-  trail : record list;
   framed : (int * record) list;
   records : int;
   clean_bytes : int;
@@ -338,16 +292,7 @@ let replay t =
               (header_of_payload header)
           in
           let* framed = decode_trail ~path:t.path records in
-          let trail = List.map snd framed in
-          (* [entries] flattens only the plain commit records — the PR 3
-             single-store semantics. Two-phase records are surfaced via
-             [trail] and resolved by sharded recovery; a plain store
-             never writes them. *)
-          let entries =
-            List.concat_map
-              (function Commit es -> es | Prepare _ | Decide _ | Mark _ -> [])
-              trail
-          in
+          let entries = List.concat_map snd framed in
           M.Counter.add m_replayed_records (List.length records);
           Ok
             (Some
@@ -355,7 +300,6 @@ let replay t =
                  base;
                  epoch;
                  entries;
-                 trail;
                  framed;
                  records = List.length records;
                  clean_bytes;

@@ -53,39 +53,18 @@ val append_sized :
     the journal's byte length without a replay, the end offset quorum
     replication acks against. *)
 
-(** One framed journal record. [Commit] is the ordinary single-store
-    batch. The other three implement the two-phase cross-shard protocol
-    (DESIGN.md §5.7): a [Prepare] carries a cross-shard commit's global
-    id, its full participant shard set, and {e this} shard's slice of
-    the entries; a [Decide] record on the {e decision shard} (the lowest
-    participant id) is the global commit point; a [Mark] on a
-    participant closes the gid locally so replay applies the held slice
-    without consulting the decision shard. Recovery applies a prepared
-    slice iff its gid reached a mark here or a decide on the decision
-    shard — otherwise the prepare is a dead branch and is discarded
-    (presumed abort). *)
-type record =
-  | Commit of Commit_log.entry list
-  | Prepare of {
-      gid : string;
-      shards : int list;
-      entries : Commit_log.entry list;
-    }
-  | Decide of string
-  | Mark of string
-
-val append_record : t -> ?sync:bool -> record -> (unit, Error.t) result
-(** Append any record type; [sync] as in {!append}. *)
+type record = Commit_log.entry list
+(** One framed journal record: one commit batch, written by {!append}
+    and applied all-or-nothing by {!Recovery.open_store} and
+    {!Replica}. *)
 
 type replay = {
   base : int;  (** snapshot version the journal extends *)
   epoch : int;  (** leader epoch from the header ([0] for format-1 files) *)
   entries : Commit_log.entry list;
-      (** oldest first, flattened from plain [Commit] records only —
-          the single-store view; two-phase records live in [trail] *)
-  trail : record list;  (** every record in file order *)
+      (** oldest first, flattened from every record *)
   framed : (int * record) list;
-      (** [trail] again, each record tagged with the byte offset its
+      (** every record in file order, tagged with the byte offset its
           frame starts at — what lets a tailer resume at [clean_bytes]
           (or any record boundary) without re-reading from the header *)
   records : int;  (** records read (excluding the header) *)
@@ -98,9 +77,10 @@ val replay : t -> (replay option, Error.t) result
     torn tail — a record cut short or failing its checksum — is
     truncated at the first bad record and reported via [torn_bytes];
     entries before it are returned. An unreadable header, or a
-    checksummed record that does not parse, is corruption beyond a torn
-    tail and errors with {!Error.Corrupt} naming the journal path and,
-    for a record-level failure, the 0-based record index. *)
+    checksummed record that does not parse as a commit batch, is
+    corruption beyond a torn tail and errors with {!Error.Corrupt}
+    naming the journal path and, for a record-level failure, the
+    0-based record index and its byte offset. *)
 
 val tail :
   t -> off:int -> (((int * string) list * int * int) option, Error.t) result

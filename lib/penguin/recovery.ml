@@ -149,22 +149,18 @@ let open_store ?(io = Fsio.default) ?(repair = false) ?cache store =
       let jpath = Journal.path jnl in
       let* ws, replayed =
         List.fold_left
-          (fun acc (idx, record) ->
+          (fun acc (idx, (_off, entries)) ->
             let* ws, n = acc in
-            match record with
-            | Journal.Prepare _ | Journal.Decide _ | Journal.Mark _ ->
-                Ok (ws, n)
-            | Journal.Commit entries ->
-                List.fold_left
-                  (fun acc (e : Commit_log.entry) ->
-                    let* ws, n = acc in
-                    if e.Commit_log.version <= snapshot_version then Ok (ws, n)
-                    else
-                      let* ws = apply_entry ~path:jpath ~record:idx ws e in
-                      Ok (ws, n + 1))
-                  (Ok (ws, n)) entries)
+            List.fold_left
+              (fun acc (e : Commit_log.entry) ->
+                let* ws, n = acc in
+                if e.Commit_log.version <= snapshot_version then Ok (ws, n)
+                else
+                  let* ws = apply_entry ~path:jpath ~record:idx ws e in
+                  Ok (ws, n + 1))
+              (Ok (ws, n)) entries)
           (Ok (ws, 0))
-          (List.mapi (fun i (_off, rec_) -> i, rec_) r.Journal.framed)
+          (List.mapi (fun i frame -> i, frame) r.Journal.framed)
       in
       let version = Workspace.version ws in
       M.Counter.add m_replayed_entries replayed;

@@ -145,27 +145,21 @@ let set_epoch_gauge e = M.Gauge.set g_epoch (float_of_int e)
    structural model refuses never lands in the replica's own journal,
    so its store stays openable. Entries at or below the replica's
    version are already held (rotation overlap) and are skipped. *)
-let apply_record t record =
-  match record with
-  | Journal.Commit entries ->
-      let vers = Workspace.version t.ws in
-      let fresh =
-        List.filter
-          (fun (e : Commit_log.entry) -> e.Commit_log.version > vers)
-          entries
-      in
-      let* ws =
-        List.fold_left
-          (fun acc e ->
-            let* ws = acc in
-            Recovery.apply_entry ~path:(Journal.path t.jnl) ws e)
-          (Ok t.ws) fresh
-      in
-      Ok (ws, List.length fresh)
-  | Journal.Prepare _ | Journal.Decide _ | Journal.Mark _ ->
-      (* Single-store leaders never write these; a shipped one is
-         preserved byte-for-byte but applies nothing here. *)
-      Ok (t.ws, 0)
+let apply_record t entries =
+  let vers = Workspace.version t.ws in
+  let fresh =
+    List.filter
+      (fun (e : Commit_log.entry) -> e.Commit_log.version > vers)
+      entries
+  in
+  let* ws =
+    List.fold_left
+      (fun acc e ->
+        let* ws = acc in
+        Recovery.apply_entry ~path:(Journal.path t.jnl) ws e)
+      (Ok t.ws) fresh
+  in
+  Ok (ws, List.length fresh)
 
 (* Ingest one verified (CRC-valid, parseable) leader frame: validate in
    memory, append the identical frame bytes to the replica's own
@@ -222,16 +216,14 @@ let locate t =
         | (roff, payload) :: rest -> (
             match Journal.record_of_payload payload with
             | Error _ -> roff (* leave suspect frames to the poll loop *)
-            | Ok (Journal.Commit entries) ->
+            | Ok entries ->
                 let held =
                   List.for_all
                     (fun (e : Commit_log.entry) ->
                       e.Commit_log.version <= vers)
                     entries
                 in
-                if held then skip (frame_end roff payload) rest else roff
-            | Ok (Journal.Prepare _ | Journal.Decide _ | Journal.Mark _) ->
-                skip (frame_end roff payload) rest)
+                if held then skip (frame_end roff payload) rest else roff)
       in
       t.leader_off <- skip (frame_end hoff header) records;
       Ok ()
@@ -826,202 +818,3 @@ let promote t =
   set_epoch_gauge epoch;
   Workspace.sync_cache t.ws t.cache;
   Ok (ws, epoch)
-
-(* --- sharded stores ---------------------------------------------------- *)
-
-(* A sharded follower is one independent tailer per shard journal over
-   a file feed, plus the consistent-cut open (Shard_store
-   [~follower:true]) for reads and promotion. Shards ship unevenly;
-   the cut is what keeps a mid-2PC kill from ever being observed
-   half-applied. *)
-module Sharded = struct
-  type tailer = {
-    src_jnl : string;
-    dst_jnl : string;
-    mutable off : int;  (** source journal bytes consumed *)
-    mutable shard_base : int;  (** source shard journal base followed *)
-  }
-
-  type t = {
-    io : Fsio.t;
-    source : string;
-    target : string;
-    count : int;
-    tailers : tailer array;
-    mutable status : status;
-  }
-
-  let status t = t.status
-
-  let read_required io path =
-    let* c = io.Fsio.read path in
-    match c with
-    | Some c -> Ok c
-    | None -> Error (Error.invalid (Fmt.str "no such file: %s" path))
-
-  let copy io ~src ~dst =
-    let* c = read_required io src in
-    Fsio.atomic_write io ~path:dst c
-
-  (* (Re)anchor one shard: copy its snapshot and start its journal from
-     the source's current header. Old records in the target journal are
-     superseded by the fresh snapshot (atomic_write replaces the file). *)
-  let anchor_shard t i =
-    let tl = t.tailers.(i) in
-    let* () =
-      copy t.io
-        ~src:(Shard_store.shard_path ~root:t.source i)
-        ~dst:(Shard_store.shard_path ~root:t.target i)
-    in
-    let* head =
-      t.io.Fsio.read_from ~path:tl.src_jnl ~off:0 ~len:(Some 1024)
-    in
-    match Option.map Journal.decode_frames head with
-    | Some ((hoff, header) :: _, _, _) ->
-        let* base, _epoch =
-          Result.map_error
-            (fun m -> Error.corrupt_record ~path:tl.src_jnl m)
-            (Journal.header_of_payload header)
-        in
-        let* () =
-          Fsio.atomic_write t.io ~path:tl.dst_jnl (Journal.frame header)
-        in
-        tl.off <- hoff + 8 + String.length header;
-        tl.shard_base <- base;
-        Ok ()
-    | Some ([], _, _) | None ->
-        Error
-          (Error.corrupt_record ~path:tl.src_jnl
-             "shard journal has no readable header")
-
-  let create ?(io = Fsio.default) ~source ~target () =
-    let* count, _base, _epoch, _assignment =
-      Shard_store.read_manifest ~io ~root:source ()
-    in
-    let* () =
-      if Sys.file_exists target then Ok ()
-      else
-        try
-          Unix.mkdir target 0o755;
-          Ok ()
-        with
-        | Unix.Unix_error (e, fn, arg) ->
-            Error (Error.of_unix ~op:Error.Write ~path:target ~fn ~arg e)
-    in
-    let* () =
-      copy io
-        ~src:(Shard_store.defs_path ~root:source)
-        ~dst:(Shard_store.defs_path ~root:target)
-    in
-    let* () =
-      copy io
-        ~src:(Shard_store.manifest_path ~root:source)
-        ~dst:(Shard_store.manifest_path ~root:target)
-    in
-    let tailers =
-      Array.init count (fun i ->
-          {
-            src_jnl =
-              Journal.journal_path (Shard_store.shard_path ~root:source i);
-            dst_jnl =
-              Journal.journal_path (Shard_store.shard_path ~root:target i);
-            off = 0;
-            shard_base = 0;
-          })
-    in
-    let t = { io; source; target; count; tailers; status = Following } in
-    let rec anchor i =
-      if i >= count then Ok ()
-      else
-        let* () = anchor_shard t i in
-        anchor (i + 1)
-    in
-    let* () = anchor 0 in
-    Ok t
-
-  (* Tail one shard: fetch new bytes, verify frames, append them
-     byte-identically, detect rotation on idle. Returns records
-     ingested. *)
-  let poll_shard t i =
-    let tl = t.tailers.(i) in
-    let* chunk = t.io.Fsio.read_from ~path:tl.src_jnl ~off:tl.off ~len:None in
-    let chunk = Option.value chunk ~default:"" in
-    let frames, _clean, _torn = Journal.decode_frames ~off0:tl.off chunk in
-    let rec consume n buf last = function
-      | [] -> n, buf, last
-      | (off, payload) :: rest -> (
-          match Journal.record_of_payload payload with
-          | Error _ -> n, buf, last (* suspect: stop, refetch next poll *)
-          | Ok _ ->
-              consume (n + 1)
-                (buf ^ Journal.frame payload)
-                (off + 8 + String.length payload)
-                rest)
-    in
-    let n, buf, last = consume 0 "" tl.off frames in
-    if n > 0 then begin
-      let* () = t.io.Fsio.write ~path:tl.dst_jnl ~append:true buf in
-      let* () = t.io.Fsio.sync tl.dst_jnl in
-      tl.off <- last;
-      M.Counter.add c_applied n;
-      Ok n
-    end
-    else begin
-      (* Idle: probe for a rotation of this shard's journal. *)
-      let* head = t.io.Fsio.read_from ~path:tl.src_jnl ~off:0 ~len:(Some 1024) in
-      match Option.map Journal.decode_frames head with
-      | Some ((_, header) :: _, _, _) -> (
-          match Journal.header_of_payload header with
-          | Ok (base, _) when base <> tl.shard_base ->
-              M.Counter.incr c_rotations;
-              let* () = anchor_shard t i in
-              Ok 0
-          | Ok _ | Error _ -> Ok 0)
-      | Some ([], _, _) | None -> Ok 0
-    end
-
-  let poll t =
-    if t.status = Promoted then
-      Error (Error.invalid "replica: promoted; serve writes instead of polling")
-    else begin
-      M.Counter.incr c_polls;
-      M.time h_poll_ns @@ fun () ->
-      let rec go i n =
-        if i >= t.count then Ok n
-        else
-          let* k = poll_shard t i in
-          go (i + 1) (n + k)
-      in
-      go 0 0
-    end
-
-  (* Read-only view at the consistent cut of what has shipped so far. *)
-  let open_follower t =
-    Shard_store.open_store ~io:t.io ~follower:true ~root:t.target ()
-
-  let promote_root ?(io = Fsio.default) root =
-    M.time h_promote_ns @@ fun () ->
-    let* count, _base, _epoch, _assignment =
-      Shard_store.read_manifest ~io ~root ()
-    in
-    let paths = List.init count (Shard_store.shard_path ~root) in
-    Fsio.with_locks paths @@ fun () ->
-    (* repair + follower: truncate each shard's journal to the
-       consistent cut, close resolved 2PC with marks, then bump the
-       manifest epoch so any deposed leader's next fence check fails. *)
-    let* o = Shard_store.open_store ~io ~repair:true ~follower:true ~root () in
-    let epoch = o.Shard_store.epoch + 1 in
-    let* () = Shard_store.set_epoch ~io ~root epoch in
-    M.Counter.incr c_promotions;
-    Log.info (fun m ->
-        m "promoted sharded store %s at global v%d, epoch %d" root
-          (Workspace.version o.Shard_store.ws)
-          epoch);
-    Ok (o, epoch)
-
-  let promote t =
-    let* o, epoch = promote_root ~io:t.io t.target in
-    t.status <- Promoted;
-    set_epoch_gauge epoch;
-    Ok (o, epoch)
-end

@@ -215,40 +215,3 @@ val promote_store :
     with {!Error.Invalid} if any peer is strictly {!more_advanced} —
     promoting a lagging follower would silently drop every quorum-acked
     commit past its position. *)
-
-(** A follower for a {!Shard_store} root: one independent tailer per
-    shard journal (file feed), with reads and promotion going through
-    {!Shard_store.open_store}[ ~follower:true] — each shard ships at
-    its own pace, and the {e consistent cut} trims uneven trails so a
-    mid-2PC leader kill is observed on all participating shards or on
-    none. *)
-module Sharded : sig
-  type t
-
-  val create :
-    ?io:Fsio.t -> source:string -> target:string -> unit ->
-    (t, Error.t) result
-  (** Mirror the layout (DEFS, MANIFEST) and anchor every shard: copy
-      its snapshot and start its journal from the source's current
-      header. *)
-
-  val poll : t -> (int, Error.t) result
-  (** Tail every shard once; returns the records ingested across
-      shards. Idle shards probe their source header and re-anchor when
-      it rotated. *)
-
-  val open_follower : t -> (Shard_store.opened, Error.t) result
-  (** Read-only merged view at the consistent cut of what has shipped. *)
-
-  val promote : t -> (Shard_store.opened * int, Error.t) result
-  (** Promote the target root: under all shard locks, repair-open at
-      the consistent cut (journals physically truncated, resolved 2PC
-      closed with marks) and bump the manifest epoch, fencing the
-      deposed sharded engine's next {!field-epoch} check. *)
-
-  val promote_root :
-    ?io:Fsio.t -> string -> (Shard_store.opened * int, Error.t) result
-  (** {!promote} for a root without a running replica (CLI). *)
-
-  val status : t -> status
-end

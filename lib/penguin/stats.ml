@@ -218,56 +218,6 @@ let resilience_traffic () =
   (* Past the cooldown the next write is the half-open probe. *)
   str_err (Resilience.Breaker.protect b (fun () -> Ok ()))
 
-(* Drive the sharded engine so the shard.* metrics are never zero: an
-   in-memory engine over the fixture with a batch of updates routed
-   through the lanes. Grade edits write outside omega's pivot island,
-   so this exercises both the lane bounce and the coordinator; the
-   per-shard breakdowns (shard.<i>.commits / journal_appends /
-   queue_depth) come from the same run. *)
-let shard_traffic ~updates ws =
-  let eng = Sharded.create ws in
-  let result =
-    let rec go i =
-      if i >= updates then Ok ()
-      else
-        let* reqs =
-          Upql.requests (Sharded.to_workspace eng) ~object_name:"omega"
-            (flip_stmt i)
-        in
-        let rec apply = function
-          | [] -> Ok ()
-          | r :: rest ->
-              let o = Sharded.update eng "omega" r in
-              if Relational.Transaction.is_committed o.Vo_core.Engine.result
-              then
-                apply rest
-              else
-                Error
-                  (Fmt.str "stats exercise: sharded update rejected: %a"
-                     Vo_core.Engine.pp_outcome o)
-        in
-        let* () = apply reqs in
-        go (i + 1)
-    in
-    let* () = go 0 in
-    let committed =
-      List.fold_left
-        (fun acc (s : Sharded.shard_info) ->
-          acc + s.Sharded.commits + s.Sharded.cross_commits)
-        0 (Sharded.shards eng)
-    in
-    let* () =
-      if committed = 0 then
-        Error "stats exercise: the sharded engine committed nothing"
-      else Ok ()
-    in
-    Result.map_error
-      (Fmt.str "stats exercise: sharded fixture broken: %s")
-      (Workspace.check_consistency (Sharded.to_workspace eng))
-  in
-  Sharded.shutdown eng;
-  result
-
 (* Drive the replication layer end to end: a leader store with a
    couple of persisted commits, a file-feed follower that catches up
    and serves a cache-warm read, a corrupt shipped record that must be
@@ -527,7 +477,6 @@ let exercise ?(updates = 8) () =
   let* () = quorum_traffic () in
   let* () = replica_traffic ws in
   let* () = resilience_traffic () in
-  let* () = shard_traffic ~updates:4 ws in
   match Workspace.check_consistency ws with
   | Ok () -> Ok ()
   | Error e -> Error (Fmt.str "stats exercise left the fixture broken: %s" e)

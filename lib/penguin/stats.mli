@@ -5,9 +5,7 @@
     drives a small, representative slice of traffic through every
     instrumented layer — engine updates, a clean session commit, a
     forced OCC rebase, a durable store round-trip with journal append,
-    rotation and a torn-tail repair, a sharded-engine batch (lane
-    commits, a coordinator cross-shard commit, and the per-shard
-    breakdowns), plus one full integrity sweep — and then renders the
+    rotation and a torn-tail repair, plus one full integrity sweep — and then renders the
     registry. The same functions back the CLI and
     the observability tests, so what the tests parse is exactly what
     the CLI prints. *)

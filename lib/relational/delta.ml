@@ -68,24 +68,6 @@ let compose d1 d2 =
 
 let relations d = List.map fst (SMap.bindings d)
 
-(* Shard projection: group the per-relation change sets by the caller's
-   relation→shard assignment. Pure regrouping — no change is copied,
-   split, or composed — so merging the pieces back gives the original
-   delta and the pieces' footprints are disjoint by construction. *)
-module IMap = Map.Make (Int)
-
-let split ~shard_of d =
-  SMap.fold
-    (fun rel m acc ->
-      let shard = shard_of rel in
-      IMap.update shard
-        (function
-          | None -> Some (SMap.singleton rel m)
-          | Some piece -> Some (SMap.add rel m piece))
-        acc)
-    d IMap.empty
-  |> IMap.bindings
-
 let change_equal a b =
   match a, b with
   | Added x, Added y | Removed x, Removed y -> Tuple.equal x y

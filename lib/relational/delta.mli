@@ -56,15 +56,6 @@ val compose : t -> t -> t
 val relations : t -> string list
 (** Relations with at least one net change, sorted. *)
 
-val split : shard_of:(string -> int) -> t -> (int * t) list
-(** Project the delta onto shards: group its per-relation change sets by
-    [shard_of] (a {!Structural.Partition} plan's assignment, passed as a
-    plain function to keep this layer free of structural dependencies).
-    Returns the non-empty pieces sorted by shard id. The pieces cover
-    disjoint relation sets, so {!merge}-ing them back (in any order)
-    yields the original delta, and a single-piece result means the delta
-    routes to one shard. *)
-
 val changes : t -> string -> change list
 (** Net changes recorded for a relation (key order). *)
 

@@ -212,57 +212,6 @@ let test_compose_matches_sequential_apply () =
   Alcotest.(check bool) "composition is associative here" true
     (Delta.equal net (Delta.compose d1 (Delta.compose d2 d3)))
 
-(* --- shard projection (the sharded engine's routing primitive) -------- *)
-
-(* R and T share a shard, S has its own: split must group by shard, keep
-   pieces non-empty and sorted, and lose nothing. *)
-let shard_of = function "S" -> 1 | _ -> 0
-
-let prop_split_partitions_and_merges_back =
-  QCheck.Test.make ~name:"split pieces merge back to the original" ~count:500
-    delta_arb
-    (fun d ->
-      let pieces = Delta.split ~shard_of d in
-      let shards = List.map fst pieces in
-      (* sorted, unique, non-empty pieces whose relations live on their
-         shard *)
-      shards = List.sort_uniq compare shards
-      && List.for_all
-           (fun (s, piece) ->
-             (not (Delta.is_empty piece))
-             && List.for_all
-                  (fun r -> shard_of r = s)
-                  (Delta.relations piece))
-           pieces
-      (* disjoint pieces: merge (any order — fold either way) restores
-         the original delta *)
-      && (match
-            List.fold_left
-              (fun acc (_, piece) ->
-                Result.bind acc (fun acc -> Delta.merge acc piece))
-              (Ok Delta.empty)
-              (List.rev pieces)
-          with
-         | Ok merged -> Delta.equal merged d
-         | Error _ -> false))
-
-let test_split_examples () =
-  Alcotest.(check int) "empty delta has no pieces" 0
-    (List.length (Delta.split ~shard_of Delta.empty));
-  let d = delta_of_list [ ("R", 1, 1, 0); ("T", 2, 2, 0) ] in
-  (match Delta.split ~shard_of d with
-  | [ (0, piece) ] ->
-      Alcotest.(check bool) "one colocated piece is the delta" true
-        (Delta.equal piece d)
-  | ps -> Alcotest.failf "expected one piece on shard 0, got %d" (List.length ps));
-  let d = delta_of_list [ ("S", 1, 1, 0); ("R", 1, 1, 0); ("T", 2, 2, 2) ] in
-  match Delta.split ~shard_of d with
-  | [ (0, a); (1, b) ] ->
-      Alcotest.(check (list string)) "R,T together" [ "R"; "T" ]
-        (Delta.relations a);
-      Alcotest.(check (list string)) "S alone" [ "S" ] (Delta.relations b)
-  | ps -> Alcotest.failf "expected pieces on shards 0 and 1, got %d" (List.length ps)
-
 let suite =
   [
     qtest prop_conflicts_symmetric;
@@ -277,7 +226,4 @@ let suite =
       test_compose_nets_per_key;
     Alcotest.test_case "compose agrees with sequential application" `Quick
       test_compose_matches_sequential_apply;
-    qtest prop_split_partitions_and_merges_back;
-    Alcotest.test_case "split examples: colocated and split pieces" `Quick
-      test_split_examples;
   ]

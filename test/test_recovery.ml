@@ -288,6 +288,66 @@ let test_commit_repairs_torn_tail () =
     && grade_of ws ("EE280", 1) = Value.Str "C");
   rm_rf dir
 
+(* Frames of the retired two-phase cross-shard protocol: a plain store
+   never wrote them, and a journal record is one commit batch, so a
+   checksummed [(prepare …)], [(decide …)] or [(mark …)] frame is
+   corruption. Opening must fail naming the record and its byte offset,
+   never skip the frame and silently drop the commit a prepared slice
+   carries. *)
+let legacy_2pc_frames ~commit_payload =
+  let entries =
+    match check_ok (Sexp.parse commit_payload) with
+    | Sexp.List (Sexp.Atom "commit" :: entries) -> entries
+    | _ -> Alcotest.failf "not a commit payload: %s" commit_payload
+  in
+  let a = Sexp.atom and l = Sexp.list in
+  List.map
+    (fun (kind, doc) -> kind, Sexp.to_string doc)
+    [ "prepare",
+      l (a "prepare" :: a "g1" :: l [ a "shards"; a "0"; a "1" ] :: entries);
+      "decide", l [ a "decide"; a "g1" ];
+      "mark", l [ a "mark"; a "g1" ] ]
+
+let test_recovery_rejects_legacy_2pc_frames () =
+  let dir = temp_dir "recovery-2pc" in
+  make_store dir;
+  check_ok_e (commit_grade ~io:Penguin.Fsio.default dir ("CS345", 2) "A-");
+  check_ok_e (commit_grade ~io:Penguin.Fsio.default dir ("EE280", 1) "C");
+  let jpath = Penguin.Journal.journal_path (store_in dir) in
+  let journal = read_raw jpath in
+  (* Keep the header and the first commit; the second commit's entries
+     become the prepared slice of a legacy frame at record index 1. *)
+  let frames, _, _ = Penguin.Journal.decode_frames journal in
+  let off, commit_payload =
+    match frames with
+    | [ _header; _first; second ] -> second
+    | l -> Alcotest.failf "expected header + 2 records, got %d frames" (List.length l)
+  in
+  let snapshot = read_raw (store_in dir) in
+  List.iter
+    (fun (kind, payload) ->
+      check_ok_e
+        (Penguin.Fsio.atomic_write Penguin.Fsio.default ~path:jpath
+           (String.sub journal 0 off ^ Penguin.Journal.frame payload));
+      match Penguin.Recovery.open_store (store_in dir) with
+      | Ok (_, report) ->
+          Alcotest.failf "%s frame: opened at v%d, skipping the frame" kind
+            report.Penguin.Recovery.version
+      | Error (Penguin.Error.Corrupt { path; record; detail; _ }) ->
+          Alcotest.(check (option string)) (kind ^ ": names the journal")
+            (Some jpath) path;
+          Alcotest.(check (option int)) (kind ^ ": names the record") (Some 1)
+            record;
+          Alcotest.(check bool) (kind ^ ": names the byte offset") true
+            (Strutil.contains ~sub:(Fmt.str "record 1 at byte %d" off) detail)
+      | Error e ->
+          Alcotest.failf "%s frame: expected Corrupt, got %s" kind
+            (Penguin.Error.to_string e))
+    (legacy_2pc_frames ~commit_payload);
+  Alcotest.(check bool) "the snapshot is untouched" true
+    (read_raw (store_in dir) = snapshot);
+  rm_rf dir
+
 let test_rotation_bounds_replay () =
   let dir = temp_dir "recovery" in
   make_store dir;
@@ -609,6 +669,8 @@ let suite =
       test_recovery_truncates_torn_tail;
     Alcotest.test_case "a commit repairs a torn tail before appending" `Quick
       test_commit_repairs_torn_tail;
+    Alcotest.test_case "recovery rejects legacy two-phase frames" `Quick
+      test_recovery_rejects_legacy_2pc_frames;
     Alcotest.test_case "rotation bounds replay length" `Quick
       test_rotation_bounds_replay;
     Alcotest.test_case "persist refuses a stale base version" `Quick

@@ -264,6 +264,32 @@ let test_torn_tail_and_quarantine () =
   | s -> Alcotest.failf "follower did not heal: %s" (R.status_label s));
   let lws, _ = Test_recovery.recover dir in
   db_equal "healed follower equals the leader" lws (R.workspace r);
+  (* A frame of the retired two-phase protocol is not a commit batch
+     either: the prepared slice carrying the next commit is quarantined,
+     not applied, and not skipped. *)
+  let read_leader () = Option.get (check_ok_e (io.Penguin.Fsio.read jpath)) in
+  let healed = read_leader () in
+  commit dir "C+";
+  let frames, _, _ = J.decode_frames (read_leader ()) in
+  let _, commit_payload = List.nth frames (List.length frames - 1) in
+  let prepare =
+    List.assoc "prepare" (Test_recovery.legacy_2pc_frames ~commit_payload)
+  in
+  check_ok_e
+    (io.Penguin.Fsio.write ~path:jpath ~append:false
+       (healed ^ J.frame prepare));
+  let before = R.position r in
+  let _ = check_ok_e (R.poll r) in
+  let _ = check_ok_e (R.poll r) in
+  (match R.status r with
+  | R.Degraded _ -> ()
+  | s ->
+      Alcotest.failf "expected a prepare frame to quarantine, follower is %s"
+        (R.status_label s));
+  Alcotest.(check int) "the prepared slice is not applied" before
+    (R.position r);
+  Alcotest.(check string) "the prepared grade is not visible" "B-"
+    (str_val (Test_recovery.grade_of (R.workspace r) ("CS345", 2)));
   rm_rf dir
 
 (* A quarantined follower heals even when the leader's remedy is a
@@ -649,241 +675,6 @@ let test_shipper_kill_points () =
             (Penguin.Error.to_string e));
   rm_rf dir
 
-(* --- sharded stores ---------------------------------------------------- *)
-
-let sharded_root dir = Filename.concat dir "shards"
-let sharded_target dir = Filename.concat dir "shards-follower"
-
-(* A sharded leader with mixed traffic: lane-local commits on both
-   islands and one cross-shard 2PC in between. *)
-let sharded_workload dir =
-  let root = sharded_root dir in
-  ignore
-    (check_ok_e
-       (Penguin.Shard_store.init ~root
-          (Test_sharded.islands_workspace ~cross:true 2)));
-  let eng = check_ok_e (Penguin.Sharded.open_store ~root ()) in
-  Fun.protect
-    ~finally:(fun () -> Penguin.Sharded.shutdown eng)
-    (fun () ->
-      let commit name step =
-        let ws = Penguin.Sharded.to_workspace eng in
-        ignore (Test_sharded.committed (Penguin.Sharded.update eng name (step ws)))
-      in
-      commit "isl0" (fun ws -> Test_sharded.sub_flip ~stamp:"s0" ws 0);
-      commit "refx0" (fun ws -> Test_sharded.cross_flip ~stamp:"x1" ws 0);
-      commit "isl1" (fun ws -> Test_sharded.sub_flip ~stamp:"s1" ws 1))
-
-let sval db island =
-  match
-    Relation.lookup
-      (Database.relation_exn db (Fmt.str "I%02d_SUB" island))
-      [ Relational.Value.Int 0; Relational.Value.Int 0 ]
-  with
-  | Some t -> str_val (Tuple.get t "sval")
-  | None -> Alcotest.fail "fixture SUB row missing"
-
-let cross_vals db =
-  let get rel key attr =
-    match Relation.lookup (Database.relation_exn db rel) key with
-    | Some t -> str_val (Tuple.get t attr)
-    | None -> Alcotest.failf "fixture %s row missing" rel
-  in
-  ( get "I00_REF" [ Relational.Value.Int 0; Relational.Value.Int 0 ] "note",
-    get "I01_TGT" [ Relational.Value.Int 0; Relational.Value.Int 0 ] "tval" )
-
-let test_sharded_follow () =
-  let dir = temp_dir "replica-sharded" in
-  sharded_workload dir;
-  let sr =
-    check_ok_e
-      (R.Sharded.create ~source:(sharded_root dir)
-         ~target:(sharded_target dir) ())
-  in
-  let shipped = check_ok_e (R.Sharded.poll sr) in
-  Alcotest.(check bool) "shard records shipped" true (shipped > 0);
-  let leader =
-    check_ok_e (Penguin.Shard_store.open_store ~root:(sharded_root dir) ())
-  in
-  let fol = check_ok_e (R.Sharded.open_follower sr) in
-  db_equal "sharded follower equals the leader"
-    leader.Penguin.Shard_store.ws fol.Penguin.Shard_store.ws;
-  Alcotest.(check (list int)) "version vectors agree"
-    (Array.to_list leader.Penguin.Shard_store.versions)
-    (Array.to_list fol.Penguin.Shard_store.versions);
-  (* Promote the follower root: consistent cut made physical, manifest
-     epoch bumped. *)
-  let o, epoch = check_ok_e (R.Sharded.promote sr) in
-  Alcotest.(check int) "sharded promotion epoch" 1 epoch;
-  db_equal "promoted sharded state intact" leader.Penguin.Shard_store.ws
-    o.Penguin.Shard_store.ws;
-  check_err_contains_e ~sub:"promoted" (R.Sharded.poll sr);
-  Test_sharded_crash.rm_rf_deep dir
-
-(* Kill the leader at every per-shard shipping point of a mid-2PC
-   workload: every pairing of per-shard record prefixes (plus torn
-   variants) must promote to a consistent cut — the cross-shard commit
-   lands on both shards or on neither, and each shard is a prefix of
-   its own acknowledged sequence. *)
-let test_sharded_mid_2pc_kill_sweep () =
-  let dir = temp_dir "replica-2pc-ref" in
-  sharded_workload dir;
-  let io = Penguin.Fsio.default in
-  let root = sharded_root dir in
-  let read p =
-    match check_ok_e (io.Penguin.Fsio.read p) with
-    | Some c -> c
-    | None -> Alcotest.failf "missing %s" p
-  in
-  let defs = read (Penguin.Shard_store.defs_path ~root) in
-  let manifest = read (Penguin.Shard_store.manifest_path ~root) in
-  let snaps =
-    Array.init 2 (fun i -> read (Penguin.Shard_store.shard_path ~root i))
-  in
-  let jnls =
-    Array.init 2 (fun i ->
-        read (J.journal_path (Penguin.Shard_store.shard_path ~root i)))
-  in
-  Test_sharded_crash.rm_rf_deep dir;
-  (* Per-shard cut points: every frame boundary, and a torn cut inside
-     every frame. *)
-  let cut_points j =
-    let frames, clean, _ = J.decode_frames j in
-    Alcotest.(check int) "shard journal clean" (String.length j) clean;
-    List.concat_map
-      (fun (off, p) ->
-        let e = off + 8 + String.length p in
-        [ e; min (e + 9) (String.length j) ])
-      frames
-    |> List.sort_uniq compare
-  in
-  let cuts0 = cut_points jnls.(0) and cuts1 = cut_points jnls.(1) in
-  (* The oracle: re-derive which records a consistent cut keeps, for
-     one gid, from the record semantics alone. *)
-  let parsed j b =
-    let frames, _, _ = J.decode_frames (String.sub j 0 b) in
-    List.filteri (fun i _ -> i > 0) frames
-    |> List.map (fun (_, p) -> check_ok (J.record_of_payload p))
-  in
-  let expect_applied recs0 recs1 =
-    let has l p = List.exists p l in
-    let prepare0 = has recs0 (function Penguin.Journal.Prepare _ -> true | _ -> false)
-    and prepare1 = has recs1 (function Penguin.Journal.Prepare _ -> true | _ -> false)
-    and decided =
-      has (recs0 @ recs1) (function
-        | Penguin.Journal.Decide _ | Penguin.Journal.Mark _ -> true
-        | _ -> false)
-    in
-    let cross = prepare0 && prepare1 && decided in
-    (* The incomplete-gid trim: a decided gid missing a prepare cuts
-       every shard at its first record of that gid — which here can
-       only drop records at or after the prepare. *)
-    let trim recs prepared =
-      if decided && not (prepare0 && prepare1) && prepared then
-        let rec take acc = function
-          | [] -> List.rev acc
-          | ( Penguin.Journal.Prepare _ | Penguin.Journal.Decide _
-            | Penguin.Journal.Mark _ )
-            :: _ ->
-              List.rev acc
-          | (Penguin.Journal.Commit _ as r) :: rest -> take (r :: acc) rest
-        in
-        take [] recs
-      else recs
-    in
-    let singles recs =
-      List.exists
-        (function Penguin.Journal.Commit _ -> true | _ -> false)
-        recs
-    in
-    let recs0 = trim recs0 prepare0 and recs1 = trim recs1 prepare1 in
-    (singles recs0, cross, singles recs1)
-  in
-  List.iter
-    (fun b0 ->
-      List.iter
-        (fun b1 ->
-          let dead = temp_dir "replica-2pc" in
-          let droot = sharded_root dead in
-          Unix.mkdir droot 0o755;
-          check_ok_e
-            (Penguin.Fsio.atomic_write io
-               ~path:(Penguin.Shard_store.defs_path ~root:droot) defs);
-          check_ok_e
-            (Penguin.Fsio.atomic_write io
-               ~path:(Penguin.Shard_store.manifest_path ~root:droot) manifest);
-          Array.iteri
-            (fun i snap ->
-              let sp = Penguin.Shard_store.shard_path ~root:droot i in
-              check_ok_e (Penguin.Fsio.atomic_write io ~path:sp snap);
-              let b = if i = 0 then b0 else b1 in
-              check_ok_e
-                (io.Penguin.Fsio.write ~path:(J.journal_path sp) ~append:false
-                   (String.sub jnls.(i) 0 b)))
-            snaps;
-          let ctx = Fmt.str "kill at shard bytes (%d, %d)" b0 b1 in
-          let o, epoch =
-            match R.Sharded.promote_root droot with
-            | Ok v -> v
-            | Error e ->
-                Alcotest.failf "%s: promotion failed: %s" ctx
-                  (Penguin.Error.to_string e)
-          in
-          Alcotest.(check int) (ctx ^ ": epoch") 1 epoch;
-          (match
-             Penguin.Workspace.check_consistency o.Penguin.Shard_store.ws
-           with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s: inconsistent: %s" ctx e);
-          let db = o.Penguin.Shard_store.ws.Penguin.Workspace.db in
-          let s0, cross, s1 =
-            expect_applied (parsed jnls.(0) b0) (parsed jnls.(1) b1)
-          in
-          let got_note, got_tval = cross_vals db in
-          if (got_note = "x1") <> (got_tval = "x1") then
-            Alcotest.failf "%s: cross-shard commit half-applied (%s, %s)" ctx
-              got_note got_tval;
-          if (got_note = "x1") <> cross then
-            Alcotest.failf "%s: cross-shard commit %s, ledger says %s" ctx
-              (if got_note = "x1" then "applied" else "dropped")
-              (if cross then "applied" else "dropped");
-          let check_single island expect =
-            let got = sval db island in
-            let want = if expect then Fmt.str "s%d" island else "s" in
-            if got <> want then
-              Alcotest.failf "%s: island %d sval %S, ledger says %S" ctx
-                island got want
-          in
-          check_single 0 s0;
-          check_single 1 s1;
-          Test_sharded_crash.rm_rf_deep dead)
-        cuts1)
-    cuts0
-
-(* A promoted sharded root fences the deposed engine: its next commit
-   notices the manifest epoch moved and wedges instead of appending. *)
-let test_sharded_engine_fenced () =
-  let dir = temp_dir "replica-shard-fence" in
-  sharded_workload dir;
-  let root = sharded_root dir in
-  let eng = check_ok_e (Penguin.Sharded.open_store ~root ()) in
-  Fun.protect
-    ~finally:(fun () -> Penguin.Sharded.shutdown eng)
-    (fun () ->
-      (* A replica promotes the same root out from under the engine. *)
-      let _o, epoch = check_ok_e (R.Sharded.promote_root root) in
-      Alcotest.(check int) "epoch bumped" 1 epoch;
-      let ws = Penguin.Sharded.to_workspace eng in
-      let o =
-        Penguin.Sharded.update eng "isl0" (Test_sharded.sub_flip ~stamp:"zz" ws 0)
-      in
-      let reason = rollback_reason o in
-      Alcotest.(check bool) "deposed engine is fenced" true
-        (Strutil.contains ~sub:"fenced" reason);
-      Alcotest.(check bool) "fenced engine wedges" true
-        (Penguin.Sharded.wedged eng));
-  Test_sharded_crash.rm_rf_deep dir
-
 let suite =
   [
     Alcotest.test_case "replay reports resumable byte offsets" `Quick
@@ -908,10 +699,4 @@ let suite =
       test_shipper_feed;
     Alcotest.test_case "shipper killed at every transport I/O point" `Quick
       test_shipper_kill_points;
-    Alcotest.test_case "sharded follower tracks a sharded leader" `Quick
-      test_sharded_follow;
-    Alcotest.test_case "mid-2PC leader kill promotes a consistent cut" `Quick
-      test_sharded_mid_2pc_kill_sweep;
-    Alcotest.test_case "promotion fences the deposed sharded engine" `Quick
-      test_sharded_engine_fenced;
   ]
