@@ -836,7 +836,8 @@ let e11 () =
   let fill t n =
     or_fail (Penguin.Journal.initialize t ~base);
     for i = 1 to n do
-      or_fail (Penguin.Journal.append t ~sync:false [ entry (base + i) ])
+      ignore
+        (or_fail (Penguin.Journal.append t ~sync:false [ entry (base + i) ]))
     done
   in
   let lengths = if !quick then [ 16 ] else [ 16; 64; 256 ] in
@@ -1303,7 +1304,8 @@ let e16 () =
     let t = Penguin.Journal.create (Penguin.Journal.journal_path store) in
     or_fail (Penguin.Journal.initialize t ~base);
     for i = 1 to n do
-      or_fail (Penguin.Journal.append t ~sync:false [ entry (base + i) ])
+      ignore
+        (or_fail (Penguin.Journal.append t ~sync:false [ entry (base + i) ]))
     done;
     store
   in

@@ -225,7 +225,7 @@ let decode_frames ?(off0 = 0) content =
 let initialize ?(epoch = 0) t ~base =
   Fsio.atomic_write t.io ~path:t.path (frame (header_payload ~base ~epoch))
 
-let append_sized t ?(sync = true) entries =
+let append t ?(sync = true) entries =
   if entries = [] then Ok 0
   else
     Obs.Trace.with_span "journal.append" ~tags:[ "sync", string_of_bool sync ]
@@ -242,9 +242,6 @@ let append_sized t ?(sync = true) entries =
       else Ok ()
     in
     Ok (String.length framed)
-
-let append t ?sync entries =
-  Result.map (fun (_ : int) -> ()) (append_sized t ?sync entries)
 
 type replay = {
   base : int;

@@ -1,12 +1,7 @@
-(* Shared socket plumbing for the network-facing layers: Shipper's
-   connection-per-request loop and Server's long-lived streams both
-   frame with the journal wire format and classify faults through the
-   same typed seam, so torn-request handling lives in exactly one
-   place. *)
-
-let src = Logs.Src.create "penguin.netio" ~doc:"socket and frame plumbing"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+(* Shared socket plumbing for the network-facing layers: both listeners
+   (Shipper's and Server's event loops) and their clients frame with the
+   journal wire format and classify faults through the same typed
+   seam. *)
 
 let max_frame_bytes = 64 * 1024 * 1024
 
@@ -220,6 +215,15 @@ module Stream = struct
 
   let pending t = t.len > t.off
 
+  (* [next] would answer without more bytes: a whole frame, or a length
+     prefix already out of bounds. *)
+  let ready t =
+    let avail = t.len - t.off in
+    avail >= 8
+    &&
+    let len = Int32.to_int (Bytes.get_int32_be t.buf t.off) in
+    len < 0 || len > max_frame_bytes || avail >= 8 + len
+
   let next t =
     let avail = t.len - t.off in
     if avail < 8 then `Awaiting
@@ -245,61 +249,6 @@ module Stream = struct
           `Frame payload
         end
 end
-
-let serve_oneshot ?(max_requests = max_int) ~sock ~handle ~on_torn () =
-  match listen ~sock with
-  | Error _ as e -> e
-  | Ok srv ->
-      let respond fd payloads =
-        write_all fd (String.concat "" (List.map Journal.frame payloads))
-      in
-      let rec loop served =
-        if served >= max_requests then begin
-          Unix.close srv;
-          Ok served
-        end
-        else
-          match Unix.accept srv with
-          | exception
-              Unix.Unix_error
-                ( (Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED),
-                  _,
-                  _ ) ->
-              (* A signal mid-accept or a client gone before the
-                 handshake completed: transient, keep accepting. *)
-              loop served
-          | exception Unix.Unix_error (e, fn, _) ->
-              Unix.close srv;
-              Error (io_error ~op:Error.Read ~path:sock fn e)
-          | fd, _ ->
-              (* A client failing mid-exchange must not kill the
-                 server: drop the connection and keep accepting. *)
-              let outcome =
-                try
-                  let raw = read_all fd in
-                  let frames, _clean, torn = Journal.decode_frames raw in
-                  match frames, torn with
-                  | [ (_, payload) ], 0 ->
-                      let reply, verdict = handle payload in
-                      respond fd reply;
-                      verdict
-                  | _ ->
-                      respond fd (on_torn ());
-                      `Continue
-                with Unix.Unix_error (e, fn, _) ->
-                  Log.warn (fun m ->
-                      m "netio: dropped connection on %s: %s: %s" sock fn
-                        (Unix.error_message e));
-                  `Continue
-              in
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              (match outcome with
-              | `Quit ->
-                  Unix.close srv;
-                  Ok (served + 1)
-              | `Continue -> loop (served + 1))
-      in
-      loop 0
 
 let oneshot_exchange ~sock payload =
   match

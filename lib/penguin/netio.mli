@@ -1,8 +1,8 @@
 (** Shared Unix-domain socket plumbing for the network-facing layers
-    ({!Shipper}, {!Server}): binding and accepting, whole-connection and
-    streaming frame I/O, and the typed {!Error.Io} classification of
-    socket faults — in one place, so torn-request handling behaves
-    identically on every listener.
+    ({!Shipper}, {!Server}, {!Replica}, {!Client}): binding and
+    connecting, whole-connection and streaming frame I/O, and the typed
+    {!Error.Io} classification of socket faults — in one place, so every
+    listener and client fails the same way.
 
     Frames are the journal wire format ({!Journal.frame}: 4-byte BE
     length, 4-byte BE CRC-32, payload), which is what makes a truncated
@@ -96,6 +96,11 @@ module Stream : sig
   (** Buffered bytes remain that {!next} has not consumed (complete or
       not) — whether a drained event loop should call {!next} again. *)
 
+  val ready : t -> bool
+  (** {!next} would answer [`Frame] or [`Corrupt] without more bytes —
+      whether a reader may drain the stream before waiting on its
+      socket. *)
+
   val next : t -> [ `Frame of string | `Awaiting | `Corrupt of string ]
   (** Decode the next frame off the stream. [`Awaiting]: the bytes so
       far are a valid prefix of a frame — wait for more. [`Corrupt]: a
@@ -104,29 +109,12 @@ module Stream : sig
       and the connection should be answered in-band and closed. *)
 end
 
-val serve_oneshot :
-  ?max_requests:int ->
-  sock:string ->
-  handle:(string -> string list * [ `Continue | `Quit ]) ->
-  on_torn:(unit -> string list) ->
-  unit ->
-  (int, Error.t) result
-(** The connection-per-request accept loop {!Shipper} runs: accept,
-    {!read_all} the request, decode its frames, and answer. A request
-    that is exactly one clean frame is passed to [handle], which
-    returns the response payloads (each sent as one frame) and whether
-    to keep serving; anything else — torn, empty, or trailing bytes —
-    is answered in-band with [on_torn ()] and the connection dropped,
-    without killing the accept loop. A client dying mid-exchange
-    likewise drops only its own connection. Returns the number of
-    requests served once [handle] says [`Quit] or [max_requests]
-    (default: unbounded) is reached. *)
-
 val oneshot_exchange :
   sock:string -> string -> ((int * string) list, Error.t) result
-(** The matching client side: connect, send the payload as one frame,
-    shut down the write side, read the response to EOF, and return its
-    clean frames ({!Journal.decode_frames} offsets and payloads).
+(** The connection-per-request client: connect, send the payload as
+    one frame, shut down the write side, read the response to EOF, and
+    return its clean frames ({!Journal.decode_frames} offsets and
+    payloads).
     Failures — including a response with torn trailing bytes — are
     typed transient I/O errors, which is what lets a caller's
     poll/retry discipline absorb a server dying at any byte. *)

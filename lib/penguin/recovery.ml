@@ -194,130 +194,17 @@ type persisted = {
   rotate_error : Error.t option;
 }
 
-let persist_unguarded ?(io = Fsio.default) ?(sync = true)
-    ?(rotate_threshold = 64) ?expect_epoch ~store ~since ws =
-  Obs.Trace.with_span "recovery.persist" @@ fun () ->
-  M.time m_persist_ns @@ fun () ->
-  if since < Commit_log.truncated ws.Workspace.log then
-    Error
-      (Error.invalid
-         (Fmt.str
-            "persist: history since v%d is not held (log truncated at v%d)"
-            since
-            (Commit_log.truncated ws.Workspace.log)))
-  else
-    let entries =
-      List.filter
-        (fun (e : Commit_log.entry) -> e.Commit_log.version > since)
-        (Commit_log.entries_since ws.Workspace.log since)
-    in
-    let jnl = Journal.create ~io (Journal.journal_path store) in
-    let* existing = Journal.replay jnl in
-    let* records, epoch =
-      match existing with
-      | Some r ->
-          (* Epoch fencing: if a follower promoted since this handle was
-             opened, the journal header carries a newer epoch, and this
-             process is the deposed leader. Appending anyway would fork
-             history — the promoted store has (or will) put different
-             commits at these versions. Refuse, non-retryably: only a
-             fresh open (which adopts the new epoch and state) may write
-             again. *)
-          let* () =
-            match expect_epoch with
-            | Some e when e <> r.Journal.epoch ->
-                Error
-                  (Error.invalid
-                     (Fmt.str
-                        "persist: fenced — store %s is at epoch %d but this \
-                         handle was opened at epoch %d (a replica promoted); \
-                         reopen to resume against the new leader state"
-                        store r.Journal.epoch e))
-            | _ -> Ok ()
-          in
-          (* The journal's tail version must still be the version this
-             commit was prepared against: if another process slipped a
-             commit in between our open_store and now (the store lock
-             was not held, or not held wide enough), appending would
-             journal two entries with the same version and wedge every
-             later open. Refuse cleanly instead. *)
-          let tail =
-            List.fold_left
-              (fun acc (e : Commit_log.entry) -> max acc e.Commit_log.version)
-              r.Journal.base r.Journal.entries
-          in
-          if tail <> since then
-            Error
-              (Error.conflict
-                 (Fmt.str
-                    "persist: store %s advanced to v%d but this commit was \
-                     prepared against v%d (concurrent commit?); reopen the \
-                     store and retry"
-                    store tail since))
-          else
-            let* () =
-              (* Commit-time repair: we are the writer (under the store
-                 lock), so a torn tail here is a real crash remnant, and
-                 appending after it would put the new record where replay
-                 never looks. *)
-              if r.Journal.torn_bytes > 0 then (
-                Log.warn (fun m ->
-                    m "journal for %s has a torn tail (%d byte(s)); \
-                       truncating before append"
-                      store r.Journal.torn_bytes);
-                Journal.truncate_torn jnl ~clean_bytes:r.Journal.clean_bytes)
-              else Ok ()
-            in
-            Ok (r.Journal.records, r.Journal.epoch)
-      | None ->
-          (* First commit against a plain exported store: start the
-             journal at the version the caller's open_store saw — the
-             snapshot's. *)
-          let epoch = Option.value expect_epoch ~default:0 in
-          let* () = Journal.initialize ~epoch jnl ~base:since in
-          Ok (0, epoch)
-    in
-    let* () = Journal.append jnl ~sync entries in
-    (* The append's fsync is the durability point: from here the commit
-       is permanent and must be reported as such. A rotation failure
-       past this point is a warning, not a failed commit — treating it
-       as failure invites the caller to re-apply updates the store
-       already holds. The journal is intact, so a later commit simply
-       retries the rotation. *)
-    if records + 1 >= rotate_threshold then
-      (* Rotation preserves the epoch: folding the journal into a
-         snapshot is not a leadership change. *)
-      match snapshot ~io ~epoch ~store ws with
-      | Ok () -> Ok { rotated = true; rotate_error = None }
-      | Error e -> Ok { rotated = false; rotate_error = Some e }
-    else Ok { rotated = false; rotate_error = None }
-
-(* The breaker wraps the whole durable path: K consecutive
-   {!Error.breaker_fault} outcomes (non-transient I/O, corruption) trip
-   it and later writes are shed with [Busy] — degraded read-only mode.
-   [open_store] never passes through a breaker, so reads keep working
-   while the store heals. *)
-let persist ?io ?sync ?rotate_threshold ?breaker ?expect_epoch ~store ~since ws
-    =
-  let run () =
-    persist_unguarded ?io ?sync ?rotate_threshold ?expect_epoch ~store ~since ws
-  in
-  match breaker with
-  | None -> run ()
-  | Some b -> Resilience.Breaker.protect b run
-
-(* --- long-lived exclusive-writer appender ----------------------------- *)
+(* --- the durable append ----------------------------------------------- *)
 
 module Appender = struct
-  (* {!persist} re-replays the whole journal on every call to rediscover
-     its tail version, record count and epoch — the right trade for a
-     CLI process that commits once and exits, but quadratic for a server
-     flushing hundreds of windows against one open journal. An appender
-     does that validation once, then trusts its own cursor: it may only
-     exist while the caller holds the store's exclusive lock
-     ({!Fsio.with_lock}) for the appender's whole lifetime, which is
-     what rules out the concurrent-writer races the per-call replay was
-     detecting. *)
+  (* The one write path. Opening an appender validates the journal with
+     one full replay — epoch fence, tail check, torn-tail repair, or a
+     fresh journal for a plain exported store — after which it trusts
+     its own cursor. That trust is sound only while the caller holds the
+     store's exclusive lock ({!Fsio.with_lock}) for the appender's whole
+     lifetime, which is what rules out concurrent writers. The server
+     keeps one appender for its life; {!persist} is the one-shot case:
+     open at the caller's base, append once, drop the handle. *)
 
   type t = {
     io : Fsio.t;
@@ -333,144 +220,175 @@ module Appender = struct
   }
 
   let m_appends =
-    M.counter ~help:"incremental journal appends (no replay)"
+    M.counter ~help:"durable journal appends through an appender"
       "recovery.appender_appends"
 
   let m_revalidations =
     M.counter ~help:"appender cursor rebuilds after a failed append"
       "recovery.appender_revalidations"
 
-  (* One full replay: fence the epoch, truncate any torn tail (we are
-     the exclusive writer, so a torn tail is a real crash/fault remnant),
-     and report (records, epoch, tail). [base] seeds a journal-less
-     store, exactly as {!persist} would on its first commit. *)
   let header_bytes ~base ~epoch =
     String.length (Journal.frame (Journal.header_payload ~base ~epoch))
 
-  let validate ?expect_epoch ~store ~jnl base =
+  (* The journal's tail must still be the version [at] the caller's
+     workspace was prepared against: if another process slipped a commit
+     in (the store lock was not held, or not held wide enough),
+     appending would journal two entries with the same version and
+     wedge every later open. Refuse cleanly instead. *)
+  let advanced ~store ~tail ~at =
+    Error.conflict
+      (Fmt.str
+         "store %s advanced to v%d but this commit was prepared against v%d \
+          (concurrent commit?); reopen the store and retry"
+         store tail at)
+
+  (* One full replay against version [at]; returns (records, epoch,
+     clean bytes). A journal-less store gets a journal based at [at]. *)
+  let validate ?expect_epoch ~store jnl ~at =
     let* r = Journal.replay jnl in
     match r with
     | None ->
         let epoch = Option.value expect_epoch ~default:0 in
-        let* () = Journal.initialize ~epoch jnl ~base in
-        Ok (0, epoch, base, header_bytes ~base ~epoch)
+        let* () = Journal.initialize ~epoch jnl ~base:at in
+        Ok (0, epoch, header_bytes ~base:at ~epoch)
     | Some r ->
+        (* Epoch fencing: if a follower promoted since this handle's
+           store was opened, the journal header carries a newer epoch
+           and this process is the deposed leader. Appending anyway
+           would fork history, so refuse non-retryably: only a fresh
+           open (which adopts the new epoch and state) may write. *)
         let* () =
           match expect_epoch with
           | Some e when e <> r.Journal.epoch ->
               Error
                 (Error.invalid
                    (Fmt.str
-                      "appender: fenced — store %s is at epoch %d but this \
-                       handle was opened at epoch %d (a replica promoted); \
-                       reopen to resume against the new leader state"
+                      "fenced — store %s is at epoch %d but this handle was \
+                       opened at epoch %d (a replica promoted); reopen to \
+                       resume against the new leader state"
                       store r.Journal.epoch e))
           | _ -> Ok ()
-        in
-        let* () =
-          if r.Journal.torn_bytes > 0 then (
-            Log.warn (fun m ->
-                m "journal for %s has a torn tail (%d byte(s)); truncating"
-                  store r.Journal.torn_bytes);
-            Journal.truncate_torn jnl ~clean_bytes:r.Journal.clean_bytes)
-          else Ok ()
         in
         let tail =
           List.fold_left
             (fun acc (e : Commit_log.entry) -> max acc e.Commit_log.version)
             r.Journal.base r.Journal.entries
         in
-        Ok (r.Journal.records, r.Journal.epoch, tail, r.Journal.clean_bytes)
+        if tail <> at then Error (advanced ~store ~tail ~at)
+        else
+          let* () =
+            (* We are the writer (under the store lock), so a torn tail
+               is a real crash or fault remnant, and appending after it
+               would put the new record where replay never looks. *)
+            if r.Journal.torn_bytes > 0 then (
+              Log.warn (fun m ->
+                  m "journal for %s has a torn tail (%d byte(s)); truncating"
+                    store r.Journal.torn_bytes);
+              Journal.truncate_torn jnl ~clean_bytes:r.Journal.clean_bytes)
+            else Ok ()
+          in
+          Ok (r.Journal.records, r.Journal.epoch, r.Journal.clean_bytes)
+
+  let open_at ~io ~rotate_threshold ?breaker ?expect_epoch ~store at =
+    let jnl = Journal.create ~io (Journal.journal_path store) in
+    let* records, epoch, bytes = validate ?expect_epoch ~store jnl ~at in
+    Ok { io; store; jnl; rotate_threshold; breaker; epoch; records; tail = at;
+         bytes; dirty = false }
 
   let create ?(io = Fsio.default) ?(rotate_threshold = 64) ?breaker
       ?expect_epoch ~store ws =
-    let jnl = Journal.create ~io (Journal.journal_path store) in
-    let* records, epoch, tail, bytes =
-      validate ?expect_epoch ~store ~jnl (Workspace.version ws)
-    in
-    if tail <> Workspace.version ws then
-      Error
-        (Error.conflict
-           (Fmt.str
-              "appender: journal for %s is at v%d but the workspace is at \
-               v%d; reopen the store"
-              store tail (Workspace.version ws)))
-    else
-      Ok { io; store; jnl; rotate_threshold; breaker; epoch; records; tail;
-           bytes; dirty = false }
+    open_at ~io ~rotate_threshold ?breaker ?expect_epoch ~store
+      (Workspace.version ws)
 
   let tail t = t.tail
 
   let bytes t = t.bytes
 
-  let append_unguarded t ~since ws =
-    Obs.Trace.with_span "recovery.append" @@ fun () ->
-    M.time m_persist_ns @@ fun () ->
+  (* The workspace's commits after [since], refused when its log no
+     longer holds that history. Pure, so it runs before any I/O. *)
+  let held_since ~since ws =
+    let truncated = Commit_log.truncated ws.Workspace.log in
+    if since < truncated then
+      Error
+        (Error.invalid
+           (Fmt.str "history since v%d is not held (log truncated at v%d)"
+              since truncated))
+    else
+      Ok
+        (List.filter
+           (fun (e : Commit_log.entry) -> e.Commit_log.version > since)
+           (Commit_log.entries_since ws.Workspace.log since))
+
+  let write t entries ws =
     let* () =
       (* A failed append (or rotation) may have left bytes past the last
-         clean record; appending after them would put the new record
-         where replay never looks. Rebuild the cursor from disk first —
-         the cost returns only after a fault, not per flush. *)
+         clean record. Rebuild the cursor from disk first — the cost
+         returns only after a fault, not per append. *)
       if t.dirty then (
         M.Counter.incr m_revalidations;
-        let* records, _epoch, tail, bytes =
-          validate ~expect_epoch:t.epoch ~store:t.store ~jnl:t.jnl t.tail
+        let* records, _epoch, bytes =
+          validate ~expect_epoch:t.epoch ~store:t.store t.jnl ~at:t.tail
         in
         t.records <- records;
-        t.tail <- tail;
         t.bytes <- bytes;
         t.dirty <- false;
         Ok ())
       else Ok ()
     in
-    if since <> t.tail then
-      Error
-        (Error.conflict
-           (Fmt.str
-              "appender: store %s is at v%d but this flush was prepared \
-               against v%d"
-              t.store t.tail since))
-    else if since < Commit_log.truncated ws.Workspace.log then
-      Error
-        (Error.invalid
-           (Fmt.str
-              "appender: history since v%d is not held (log truncated at v%d)"
-              since
-              (Commit_log.truncated ws.Workspace.log)))
-    else
-      let entries =
-        List.filter
-          (fun (e : Commit_log.entry) -> e.Commit_log.version > since)
-          (Commit_log.entries_since ws.Workspace.log since)
-      in
-      match Journal.append_sized t.jnl ~sync:true entries with
-      | Error e ->
-          t.dirty <- true;
-          Error e
-      | Ok appended ->
-          M.Counter.incr m_appends;
-          t.records <- t.records + 1;
-          t.tail <- Workspace.version ws;
-          t.bytes <- t.bytes + appended;
-          if t.records >= t.rotate_threshold then (
-            (* Rotation preserves the epoch; a failure after the
-               append's fsync is a warning (the commit is durable, the
-               journal intact) — but it may have left the files mid-
-               rotate, so rebuild the cursor before the next append. *)
-            match snapshot ~io:t.io ~epoch:t.epoch ~store:t.store ws with
-            | Ok () ->
-                t.records <- 0;
-                t.bytes <-
-                  header_bytes ~base:(Workspace.version ws) ~epoch:t.epoch;
-                Ok { rotated = true; rotate_error = None }
-            | Error e ->
-                t.dirty <- true;
-                Ok { rotated = false; rotate_error = Some e })
-          else Ok { rotated = false; rotate_error = None }
+    match Journal.append t.jnl entries with
+    | Error e ->
+        t.dirty <- true;
+        Error e
+    | Ok appended ->
+        M.Counter.incr m_appends;
+        t.records <- t.records + 1;
+        t.tail <- Workspace.version ws;
+        t.bytes <- t.bytes + appended;
+        (* The append's fsync is the durability point. A rotation
+           failure past it is a warning, not a failed commit — the
+           journal is intact and a later append retries the rotation —
+           but it may have left the files mid-rotate, so the cursor is
+           rebuilt before the next append. Rotation preserves the
+           epoch: folding the journal is not a leadership change. *)
+        if t.records >= t.rotate_threshold then (
+          match snapshot ~io:t.io ~epoch:t.epoch ~store:t.store ws with
+          | Ok () ->
+              t.records <- 0;
+              t.bytes <-
+                header_bytes ~base:(Workspace.version ws) ~epoch:t.epoch;
+              Ok { rotated = true; rotate_error = None }
+          | Error e ->
+              t.dirty <- true;
+              Ok { rotated = false; rotate_error = Some e })
+        else Ok { rotated = false; rotate_error = None }
 
-  let append t ~since ws =
-    let run () = append_unguarded t ~since ws in
-    match t.breaker with
+  (* The breaker wraps the whole durable path: K consecutive
+     {!Error.breaker_fault} outcomes (non-transient I/O, corruption) trip
+     it and later writes are shed with [Busy] — degraded read-only mode.
+     [open_store] never passes through a breaker, so reads keep working
+     while the store heals. *)
+  let guarded breaker run =
+    match breaker with
     | None -> run ()
     | Some b -> Resilience.Breaker.protect b run
+
+  let append t ~since ws =
+    guarded t.breaker @@ fun () ->
+    Obs.Trace.with_span "recovery.append" @@ fun () ->
+    M.time m_persist_ns @@ fun () ->
+    let* entries = held_since ~since ws in
+    if since <> t.tail then
+      Error (advanced ~store:t.store ~tail:t.tail ~at:since)
+    else write t entries ws
 end
+
+let persist ?(io = Fsio.default) ?(rotate_threshold = 64) ?breaker
+    ?expect_epoch ~store ~since ws =
+  Appender.guarded breaker @@ fun () ->
+  Obs.Trace.with_span "recovery.persist" @@ fun () ->
+  M.time m_persist_ns @@ fun () ->
+  let* entries = Appender.held_since ~since ws in
+  let* t =
+    Appender.open_at ~io ~rotate_threshold ?expect_epoch ~store since
+  in
+  Appender.write t entries ws

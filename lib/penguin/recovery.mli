@@ -77,7 +77,6 @@ type persisted = {
 
 val persist :
   ?io:Fsio.t ->
-  ?sync:bool ->
   ?rotate_threshold:int ->
   ?breaker:Resilience.Breaker.t ->
   ?expect_epoch:int ->
@@ -86,12 +85,13 @@ val persist :
   Workspace.t ->
   (persisted, Error.t) result
 (** Durably record the workspace's commits after version [since] (which
-    must be the version {!open_store} returned for this store): append
-    them to the journal as one all-or-nothing record ([sync], default
-    [true], fsyncs — the durability point), initializing the journal at
-    [since] if the store was a plain export without one. Refuses with a
-    "store advanced" error if the journal's tail version no longer
-    equals [since] (a concurrent commit slipped in); call under
+    must be the version {!open_store} returned for this store) — a
+    one-shot {!Appender}: open one at [since], append once, drop it.
+    The commits land in the journal as one all-or-nothing record whose
+    fsync is the durability point, initializing the journal at [since]
+    if the store was a plain export without one. Refuses with a
+    "store advanced" {!Error.Conflict} if the journal's tail version no
+    longer equals [since] (a concurrent commit slipped in); call under
     {!Fsio.with_lock} on the store, as the CLI does, to rule that out
     rather than detect it. A torn journal tail is truncated before the
     append. When the journal reaches [rotate_threshold] records
@@ -102,11 +102,11 @@ val persist :
     durable and must not be retried. Failures are typed: a lost race is
     {!Error.Conflict} (retryable after reopening), a stale [since] is
     {!Error.Invalid}, disk faults are {!Error.Io}. When [breaker] is
-    given the whole durable path runs under
-    {!Resilience.Breaker.protect}: after K consecutive non-transient
-    durability failures it trips and later persists are shed with
-    {!Error.Busy} (degraded read-only mode — {!open_store} is never
-    gated), until a post-cooldown probe succeeds.
+    given the whole durable path, the journal replay included, runs
+    under {!Resilience.Breaker.protect}: after K consecutive
+    non-transient durability failures it trips and later persists are
+    shed with {!Error.Busy} (degraded read-only mode — {!open_store} is
+    never gated), until a post-cooldown probe succeeds.
 
     [expect_epoch] (from the {!report} of the open this commit was
     prepared against) arms epoch fencing: if the journal header's epoch
@@ -122,20 +122,19 @@ val snapshot :
     state and reset the journal to extend it ({!Journal.rotate}),
     stamping [epoch] (default [0]) in the fresh journal header. *)
 
-(** Long-lived exclusive-writer journal handle. {!persist} re-replays
-    the whole journal on every call to rediscover its tail version,
-    record count and epoch — correct for a commit-and-exit CLI process,
-    quadratic for a server flushing hundreds of windows. An appender
-    performs that validation once at {!Appender.create} and then
-    appends incrementally from a trusted in-memory cursor.
+(** The exclusive-writer journal handle, and the one durable-append
+    implementation. {!Appender.create} validates the journal with one
+    full replay, after which each {!Appender.append} is one journal
+    append + one fsync from a trusted in-memory cursor — a server
+    flushing hundreds of windows keeps one for its lifetime, and
+    {!persist} is the one-shot case.
 
     Soundness precondition: the caller holds the store's exclusive lock
     ({!Fsio.with_lock}) for the appender's {e entire} lifetime — that is
-    what rules out the concurrent-writer races the per-call replay was
-    detecting. After a failed append or rotation the cursor is marked
-    dirty and the next append rebuilds it from disk (truncating any torn
-    tail) before writing, so a fault costs one extra replay, not
-    correctness. *)
+    what rules out concurrent writers. After a failed append or
+    rotation the cursor is marked dirty and the next append rebuilds it
+    from disk (truncating any torn tail) before writing, so a fault
+    costs one extra replay, not correctness. *)
 module Appender : sig
   type t
 
@@ -151,10 +150,11 @@ module Appender : sig
       (refusing with {!Error.Invalid} "fenced" if a replica promoted),
       truncate any torn tail, initialize a journal for a plain exported
       store — and capture the record count and tail version. Refuses
-      with {!Error.Conflict} if the journal's tail does not match the
-      workspace's version (the workspace must come from {!open_store}
-      on the same store, under the same lock). [breaker] guards every
-      subsequent {!append}, as {!persist}'s [breaker] does. *)
+      with a "store advanced" {!Error.Conflict} if the journal's tail
+      does not match the workspace's version (the workspace must come
+      from {!open_store} on the same store, under the same lock).
+      [breaker] guards every subsequent {!append}, as {!persist}'s
+      [breaker] does. *)
 
   val append : t -> since:int -> Workspace.t -> (persisted, Error.t) result
   (** Durably record the workspace's commits after version [since] with

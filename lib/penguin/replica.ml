@@ -87,6 +87,69 @@ let file_feed ?(io = Fsio.default) source =
         Ok (Option.value c ~default:""));
   }
 
+(* --- the feed wire format ----------------------------------------------- *)
+
+(* Every frame of the follower feed, encoded and decoded in one place:
+   the requests, the status replies, and the push stream's acks. The
+   frames reuse the journal's length+CRC-32 wire format ({!Netio}). *)
+
+module X = Relational.Sexp
+
+type request = Snapshot | Journal_from of int | Head | Subscribe of int | Quit
+
+let request_payload = function
+  | Snapshot -> "(snapshot)"
+  | Head -> "(head)"
+  | Journal_from off -> Fmt.str "(journal %d)" off
+  | Subscribe off -> Fmt.str "(subscribe %d)" off
+  | Quit -> "(quit)"
+
+let request_of_payload s =
+  let offset what off k =
+    match int_of_string_opt off with
+    | Some off when off >= 0 -> Ok (k off)
+    | _ -> Error (Fmt.str "feed: bad %s offset" what)
+  in
+  let* doc = X.parse s in
+  match doc with
+  | X.List [ X.Atom "snapshot" ] -> Ok Snapshot
+  | X.List [ X.Atom "head" ] -> Ok Head
+  | X.List [ X.Atom "quit" ] -> Ok Quit
+  | X.List [ X.Atom "journal"; X.Atom off ] ->
+      offset "journal" off (fun o -> Journal_from o)
+  | X.List [ X.Atom "subscribe"; X.Atom off ] ->
+      offset "subscribe" off (fun o -> Subscribe o)
+  | _ -> Error "feed: unknown request"
+
+type reply = Ready | Pushing of int * int | Refused of string
+
+let reply_payload = function
+  | Ready -> "(ok)"
+  | Pushing (base, epoch) -> Fmt.str "(pushing %d %d)" base epoch
+  | Refused m -> Fmt.str "(error %S)" m
+
+let reply_of_payload s =
+  match X.parse s with
+  | Ok (X.List [ X.Atom "ok" ]) -> Some Ready
+  | Ok (X.List [ X.Atom "pushing"; X.Atom b; X.Atom e ]) -> (
+      match int_of_string_opt b, int_of_string_opt e with
+      | Some b, Some e -> Some (Pushing (b, e))
+      | _ -> None)
+  | Ok (X.List [ X.Atom "error"; X.Atom m ]) -> Some (Refused m)
+  | _ -> None
+
+let ack_payload off = Fmt.str "(ack %d)" off
+
+let ack_of_payload s =
+  match X.parse s with
+  | Ok (X.List [ X.Atom "ack"; X.Atom off ]) -> int_of_string_opt off
+  | _ -> None
+
+let header_of_bytes bytes =
+  match Journal.decode_frames bytes with
+  | (_, h) :: _, _, _ -> Result.to_option (Journal.header_of_payload h)
+  | [], _, _ -> None
+
 (* --- the follower ------------------------------------------------------ *)
 
 type status = Following | Degraded of string | Promoted
@@ -247,10 +310,7 @@ let resync t =
   let* ws0 = Result.map_error Error.corrupt (Store.load snapshot) in
   let* head = t.feed.fetch_head () in
   let epoch =
-    match Journal.decode_frames head with
-    | (_, h) :: _, _, _ -> (
-        match Journal.header_of_payload h with Ok (_, e) -> e | Error _ -> 0)
-    | [], _, _ -> 0
+    match header_of_bytes head with Some (_, e) -> e | None -> 0
   in
   let* () = Fsio.atomic_write t.io ~path:t.target snapshot in
   let* () =
@@ -391,18 +451,15 @@ let poll t =
            leader's epoch — the 1 KB read that keeps idle polls from
            re-reading the journal. *)
         let* head = t.feed.fetch_head () in
-        match Journal.decode_frames head with
-        | (_, h) :: _, _, _ -> (
-            match Journal.header_of_payload h with
-            | Ok (base, epoch) when base <> t.base || epoch <> t.epoch ->
-                let* outcome = follow_header_change t ~base ~epoch in
-                Ok
-                  { acc with
-                    rotated = outcome = `Rotated;
-                    resynced = outcome = `Resynced;
-                  }
-            | Ok _ | Error _ -> Ok acc)
-        | [], _, _ -> Ok acc
+        match header_of_bytes head with
+        | Some (base, epoch) when base <> t.base || epoch <> t.epoch ->
+            let* outcome = follow_header_change t ~base ~epoch in
+            Ok
+              { acc with
+                rotated = outcome = `Rotated;
+                resynced = outcome = `Resynced;
+              }
+        | Some _ | None -> Ok acc
       end
     in
     let lag = List.length remaining in
@@ -513,7 +570,7 @@ let subscribe ?(net = Netio.default_net) t ~sock =
     in
     match
       net.Netio.net_send fd
-        (Journal.frame (Fmt.str "(subscribe %d)" t.leader_off))
+        (Journal.frame (request_payload (Subscribe t.leader_off)))
     with
     | exception Unix.Unix_error (e, _, _) ->
         fail ("subscribe: " ^ Unix.error_message e)
@@ -537,40 +594,23 @@ let subscribe ?(net = Netio.default_net) t ~sock =
         match handshake () with
         | Error m -> fail ("subscribe: " ^ m)
         | Ok payload -> (
-            match Relational.Sexp.parse payload with
-            | Ok
-                (Relational.Sexp.List
-                  [
-                    Relational.Sexp.Atom "pushing";
-                    Relational.Sexp.Atom b;
-                    Relational.Sexp.Atom e;
-                  ]) -> (
-                match int_of_string_opt b, int_of_string_opt e with
-                | Some base, Some epoch ->
-                    if
-                      t.leader_off > 0 && (base <> t.base || epoch <> t.epoch)
-                    then
-                      (* The leader rotated or a new epoch began since
-                         our position was taken: the byte stream would
-                         not be contiguous with what we hold. The pull
-                         path adopts the change, then we resubscribe. *)
-                      fail
-                        (Fmt.str
-                           "subscribe: leader is at (base %d, epoch %d) but \
-                            this follower holds (base %d, epoch %d); catch \
-                            up through the pull feed first"
-                           base epoch t.base t.epoch)
-                    else Ok p
-                | _ -> fail "subscribe: bad (pushing BASE EPOCH) frame")
-            | Ok _ | Error _ -> (
-                (* An in-band (error "msg") refusal, or garbage. *)
-                match Relational.Sexp.parse payload with
-                | Ok
-                    (Relational.Sexp.List
-                      [ Relational.Sexp.Atom "error"; Relational.Sexp.Atom m ])
-                  ->
-                    fail ("subscribe refused: " ^ m)
-                | _ -> fail "subscribe: bad handshake frame")))
+            match reply_of_payload payload with
+            | Some (Pushing (base, epoch)) ->
+                if t.leader_off > 0 && (base <> t.base || epoch <> t.epoch)
+                then
+                  (* The leader rotated or a new epoch began since our
+                     position was taken: the byte stream would not be
+                     contiguous with what we hold. The pull path adopts
+                     the change, then we resubscribe. *)
+                  fail
+                    (Fmt.str
+                       "subscribe: leader is at (base %d, epoch %d) but this \
+                        follower holds (base %d, epoch %d); catch up through \
+                        the pull feed first"
+                       base epoch t.base t.epoch)
+                else Ok p
+            | Some (Refused m) -> fail ("subscribe refused: " ^ m)
+            | Some Ready | None -> fail "subscribe: bad handshake frame"))
 
 let push_poll ?(timeout = 0.05) t p =
   if t.status = Promoted then
@@ -586,28 +626,28 @@ let push_poll ?(timeout = 0.05) t p =
     in
     (* Frames may already be buffered from a read that overshot (the
        handshake chunk often carries the first pushed bytes); drain
-       them without blocking — recv only when select vouches for the
-       socket, or the poll would wedge on a quiet link. *)
-    let wait = if Netio.Stream.pending p.push_stream then 0. else timeout in
-    let readable =
-      match Unix.select [ p.push_fd ] [] [] wait with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-      | [], _, _ -> false
-      | _ :: _, _, _ -> true
-    in
+       them without blocking. Otherwise recv only when select vouches
+       for the socket, or the poll would wedge on a quiet link. A frame
+       begun but not finished within the wait means bytes were lost on
+       the link: fail the stream so the pull path takes over, instead
+       of polling a frame that can never complete. *)
+    let ready = Netio.Stream.ready p.push_stream in
     let fed =
-      if not readable then Ok ()
-      else
-        match p.push_net.Netio.net_recv p.push_fd p.push_chunk with
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            Ok ()
-        | exception Unix.Unix_error (e, _, _) ->
-            Error (Unix.error_message e)
-        | 0 -> Error "closed by the leader"
-        | k ->
-            Netio.Stream.feed p.push_stream p.push_chunk k;
-            Ok ()
+      match Unix.select [ p.push_fd ] [] [] (if ready then 0. else timeout) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> Ok ()
+      | [], _, _ ->
+          if ready || not (Netio.Stream.pending p.push_stream) then Ok ()
+          else Error "stalled mid-frame"
+      | _ :: _, _, _ -> (
+          match p.push_net.Netio.net_recv p.push_fd p.push_chunk with
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              Ok ()
+          | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+          | 0 -> Error "closed by the leader"
+          | k ->
+              Netio.Stream.feed p.push_stream p.push_chunk k;
+              Ok ())
     in
     match fed with
     | Error m -> fail m
@@ -676,7 +716,7 @@ let push_poll ?(timeout = 0.05) t p =
             (if !failure = None then
                match
                  p.push_net.Netio.net_send p.push_fd
-                   (Journal.frame (Fmt.str "(ack %d)" t.leader_off))
+                   (Journal.frame (ack_payload t.leader_off))
                with
                | exception Unix.Unix_error _ -> push_close p
                | () -> ());

@@ -47,6 +47,48 @@ val file_feed : ?io:Fsio.t -> string -> feed
     reads — same-host or shared-filesystem replication, and the feed
     the crash sweep drives byte by byte. *)
 
+(** {2 The feed wire format}
+
+    Every frame of the follower feed is encoded and decoded here, once:
+    the requests a follower sends, the status frame a listener answers
+    with, and the push stream's acks. Both listeners ({!Shipper.serve}
+    and {!Server.serve}) and both clients ({!Shipper.feed} and
+    {!subscribe}) go through these codecs. *)
+
+(** One request frame. *)
+type request =
+  | Snapshot  (** the store document + its recorded version *)
+  | Journal_from of int  (** journal bytes from byte offset [off] *)
+  | Head  (** the journal's first kilobyte, holding its header *)
+  | Subscribe of int
+      (** convert the connection to a push stream from byte [off] *)
+  | Quit  (** finish in-flight requests and stop serving *)
+
+val request_payload : request -> string
+val request_of_payload : string -> (request, string) result
+
+(** The status frame a listener answers a request with. *)
+type reply =
+  | Ready  (** [(ok)]: the raw payload frame follows *)
+  | Pushing of int * int
+      (** [(pushing BASE EPOCH)]: the subscription is live; raw journal
+          bytes follow as they land *)
+  | Refused of string
+      (** [(error MSG)]: the in-band refusal of any request *)
+
+val reply_payload : reply -> string
+val reply_of_payload : string -> reply option
+
+val ack_payload : int -> string
+(** [(ack OFF)]: a push follower's durable position, sent upstream. *)
+
+val ack_of_payload : string -> int option
+
+val header_of_bytes : string -> (int * int) option
+(** [(base, epoch)] from the header frame at the start of journal bytes
+    ({!feed.fetch_head}, or a fetch from offset 0); [None] when the
+    bytes hold no valid header. *)
+
 type status =
   | Following  (** tailing normally (also while awaiting a journal) *)
   | Degraded of string

@@ -128,16 +128,15 @@ type stats = {
   windows : int;
 }
 
-(* A connection that sent [(subscribe OFF)] becomes a follower: journal
-   bytes flow out from [r_sent], [(ack OFF)] frames flow back into
-   [r_acked] — the replication tracker quorum release reads. Health is
-   quorum membership: a follower that misses a window's replication
-   deadline is evicted ([r_healthy <- false], its acks no longer count)
-   and re-admitted only when its acked position reaches the journal's
-   current end. *)
+(* A connection that sent [(subscribe OFF)] becomes a follower: the
+   feed protocol ({!Shipper.sub}) relays journal bytes out and takes
+   its [(ack OFF)] frames in — the positions quorum release reads. On
+   top sits quorum health: a follower that misses a window's
+   replication deadline is evicted ([r_healthy <- false], its acks no
+   longer count) and re-admitted only when its acked position reaches
+   the journal's current end. *)
 type repl = {
-  mutable r_sent : int;
-  mutable r_acked : int;
+  sub : Shipper.sub;
   mutable r_healthy : bool;
 }
 
@@ -326,7 +325,7 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
   let quorum_reached w =
     List.length
       (List.filter
-         (fun r -> r.r_healthy && r.r_acked >= w.w_end)
+         (fun r -> r.r_healthy && Shipper.acked r.sub >= w.w_end)
          (followers ()))
     >= config.sync_replicas
   in
@@ -349,7 +348,7 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
             else if now >= w.w_deadline then begin
               List.iter
                 (fun r ->
-                  if r.r_healthy && r.r_acked < w.w_end then begin
+                  if r.r_healthy && Shipper.acked r.sub < w.w_end then begin
                     r.r_healthy <- false;
                     M.Counter.incr m_repl_evictions
                   end)
@@ -388,69 +387,13 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
      offsets: the subscribers are dropped and re-find footing through
      the pull path. *)
   let push_subs ~rotated =
-    if rotated then
-      List.iter (fun c -> if c.repl <> None && c.alive then kill c) !conns
-    else
-      let target = Recovery.Appender.bytes appender in
-      List.iter
-        (fun c ->
-          match c.repl with
-          | Some r when c.alive && r.r_sent < target -> (
-              match feed.Replica.fetch_journal ~off:r.r_sent with
-              | Error _ -> kill c
-              | Ok bytes -> (
-                  let _, clean_end, _ =
-                    Journal.decode_frames ~off0:r.r_sent bytes
-                  in
-                  if clean_end > r.r_sent then
-                    match
-                      net.Netio.net_send c.fd
-                        (String.sub bytes 0 (clean_end - r.r_sent))
-                    with
-                    | exception Unix.Unix_error _ -> kill c
-                    | () -> r.r_sent <- clean_end))
-          | _ -> ())
-        !conns
-  in
-  let subscribe_conn conn off =
-    let refuse m =
-      M.Counter.incr m_request_errors;
-      send conn [ Fmt.str "(error %S)" m; "" ]
-    in
-    match feed.Replica.fetch_journal ~off:0 with
-    | Error e -> refuse (Error.to_string e)
-    | Ok all ->
-        let frames, clean_end, _ = Journal.decode_frames all in
-        let boundary =
-          off = 0 || off = clean_end
-          || List.exists (fun (o, _) -> o = off) frames
-        in
-        if not boundary then
-          refuse
-            (Fmt.str
-               "server: offset %d is not a frame boundary (journal end %d); \
-                catch up through the pull feed"
-               off clean_end)
-        else begin
-          let base, hepoch =
-            match frames with
-            | (_, h) :: _ -> (
-                match Journal.header_of_payload h with
-                | Ok (b, e) -> b, e
-                | Error _ -> 0, epoch)
-            | [] -> 0, epoch
-          in
-          send conn [ Fmt.str "(pushing %d %d)" base hepoch ];
-          if conn.alive then begin
-            conn.repl <- Some { r_sent = off; r_acked = off; r_healthy = true };
-            M.Gauge.set m_repl_followers
-              (float_of_int (List.length (followers ())));
-            Log.info (fun m ->
-                m "conn %d: push subscriber at offset %d" conn.id off);
-            (* Ship any backlog immediately. *)
-            push_subs ~rotated:false
-          end
-        end
+    List.iter
+      (fun c ->
+        match c.repl with
+        | Some r when c.alive ->
+            if rotated || not (Shipper.relay ~net feed r.sub) then kill c
+        | _ -> ())
+      !conns
   in
   (* --- the flush: one merged commit_group + one journal fsync -------- *)
   let persist_policy = { Resilience.Policy.default with max_attempts = 3 } in
@@ -729,28 +672,25 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
                    Sexp.Atom (Obs.Json.to_string (M.to_json ()));
                  ]);
           ]
-    | Ok (Sexp.List (Sexp.Atom ("snapshot" | "journal" | "head") :: _)) -> (
-        (* The follower feed protocol ({!Shipper}), answered from the
-           server's own files in the shipper's two-frame shape — so a
-           replica can point its pull path straight at the serving
+    | Ok
+        (Sexp.List
+          (Sexp.Atom ("snapshot" | "journal" | "head" | "subscribe") :: _))
+      -> (
+        (* The follower feed protocol, answered by {!Shipper}'s listener
+           code from the server's own files — so a replica can point its
+           pull path and its push subscription straight at the serving
            socket. The journal is fsynced before any ack, so what these
            reads see is durable. *)
-        match Shipper.request_of_payload payload with
-        | Error m ->
-            M.Counter.incr m_request_errors;
-            send conn [ Fmt.str "(error %S)" m; "" ]
-        | Ok req -> (
-            match Shipper.handle feed req with
-            | Ok bytes -> send conn [ "(ok)"; bytes ]
-            | Error e ->
-                M.Counter.incr m_request_errors;
-                send conn [ Fmt.str "(error %S)" (Error.to_string e); "" ]))
-    | Ok (Sexp.List [ Sexp.Atom "subscribe"; Sexp.Atom off ]) -> (
-        match int_of_string_opt off with
-        | Some off when off >= 0 -> subscribe_conn conn off
-        | _ ->
-            M.Counter.incr m_request_errors;
-            send conn [ "(error \"server: bad subscribe offset\")"; "" ])
+        match Shipper.accept ~net feed conn.fd payload with
+        | `Answered | `Quit -> ()
+        | `Close -> kill conn
+        | `Subscribed sub ->
+            conn.repl <- Some { sub; r_healthy = true };
+            M.Gauge.set m_repl_followers
+              (float_of_int (List.length (followers ())));
+            Log.info (fun m -> m "conn %d: push subscriber" conn.id);
+            (* Ship any backlog immediately. *)
+            push_subs ~rotated:false)
     | Ok (Sexp.List [ Sexp.Atom "shutdown" ]) ->
         (* Land whatever is parked before acknowledging the stop. *)
         flush "shutdown";
@@ -779,13 +719,12 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
             match conn.repl with
             | Some r ->
                 (* A follower's frames are durable-position acks. *)
-                (match Shipper.ack_of_payload payload with
-                | Some off when off >= r.r_acked ->
-                    r.r_acked <- off;
+                (match Shipper.take_ack r.sub payload with
+                | `Advanced ->
                     M.Counter.incr m_repl_acks;
                     if
                       (not r.r_healthy)
-                      && off >= Recovery.Appender.bytes appender
+                      && Shipper.acked r.sub >= Recovery.Appender.bytes appender
                     then begin
                       r.r_healthy <- true;
                       M.Counter.incr m_repl_readmissions;
@@ -795,8 +734,8 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
                             conn.id)
                     end;
                     check_pendings ()
-                | Some _ -> () (* stale ack: position is monotonic *)
-                | None -> kill conn);
+                | `Stale -> ()
+                | `Garbage -> kill conn);
                 go (n + 1)
             | None ->
                 incr n_requests;

@@ -57,9 +57,11 @@
 
     {2 Replication}
 
-    The server also answers the {!Shipper} feed protocol ([(snapshot)],
-    [(journal OFF)], [(head)]) from its own files, and [(subscribe
-    OFF)] converts a connection into a push follower: new journal bytes
+    The server also answers the follower feed protocol ([(snapshot)],
+    [(journal OFF)], [(head)]) from its own files, through the same
+    {!Shipper} listener code as [replica serve], and [(subscribe OFF)]
+    converts a connection into a push follower (or is refused with one
+    [(error ...)] frame and the connection closed): new journal bytes
     are streamed to it at the end of every flush — replication latency
     is the link, not a polling tick — and its [(ack OFF)] frames feed
     the replication tracker.

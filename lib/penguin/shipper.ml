@@ -1,5 +1,3 @@
-open Relational
-
 let src = Logs.Src.create "penguin.shipper" ~doc:"journal shipping over a socket"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -9,10 +7,11 @@ let ( let* ) = Result.bind
 module M = Obs.Metrics
 
 let c_requests =
-  M.counter ~help:"shipper requests served" "shipper.requests"
+  M.counter ~help:"follower-feed requests served (either listener)"
+    "shipper.requests"
 
 let c_request_errors =
-  M.counter ~help:"shipper requests answered with an error status"
+  M.counter ~help:"follower-feed requests answered with an error status"
     "shipper.request_errors"
 
 let c_push_subscriptions =
@@ -28,304 +27,237 @@ let c_push_acks =
     "shipper.push.acks"
 
 (* The pull protocol is one request and one response per connection.
-   The client writes a single frame holding a request sexp and shuts
-   down its write side; the server answers with two frames — a status
-   sexp, then the raw payload bytes — and closes. The accept/frame loop
-   and the typed classification of socket faults live in {!Netio},
-   shared with the serving front end; frames reuse the journal's
-   length+CRC-32 wire format, so a truncated or mangled transport chunk
-   fails the same checksum a torn journal tail does.
+   The client writes a single frame holding a request and shuts down its
+   write side; the listener answers with two frames — a status, then the
+   raw payload bytes. The frames ({!Replica.request},
+   {!Replica.reply}) reuse the journal's length+CRC-32 wire format, so a
+   truncated or mangled transport chunk fails the same checksum a torn
+   journal tail does.
 
    [(subscribe OFF)] instead upgrades the connection to a long-lived
-   push stream: the server answers one [(pushing BASE EPOCH)] frame and
-   from then on relays raw journal bytes (already valid frames) as they
-   land, while the follower sends [(ack OFF)] frames — its durable
+   push stream: the listener answers one [(pushing BASE EPOCH)] frame
+   and from then on relays raw journal bytes (already valid frames) as
+   they land, while the follower sends [(ack OFF)] frames — its durable
    position — back on the same socket. Anything that invalidates the
    byte stream (rotation, epoch change, a send failure) simply closes
    it: the follower falls back to the stateless pull path and
-   resubscribes from its own position. *)
+   resubscribes from its own position.
 
-type request = Snapshot | Journal_from of int | Head | Subscribe of int | Quit
+   This half of the file is the listener side of that protocol, shared
+   by {!serve} below and by {!Server}: each owns its sockets and event
+   loop and calls in here for every feed decision. *)
 
-let request_payload = function
-  | Snapshot -> "(snapshot)"
-  | Head -> "(head)"
-  | Journal_from off -> Fmt.str "(journal %d)" off
-  | Subscribe off -> Fmt.str "(subscribe %d)" off
-  | Quit -> "(quit)"
-
-let request_of_payload s =
-  let* doc = Sexp.parse s in
-  match doc with
-  | Sexp.List [ Sexp.Atom "snapshot" ] -> Ok Snapshot
-  | Sexp.List [ Sexp.Atom "head" ] -> Ok Head
-  | Sexp.List [ Sexp.Atom "quit" ] -> Ok Quit
-  | Sexp.List [ Sexp.Atom "journal"; Sexp.Atom off ] -> (
-      match int_of_string_opt off with
-      | Some off when off >= 0 -> Ok (Journal_from off)
-      | _ -> Error "shipper: bad journal offset")
-  | Sexp.List [ Sexp.Atom "subscribe"; Sexp.Atom off ] -> (
-      match int_of_string_opt off with
-      | Some off when off >= 0 -> Ok (Subscribe off)
-      | _ -> Error "shipper: bad subscribe offset")
-  | _ -> Error "shipper: unknown request"
-
-let ack_of_payload s =
-  match Sexp.parse s with
-  | Ok (Sexp.List [ Sexp.Atom "ack"; Sexp.Atom off ]) -> int_of_string_opt off
-  | _ -> None
-
-(* --- server ------------------------------------------------------------ *)
-
-let handle feed request =
-  match request with
-  | Snapshot -> feed.Replica.fetch_snapshot ()
-  | Head -> feed.Replica.fetch_head ()
-  | Journal_from off -> feed.Replica.fetch_journal ~off
-  | Subscribe _ ->
-      (* Reaches [handle] only through the oneshot path, where a
-         subscription cannot live (the serve loop intercepts it). *)
-      Error (Error.invalid "shipper: subscribe requires a streaming listener")
-  | Quit -> Ok ""
-
-let answer feed payload =
-  M.Counter.incr c_requests;
-  match request_of_payload payload with
-  | Error m ->
-      M.Counter.incr c_request_errors;
-      [ Fmt.str "(error %S)" m; "" ], `Continue
-  | Ok request -> (
-      let reply =
-        match handle feed request with
-        | Ok payload -> [ "(ok)"; payload ]
-        | Error e ->
-            M.Counter.incr c_request_errors;
-            [ Fmt.str "(error %S)" (Error.to_string e); "" ]
-      in
-      reply, match request with Quit -> `Quit | _ -> `Continue)
-
-(* A live push subscriber: raw journal bytes flow out from [s_sent],
-   [(ack OFF)] frames flow back. The header captured at subscribe time
-   is the stream's validity token — a rotation or epoch change makes
-   the byte offsets meaningless, so the stream is simply closed and the
-   follower re-finds its footing through the pull path. *)
 type sub = {
-  s_fd : Unix.file_descr;
-  s_stream : Netio.Stream.t;
-  s_base : int;
-  s_epoch : int;
-  mutable s_sent : int;  (** leader journal bytes pushed so far *)
-  mutable s_acked : int;  (** follower's last acked durable offset *)
-  mutable s_alive : bool;
+  sub_fd : Unix.file_descr;
+  base : int;
+  epoch : int;
+  mutable sent : int;
+  mutable acked : int;
 }
 
-let torn_reply () =
-  M.Counter.incr c_requests;
-  M.Counter.incr c_request_errors;
-  [ "(error \"shipper: torn request frame\")"; "" ]
+let acked s = s.acked
 
-let serve ?io ?(net = Netio.default_net) ?(max_requests = max_int)
-    ?(push_interval = 0.005) ~store ~sock () =
+let send ~net fd payloads =
+  match
+    net.Netio.net_send fd (String.concat "" (List.map Journal.frame payloads))
+  with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
+
+let refused ~net fd m =
+  M.Counter.incr c_request_errors;
+  let (_ : bool) = send ~net fd [ Replica.reply_payload (Refused m) ] in
+  `Close
+
+(* The subscriber streams raw bytes from [off], so [off] must be a real
+   frame boundary of the journal we hold — anything else (a deposed
+   leader's longer journal, a stale offset from before a rotation) is
+   refused in-band with one frame, the connection is closed, and the
+   follower resolves it through the pull path. *)
+let subscribe ~net feed fd off =
+  match feed.Replica.fetch_journal ~off:0 with
+  | Error e -> refused ~net fd (Error.to_string e)
+  | Ok all ->
+      let frames, clean_end, _torn = Journal.decode_frames all in
+      if not (off = 0 || off = clean_end || List.mem_assoc off frames) then
+        refused ~net fd
+          (Fmt.str
+             "offset %d is not a frame boundary (journal end %d); catch up \
+              through the pull feed"
+             off clean_end)
+      else
+        let base, epoch =
+          Option.value (Replica.header_of_bytes all) ~default:(0, 0)
+        in
+        if not (send ~net fd [ Replica.reply_payload (Pushing (base, epoch)) ])
+        then `Close
+        else begin
+          M.Counter.incr c_push_subscriptions;
+          `Subscribed { sub_fd = fd; base; epoch; sent = off; acked = off }
+        end
+
+let accept ~net feed fd payload =
+  M.Counter.incr c_requests;
+  let answer result =
+    let frames =
+      match result with
+      | Ok bytes -> [ Replica.reply_payload Ready; bytes ]
+      | Error m ->
+          M.Counter.incr c_request_errors;
+          [ Replica.reply_payload (Refused m); "" ]
+    in
+    if send ~net fd frames then `Answered else `Close
+  in
+  let fetched r = Result.map_error Error.to_string r in
+  match Replica.request_of_payload payload with
+  | Error m -> answer (Error m)
+  | Ok (Subscribe off) -> subscribe ~net feed fd off
+  | Ok Snapshot -> answer (fetched (feed.Replica.fetch_snapshot ()))
+  | Ok Head -> answer (fetched (feed.Replica.fetch_head ()))
+  | Ok (Journal_from off) -> answer (fetched (feed.Replica.fetch_journal ~off))
+  | Ok Quit ->
+      ignore (answer (Ok ""));
+      `Quit
+
+(* Relay every complete new frame to one subscriber. Only the clean
+   frame prefix crosses — torn tail bytes would poison the subscriber's
+   stream decoder, and they may still be an append in flight. *)
+let relay ~net feed s =
+  match feed.Replica.fetch_journal ~off:s.sent with
+  | Error _ -> false
+  | Ok bytes -> (
+      let _frames, clean_end, _torn =
+        Journal.decode_frames ~off0:s.sent bytes
+      in
+      let n = clean_end - s.sent in
+      n <= 0
+      ||
+      match net.Netio.net_send s.sub_fd (String.sub bytes 0 n) with
+      | exception Unix.Unix_error _ -> false
+      | () ->
+          s.sent <- clean_end;
+          M.Counter.add c_push_bytes n;
+          true)
+
+let take_ack s payload =
+  match Replica.ack_of_payload payload with
+  | None -> `Garbage
+  | Some off when off >= s.acked ->
+      s.acked <- off;
+      M.Counter.incr c_push_acks;
+      `Advanced
+  | Some _ -> `Stale
+
+(* --- the lock-free listener --------------------------------------------- *)
+
+(* A connection is unidentified until its first complete frame, which
+   decides its fate: a pull request is answered and the connection
+   closed; a subscription keeps it as a push subscriber. *)
+type conn = {
+  fd : Unix.file_descr;
+  stream : Netio.Stream.t;
+  mutable sub : sub option;
+  mutable live : bool;
+}
+
+(* How often the journal is probed for new bytes while subscribers
+   exist. This listener serves stores written by other processes
+   ([penguin session commit] takes the store lock per commit), so no
+   append announces itself and polling the file is the only signal;
+   {!Server}, which writes its own journal, pushes right after each
+   append instead. *)
+let push_interval = 0.005
+
+let serve ?io ?(net = Netio.default_net) ~store ~sock () =
   let feed = Replica.file_feed ?io store in
   Log.info (fun m -> m "shipping %s on %s" store sock);
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let* srv = Netio.listen ~sock in
-  let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
-  let respond fd payloads =
-    try net.Netio.net_send fd (String.concat "" (List.map Journal.frame payloads))
-    with Unix.Unix_error _ -> ()
-  in
-  (* Connections that have not identified themselves yet (pull request
-     or subscribe handshake in flight), and live subscribers. *)
-  let pending : (Unix.file_descr * Netio.Stream.t) list ref = ref [] in
-  let subs : sub list ref = ref [] in
+  let conns : conn list ref = ref [] in
   let served = ref 0 and stop = ref false in
   let chunk = Bytes.create 65536 in
-  let drop_sub s =
-    if s.s_alive then begin
-      s.s_alive <- false;
-      close_fd s.s_fd
+  let close c =
+    if c.live then begin
+      c.live <- false;
+      try Unix.close c.fd with Unix.Unix_error _ -> ()
     end
   in
-  let header_info () =
-    match feed.Replica.fetch_head () with
-    | Error _ -> None
-    | Ok head -> (
-        match Journal.decode_frames head with
-        | (_, h) :: _, _, _ -> (
-            match Journal.header_of_payload h with
-            | Ok be -> Some be
-            | Error _ -> None)
-        | [], _, _ -> None)
-  in
-  let start_sub fd off =
-    match feed.Replica.fetch_journal ~off:0 with
-    | Error e ->
-        M.Counter.incr c_request_errors;
-        respond fd [ Fmt.str "(error %S)" (Error.to_string e) ];
-        close_fd fd
-    | Ok all ->
-        let frames, clean_end, _torn = Journal.decode_frames all in
-        (* The subscriber streams raw bytes from [off], so [off] must
-           be a real frame boundary of the journal we hold — anything
-           else (a deposed leader's longer journal, a stale offset from
-           before a rotation) is answered in-band and the follower
-           resolves it through the pull path. *)
-        let boundary =
-          off = 0 || off = clean_end
-          || List.exists (fun (o, _) -> o = off) frames
-        in
-        if not boundary then begin
-          M.Counter.incr c_request_errors;
-          respond fd
-            [
-              Fmt.str "(error %S)"
-                (Fmt.str
-                   "shipper: offset %d is not a frame boundary (journal end \
-                    %d); catch up through the pull feed"
-                   off clean_end);
-            ];
-          close_fd fd
-        end
-        else begin
-          let base, epoch =
-            match frames with
-            | (_, h) :: _ -> (
-                match Journal.header_of_payload h with
-                | Ok (b, e) -> b, e
-                | Error _ -> 0, 0)
-            | [] -> 0, 0
-          in
-          M.Counter.incr c_push_subscriptions;
-          respond fd [ Fmt.str "(pushing %d %d)" base epoch ];
-          subs :=
-            {
-              s_fd = fd;
-              s_stream = Netio.Stream.create ();
-              s_base = base;
-              s_epoch = epoch;
-              s_sent = off;
-              s_acked = off;
-              s_alive = true;
-            }
-            :: !subs;
-          Log.info (fun m -> m "push subscriber at offset %d on %s" off sock)
-        end
-  in
-  (* One push round: relay every complete new frame to each subscriber.
-     Only the clean frame prefix crosses — torn tail bytes would poison
-     the subscriber's stream decoder, and they may still be an append
-     in flight. *)
-  let push_round () =
-    if !subs <> [] then begin
-      let hdr = header_info () in
-      List.iter
-        (fun s ->
-          if s.s_alive then begin
-            (match hdr with
-            | Some (b, e) when b <> s.s_base || e <> s.s_epoch ->
-                (* Rotation or promotion: the stream's offsets are void. *)
-                drop_sub s
-            | Some _ | None -> ());
-            if s.s_alive then
-              match feed.Replica.fetch_journal ~off:s.s_sent with
-              | Error _ -> () (* transient read fault: retry next round *)
-              | Ok "" -> ()
-              | Ok bytes -> (
-                  let _frames, clean_end, _torn =
-                    Journal.decode_frames ~off0:s.s_sent bytes
-                  in
-                  let n = clean_end - s.s_sent in
-                  if n > 0 then
-                    match
-                      net.Netio.net_send s.s_fd (String.sub bytes 0 n)
-                    with
-                    | exception Unix.Unix_error _ -> drop_sub s
-                    | () ->
-                        s.s_sent <- clean_end;
-                        M.Counter.add c_push_bytes n)
-          end)
-        !subs;
-      subs := List.filter (fun s -> s.s_alive) !subs
-    end
-  in
-  let read_sub s =
-    match net.Netio.net_recv s.s_fd chunk with
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ()
-    | exception Unix.Unix_error _ -> drop_sub s
-    | 0 -> drop_sub s
-    | k ->
-        Netio.Stream.feed s.s_stream chunk k;
-        let rec drain () =
-          if s.s_alive then
-            match Netio.Stream.next s.s_stream with
-            | `Awaiting -> ()
-            | `Corrupt _ -> drop_sub s
-            | `Frame payload ->
-                (match ack_of_payload payload with
-                | Some off when off >= s.s_acked ->
-                    s.s_acked <- off;
-                    M.Counter.incr c_push_acks
-                | Some _ | None -> ());
-                drain ()
-        in
-        drain ()
-  in
-  (* Read one chunk from an unidentified connection. The pull protocol
-     sends exactly one frame then shuts down its write side; a
-     subscribe is one frame with the socket kept open. Either way the
-     first complete frame decides the connection's fate. *)
-  let read_pending (fd, stream) =
-    let finish_request payload =
-      incr served;
-      match request_of_payload payload with
-      | Ok (Subscribe off) ->
-          M.Counter.incr c_requests;
-          start_sub fd off
-      | Ok _ | Error _ ->
-          let reply, verdict = answer feed payload in
-          respond fd reply;
-          close_fd fd;
-          if verdict = `Quit then stop := true
+  (* A request frame cut short, mangled, or followed by trailing bytes
+     is not this protocol: answered in-band like a torn journal tail. *)
+  let torn c =
+    incr served;
+    M.Counter.incr c_requests;
+    M.Counter.incr c_request_errors;
+    let (_ : bool) =
+      send ~net c.fd
+        [ Replica.reply_payload (Refused "shipper: torn request frame"); "" ]
     in
-    match net.Netio.net_recv fd chunk with
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        `Keep
-    | exception Unix.Unix_error _ ->
-        close_fd fd;
-        `Drop
+    close c
+  in
+  let first_frame c payload =
+    incr served;
+    match accept ~net feed c.fd payload with
+    | `Subscribed s ->
+        c.sub <- Some s;
+        Log.info (fun m -> m "push subscriber at offset %d on %s" s.sent sock)
+    | `Answered | `Close -> close c
+    | `Quit ->
+        close c;
+        stop := true
+  in
+  let rec drain_acks c s =
+    if c.live then
+      match Netio.Stream.next c.stream with
+      | `Awaiting -> ()
+      | `Corrupt _ -> close c
+      | `Frame payload -> (
+          match take_ack s payload with
+          | `Garbage -> close c
+          | `Advanced | `Stale -> drain_acks c s)
+  in
+  let read c =
+    match net.Netio.net_recv c.fd chunk with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error _ -> close c
     | 0 ->
-        (* Write side shut down before a complete frame arrived: a torn
-           request, answered in-band like a torn journal tail. *)
-        if Netio.Stream.pending stream then begin
-          incr served;
-          respond fd (torn_reply ())
-        end;
-        close_fd fd;
-        `Drop
+        (* Write side shut down before a complete frame arrived. *)
+        if c.sub = None && Netio.Stream.pending c.stream then torn c
+        else close c
     | k -> (
-        Netio.Stream.feed stream chunk k;
-        match Netio.Stream.next stream with
-        | `Awaiting -> `Keep
-        | `Corrupt _ ->
-            incr served;
-            respond fd (torn_reply ());
-            close_fd fd;
-            `Drop
-        | `Frame payload ->
-            if Netio.Stream.pending stream then begin
-              (* Trailing bytes after the request frame: not this
-                 protocol. Answer in-band and drop. *)
-              incr served;
-              respond fd (torn_reply ());
-              close_fd fd
-            end
-            else finish_request payload;
-            `Drop)
+        Netio.Stream.feed c.stream chunk k;
+        match c.sub with
+        | Some s -> drain_acks c s
+        | None -> (
+            match Netio.Stream.next c.stream with
+            | `Awaiting -> ()
+            | `Corrupt _ -> torn c
+            | `Frame payload ->
+                if Netio.Stream.pending c.stream then torn c
+                else first_frame c payload))
+  in
+  (* One push round. The header captured at subscribe time is each
+     stream's validity token: a rotation or promotion makes its byte
+     offsets meaningless, so the stream is closed. *)
+  let push_round () =
+    let subs =
+      List.filter_map
+        (fun c ->
+          match c.sub with Some s when c.live -> Some (c, s) | _ -> None)
+        !conns
+    in
+    if subs <> [] then begin
+      let head =
+        Option.bind (Result.to_option (feed.Replica.fetch_head ()))
+          Replica.header_of_bytes
+      in
+      List.iter
+        (fun (c, s) ->
+          match head with
+          | Some (b, e) when b <> s.base || e <> s.epoch -> close c
+          | Some _ | None -> if not (relay ~net feed s) then close c)
+        subs
+    end
   in
   let accept_new () =
     match Unix.accept srv with
@@ -339,17 +271,18 @@ let serve ?io ?(net = Netio.default_net) ?(max_requests = max_int)
         Log.warn (fun m ->
             m "shipper: accept on %s failed: %s: %s" sock fn
               (Unix.error_message e))
-    | fd, _ -> pending := (fd, Netio.Stream.create ()) :: !pending
+    | fd, _ ->
+        conns :=
+          { fd; stream = Netio.Stream.create (); sub = None; live = true }
+          :: !conns
   in
   let rec loop () =
-    if !stop || !served >= max_requests then ()
-    else begin
-      let timeout = if !subs = [] then -1. else push_interval in
-      let fds =
-        (srv :: List.map fst !pending)
-        @ List.filter_map (fun s -> if s.s_alive then Some s.s_fd else None)
-            !subs
+    if not !stop then begin
+      let timeout =
+        if List.exists (fun c -> c.sub <> None) !conns then push_interval
+        else -1.
       in
+      let fds = srv :: List.map (fun c -> c.fd) !conns in
       (match Unix.select fds [] [] timeout with
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ()
       | readable, _, _ ->
@@ -357,41 +290,34 @@ let serve ?io ?(net = Netio.default_net) ?(max_requests = max_int)
             (fun fd ->
               if fd == srv then accept_new ()
               else
-                match List.find_opt (fun (pfd, _) -> pfd == fd) !pending with
-                | Some p ->
-                    if read_pending p = `Drop then
-                      pending := List.filter (fun (pfd, _) -> pfd != fd) !pending
-                | None -> (
-                    match
-                      List.find_opt (fun s -> s.s_fd == fd && s.s_alive) !subs
-                    with
-                    | Some s -> read_sub s
-                    | None -> ()))
+                match List.find_opt (fun c -> c.fd == fd && c.live) !conns with
+                | Some c -> read c
+                | None -> ())
             readable);
       push_round ();
+      conns := List.filter (fun c -> c.live) !conns;
       loop ()
     end
   in
   loop ();
-  List.iter (fun (fd, _) -> close_fd fd) !pending;
-  List.iter drop_sub !subs;
-  close_fd srv;
+  List.iter close !conns;
+  (try Unix.close srv with Unix.Unix_error _ -> ());
+  (try Unix.unlink sock with Unix.Unix_error _ -> ());
   Ok !served
 
 (* --- client ------------------------------------------------------------ *)
 
 let exchange ~sock request =
-  let* frames = Netio.oneshot_exchange ~sock (request_payload request) in
+  let* frames =
+    Netio.oneshot_exchange ~sock (Replica.request_payload request)
+  in
   match frames with
   | [ (_, status); (_, payload) ] -> (
-      let* doc =
-        Result.map_error (Error.corrupt_record ~path:sock) (Sexp.parse status)
-      in
-      match doc with
-      | Sexp.List [ Sexp.Atom "ok" ] -> Ok payload
-      | Sexp.List [ Sexp.Atom "error"; Sexp.Atom m ] ->
+      match Replica.reply_of_payload status with
+      | Some Ready -> Ok payload
+      | Some (Refused m) ->
           Error (Error.io ~op:Error.Read ~path:sock ~transient:true m)
-      | _ ->
+      | Some (Pushing _) | None ->
           Error (Error.corrupt_record ~path:sock "shipper: bad status frame"))
   | _ ->
       (* Truncated or mangled response: a transient transport fault —

@@ -26,52 +26,74 @@
     catches up through the stateless pull path and resubscribes, so
     push mode is an optimization of the feed's latency, never a second
     source of truth. [(subscribe)] at a non-boundary offset is refused
-    in-band with an [(error ...)] frame. *)
+    in-band with one [(error ...)] frame and the connection closed. *)
 
-(** One decoded request frame. *)
-type request =
-  | Snapshot  (** the store document + its recorded version *)
-  | Journal_from of int  (** journal bytes from byte offset [off] *)
-  | Head  (** the journal header's [(base, epoch)] *)
-  | Subscribe of int
-      (** convert the connection to a push stream from byte [off] *)
-  | Quit  (** finish in-flight requests and stop serving *)
+(** {2 The listener side}
 
-val request_of_payload : string -> (request, string) result
-(** Decode a request frame's payload — exposed so {!Server} can answer
-    the same feed protocol on its own socket. *)
+    The server half of the feed protocol ({!Replica.request},
+    {!Replica.reply}), shared by both listeners: {!serve} below, for
+    stores written by [penguin session commit], and {!Server.serve},
+    which writes its own journal. Each owns its sockets and event loop
+    and calls in here for every feed decision. *)
 
-val handle : Replica.feed -> request -> (string, Error.t) result
-(** Answer one {e stateless} request against a feed (normally
-    {!Replica.file_feed} on the leader's own files): the raw bytes of
-    the second response frame — the caller wraps [(ok)]/[(error ...)]
-    around it. [Subscribe] is refused ({!Error.Invalid}): it needs a
-    streaming listener, not a one-exchange answer. *)
+type sub
+(** A live push subscriber: its socket, the journal header it
+    subscribed under, the bytes relayed so far, and its last acked
+    durable offset. *)
 
-val ack_of_payload : string -> int option
-(** Decode a follower's [(ack <off>)] frame, [None] for anything else —
-    what a push server's read path feeds its replication tracker. *)
+val acked : sub -> int
+(** The subscriber's last acked durable offset in the leader journal —
+    what quorum replication counts. *)
+
+val accept :
+  net:Netio.net ->
+  Replica.feed ->
+  Unix.file_descr ->
+  string ->
+  [ `Answered | `Subscribed of sub | `Close | `Quit ]
+(** Answer one request frame read from the connection, against [feed]
+    (the leader's own files). A stateless request gets a status frame
+    plus the raw bytes ([`Answered]); an undecodable one gets
+    [(error MSG)] plus an empty frame. [(subscribe OFF)] at a frame
+    boundary of the journal answers [(pushing BASE EPOCH)] and returns
+    the new subscriber; anywhere else it is refused in-band with one
+    [(error MSG)] frame, and [`Close] tells the caller to close the
+    connection — as does a failed send. [`Quit]: a [(quit)] request was
+    answered. *)
+
+val relay : net:Netio.net -> Replica.feed -> sub -> bool
+(** Send the subscriber every complete journal frame past what it has
+    been sent — the clean prefix only, never a torn tail that may
+    still be an append in flight. [false]: the read or the send failed
+    and the caller should close the stream. *)
+
+val take_ack : sub -> string -> [ `Advanced | `Stale | `Garbage ]
+(** Take in one frame a subscriber sent: an [(ack OFF)] past its last
+    ack advances it, an older one is [`Stale] (positions only move
+    forward), and anything else is [`Garbage] — close the stream. *)
+
+(** {2 The lock-free listener} *)
 
 val serve :
   ?io:Fsio.t ->
   ?net:Netio.net ->
-  ?max_requests:int ->
-  ?push_interval:float ->
   store:string ->
   sock:string ->
   unit ->
   (int, Error.t) result
 (** Serve [store] (and its journal) on the Unix-domain socket path
-    [sock], unlinking any stale socket first. One-exchange requests are
-    handled as before; [(subscribe <off>)] connections are kept and
-    pushed to — the journal is probed every [push_interval] seconds
-    (default 5ms) while subscribers exist, and new clean bytes are
-    streamed to each from its own position. [net] (default
-    {!Netio.default_net}) is the send/recv seam fault injection wraps.
-    Request errors are answered in-band and a client dying mid-exchange
-    drops only its own connection. Returns the number of requests
-    served once a [(quit)] request arrives ({!quit}) or [max_requests]
-    (default: unbounded) is reached. *)
+    [sock], unlinking any stale socket first, without taking the store
+    lock — commits keep landing through [penguin session commit], which
+    takes it per commit. One-exchange requests are answered and the
+    connection closed; [(subscribe <off>)] connections are kept and
+    pushed to. Because the writers are other processes, nothing
+    announces a new append: the journal is probed every 5 ms while
+    subscribers exist, and new clean bytes are relayed to each from its
+    own position. [net] (default {!Netio.default_net}) is the send/recv
+    seam fault injection wraps. Request errors are answered in-band and
+    a client dying mid-exchange drops only its own connection. Returns
+    the number of requests served once a [(quit)] request arrives
+    ({!quit}), after removing the socket file. *)
 
 val quit : sock:string -> (unit, Error.t) result
 (** Ask the server on [sock] to answer its in-flight requests and stop

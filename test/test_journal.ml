@@ -7,6 +7,7 @@ open Test_util
    helpers with the typed ones for this suite. *)
 let check_ok r = check_ok_e r
 let check_err_contains ~sub r = check_err_contains_e ~sub r
+let check_appended r = ignore (check_ok r : int)
 
 let entry version kind change = { Penguin.Commit_log.version; kind; change }
 
@@ -69,8 +70,8 @@ let test_append_replay_roundtrip () =
   let t = journal_in dir in
   check_ok (Penguin.Journal.initialize t ~base:0);
   (* Two batches: a two-entry commit and a barrier. *)
-  check_ok (Penguin.Journal.append t [ delta_entry 1; delta_entry 2 ]);
-  check_ok (Penguin.Journal.append t ~sync:false [ barrier_entry 3 ]);
+  check_appended (Penguin.Journal.append t [ delta_entry 1; delta_entry 2 ]);
+  check_appended (Penguin.Journal.append t ~sync:false [ barrier_entry 3 ]);
   (match check_ok (Penguin.Journal.replay t) with
   | None -> Alcotest.fail "journal should exist"
   | Some r ->
@@ -86,7 +87,7 @@ let test_append_replay_roundtrip () =
         r.Penguin.Journal.entries);
   (* Appending the empty batch writes nothing. *)
   let before = read_journal t in
-  check_ok (Penguin.Journal.append t []);
+  check_appended (Penguin.Journal.append t []);
   Alcotest.(check int) "empty append is a no-op" (String.length before)
     (String.length (read_journal t));
   rm_rf dir
@@ -95,9 +96,9 @@ let test_torn_tail_truncated () =
   let dir = temp_dir "journal" in
   let t = journal_in dir in
   check_ok (Penguin.Journal.initialize t ~base:0);
-  check_ok (Penguin.Journal.append t [ delta_entry 1 ]);
+  check_appended (Penguin.Journal.append t [ delta_entry 1 ]);
   let clean = read_journal t in
-  check_ok (Penguin.Journal.append t [ delta_entry 2 ]);
+  check_appended (Penguin.Journal.append t [ delta_entry 2 ]);
   let full = read_journal t in
   (* Cut the second record short at every possible point: the first
      batch must survive untouched, the torn tail must be reported. *)
@@ -119,7 +120,7 @@ let test_torn_tail_truncated () =
   (match check_ok (Penguin.Journal.replay t) with
   | Some r -> check_ok (Penguin.Journal.truncate_torn t ~clean_bytes:r.Penguin.Journal.clean_bytes)
   | None -> Alcotest.fail "journal should exist");
-  check_ok (Penguin.Journal.append t [ delta_entry 2 ]);
+  check_appended (Penguin.Journal.append t [ delta_entry 2 ]);
   (match check_ok (Penguin.Journal.replay t) with
   | Some r ->
       Alcotest.(check int) "clean after repair + append" 0 r.Penguin.Journal.torn_bytes;
@@ -131,9 +132,9 @@ let test_checksum_catches_corruption () =
   let dir = temp_dir "journal" in
   let t = journal_in dir in
   check_ok (Penguin.Journal.initialize t ~base:0);
-  check_ok (Penguin.Journal.append t [ delta_entry 1 ]);
+  check_appended (Penguin.Journal.append t [ delta_entry 1 ]);
   let clean = read_journal t in
-  check_ok (Penguin.Journal.append t [ delta_entry 2 ]);
+  check_appended (Penguin.Journal.append t [ delta_entry 2 ]);
   let full = read_journal t in
   (* Flip one byte inside the second record's payload: its checksum must
      fail and the record (and everything after) be discarded. *)
@@ -158,7 +159,7 @@ let test_rotate () =
   let t = journal_in dir in
   let snapshot_path = Filename.concat dir "store.pgn" in
   check_ok (Penguin.Journal.initialize t ~base:0);
-  check_ok (Penguin.Journal.append t [ delta_entry 1; delta_entry 2 ]);
+  check_appended (Penguin.Journal.append t [ delta_entry 1; delta_entry 2 ]);
   check_ok
     (Penguin.Journal.rotate t ~snapshot_path ~snapshot:"snapshot-at-v2\n" ~base:2);
   (match Penguin.Fsio.default.Penguin.Fsio.read snapshot_path with

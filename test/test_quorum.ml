@@ -544,6 +544,89 @@ let test_durable_position () =
   rm_rf twin_dir;
   rm_rf dir
 
+(* --- one refusal shape on both listeners -------------------------------- *)
+
+(* A subscription at an offset that is not a frame boundary of the
+   leader's journal is refused in-band with exactly one [(error ...)]
+   frame, after which the listener closes the connection — on the
+   lock-free shipper and on the serving socket alike. The follower sees
+   a retryable "subscribe refused", and its pull path converges. *)
+type listener = { with_listener : 'a. string -> (string -> 'a) -> 'a }
+
+let test_subscribe_refusal_shape () =
+  let listeners =
+    [
+      ("shipper", { with_listener = Test_replica.with_shipper });
+      ( "server",
+        { with_listener = (fun dir f -> fst (Test_server.with_server dir f)) }
+      );
+    ]
+  in
+  List.iter
+    (fun (name, { with_listener }) ->
+      let dir = temp_dir ("quorum-refusal-" ^ name) in
+      Test_recovery.make_store dir;
+      List.iter (Test_replica.commit dir) [ "A-"; "B-" ];
+      let r =
+        with_listener dir (fun sock ->
+            (* On the wire: offset 1 sits inside the header frame. The
+               receive timeout turns a connection left open into a
+               failure instead of a hang. *)
+            let fd = check_ok_e (N.connect ~sock) in
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+            N.write_all fd (J.frame (R.request_payload (R.Subscribe 1)));
+            let raw =
+              Fun.protect
+                ~finally:(fun () -> Unix.close fd)
+                (fun () ->
+                  try N.read_all fd
+                  with Unix.Unix_error (Unix.EAGAIN, _, _) ->
+                    Alcotest.failf "%s: connection left open after the refusal"
+                      name)
+            in
+            (match J.decode_frames raw with
+            | [ (_, status) ], _, 0 -> (
+                match R.reply_of_payload status with
+                | Some (R.Refused _) -> ()
+                | _ ->
+                    Alcotest.failf "%s: expected (error ...), got %s" name
+                      status)
+            | frames, _, torn ->
+                Alcotest.failf
+                  "%s: expected one refusal frame, then close; got %d \
+                   frame(s) and %d torn byte(s)"
+                  name (List.length frames) torn);
+            let r =
+              check_ok_e
+                (R.create
+                   ~feed:(Penguin.Shipper.feed ~sock)
+                   ~target:(target_in dir) ())
+            in
+            let _ = check_ok_e (R.poll_until_idle r) in
+            r)
+      in
+      (* The leader commits and rotates while the follower is away: its
+         position is no longer a frame boundary of the leader journal. *)
+      Test_replica.commit ~rotate_threshold:1 dir "C+";
+      with_listener dir (fun sock ->
+          let err = check_err_e (R.subscribe r ~sock) in
+          Alcotest.(check bool)
+            (Fmt.str "%s: refusal is retryable: %s" name (E.to_string err))
+            true (E.retryable err);
+          Alcotest.(check bool)
+            (Fmt.str "%s: refusal arrives in-band: %s" name (E.to_string err))
+            true
+            (Strutil.contains ~sub:"subscribe refused" (E.to_string err));
+          let _ = check_ok_e (R.poll_until_idle r) in
+          let lws, _ = Test_recovery.recover dir in
+          Alcotest.(check int) (name ^ ": pull converges to the leader")
+            (Penguin.Workspace.version lws)
+            (R.position r);
+          db_equal (name ^ ": pulled state equals the leader") lws
+            (R.workspace r));
+      rm_rf dir)
+    listeners
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   [
@@ -557,4 +640,6 @@ let suite =
     t "chaos: leader killed at every journal byte" test_quorum_kill_sweep;
     t "chaos: link severed at every frame boundary" test_link_sever_sweep;
     t "durable positions order failover candidates" test_durable_position;
+    t "push: both listeners refuse a non-boundary subscribe alike"
+      test_subscribe_refusal_shape;
   ]

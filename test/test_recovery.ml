@@ -610,6 +610,18 @@ let test_appender_refuses_stale_since () =
   | Error e ->
       Alcotest.(check string) "typed as a conflict" "conflict"
         (Penguin.Error.kind e));
+  (* Opening an appender on a workspace the journal has moved past is
+     the same lost race persist reports, in the same words. *)
+  (match Penguin.Recovery.Appender.create ~store ws with
+  | Ok _ -> Alcotest.fail "a workspace behind the journal must be refused"
+  | Error e ->
+      Alcotest.(check string) "create: typed as a conflict" "conflict"
+        (Penguin.Error.kind e);
+      Alcotest.(check bool)
+        (Fmt.str "create: error names the advance: %s"
+           (Penguin.Error.to_string e))
+        true
+        (Strutil.contains ~sub:"advanced" (Penguin.Error.to_string e)));
   rm_rf dir
 
 (* An append that tears mid-write marks the appender dirty; the next
