@@ -1544,8 +1544,7 @@ let e17 () =
      with several of them parked in [select] inside one OCaml process a
      bechamel run measures runtime synchronization, not serving. The
      recorded ns/op is per committed update. *)
-  let single = { Penguin.Server.default_config with
-                 flush_window = 1; eager_flush = false } in
+  let single = { Penguin.Server.default_config with flush_window = 1 } in
   let grouped = Penguin.Server.default_config in
   let measure ?io fsname config =
     let sock, dom = start_server ?io fsname config in

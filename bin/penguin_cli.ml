@@ -1005,23 +1005,21 @@ let replica_cmd =
 
 (* --- serve ------------------------------------------------------------ *)
 
-let serve () store sock window interval_ms no_eager max_parked sync_replicas
+let serve () store sock window interval_ms max_parked sync_replicas
     repl_deadline_ms on_lag =
   let config =
     {
       Penguin.Server.default_config with
       flush_window = window;
       flush_interval_ns = interval_ms *. 1e6;
-      eager_flush = not no_eager;
       max_parked;
       sync_replicas;
       repl_deadline_ns = repl_deadline_ms *. 1e6;
       on_lag;
     }
   in
-  Fmt.pr "serving %s on %s (window %d, interval %.1f ms%s%s)@." store sock
+  Fmt.pr "serving %s on %s (window %d, interval %.1f ms%s)@." store sock
     window interval_ms
-    (if no_eager then "" else ", eager flush")
     (if sync_replicas = 0 then ""
      else
        Fmt.str ", quorum %d replica(s), on lag %s" sync_replicas
@@ -1055,13 +1053,6 @@ let serve_cmd =
          & info [ "interval-ms" ] ~docv:"MS"
              ~doc:"Age of the oldest parked commit that forces a flush — \
                    the latency bound when requests trickle in.")
-  in
-  let no_eager =
-    Arg.(value & flag
-         & info [ "no-eager" ]
-             ~doc:"Batch strictly by $(b,--window) size and \
-                   $(b,--interval-ms) age instead of also flushing as \
-                   soon as the event loop drains its input.")
   in
   let max_parked =
     Arg.(value & opt int Penguin.Server.default_config.max_parked
@@ -1106,7 +1097,7 @@ let serve_cmd =
              $(b,--sync-replicas), commit acks additionally wait for \
              follower quorum.")
     Term.(const serve $ trace_term $ store $ serve_sock_arg $ window
-          $ interval_ms $ no_eager $ max_parked $ sync_replicas
+          $ interval_ms $ max_parked $ sync_replicas
           $ repl_deadline_ms $ on_lag)
 
 (* --- client ----------------------------------------------------------- *)

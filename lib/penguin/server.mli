@@ -9,14 +9,14 @@
     workspace. A [commit] request does not reply immediately: it
     {e parks} on the current {e flush window}, and the window flushes —
     one merged {!Vo_core.Engine.commit_group} over every parked
-    session's staged updates plus {e one} journal append and fsync
-    ({!Recovery.persist}) for the whole batch — when it reaches
-    [flush_window] parked commits, when the oldest parked commit is
-    [flush_interval_ns] old, or (with [eager_flush], the default) as
-    soon as the event loop drains its input: the window absorbs exactly
-    the commits that arrive while the previous flush runs, which is the
-    classic group-commit discipline. Culprits — a session whose staged
-    updates conflict with an earlier parked commit in the window, fail
+    session's staged updates plus {e one} journal append and fsync for
+    the whole batch — on the first of three triggers: {e size} (the
+    window holds [flush_window] parked commits), {e age} (the oldest
+    parked commit is [flush_interval_ns] old) or {e quiesce} (the event
+    loop finds no input waiting: the window absorbs exactly the commits
+    that arrive while the previous flush runs, which is the classic
+    group-commit discipline). Culprits — a session whose staged updates
+    conflict with an earlier parked commit in the window, fail
     re-translation after the store advanced, or are named by the merged
     validation's sequential replay — are answered with per-request
     typed errors while the rest of the batch lands.
@@ -29,6 +29,20 @@
     materialized {!Viewobject.Cache} (degraded read-only serving).
     Per-request latency histograms and [server.*] counters flow through
     {!Obs.Metrics}; the flush path is spanned through {!Obs.Trace}.
+
+    {2 Core and event loop}
+
+    Every decision above lives in {!Server_core}, a step function from
+    events (a decoded frame, a connection opened or closed, a clock
+    tick, an append result, a follower ack) to actions (send, close,
+    append, relay). {!serve} is the event loop around it: it turns
+    [select], [accept] and [recv] into events and carries out the
+    actions against the sockets, the {!Recovery.Appender} and
+    {!Shipper}. The loop never
+    blocks in [select] while a live connection that is free to read
+    holds a complete buffered frame — in particular not after a flush
+    unparks a connection whose client pipelined frames behind its
+    [commit].
 
     {2 Wire protocol}
 
@@ -83,19 +97,15 @@
 
 (** Policy for a window whose replication deadline passes with fewer
     than [sync_replicas] follower acks. *)
-type on_lag = Degrade | Fail
+type on_lag = Server_core.on_lag = Degrade | Fail
 
-type config = {
+type config = Server_core.config = {
   flush_window : int;
       (** parked commits that force a flush (default 64); [1] degrades
           to per-request fsync — the E17 baseline *)
   flush_interval_ns : float;
       (** age of the oldest parked commit that forces a flush (default
           10 ms) — the latency bound when input trickles *)
-  eager_flush : bool;
-      (** flush as soon as the event loop finds no input waiting
-          (default [true]); [false] batches strictly by size/age, which
-          the window-semantics tests use for determinism *)
   max_parked : int;
       (** admission bound on parked commits (default 256): the
           {!Resilience.Limiter}'s slot count when [serve] creates one *)
@@ -112,7 +122,7 @@ type config = {
 
 val default_config : config
 
-type stats = {
+type stats = Server_core.stats = {
   requests : int;  (** frames answered, including errors *)
   commits : int;  (** commit requests acked durable *)
   windows : int;  (** flushes that persisted at least one commit *)

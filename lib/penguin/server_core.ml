@@ -1,0 +1,658 @@
+open Relational
+
+let src = Logs.Src.create "penguin.server" ~doc:"network serving front end"
+
+module Log = (val Logs.src_log src : Logs.LOG)
+module M = Obs.Metrics
+
+let counter name help = M.counter ~help name
+let histogram name help = M.histogram ~help name
+let m_requests = counter "server.requests" "server requests answered"
+let m_request_errors =
+  counter "server.request_errors" "server requests answered with a typed error"
+let m_connections = counter "server.connections" "client connections accepted"
+let m_disconnects =
+  counter "server.disconnects" "client connections closed or dropped"
+let m_frame_errors =
+  counter "server.frame_errors" "connections dropped on a corrupt frame"
+let m_commits = counter "server.commits" "commit requests acked durable"
+let m_updates =
+  counter "server.updates" "staged updates committed through the server"
+let m_conflicts =
+  counter "server.conflicts"
+    "parked commits rejected as window conflicts or validation culprits"
+let m_dropped_parked =
+  counter "server.dropped_parked" "parked commits dropped by a client disconnect"
+let m_windows = counter "server.windows" "flush windows persisted"
+let m_window_commits =
+  M.histogram ~help:"parked commits batched per persisted flush window"
+    ~bounds:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512. ]
+    "server.window_commits"
+let m_commit_ns =
+  histogram "server.commit_ns" "commit request latency, park to durable ack"
+let m_request_ns =
+  histogram "server.request_ns" "request handling latency (excluding parked wait)"
+let m_oql_ns = histogram "server.oql_ns" "oql read latency"
+let m_flush_ns =
+  histogram "server.flush_ns" "whole flush: restage, merged commit, journal fsync"
+let m_repl_acks =
+  counter "server.replication.acks" "follower durable-position acks received"
+let m_repl_quorum =
+  counter "server.replication.quorum_commits" "windows released by follower quorum"
+let m_repl_under =
+  counter "server.replication.under_replicated"
+    "windows acked under-replicated after the replication deadline"
+let m_repl_deadline =
+  counter "server.replication.deadline_failures"
+    "commits failed with deadline_exceeded under --on-lag fail"
+let m_repl_evictions =
+  counter "server.replication.evictions"
+    "followers evicted from the quorum set for lagging"
+let m_repl_readmissions =
+  counter "server.replication.readmissions"
+    "evicted followers re-admitted after catching up"
+let m_repl_followers =
+  M.gauge ~help:"push subscribers currently connected"
+    "server.replication.followers"
+
+type on_lag = Degrade | Fail
+
+type config = {
+  flush_window : int;
+  flush_interval_ns : float;
+  max_parked : int;
+  max_queued : int;
+  sync_replicas : int;
+  repl_deadline_ns : float;
+  on_lag : on_lag;
+}
+
+let default_config =
+  { flush_window = 64; flush_interval_ns = 10e6; max_parked = 256;
+    max_queued = 128; sync_replicas = 0; repl_deadline_ns = 50e6;
+    on_lag = Degrade }
+
+type stats = { requests : int; commits : int; windows : int }
+type conn_id = int
+
+type event =
+  | Opened of conn_id
+  | Closed of conn_id
+  | Frame of conn_id * string
+  | Corrupt of conn_id * string
+  | Tick of float
+  | Idle
+  | Appended of (Recovery.persisted, Error.t) result * int
+  | Subscribed of conn_id * int
+  | Follower_ack of conn_id * int
+
+type action =
+  | Send of conn_id * string list
+  | Close of conn_id
+  | Append of int * Workspace.t
+  | Feed of conn_id * string
+  | Relay of conn_id list
+
+(* A connection that subscribed is a push follower: its last acked
+   journal offset is what quorum release reads. A follower that misses a
+   window's replication deadline is evicted ([healthy <- false], its
+   acks no longer count) and re-admitted only when its acked offset
+   reaches the journal's current end. *)
+type conn = {
+  id : conn_id;
+  mutable snapshot : Workspace.t option;  (** workspace at [(begin)] *)
+  mutable sess : Session.t option;
+  mutable parked : bool;
+  mutable follower : bool;
+  mutable acked : int;
+  mutable healthy : bool;
+}
+
+type parked = { p_conn : conn; p_sess : Session.t; p_t0 : float }
+
+(* A flushed window whose client acks are parked on replication: local
+   fsync is done (the commits are durable here), but with
+   [sync_replicas = K] the acks wait until K healthy followers confirm
+   offsets at or past [w_end] — or until [w_deadline], when the
+   [on_lag] policy resolves them. *)
+type pending = {
+  w_end : int;  (** journal byte end offset of this window's append *)
+  mutable w_deadline : float;  (** forced to [neg_infinity] by rotation *)
+  mutable w_acks : (parked * int list) list;
+}
+
+(* A flush whose journal append is out with the event loop; its commits
+   stay parked until the [Appended] result. *)
+type inflight = {
+  f_ws : Workspace.t;
+  f_t0 : float;
+  mutable f_acks : (parked * int list) list;
+}
+
+type state = {
+  config : config;
+  limiter : Resilience.Limiter.t;
+  breaker : Resilience.Breaker.t;
+  cache : Viewobject.Cache.t;
+  conns : (conn_id, conn) Hashtbl.t;  (** live connections only *)
+  mutable ws : Workspace.t;
+  mutable journal_end : int;
+  mutable now : float;
+  mutable window : parked list;  (** newest first *)
+  mutable pendings : pending list;  (** oldest first *)
+  mutable inflight : inflight option;
+  mutable stopping : conn option;  (** asked to shut down, flush pending *)
+  mutable stopped : bool;
+  mutable out : action list;  (** this step's actions, newest first *)
+  mutable n_requests : int;
+  mutable n_commits : int;
+  mutable n_windows : int;
+}
+
+let create ?(config = default_config) ~limiter ~breaker ~journal_end ws =
+  {
+    config; limiter; breaker; cache = Workspace.attach_cache ws;
+    conns = Hashtbl.create 64; ws; journal_end; now = 0.; window = [];
+    pendings = []; inflight = None; stopping = None; stopped = false;
+    out = []; n_requests = 0; n_commits = 0; n_windows = 0;
+  }
+
+let stats st = { requests = st.n_requests; commits = st.n_commits; windows = st.n_windows }
+
+let stopped st = st.stopped
+
+(* Open and not parked on a commit: free to take its next frame. *)
+let free st id =
+  match Hashtbl.find_opt st.conns id with Some c -> not c.parked | None -> false
+
+let wants st id = (not st.stopped) && st.stopping = None && free st id
+
+(* The loop must not sleep while it has work: an unflushed window, an
+   append in flight, or a complete frame buffered on a connection that
+   is free to read it (a flush may just have unparked it). Otherwise it
+   sleeps until the oldest quorum wait's deadline, or until input. *)
+let wake st ~held =
+  if st.window <> [] || st.inflight <> None || List.exists (free st) held then
+    Some st.now
+  else match st.pendings with [] -> None | w :: _ -> Some w.w_deadline
+
+(* Re-derive a parked session's staged updates against the current
+   committed state. A session whose footprints are clean keeps its
+   staged values verbatim (OCC: non-overlapping deltas commute); one
+   that diverged rebases by re-translating its queued requests, and a
+   request the new state rejects is a concurrency casualty — typed
+   [Conflict], retryable from a fresh session. *)
+let restage ws p =
+  let s = p.p_sess in
+  match Session.divergence ws s with
+  | Session.Clean -> Ok (Session.staged s)
+  | Session.Conflicting _ | Session.Unknown_history ->
+      let base_version = Workspace.version ws in
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | (name, req) :: rest -> (
+            match
+              (Workspace.find_object ws name, Workspace.translator_of ws name)
+            with
+            | Error e, _ | _, Error e -> Error (Error.invalid e)
+            | Ok vo, Ok spec -> (
+                match
+                  Vo_core.Engine.stage ~base_version ws.Workspace.graph
+                    ws.Workspace.db vo spec req
+                with
+                | Error se ->
+                    Error
+                      (Error.conflict
+                         (Fmt.str
+                            "rebase against v%d: %s; begin a fresh session \
+                             and retry"
+                            base_version
+                            (Vo_core.Engine.stage_error_reason se)))
+                | Ok st -> go (st :: acc) rest))
+      in
+      go [] (Session.requests s)
+
+let emit st a = st.out <- a :: st.out
+let sexp atoms = Sexp.to_string (Sexp.List atoms)
+
+let followers st =
+  Hashtbl.fold (fun _ c acc -> if c.follower then c :: acc else acc) st.conns []
+
+let count_followers st =
+  M.Gauge.set m_repl_followers (float_of_int (List.length (followers st)))
+
+let alive st c = Hashtbl.mem st.conns c.id
+
+let kill st c =
+  if alive st c then begin
+    Hashtbl.remove st.conns c.id;
+    emit st (Close c.id);
+    if c.parked then begin
+      (* The client vanished while its commit was parked: drop the
+         commit from the window, its append in flight or its pending
+         quorum wait — the rest of the batch still lands — and return
+         its admission slot. *)
+      let others (p, _) = p.p_conn != c in
+      st.window <- List.filter (fun p -> p.p_conn != c) st.window;
+      List.iter (fun w -> w.w_acks <- List.filter others w.w_acks) st.pendings;
+      Option.iter (fun f -> f.f_acks <- List.filter others f.f_acks) st.inflight;
+      Resilience.Limiter.release st.limiter;
+      c.parked <- false;
+      M.Counter.incr m_dropped_parked;
+      Log.info (fun m ->
+          m "conn %d: disconnected while parked; commit dropped" c.id)
+    end;
+    if c.follower then count_followers st;
+    M.Counter.incr m_disconnects
+  end
+
+let send st c payloads = if alive st c then emit st (Send (c.id, payloads))
+
+let answer_error st c e =
+  M.Counter.incr m_request_errors;
+  let retryable = string_of_bool (Error.retryable e) in
+  send st c
+    [ sexp Sexp.[ Atom "error"; Atom (Error.kind e); Atom retryable;
+                  Atom (Error.to_string e) ] ]
+
+(* --- quorum replication tracker ---------------------------------------- *)
+
+let ack_commit st ?(warn = false) (p, versions) =
+  Resilience.Limiter.release st.limiter;
+  p.p_conn.parked <- false;
+  st.n_commits <- st.n_commits + 1;
+  M.Counter.incr m_commits;
+  M.Counter.add m_updates (List.length versions);
+  M.Histogram.observe m_commit_ns (st.now -. p.p_t0);
+  let vs = List.map (fun v -> " " ^ string_of_int v) versions in
+  let warning = if warn then " (warning under_replicated)" else "" in
+  send st p.p_conn
+    [ Fmt.str "(ok (committed %d) (versions%s)%s)" (List.length versions)
+        (String.concat "" vs) warning ]
+
+let reject_parked st p e =
+  Resilience.Limiter.release st.limiter;
+  p.p_conn.parked <- false;
+  answer_error st p.p_conn e
+
+let quorum_reached st w =
+  List.length
+    (List.filter (fun f -> f.healthy && f.acked >= w.w_end) (followers st))
+  >= st.config.sync_replicas
+
+(* Resolve every parked window whose quorum arrived or whose replication
+   deadline passed. A deadline first evicts the laggards from the quorum
+   set — their acks stop counting until they catch back up to the
+   journal's end — then applies the lag policy to the window's parked
+   client acks. *)
+let check_pendings st =
+  let config = st.config in
+  st.pendings <-
+    List.filter
+      (fun w ->
+        if quorum_reached st w then begin
+          M.Counter.incr m_repl_quorum;
+          List.iter (ack_commit st) w.w_acks;
+          false
+        end
+        else if st.now >= w.w_deadline then begin
+          let lagging f = f.healthy && f.acked < w.w_end in
+          List.iter
+            (fun f ->
+              f.healthy <- false;
+              M.Counter.incr m_repl_evictions)
+            (List.filter lagging (followers st));
+          let ms = config.repl_deadline_ns /. 1e6 in
+          (match config.on_lag with
+          | Degrade ->
+              M.Counter.incr m_repl_under;
+              Log.warn (fun m ->
+                  m "window at offset %d under-replicated after %.0f ms; acking \
+                     degraded" w.w_end ms);
+              List.iter (ack_commit st ~warn:true) w.w_acks
+          | Fail ->
+              M.Counter.incr m_repl_deadline;
+              let e =
+                Error.deadline_exceeded
+                  (Fmt.str "commit durable locally but not confirmed by %d \
+                            replica(s) within %.0f ms" config.sync_replicas ms)
+              in
+              List.iter (fun (p, _) -> reject_parked st p e) w.w_acks);
+          false
+        end
+        else true)
+      st.pendings
+
+(* Stream a flushed window's new journal bytes to every subscriber right
+   away — push mode's point is that replication latency is the link, not
+   a polling tick. A rotation voids every stream's byte offsets: the
+   subscribers are dropped and re-find footing through the pull path. *)
+let push_subs st ~rotated =
+  match followers st with
+  | [] -> ()
+  | fs when rotated -> List.iter (kill st) fs
+  | fs -> emit st (Relay (List.map (fun c -> c.id) fs))
+
+(* Once a requested shutdown's flush has landed: acknowledge the stop,
+   resolve every quorum wait that can no longer arrive, and close every
+   connection. *)
+let finish_stop st =
+  match st.stopping with
+  | Some c when st.inflight = None ->
+      st.stopping <- None;
+      st.stopped <- true;
+      send st c [ "(ok bye)" ];
+      List.iter (fun w -> w.w_deadline <- neg_infinity) st.pendings;
+      check_pendings st;
+      Hashtbl.fold (fun _ c acc -> c :: acc) st.conns [] |> List.iter (kill st)
+  | _ -> ()
+
+(* --- the flush: one merged commit_group + one journal append ------------ *)
+
+(* Restage, plan and commit the window in memory, answer its culprits,
+   and hand the merged workspace to the event loop for one journal append;
+   [appended] finishes the flush. *)
+let flush st reason =
+  match List.rev st.window with
+  | [] -> ()
+  | _ when st.inflight <> None -> ()
+  | parked ->
+      st.window <- [];
+      let t0 = st.now in
+      Obs.Trace.with_span "server.flush"
+        ~tags:[ "reason", reason; "parked", string_of_int (List.length parked) ]
+      @@ fun () ->
+      let reject = reject_parked st in
+      let cur = st.ws in
+      let base = Workspace.version cur in
+      (* 1. Restage every parked session against the committed state;
+         failures are per-request culprits, not window failures. *)
+      let candidates =
+        List.filter_map
+          (fun p ->
+            match restage cur p with
+            | Ok staged -> Some (p, staged)
+            | Error e ->
+                M.Counter.incr m_conflicts;
+                reject p e;
+                None)
+          parked
+      in
+      (* 2. Plan one conflict-free batch: a commit with any staged update
+         outside the first group collides with an earlier parked commit
+         in this window and is answered [Conflict]. *)
+      let winners, losers =
+        match Vo_core.Engine.plan_groups (List.concat_map snd candidates) with
+        | [] | [ _ ] -> candidates, []
+        | first :: _ ->
+            List.partition
+              (fun (_, staged) ->
+                List.for_all (fun st -> List.memq st first) staged)
+              candidates
+      in
+      List.iter
+        (fun (p, _) ->
+          M.Counter.incr m_conflicts;
+          reject p
+            (Error.conflict
+               "commit conflicts with an earlier commit in the same flush \
+                window; begin a fresh session and retry"))
+        losers;
+      (* 3. One merged-delta commit_group; a validation culprit is
+         ejected (typed error) and the rest retried. *)
+      let rec commit_batch = function
+        | [] -> None
+        | winners -> (
+            let batch = List.concat_map snd winners in
+            match
+              Vo_core.Engine.commit_group cur.Workspace.graph cur.Workspace.db
+                batch
+            with
+            | Ok (db, _merged) -> Some (db, winners)
+            | Error rejection -> (
+                let reason = Vo_core.Engine.group_rejection_reason rejection in
+                let culprit_index =
+                  match rejection with
+                  | Vo_core.Engine.Group_op_failed { index; _ } -> Some index
+                  | Vo_core.Engine.Group_validation_failed { culprit; _ } ->
+                      culprit
+                  | Vo_core.Engine.Group_conflict { right; _ } -> Some right
+                in
+                let owner_of i =
+                  let rec walk k = function
+                    | [] -> None
+                    | (p, staged) :: rest ->
+                        let k' = k + List.length staged in
+                        if i < k' then Some p else walk k' rest
+                  in
+                  walk 0 winners
+                in
+                match Option.bind culprit_index owner_of with
+                | None ->
+                    (* No culprit nameable: fail the whole batch. *)
+                    List.iter
+                      (fun (p, _) -> reject p (Error.invalid reason))
+                      winners;
+                    None
+                | Some culprit ->
+                    M.Counter.incr m_conflicts;
+                    reject culprit
+                      (Error.invalid
+                         (Fmt.str "rejected by the window's validation: %s"
+                            reason));
+                    commit_batch
+                      (List.filter (fun (p, _) -> p != culprit) winners)))
+      in
+      match commit_batch winners with
+      | None -> M.Histogram.observe m_flush_ns (st.now -. t0)
+      | Some (db, winners) ->
+          (* 4. Append one commit-log entry per update, remembering each
+             commit's versions for its ack. *)
+          let log = ref cur.Workspace.log in
+          let record (st : Vo_core.Engine.staged) =
+            let kind = Fmt.str "%s on %s" st.request_kind st.object_name in
+            log := Commit_log.append !log ~delta:st.delta ~kind;
+            Commit_log.version !log
+          in
+          let acks = List.map (fun (p, staged) -> p, List.map record staged) winners in
+          (* 5. One journal append + one fsync for the whole window: the
+             event loop's. *)
+          let ws' = { cur with Workspace.db; log = !log } in
+          st.inflight <- Some { f_ws = ws'; f_t0 = t0; f_acks = acks };
+          emit st (Append (base, ws'))
+
+let appended st result journal_end =
+  match st.inflight with
+  | None -> ()
+  | Some f ->
+      st.inflight <- None;
+      st.journal_end <- journal_end;
+      let acks = f.f_acks in
+      (match result with
+      | Error e ->
+          (* Not durable — nothing is acked, nothing published. *)
+          Log.warn (fun m ->
+              m "flush of %d commit(s) failed to persist: %s" (List.length acks)
+                (Error.to_string e));
+          let e = Error.with_context "durable append failed" e in
+          List.iter (fun (p, _) -> reject_parked st p e) acks
+      | Ok persisted ->
+          st.ws <- f.f_ws;
+          Workspace.sync_cache st.ws st.cache;
+          st.n_windows <- st.n_windows + 1;
+          M.Counter.incr m_windows;
+          M.Histogram.observe m_window_commits (float_of_int (List.length acks));
+          let rotated = persisted.Recovery.rotated in
+          push_subs st ~rotated;
+          if rotated then begin
+            (* The pre-rotation byte offsets the pendings wait on can
+               never be acked again; resolve them now per the lag policy
+               (their commits are in the snapshot the followers resync
+               from). *)
+            List.iter (fun w -> w.w_deadline <- neg_infinity) st.pendings;
+            check_pendings st
+          end;
+          if st.config.sync_replicas > 0 && not rotated then begin
+            (* Locally durable; the client acks stay parked until K
+               followers confirm the window's end offset (or the
+               replication deadline resolves them). *)
+            let w_deadline = st.now +. st.config.repl_deadline_ns in
+            st.pendings <-
+              st.pendings @ [ { w_end = journal_end; w_deadline; w_acks = acks } ];
+            check_pendings st
+          end
+          else List.iter (fun a -> ack_commit st a) acks;
+          Option.iter
+            (fun e ->
+              Log.warn (fun m ->
+                  m "window durable, but journal rotation failed (a later flush \
+                     retries): %a" Error.pp e))
+            persisted.Recovery.rotate_error);
+      M.Histogram.observe m_flush_ns (st.now -. f.f_t0);
+      finish_stop st
+
+(* --- request handling ---------------------------------------------------- *)
+
+let handle_request st c payload =
+  M.time m_request_ns @@ fun () ->
+  match Sexp.parse payload with
+  | Error m -> answer_error st c (Error.invalid ("bad request: " ^ m))
+  | Ok (Sexp.List [ Sexp.Atom "ping" ]) -> send st c [ "(ok pong)" ]
+  | Ok (Sexp.List [ Sexp.Atom "begin" ]) ->
+      c.snapshot <- Some st.ws;
+      c.sess <- Some (Session.begin_ ~max_queued:st.config.max_queued st.ws);
+      send st c [ Fmt.str "(ok (begun %d))" (Workspace.version st.ws) ]
+  | Ok (Sexp.List [ Sexp.Atom "queue"; Sexp.Atom obj; Sexp.Atom stmt ]) -> (
+      match c.snapshot, c.sess with
+      | Some snap, Some sess -> (
+          match Upql.requests snap ~object_name:obj stmt with
+          | Error m -> answer_error st c (Error.invalid m)
+          | Ok reqs -> (
+              let rec add sess = function
+                | [] -> Ok sess
+                | r :: rest -> (
+                    match Session.queue sess obj r with
+                    | Ok s -> add s rest
+                    | Error _ as e -> e)
+              in
+              match add sess reqs with
+              | Error e -> answer_error st c e
+              | Ok sess' ->
+                  c.sess <- Some sess';
+                  send st c
+                    [ Fmt.str "(ok (queued %d))" (Session.pending sess') ]))
+      | _ -> answer_error st c (Error.invalid "no session: send (begin) first"))
+  | Ok (Sexp.List [ Sexp.Atom "commit" ]) -> (
+      match c.sess with
+      | None -> answer_error st c (Error.invalid "no session: send (begin) first")
+      | Some sess ->
+          c.sess <- None;
+          c.snapshot <- None;
+          if Session.pending sess = 0 then
+            send st c [ "(ok (committed 0) (versions))" ]
+          else if Resilience.Breaker.degraded st.breaker then
+            answer_error st c
+              (Error.busy
+                 "store is in degraded read-only mode (circuit open): writes \
+                  refused, reads still served")
+          else (
+            match Resilience.Limiter.try_acquire st.limiter with
+            | Error e -> answer_error st c e
+            | Ok () ->
+                c.parked <- true;
+                st.window <-
+                  { p_conn = c; p_sess = sess; p_t0 = st.now } :: st.window;
+                (* The size trigger fires at park time, not at the next
+                   loop head: with flush_window = 1 every commit pays its
+                   own fsync (the group-commit baseline) instead of
+                   riding a batch the event loop happened to read in the
+                   same round. *)
+                if List.length st.window >= st.config.flush_window then
+                  flush st "size"))
+  | Ok (Sexp.List [ Sexp.Atom "oql"; Sexp.Atom obj; Sexp.Atom q ]) -> (
+      M.time m_oql_ns @@ fun () ->
+      match Viewobject.Cache.oql st.cache obj q with
+      | Error m -> answer_error st c (Error.invalid m)
+      | Ok instances ->
+          let n = string_of_int (List.length instances) in
+          let text = String.concat "" (List.map Viewobject.Instance.to_ascii instances) in
+          send st c [ sexp Sexp.[ Atom "ok"; List [ Atom "instances"; Atom n ]; Atom text ] ])
+  | Ok (Sexp.List [ Sexp.Atom "stats" ]) ->
+      let json = Obs.Json.to_string (M.to_json ()) in
+      send st c [ sexp Sexp.[ Atom "ok"; List [ Atom "stats" ]; Atom json ] ]
+  | Ok
+      (Sexp.List (Sexp.Atom ("snapshot" | "journal" | "head" | "subscribe") :: _))
+    ->
+      (* The follower feed protocol, answered by {!Shipper}'s listener
+         code from the server's own files — so a replica can point its
+         pull path and its push subscription straight at the serving
+         socket. The journal is fsynced before any ack, so what these
+         reads see is durable. *)
+      emit st (Feed (c.id, payload))
+  | Ok (Sexp.List [ Sexp.Atom "shutdown" ]) ->
+      (* Land whatever is parked before acknowledging the stop. *)
+      st.stopping <- Some c;
+      flush st "shutdown";
+      finish_stop st
+  | Ok _ ->
+      answer_error st c (Error.invalid (Fmt.str "unknown request: %s" payload))
+
+let step st ev =
+  let with_conn id f = Option.iter f (Hashtbl.find_opt st.conns id) in
+  (match ev with
+  | Opened id ->
+      Hashtbl.replace st.conns id
+        { id; snapshot = None; sess = None; parked = false; follower = false;
+          acked = 0; healthy = false };
+      M.Counter.incr m_connections
+  | Closed id -> with_conn id (kill st)
+  | Frame (id, payload) ->
+      with_conn id (fun c ->
+          st.n_requests <- st.n_requests + 1;
+          M.Counter.incr m_requests;
+          handle_request st c payload)
+  | Corrupt (id, msg) ->
+      (* The stream cannot be resynced: answer in-band, drop the
+         connection, keep the accept loop. *)
+      with_conn id (fun c ->
+          M.Counter.incr m_frame_errors;
+          answer_error st c (Error.corrupt (Fmt.str "server: %s" msg));
+          kill st c)
+  | Tick now ->
+      st.now <- now;
+      (match List.rev st.window with
+      | [] -> ()
+      | _ when List.length st.window >= st.config.flush_window -> flush st "size"
+      | p :: _ when now -. p.p_t0 >= st.config.flush_interval_ns -> flush st "age"
+      | _ -> ());
+      check_pendings st
+  | Idle ->
+      (* Input quiescent with commits parked: the group-commit moment —
+         everything that was going to join this window has joined it. *)
+      flush st "quiesce"
+  | Appended (result, journal_end) -> appended st result journal_end
+  | Subscribed (id, off) ->
+      with_conn id (fun c ->
+          c.follower <- true;
+          c.acked <- off;
+          c.healthy <- true;
+          count_followers st;
+          Log.info (fun m -> m "conn %d: push subscriber" id);
+          (* Ship any backlog immediately; the subscribed offset is
+             durable on the follower and may already meet a quorum. *)
+          push_subs st ~rotated:false;
+          check_pendings st)
+  | Follower_ack (id, off) ->
+      with_conn id (fun f ->
+          f.acked <- off;
+          M.Counter.incr m_repl_acks;
+          if (not f.healthy) && off >= st.journal_end then begin
+            f.healthy <- true;
+            M.Counter.incr m_repl_readmissions;
+            Log.info (fun m ->
+                m "conn %d: follower caught up; re-admitted to the quorum set" id)
+          end;
+          check_pendings st));
+  let out = List.rev st.out in
+  st.out <- [];
+  st, out

@@ -1,0 +1,120 @@
+(** The decision core of {!Server.serve}: sessions, the flush window
+    and its triggers, culprit ejection, the quorum tracker and the lag
+    policy, as one step function from events to actions.
+
+    The core performs no I/O. It never touches a socket, a file or the
+    clock: a {!Tick} is the only way time enters a decision, and the
+    event loop ({!Server.serve}) carries out every {!action} (sends,
+    closes, the journal append, the follower feed) and reports what
+    came of them as further events. That is what lets a seeded simulator drive the
+    real engine through random orderings — fake clock, fake appender,
+    fake followers — and check the serving invariants on each.
+
+    {!step} mutates the state record (and the {!Resilience.Limiter} and
+    {!Viewobject.Cache} it owns) and returns it with the step's
+    actions, in the order they must be carried out. *)
+
+(** Policy for a window whose replication deadline passes with fewer
+    than [sync_replicas] follower acks. *)
+type on_lag = Degrade | Fail
+
+type config = {
+  flush_window : int;
+      (** parked commits that force a flush (default 64); [1] degrades
+          to per-request fsync — the E17 baseline *)
+  flush_interval_ns : float;
+      (** age of the oldest parked commit that forces a flush (default
+          10 ms) — the latency bound when input trickles *)
+  max_parked : int;
+      (** admission bound on parked commits (default 256): the
+          {!Resilience.Limiter}'s slot count when [serve] creates one *)
+  max_queued : int;
+      (** per-session staged-update bound (default 128), enforced by
+          {!Session.queue}'s admission check *)
+  sync_replicas : int;
+      (** followers that must ack a window before its client acks are
+          released (default 0: fsync-only acks, no replication wait) *)
+  repl_deadline_ns : float;
+      (** per-window bound on the quorum wait (default 50 ms) *)
+  on_lag : on_lag;  (** deadline policy (default [Degrade]) *)
+}
+
+val default_config : config
+
+type stats = {
+  requests : int;  (** frames answered, including errors *)
+  commits : int;  (** commit requests acked durable *)
+  windows : int;  (** flushes that persisted at least one commit *)
+}
+
+type conn_id = int
+(** The event loop's name for a connection; never reused. *)
+
+type event =
+  | Opened of conn_id  (** a client connected *)
+  | Closed of conn_id
+      (** the peer went away: EOF, a failed read or a failed send *)
+  | Frame of conn_id * string
+      (** one request frame's payload — delivered only while {!wants} *)
+  | Corrupt of conn_id * string
+      (** the connection's byte stream failed its framing *)
+  | Tick of float
+      (** the clock reads this many ns: fires the age trigger and the
+          replication deadlines *)
+  | Idle  (** the event loop's wait found no input: the quiesce trigger *)
+  | Appended of (Recovery.persisted, Error.t) result * int
+      (** the result of the last {!Append}, and the journal's byte
+          length after it *)
+  | Subscribed of conn_id * int
+      (** the feed request handed over by {!Feed} made the connection a
+          push follower, subscribed at this journal offset *)
+  | Follower_ack of conn_id * int
+      (** a follower acked this durable journal offset, past its last *)
+
+type action =
+  | Send of conn_id * string list  (** write these payloads as frames *)
+  | Close of conn_id  (** close the socket; the core has forgotten it *)
+  | Append of int * Workspace.t
+      (** append the workspace's commits after this version to the
+          journal (one fsync) and answer with {!Appended} *)
+  | Feed of conn_id * string
+      (** answer this follower-feed request ({!Shipper.accept}); report
+          a subscription with {!Subscribed} *)
+  | Relay of conn_id list
+      (** relay new journal bytes to these followers ({!Shipper.relay}) *)
+
+type state
+
+val src : Logs.src
+
+val create :
+  ?config:config ->
+  limiter:Resilience.Limiter.t ->
+  breaker:Resilience.Breaker.t ->
+  journal_end:int ->
+  Workspace.t ->
+  state
+(** A core serving the committed workspace, whose journal is
+    [journal_end] bytes long. Commits take [limiter] slots while
+    parked; [breaker] (the appender's) refuses them while it is
+    open. *)
+
+val step : state -> event -> state * action list
+
+val wants : state -> conn_id -> bool
+(** Whether the core takes the connection's next frame now: it is open,
+    not parked on a commit, and the server is not shutting down. *)
+
+val wake : state -> held:conn_id list -> float option
+(** When the event loop must step the core again without new input, given
+    the connections that hold a complete buffered frame: [Some t] (a
+    clock reading in ns — the current tick while there is work to do,
+    else the oldest quorum wait's deadline) or [None], wait for input.
+    Never [None] while a [held] connection is open and not parked: a
+    flush may just have unparked a connection whose client pipelined
+    frames behind its commit. *)
+
+val stopped : state -> bool
+(** A [(shutdown)] was answered: every connection is closed. *)
+
+val stats : state -> stats

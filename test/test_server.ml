@@ -1,10 +1,11 @@
-(* The serving front end: pipelined group commit over a Unix-domain
-   socket. Round-trip durability, window batching (one merged
-   commit_group + one fsync for many sessions), per-request culprit
-   errors, the disconnect-while-parked edge, limiter shedding, breaker
-   degraded read-only serving, and wire-level robustness (malformed,
-   torn and oversized frames must be answered or dropped per-connection
-   without killing the accept loop). *)
+(* The serving front end over a real Unix-domain socket: round-trip
+   durability, breaker degraded read-only serving, wire-level robustness
+   (malformed, torn and oversized frames must be answered or dropped
+   per-connection without killing the accept loop; frames pipelined
+   behind a commit are answered once its window flushes), the stats
+   surface and EINTR hardening. The window semantics — batching,
+   per-request culprits, disconnect while parked, limiter shedding — are
+   checked on the decision core by the simulator in test_server_sim.ml. *)
 open Test_util
 
 module C = Penguin.Client
@@ -123,160 +124,6 @@ let test_roundtrip () =
   Alcotest.(check bool) "edit survives reopen" true
     (Relational.Strutil.contains ~sub:"grade=A+"
        (String.concat "" (List.map Viewobject.Instance.to_ascii instances)));
-  rm_rf dir
-
-(* --- window batching: one flush for many sessions ---------------------- *)
-
-(* eager_flush off + flush_window = n: the flush fires only once all n
-   commits are parked, so the batch boundary is deterministic. *)
-let strict_window n =
-  { S.default_config with flush_window = n; flush_interval_ns = 60e9;
-    eager_flush = false }
-
-let test_window_batches () =
-  let dir = temp_dir "server-window" in
-  let n = 3 in
-  make_bench_store dir n;
-  let versions, stats =
-    with_server ~config:(strict_window n) dir (fun sock ->
-        let conns = Array.init n (fun _ -> connect sock) in
-        let v0 = ref 0 in
-        Array.iteri
-          (fun j c ->
-            v0 := max !v0 (check_ok_e (C.begin_ c));
-            let queued =
-              check_ok_e
-                (C.queue c ~object_name:"omega"
-                   (grade_stmt ~course:(j + 1) ~grade:"B+"))
-            in
-            Alcotest.(check int) "staged" 1 queued;
-            (* Park without blocking on the ack: the window only flushes
-               once every commit has joined it. *)
-            check_ok_e (C.send_commit c))
-          conns;
-        let versions =
-          Array.to_list conns
-          |> List.concat_map (fun c -> check_ok_e (C.recv_commit c))
-        in
-        Array.iter C.close conns;
-        Alcotest.(check (list int)) "contiguous versions, acked in order"
-          (List.init n (fun i -> !v0 + i + 1))
-          (List.sort compare versions);
-        versions)
-  in
-  Alcotest.(check int) "all commits acked" n (List.length versions);
-  Alcotest.(check int) "n commits, ONE window" n stats.S.commits;
-  Alcotest.(check int) "one merged flush for the whole batch" 1
-    stats.S.windows;
-  rm_rf dir
-
-(* --- conflicting commits in one window: per-request culprits ----------- *)
-
-let test_window_conflict_culprit () =
-  let dir = temp_dir "server-conflict" in
-  make_bench_store dir 2;
-  let (), stats =
-    with_server ~config:(strict_window 2) dir (fun sock ->
-        let a = connect sock and b = connect sock in
-        (* Both sessions edit the SAME grade tuple: staged deltas
-           overlap, so the window's plan admits only the first. *)
-        List.iter
-          (fun (c, grade) ->
-            let _ = check_ok_e (C.begin_ c) in
-            let _ =
-              check_ok_e
-                (C.queue c ~object_name:"omega" (grade_stmt ~course:1 ~grade))
-            in
-            check_ok_e (C.send_commit c))
-          [ a, "C+"; b, "D+" ];
-        let won = check_ok_e (C.recv_commit a) in
-        Alcotest.(check int) "first parked commit lands" 1 (List.length won);
-        let e = check_err_e (C.recv_commit b) in
-        Alcotest.(check string) "loser gets a typed conflict" "conflict"
-          (E.kind e);
-        Alcotest.(check bool) "conflict is retryable" true (E.retryable e);
-        C.close a;
-        C.close b)
-  in
-  Alcotest.(check int) "only the winner committed" 1 stats.S.commits;
-  rm_rf dir
-
-(* --- client disconnect mid-window -------------------------------------- *)
-
-let test_disconnect_while_parked () =
-  let dir = temp_dir "server-disconnect" in
-  make_bench_store dir 2;
-  let (), stats =
-    with_server
-      ~config:{ (strict_window 2) with flush_interval_ns = 0.05e9 }
-      dir
-      (fun sock ->
-        let a = connect sock in
-        let _ = check_ok_e (C.begin_ a) in
-        let _ =
-          check_ok_e
-            (C.queue a ~object_name:"omega" (grade_stmt ~course:1 ~grade:"F"))
-        in
-        check_ok_e (C.send_commit a);
-        (* A's commit is parked; the client vanishes. Give the event
-           loop a beat to see the EOF and drop the parked entry. *)
-        C.close a;
-        Unix.sleepf 0.2;
-        (* B's commit still lands — alone, by the age trigger. *)
-        let b = connect sock in
-        let v0 = check_ok_e (C.begin_ b) in
-        let versions = commit_grade b ~course:2 ~grade:"B-" in
-        Alcotest.(check (list int)) "rest of the batch lands, A's dropped"
-          [ v0 + 1 ] versions;
-        C.close b)
-  in
-  Alcotest.(check int) "only B's commit acked" 1 stats.S.commits;
-  (* A's edit must NOT be in the durable state. *)
-  let ws, _ = check_ok_e (Penguin.Recovery.open_store (store_in dir)) in
-  let cache = Penguin.Workspace.attach_cache ws in
-  let text =
-    String.concat ""
-      (List.map Viewobject.Instance.to_ascii
-         (check_ok (Viewobject.Cache.oql cache "omega" "course_id = 'BENCH001'")))
-  in
-  Alcotest.(check bool) "dropped commit left no trace" false
-    (Relational.Strutil.contains ~sub:"grade=F" text);
-  rm_rf dir
-
-(* --- limiter: immediate Busy shed -------------------------------------- *)
-
-let test_limiter_shed () =
-  let dir = temp_dir "server-shed" in
-  make_bench_store dir 2;
-  let limiter = Penguin.Resilience.Limiter.create ~label:"test" ~max_in_flight:1 () in
-  let (), _stats =
-    with_server ~limiter ~config:(strict_window 16) dir (fun sock ->
-        let a = connect sock and b = connect sock in
-        let _ = check_ok_e (C.begin_ a) in
-        let _ =
-          check_ok_e
-            (C.queue a ~object_name:"omega" (grade_stmt ~course:1 ~grade:"C"))
-        in
-        check_ok_e (C.send_commit a);
-        (* A holds the only slot. B's commit is shed immediately —
-           typed Busy, not a queue or a hang. *)
-        let _ = check_ok_e (C.begin_ b) in
-        let _ =
-          check_ok_e
-            (C.queue b ~object_name:"omega" (grade_stmt ~course:2 ~grade:"C"))
-        in
-        let e = check_err_e (C.commit b) in
-        Alcotest.(check string) "shed with typed Busy" "busy" (E.kind e);
-        Alcotest.(check bool) "busy is retryable" true (E.retryable e);
-        (* Shutdown flushes the held window: A's parked commit still
-           lands and is acked before the server stops. *)
-        let c = connect sock in
-        check_ok_e (C.shutdown c);
-        let won = check_ok_e (C.recv_commit a) in
-        Alcotest.(check int) "parked commit acked at shutdown flush" 1
-          (List.length won);
-        C.close a; C.close b; C.close c)
-  in
   rm_rf dir
 
 (* --- breaker: degraded read-only serving -------------------------------- *)
@@ -434,6 +281,56 @@ let test_malformed_and_torn_requests () =
   in
   rm_rf dir
 
+(* --- pipelined frames behind a flushed commit ----------------------------- *)
+
+(* With a zero flush interval the age trigger flushes the window at the
+   loop head, unparking a connection whose client pipelined a frame
+   behind its commit. That frame is already buffered server-side, so the
+   loop must read it before it waits on the socket again: all four
+   answers arrive, without any further input from the client. *)
+let test_pipelined_after_age_flush () =
+  let dir = temp_dir "server-pipelined" in
+  make_bench_store dir 1;
+  let config = { S.default_config with flush_interval_ns = 0. } in
+  let (), _stats =
+    with_server ~config dir (fun sock ->
+        let fd = raw_connect sock in
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        let queue =
+          Relational.Sexp.(
+            to_string
+              (List
+                 [ Atom "queue"; Atom "omega";
+                   Atom (grade_stmt ~course:1 ~grade:"A+") ]))
+        in
+        write_raw fd
+          (String.concat ""
+             (List.map Penguin.Journal.frame
+                [ "(begin)"; queue; "(commit)"; "(begin)" ]));
+        let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+        let rec answers () =
+          let frames, _, _ = Penguin.Journal.decode_frames (Buffer.contents buf) in
+          if List.length frames >= 4 then List.map snd frames
+          else
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> List.map snd frames
+            | n ->
+                Buffer.add_subbytes buf chunk 0 n;
+                answers ()
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+              ->
+                List.map snd frames
+        in
+        let got = answers () in
+        Unix.close fd;
+        Alcotest.(check int) "every pipelined frame answered within 5 s" 4
+          (List.length got);
+        Alcotest.(check bool) "the frame behind the commit is a fresh begin"
+          true
+          (Relational.Strutil.contains ~sub:"(ok (begun" (List.nth got 3)))
+  in
+  rm_rf dir
+
 (* --- stats surface ------------------------------------------------------ *)
 
 let test_stats_surface () =
@@ -503,14 +400,6 @@ let suite =
   [
     Alcotest.test_case "roundtrip: ping, commit, read, durable reopen" `Quick
       test_roundtrip;
-    Alcotest.test_case "window: n sessions, one merged flush" `Quick
-      test_window_batches;
-    Alcotest.test_case "window: overlapping commit is the culprit" `Quick
-      test_window_conflict_culprit;
-    Alcotest.test_case "window: disconnect while parked drops only that commit"
-      `Quick test_disconnect_while_parked;
-    Alcotest.test_case "limiter: full admission sheds with Busy" `Quick
-      test_limiter_shed;
     Alcotest.test_case "breaker: degraded mode serves reads, refuses writes"
       `Quick test_breaker_degraded_reads;
     Alcotest.test_case "wire: corrupt frame answered in-band" `Quick
@@ -523,4 +412,6 @@ let suite =
       `Quick test_stats_surface;
     Alcotest.test_case "signals: EINTR mid-window never drops a commit"
       `Quick test_signals_mid_window;
+    Alcotest.test_case "wire: frames pipelined behind an age-flushed commit"
+      `Quick test_pipelined_after_age_flush;
   ]
