@@ -1821,9 +1821,10 @@ let e18 () =
               (match Penguin.Replica.push_poll ~timeout:0.05 r !p with
               | Ok _ -> ()
               | Error _ ->
-                  (* A journal rotation drops every subscriber; do what
-                     [follow_push] does — catch up through the pull feed
-                     and resubscribe from the new position. *)
+                  (* The stream dropped (a fault, or a rotation this
+                     follower fell behind); do what [follow_push] does —
+                     catch up through the pull feed and resubscribe from
+                     the new position. *)
                   ignore
                     (or_fail (Penguin.Replica.poll_until_idle r)
                       : Penguin.Replica.progress);

@@ -44,10 +44,8 @@ val initialize : ?epoch:int -> t -> base:int -> (unit, Error.t) result
 val append : t -> ?sync:bool -> Commit_log.entry list -> (int, Error.t) result
 (** Append one commit batch as a single record; [sync] (default [true])
     fsyncs afterwards — the commit's durability point. Returns the
-    framed bytes written, which is how an exclusive writer
-    ({!Recovery.Appender}) tracks the journal's byte length without a
-    replay: the end offset quorum replication acks against. Appending
-    the empty batch is a no-op that writes [0] bytes. *)
+    framed bytes written. Appending the empty batch is a no-op that
+    writes [0] bytes. *)
 
 type record = Commit_log.entry list
 (** One framed journal record: one commit batch, written by {!append}

@@ -215,7 +215,6 @@ module Appender = struct
     epoch : int;
     mutable records : int;  (* journal records since the last rotation *)
     mutable tail : int;  (* newest version the journal holds *)
-    mutable bytes : int;  (* journal byte length (the clean prefix) *)
     mutable dirty : bool;  (* a failed append/rotate may have torn the tail *)
   }
 
@@ -226,9 +225,6 @@ module Appender = struct
   let m_revalidations =
     M.counter ~help:"appender cursor rebuilds after a failed append"
       "recovery.appender_revalidations"
-
-  let header_bytes ~base ~epoch =
-    String.length (Journal.frame (Journal.header_payload ~base ~epoch))
 
   (* The journal's tail must still be the version [at] the caller's
      workspace was prepared against: if another process slipped a commit
@@ -242,15 +238,15 @@ module Appender = struct
           (concurrent commit?); reopen the store and retry"
          store tail at)
 
-  (* One full replay against version [at]; returns (records, epoch,
-     clean bytes). A journal-less store gets a journal based at [at]. *)
+  (* One full replay against version [at]; returns (records, epoch). A
+     journal-less store gets a journal based at [at]. *)
   let validate ?expect_epoch ~store jnl ~at =
     let* r = Journal.replay jnl in
     match r with
     | None ->
         let epoch = Option.value expect_epoch ~default:0 in
         let* () = Journal.initialize ~epoch jnl ~base:at in
-        Ok (0, epoch, header_bytes ~base:at ~epoch)
+        Ok (0, epoch)
     | Some r ->
         (* Epoch fencing: if a follower promoted since this handle's
            store was opened, the journal header carries a newer epoch
@@ -287,13 +283,13 @@ module Appender = struct
               Journal.truncate_torn jnl ~clean_bytes:r.Journal.clean_bytes)
             else Ok ()
           in
-          Ok (r.Journal.records, r.Journal.epoch, r.Journal.clean_bytes)
+          Ok (r.Journal.records, r.Journal.epoch)
 
   let open_at ~io ~rotate_threshold ?breaker ?expect_epoch ~store at =
     let jnl = Journal.create ~io (Journal.journal_path store) in
-    let* records, epoch, bytes = validate ?expect_epoch ~store jnl ~at in
+    let* records, epoch = validate ?expect_epoch ~store jnl ~at in
     Ok { io; store; jnl; rotate_threshold; breaker; epoch; records; tail = at;
-         bytes; dirty = false }
+         dirty = false }
 
   let create ?(io = Fsio.default) ?(rotate_threshold = 64) ?breaker
       ?expect_epoch ~store ws =
@@ -301,8 +297,6 @@ module Appender = struct
       (Workspace.version ws)
 
   let tail t = t.tail
-
-  let bytes t = t.bytes
 
   (* The workspace's commits after [since], refused when its log no
      longer holds that history. Pure, so it runs before any I/O. *)
@@ -319,18 +313,17 @@ module Appender = struct
            (fun (e : Commit_log.entry) -> e.Commit_log.version > since)
            (Commit_log.entries_since ws.Workspace.log since))
 
-  let write t entries ws =
+  let write_entries t entries ws =
     let* () =
       (* A failed append (or rotation) may have left bytes past the last
          clean record. Rebuild the cursor from disk first — the cost
          returns only after a fault, not per append. *)
       if t.dirty then (
         M.Counter.incr m_revalidations;
-        let* records, _epoch, bytes =
+        let* records, _epoch =
           validate ~expect_epoch:t.epoch ~store:t.store t.jnl ~at:t.tail
         in
         t.records <- records;
-        t.bytes <- bytes;
         t.dirty <- false;
         Ok ())
       else Ok ()
@@ -339,28 +332,28 @@ module Appender = struct
     | Error e ->
         t.dirty <- true;
         Error e
-    | Ok appended ->
+    | Ok (_ : int) ->
         M.Counter.incr m_appends;
         t.records <- t.records + 1;
         t.tail <- Workspace.version ws;
-        t.bytes <- t.bytes + appended;
-        (* The append's fsync is the durability point. A rotation
-           failure past it is a warning, not a failed commit — the
-           journal is intact and a later append retries the rotation —
-           but it may have left the files mid-rotate, so the cursor is
-           rebuilt before the next append. Rotation preserves the
-           epoch: folding the journal is not a leadership change. *)
-        if t.records >= t.rotate_threshold then (
-          match snapshot ~io:t.io ~epoch:t.epoch ~store:t.store ws with
-          | Ok () ->
-              t.records <- 0;
-              t.bytes <-
-                header_bytes ~base:(Workspace.version ws) ~epoch:t.epoch;
-              Ok { rotated = true; rotate_error = None }
-          | Error e ->
-              t.dirty <- true;
-              Ok { rotated = false; rotate_error = Some e })
-        else Ok { rotated = false; rotate_error = None }
+        Ok ()
+
+  (* The append's fsync is the durability point. A rotation failure past
+     it is a warning, not a failed commit — the journal is intact and a
+     later rotation retries — but it may have left the files mid-rotate,
+     so the cursor is rebuilt before the next append. Rotation preserves
+     the epoch: folding the journal is not a leadership change. *)
+  let rotate t ws =
+    if t.records < t.rotate_threshold || Workspace.version ws <> t.tail then
+      { rotated = false; rotate_error = None }
+    else
+      match snapshot ~io:t.io ~epoch:t.epoch ~store:t.store ws with
+      | Ok () ->
+          t.records <- 0;
+          { rotated = true; rotate_error = None }
+      | Error e ->
+          t.dirty <- true;
+          { rotated = false; rotate_error = Some e }
 
   (* The breaker wraps the whole durable path: K consecutive
      {!Error.breaker_fault} outcomes (non-transient I/O, corruption) trip
@@ -372,14 +365,18 @@ module Appender = struct
     | None -> run ()
     | Some b -> Resilience.Breaker.protect b run
 
-  let append t ~since ws =
+  let write t ~since ws =
     guarded t.breaker @@ fun () ->
     Obs.Trace.with_span "recovery.append" @@ fun () ->
     M.time m_persist_ns @@ fun () ->
     let* entries = held_since ~since ws in
     if since <> t.tail then
       Error (advanced ~store:t.store ~tail:t.tail ~at:since)
-    else write t entries ws
+    else write_entries t entries ws
+
+  let append t ~since ws =
+    let* () = write t ~since ws in
+    Ok (rotate t ws)
 end
 
 let persist ?(io = Fsio.default) ?(rotate_threshold = 64) ?breaker
@@ -391,4 +388,5 @@ let persist ?(io = Fsio.default) ?(rotate_threshold = 64) ?breaker
   let* t =
     Appender.open_at ~io ~rotate_threshold ?expect_epoch ~store since
   in
-  Appender.write t entries ws
+  let* () = Appender.write_entries t entries ws in
+  Ok (Appender.rotate t ws)

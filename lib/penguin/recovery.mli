@@ -157,20 +157,25 @@ module Appender : sig
       [breaker] does. *)
 
   val append : t -> since:int -> Workspace.t -> (persisted, Error.t) result
+  (** {!write}, then {!rotate}: the whole durable step in one call, as
+      {!persist} takes it. Rotation at [rotate_threshold] and the
+      [rotate_error] contract match {!persist}. *)
+
+  val write : t -> since:int -> Workspace.t -> (unit, Error.t) result
   (** Durably record the workspace's commits after version [since] with
-      one journal append + one fsync — no replay. [since] must equal
-      the appender's cursor (the version of the last append, or of
-      {!create}); otherwise {!Error.Conflict}. Rotation at
-      [rotate_threshold] and the [rotate_error] contract match
-      {!persist}. Runs under the create-time [breaker], if any. *)
+      one journal append + one fsync — no replay, and no rotation.
+      [since] must equal the appender's cursor (the version of the last
+      write, or of {!create}); otherwise {!Error.Conflict}. Runs under
+      the create-time [breaker], if any. *)
+
+  val rotate : t -> Workspace.t -> persisted
+  (** Fold the journal into a fresh snapshot of the workspace if
+      [rotate_threshold] records have accumulated since the last
+      rotation; otherwise do nothing. The workspace must be the one
+      last written (any other is left unrotated). A server calls this
+      apart from {!write} so it can relay the window's record to its
+      push followers before the journal file is replaced. *)
 
   val tail : t -> int
   (** The newest version the journal durably holds. *)
-
-  val bytes : t -> int
-  (** The journal's byte length — the end offset of its clean prefix.
-      A follower whose acked durable position reaches this value holds
-      every record this appender has written; quorum replication parks
-      each flushed window on the [bytes] value observed right after its
-      append. Reset to the fresh header's length by a rotation. *)
 end

@@ -174,6 +174,7 @@ type t = {
   mutable suspect : (int * int) option;
       (** a CRC-valid frame at this leader offset failed to parse;
           [(offset, refetch attempts so far)] *)
+  mutable unsynced : bool;  (** own-journal appends not yet fsynced *)
 }
 
 type progress = {
@@ -200,6 +201,13 @@ let status t = t.status
 let leader_offset t = t.leader_off
 
 let frame_end off payload = off + 8 + String.length payload
+
+(* The durability point for everything ingested so far: only a version
+   it covers is ever acked upstream. *)
+let make_durable t =
+  let* () = t.io.Fsio.sync (Journal.path t.jnl) in
+  t.unsynced <- false;
+  Ok ()
 
 let set_epoch_gauge e = M.Gauge.set g_epoch (float_of_int e)
 
@@ -236,6 +244,7 @@ let ingest t ~off ~payload record =
       (Journal.frame payload)
   in
   t.ws <- ws;
+  t.unsynced <- true;
   t.leader_off <- frame_end off payload;
   M.Counter.incr c_applied;
   Ok applied
@@ -326,11 +335,12 @@ let resync t =
   locate t
 
 (* The leader's header no longer matches what we follow: either the
-   journal rotated (base advanced; our state usually covers it — fold
-   our own journal and continue from the new base) or we fell behind a
-   rotation entirely (full resync). An epoch change rides the same
-   path: adopting the new header epoch is how a follower starts
-   following a freshly promoted leader. *)
+   journal rotated (base advanced) or a new leader's epoch began —
+   adopting the new header epoch is how a follower starts following a
+   freshly promoted leader. When our version covers the new base, fold
+   our own journal into our snapshot: no gap (nothing above our version
+   was dropped by the leader's rotate) and no replay. Otherwise we fell
+   behind the rotation, and only a resync can catch us up. *)
 let follow_header_change t ~base ~epoch =
   if epoch < t.epoch then
     (* Same forward-only rule as {!locate}: never re-follow a deposed
@@ -341,12 +351,17 @@ let follow_header_change t ~base ~epoch =
             "replica: feed %s rolled back to epoch %d below epoch %d — \
              refusing to follow a deposed leader"
             t.feed.feed_label epoch t.epoch))
-  else if Workspace.version t.ws >= base then begin
-    (* Rotation barrier: our own journal's entries are all ≤ our
-       version, so fold them into our snapshot and re-anchor. No gap
-       (nothing above our version was dropped by the leader's rotate)
-       and no replay (locate skips records we already hold). *)
+  else if Workspace.version t.ws < base then Ok `Behind
+  else begin
     let* () = Recovery.snapshot ~io:t.io ~epoch ~store:t.target t.ws in
+    (* Fold the in-memory history as a reopen of our files would, so a
+       follower that never resyncs keeps its commit log bounded by the
+       leader's rotation threshold. The cache catches up first, while
+       the history it needs is still held. *)
+    Workspace.sync_cache t.ws t.cache;
+    t.ws <-
+      { t.ws with
+        Workspace.log = Commit_log.of_version (Workspace.version t.ws) };
     t.base <- base;
     t.epoch <- epoch;
     t.suspect <- None;
@@ -356,12 +371,39 @@ let follow_header_change t ~base ~epoch =
     heal t;
     set_epoch_gauge epoch;
     M.Counter.incr c_rotations;
-    let* () = locate t in
     Ok `Rotated
   end
-  else
-    let* () = resync t in
-    Ok `Resynced
+
+(* One CRC-valid leader frame at leader offset [off] (on a push stream,
+   the stream's own position), for both the pull and the push path. A
+   record is validated and ingested. A header is a barrier — the first
+   frame of a journal that appeared, or, on a push stream, a rotation's
+   new journal — after which tailing re-anchors at the header's end.
+   [`Behind] and [`Suspect]: the frame cannot be taken, and the
+   caller's discipline decides what happens next. *)
+let take_frame t ~off payload =
+  match Journal.record_of_payload payload with
+  | Ok record -> (
+      match ingest t ~off ~payload record with
+      | Ok applied ->
+          t.suspect <- None;
+          heal t;
+          Ok (`Record applied)
+      | Error e ->
+          (* A shipped record the structural model refuses is
+             corruption the checksum cannot see. *)
+          Ok (`Suspect (Error.to_string e)))
+  | Error m -> (
+      let anchor () = t.leader_off <- frame_end 0 payload in
+      match Journal.header_of_payload payload with
+      | Error _ -> Ok (`Suspect m)
+      | Ok (base, epoch) when base = t.base && epoch = t.epoch ->
+          anchor ();
+          Ok `Header
+      | Ok (base, epoch) ->
+          let* outcome = follow_header_change t ~base ~epoch in
+          if outcome = `Rotated then anchor ();
+          Ok outcome)
 
 let quarantine t ~off reason =
   match t.suspect with
@@ -398,51 +440,29 @@ let poll t =
     in
     let rec consume acc = function
       | [] -> Ok (acc, [])
-      | (off, payload) :: rest ->
-          if off = 0 then (
-            (* The header frame only reaches a poll when the replica is
-               waiting for a leader journal to appear (leader_off 0). *)
-            match Journal.header_of_payload payload with
-            | Error m ->
-                quarantine t ~off m;
-                Ok (acc, rest)
-            | Ok (base, epoch) ->
-                t.base <- base;
-                t.epoch <- epoch;
-                set_epoch_gauge epoch;
-                t.leader_off <- frame_end off payload;
-                consume acc rest)
-          else (
-            match Journal.record_of_payload payload with
-            | Error m ->
-                (* CRC-valid but unparseable: refetch before trusting
-                   our own read of it; after [refetch_limit] identical
-                   failures, quarantine and keep serving. *)
-                quarantine t ~off m;
-                Ok (acc, rest)
-            | Ok record -> (
-                match ingest t ~off ~payload record with
-                | Ok applied ->
-                    if t.suspect <> None then t.suspect <- None;
-                    if t.status <> Following then t.status <- Following;
-                    consume
-                      { acc with
-                        records = acc.records + 1;
-                        applied = acc.applied + applied;
-                      }
-                      rest
-                | Error e ->
-                    (* A shipped record the structural model refuses is
-                       corruption the checksum cannot see: same
-                       quarantine discipline. *)
-                    quarantine t ~off (Error.to_string e);
-                    Ok (acc, rest)))
+      | (off, payload) :: rest -> (
+          let* taken = take_frame t ~off payload in
+          match taken with
+          | `Record applied ->
+              let records = acc.records + 1 in
+              consume { acc with records; applied = acc.applied + applied } rest
+          | `Header -> consume acc rest
+          | `Rotated -> consume { acc with rotated = true } rest
+          | `Behind ->
+              let* () = resync t in
+              Ok ({ acc with resynced = true }, [])
+          | `Suspect m ->
+              (* Refetch before trusting our own read of it; after
+                 [refetch_limit] identical failures, quarantine and keep
+                 serving. *)
+              quarantine t ~off m;
+              Ok (acc, rest))
     in
     let* acc, remaining = consume no_progress frames in
     let* acc =
       if acc.records > 0 then begin
         (* One durability point per poll for everything ingested. *)
-        let* () = t.io.Fsio.sync (Journal.path t.jnl) in
+        let* () = make_durable t in
         Workspace.sync_cache t.ws t.cache;
         Ok acc
       end
@@ -452,13 +472,15 @@ let poll t =
            re-reading the journal. *)
         let* head = t.feed.fetch_head () in
         match header_of_bytes head with
-        | Some (base, epoch) when base <> t.base || epoch <> t.epoch ->
+        | Some (base, epoch) when base <> t.base || epoch <> t.epoch -> (
             let* outcome = follow_header_change t ~base ~epoch in
-            Ok
-              { acc with
-                rotated = outcome = `Rotated;
-                resynced = outcome = `Resynced;
-              }
+            match outcome with
+            | `Rotated ->
+                let* () = locate t in
+                Ok { acc with rotated = true }
+            | `Behind ->
+                let* () = resync t in
+                Ok { acc with resynced = true })
         | Some _ | None -> Ok acc
       end
     in
@@ -515,6 +537,7 @@ let create ?(io = Fsio.default) ?cache_mode ?(refetch_limit = 3) ~feed ~target
       leader_off = 0;
       status = Following;
       suspect = None;
+      unsynced = false;
     }
   in
   let* () = locate t in
@@ -608,7 +631,20 @@ let subscribe ?(net = Netio.default_net) t ~sock =
                         follower holds (base %d, epoch %d); catch up through \
                         the pull feed first"
                        base epoch t.base t.epoch)
-                else Ok p
+                else (
+                  (* The header matches: ack our version, the position
+                     the leader counts us at — after the durability point
+                     an errored poll may have skipped. *)
+                  match if t.unsynced then make_durable t else Ok () with
+                  | Error e -> fail ("subscribe: " ^ Error.to_string e)
+                  | Ok () -> (
+                      match
+                        net.Netio.net_send fd
+                          (Journal.frame (ack_payload (Workspace.version t.ws)))
+                      with
+                      | exception Unix.Unix_error (e, _, _) ->
+                          fail ("subscribe: " ^ Unix.error_message e)
+                      | () -> Ok p))
             | Some (Refused m) -> fail ("subscribe refused: " ^ m)
             | Some Ready | None -> fail "subscribe: bad handshake frame"))
 
@@ -663,47 +699,21 @@ let push_poll ?(timeout = 0.05) t p =
             | `Awaiting -> ()
             | `Corrupt m -> failure := Some ("corrupt frame: " ^ m)
             | `Frame payload ->
-                (if t.leader_off = 0 then
-                   (* The leader's journal appeared after we subscribed
-                      at 0: the first streamed frame is its header. *)
-                   match Journal.header_of_payload payload with
-                   | Error m -> failure := Some ("bad header: " ^ m)
-                   | Ok (base, epoch) ->
-                       if epoch < t.epoch then
-                         failure :=
-                           Some
-                             (Fmt.str
-                                "header epoch %d below this store's %d (a \
-                                 deposed leader)"
-                                epoch t.epoch)
-                       else begin
-                         t.base <- base;
-                         t.epoch <- epoch;
-                         set_epoch_gauge epoch;
-                         t.leader_off <- frame_end 0 payload
-                       end
-                 else
-                   match Journal.record_of_payload payload with
-                   | Error m ->
-                       (* No in-band refetch on a stream: drop it and
-                          let the pull path re-fetch this offset under
-                          its refetch/quarantine discipline. *)
-                       failure := Some ("unparseable record: " ^ m)
-                   | Ok record -> (
-                       match ingest t ~off:t.leader_off ~payload record with
-                       | Ok applied ->
-                           if t.suspect <> None then t.suspect <- None;
-                           heal t;
-                           M.Counter.incr c_push_frames;
-                           acc :=
-                             {
-                               !acc with
-                               records = !acc.records + 1;
-                               applied = !acc.applied + applied;
-                             }
-                       | Error e ->
-                           failure :=
-                             Some ("rejected record: " ^ Error.to_string e)));
+                (* No in-band refetch on a stream: a frame it cannot
+                   take fails it, and the pull path re-fetches under its
+                   refetch/quarantine discipline or resyncs. *)
+                (match take_frame t ~off:t.leader_off payload with
+                | Error e -> failure := Some (Error.to_string e)
+                | Ok (`Suspect m) -> failure := Some ("unusable frame: " ^ m)
+                | Ok `Behind -> failure := Some "fell behind a rotation"
+                | Ok `Header -> ()
+                | Ok `Rotated -> acc := { !acc with rotated = true }
+                | Ok (`Record applied) ->
+                    M.Counter.incr c_push_frames;
+                    acc :=
+                      { !acc with
+                        records = !acc.records + 1;
+                        applied = !acc.applied + applied });
                 consume ()
         in
         consume ();
@@ -711,12 +721,12 @@ let push_poll ?(timeout = 0.05) t p =
           if !acc.records > 0 then begin
             (* One durability point per poll, as the pull path does —
                then ack the new durable position upstream. *)
-            let* () = t.io.Fsio.sync (Journal.path t.jnl) in
+            let* () = make_durable t in
             Workspace.sync_cache t.ws t.cache;
             (if !failure = None then
                match
                  p.push_net.Netio.net_send p.push_fd
-                   (Journal.frame (ack_payload t.leader_off))
+                   (Journal.frame (ack_payload (Workspace.version t.ws)))
                with
                | exception Unix.Unix_error _ -> push_close p
                | () -> ());

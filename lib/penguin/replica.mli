@@ -80,7 +80,8 @@ val reply_payload : reply -> string
 val reply_of_payload : string -> reply option
 
 val ack_payload : int -> string
-(** [(ack OFF)]: a push follower's durable position, sent upstream. *)
+(** [(ack V)]: the version a push follower holds durably, sent
+    upstream — a position a leader's journal rotation does not move. *)
 
 val ack_of_payload : string -> int option
 
@@ -134,9 +135,10 @@ val poll : t -> (progress, Error.t) result
     complete frame, fsync the replica journal once, and sync the cache
     forward. On an idle round the header is probed instead: a changed
     base is a rotation (followed in place when the replica's version
-    covers the new base — its own journal is folded into its snapshot
-    and tailing re-anchors with no gap and no replay — or by a full
-    {e resync} otherwise), and a changed epoch adopts the new leader.
+    covers the new base — its own journal, and its in-memory commit log
+    with it, is folded into its snapshot and tailing re-anchors with no
+    gap and no replay — or by a full {e resync} otherwise), and a
+    changed epoch adopts the new leader.
     Torn trailing bytes are left unconsumed; suspect frames follow the
     refetch/quarantine discipline. *)
 
@@ -174,11 +176,16 @@ val oql :
     The pull feed's latency floor is its poll interval. A push
     subscription removes it: the follower holds a long-lived connection
     on which the leader streams raw journal frames as they land, and
-    acks its durable position back ([(ack <off>)]) after each fsync.
-    The stream is an optimization, never a second source of truth — any
-    anomaly (rotation, epoch change, sever, corrupt or invalid frame)
-    closes it, the stateless pull path re-finds footing, and the
-    follower resubscribes from its own position. *)
+    acks the version it holds durably back ([(ack <version>)]) after
+    each fsync. A leader rotation does not end the stream: the leader
+    streams its new journal from the first byte, and a follower whose
+    version covers the new base takes the header frame as a barrier —
+    it folds its own journal in place and re-anchors at the header's
+    end, with no resync and no pull round trip. The stream is an
+    optimization, never a second source of truth — any other anomaly (a
+    rotation the follower fell behind, an epoch change, sever, corrupt
+    or invalid frame) closes it, the stateless pull path re-finds
+    footing, and the follower resubscribes from its own position. *)
 
 type push
 (** A live push subscription (socket + frame reassembly buffer). *)
@@ -188,15 +195,19 @@ val subscribe : ?net:Netio.net -> t -> sock:string -> (push, Error.t) result
     this replica's {!leader_offset}. Reads the [(pushing <base>
     <epoch>)] handshake and refuses (transient {!Error.Io}) when it
     does not match the replica's own header — catch up through the
-    pull path first. [net] is the send/recv seam fault injection
-    wraps. *)
+    pull path first. On a match it acks its durable version (first
+    fsyncing what an errored poll left unsynced), the position the
+    leader counts it at. [net] is the
+    send/recv seam fault injection wraps. *)
 
 val push_poll : ?timeout:float -> t -> push -> (progress, Error.t) result
 (** One stream round: wait up to [timeout] seconds (default 0.05) for
-    pushed bytes, verify/validate/ingest each complete frame exactly as
-    {!poll} does, fsync once, sync the cache, and ack the new durable
-    position upstream. Errors close the subscription and are typed
-    transient — the caller falls back to {!poll} and resubscribes. *)
+    pushed bytes, take each complete frame through the same code
+    {!poll} uses (records are verified, validated and ingested; a
+    rotation's header frame is followed in place), fsync once, sync the
+    cache, and ack the new durable version upstream. Errors close the
+    subscription and are typed transient — the caller falls back to
+    {!poll} and resubscribes. *)
 
 val push_close : push -> unit
 val push_alive : push -> bool

@@ -50,8 +50,7 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
     Recovery.Appender.create ~io ~breaker ~expect_epoch:report.Recovery.epoch
       ~store ws0
   in
-  let journal_end = Recovery.Appender.bytes appender in
-  let core = Core.create ~config ~limiter ~breaker ~journal_end ws0 in
+  let core = Core.create ~config ~limiter ~breaker ws0 in
   let* srv = Netio.listen ~sock in
   Log.info (fun m ->
       m "serving %s on %s (window %d, interval %.1f ms)" store sock
@@ -66,6 +65,8 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
   (* A failed send or relay closes the connection through the core. *)
   let lost id = Queue.push (Core.Closed id) events in
   let persist_policy = { Resilience.Policy.default with max_attempts = 3 } in
+  let relay c sub = if not (Shipper.relay ~net feed sub) then lost c.id in
+  let relay_all () = List.iter (fun c -> Option.iter (relay c) c.sub) !conns in
   let exec = function
     | Core.Send (id, payloads) ->
         Option.iter
@@ -83,13 +84,27 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
           (find id)
     | Core.Append (since, ws') ->
         (* One journal append + one fsync for the whole window,
-           breaker-guarded; transient disk faults retry briefly. *)
+           breaker-guarded; transient disk faults retry briefly. The
+           window's record reaches the push followers before a due
+           rotation replaces the journal, and the fresh header right
+           after it: the streams cross the rotation. *)
         let result =
           Resilience.retry ~policy:persist_policy ~label:"server.persist"
-            (fun () -> Recovery.Appender.append appender ~since ws')
+            (fun () -> Recovery.Appender.write appender ~since ws')
         in
+        if Result.is_ok result then begin
+          relay_all ();
+          let p = Recovery.Appender.rotate appender ws' in
+          if p.Recovery.rotated then relay_all ();
+          Option.iter
+            (fun e ->
+              Log.warn (fun m ->
+                  m "window durable, but journal rotation failed (a later \
+                     flush retries): %a" Error.pp e))
+            p.Recovery.rotate_error
+        end;
         Queue.push (Core.Tick (M.now_ns ())) events;
-        Queue.push (Core.Appended (result, Recovery.Appender.bytes appender)) events
+        Queue.push (Core.Appended result) events
     | Core.Feed (id, payload) ->
         Option.iter
           (fun c ->
@@ -97,17 +112,11 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
             | `Answered | `Quit -> ()
             | `Close -> lost id
             | `Subscribed sub ->
+                (* Ship any backlog right away. *)
                 c.sub <- Some sub;
+                relay c sub;
                 Queue.push (Core.Subscribed (id, Shipper.acked sub)) events)
           (find id)
-    | Core.Relay ids ->
-        List.iter
-          (fun c ->
-            match c.sub with
-            | Some sub when List.mem c.id ids && not (Shipper.relay ~net feed sub) ->
-                lost c.id
-            | _ -> ())
-          !conns
   in
   let pump ev =
     Queue.push ev events;

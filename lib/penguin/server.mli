@@ -76,24 +76,26 @@
     {!Shipper} listener code as [replica serve], and [(subscribe OFF)]
     converts a connection into a push follower (or is refused with one
     [(error ...)] frame and the connection closed): new journal bytes
-    are streamed to it at the end of every flush — replication latency
-    is the link, not a polling tick — and its [(ack OFF)] frames feed
-    the replication tracker.
+    are streamed to it right after every window's append — replication
+    latency is the link, not a polling tick — and its [(ack V)] frames,
+    the version it holds durably, feed the replication tracker. A
+    window's record is relayed before a due journal rotation replaces
+    the file, and the fresh journal's header right after: a push stream
+    crosses the rotation.
 
     With [sync_replicas = K > 0] the tracker gates client acks: a
     flushed window is locally durable (fsynced) but its batched
     [(ok (committed ...))] responses park until K {e healthy} followers
-    ack positions at or past the window's journal end offset. A window
+    ack versions at or past the window's last version — the window
+    whose append rotates the journal included. A window
     that waits longer than [repl_deadline_ns] resolves by [on_lag]:
     [Degrade] acks with a trailing [(warning under_replicated)] — the
     commit is durable here and will reach followers eventually — while
     [Fail] sheds with {!Error.Deadline_exceeded} (the commit {e is}
     durable locally; the error reports unmet replication, so it is not
     retryable). Followers that miss a deadline are evicted from the
-    quorum set and re-admitted when their acked position catches back
-    up to the journal's end; a journal rotation closes push streams
-    (byte offsets are void) and followers re-find footing through the
-    stateless pull path. *)
+    quorum set and re-admitted when their acked version catches back
+    up to the committed one. *)
 
 (** Policy for a window whose replication deadline passes with fewer
     than [sync_replicas] follower acks. *)

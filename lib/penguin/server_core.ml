@@ -82,7 +82,7 @@ type event =
   | Corrupt of conn_id * string
   | Tick of float
   | Idle
-  | Appended of (Recovery.persisted, Error.t) result * int
+  | Appended of (unit, Error.t) result
   | Subscribed of conn_id * int
   | Follower_ack of conn_id * int
 
@@ -91,13 +91,12 @@ type action =
   | Close of conn_id
   | Append of int * Workspace.t
   | Feed of conn_id * string
-  | Relay of conn_id list
 
-(* A connection that subscribed is a push follower: its last acked
-   journal offset is what quorum release reads. A follower that misses a
+(* A connection that subscribed is a push follower: the last version it
+   acked durable is what quorum release reads. A follower that misses a
    window's replication deadline is evicted ([healthy <- false], its
-   acks no longer count) and re-admitted only when its acked offset
-   reaches the journal's current end. *)
+   acks no longer count) and re-admitted only when its acked version
+   reaches the committed one. *)
 type conn = {
   id : conn_id;
   mutable snapshot : Workspace.t option;  (** workspace at [(begin)] *)
@@ -113,11 +112,11 @@ type parked = { p_conn : conn; p_sess : Session.t; p_t0 : float }
 (* A flushed window whose client acks are parked on replication: local
    fsync is done (the commits are durable here), but with
    [sync_replicas = K] the acks wait until K healthy followers confirm
-   offsets at or past [w_end] — or until [w_deadline], when the
+   versions at or past [w_version] — or until [w_deadline], when the
    [on_lag] policy resolves them. *)
 type pending = {
-  w_end : int;  (** journal byte end offset of this window's append *)
-  mutable w_deadline : float;  (** forced to [neg_infinity] by rotation *)
+  w_version : int;  (** the last version this window committed *)
+  mutable w_deadline : float;  (** forced to [neg_infinity] by shutdown *)
   mutable w_acks : (parked * int list) list;
 }
 
@@ -136,7 +135,6 @@ type state = {
   cache : Viewobject.Cache.t;
   conns : (conn_id, conn) Hashtbl.t;  (** live connections only *)
   mutable ws : Workspace.t;
-  mutable journal_end : int;
   mutable now : float;
   mutable window : parked list;  (** newest first *)
   mutable pendings : pending list;  (** oldest first *)
@@ -149,10 +147,10 @@ type state = {
   mutable n_windows : int;
 }
 
-let create ?(config = default_config) ~limiter ~breaker ~journal_end ws =
+let create ?(config = default_config) ~limiter ~breaker ws =
   {
     config; limiter; breaker; cache = Workspace.attach_cache ws;
-    conns = Hashtbl.create 64; ws; journal_end; now = 0.; window = [];
+    conns = Hashtbl.create 64; ws; now = 0.; window = [];
     pendings = []; inflight = None; stopping = None; stopped = false;
     out = []; n_requests = 0; n_commits = 0; n_windows = 0;
   }
@@ -277,13 +275,13 @@ let reject_parked st p e =
 
 let quorum_reached st w =
   List.length
-    (List.filter (fun f -> f.healthy && f.acked >= w.w_end) (followers st))
+    (List.filter (fun f -> f.healthy && f.acked >= w.w_version) (followers st))
   >= st.config.sync_replicas
 
 (* Resolve every parked window whose quorum arrived or whose replication
    deadline passed. A deadline first evicts the laggards from the quorum
    set — their acks stop counting until they catch back up to the
-   journal's end — then applies the lag policy to the window's parked
+   committed version — then applies the lag policy to the window's parked
    client acks. *)
 let check_pendings st =
   let config = st.config in
@@ -296,7 +294,7 @@ let check_pendings st =
           false
         end
         else if st.now >= w.w_deadline then begin
-          let lagging f = f.healthy && f.acked < w.w_end in
+          let lagging f = f.healthy && f.acked < w.w_version in
           List.iter
             (fun f ->
               f.healthy <- false;
@@ -307,8 +305,8 @@ let check_pendings st =
           | Degrade ->
               M.Counter.incr m_repl_under;
               Log.warn (fun m ->
-                  m "window at offset %d under-replicated after %.0f ms; acking \
-                     degraded" w.w_end ms);
+                  m "window at v%d under-replicated after %.0f ms; acking \
+                     degraded" w.w_version ms);
               List.iter (ack_commit st ~warn:true) w.w_acks
           | Fail ->
               M.Counter.incr m_repl_deadline;
@@ -322,16 +320,6 @@ let check_pendings st =
         end
         else true)
       st.pendings
-
-(* Stream a flushed window's new journal bytes to every subscriber right
-   away — push mode's point is that replication latency is the link, not
-   a polling tick. A rotation voids every stream's byte offsets: the
-   subscribers are dropped and re-find footing through the pull path. *)
-let push_subs st ~rotated =
-  match followers st with
-  | [] -> ()
-  | fs when rotated -> List.iter (kill st) fs
-  | fs -> emit st (Relay (List.map (fun c -> c.id) fs))
 
 (* Once a requested shutdown's flush has landed: acknowledge the stop,
    resolve every quorum wait that can no longer arrive, and close every
@@ -461,12 +449,11 @@ let flush st reason =
           st.inflight <- Some { f_ws = ws'; f_t0 = t0; f_acks = acks };
           emit st (Append (base, ws'))
 
-let appended st result journal_end =
+let appended st result =
   match st.inflight with
   | None -> ()
   | Some f ->
       st.inflight <- None;
-      st.journal_end <- journal_end;
       let acks = f.f_acks in
       (match result with
       | Error e ->
@@ -476,38 +463,23 @@ let appended st result journal_end =
                 (Error.to_string e));
           let e = Error.with_context "durable append failed" e in
           List.iter (fun (p, _) -> reject_parked st p e) acks
-      | Ok persisted ->
+      | Ok () ->
           st.ws <- f.f_ws;
           Workspace.sync_cache st.ws st.cache;
           st.n_windows <- st.n_windows + 1;
           M.Counter.incr m_windows;
           M.Histogram.observe m_window_commits (float_of_int (List.length acks));
-          let rotated = persisted.Recovery.rotated in
-          push_subs st ~rotated;
-          if rotated then begin
-            (* The pre-rotation byte offsets the pendings wait on can
-               never be acked again; resolve them now per the lag policy
-               (their commits are in the snapshot the followers resync
-               from). *)
-            List.iter (fun w -> w.w_deadline <- neg_infinity) st.pendings;
-            check_pendings st
-          end;
-          if st.config.sync_replicas > 0 && not rotated then begin
+          if st.config.sync_replicas > 0 then begin
             (* Locally durable; the client acks stay parked until K
-               followers confirm the window's end offset (or the
+               followers confirm the window's last version (or the
                replication deadline resolves them). *)
             let w_deadline = st.now +. st.config.repl_deadline_ns in
+            let w_version = Workspace.version st.ws in
             st.pendings <-
-              st.pendings @ [ { w_end = journal_end; w_deadline; w_acks = acks } ];
+              st.pendings @ [ { w_version; w_deadline; w_acks = acks } ];
             check_pendings st
           end
-          else List.iter (fun a -> ack_commit st a) acks;
-          Option.iter
-            (fun e ->
-              Log.warn (fun m ->
-                  m "window durable, but journal rotation failed (a later flush \
-                     retries): %a" Error.pp e))
-            persisted.Recovery.rotate_error);
+          else List.iter (fun a -> ack_commit st a) acks);
       M.Histogram.observe m_flush_ns (st.now -. f.f_t0);
       finish_stop st
 
@@ -630,23 +602,22 @@ let step st ev =
       (* Input quiescent with commits parked: the group-commit moment —
          everything that was going to join this window has joined it. *)
       flush st "quiesce"
-  | Appended (result, journal_end) -> appended st result journal_end
-  | Subscribed (id, off) ->
+  | Appended result -> appended st result
+  | Subscribed (id, v) ->
       with_conn id (fun c ->
           c.follower <- true;
-          c.acked <- off;
+          c.acked <- v;
           c.healthy <- true;
           count_followers st;
-          Log.info (fun m -> m "conn %d: push subscriber" id);
-          (* Ship any backlog immediately; the subscribed offset is
-             durable on the follower and may already meet a quorum. *)
-          push_subs st ~rotated:false;
+          Log.info (fun m -> m "conn %d: push subscriber at v%d" id v);
+          (* The subscribed version is durable on the follower and may
+             already meet a quorum. *)
           check_pendings st)
-  | Follower_ack (id, off) ->
+  | Follower_ack (id, v) ->
       with_conn id (fun f ->
-          f.acked <- off;
+          f.acked <- v;
           M.Counter.incr m_repl_acks;
-          if (not f.healthy) && off >= st.journal_end then begin
+          if (not f.healthy) && v >= Workspace.version st.ws then begin
             f.healthy <- true;
             M.Counter.incr m_repl_readmissions;
             Log.info (fun m ->

@@ -6,9 +6,15 @@
     clock: a {!Tick} is the only way time enters a decision, and the
     event loop ({!Server.serve}) carries out every {!action} (sends,
     closes, the journal append, the follower feed) and reports what
-    came of them as further events. That is what lets a seeded simulator drive the
-    real engine through random orderings — fake clock, fake appender,
-    fake followers — and check the serving invariants on each.
+    came of them as further events. That is what lets a seeded
+    simulator drive the real engine through random orderings — fake
+    clock, fake appender, fake followers — and check the serving
+    invariants on each.
+
+    Nor does the core know the journal's bytes: a replication position
+    is a commit version, which a journal rotation does not change, so
+    rotating — and relaying each window's record to the push followers
+    first — is the event loop's business.
 
     {!step} mutates the state record (and the {!Resilience.Limiter} and
     {!Viewobject.Cache} it owns) and returns it with the step's
@@ -62,14 +68,15 @@ type event =
       (** the clock reads this many ns: fires the age trigger and the
           replication deadlines *)
   | Idle  (** the event loop's wait found no input: the quiesce trigger *)
-  | Appended of (Recovery.persisted, Error.t) result * int
-      (** the result of the last {!Append}, and the journal's byte
-          length after it *)
+  | Appended of (unit, Error.t) result
+      (** the result of the last {!Append} *)
   | Subscribed of conn_id * int
       (** the feed request handed over by {!Feed} made the connection a
-          push follower, subscribed at this journal offset *)
+          push follower, known to hold this version durably — [0] from
+          the socket driver, which learns the follower's version from
+          its first {!Follower_ack}, sent right after the handshake *)
   | Follower_ack of conn_id * int
-      (** a follower acked this durable journal offset, past its last *)
+      (** a follower acked this durable version, past its last *)
 
 type action =
   | Send of conn_id * string list  (** write these payloads as frames *)
@@ -80,8 +87,6 @@ type action =
   | Feed of conn_id * string
       (** answer this follower-feed request ({!Shipper.accept}); report
           a subscription with {!Subscribed} *)
-  | Relay of conn_id list
-      (** relay new journal bytes to these followers ({!Shipper.relay}) *)
 
 type state
 
@@ -91,13 +96,12 @@ val create :
   ?config:config ->
   limiter:Resilience.Limiter.t ->
   breaker:Resilience.Breaker.t ->
-  journal_end:int ->
   Workspace.t ->
   state
-(** A core serving the committed workspace, whose journal is
-    [journal_end] bytes long. Commits take [limiter] slots while
-    parked; [breaker] (the appender's) refuses them while it is
-    open. *)
+(** A core serving the committed workspace. Commits take [limiter]
+    slots while parked; [breaker] (the appender's) refuses them while
+    it is open. With [sync_replicas = K], each flushed window's client
+    acks wait until K healthy followers ack its last version. *)
 
 val step : state -> event -> state * action list
 

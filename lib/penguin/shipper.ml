@@ -37,11 +37,13 @@ let c_push_acks =
    [(subscribe OFF)] instead upgrades the connection to a long-lived
    push stream: the listener answers one [(pushing BASE EPOCH)] frame
    and from then on relays raw journal bytes (already valid frames) as
-   they land, while the follower sends [(ack OFF)] frames — its durable
-   position — back on the same socket. Anything that invalidates the
-   byte stream (rotation, epoch change, a send failure) simply closes
-   it: the follower falls back to the stateless pull path and
-   resubscribes from its own position.
+   they land, while the follower sends [(ack V)] frames — the version
+   it holds durably — back on the same socket. A rotation does not end
+   the stream: the new journal is streamed from its first byte, and its
+   header frame is the barrier the follower folds its own journal at.
+   An epoch change or a send failure closes the stream: the follower
+   falls back to the stateless pull path and resubscribes from its own
+   position.
 
    This half of the file is the listener side of that protocol, shared
    by {!serve} below and by {!Server}: each owns its sockets and event
@@ -49,10 +51,10 @@ let c_push_acks =
 
 type sub = {
   sub_fd : Unix.file_descr;
-  base : int;
+  mutable base : int;  (** of the journal being streamed *)
   epoch : int;
-  mutable sent : int;
-  mutable acked : int;
+  mutable sent : int;  (** bytes of that journal relayed *)
+  mutable acked : int;  (** the version the follower holds durably *)
 }
 
 let acked s = s.acked
@@ -73,7 +75,10 @@ let refused ~net fd m =
    frame boundary of the journal we hold — anything else (a deposed
    leader's longer journal, a stale offset from before a rotation) is
    refused in-band with one frame, the connection is closed, and the
-   follower resolves it through the pull path. *)
+   follower resolves it through the pull path. A boundary says nothing
+   about which journal the follower's bytes came from — only the
+   follower can check the header — so a subscription holds no version
+   until the follower acks one. *)
 let subscribe ~net feed fd off =
   match feed.Replica.fetch_journal ~off:0 with
   | Error e -> refused ~net fd (Error.to_string e)
@@ -93,7 +98,7 @@ let subscribe ~net feed fd off =
         then `Close
         else begin
           M.Counter.incr c_push_subscriptions;
-          `Subscribed { sub_fd = fd; base; epoch; sent = off; acked = off }
+          `Subscribed { sub_fd = fd; base; epoch; sent = off; acked = 0 }
         end
 
 let accept ~net feed fd payload =
@@ -122,7 +127,7 @@ let accept ~net feed fd payload =
 (* Relay every complete new frame to one subscriber. Only the clean
    frame prefix crosses — torn tail bytes would poison the subscriber's
    stream decoder, and they may still be an append in flight. *)
-let relay ~net feed s =
+let relay_frames ~net feed s =
   match feed.Replica.fetch_journal ~off:s.sent with
   | Error _ -> false
   | Ok bytes -> (
@@ -139,11 +144,27 @@ let relay ~net feed s =
           M.Counter.add c_push_bytes n;
           true)
 
+(* The journal header is the stream's validity token. A new base under
+   the same epoch is a rotation: the new journal streams from byte 0,
+   its header frame first, as the barrier. A new epoch ends the
+   stream. *)
+let relay ~net feed s =
+  match
+    Option.bind (Result.to_option (feed.Replica.fetch_head ()))
+      Replica.header_of_bytes
+  with
+  | Some (_, epoch) when epoch <> s.epoch -> false
+  | Some (base, _) when base <> s.base ->
+      s.base <- base;
+      s.sent <- 0;
+      relay_frames ~net feed s
+  | Some _ | None -> relay_frames ~net feed s
+
 let take_ack s payload =
   match Replica.ack_of_payload payload with
   | None -> `Garbage
-  | Some off when off >= s.acked ->
-      s.acked <- off;
+  | Some v when v >= s.acked ->
+      s.acked <- v;
       M.Counter.incr c_push_acks;
       `Advanced
   | Some _ -> `Stale
@@ -236,28 +257,13 @@ let serve ?io ?(net = Netio.default_net) ~store ~sock () =
                 if Netio.Stream.pending c.stream then torn c
                 else first_frame c payload))
   in
-  (* One push round. The header captured at subscribe time is each
-     stream's validity token: a rotation or promotion makes its byte
-     offsets meaningless, so the stream is closed. *)
   let push_round () =
-    let subs =
-      List.filter_map
-        (fun c ->
-          match c.sub with Some s when c.live -> Some (c, s) | _ -> None)
-        !conns
-    in
-    if subs <> [] then begin
-      let head =
-        Option.bind (Result.to_option (feed.Replica.fetch_head ()))
-          Replica.header_of_bytes
-      in
-      List.iter
-        (fun (c, s) ->
-          match head with
-          | Some (b, e) when b <> s.base || e <> s.epoch -> close c
-          | Some _ | None -> if not (relay ~net feed s) then close c)
-        subs
-    end
+    List.iter
+      (fun c ->
+        match c.sub with
+        | Some s when c.live && not (relay ~net feed s) -> close c
+        | _ -> ())
+      !conns
   in
   let accept_new () =
     match Unix.accept srv with

@@ -18,15 +18,18 @@
     <off>)] converts the connection into a long-lived stream. The
     server replies with a single [(pushing <base> <epoch>)] frame, then
     pushes raw journal bytes (complete frames only — the clean prefix)
-    as they land; the follower answers with [(ack <off>)] frames naming
-    its own durable position. The stream carries no per-frame offsets:
-    bytes are contiguous from the subscribed position, and {e anything}
-    that would break that contiguity — a rotation, an epoch change, an
-    unwritable socket — simply closes the stream. The follower then
-    catches up through the stateless pull path and resubscribes, so
-    push mode is an optimization of the feed's latency, never a second
-    source of truth. [(subscribe)] at a non-boundary offset is refused
-    in-band with one [(error ...)] frame and the connection closed. *)
+    as they land; the follower answers with [(ack <version>)] frames
+    naming the version it holds durably, the first right after it
+    accepts the handshake. The stream carries no
+    per-frame offsets: bytes are contiguous from the subscribed
+    position. A rotation keeps the stream open — the new journal is
+    streamed from its first byte, and its header frame is the barrier
+    the follower folds its own journal at. An epoch change or an
+    unwritable socket closes the stream; the follower then catches up
+    through the stateless pull path and resubscribes, so push mode is
+    an optimization of the feed's latency, never a second source of
+    truth. [(subscribe)] at a non-boundary offset is refused in-band
+    with one [(error ...)] frame and the connection closed. *)
 
 (** {2 The listener side}
 
@@ -37,13 +40,15 @@
     and calls in here for every feed decision. *)
 
 type sub
-(** A live push subscriber: its socket, the journal header it
-    subscribed under, the bytes relayed so far, and its last acked
-    durable offset. *)
+(** A live push subscriber: its socket, the journal header it is
+    streamed under, the bytes of that journal relayed so far, and the
+    version it last acked durable. *)
 
 val acked : sub -> int
-(** The subscriber's last acked durable offset in the leader journal —
-    what quorum replication counts. *)
+(** The version the subscriber holds durably — what quorum replication
+    counts. A new subscriber holds 0: the follower acks its version
+    right after it accepts the handshake, and each [(ack V)] moves it
+    on. *)
 
 val accept :
   net:Netio.net ->
@@ -64,12 +69,16 @@ val accept :
 val relay : net:Netio.net -> Replica.feed -> sub -> bool
 (** Send the subscriber every complete journal frame past what it has
     been sent — the clean prefix only, never a torn tail that may
-    still be an append in flight. [false]: the read or the send failed
-    and the caller should close the stream. *)
+    still be an append in flight. The journal header decides first: a
+    new base under the same epoch is a rotation, and the new journal is
+    sent from byte 0, its header frame first. [false]: the epoch
+    changed, or the read or the send failed, and the caller should
+    close the stream. A writer that rotates calls this before and after
+    the rotation, so the rotating record is not folded away unsent. *)
 
 val take_ack : sub -> string -> [ `Advanced | `Stale | `Garbage ]
-(** Take in one frame a subscriber sent: an [(ack OFF)] past its last
-    ack advances it, an older one is [`Stale] (positions only move
+(** Take in one frame a subscriber sent: an [(ack V)] at or past its
+    last ack advances it, an older one is [`Stale] (positions only move
     forward), and anything else is [`Garbage] — close the stream. *)
 
 (** {2 The lock-free listener} *)

@@ -338,6 +338,282 @@ let test_evict_and_readmit () =
   in
   rm_rf dir
 
+(* --- quorum positions across journal rotations ---------------------------- *)
+
+let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter name)
+
+(* Every window must wait for its quorum, the one whose append rotates
+   the journal included: with no follower at all, each commit past the
+   default rotation threshold sheds with the typed deadline error. *)
+let test_rotating_window_waits () =
+  Obs.Metrics.enable ();
+  let dir = temp_dir "quorum-rotating-window" in
+  Test_server.make_bench_store dir 2;
+  let rotations = counter "journal.rotations" in
+  let (), stats =
+    Test_server.with_server
+      ~config:(quorum_config ~deadline:2e6 ~on_lag:S.Fail 1) dir
+      (fun sock ->
+        let c = Test_server.connect sock in
+        for i = 1 to 70 do
+          let _v = check_ok_e (C.begin_ c) in
+          let _ =
+            check_ok_e
+              (C.queue c ~object_name:"omega"
+                 (Test_server.grade_stmt ~course:(1 + (i mod 2))
+                    ~grade:(Fmt.str "g%d" i)))
+          in
+          match C.commit c with
+          | Ok versions ->
+              Alcotest.failf "commit %d acked %s with no follower" i
+                (String.concat "," (List.map string_of_int versions))
+          | Error e ->
+              Alcotest.(check string) (Fmt.str "commit %d sheds typed" i)
+                "deadline" (E.kind e)
+        done;
+        C.close c)
+  in
+  Alcotest.(check int) "no commit acked" 0 stats.S.commits;
+  Alcotest.(check bool) "the commits crossed a rotation" true
+    (counter "journal.rotations" > rotations);
+  rm_rf dir
+
+(* A push follower keeps one subscription across leader rotations: it
+   takes each rotation's header frame off the stream and folds its own
+   journal in place — no resync, no pull fallback, no under-replicated
+   ack. *)
+let test_push_stream_crosses_rotations () =
+  Obs.Metrics.enable ();
+  let dir = temp_dir "quorum-cross-rotations" in
+  Test_server.make_bench_store dir 4;
+  let names =
+    [ "replica.rotations_followed"; "replica.resyncs"; "shipper.push.fallbacks";
+      "shipper.push.subscriptions"; "server.replication.under_replicated" ]
+  in
+  let before = List.map counter names in
+  let (), stats =
+    Test_server.with_server ~config:(quorum_config 1) dir (fun sock ->
+        let r =
+          check_ok_e
+            (R.create ~feed:(Penguin.Shipper.feed ~sock)
+               ~target:(target_in dir) ())
+        in
+        let _ = check_ok_e (R.poll_until_idle r) in
+        let stop = Atomic.make false in
+        let follower =
+          Domain.spawn (fun () ->
+              R.follow_push ~poll_timeout:0.01
+                ~should_stop:(fun _ -> Atomic.get stop)
+                r ~sock)
+        in
+        let c = Test_server.connect sock in
+        for i = 1 to 200 do
+          let _v = check_ok_e (C.begin_ c) in
+          let _ =
+            check_ok_e
+              (C.queue c ~object_name:"omega"
+                 (Test_server.grade_stmt ~course:(1 + (i mod 4))
+                    ~grade:(Fmt.str "g%d" i)))
+          in
+          check_ok_e (C.send_commit c);
+          let ack = check_ok_e (C.recv_commit_ack c) in
+          if ack.C.under_replicated then
+            Alcotest.failf "commit %d acked under-replicated" i
+        done;
+        C.close c;
+        Atomic.set stop true;
+        let _ = check_ok_e (Domain.join follower) in
+        let lws, _ = Test_recovery.recover dir in
+        Alcotest.(check int) "the follower holds every commit"
+          (Penguin.Workspace.version lws) (R.position r);
+        db_equal "the follower equals the leader" lws (R.workspace r);
+        Alcotest.(check bool) "the follower's commit log folds with its journal"
+          true
+          (Penguin.Commit_log.length (R.workspace r).Penguin.Workspace.log
+          <= 64))
+  in
+  Alcotest.(check int) "every commit acked" 200 stats.S.commits;
+  match List.map2 (fun n b -> counter n - b) names before with
+  | [ followed; resyncs; fallbacks; subscriptions; under ] ->
+      Alcotest.(check bool)
+        (Fmt.str "at least 3 rotations followed in place (%d)" followed)
+        true (followed >= 3);
+      Alcotest.(check int) "no resync" 0 resyncs;
+      Alcotest.(check int) "no pull fallback" 0 fallbacks;
+      Alcotest.(check int) "one subscription throughout" 1 subscriptions;
+      Alcotest.(check int) "no under-replicated ack" 0 under;
+      rm_rf dir
+  | _ -> assert false
+
+(* A subscription counts toward no quorum until its follower acks a
+   version: the listener only knows the subscribed offset is a frame
+   boundary, not which journal the follower's bytes came from. The
+   hazard is a follower caught up at an old journal's header end that
+   subscribes just after a rotation whose new header has the same
+   length — the offset is a boundary of the new journal too. A raw
+   subscriber stands in for it here, subscribing at the new journal's
+   header end and never acking: the rotating window stays parked and
+   sheds at its deadline. *)
+let test_subscription_waits_for_ack () =
+  let dir = temp_dir "quorum-subscribe-unacked" in
+  Test_server.make_bench_store dir 4;
+  let leader_header () =
+    let bytes = read_file (J.journal_path (store_in dir)) in
+    match (J.decode_frames bytes, R.header_of_bytes bytes) with
+    | ((_, h) :: _, _, _), Some (base, _) -> (base, String.length (J.frame h))
+    | _ -> Alcotest.fail "the leader journal has no header"
+  in
+  let (), stats =
+    Test_server.with_server
+      ~config:(quorum_config ~deadline:1e9 ~on_lag:S.Fail 1)
+      dir
+      (fun sock ->
+        let r =
+          check_ok_e
+            (R.create ~feed:(Penguin.Shipper.feed ~sock)
+               ~target:(target_in dir) ())
+        in
+        let _ = check_ok_e (R.poll_until_idle r) in
+        let p = check_ok_e (R.subscribe r ~sock) in
+        let c = Test_server.connect sock in
+        (* The default threshold rotates the server's fresh journal at
+           its 64th record: one window per commit. *)
+        for i = 1 to 63 do
+          let ack =
+            pipelined_commit c ~course:(1 + (i mod 4)) ~grade:(Fmt.str "g%d" i)
+              ~between:(fun () -> drive_push r p)
+          in
+          Alcotest.(check bool) (Fmt.str "commit %d is quorum-acked" i) false
+            ack.C.under_replicated
+        done;
+        R.push_close p;
+        let base0, _ = leader_header () in
+        let _v = check_ok_e (C.begin_ c) in
+        let _ =
+          check_ok_e
+            (C.queue c ~object_name:"omega"
+               (Test_server.grade_stmt ~course:1 ~grade:"g64"))
+        in
+        check_ok_e (C.send_commit c);
+        let rec rotated n =
+          match leader_header () with
+          | base, hlen when base <> base0 -> (base, hlen)
+          | _ when n > 2000 -> Alcotest.fail "the 64th window never rotated"
+          | _ ->
+              Unix.sleepf 0.001;
+              rotated (n + 1)
+        in
+        let base, hlen = rotated 0 in
+        let fd = check_ok_e (N.connect ~sock) in
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+        N.write_all fd (J.frame (R.request_payload (R.Subscribe hlen)));
+        let buf = Bytes.create 4096 in
+        let rec handshake got =
+          match J.decode_frames got with
+          | (_, reply) :: _, _, _ -> R.reply_of_payload reply
+          | [], _, _ -> (
+              match Unix.recv fd buf 0 (Bytes.length buf) [] with
+              | 0 -> None
+              | k -> handshake (got ^ Bytes.sub_string buf 0 k))
+        in
+        (match handshake "" with
+        | Some (R.Pushing (b, _)) ->
+            Alcotest.(check int) "subscribed under the new header" base b
+        | _ -> Alcotest.fail "the subscription at the header end was refused");
+        let err = check_err_e (C.recv_commit_ack c) in
+        Alcotest.(check string) "the rotating window sheds at its deadline"
+          "deadline" (E.kind err);
+        Unix.close fd;
+        C.close c)
+  in
+  Alcotest.(check int) "only the followed commits acked" 63 stats.S.commits;
+  rm_rf dir
+
+(* A follower link that hands over at most one frame per read, so one
+   push poll takes a window's record without the rotation header queued
+   behind it. *)
+let one_frame_net () =
+  let left = ref 0 in
+  let net_recv fd buf =
+    let want =
+      if !left > 0 then !left
+      else
+        let head = Bytes.create 8 in
+        if Unix.recv fd head 0 8 [ Unix.MSG_PEEK ] < 8 then 8
+        else 8 + Int32.to_int (Bytes.get_int32_be head 0)
+    in
+    let k = Unix.recv fd buf 0 (min want (Bytes.length buf)) [] in
+    left := want - k;
+    k
+  in
+  { N.default_net with N.net_recv }
+
+(* The leader dies right after the window whose append rotates its
+   journal is quorum-acked, while the follower has acked that window's
+   record but not yet taken the rotation's header barrier. Promoting the
+   follower must keep every acked commit: the accounting oracle checks
+   each course's last acked grade and the last acked version. *)
+let test_kill_after_rotating_ack () =
+  Obs.Metrics.enable ();
+  let dir = temp_dir "quorum-kill-rotating" in
+  Test_server.make_bench_store dir 4;
+  let followed = counter "replica.rotations_followed" in
+  let acked = Hashtbl.create 64 and last = ref 0 in
+  let r, _ =
+    Test_server.with_server ~config:(quorum_config 1) dir (fun sock ->
+        let r =
+          check_ok_e
+            (R.create ~feed:(Penguin.Shipper.feed ~sock)
+               ~target:(target_in dir) ())
+        in
+        let _ = check_ok_e (R.poll_until_idle r) in
+        let p = check_ok_e (R.subscribe ~net:(one_frame_net ()) r ~sock) in
+        let c = Test_server.connect sock in
+        (* The default threshold rotates the server's fresh journal at
+           its 64th record: one window per commit. *)
+        for i = 1 to 64 do
+          let course = 1 + (i mod 4) and grade = Fmt.str "g%d" i in
+          let ack =
+            pipelined_commit c ~course ~grade ~between:(fun () ->
+                let rec go n =
+                  match R.push_poll ~timeout:0.02 r p with
+                  | Ok prog when prog.R.records = 0 && n < 2000 -> go (n + 1)
+                  | Ok _ | Error _ -> ()
+                in
+                go 0)
+          in
+          Hashtbl.replace acked course grade;
+          last := List.fold_left max !last ack.C.versions
+        done;
+        (* The leader is lost here: the header frame behind the last
+           record is never read. *)
+        R.push_close p;
+        C.close c;
+        r)
+  in
+  let leader =
+    check_ok_e (J.replay (J.create (J.journal_path (store_in dir))))
+  in
+  Alcotest.(check (option int)) "the last acked window rotated the leader"
+    (Some !last) (Option.map (fun l -> l.J.base) leader);
+  Alcotest.(check int) "the follower never took the barrier" followed
+    (counter "replica.rotations_followed");
+  let ws, _ = check_ok_e (R.promote r) in
+  Alcotest.(check int) "the promoted follower holds the last acked version"
+    !last (Penguin.Workspace.version ws);
+  Hashtbl.iter
+    (fun course grade ->
+      Alcotest.(check string)
+        (Fmt.str "course %d keeps its last acked grade" course)
+        grade
+        (match
+           Test_recovery.grade_of ws (Fmt.str "BENCH%03d" course, 2000 + course)
+         with
+        | Value.Str g -> g
+        | v -> Value.to_string v))
+    acked;
+  rm_rf dir
+
 (* --- the chaos sweep ---------------------------------------------------- *)
 
 (* Leader killed at every journal byte of a quorum-acked workload. The
@@ -642,4 +918,12 @@ let suite =
     t "durable positions order failover candidates" test_durable_position;
     t "push: both listeners refuse a non-boundary subscribe alike"
       test_subscribe_refusal_shape;
+    t "quorum: the rotating window waits for its quorum"
+      test_rotating_window_waits;
+    t "quorum: a subscription counts only once its follower acks"
+      test_subscription_waits_for_ack;
+    t "push: one subscription crosses leader rotations"
+      test_push_stream_crosses_rotations;
+    t "chaos: leader killed right after a rotating window's quorum ack"
+      test_kill_after_rotating_ack;
   ]
