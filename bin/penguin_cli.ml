@@ -529,46 +529,15 @@ let parse_session content =
         rest
   | _ -> Error "session file: not a penguin-session document"
 
-(* Stage every queued statement of [doc] against [ws] (the snapshot at
-   queue time, the current store state at commit/rebase time). Each
-   request carries a retry closure that re-evaluates its statement, so
-   a rebase — OCC conflict with a concurrent commit, or two session
-   statements editing the same tuple — re-derives instead of replaying
-   a stale instance image. *)
+(* Stage every queued statement of [doc] against [ws], the session's
+   begin-time snapshot. *)
 let stage_session ws doc =
-  let ( let* ) = Result.bind in
   List.fold_left
     (fun acc (obj, stmt) ->
-      let* sess = acc in
-      let* reqs =
-        Result.map_error Penguin.Error.invalid
-          (Penguin.Upql.requests ws ~object_name:obj stmt)
-      in
-      let n = List.length reqs in
-      List.fold_left
-        (fun acc (i, req) ->
-          let* sess = acc in
-          let retry ws' =
-            let* reqs' =
-              Result.map_error Penguin.Error.invalid
-                (Penguin.Upql.requests ws' ~object_name:obj stmt)
-            in
-            match reqs' with
-            | [] -> Ok None  (* the edit already holds in the new state *)
-            | l when List.length l = n -> Ok (Some (List.nth l i))
-            | _ ->
-                Error
-                  (Penguin.Error.conflict
-                     (Fmt.str
-                        "rebase: %S on %s matches a different set of \
-                         instances now; begin a fresh session"
-                        stmt obj))
-          in
+      Result.bind acc (fun sess ->
           Result.map_error
             (Penguin.Error.with_context (Fmt.str "staging %S on %s" stmt obj))
-            (Penguin.Session.queue sess obj ~retry req))
-        (Ok sess)
-        (List.mapi (fun i r -> i, r) reqs))
+            (Penguin.Session.queue_stmt sess obj stmt)))
     (Ok (Penguin.Session.begin_ ws))
     doc.sess_queue
 

@@ -294,41 +294,6 @@ let find_culprit validation g db staged =
   in
   go 0 db staged
 
-(* --- post-commit subscriptions --------------------------------------
-
-   Consumers that maintain state derived from the committed database
-   (the materialized view-object cache, audit sinks) register a callback
-   fired after every successful {!commit_group}, with the pre state, the
-   post state, and the merged net delta between them. Subscribers must
-   not raise; if one does, the commit stands and the exception is
-   logged. *)
-
-type subscription = int
-
-let subscribers :
-    (int * (pre:Database.t -> post:Database.t -> Delta.t -> unit)) list ref =
-  ref []
-
-let next_subscription = ref 0
-
-let subscribe f =
-  incr next_subscription;
-  subscribers := (!next_subscription, f) :: !subscribers;
-  !next_subscription
-
-let unsubscribe id =
-  subscribers := List.filter (fun (i, _) -> i <> id) !subscribers
-
-let notify_subscribers ~pre ~post delta =
-  List.iter
-    (fun (id, f) ->
-      try f ~pre ~post delta
-      with exn ->
-        Log.warn (fun m ->
-            m "post-commit subscriber %d raised: %s" id
-              (Printexc.to_string exn)))
-    (List.rev !subscribers)
-
 let commit_group ?(validation = Global_validation.Incremental) g db staged =
   match staged with
   | [] -> Ok (db, Delta.empty)
@@ -368,10 +333,9 @@ let commit_group ?(validation = Global_validation.Incremental) g db staged =
             Error (Group_validation_failed { culprit; reason })
       in
       (match result with
-      | Ok (post, merged) ->
+      | Ok _ ->
           M.Counter.incr m_commits;
-          M.Counter.add m_committed_updates (List.length staged);
-          notify_subscribers ~pre:db ~post merged
+          M.Counter.add m_committed_updates (List.length staged)
       | Error (Group_conflict _) -> M.Counter.incr m_group_conflicts
       | Error (Group_op_failed _) -> M.Counter.incr m_application_failed
       | Error (Group_validation_failed _) -> M.Counter.incr m_validation_failed);

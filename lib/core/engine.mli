@@ -116,25 +116,6 @@ val commit_group :
     Returns the committed state and the merged delta; [db] is never
     modified (persistence). The empty batch commits trivially. *)
 
-(** {1 Post-commit subscriptions}
-
-    Consumers maintaining state derived from the committed database
-    (e.g. {!Viewobject.Cache}) can observe every successful
-    {!commit_group} — including the singleton groups {!apply} and the
-    session layer commit. Subscriptions are process-wide, like the
-    metrics registry. *)
-
-type subscription
-
-val subscribe :
-  (pre:Database.t -> post:Database.t -> Delta.t -> unit) -> subscription
-(** Register a callback fired after each successful {!commit_group}
-    with the pre state, the committed post state, and the merged net
-    delta between them. Callbacks run in registration order and must
-    not raise (an escaping exception is logged; the commit stands). *)
-
-val unsubscribe : subscription -> unit
-
 val plan_groups : staged list -> staged list list
 (** Greedy partition of staged updates into conflict-free groups, in
     arrival order: each group is committable by {!commit_group}; groups

@@ -8,18 +8,22 @@
     connection runs snapshot {!Session}s against the server's committed
     workspace. A [commit] request does not reply immediately: it
     {e parks} on the current {e flush window}, and the window flushes —
-    one merged {!Vo_core.Engine.commit_group} over every parked
-    session's staged updates plus {e one} journal append and fsync for
-    the whole batch — on the first of three triggers: {e size} (the
-    window holds [flush_window] parked commits), {e age} (the oldest
-    parked commit is [flush_interval_ns] old) or {e quiesce} (the event
-    loop finds no input waiting: the window absorbs exactly the commits
-    that arrive while the previous flush runs, which is the classic
-    group-commit discipline). Culprits — a session whose staged updates
-    conflict with an earlier parked commit in the window, fail
-    re-translation after the store advanced, or are named by the merged
-    validation's sequential replay — are answered with per-request
-    typed errors while the rest of the batch lands.
+    {!Session.commit_window} over every parked session (one merged
+    {!Vo_core.Engine.commit_group} when the sessions are clean and
+    conflict-free) plus {e one} journal append and fsync for the whole
+    batch — on the first of three triggers: {e size} (the window holds
+    [flush_window] parked commits), {e age} (the oldest parked commit is
+    [flush_interval_ns] old) or {e quiesce} (the event loop finds no
+    input waiting: the window absorbs exactly the commits that arrive
+    while the previous flush runs, which is the classic group-commit
+    discipline). The server decides a commit exactly as
+    [penguin session commit] does: a session overtaken by the store
+    re-derives its statements, and a session's edits of one tuple
+    commit in arrival order. Culprits — a session whose updates collide
+    with an earlier parked commit in the window ([conflict]), cannot be
+    re-derived after the store advanced ([conflict]), or are named by
+    the merged validation's sequential replay ([invalid]) — are answered
+    with per-request typed errors while the rest of the batch lands.
 
     Admission and degradation reuse the resilience layer: parked
     commits take {!Resilience.Limiter} slots (full → immediate

@@ -20,7 +20,7 @@ let m_updates =
   counter "server.updates" "staged updates committed through the server"
 let m_conflicts =
   counter "server.conflicts"
-    "parked commits rejected as window conflicts or validation culprits"
+    "parked commits the window commit refused"
 let m_dropped_parked =
   counter "server.dropped_parked" "parked commits dropped by a client disconnect"
 let m_windows = counter "server.windows" "flush windows persisted"
@@ -34,7 +34,7 @@ let m_request_ns =
   histogram "server.request_ns" "request handling latency (excluding parked wait)"
 let m_oql_ns = histogram "server.oql_ns" "oql read latency"
 let m_flush_ns =
-  histogram "server.flush_ns" "whole flush: restage, merged commit, journal fsync"
+  histogram "server.flush_ns" "whole flush: the window commit and its journal fsync"
 let m_repl_acks =
   counter "server.replication.acks" "follower durable-position acks received"
 let m_repl_quorum =
@@ -99,7 +99,6 @@ type action =
    reaches the committed one. *)
 type conn = {
   id : conn_id;
-  mutable snapshot : Workspace.t option;  (** workspace at [(begin)] *)
   mutable sess : Session.t option;
   mutable parked : bool;
   mutable follower : bool;
@@ -173,42 +172,6 @@ let wake st ~held =
   if st.window <> [] || st.inflight <> None || List.exists (free st) held then
     Some st.now
   else match st.pendings with [] -> None | w :: _ -> Some w.w_deadline
-
-(* Re-derive a parked session's staged updates against the current
-   committed state. A session whose footprints are clean keeps its
-   staged values verbatim (OCC: non-overlapping deltas commute); one
-   that diverged rebases by re-translating its queued requests, and a
-   request the new state rejects is a concurrency casualty — typed
-   [Conflict], retryable from a fresh session. *)
-let restage ws p =
-  let s = p.p_sess in
-  match Session.divergence ws s with
-  | Session.Clean -> Ok (Session.staged s)
-  | Session.Conflicting _ | Session.Unknown_history ->
-      let base_version = Workspace.version ws in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (name, req) :: rest -> (
-            match
-              (Workspace.find_object ws name, Workspace.translator_of ws name)
-            with
-            | Error e, _ | _, Error e -> Error (Error.invalid e)
-            | Ok vo, Ok spec -> (
-                match
-                  Vo_core.Engine.stage ~base_version ws.Workspace.graph
-                    ws.Workspace.db vo spec req
-                with
-                | Error se ->
-                    Error
-                      (Error.conflict
-                         (Fmt.str
-                            "rebase against v%d: %s; begin a fresh session \
-                             and retry"
-                            base_version
-                            (Vo_core.Engine.stage_error_reason se)))
-                | Ok st -> go (st :: acc) rest))
-      in
-      go [] (Session.requests s)
 
 let emit st a = st.out <- a :: st.out
 let sexp atoms = Sexp.to_string (Sexp.List atoms)
@@ -335,11 +298,11 @@ let finish_stop st =
       Hashtbl.fold (fun _ c acc -> c :: acc) st.conns [] |> List.iter (kill st)
   | _ -> ()
 
-(* --- the flush: one merged commit_group + one journal append ------------ *)
+(* --- the flush: one commit window + one journal append ----------------- *)
 
-(* Restage, plan and commit the window in memory, answer its culprits,
-   and hand the merged workspace to the event loop for one journal append;
-   [appended] finishes the flush. *)
+(* Commit the window in memory through {!Session.commit_window}, answer
+   the sessions it refused, and hand the new workspace to the event loop
+   for one journal append; [appended] finishes the flush. *)
 let flush st reason =
   match List.rev st.window with
   | [] -> ()
@@ -350,104 +313,27 @@ let flush st reason =
       Obs.Trace.with_span "server.flush"
         ~tags:[ "reason", reason; "parked", string_of_int (List.length parked) ]
       @@ fun () ->
-      let reject = reject_parked st in
       let cur = st.ws in
-      let base = Workspace.version cur in
-      (* 1. Restage every parked session against the committed state;
-         failures are per-request culprits, not window failures. *)
-      let candidates =
-        List.filter_map
-          (fun p ->
-            match restage cur p with
-            | Ok staged -> Some (p, staged)
-            | Error e ->
-                M.Counter.incr m_conflicts;
-                reject p e;
-                None)
-          parked
+      let ws', verdicts =
+        Session.commit_window cur (List.map (fun p -> p.p_sess) parked)
       in
-      (* 2. Plan one conflict-free batch: a commit with any staged update
-         outside the first group collides with an earlier parked commit
-         in this window and is answered [Conflict]. *)
-      let winners, losers =
-        match Vo_core.Engine.plan_groups (List.concat_map snd candidates) with
-        | [] | [ _ ] -> candidates, []
-        | first :: _ ->
-            List.partition
-              (fun (_, staged) ->
-                List.for_all (fun st -> List.memq st first) staged)
-              candidates
+      let acks =
+        List.combine parked verdicts
+        |> List.filter_map (fun (p, verdict) ->
+               match verdict with
+               | Ok { Session.versions; _ } -> Some (p, versions)
+               | Error e ->
+                   M.Counter.incr m_conflicts;
+                   reject_parked st p e;
+                   None)
       in
-      List.iter
-        (fun (p, _) ->
-          M.Counter.incr m_conflicts;
-          reject p
-            (Error.conflict
-               "commit conflicts with an earlier commit in the same flush \
-                window; begin a fresh session and retry"))
-        losers;
-      (* 3. One merged-delta commit_group; a validation culprit is
-         ejected (typed error) and the rest retried. *)
-      let rec commit_batch = function
-        | [] -> None
-        | winners -> (
-            let batch = List.concat_map snd winners in
-            match
-              Vo_core.Engine.commit_group cur.Workspace.graph cur.Workspace.db
-                batch
-            with
-            | Ok (db, _merged) -> Some (db, winners)
-            | Error rejection -> (
-                let reason = Vo_core.Engine.group_rejection_reason rejection in
-                let culprit_index =
-                  match rejection with
-                  | Vo_core.Engine.Group_op_failed { index; _ } -> Some index
-                  | Vo_core.Engine.Group_validation_failed { culprit; _ } ->
-                      culprit
-                  | Vo_core.Engine.Group_conflict { right; _ } -> Some right
-                in
-                let owner_of i =
-                  let rec walk k = function
-                    | [] -> None
-                    | (p, staged) :: rest ->
-                        let k' = k + List.length staged in
-                        if i < k' then Some p else walk k' rest
-                  in
-                  walk 0 winners
-                in
-                match Option.bind culprit_index owner_of with
-                | None ->
-                    (* No culprit nameable: fail the whole batch. *)
-                    List.iter
-                      (fun (p, _) -> reject p (Error.invalid reason))
-                      winners;
-                    None
-                | Some culprit ->
-                    M.Counter.incr m_conflicts;
-                    reject culprit
-                      (Error.invalid
-                         (Fmt.str "rejected by the window's validation: %s"
-                            reason));
-                    commit_batch
-                      (List.filter (fun (p, _) -> p != culprit) winners)))
-      in
-      match commit_batch winners with
-      | None -> M.Histogram.observe m_flush_ns (st.now -. t0)
-      | Some (db, winners) ->
-          (* 4. Append one commit-log entry per update, remembering each
-             commit's versions for its ack. *)
-          let log = ref cur.Workspace.log in
-          let record (st : Vo_core.Engine.staged) =
-            let kind = Fmt.str "%s on %s" st.request_kind st.object_name in
-            log := Commit_log.append !log ~delta:st.delta ~kind;
-            Commit_log.version !log
-          in
-          let acks = List.map (fun (p, staged) -> p, List.map record staged) winners in
-          (* 5. One journal append + one fsync for the whole window: the
-             event loop's. *)
-          let ws' = { cur with Workspace.db; log = !log } in
-          st.inflight <- Some { f_ws = ws'; f_t0 = t0; f_acks = acks };
-          emit st (Append (base, ws'))
+      if acks = [] then M.Histogram.observe m_flush_ns (st.now -. t0)
+      else begin
+        (* One journal append + one fsync for the whole window: the
+           event loop's. *)
+        st.inflight <- Some { f_ws = ws'; f_t0 = t0; f_acks = acks };
+        emit st (Append (Workspace.version cur, ws'))
+      end
 
 let appended st result =
   match st.inflight with
@@ -491,35 +377,22 @@ let handle_request st c payload =
   | Error m -> answer_error st c (Error.invalid ("bad request: " ^ m))
   | Ok (Sexp.List [ Sexp.Atom "ping" ]) -> send st c [ "(ok pong)" ]
   | Ok (Sexp.List [ Sexp.Atom "begin" ]) ->
-      c.snapshot <- Some st.ws;
       c.sess <- Some (Session.begin_ ~max_queued:st.config.max_queued st.ws);
       send st c [ Fmt.str "(ok (begun %d))" (Workspace.version st.ws) ]
   | Ok (Sexp.List [ Sexp.Atom "queue"; Sexp.Atom obj; Sexp.Atom stmt ]) -> (
-      match c.snapshot, c.sess with
-      | Some snap, Some sess -> (
-          match Upql.requests snap ~object_name:obj stmt with
-          | Error m -> answer_error st c (Error.invalid m)
-          | Ok reqs -> (
-              let rec add sess = function
-                | [] -> Ok sess
-                | r :: rest -> (
-                    match Session.queue sess obj r with
-                    | Ok s -> add s rest
-                    | Error _ as e -> e)
-              in
-              match add sess reqs with
-              | Error e -> answer_error st c e
-              | Ok sess' ->
-                  c.sess <- Some sess';
-                  send st c
-                    [ Fmt.str "(ok (queued %d))" (Session.pending sess') ]))
-      | _ -> answer_error st c (Error.invalid "no session: send (begin) first"))
+      match c.sess with
+      | None -> answer_error st c (Error.invalid "no session: send (begin) first")
+      | Some sess -> (
+          match Session.queue_stmt sess obj stmt with
+          | Error e -> answer_error st c e
+          | Ok sess' ->
+              c.sess <- Some sess';
+              send st c [ Fmt.str "(ok (queued %d))" (Session.pending sess') ]))
   | Ok (Sexp.List [ Sexp.Atom "commit" ]) -> (
       match c.sess with
       | None -> answer_error st c (Error.invalid "no session: send (begin) first")
       | Some sess ->
           c.sess <- None;
-          c.snapshot <- None;
           if Session.pending sess = 0 then
             send st c [ "(ok (committed 0) (versions))" ]
           else if Resilience.Breaker.degraded st.breaker then
@@ -574,7 +447,7 @@ let step st ev =
   (match ev with
   | Opened id ->
       Hashtbl.replace st.conns id
-        { id; snapshot = None; sess = None; parked = false; follower = false;
+        { id; sess = None; parked = false; follower = false;
           acked = 0; healthy = false };
       M.Counter.incr m_connections
   | Closed id -> with_conn id (kill st)

@@ -1,6 +1,9 @@
 (** The decision core of {!Server.serve}: sessions, the flush window
-    and its triggers, culprit ejection, the quorum tracker and the lag
-    policy, as one step function from events to actions.
+    and its triggers, the quorum tracker and the lag policy, as one step
+    function from events to actions. How a window commits is not the
+    core's business: a flush hands its parked sessions to
+    {!Session.commit_window}, the procedure [penguin session commit]
+    also uses, and answers each with its verdict.
 
     The core performs no I/O. It never touches a socket, a file or the
     clock: a {!Tick} is the only way time enters a decision, and the

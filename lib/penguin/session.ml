@@ -34,10 +34,6 @@ let m_noop_drops =
   M.counter ~help:"updates dropped as no-ops during a rebase"
     "session.noop_drops"
 
-let m_retries_exhausted =
-  M.counter ~help:"session commits that gave up after the policy's attempts"
-    "session.retries_exhausted"
-
 let m_shed =
   M.counter ~help:"queue attempts shed by the session's admission bound"
     "session.shed"
@@ -79,9 +75,6 @@ let pending s = s.count
 let entries s = List.rev s.rev_entries
 let staged s = List.rev_map (fun e -> e.st) s.rev_entries
 
-let requests s =
-  List.rev_map (fun e -> e.name, e.st.Vo_core.Engine.request) s.rev_entries
-
 let queue s name ?retry request =
   let retry =
     match retry with Some f -> f | None -> fun _ -> Ok (Some request)
@@ -118,6 +111,34 @@ let queue s name ?retry request =
                   count = s.count + 1;
                 }))
 
+let queue_stmt s name stmt =
+  match Upql.requests s.snapshot ~object_name:name stmt with
+  | Error m -> Error (Error.invalid m)
+  | Ok reqs ->
+      let n = List.length reqs in
+      (* Re-derive instance [i] of the statement's matches against a
+         later state, so a rebase never replays a stale instance image. *)
+      let retry i ws =
+        match Upql.requests ws ~object_name:name stmt with
+        | Error m -> Error (Error.invalid m)
+        | Ok [] -> Ok None (* the edit already holds in the new state *)
+        | Ok l when List.compare_length_with l n = 0 -> Ok (Some (List.nth l i))
+        | Ok _ ->
+            Error
+              (Error.conflict
+                 (Fmt.str
+                    "%S on %s matches a different set of instances now" stmt
+                    name))
+      in
+      let rec add s i = function
+        | [] -> Ok s
+        | req :: rest -> (
+            match queue s name ~retry:(retry i) req with
+            | Ok s -> add s (i + 1) rest
+            | Error _ as e -> e)
+      in
+      add s 0 reqs
+
 type divergence =
   | Clean
   | Conflicting of Delta.conflict list
@@ -135,16 +156,9 @@ let divergence ws s =
       | [] -> Clean
       | cs -> Conflicting cs)
 
-type commit_stats = {
-  version : int;
-  attempts : int;
-  rebased : bool;
-  committed : int;
-}
-
-(* Re-derive and re-stage [entries] against [ws]; entries whose retry
+(* Re-derive [todo] and stage it against [ws]; entries whose retry
    reports a no-op are dropped. *)
-let restage ws entries =
+let restage ws todo =
   List.fold_left
     (fun acc e ->
       Result.bind acc (fun s' ->
@@ -158,118 +172,202 @@ let restage ws entries =
               Ok s'
           | Ok (Some req) -> queue s' e.name ~retry:e.retry req))
     (Ok (begin_ ws))
-    entries
+    todo
+  |> Result.map entries
 
-let commit ?validation ?(policy = Resilience.Policy.occ)
-    ?(clock = Resilience.Clock.real) ?deadline_ns ?cache ws s =
-  let max_attempts = max 1 policy.Resilience.Policy.max_attempts in
-  let past_deadline () =
-    match deadline_ns with
-    | None -> false
-    | Some d -> clock.Resilience.Clock.now_ns () > d
-  in
-  (* The staged updates may conflict among themselves (the session
-     edited the same tuple twice): partition them into conflict-free
-     groups and commit the groups in arrival order, re-deriving later
-     groups against the result of the earlier ones. A conflict-free
-     session is a single group — one merged-delta validation pass. *)
-  let rec commit_clean attempts rebased committed ws s =
-    match Vo_core.Engine.plan_groups (staged s) with
-    | [] ->
-        Ok (ws, { version = Workspace.version ws; attempts; rebased; committed })
-    | group :: _ -> (
-        let now, later =
-          List.partition (fun e -> List.memq e.st group) (entries s)
-        in
-        match
-          Vo_core.Engine.commit_group ?validation ws.Workspace.graph
-            ws.Workspace.db group
-        with
-        | Error rejection ->
-            Error
-              (Error.invalid (Vo_core.Engine.group_rejection_reason rejection))
-        | Ok (db, _merged) ->
-            let log =
-              List.fold_left
-                (fun log e ->
-                  Commit_log.append log ~delta:e.st.Vo_core.Engine.delta
-                    ~kind:
-                      (Fmt.str "%s on %s" e.st.Vo_core.Engine.request_kind
-                         e.name))
-                ws.Workspace.log now
-            in
-            let ws' = { ws with Workspace.db; log } in
-            let committed = committed + List.length now in
-            if later = [] then (
-              let version = Commit_log.version log in
-              Log.info (fun m ->
-                  m "session@v%d committed %d update(s) as v%d (%d \
-                     attempt(s)%s)"
-                    s.base_version committed version attempts
-                    (if rebased then ", rebased" else ""));
-              Ok (ws', { version; attempts; rebased; committed }))
-            else
-              Result.bind (restage ws' later)
-                (commit_clean attempts rebased committed ws'))
-  in
-  let rebase cause s =
+(* Bring a session onto [ws]. A clean one keeps its staged updates
+   (non-overlapping deltas commute); a diverged one rebases, re-deriving
+   each update through its retry, and an update that cannot be
+   re-derived is a concurrency casualty: [Conflict], retryable from a
+   fresh session. *)
+let onto ws s =
+  let rebase cause =
     M.Counter.incr m_rebases;
-    Obs.Trace.with_span "session.rebase" ~tags:[ "cause", cause ] (fun () ->
-        restage ws (entries s))
+    Obs.Trace.with_span "session.rebase" ~tags:[ "cause", cause ] @@ fun () ->
+    match restage ws (entries s) with
+    | Ok todo -> Ok (todo, true)
+    | Error e ->
+        Error
+          (Error.conflict
+             (Fmt.str "rebase against v%d: %s; begin a fresh session and retry"
+                (Workspace.version ws) (Error.to_string e)))
   in
-  let rec attempt n rebased s =
-    if past_deadline () then begin
-      M.Counter.incr m_deadline_hits;
-      Error
-        (Error.Deadline_exceeded
-           (Fmt.str
-              "session commit: deadline exceeded after %d attempt(s); staged \
-               at v%d, workspace at v%d"
-              (n - 1) s.base_version (Workspace.version ws)))
-    end
-    else if n > max_attempts then begin
-      M.Counter.incr m_retries_exhausted;
-      Error
-        (Error.Conflict
-           (Fmt.str
-              "session commit: conflicts persist after %d attempt(s); last \
-               staged at v%d, workspace at v%d"
-              max_attempts s.base_version (Workspace.version ws)))
-    end
-    else begin
-      (* Pace rebase rounds by the policy (attempt 1 runs immediately).
-         The default [Policy.occ] has no backoff — an in-process rebase
-         re-derives deterministically — but cross-process callers pass a
-         backoff policy so contending committers spread out. *)
-      if n > 1 then
-        clock.Resilience.Clock.sleep_ns
-          (Resilience.Policy.backoff_ns policy ~attempt:(n - 1));
-      match divergence ws s with
-      | Clean -> commit_clean n rebased 0 ws s
-      | Conflicting cs ->
-          (* Concurrent commits overlap the session's footprint: the
-             staged translations are stale. Rebase by re-deriving the
-             original requests against the current state and retry. *)
-          Log.info (fun m ->
-              m "session@v%d: %d conflict(s) with v%d, rebasing (attempt %d): \
-                 %a"
-                s.base_version (List.length cs) (Workspace.version ws) n
-                Fmt.(list ~sep:semi Delta.pp_conflict)
-                cs);
-          M.Counter.incr m_rebase_conflict;
-          Result.bind (rebase "conflict" s) (attempt (n + 1) true)
-      | Unknown_history ->
-          (* A barrier (database swap, raw SQL) hides the concurrent
-             deltas: conflict checking is impossible, so rebase
-             unconditionally. *)
-          Log.info (fun m ->
-              m "session@v%d: history unknown since snapshot, rebasing \
-                 (attempt %d)"
-                s.base_version n);
-          M.Counter.incr m_rebase_unknown;
-          Result.bind (rebase "barrier" s) (attempt (n + 1) true)
-    end
+  match divergence ws s with
+  | Clean -> Ok (entries s, false)
+  | Conflicting cs ->
+      Log.info (fun m ->
+          m "session@v%d: %d conflict(s) with v%d, rebasing: %a" s.base_version
+            (List.length cs) (Workspace.version ws)
+            Fmt.(list ~sep:semi Delta.pp_conflict)
+            cs);
+      M.Counter.incr m_rebase_conflict;
+      rebase "conflict"
+  | Unknown_history ->
+      (* A barrier (database swap, raw SQL) hides the concurrent deltas:
+         conflict checking is impossible, so rebase unconditionally. *)
+      Log.info (fun m ->
+          m "session@v%d: history unknown since snapshot, rebasing"
+            s.base_version);
+      M.Counter.incr m_rebase_unknown;
+      rebase "barrier"
+
+type outcome = { versions : int list; rebased : bool }
+
+(* A session on its way through a window: its position in the window,
+   the updates it still has to commit (staged against the window's
+   current state), and the versions it has committed, newest first. *)
+type slot = { at : int; todo : entry list; done_ : int list; rebased : bool }
+
+(* Why a round stopped: sessions to eject (the rest is re-run without
+   them, so an ejected session leaves no trace), or a failure that
+   names no session and fails the whole window. *)
+type stop = Eject of (int * Error.t) list | Fail_all of Error.t
+
+let window_conflict =
+  Error.conflict
+    "commit conflicts with an earlier commit in the same flush window; begin \
+     a fresh session and retry"
+
+(* The sessions with an update whose delta collides with an update of an
+   earlier, surviving session. A session's collisions with itself are
+   not conflicts: its own edits commit in arrival order. *)
+let collisions slots =
+  let footprints sl =
+    List.map (fun e -> Delta.footprint e.st.Vo_core.Engine.delta) sl.todo
   in
+  let _, losers =
+    List.fold_left
+      (fun (taken, losers) sl ->
+        let fps = footprints sl in
+        if List.exists (fun fp -> Delta.conflicts_footprint fp taken <> []) fps
+        then taken, (sl.at, window_conflict) :: losers
+        else List.fold_left Delta.footprint_union taken fps, losers)
+      (Delta.empty_footprint, []) slots
+  in
+  losers
+
+(* Name the session owning the group member a rejection points at;
+   [parts] pairs each session with its members of the group (in group
+   order) and the rest of its updates. *)
+let culprit rejection parts =
+  let reason = Vo_core.Engine.group_rejection_reason rejection in
+  let index =
+    match rejection with
+    | Vo_core.Engine.Group_op_failed { index; _ } -> Some index
+    | Vo_core.Engine.Group_validation_failed { culprit; _ } -> culprit
+    | Vo_core.Engine.Group_conflict { right; _ } -> Some right
+  in
+  let rec owner i k = function
+    | [] -> None
+    | (sl, (now, _)) :: rest ->
+        let k' = k + List.length now in
+        if i < k' then Some sl.at else owner i k' rest
+  in
+  match Option.bind index (fun i -> owner i 0 parts) with
+  | Some at ->
+      Eject
+        [ at, Error.invalid (Fmt.str "rejected by the window's validation: %s" reason) ]
+  | None -> Fail_all (Error.invalid reason)
+
+(* Append one commit-log entry per update; the versions they took are
+   consed onto [done_]. *)
+let record (log, done_) e =
+  let log =
+    Commit_log.append log ~delta:e.st.Vo_core.Engine.delta
+      ~kind:(Fmt.str "%s on %s" e.st.Vo_core.Engine.request_kind e.name)
+  in
+  log, Commit_log.version log :: done_
+
+(* Commit rounds over [cur]: each plans the sessions' pending updates,
+   commits the first conflict-free group through one [commit_group],
+   and re-derives whatever the group left out (a session's later edits
+   of a tuple it already edited) against the result. A window of clean,
+   conflict-free sessions is one round: one plan, one commit_group. *)
+let rec rounds cur slots =
+  let staged = List.concat_map (fun sl -> List.map (fun e -> e.st) sl.todo) slots in
+  match Vo_core.Engine.plan_groups staged with
+  | [] -> Ok (cur, slots)
+  | group :: later -> (
+      let whole = later = [] in
+      match if whole then [] else collisions slots with
+      | _ :: _ as losers -> Error (Eject losers)
+      | [] -> (
+          let parts =
+            List.map
+              (fun sl ->
+                if whole then sl, (sl.todo, [])
+                else sl, List.partition (fun e -> List.memq e.st group) sl.todo)
+              slots
+          in
+          match
+            Vo_core.Engine.commit_group cur.Workspace.graph cur.Workspace.db group
+          with
+          | Error rejection ->
+              Error (culprit rejection parts)
+          | Ok (db, _merged) -> (
+              let log, slots =
+                List.fold_left_map
+                  (fun log (sl, (now, todo)) ->
+                    let log, done_ = List.fold_left record (log, sl.done_) now in
+                    log, { sl with todo; done_ })
+                  cur.Workspace.log parts
+              in
+              let cur = { cur with Workspace.db; log } in
+              if whole then Ok (cur, slots)
+              else
+                let restaged, failed =
+                  List.partition_map
+                    (fun sl ->
+                      match sl.todo with
+                      | [] -> Left sl
+                      | todo -> (
+                          match restage cur todo with
+                          | Ok todo -> Left { sl with todo }
+                          | Error e -> Right (sl.at, e)))
+                    slots
+                in
+                match failed with
+                | [] -> rounds cur restaged
+                | _ -> Error (Eject failed))))
+
+let commit_window ws sessions =
+  let verdicts = Array.make (List.length sessions) None in
+  let decide at v = verdicts.(at) <- Some v in
+  let slots =
+    List.mapi (fun at s -> at, onto ws s) sessions
+    |> List.filter_map (fun (at, prepared) ->
+           match prepared with
+           | Ok (todo, rebased) -> Some { at; todo; done_ = []; rebased }
+           | Error e ->
+               decide at (Error e);
+               None)
+  in
+  let rec run slots =
+    match rounds ws slots with
+    | Ok (ws', slots) ->
+        List.iter
+          (fun sl ->
+            decide sl.at (Ok { versions = List.rev sl.done_; rebased = sl.rebased }))
+          slots;
+        ws'
+    | Error (Eject ejected) ->
+        List.iter (fun (at, e) -> decide at (Error e)) ejected;
+        run (List.filter (fun sl -> Option.is_none verdicts.(sl.at)) slots)
+    | Error (Fail_all e) ->
+        List.iter (fun sl -> decide sl.at (Error e)) slots;
+        ws
+  in
+  let ws' = run slots in
+  ws', Array.to_list (Array.map Option.get verdicts)
+
+type commit_stats = {
+  version : int;
+  attempts : int;
+  rebased : bool;
+  committed : int;
+}
+
+let commit ?deadline_ns ?cache ws s =
   if s.rev_entries = [] then begin
     Option.iter (Workspace.sync_cache ws) cache;
     Ok
@@ -282,19 +380,35 @@ let commit ?validation ?(policy = Resilience.Policy.occ)
         } )
   end
   else
-    Obs.Trace.with_span "session.commit"
-      ~tags:[ "queued", string_of_int s.count ]
-    @@ fun () ->
-    M.time m_commit_ns @@ fun () ->
-    let result = attempt 1 false s in
-    (match result with
-    | Ok (ws', stats) ->
-        M.Counter.incr m_commits;
-        M.Gauge.set m_queue_depth 0.;
-        Obs.Trace.tag "attempts" (string_of_int stats.attempts);
-        if stats.rebased then Obs.Trace.tag "rebased" "true";
-        (* An attached cache follows the committed state: only the
-           entries the committed deltas can influence are re-derived. *)
-        Option.iter (Workspace.sync_cache ws') cache
-    | Error _ -> ());
-    result
+    match deadline_ns with
+    | Some d when M.now_ns () > d ->
+        M.Counter.incr m_deadline_hits;
+        Error
+          (Error.Deadline_exceeded
+             (Fmt.str
+                "session commit: deadline exceeded; staged at v%d, workspace \
+                 at v%d"
+                s.base_version (Workspace.version ws)))
+    | _ -> (
+        Obs.Trace.with_span "session.commit"
+          ~tags:[ "queued", string_of_int s.count ]
+        @@ fun () ->
+        M.time m_commit_ns @@ fun () ->
+        match commit_window ws [ s ] with
+        | ws', [ Ok { versions; rebased } ] ->
+            let version = Workspace.version ws' in
+            let committed = List.length versions in
+            let attempts = if rebased then 2 else 1 in
+            M.Counter.incr m_commits;
+            M.Gauge.set m_queue_depth 0.;
+            Obs.Trace.tag "attempts" (string_of_int attempts);
+            if rebased then Obs.Trace.tag "rebased" "true";
+            Log.info (fun m ->
+                m "session@v%d committed %d update(s) as v%d%s" s.base_version
+                  committed version
+                  (if rebased then " (rebased)" else ""));
+            (* An attached cache follows the committed state: only the
+               entries the committed deltas can influence are re-derived. *)
+            Option.iter (Workspace.sync_cache ws') cache;
+            Ok (ws', { version; attempts; rebased; committed })
+        | _, verdicts -> Error (Result.get_error (List.hd verdicts)))

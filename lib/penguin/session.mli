@@ -1,16 +1,18 @@
-(** Snapshot sessions with optimistic concurrency control (OCC).
+(** Snapshot sessions with optimistic concurrency control (OCC), and
+    the one procedure that decides every commit.
 
     A session captures a workspace snapshot and its commit-log version
     ({!begin_}); view-object requests then {!queue} as staged updates —
     translated and trial-applied against the snapshot, but not
-    published. {!commit} validates the batch against the workspace the
-    caller presents {e now} (which may have advanced past the
-    snapshot): if no delta committed since the session began overlaps
-    the staged updates' read/write footprints, the whole batch group
-    commits ({!Vo_core.Engine.commit_group}) with a single
-    merged-delta validation pass; otherwise the session {e rebases} —
-    the original requests are re-translated against the current state —
-    and retries, a bounded number of times.
+    published. {!commit_window} commits a list of sessions against the
+    workspace the caller presents {e now} (which may have advanced past
+    the snapshots): a session whose staged updates no delta committed
+    since its snapshot overlaps keeps them verbatim; a diverged one
+    {e rebases} — each update is re-derived against the current state
+    through its retry — once, against that fixed workspace. Both
+    [penguin session commit] ({!commit}, a window of one) and
+    [penguin serve]'s flush window call it, so an update statement
+    changes the database the same way however it arrives.
 
     Everything is a persistent value: concurrency is modelled by
     several sessions (or single-shot {!Workspace.update}s) advancing
@@ -41,19 +43,27 @@ val queue :
     with {!Error.Invalid} on unknown objects, translation rejections,
     and ops that do not apply to the snapshot; with {!Error.Busy} when
     the session's admission bound is full. Queueing is O(1) — the
-    arrival order is materialized once, at {!commit}. [retry] (default: replay the same request) is how
-    a rebase re-derives this update against a newer state — a request
-    embeds the instance image it was read from, so replaying it
-    verbatim is rejected as stale whenever the rebase was actually
-    needed; callers that can re-evaluate the originating edit should
-    pass it. Queued updates writing the same key are committed in
-    arrival order (see {!commit}). *)
+    arrival order is materialized once, at commit. [retry] (default:
+    replay the same request) is how a rebase re-derives this update
+    against a newer state — a request embeds the instance image it was
+    read from, so replaying it verbatim is rejected as stale whenever
+    the rebase was actually needed; callers that can re-evaluate the
+    originating edit should pass it ({!queue_stmt} does). Queued
+    updates writing the same key are committed in arrival order (see
+    {!commit_window}). *)
+
+val queue_stmt : t -> string -> string -> (t, Error.t) result
+(** [queue_stmt s object_name stmt] evaluates an update statement
+    ({!Upql.requests}) against the session's snapshot and queues one
+    request per matching instance. Each request's retry re-derives its
+    instance from the statement: it reports a no-op when the statement
+    no longer matches anything to change, and refuses with
+    {!Error.Conflict} when the statement now matches a different
+    number of instances. A statement that does not parse or evaluate is
+    {!Error.Invalid}. *)
 
 val pending : t -> int
 val staged : t -> Vo_core.Engine.staged list
-val requests : t -> (string * Vo_core.Request.t) list
-(** The queued [(object, request)] pairs, oldest first — what a rebase
-    replays. *)
 
 (** How the workspace has moved relative to the session's staged
     updates. *)
@@ -66,38 +76,55 @@ type divergence =
 
 val divergence : Workspace.t -> t -> divergence
 
+type outcome = {
+  versions : int list;
+      (** the commit-log version of each committed update, in order *)
+  rebased : bool;  (** the session diverged and was re-derived *)
+}
+
+val commit_window :
+  Workspace.t -> t list -> Workspace.t * (outcome, Error.t) result list
+(** Commit the sessions, in order, onto the given (current) workspace:
+    the new workspace, with one commit-log entry per committed update,
+    and each session's verdict, in the order given. Pure — nothing is
+    published but the returned value.
+
+    - A diverged session re-derives its updates through their retries;
+      an update that cannot be re-derived fails the session with
+      {!Error.Conflict}. An update whose retry reports a no-op is
+      dropped.
+    - A session's own updates of the same tuple commit in arrival
+      order: each round commits one conflict-free group, and the
+      updates it left out are re-derived against its result.
+    - A session with an update that collides with an earlier session's
+      gets {!Error.Conflict} (retryable from a fresh session).
+    - A session the merged validation names as the culprit gets
+      {!Error.Invalid}, and the rest are retried without it. If no
+      culprit can be named, every remaining session fails.
+
+    A failed session leaves no trace: the window is re-run without it.
+    A window of clean, conflict-free sessions runs one
+    {!Vo_core.Engine.plan_groups} and one
+    {!Vo_core.Engine.commit_group}. *)
+
 type commit_stats = {
   version : int;  (** log version after the commit *)
-  attempts : int;  (** staging rounds used (1 = no rebase) *)
+  attempts : int;  (** 0 for the empty session, 2 if it rebased, else 1 *)
   rebased : bool;
   committed : int;  (** updates applied (queued minus rebase no-ops) *)
 }
 
 val commit :
-  ?validation:Vo_core.Global_validation.mode ->
-  ?policy:Resilience.Policy.t ->
-  ?clock:Resilience.Clock.t ->
   ?deadline_ns:float ->
   ?cache:Viewobject.Cache.t ->
   Workspace.t ->
   t ->
   (Workspace.t * commit_stats, Error.t) result
-(** Commit the session's staged updates onto the given (current)
-    workspace. [cache] (an attached {!Viewobject.Cache.t}) is
-    {!Workspace.sync_cache}d to the resulting workspace on success, so
-    reads through it stay equal to fresh instantiation while paying
-    only for the entries the committed deltas touch.
-    [policy] (default {!Resilience.Policy.occ}: 3 attempts,
-    no backoff) bounds rebase rounds and paces them — cross-process
-    callers pass a backoff policy so contending committers spread out;
-    exhausting it is {!Error.Conflict} (retryable after reopening).
-    [deadline_ns] (absolute, on [clock]) bounds the whole commit: a
-    rebase round never starts past it, failing with
-    {!Error.Deadline_exceeded}. Updates
-    whose footprints conflict {e within} the session (the same tuple
-    edited twice) are committed in arrival order: each conflict-free
-    group goes through one merged-delta validation pass, and later
-    groups are re-translated against its result. On success the
-    returned workspace carries the new database and one commit-log
-    entry per staged update. The empty session commits trivially with
-    [attempts = 0]. *)
+(** Commit one session: {!commit_window} on a window of one. Fails with
+    {!Error.Deadline_exceeded} without trying when [deadline_ns]
+    (absolute, on {!Obs.Metrics.now_ns}) has passed. [cache] (an
+    attached {!Viewobject.Cache.t}) is {!Workspace.sync_cache}d to the
+    resulting workspace on success, so reads through it stay equal to
+    fresh instantiation while paying only for the entries the committed
+    deltas touch. [attempts] is 0 for the empty session (which commits
+    trivially), 2 when the session rebased and 1 otherwise. *)

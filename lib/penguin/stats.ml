@@ -19,38 +19,22 @@ let engine_traffic ~updates ws =
   in
   go 0 ws
 
-(* Queue a statement the way the CLI does: with a retry closure that
-   re-derives the requests against the post-rebase state. *)
-let queue_stmt sess ws stmt =
-  let* reqs = Upql.requests ws ~object_name:"omega" stmt in
-  List.fold_left
-    (fun acc req ->
-      let* sess = acc in
-      let retry ws' =
-        let* reqs' =
-          Result.map_error Error.invalid
-            (Upql.requests ws' ~object_name:"omega" stmt)
-        in
-        match reqs' with [] -> Ok None | r :: _ -> Ok (Some r)
-      in
-      str_err (Session.queue sess "omega" ~retry req))
-    (Ok sess) reqs
-
 let session_traffic ws =
   (* A clean two-update session commit. [updates] is even, so the
      engine traffic left the grade at 'B+' and [flip_stmt 0] is a real
      edit here (Upql drops no-op requests before they are staged). *)
   let sess = Session.begin_ ws in
-  let* sess = queue_stmt sess ws (flip_stmt 0) in
+  let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt 0)) in
   let* sess =
-    queue_stmt sess ws "set units = 4 where course_id = 'CS345'"
+    str_err
+      (Session.queue_stmt sess "omega" "set units = 4 where course_id = 'CS345'")
   in
   let* ws, _stats = str_err (Session.commit ws sess) in
   (* ...and a stale session: staged here, overtaken by a concurrent
      commit to the same tuple, so commit must detect the overlap and
      rebase (OCC retry). *)
   let sess = Session.begin_ ws in
-  let* sess = queue_stmt sess ws (flip_stmt 1) in
+  let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt 1)) in
   let* ws', _ =
     Upql.apply ws ~object_name:"omega"
       "set GRADES[pid = 1] grade = 'C' where course_id = 'CS345'"
@@ -77,7 +61,7 @@ let durability_traffic ws =
       else
         let since = Workspace.version ws in
         let sess = Session.begin_ ws in
-        let* sess = queue_stmt sess ws (flip_stmt i) in
+        let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt i)) in
         let* ws, _stats = str_err (Session.commit ws sess) in
         let* _persisted =
           str_err (Recovery.persist ~rotate_threshold:2 ~store ~since ws)
@@ -130,12 +114,12 @@ let cache_traffic ws =
      object. [session_traffic] left the grade at 'B+', so the even
      statement is a real edit. *)
   let sess = Session.begin_ ws in
-  let* sess = queue_stmt sess ws (flip_stmt 0) in
+  let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt 0)) in
   let* ws, _stats = str_err (Session.commit ~cache ws sess) in
   (* ...and flip it back, so the fixture leaves this stage as it
      entered (the durability stage's edits stay real). *)
   let sess = Session.begin_ ws in
-  let* sess = queue_stmt sess ws (flip_stmt 1) in
+  let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt 1)) in
   let* ws, _stats = str_err (Session.commit ~cache ws sess) in
   let fresh = Workspace.instances ws "omega" in
   let* cached = Viewobject.Cache.instances cache "omega" in
@@ -249,7 +233,7 @@ let replica_traffic ws =
       else
         let since = Workspace.version lws in
         let sess = Session.begin_ lws in
-        let* sess = queue_stmt sess lws (flip_stmt i) in
+        let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt i)) in
         let* lws, _stats = str_err (Session.commit lws sess) in
         let* _persisted = str_err (Recovery.persist ~store ~since lws) in
         commit_rounds (i + 1) lws
@@ -326,7 +310,7 @@ let quorum_traffic () =
   let persist_round store i lws =
     let since = Workspace.version lws in
     let sess = Session.begin_ lws in
-    let* sess = queue_stmt sess lws (flip_stmt i) in
+    let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt i)) in
     let* lws, _stats = str_err (Session.commit lws sess) in
     let* _persisted = str_err (Recovery.persist ~store ~since lws) in
     Ok lws

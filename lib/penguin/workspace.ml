@@ -169,8 +169,8 @@ let attach_cache ?mode ws =
 
 let sync_cache ws cache =
   if Cache.db cache == ws.db then
-    (* Already on this state (a push subscriber applied the commits, or
-       nothing happened): only the bookkeeping position can lag. *)
+    (* Already on this state (nothing committed since, or another sync
+       got here first): only the bookkeeping position can lag. *)
     Cache.set_position cache (version ws)
   else begin
     let v = version ws in
@@ -198,13 +198,6 @@ let sync_cache ws cache =
        | Some _ | None -> Cache.invalidate_all cache ~db:ws.db);
     Cache.set_position cache v
   end
-
-let subscribe_cache cache =
-  Vo_core.Engine.subscribe (fun ~pre ~post delta ->
-      (* Only commits against the cache's exact state are applicable;
-         anything else (another workspace in the process, a lagging
-         cache) is left for the pull path to resolve. *)
-      if pre == Cache.db cache then Cache.apply_delta cache ~post delta)
 
 let check_consistency ws =
   Vo_core.Global_validation.check_consistency ws.graph ws.db

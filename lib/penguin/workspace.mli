@@ -89,12 +89,9 @@ val oql : t -> string -> string -> (Instance.t list, string) result
 (** {1 Materialized view-object cache}
 
     A {!Viewobject.Cache.t} can ride along a workspace lineage: attach
-    it once, then either pull ({!sync_cache} after obtaining a new
-    workspace value — what {!Session.commit} and {!Recovery.open_store}
-    do when handed a cache) or push ({!subscribe_cache}, fed by every
-    successful engine group commit in the process). The two compose:
-    a push-applied commit leaves only the position to fix, which the
-    next {!sync_cache} does without replaying. *)
+    it once, then {!sync_cache} after obtaining a new workspace value —
+    what {!Session.commit}, the server's flush and
+    {!Recovery.open_store} do when handed a cache. *)
 
 val attach_cache : ?mode:Cache.mode -> t -> Cache.t
 (** A cache on this workspace's database with every installed object
@@ -106,12 +103,5 @@ val sync_cache : t -> Cache.t -> unit
     deltas since the cache's position as one composed net delta
     (patching only affected entries), or invalidate when the history is
     hidden (a barrier), rewound, or contradicts the cached state. *)
-
-val subscribe_cache : Cache.t -> Vo_core.Engine.subscription
-(** Push wiring: patch the cache from every successful group commit
-    whose pre state is (physically) the cache's database; commits
-    against other states are ignored — a later {!sync_cache} settles
-    them. Remember to {!Vo_core.Engine.unsubscribe} when discarding the
-    cache. *)
 
 val check_consistency : t -> (unit, string) result

@@ -1,9 +1,9 @@
 (* The materialized view-object cache: a cached read must be
    observationally equal to a fresh instantiation against the cache's
-   database at every point in any commit sequence — under pull sync,
-   push subscription, crash-recovery replay, journal rotation, and
-   histories the cache must refuse to trust (barriers, foreign-lineage
-   deltas, Paranoid divergences). *)
+   database at every point in any commit sequence — under sync,
+   crash-recovery replay, journal rotation, and histories the cache
+   must refuse to trust (barriers, foreign-lineage deltas, Paranoid
+   divergences). *)
 open Relational
 open Structural
 open Viewobject
@@ -312,29 +312,6 @@ let test_foreign_delta_invalidates () =
   Alcotest.(check int) "nothing patched from a lie" 0 s.Cache.patched;
   assert_matches ~msg:"after foreign delta" ws cache
 
-let test_push_subscription () =
-  let ws = Penguin.University.workspace () in
-  let cache = Ws.attach_cache ws in
-  Cache.warm cache;
-  let sub = Ws.subscribe_cache cache in
-  Fun.protect
-    ~finally:(fun () -> Vo_core.Engine.unsubscribe sub)
-    (fun () ->
-      let ws = commit ws "omega" (grade_edit ws "CS345" 2 "C+") in
-      (* The engine's post-commit notification already patched the
-         cache — before any sync. *)
-      Alcotest.(check bool) "push landed the post state" true
-        (Cache.db cache == ws.Ws.db);
-      let patched = (Cache.stats cache).Cache.patched in
-      Alcotest.(check bool) "push patched incrementally" true (patched >= 1);
-      (* Pull sync then only fixes the position — no second replay. *)
-      Ws.sync_cache ws cache;
-      Alcotest.(check int) "sync after push is position-only" patched
-        (Cache.stats cache).Cache.patched;
-      Alcotest.(check int) "position follows" (Ws.version ws)
-        (Cache.position cache);
-      assert_matches ~msg:"after push" ws cache)
-
 let test_replay_warming () =
   let dir = temp_dir "cache-replay" in
   let store = Filename.concat dir "u.pgn" in
@@ -429,8 +406,6 @@ let suite =
     Alcotest.test_case "barrier invalidates" `Quick test_barrier_invalidates;
     Alcotest.test_case "foreign-lineage delta invalidates" `Quick
       test_foreign_delta_invalidates;
-    Alcotest.test_case "push subscription patches on commit" `Quick
-      test_push_subscription;
     Alcotest.test_case "recovery replay warms the cache" `Quick
       test_replay_warming;
     Alcotest.test_case "journal rotation invalidates" `Quick

@@ -64,6 +64,7 @@ type world = {
   rotate_every : int;
   fail : unit -> bool;
   mutable tail : int;
+  mutable db : Relational.Database.t;  (** the last appended state *)
   mutable appends : int;
   mutable rotations : int;
   records : (int, int * int) Hashtbl.t;
@@ -87,7 +88,7 @@ let world ?(config = Core.default_config) ?(max_in_flight = 256)
     core = Core.create ~config ~limiter ~breaker ws;
     config; limiter; now = 0.; conns = Hashtbl.create 16; next_id = 0;
     events = Queue.create (); rotate_every; fail;
-    tail = Penguin.Workspace.version ws; appends = 0; rotations = 0;
+    tail = Penguin.Workspace.version ws; db = ws.db; appends = 0; rotations = 0;
     records = Hashtbl.create 64; owner = Hashtbl.create 64;
     answers = Hashtbl.create 64; acked = Hashtbl.create 64; next_commit = 0;
     violations = [];
@@ -179,6 +180,7 @@ let fake_append w since (ws : Penguin.Workspace.t) =
           | None -> violation w "v%d: record of no simulated commit" e.version)
         entries;
       w.tail <- last;
+      w.db <- ws.db;
       (* A rotation replaces the journal file, which the core never
          sees: positions are versions. *)
       if w.appends mod w.rotate_every = 0 then w.rotations <- w.rotations + 1;
@@ -224,20 +226,28 @@ let open_conn w =
 
 let write c frames = List.iter (fun f -> Queue.push f c.inbox) frames
 
-(* One session round setting course [course]'s grade, pipelined as one
-   write; returns the commit's number. *)
-let txn w c ~course =
+let queue_frame stmt =
+  Sexp.to_string (Sexp.List [ Sexp.Atom "queue"; Sexp.Atom "omega"; Sexp.Atom stmt ]),
+  Plain
+
+let grade_stmt ~course grade =
+  Fmt.str "set GRADES[pid = %d] grade = '%s' where course_id = 'BENCH%03d'"
+    (2000 + course) grade course
+
+(* Number the next commit, owned by [c]. *)
+let next_commit w c =
   let n = w.next_commit in
   w.next_commit <- n + 1;
   Hashtbl.replace w.owner n c;
-  let stmt =
-    Fmt.str "set GRADES[pid = %d] grade = 'g%d' where course_id = 'BENCH%03d'"
-      (2000 + course) n course
-  in
+  n
+
+(* One session round setting course [course]'s grade, pipelined as one
+   write; returns the commit's number. *)
+let txn w c ~course =
+  let n = next_commit w c in
   write c
     [ "(begin)", Plain;
-      Sexp.to_string (Sexp.List [ Sexp.Atom "queue"; Sexp.Atom "omega"; Sexp.Atom stmt ]),
-      Plain;
+      queue_frame (grade_stmt ~course (Fmt.str "g%d" n));
       "(commit)", Commit n ];
   n
 
@@ -490,6 +500,107 @@ let test_window_conflict_culprit () =
   | _ -> Alcotest.fail "loser not answered with an error");
   Alcotest.(check int) "only the winner committed" 1 (Core.stats w.core).Core.commits
 
+let grade w ~course =
+  let grades = Relational.Database.relation_exn w.db "GRADES" in
+  match
+    Relational.Relation.lookup grades
+      [ Relational.Value.Str (Fmt.str "BENCH%03d" course);
+        Relational.Value.Int (2000 + course) ]
+  with
+  | Some t -> (
+      match Relational.Tuple.get t "grade" with
+      | Relational.Value.Str g -> g
+      | _ -> Alcotest.failf "course %d: grade is not a string" course)
+  | None -> Alcotest.failf "no grade for course %d" course
+
+let acked w n =
+  match Hashtbl.find_opt w.answers n with
+  | Some (Acked (vs, _)) -> vs
+  | Some (Failed (kind, _)) -> Alcotest.failf "commit %d answered %s" n kind
+  | None -> Alcotest.failf "commit %d not answered" n
+
+let one_by_one = { Core.default_config with flush_window = 1; flush_interval_ns = 60e9 }
+
+(* A session that edits one grade twice, alone in its window: both
+   statements commit, in arrival order — as Session.commit does. *)
+let test_window_same_tuple_edits () =
+  let w = world ~config:one_by_one () in
+  let v0 = w.tail in
+  let c = open_conn w in
+  let n = next_commit w c in
+  write c
+    [ "(begin)", Plain; queue_frame (grade_stmt ~course:1 "B");
+      queue_frame (grade_stmt ~course:1 "A+"); "(commit)", Commit n ];
+  drain w;
+  Alcotest.(check (list int)) "both statements commit" [ v0 + 1; v0 + 2 ] (acked w n);
+  Alcotest.(check string) "the last one wins" "A+" (grade w ~course:1)
+
+(* A session overtaken by a commit to the same course re-derives its
+   statement against the new state instead of replaying a stale
+   instance image. *)
+let test_window_overtaken_session_rederives () =
+  let w = world ~config:one_by_one () in
+  let v0 = w.tail in
+  let a = open_conn w and b = open_conn w in
+  let na = next_commit w a in
+  write a [ "(begin)", Plain; queue_frame (grade_stmt ~course:1 "B") ];
+  drain w;
+  let nb = next_commit w b in
+  write b
+    [ "(begin)", Plain; queue_frame "set units = 4 where course_id = 'BENCH001'";
+      "(commit)", Commit nb ];
+  drain w;
+  write a [ "(commit)", Commit na ];
+  drain w;
+  Alcotest.(check (list int)) "the overtaking commit" [ v0 + 1 ] (acked w nb);
+  Alcotest.(check (list int)) "the overtaken session commits after it" [ v0 + 2 ]
+    (acked w na);
+  Alcotest.(check string) "its edit landed" "B" (grade w ~course:1)
+
+(* The same scripted sessions, all begun on one state and committed in
+   order, once through Session.commit and once through the server: the
+   two paths leave the same database at the same version. *)
+let test_window_parity_with_session_commit () =
+  let script =
+    [ [ grade_stmt ~course:1 "B"; grade_stmt ~course:1 "A+" ];
+      [ grade_stmt ~course:1 "C" ];
+      [ "set units = 4 where course_id = 'BENCH002'" ];
+      [ grade_stmt ~course:2 "D" ];
+      [ grade_stmt ~course:3 "B-" ] ]
+  in
+  let ws0 = Lazy.force ws0 in
+  let ws =
+    List.fold_left
+      (fun ws stmts ->
+        let s =
+          List.fold_left
+            (fun s stmt -> check_ok_e (Penguin.Session.queue_stmt s "omega" stmt))
+            (Penguin.Session.begin_ ws0) stmts
+        in
+        fst (check_ok_e (Penguin.Session.commit ws s)))
+      ws0 script
+  in
+  let w = world ~config:one_by_one () in
+  let conns =
+    List.map
+      (fun stmts ->
+        let c = open_conn w in
+        write c (("(begin)", Plain) :: List.map queue_frame stmts);
+        c)
+      script
+  in
+  drain w;
+  List.iter
+    (fun c ->
+      let n = next_commit w c in
+      write c [ "(commit)", Commit n ];
+      drain w;
+      ignore (acked w n))
+    conns;
+  Alcotest.(check int) "same version" (Penguin.Workspace.version ws) w.tail;
+  Alcotest.(check bool) "same database" true
+    (Relational.Database.equal ws.Penguin.Workspace.db w.db)
+
 let test_disconnect_while_parked () =
   let interval = 0.05e9 in
   let w = world ~config:{ Core.default_config with flush_window = 2; flush_interval_ns = interval } () in
@@ -649,6 +760,12 @@ let suite =
       test_window_batches;
     Alcotest.test_case "window: overlapping commit is the culprit" `Quick
       test_window_conflict_culprit;
+    Alcotest.test_case "window: a session's same-tuple edits commit in order"
+      `Quick test_window_same_tuple_edits;
+    Alcotest.test_case "window: an overtaken session re-derives and commits"
+      `Quick test_window_overtaken_session_rederives;
+    Alcotest.test_case "window: the server commits as Session.commit does"
+      `Quick test_window_parity_with_session_commit;
     Alcotest.test_case "window: disconnect while parked drops only that commit"
       `Quick test_disconnect_while_parked;
     Alcotest.test_case "limiter: full admission sheds with Busy" `Quick

@@ -135,6 +135,43 @@ let test_same_tuple_edits_commit_in_order () =
   Alcotest.(check bool) "last edit wins" true
     (grade_of w' ("CS345", 2) = Value.Str "A+")
 
+let units_of ws course =
+  let r = Database.relation_exn ws.Penguin.Workspace.db "COURSES" in
+  match Relation.lookup r [ Value.Str course ] with
+  | Some t -> Tuple.get t "units"
+  | None -> Alcotest.failf "no COURSES %s" course
+
+let test_statement_rebase_rederives_each_instance () =
+  let w = ws () in
+  (* One statement, two matching instances (the grad courses). *)
+  let s =
+    match
+      Penguin.Session.queue_stmt (Penguin.Session.begin_ w) "omega"
+        "set units = 4 where level = 'grad'"
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "queue_stmt: %s" (Penguin.Error.to_string e)
+  in
+  Alcotest.(check int) "one request per instance" 2 (Penguin.Session.pending s);
+  (* A concurrent commit to one of them forces a rebase: each request
+     must re-derive its own instance, not the statement's first. *)
+  let w, outcome =
+    Penguin.Workspace.update w "omega" (grade_edit w ("CS345", 1) "F")
+  in
+  (match outcome.Vo_core.Engine.result with
+  | Transaction.Committed _ -> ()
+  | Transaction.Rolled_back { reason; _ } -> Alcotest.fail reason);
+  let w', stats = commit_ok w s in
+  Alcotest.(check bool) "rebased" true stats.Penguin.Session.rebased;
+  Alcotest.(check int) "both committed" 2 stats.Penguin.Session.committed;
+  List.iter
+    (fun course ->
+      Alcotest.(check bool) (course ^ " edited") true
+        (units_of w' course = Value.Int 4))
+    [ "CS345"; "EE280" ];
+  Alcotest.(check bool) "concurrent effect kept" true
+    (grade_of w' ("CS345", 1) = Value.Str "F")
+
 let test_rebase_drops_noop () =
   let w = ws () in
   let s = Penguin.Session.begin_ w in
@@ -201,6 +238,8 @@ let suite =
       test_conflicting_commit_rebases;
     Alcotest.test_case "same-tuple session edits commit in order" `Quick
       test_same_tuple_edits_commit_in_order;
+    Alcotest.test_case "a statement's rebase re-derives each instance" `Quick
+      test_statement_rebase_rederives_each_instance;
     Alcotest.test_case "rebase drops no-op updates" `Quick
       test_rebase_drops_noop;
     Alcotest.test_case "barrier forces rebase" `Quick test_barrier_forces_rebase;
