@@ -1790,9 +1790,8 @@ let e18 () =
   (* Part B: live-tail catch-up, per record. The leader commits one
      update; how long until the follower has applied it? Push is
      commit-synchronous — the server streams the window's bytes on the
-     commit path — while a pull follower pays its polling cadence; the
-     5 ms tick here is the same probe floor the standalone shipper
-     uses. *)
+     commit path — while a pull follower pays its polling cadence, 5 ms
+     here. *)
   let tail_rounds = if !quick then 20 else 100 in
   let tick = 0.005 in
   let measure_tail name mode =

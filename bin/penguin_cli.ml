@@ -762,8 +762,8 @@ let from_arg =
 let sock_arg =
   Arg.(value & opt (some string) None
        & info [ "sock" ] ~docv:"SOCK"
-           ~doc:"Tail a $(b,replica serve) shipper on this Unix-domain \
-                 socket.")
+           ~doc:"Tail the $(b,serve) process listening on this \
+                 Unix-domain socket.")
 
 let target_arg =
   Arg.(required & pos 0 (some string) None
@@ -779,41 +779,6 @@ let pp_replica r (p : Penguin.Replica.progress) =
     (if p.rotated then ", followed a rotation" else "")
     (if p.resynced then ", resynced from snapshot" else "")
     p.lag_records
-
-let replica_serve () store sock =
-  Fmt.pr "shipping %s on %s (stop with `penguin replica quit --sock %s`)@."
-    store sock sock;
-  let served = or_die (Penguin.Shipper.serve ~store ~sock ()) in
-  Fmt.pr "served %d request(s)@." served
-
-let replica_serve_cmd =
-  let store =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"STORE" ~doc:"Leader store to ship.")
-  in
-  let sock =
-    Arg.(required & opt (some string) None
-         & info [ "sock" ] ~docv:"SOCK" ~doc:"Unix-domain socket path.")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Ship a leader store's snapshot and journal to followers \
-             over a Unix-domain socket (one checksummed frame exchange \
-             per request).")
-    Term.(const replica_serve $ trace_term $ store $ sock)
-
-let replica_quit sock =
-  or_die (Penguin.Shipper.quit ~sock);
-  Fmt.pr "shipper on %s stopped@." sock
-
-let replica_quit_cmd =
-  let sock =
-    Arg.(required & opt (some string) None
-         & info [ "sock" ] ~docv:"SOCK" ~doc:"Unix-domain socket path.")
-  in
-  Cmd.v
-    (Cmd.info "quit" ~doc:"Stop a $(b,replica serve) shipper cleanly.")
-    Term.(const replica_quit $ sock)
 
 let replica_sync () target from sock watch push =
   let feed = replica_feed from sock in
@@ -969,8 +934,8 @@ let replica_cmd =
        ~doc:"Journal-shipping replication: follower stores tailing a \
              leader's journal, read-only queries at the replication \
              position, crash-proven promotion with epoch fencing.")
-    [ replica_serve_cmd; replica_quit_cmd; replica_sync_cmd;
-      replica_status_cmd; replica_oql_cmd; replica_promote_cmd ]
+    [ replica_sync_cmd; replica_status_cmd; replica_oql_cmd;
+      replica_promote_cmd ]
 
 (* --- serve ------------------------------------------------------------ *)
 

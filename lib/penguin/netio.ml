@@ -1,7 +1,6 @@
-(* Shared socket plumbing for the network-facing layers: both listeners
-   (Shipper's and Server's event loops) and their clients frame with the
-   journal wire format and classify faults through the same typed
-   seam. *)
+(* Shared socket plumbing for the network-facing layers: the listener
+   (Server's event loop) and its clients frame with the journal wire
+   format and classify faults through the same typed seam. *)
 
 let max_frame_bytes = 64 * 1024 * 1024
 

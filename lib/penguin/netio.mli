@@ -1,8 +1,8 @@
 (** Shared Unix-domain socket plumbing for the network-facing layers
     ({!Shipper}, {!Server}, {!Replica}, {!Client}): binding and
     connecting, whole-connection and streaming frame I/O, and the typed
-    {!Error.Io} classification of socket faults — in one place, so every
-    listener and client fails the same way.
+    {!Error.Io} classification of socket faults — in one place, so the
+    listener and every client fail the same way.
 
     Frames are the journal wire format ({!Journal.frame}: 4-byte BE
     length, 4-byte BE CRC-32, payload), which is what makes a truncated

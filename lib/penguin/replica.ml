@@ -95,14 +95,13 @@ let file_feed ?(io = Fsio.default) source =
 
 module X = Relational.Sexp
 
-type request = Snapshot | Journal_from of int | Head | Subscribe of int | Quit
+type request = Snapshot | Journal_from of int | Head | Subscribe of int
 
 let request_payload = function
   | Snapshot -> "(snapshot)"
   | Head -> "(head)"
   | Journal_from off -> Fmt.str "(journal %d)" off
   | Subscribe off -> Fmt.str "(subscribe %d)" off
-  | Quit -> "(quit)"
 
 let request_of_payload s =
   let offset what off k =
@@ -114,7 +113,6 @@ let request_of_payload s =
   match doc with
   | X.List [ X.Atom "snapshot" ] -> Ok Snapshot
   | X.List [ X.Atom "head" ] -> Ok Head
-  | X.List [ X.Atom "quit" ] -> Ok Quit
   | X.List [ X.Atom "journal"; X.Atom off ] ->
       offset "journal" off (fun o -> Journal_from o)
   | X.List [ X.Atom "subscribe"; X.Atom off ] ->

@@ -50,10 +50,10 @@ val file_feed : ?io:Fsio.t -> string -> feed
 (** {2 The feed wire format}
 
     Every frame of the follower feed is encoded and decoded here, once:
-    the requests a follower sends, the status frame a listener answers
-    with, and the push stream's acks. Both listeners ({!Shipper.serve}
-    and {!Server.serve}) and both clients ({!Shipper.feed} and
-    {!subscribe}) go through these codecs. *)
+    the requests a follower sends, the status frame the listener
+    ({!Server.serve}, through {!Shipper.accept}) answers with, and the
+    push stream's acks. Both clients ({!Shipper.feed} and {!subscribe})
+    go through these codecs too. *)
 
 (** One request frame. *)
 type request =
@@ -62,7 +62,6 @@ type request =
   | Head  (** the journal's first kilobyte, holding its header *)
   | Subscribe of int
       (** convert the connection to a push stream from byte [off] *)
-  | Quit  (** finish in-flight requests and stop serving *)
 
 val request_payload : request -> string
 val request_of_payload : string -> (request, string) result

@@ -109,7 +109,7 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
         Option.iter
           (fun c ->
             match Shipper.accept ~net feed c.fd payload with
-            | `Answered | `Quit -> ()
+            | `Answered -> ()
             | `Close -> lost id
             | `Subscribed sub ->
                 (* Ship any backlog right away. *)

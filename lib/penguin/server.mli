@@ -75,9 +75,9 @@
 
     {2 Replication}
 
-    The server also answers the follower feed protocol ([(snapshot)],
-    [(journal OFF)], [(head)]) from its own files, through the same
-    {!Shipper} listener code as [replica serve], and [(subscribe OFF)]
+    The server is the one follower-feed listener. It answers the feed
+    protocol ([(snapshot)], [(journal OFF)], [(head)]) from its own
+    files through {!Shipper.accept}, and [(subscribe OFF)]
     converts a connection into a push follower (or is refused with one
     [(error ...)] frame and the connection closed): new journal bytes
     are streamed to it right after every window's append — replication

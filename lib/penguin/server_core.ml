@@ -428,8 +428,8 @@ let handle_request st c payload =
   | Ok
       (Sexp.List (Sexp.Atom ("snapshot" | "journal" | "head" | "subscribe") :: _))
     ->
-      (* The follower feed protocol, answered by {!Shipper}'s listener
-         code from the server's own files — so a replica can point its
+      (* The follower feed protocol, answered by {!Shipper.accept}
+         from the server's own files — so a replica can point its
          pull path and its push subscription straight at the serving
          socket. The journal is fsynced before any ack, so what these
          reads see is durable. *)

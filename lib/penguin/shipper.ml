@@ -1,13 +1,9 @@
-let src = Logs.Src.create "penguin.shipper" ~doc:"journal shipping over a socket"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 let ( let* ) = Result.bind
 
 module M = Obs.Metrics
 
 let c_requests =
-  M.counter ~help:"follower-feed requests served (either listener)"
+  M.counter ~help:"follower-feed requests served"
     "shipper.requests"
 
 let c_request_errors =
@@ -45,9 +41,9 @@ let c_push_acks =
    falls back to the stateless pull path and resubscribes from its own
    position.
 
-   This half of the file is the listener side of that protocol, shared
-   by {!serve} below and by {!Server}: each owns its sockets and event
-   loop and calls in here for every feed decision. *)
+   This half of the file is the listener side of that protocol. Its one
+   caller is {!Server}, which owns the sockets and the event loop and
+   calls in here for every feed decision. *)
 
 type sub = {
   sub_fd : Unix.file_descr;
@@ -120,9 +116,6 @@ let accept ~net feed fd payload =
   | Ok Snapshot -> answer (fetched (feed.Replica.fetch_snapshot ()))
   | Ok Head -> answer (fetched (feed.Replica.fetch_head ()))
   | Ok (Journal_from off) -> answer (fetched (feed.Replica.fetch_journal ~off))
-  | Ok Quit ->
-      ignore (answer (Ok ""));
-      `Quit
 
 (* Relay every complete new frame to one subscriber. Only the clean
    frame prefix crosses — torn tail bytes would poison the subscriber's
@@ -169,148 +162,6 @@ let take_ack s payload =
       `Advanced
   | Some _ -> `Stale
 
-(* --- the lock-free listener --------------------------------------------- *)
-
-(* A connection is unidentified until its first complete frame, which
-   decides its fate: a pull request is answered and the connection
-   closed; a subscription keeps it as a push subscriber. *)
-type conn = {
-  fd : Unix.file_descr;
-  stream : Netio.Stream.t;
-  mutable sub : sub option;
-  mutable live : bool;
-}
-
-(* How often the journal is probed for new bytes while subscribers
-   exist. This listener serves stores written by other processes
-   ([penguin session commit] takes the store lock per commit), so no
-   append announces itself and polling the file is the only signal;
-   {!Server}, which writes its own journal, pushes right after each
-   append instead. *)
-let push_interval = 0.005
-
-let serve ?io ?(net = Netio.default_net) ~store ~sock () =
-  let feed = Replica.file_feed ?io store in
-  Log.info (fun m -> m "shipping %s on %s" store sock);
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let* srv = Netio.listen ~sock in
-  let conns : conn list ref = ref [] in
-  let served = ref 0 and stop = ref false in
-  let chunk = Bytes.create 65536 in
-  let close c =
-    if c.live then begin
-      c.live <- false;
-      try Unix.close c.fd with Unix.Unix_error _ -> ()
-    end
-  in
-  (* A request frame cut short, mangled, or followed by trailing bytes
-     is not this protocol: answered in-band like a torn journal tail. *)
-  let torn c =
-    incr served;
-    M.Counter.incr c_requests;
-    M.Counter.incr c_request_errors;
-    let (_ : bool) =
-      send ~net c.fd
-        [ Replica.reply_payload (Refused "shipper: torn request frame"); "" ]
-    in
-    close c
-  in
-  let first_frame c payload =
-    incr served;
-    match accept ~net feed c.fd payload with
-    | `Subscribed s ->
-        c.sub <- Some s;
-        Log.info (fun m -> m "push subscriber at offset %d on %s" s.sent sock)
-    | `Answered | `Close -> close c
-    | `Quit ->
-        close c;
-        stop := true
-  in
-  let rec drain_acks c s =
-    if c.live then
-      match Netio.Stream.next c.stream with
-      | `Awaiting -> ()
-      | `Corrupt _ -> close c
-      | `Frame payload -> (
-          match take_ack s payload with
-          | `Garbage -> close c
-          | `Advanced | `Stale -> drain_acks c s)
-  in
-  let read c =
-    match net.Netio.net_recv c.fd chunk with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ -> close c
-    | 0 ->
-        (* Write side shut down before a complete frame arrived. *)
-        if c.sub = None && Netio.Stream.pending c.stream then torn c
-        else close c
-    | k -> (
-        Netio.Stream.feed c.stream chunk k;
-        match c.sub with
-        | Some s -> drain_acks c s
-        | None -> (
-            match Netio.Stream.next c.stream with
-            | `Awaiting -> ()
-            | `Corrupt _ -> torn c
-            | `Frame payload ->
-                if Netio.Stream.pending c.stream then torn c
-                else first_frame c payload))
-  in
-  let push_round () =
-    List.iter
-      (fun c ->
-        match c.sub with
-        | Some s when c.live && not (relay ~net feed s) -> close c
-        | _ -> ())
-      !conns
-  in
-  let accept_new () =
-    match Unix.accept srv with
-    | exception
-        Unix.Unix_error
-          ( (Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED),
-            _,
-            _ ) ->
-        ()
-    | exception Unix.Unix_error (e, fn, _) ->
-        Log.warn (fun m ->
-            m "shipper: accept on %s failed: %s: %s" sock fn
-              (Unix.error_message e))
-    | fd, _ ->
-        conns :=
-          { fd; stream = Netio.Stream.create (); sub = None; live = true }
-          :: !conns
-  in
-  let rec loop () =
-    if not !stop then begin
-      let timeout =
-        if List.exists (fun c -> c.sub <> None) !conns then push_interval
-        else -1.
-      in
-      let fds = srv :: List.map (fun c -> c.fd) !conns in
-      (match Unix.select fds [] [] timeout with
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ()
-      | readable, _, _ ->
-          List.iter
-            (fun fd ->
-              if fd == srv then accept_new ()
-              else
-                match List.find_opt (fun c -> c.fd == fd && c.live) !conns with
-                | Some c -> read c
-                | None -> ())
-            readable);
-      push_round ();
-      conns := List.filter (fun c -> c.live) !conns;
-      loop ()
-    end
-  in
-  loop ();
-  List.iter close !conns;
-  (try Unix.close srv with Unix.Unix_error _ -> ());
-  (try Unix.unlink sock with Unix.Unix_error _ -> ());
-  Ok !served
-
 (* --- client ------------------------------------------------------------ *)
 
 let exchange ~sock request =
@@ -339,5 +190,3 @@ let feed ~sock =
     fetch_journal = (fun ~off -> exchange ~sock (Journal_from off));
     fetch_head = (fun () -> exchange ~sock Head);
   }
-
-let quit ~sock = Result.map (fun (_ : string) -> ()) (exchange ~sock Quit)

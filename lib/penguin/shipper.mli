@@ -1,6 +1,8 @@
-(** The socket feed: serve a leader store's snapshot and journal bytes
-    to followers over a Unix-domain socket, one length-prefixed,
-    CRC-32-checksummed frame exchange per request.
+(** The follower feed's socket side: how [penguin serve] answers a
+    follower's requests for the leader store's snapshot and journal
+    bytes over a Unix-domain socket, and the client {!feed} a follower
+    fetches them with — one length-prefixed, CRC-32-checksummed frame
+    exchange per request.
 
     The base protocol is deliberately stateless — each request opens a
     connection, sends one request frame ([(snapshot)], [(head)], or
@@ -34,10 +36,10 @@
 (** {2 The listener side}
 
     The server half of the feed protocol ({!Replica.request},
-    {!Replica.reply}), shared by both listeners: {!serve} below, for
-    stores written by [penguin session commit], and {!Server.serve},
-    which writes its own journal. Each owns its sockets and event loop
-    and calls in here for every feed decision. *)
+    {!Replica.reply}). {!Server.serve} is the one listener: it owns the
+    sockets and the event loop, writes the journal it ships, and calls
+    in here for every feed decision. A store that [penguin session
+    commit] wrote is shipped by starting [penguin serve] on it. *)
 
 type sub
 (** A live push subscriber: its socket, the journal header it is
@@ -55,7 +57,7 @@ val accept :
   Replica.feed ->
   Unix.file_descr ->
   string ->
-  [ `Answered | `Subscribed of sub | `Close | `Quit ]
+  [ `Answered | `Subscribed of sub | `Close ]
 (** Answer one request frame read from the connection, against [feed]
     (the leader's own files). A stateless request gets a status frame
     plus the raw bytes ([`Answered]); an undecodable one gets
@@ -63,8 +65,7 @@ val accept :
     boundary of the journal answers [(pushing BASE EPOCH)] and returns
     the new subscriber; anywhere else it is refused in-band with one
     [(error MSG)] frame, and [`Close] tells the caller to close the
-    connection — as does a failed send. [`Quit]: a [(quit)] request was
-    answered. *)
+    connection — as does a failed send. *)
 
 val relay : net:Netio.net -> Replica.feed -> sub -> bool
 (** Send the subscriber every complete journal frame past what it has
@@ -81,32 +82,7 @@ val take_ack : sub -> string -> [ `Advanced | `Stale | `Garbage ]
     last ack advances it, an older one is [`Stale] (positions only move
     forward), and anything else is [`Garbage] — close the stream. *)
 
-(** {2 The lock-free listener} *)
-
-val serve :
-  ?io:Fsio.t ->
-  ?net:Netio.net ->
-  store:string ->
-  sock:string ->
-  unit ->
-  (int, Error.t) result
-(** Serve [store] (and its journal) on the Unix-domain socket path
-    [sock], unlinking any stale socket first, without taking the store
-    lock — commits keep landing through [penguin session commit], which
-    takes it per commit. One-exchange requests are answered and the
-    connection closed; [(subscribe <off>)] connections are kept and
-    pushed to. Because the writers are other processes, nothing
-    announces a new append: the journal is probed every 5 ms while
-    subscribers exist, and new clean bytes are relayed to each from its
-    own position. [net] (default {!Netio.default_net}) is the send/recv
-    seam fault injection wraps. Request errors are answered in-band and
-    a client dying mid-exchange drops only its own connection. Returns
-    the number of requests served once a [(quit)] request arrives
-    ({!quit}), after removing the socket file. *)
-
-val quit : sock:string -> (unit, Error.t) result
-(** Ask the server on [sock] to answer its in-flight requests and stop
-    — the clean shutdown the CLI and tests use. *)
+(** {2 The client side} *)
 
 val feed : sock:string -> Replica.feed
 (** A {!Replica.feed} speaking the protocol against [sock]. Fetches

