@@ -1145,10 +1145,13 @@ let percentile sorted p =
    collects the three responses from each. A probe session brackets the
    run: with the server the only writer, every version in (v0, v1] must
    be acked exactly once — fewer acks mean a lost (acked-but-untracked
-   or landed-but-unacked) commit, repeated versions a duplicated one. *)
+   or landed-but-unacked) commit, repeated versions a duplicated one.
+   The probe commits its empty session at once: an open session pins
+   the leader's commit log from its base on. *)
 let client_load sock clients rounds report_path =
   let probe = or_die (Penguin.Client.connect ~sock) in
   let v0 = or_die (Penguin.Client.begin_ probe) in
+  let (_ : int list) = or_die (Penguin.Client.commit probe) in
   let conns =
     Array.init clients (fun _ -> or_die (Penguin.Client.connect ~sock))
   in

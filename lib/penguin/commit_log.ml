@@ -47,9 +47,14 @@ let append_entry t (e : entry) =
 
 let entries t = List.rev t.entries
 
+(* The log is newest first, so the entries after [since] are a prefix:
+   stop at the first one at or below it. *)
 let entries_since t since =
-  let newer = List.filter (fun (e : entry) -> e.version > since) t.entries in
-  let newer = List.rev newer in
+  let rec newer acc = function
+    | (e : entry) :: rest when e.version > since -> newer (e :: acc) rest
+    | _ -> acc
+  in
+  let newer = newer [] t.entries in
   if since < t.truncated then
     {
       version = t.truncated;
@@ -58,6 +63,16 @@ let entries_since t since =
     }
     :: newer
   else newer
+
+let trim t ~keep_after =
+  let keep_after = min keep_after t.version in
+  if keep_after <= t.truncated then t
+  else
+    let rec kept = function
+      | (e : entry) :: rest when e.version > keep_after -> e :: kept rest
+      | _ -> []
+    in
+    { t with truncated = keep_after; entries = kept t.entries }
 
 let footprint_since t since =
   List.fold_left

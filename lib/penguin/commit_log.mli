@@ -35,8 +35,8 @@ val length : t -> int
 
 val truncated : t -> int
 (** Version up to (and including) which the history is not held: entries
-    at or below it were dropped by {!of_version} (persistence) or a
-    snapshot rotation. [0] for {!empty}. *)
+    at or below it were dropped by {!of_version} (persistence) or by
+    {!trim}. [0] for {!empty}. *)
 
 val append : t -> delta:Delta.t -> kind:string -> t
 val barrier : t -> string -> t
@@ -52,7 +52,24 @@ val entries : t -> entry list
 val entries_since : t -> int -> entry list
 (** Entries with version greater than the given one, oldest first,
     prefixed with a synthetic barrier when that part of the history has
-    been truncated. *)
+    been truncated. Its cost is proportional to what it returns, not to
+    the length of the log. *)
+
+val trim : t -> keep_after:int -> t
+(** Drop the entries at or below [keep_after] (clamped to {!version}),
+    raising {!truncated} to it; the identity when [keep_after] is at or
+    below {!truncated}. Asking for history below the new floor then
+    meets the "history truncated" barrier, so a session begun there
+    rebases.
+
+    The one caller is [penguin serve]'s leader: after every persisted
+    window, {!Server_core} trims its log to the {e retention floor}, the
+    oldest version a later window can ask about — the minimum of the
+    workspace's version (the cache position and the next append's
+    [since]) and the base of every open or parked session. An idle open
+    session therefore pins the history since its [(begin)]. A follower
+    cuts its log with {!of_version} at each journal rotation it
+    follows; the CLI loads its log with {!of_version}. *)
 
 val footprint_since : t -> int -> Delta.footprint option
 (** Union of the footprints of every delta committed after the given

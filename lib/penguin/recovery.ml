@@ -307,11 +307,7 @@ module Appender = struct
         (Error.invalid
            (Fmt.str "history since v%d is not held (log truncated at v%d)"
               since truncated))
-    else
-      Ok
-        (List.filter
-           (fun (e : Commit_log.entry) -> e.Commit_log.version > since)
-           (Commit_log.entries_since ws.Workspace.log since))
+    else Ok (Commit_log.entries_since ws.Workspace.log since)
 
   let write_entries t entries ws =
     let* () =

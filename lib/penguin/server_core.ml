@@ -54,6 +54,9 @@ let m_repl_readmissions =
 let m_repl_followers =
   M.gauge ~help:"push subscribers currently connected"
     "server.replication.followers"
+let m_log_entries =
+  M.gauge ~help:"commit-log entries the leader holds after its last trim"
+    "server.commit_log_entries"
 
 type on_lag = Degrade | Fail
 
@@ -335,6 +338,23 @@ let flush st reason =
         emit st (Append (Workspace.version cur, ws'))
       end
 
+(* The retention floor: the oldest version a later window can ask the
+   log about. The next append's [since] and the cache position are the
+   workspace's version; every open session and every session parked for
+   the next window will be checked from its base. An idle open session
+   pins the history since its [(begin)]. *)
+let trim_log st =
+  let base acc s = min acc (Session.base_version s) in
+  let floor =
+    Hashtbl.fold
+      (fun _ c acc -> Option.fold ~none:acc ~some:(base acc) c.sess)
+      st.conns (Workspace.version st.ws)
+  in
+  let floor = List.fold_left (fun acc p -> base acc p.p_sess) floor st.window in
+  let log = Commit_log.trim st.ws.Workspace.log ~keep_after:floor in
+  M.Gauge.set m_log_entries (float_of_int (Commit_log.length log));
+  st.ws <- { st.ws with Workspace.log }
+
 let appended st result =
   match st.inflight with
   | None -> ()
@@ -352,6 +372,7 @@ let appended st result =
       | Ok () ->
           st.ws <- f.f_ws;
           Workspace.sync_cache st.ws st.cache;
+          trim_log st;
           st.n_windows <- st.n_windows + 1;
           M.Counter.incr m_windows;
           M.Histogram.observe m_window_commits (float_of_int (List.length acks));

@@ -72,7 +72,10 @@ type event =
           replication deadlines *)
   | Idle  (** the event loop's wait found no input: the quiesce trigger *)
   | Appended of (unit, Error.t) result
-      (** the result of the last {!Append} *)
+      (** the result of the last {!Append}. On [Ok] the core trims its
+          commit log to the retention floor ({!Commit_log.trim}): the
+          entries no open or parked session, cache sync or later append
+          can ask for are dropped *)
   | Subscribed of conn_id * int
       (** the feed request handed over by {!Feed} made the connection a
           push follower, known to hold this version durably — [0] from

@@ -19,54 +19,73 @@ let needs_quoting s =
          || c = '"' || c = ';' || Char.code c < 32)
        s
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let add_atom buf s =
+  if needs_quoting s then begin
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  end
+  else Buffer.add_string buf s
 
-let atom_to_string s = if needs_quoting s then escape s else s
+(* The printed width of an atom, without building it. *)
+let atom_width s =
+  if needs_quoting s then
+    String.fold_left
+      (fun n c ->
+        match c with '"' | '\\' | '\n' | '\t' | '\r' -> n + 2 | _ -> n + 1)
+      2 s
+  else String.length s
 
-(* Pretty printing: short lists on one line, long ones indented. *)
-let rec width = function
-  | Atom s -> String.length (atom_to_string s)
-  | List l -> 2 + List.fold_left (fun acc e -> acc + width e + 1) 0 l
+(* Pretty printing: short lists on one line, long ones indented. A list
+   is short when its flat width — 2 for the parentheses plus each
+   element's width and one separator — is at most 72. [spend budget e]
+   is what is left of [budget] once [e] is printed flat, or a negative
+   number as soon as the budget is spent; so each check visits at most
+   about 72 nodes and rendering stays linear. *)
+let rec spend budget = function
+  | Atom s -> if String.length s > budget then -1 else budget - atom_width s
+  | List l -> spend_items (budget - 2) l
+
+and spend_items budget = function
+  | _ when budget < 0 -> budget
+  | [] -> budget
+  | e :: rest -> spend_items (spend budget e - 1) rest
+
+let rec render_flat buf = function
+  | Atom s -> add_atom buf s
+  | List l ->
+      Buffer.add_char buf '(';
+      List.iteri
+        (fun i e ->
+          if i > 0 then Buffer.add_char buf ' ';
+          render_flat buf e)
+        l;
+      Buffer.add_char buf ')'
 
 let rec render buf indent e =
   match e with
-  | Atom s -> Buffer.add_string buf (atom_to_string s)
+  | Atom s -> add_atom buf s
+  | List _ when spend 72 e >= 0 -> render_flat buf e
   | List l ->
-      if width e <= 72 then begin
-        Buffer.add_char buf '(';
-        List.iteri
-          (fun i e ->
-            if i > 0 then Buffer.add_char buf ' ';
-            render buf indent e)
-          l;
-        Buffer.add_char buf ')'
-      end
-      else begin
-        Buffer.add_char buf '(';
-        List.iteri
-          (fun i e ->
-            if i > 0 then begin
-              Buffer.add_char buf '\n';
-              Buffer.add_string buf (String.make (indent + 1) ' ')
-            end;
-            render buf (indent + 1) e)
-          l;
-        Buffer.add_char buf ')'
-      end
+      Buffer.add_char buf '(';
+      List.iteri
+        (fun i e ->
+          if i > 0 then begin
+            Buffer.add_char buf '\n';
+            for _ = 0 to indent do Buffer.add_char buf ' ' done
+          end;
+          render buf (indent + 1) e)
+        l;
+      Buffer.add_char buf ')'
 
 let to_string e =
   let buf = Buffer.create 256 in

@@ -1,7 +1,7 @@
 (* Commit_log truncation edges: what entries_since / footprint_since
-   report exactly at the truncation boundary, after of_version, and
-   across interleaved barriers (the synthetic-barrier prefix contract),
-   plus the dense-version contract of append_entry. *)
+   report exactly at the truncation boundary, after of_version or trim,
+   and across interleaved barriers (the synthetic-barrier prefix
+   contract), plus the dense-version contract of append_entry. *)
 open Relational
 open Test_util
 
@@ -98,6 +98,65 @@ let test_append_entry_density () =
   Alcotest.(check (list int)) "replayed entries line up" [ 3; 4 ]
     (versions (Penguin.Commit_log.entries_since log 2))
 
+(* A log of [n] deltas, v1..vn, one key each. *)
+let log_of n =
+  List.fold_left
+    (fun log v ->
+      Penguin.Commit_log.append log ~delta:(delta_on ~rel:"R" ~key:[ vi v ])
+        ~kind:"a")
+    Penguin.Commit_log.empty
+    (List.init n (fun i -> i + 1))
+
+let test_trim_edges () =
+  let module L = Penguin.Commit_log in
+  let log = L.trim (log_of 6) ~keep_after:3 in
+  Alcotest.(check int) "version kept" 6 (L.version log);
+  Alcotest.(check int) "floor raised" 3 (L.truncated log);
+  Alcotest.(check (list int)) "entries above the floor held" [ 4; 5; 6 ]
+    (versions (L.entries log));
+  (* At or below the floor already reached: the identity. *)
+  Alcotest.(check bool) "trim at the floor is the identity" true
+    (L.trim log ~keep_after:3 == log);
+  Alcotest.(check bool) "trim below the floor is the identity" true
+    (L.trim log ~keep_after:1 == log);
+  (* At the floor the held suffix is whole; just below it, a barrier. *)
+  Alcotest.(check (list int)) "since the floor" [ 4; 5; 6 ]
+    (versions (L.entries_since log 3));
+  Alcotest.(check bool) "footprint at the floor is known" true
+    (L.footprint_since log 3 <> None);
+  (match L.entries_since log 2 with
+  | b :: rest ->
+      Alcotest.(check bool) "just below: synthetic barrier" true (is_barrier b);
+      Alcotest.(check int) "barrier carries the floor" 3 b.L.version;
+      Alcotest.(check (list int)) "then the held entries" [ 4; 5; 6 ]
+        (versions rest)
+  | [] -> Alcotest.fail "expected entries below the floor");
+  Alcotest.(check bool) "footprint just below is unknown" true
+    (L.footprint_since log 2 = None);
+  Alcotest.(check (list int)) "above the floor" [ 5; 6 ]
+    (versions (L.entries_since log 4));
+  (match L.footprint_since log 4 with
+  | None -> Alcotest.fail "footprint above the floor should be known"
+  | Some fp ->
+      Alcotest.(check int) "two writes above v4" 2
+        (List.length (List.concat_map snd (Delta.footprint_writes fp))));
+  (* Past the version: clamped, every entry dropped, still at v6. *)
+  let empty = L.trim log ~keep_after:100 in
+  Alcotest.(check int) "clamped floor" 6 (L.truncated empty);
+  Alcotest.(check int) "clamped version" 6 (L.version empty);
+  Alcotest.(check int) "nothing held" 0 (L.length empty);
+  Alcotest.(check (list int)) "nothing since the version" []
+    (versions (L.entries_since empty 6));
+  (* Appending after a trim continues the dense versions. *)
+  let log = L.append empty ~delta:(delta_on ~rel:"R" ~key:[ vi 7 ]) ~kind:"b" in
+  Alcotest.(check int) "appended after trim" 7 (L.version log);
+  Alcotest.(check (list int)) "since the floor after append" [ 7 ]
+    (versions (L.entries_since log 6));
+  Alcotest.(check bool) "footprint since the floor after append is known" true
+    (L.footprint_since log 6 <> None);
+  Alcotest.(check bool) "below it still a barrier" true
+    (L.footprint_since log 5 = None)
+
 let suite =
   [
     Alcotest.test_case "of_version boundary" `Quick test_of_version_boundary;
@@ -106,4 +165,5 @@ let suite =
     Alcotest.test_case "interleaved barrier" `Quick test_interleaved_barrier;
     Alcotest.test_case "append_entry requires dense versions" `Quick
       test_append_entry_density;
+    Alcotest.test_case "trim edges" `Quick test_trim_edges;
   ]

@@ -351,6 +351,53 @@ let test_stats_surface () =
   in
   rm_rf dir
 
+(* --- the leader's commit-log retention floor ------------------------------ *)
+
+(* A figure from the [(stats)] JSON: [section] is "counters" or
+   "gauges". *)
+let stat c section name =
+  let json = check_ok (Obs.Json.parse (check_ok_e (C.stats c))) in
+  match Option.bind (Obs.Json.member section json) (Obs.Json.member name) with
+  | Some v -> int_of_float (Option.get (Obs.Json.to_float v))
+  | None -> Alcotest.failf "%s.%s missing from stats" section name
+
+(* An idle [(begin)] pins the history since its base: while a second
+   connection commits window after window, the leader keeps exactly the
+   entries above it. When the idle session commits, it finds that
+   history whole — clean, no rebase — and the log drops back to
+   nothing held. *)
+let test_idle_session_pins_history () =
+  let dir = temp_dir "server-retention" in
+  make_bench_store dir 2;
+  let windows = 5 in
+  let (), _stats =
+    with_server dir (fun sock ->
+        let idle = connect sock and busy = connect sock in
+        let held () = stat busy "gauges" "server.commit_log_entries" in
+        let v0 = check_ok_e (C.begin_ idle) in
+        for i = 1 to windows do
+          ignore (commit_grade busy ~course:2 ~grade:(Fmt.str "G%d" i));
+          Alcotest.(check int)
+            (Fmt.str "window %d: history since the idle base held" i)
+            i (held ())
+        done;
+        let rebases = stat busy "counters" "session.rebases" in
+        let n =
+          check_ok_e
+            (C.queue idle ~object_name:"omega"
+               (grade_stmt ~course:1 ~grade:"A+"))
+        in
+        Alcotest.(check int) "one staged update" 1 n;
+        Alcotest.(check (list int)) "the idle session commits on top"
+          [ v0 + windows + 1 ] (check_ok_e (C.commit idle));
+        Alcotest.(check int) "clean: no rebase" rebases
+          (stat busy "counters" "session.rebases");
+        Alcotest.(check int) "no session open: nothing held" 0 (held ());
+        C.close idle;
+        C.close busy)
+  in
+  rm_rf dir
+
 (* --- event-loop hardening under signals -------------------------------- *)
 
 let test_signals_mid_window () =
@@ -414,4 +461,6 @@ let suite =
       `Quick test_signals_mid_window;
     Alcotest.test_case "wire: frames pipelined behind an age-flushed commit"
       `Quick test_pipelined_after_age_flush;
+    Alcotest.test_case "retention: an idle session pins the leader's history"
+      `Quick test_idle_session_pins_history;
   ]

@@ -1,8 +1,10 @@
 (* A seeded simulator for the serving core (Penguin.Server_core): the
    real engine over the bench fixture, driven through random
    interleavings by a fake event loop — a fake clock, a fake appender that
-   rotates every few appends and sometimes fails, fake push followers
-   that ack random durable versions, and random client disconnects.
+   rotates every few appends, sometimes fails and sometimes lands its
+   result rounds later (commits park behind it meanwhile), fake push
+   followers that ack random durable versions, and random client
+   disconnects.
    Every seed is checked against the serving invariants:
 
    1. the wake-up is never "block" while a live connection holds a
@@ -14,7 +16,13 @@
       after the append);
    3. with sync_replicas = K, every ack is covered by K followers, or
       carries (warning under_replicated) — also when its window's
-      append rotated the journal.
+      append rotated the journal;
+   4. the leader's commit log is bounded by its sessions: once an
+      append lands, the log holds no entry at or below the minimum of
+      the version and the base of every session begun and not yet
+      answered, so the next Append's workspace holds none either; and
+      no session ever rebases through Unknown_history (the trim never
+      cuts below a session that will still commit).
 
    The window-semantics cases run on the same harness with a held
    clock: time moves only when a case says so. *)
@@ -48,6 +56,10 @@ type conn = {
   mutable closed : bool;  (** the core closed it *)
   mutable follower : bool;
   mutable acked : int;  (** a follower's acked durable version *)
+  mutable base : int option;
+      (** the base of the session begun here whose commit is unanswered *)
+  mutable held : (string * tag) option;
+      (** a commit frame the client holds back, its session left open *)
 }
 
 type answer = Acked of int list * bool | Failed of string * bool  (** kind, retryable *)
@@ -63,10 +75,13 @@ type world = {
   (* the fake appender *)
   rotate_every : int;
   fail : unit -> bool;
+  defer : unit -> bool;  (** deliver the append's result in a later round *)
+  mutable landing : (unit, E.t) result option;  (** the deferred result *)
   mutable tail : int;
   mutable db : Relational.Database.t;  (** the last appended state *)
   mutable appends : int;
   mutable rotations : int;
+  mutable floor : int;  (** invariant 4's bound at the last landed append *)
   records : (int, int * int) Hashtbl.t;
       (** version -> commit, its window's last version *)
   (* the accounting *)
@@ -78,7 +93,8 @@ type world = {
 }
 
 let world ?(config = Core.default_config) ?(max_in_flight = 256)
-    ?(rotate_every = max_int) ?(fail = fun () -> false) () =
+    ?(rotate_every = max_int) ?(fail = fun () -> false)
+    ?(defer = fun () -> false) () =
   let ws = Lazy.force ws0 in
   let limiter =
     Penguin.Resilience.Limiter.create ~label:"sim" ~max_in_flight ()
@@ -87,8 +103,9 @@ let world ?(config = Core.default_config) ?(max_in_flight = 256)
   {
     core = Core.create ~config ~limiter ~breaker ws;
     config; limiter; now = 0.; conns = Hashtbl.create 16; next_id = 0;
-    events = Queue.create (); rotate_every; fail;
+    events = Queue.create (); rotate_every; fail; defer; landing = None;
     tail = Penguin.Workspace.version ws; db = ws.db; appends = 0; rotations = 0;
+    floor = 0;
     records = Hashtbl.create 64; owner = Hashtbl.create 64;
     answers = Hashtbl.create 64; acked = Hashtbl.create 64; next_commit = 0;
     violations = [];
@@ -153,8 +170,12 @@ let answered w c payload =
   c.sent <- payload :: c.sent;
   match Queue.take_opt c.owed with
   | None -> violation w "conn %d: answer %S to no request" c.id payload
-  | Some (Plain | Feed) -> ()
+  | Some Feed -> ()
+  | Some Plain ->
+      Scanf.sscanf_opt payload "(ok (begun %d))" (fun v -> c.base <- Some v)
+      |> ignore
   | Some (Commit n) -> (
+      c.base <- None;
       match parse_answer payload with
       | None -> violation w "commit %d: unparsable answer %S" n payload
       | Some a ->
@@ -164,8 +185,25 @@ let answered w c payload =
           | Acked (vs, warn) when vs <> [] -> check_quorum w c n (vs, warn)
           | _ -> ())
 
+(* Invariant 4's bound, taken as an append lands: no later window asks
+   the log about history at or below it. *)
+let retention_bound w =
+  Hashtbl.fold
+    (fun _ c acc ->
+      match c.base with Some b when live c -> min acc b | _ -> acc)
+    w.conns w.tail
+
 let fake_append w since (ws : Penguin.Workspace.t) =
   if since <> w.tail then violation w "append since v%d, journal at v%d" since w.tail;
+  (match
+     List.find_opt
+       (fun (e : Penguin.Commit_log.entry) -> e.version <= w.floor)
+       (Penguin.Commit_log.entries ws.log)
+   with
+  | Some e ->
+      violation w "invariant 4: the log holds v%d, at or below the bound v%d"
+        e.version w.floor
+  | None -> ());
   let result =
     if w.fail () then
       Error (E.io ~op:E.Sync ~path:"sim.journal" ~transient:true "injected")
@@ -187,10 +225,13 @@ let fake_append w since (ws : Penguin.Workspace.t) =
       Ok ()
     end
   in
-  (* The fsync takes a millisecond of simulated time. *)
-  w.now <- w.now +. 1e6;
-  Queue.push (Core.Tick w.now) w.events;
-  Queue.push (Core.Appended result) w.events
+  if w.defer () then w.landing <- Some result
+  else begin
+    (* The fsync takes a millisecond of simulated time. *)
+    w.now <- w.now +. 1e6;
+    Queue.push (Core.Tick w.now) w.events;
+    Queue.push (Core.Appended result) w.events
+  end
 
 let exec w = function
   | Core.Send (id, payloads) ->
@@ -207,18 +248,31 @@ let exec w = function
 let pump w ev =
   Queue.push ev w.events;
   while not (Queue.is_empty w.events) do
-    let _, actions = Core.step w.core (Queue.pop w.events) in
-    List.iter (exec w) actions
+    let ev = Queue.pop w.events in
+    let _, actions = Core.step w.core ev in
+    List.iter (exec w) actions;
+    match ev with
+    | Core.Appended (Ok ()) -> w.floor <- retention_bound w
+    | _ -> ()
   done
 
 let tick w = pump w (Core.Tick w.now)
+
+(* Deliver a deferred append result. *)
+let deliver w =
+  Option.iter
+    (fun result ->
+      w.landing <- None;
+      tick w;
+      pump w (Core.Appended result))
+    w.landing
 
 let open_conn w =
   w.next_id <- w.next_id + 1;
   let c =
     { id = w.next_id; inbox = Queue.create (); owed = Queue.create ();
       sent = []; dropped = false; closed = false; follower = false;
-      acked = 0 }
+      acked = 0; base = None; held = None }
   in
   Hashtbl.replace w.conns c.id c;
   pump w (Core.Opened c.id);
@@ -242,14 +296,26 @@ let next_commit w c =
   n
 
 (* One session round setting course [course]'s grade, pipelined as one
-   write; returns the commit's number. *)
-let txn w c ~course =
+   write — or, with [hold], all but the commit, which {!release} writes
+   later; returns the commit's number. *)
+let txn ?(hold = false) w c ~course =
   let n = next_commit w c in
-  write c
-    [ "(begin)", Plain;
-      queue_frame (grade_stmt ~course (Fmt.str "g%d" n));
-      "(commit)", Commit n ];
+  let open_ =
+    [ "(begin)", Plain; queue_frame (grade_stmt ~course (Fmt.str "g%d" n)) ]
+  in
+  if hold then begin
+    write c open_;
+    c.held <- Some ("(commit)", Commit n)
+  end
+  else write c (open_ @ [ "(commit)", Commit n ]);
   n
+
+let release c =
+  Option.iter
+    (fun frame ->
+      c.held <- None;
+      write c [ frame ])
+    c.held
 
 let disconnect w c =
   c.dropped <- true;
@@ -311,8 +377,11 @@ let run_seed ?faithful seed =
   in
   let w =
     world ~config ~rotate_every:(2 + Random.State.int rng 4)
-      ~fail:(fun () -> chance 0.1) ()
+      ~fail:(fun () -> chance 0.1) ~defer:(fun () -> chance 0.3) ()
   in
+  Obs.Metrics.enable ();
+  let unknown = Obs.Metrics.counter "session.rebase_unknown_history" in
+  let unknown0 = Obs.Metrics.Counter.value unknown in
   let budget = ref (10 + Random.State.int rng 20) in
   let all p =
     Hashtbl.fold (fun _ c l -> if live c && p c then c :: l else l) w.conns []
@@ -322,7 +391,8 @@ let run_seed ?faithful seed =
   let followers () = all (fun c -> c.follower) in
   (* One random input, if there is one to give: a client connects, a
      follower subscribes or acks, a client leaves, or a client writes a
-     session round (up to two pipelined ahead of its answers). *)
+     session round (up to two pipelined ahead of its answers), perhaps
+     holding back its commit, or writes a commit it held back. *)
   let input () =
     let idle c = Queue.length c.inbox + Queue.length c.owed <= 3 in
     match Random.State.int rng 10 with
@@ -346,16 +416,23 @@ let run_seed ?faithful seed =
         disconnect w (pick (all (fun _ -> true)));
         true
     | _ -> (
-        match List.filter idle (clients ()) with
+        let holding = all (fun c -> c.held <> None) in
+        match List.filter (fun c -> idle c && c.held = None) (clients ()) with
+        | _ when holding <> [] && chance 0.5 ->
+            release (pick holding);
+            true
         | cs when cs <> [] && !budget > 0 ->
             decr budget;
-            ignore (txn w (pick cs) ~course:(1 + Random.State.int rng 8));
+            ignore
+              (txn w (pick cs) ~course:(1 + Random.State.int rng 8)
+                 ~hold:(chance 0.3));
             true
         | _ -> false)
   in
   let rounds = ref 0 in
   let step_round ~inputs =
     incr rounds;
+    if chance 0.5 then deliver w;
     drain w;
     (* Half the time the clock is read after the drain, as the loop head
        before the fix did, and half the time only after the wait, as
@@ -376,6 +453,7 @@ let run_seed ?faithful seed =
   ignore (open_conn w);
   while !rounds < 2000 && (step_round ~inputs:true || !budget > 0) do () done;
   (* Wind down: let the backlog settle, then shut down. *)
+  List.iter release (clients ());
   for _ = 1 to 20 do ignore (step_round ~inputs:false) done;
   let stopper = open_conn w in
   write stopper [ "(shutdown)", Plain ];
@@ -390,6 +468,9 @@ let run_seed ?faithful seed =
   if (Core.stats w.core).Core.commits <> acks then
     violation w "the core counts %d commits acked, the clients got %d"
       (Core.stats w.core).Core.commits acks;
+  if Obs.Metrics.Counter.value unknown <> unknown0 then
+    violation w "invariant 4: %d session(s) rebased through Unknown_history"
+      (Obs.Metrics.Counter.value unknown - unknown0);
   if Penguin.Resilience.Limiter.in_flight w.limiter <> 0 then
     violation w "%d limiter slot(s) never returned"
       (Penguin.Resilience.Limiter.in_flight w.limiter);

@@ -227,6 +227,61 @@ let test_commit_log_records_updates () =
   Alcotest.(check (list int)) "entry versions" [ v0 + 1; v0 + 2 ]
     (List.map (fun e -> e.Penguin.Commit_log.version) entries)
 
+(* A session older than its log's retention floor: the log was trimmed
+   past the session's base, so its history is unknown and it rebases
+   through [Unknown_history] — and lands the same database it lands on
+   the untrimmed log, where it is clean. [penguin serve] never trims
+   past an open or parked session's base, so this stale-session path is
+   reachable only below the server, here at the [Session] level. *)
+let test_stale_session_below_trimmed_floor () =
+  Obs.Metrics.enable ();
+  let unknown = Obs.Metrics.counter "session.rebase_unknown_history" in
+  let w = ws () in
+  let s = Penguin.Session.begin_ w in
+  let s = queue_edit s w ("CS345", 2) "A-" in
+  let w, outcome =
+    Penguin.Workspace.update w "omega" (grade_edit w ("EE280", 1) "D")
+  in
+  (match outcome.Vo_core.Engine.result with
+  | Transaction.Committed _ -> ()
+  | Transaction.Rolled_back { reason; _ } -> Alcotest.fail reason);
+  let log = w.Penguin.Workspace.log in
+  let trimmed =
+    { w with
+      Penguin.Workspace.log =
+        Penguin.Commit_log.trim log ~keep_after:(Penguin.Commit_log.version log)
+    }
+  in
+  Alcotest.(check bool) "base below the floor" true
+    (Penguin.Session.base_version s
+    < Penguin.Commit_log.truncated trimmed.Penguin.Workspace.log);
+  Alcotest.(check bool) "unknown history" true
+    (Penguin.Session.divergence trimmed s = Penguin.Session.Unknown_history);
+  let commit ws =
+    match Penguin.Session.commit_window ws [ s ] with
+    | ws', [ Ok o ] -> ws', o
+    | _, [ Error e ] -> Alcotest.failf "commit: %s" (Penguin.Error.to_string e)
+    | _ -> Alcotest.fail "one verdict per session"
+  in
+  let before = Obs.Metrics.Counter.value unknown in
+  let w_full, full = commit w in
+  Alcotest.(check bool) "clean on the untrimmed log" false
+    full.Penguin.Session.rebased;
+  Alcotest.(check int) "no unknown-history rebase on the untrimmed log" before
+    (Obs.Metrics.Counter.value unknown);
+  let w_trim, trim = commit trimmed in
+  Alcotest.(check bool) "rebased on the trimmed log" true
+    trim.Penguin.Session.rebased;
+  Alcotest.(check int) "counted as an unknown-history rebase" (before + 1)
+    (Obs.Metrics.Counter.value unknown);
+  Alcotest.(check (list int)) "same versions" full.Penguin.Session.versions
+    trim.Penguin.Session.versions;
+  Alcotest.(check bool) "same database" true
+    (Database.equal w_full.Penguin.Workspace.db w_trim.Penguin.Workspace.db);
+  Alcotest.(check bool) "both effects" true
+    (grade_of w_trim ("CS345", 2) = Value.Str "A-"
+    && grade_of w_trim ("EE280", 1) = Value.Str "D")
+
 let suite =
   [
     Alcotest.test_case "begin, queue, commit" `Quick test_begin_queue_commit;
@@ -245,4 +300,6 @@ let suite =
     Alcotest.test_case "barrier forces rebase" `Quick test_barrier_forces_rebase;
     Alcotest.test_case "commit log records session updates" `Quick
       test_commit_log_records_updates;
+    Alcotest.test_case "a session below a trimmed log's floor rebases" `Quick
+      test_stale_session_below_trimmed_floor;
   ]

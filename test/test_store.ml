@@ -27,6 +27,102 @@ let test_sexp_roundtrip () =
         (check_ok (Sexp.parse printed)))
     cases
 
+(* The renderer before its width check was bounded: [width] measured the
+   whole subtree at every nesting level and built each escaped atom to
+   do it. [Sexp.to_string] must print exactly what it printed. *)
+module Reference_render = struct
+  let needs_quoting s =
+    s = ""
+    || String.exists
+         (fun c ->
+           c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '(' || c = ')'
+           || c = '"' || c = ';' || Char.code c < 32)
+         s
+
+  let escape s =
+    let buf = Buffer.create (String.length s + 2) in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+
+  let atom_to_string s = if needs_quoting s then escape s else s
+
+  let rec width = function
+    | Sexp.Atom s -> String.length (atom_to_string s)
+    | Sexp.List l -> 2 + List.fold_left (fun acc e -> acc + width e + 1) 0 l
+
+  let rec render buf indent e =
+    match e with
+    | Sexp.Atom s -> Buffer.add_string buf (atom_to_string s)
+    | Sexp.List l ->
+        if width e <= 72 then begin
+          Buffer.add_char buf '(';
+          List.iteri
+            (fun i e ->
+              if i > 0 then Buffer.add_char buf ' ';
+              render buf indent e)
+            l;
+          Buffer.add_char buf ')'
+        end
+        else begin
+          Buffer.add_char buf '(';
+          List.iteri
+            (fun i e ->
+              if i > 0 then begin
+                Buffer.add_char buf '\n';
+                Buffer.add_string buf (String.make (indent + 1) ' ')
+              end;
+              render buf (indent + 1) e)
+            l;
+          Buffer.add_char buf ')'
+        end
+
+  let to_string e =
+    let buf = Buffer.create 256 in
+    render buf 0 e;
+    Buffer.contents buf
+end
+
+(* Atoms mix bare characters with every character that forces quoting
+   or an escape; lengths straddle the 72-column budget. *)
+let sexp_gen =
+  let open QCheck.Gen in
+  let char =
+    frequency
+      [ 6, char_range 'a' 'z';
+        1, oneofl [ ' '; '('; ')'; '"'; '\\'; '\n'; '\t'; '\r'; ';'; '\001' ] ]
+  in
+  let atom =
+    frequency
+      [ 8, string_size ~gen:char (int_bound 12);
+        1, string_size ~gen:char (int_range 60 90) ]
+  in
+  sized_size (int_bound 40)
+  @@ fix (fun self n ->
+         if n <= 1 then map (fun s -> Sexp.Atom s) atom
+         else
+           frequency
+             [ 1, map (fun s -> Sexp.Atom s) atom;
+               3,
+               list_size (int_bound 10) (self (n / 3))
+               |> map (fun l -> Sexp.List l) ])
+
+let prop_sexp_render_matches_reference =
+  QCheck.Test.make ~name:"sexp render matches the unbounded-width reference"
+    ~count:2000
+    (QCheck.make ~print:Reference_render.to_string sexp_gen)
+    (fun e -> String.equal (Sexp.to_string e) (Reference_render.to_string e))
+
 let test_sexp_parse () =
   Alcotest.check sexp_testable "comments skipped"
     (Sexp.List [ Sexp.Atom "a"; Sexp.Atom "b" ])
@@ -183,6 +279,7 @@ let suite =
     Alcotest.test_case "sexp roundtrip" `Quick test_sexp_roundtrip;
     Alcotest.test_case "sexp parse" `Quick test_sexp_parse;
     Alcotest.test_case "sexp keyed" `Quick test_sexp_keyed;
+    QCheck_alcotest.to_alcotest prop_sexp_render_matches_reference;
     Alcotest.test_case "value roundtrip" `Quick test_value_roundtrip;
     Alcotest.test_case "instance roundtrip" `Quick test_instance_roundtrip;
     Alcotest.test_case "definition roundtrip" `Quick test_definition_roundtrip;
