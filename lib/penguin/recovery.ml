@@ -189,6 +189,22 @@ let snapshot ?(io = Fsio.default) ?epoch ~store ws =
     ~snapshot_path:store ~snapshot:(Store.save ws)
     ~base:(Workspace.version ws)
 
+(* A follower's restart from its leader's snapshot. When our journal runs
+   past the new snapshot it is cut back first (to its base, its epoch
+   kept): a crash between the next two writes would otherwise reopen our
+   history on top of the new snapshot. *)
+let install ?(io = Fsio.default) ~epoch ~base ~store doc =
+  let jnl = Journal.create ~io (Journal.journal_path store) in
+  let* old = Journal.replay jnl in
+  let* () =
+    match old with
+    | Some r when List.exists (fun (e : Commit_log.entry) -> e.version > base) r.Journal.entries ->
+        Journal.initialize ~epoch:r.Journal.epoch jnl ~base:r.Journal.base
+    | _ -> Ok ()
+  in
+  let* () = Fsio.atomic_write io ~path:store doc in
+  Journal.initialize ~epoch jnl ~base
+
 type persisted = {
   rotated : bool;
   rotate_error : Error.t option;

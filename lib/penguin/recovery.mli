@@ -122,6 +122,17 @@ val snapshot :
     state and reset the journal to extend it ({!Journal.rotate}),
     stamping [epoch] (default [0]) in the fresh journal header. *)
 
+val install :
+  ?io:Fsio.t -> epoch:int -> base:int -> store:string -> string ->
+  (unit, Error.t) result
+(** Restart the store from another store's document: write it over the
+    store document, then a fresh journal based at [base] stamped with
+    [epoch] — how a follower resyncs from its leader's snapshot. When
+    the old journal holds entries past [base], it is first cut back to
+    its own base (keeping its epoch), so no crash point reopens those
+    entries on top of the new document: every crash point reopens
+    either the old store's state or the new one's. *)
+
 (** The exclusive-writer journal handle, and the one durable-append
     implementation. {!Appender.create} validates the journal with one
     full replay, after which each {!Appender.append} is one journal

@@ -24,7 +24,12 @@
     {e quarantined} — the replica drops to [Degraded], keeps serving
     reads at its last good position, and keeps polling (a leader
     rotation heals it) — it never wedges and never appends unverified
-    bytes to its own journal. *)
+    bytes to its own journal. A failed write or fsync on its own journal
+    is returned as the error it is, and the journal is cut back to its
+    clean length before the next append.
+
+    Every decision is {!Replica_core}'s: this module is its driver —
+    feeds, files, sockets and the cache — and the feed wire format. *)
 
 (** How a follower reaches the leader's bytes. {!file_feed} reads the
     leader's files directly (shared filesystem); {!Shipper.feed} speaks
@@ -89,7 +94,7 @@ val header_of_bytes : string -> (int * int) option
     ({!feed.fetch_head}, or a fetch from offset 0); [None] when the
     bytes hold no valid header. *)
 
-type status =
+type status = Replica_core.status =
   | Following  (** tailing normally (also while awaiting a journal) *)
   | Degraded of string
       (** a corrupt shipped record is quarantined; serving continues at
@@ -119,9 +124,13 @@ val create :
     times a suspect frame is re-fetched before quarantine. A feed whose
     header epoch is {e below} the target store's own is a deposed
     leader; following it would fork the replicated history, so [create]
-    refuses with {!Error.Invalid}. *)
+    refuses with {!Error.Invalid}. A feed at a {e higher} epoch is a
+    newly promoted leader: the target restarts from its snapshot (a
+    resync), because the target's own history past the new leader's
+    start — a deposed leader's unreplicated tail, say — may not be the
+    new leader's. *)
 
-type progress = {
+type progress = Replica_core.progress = {
   records : int;  (** leader journal records ingested this poll *)
   applied : int;  (** commit-log entries applied to the workspace *)
   rotated : bool;  (** followed a leader rotation barrier in place *)
@@ -136,10 +145,13 @@ val poll : t -> (progress, Error.t) result
     base is a rotation (followed in place when the replica's version
     covers the new base — its own journal, and its in-memory commit log
     with it, is folded into its snapshot and tailing re-anchors with no
-    gap and no replay — or by a full {e resync} otherwise), and a
-    changed epoch adopts the new leader.
+    gap and no replay — or by a full {e resync} otherwise). A higher
+    epoch always resyncs from the new leader's snapshot, and a lower one
+    is refused as a deposed leader ({!Error.Invalid}).
     Torn trailing bytes are left unconsumed; suspect frames follow the
-    refetch/quarantine discipline. *)
+    refetch/quarantine discipline. A failed write or fsync on the
+    replica's own journal is returned (the journal is cut back to its
+    clean length before the next append), never counted as a refetch. *)
 
 val poll_until_idle : ?max_rounds:int -> t -> (progress, Error.t) result
 (** {!poll} until a round makes no progress (bounded by [max_rounds],
@@ -184,7 +196,9 @@ val oql :
     optimization, never a second source of truth — any other anomaly (a
     rotation the follower fell behind, an epoch change, sever, corrupt
     or invalid frame) closes it, the stateless pull path re-finds
-    footing, and the follower resubscribes from its own position. *)
+    footing, and the follower resubscribes from its own position.
+    Streamed frames go through the same ingest path, durability point
+    and ack as pulled ones ({!Replica_core}). *)
 
 type push
 (** A live push subscription (socket + frame reassembly buffer). *)
@@ -205,8 +219,8 @@ val push_poll : ?timeout:float -> t -> push -> (progress, Error.t) result
     {!poll} uses (records are verified, validated and ingested; a
     rotation's header frame is followed in place), fsync once, sync the
     cache, and ack the new durable version upstream. Errors close the
-    subscription and are typed transient — the caller falls back to
-    {!poll} and resubscribes. *)
+    subscription; stream and feed errors are typed transient — the
+    caller falls back to {!poll} and resubscribes. *)
 
 val push_close : push -> unit
 val push_alive : push -> bool
@@ -225,7 +239,10 @@ val follow_push :
     sleep a seeded backoff ({!Resilience.Policy.backoff_ns}), and
     resubscribe — until [should_stop] answers true (checked between
     rounds) or the replica is promoted. Returns total records
-    ingested. *)
+    ingested. Every feed error is retried, a refused connection while
+    the leader restarts included; a non-transient fault on the replica's
+    own files, and a deposed leader's {!Error.Invalid} refusal, are
+    returned: retrying cannot mend them. *)
 
 (** {2 Durable position and promotion} *)
 

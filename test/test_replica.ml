@@ -650,6 +650,152 @@ let test_shipper_kill_points () =
   done;
   rm_rf dir
 
+(* --- the follower's own journal ---------------------------------------- *)
+
+let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter name)
+
+(* An io whose first append to [path] writes half its bytes and fails:
+   a torn write to the follower's own journal. *)
+let tear_first_append path =
+  let io = Penguin.Fsio.default in
+  let torn = ref false in
+  { io with
+    Penguin.Fsio.write =
+      (fun ~path:p ~append content ->
+        if append && p = path && not !torn then begin
+          torn := true;
+          let half = String.sub content 0 (String.length content / 2) in
+          Result.bind (io.Penguin.Fsio.write ~path:p ~append half) (fun () ->
+              Error
+                (Penguin.Error.io ~op:Penguin.Error.Write ~path:p
+                   ~transient:true "injected torn append"))
+        end
+        else io.Penguin.Fsio.write ~path:p ~append content) }
+
+(* A torn write to the follower's own journal is a local fault, not a
+   corrupt leader frame: the journal is cut back to its clean length
+   before the next append, so every version the follower reports is one
+   its files reopen at. *)
+let test_torn_own_append () =
+  Obs.Metrics.enable ();
+  let dir = temp_dir "replica-torn-own" in
+  Test_recovery.make_store dir;
+  let target = target_in dir in
+  let r =
+    check_ok_e
+      (R.create ~io:(tear_first_append (J.journal_path target))
+         ~refetch_limit:2 ~feed:(R.file_feed (store_in dir)) ~target ())
+  in
+  List.iter (commit dir) [ "A-"; "B-"; "C+" ];
+  let refetches = counter "replica.refetches" in
+  let quarantines = counter "replica.quarantines" in
+  let first = R.poll r in
+  let _ = catch_up r in
+  let lws, _ = Test_recovery.recover dir in
+  Alcotest.(check int) "caught up to the leader"
+    (Penguin.Workspace.version lws) (R.position r);
+  let d = check_ok_e (R.durable_position target) in
+  Alcotest.(check int) "the durable position is the reported one"
+    (R.position r) d.R.d_version;
+  let fws, report = check_ok_e (Penguin.Recovery.open_store target) in
+  Alcotest.(check int) "the files reopen at the reported position"
+    (R.position r) (Penguin.Workspace.version fws);
+  Alcotest.(check int) "no torn bytes left behind" 0
+    report.Penguin.Recovery.torn_bytes;
+  db_equal "the reopened follower equals the leader" lws fws;
+  Alcotest.(check int) "not counted as a refetch" refetches
+    (counter "replica.refetches");
+  Alcotest.(check int) "not counted as a quarantine" quarantines
+    (counter "replica.quarantines");
+  let err = check_err_e ~msg:"the torn append is returned" first in
+  Alcotest.(check bool) "the torn append's own error" true
+    (Strutil.contains ~sub:"injected torn append" (Penguin.Error.to_string err));
+  rm_rf dir
+
+(* A hard fault on the follower's own files ends the push driver: it
+   cannot mend by retrying, and retrying would spin silently. *)
+let test_follow_push_own_fault () =
+  let dir = temp_dir "replica-push-own-fault" in
+  Test_recovery.make_store dir;
+  commit dir "A-";
+  with_server dir (fun sock ->
+      let _ = catch_up (follower dir) in
+      let faulty =
+        Penguin.Fsio.Fault.inject ~seed:5 ~rate:1.0
+          ~kind:Penguin.Fsio.Fault.Hard ~ops:[ `Write ] Penguin.Fsio.default
+      in
+      let r =
+        check_ok_e
+          (R.create ~io:faulty ~feed:(Penguin.Shipper.feed ~sock)
+             ~target:(target_in dir) ())
+      in
+      serve_commit sock "B-";
+      let fired = ref false and rounds = ref 0 in
+      let should_stop _ =
+        incr rounds;
+        fired := !rounds > 200;
+        !fired
+      in
+      let fast =
+        { Penguin.Resilience.Policy.default with
+          Penguin.Resilience.Policy.base_delay_ns = 1e5;
+          max_delay_ns = 1e6 }
+      in
+      let err =
+        check_err_e
+          (R.follow_push ~policy:fast ~poll_timeout:0.01 ~should_stop r ~sock)
+      in
+      Alcotest.(check bool) "returned before should_stop fired" false !fired;
+      Alcotest.(check bool) "the own-file fault is returned" false
+        (Penguin.Error.retryable err));
+  rm_rf dir
+
+(* --- failover: rejoining the promoted store ---------------------------- *)
+
+(* A deposed leader rejoins as a follower of the store promoted in its
+   place, and so does a follower that was ahead of the promotion point.
+   The promoted store's header carries only (base, epoch): neither may
+   keep its own history past the new leader's start, so both resync. *)
+let test_rejoin_after_failover () =
+  let old_dir = temp_dir "replica-failover-old" in
+  let new_dir = temp_dir "replica-failover-new" in
+  Test_recovery.make_store old_dir;
+  let sync target =
+    catch_up
+      (check_ok_e
+         (R.create ~feed:(R.file_feed (store_in old_dir)) ~target ()))
+  in
+  let ahead = target_in old_dir in
+  commit old_dir "A-";
+  let _ = sync (store_in new_dir) in
+  let _ = sync ahead in
+  (* The old leader commits once more; only [ahead] takes it. *)
+  commit old_dir "F";
+  let _ = sync ahead in
+  let _, epoch = check_ok_e (R.promote_store (store_in new_dir)) in
+  Alcotest.(check int) "promotion bumps the epoch" 1 epoch;
+  commit new_dir "C-";
+  let lws, _ = Test_recovery.recover new_dir in
+  List.iter
+    (fun (what, target) ->
+      let r =
+        check_ok_e
+          (R.create ~feed:(R.file_feed (store_in new_dir)) ~target ())
+      in
+      let _ = catch_up r in
+      Alcotest.(check int) (what ^ ": at the new leader's epoch") 1 (R.epoch r);
+      Alcotest.(check int) (what ^ ": at the new leader's version")
+        (Penguin.Workspace.version lws) (R.position r);
+      Alcotest.(check string) (what ^ ": holds the new leader's grade") "C-"
+        (str_val (Test_recovery.grade_of (R.workspace r) ("CS345", 2)));
+      db_equal (what ^ ": equals the new leader") lws (R.workspace r);
+      let d = check_ok_e (R.durable_position target) in
+      Alcotest.(check (pair int int)) (what ^ ": durable at the new leader")
+        (1, Penguin.Workspace.version lws) (d.R.d_epoch, d.R.d_version))
+    [ "the deposed leader", store_in old_dir; "the follower ahead", ahead ];
+  rm_rf old_dir;
+  rm_rf new_dir
+
 let suite =
   [
     Alcotest.test_case "replay reports resumable byte offsets" `Quick
@@ -674,4 +820,10 @@ let suite =
       test_shipper_feed;
     Alcotest.test_case "shipper killed at every transport I/O point" `Quick
       test_shipper_kill_points;
+    Alcotest.test_case "a torn own append is cut back, never acked past"
+      `Quick test_torn_own_append;
+    Alcotest.test_case "a hard own-file fault ends follow_push" `Quick
+      test_follow_push_own_fault;
+    Alcotest.test_case "a deposed leader and a follower ahead rejoin by resync"
+      `Quick test_rejoin_after_failover;
   ]

@@ -1,0 +1,630 @@
+(* A seeded simulator for the follower's decision core
+   (Penguin.Replica_core): three follower cores run against a model
+   leader, each through a small driver of its own over an in-memory
+   filesystem — no sockets, no disk, no clock.
+
+   The model leader's journal images are built from real commit frames
+   on the bench fixture: commits, a rotation every few records, torn
+   tails (an append in flight), corrupt frames (checksum-valid garbage,
+   which a follower quarantines until a rotation heals it), and one
+   promotion: the most advanced follower's files are promoted and start
+   a divergent epoch, and the deposed leader's own files rejoin as a
+   follower in its place.
+
+   The faults: fetch failures; push streams that drop, delay, duplicate
+   and sever; torn and failing writes and failing fsyncs on a
+   follower's own files; and follower crashes that keep only the
+   fsynced bytes plus a random torn piece of the rest, reopened with the
+   real Recovery.open_store.
+
+   Every seed is checked against the invariants:
+
+   1. a follower never acks a version its files would not reopen at:
+      at every ack, the fsynced bytes hold it;
+   2. a crashed follower's files reopen at no less than its last ack,
+      in the state that some lineage at or past their epoch has at that
+      version; and a live follower holds exactly its epoch's lineage
+      state at its position, which at the leader's epoch never passes
+      the leader's;
+   3. a follower's reported epoch never goes backwards, crashes
+      included;
+   4. a follower's in-memory log holds at most one leader journal's
+      records (the rotation threshold);
+   5. once faults stop and the leader rotates, every follower converges
+      to the leader: its version, epoch and state, and Following;
+   6. promoting the most advanced follower (Replica.more_advanced over
+      durable positions) loses no version that K of the N followers
+      acked.
+
+   Out of scope: the leader side. The model leader is not
+   Penguin.Server_core; test_server_sim.ml checks that one. *)
+open Relational
+open Test_util
+
+module Core = Penguin.Replica_core
+module J = Penguin.Journal
+module R = Penguin.Replica
+module W = Penguin.Workspace
+module E = Penguin.Error
+module Recovery = Penguin.Recovery
+
+let courses = 4
+
+let ws0 =
+  lazy
+    (let dir = temp_dir "replica-sim" in
+     Test_server.make_bench_store dir courses;
+     let ws, _ = check_ok_e (Recovery.open_store (Test_recovery.store_in dir)) in
+     rm_rf dir;
+     ws)
+
+(* The commit at version [v] of epoch [epoch]: one grade set to a value
+   naming both, so two lineages differ wherever they diverge. *)
+let commit_entry (ws : W.t) ~epoch v =
+  let i = 1 + (v mod courses) in
+  let key = [ Value.Str (Fmt.str "BENCH%03d" i); Value.Int (2000 + i) ] in
+  let old = Option.get (Relation.lookup (Database.relation_exn ws.db "GRADES") key) in
+  let now = Tuple.set old "grade" (Value.Str (Fmt.str "e%dv%d" epoch v)) in
+  let d =
+    Delta.record Delta.empty ~rel:"GRADES" ~key ~old_image:(Some old)
+      ~new_image:(Some now)
+  in
+  { Penguin.Commit_log.version = v; change = Penguin.Commit_log.Delta d; kind = "update" }
+
+(* --- an in-memory filesystem ------------------------------------------ *)
+
+type file = { mutable data : string; mutable synced : int }
+
+type disk = {
+  files : (string, file) Hashtbl.t;
+  mutable faulty : bool;  (** writes and fsyncs may fail *)
+}
+
+let io_of ?(faults = fun () -> `None) disk =
+  let find p = Hashtbl.find_opt disk.files p in
+  let fault () = if disk.faulty then faults () else `None in
+  {
+    Penguin.Fsio.read = (fun p -> Ok (Option.map (fun f -> f.data) (find p)));
+    read_from =
+      (fun ~path ~off ~len ->
+        Ok
+          (Option.map
+             (fun f ->
+               let n = String.length f.data in
+               if off >= n then ""
+               else
+                 String.sub f.data off
+                   (match len with None -> n - off | Some l -> min l (n - off)))
+             (find path)));
+    write =
+      (fun ~path ~append s ->
+        let put s =
+          match find path with
+          | Some f when append -> f.data <- f.data ^ s
+          | _ -> Hashtbl.replace disk.files path { data = s; synced = 0 }
+        in
+        match fault () with
+        | `Torn k ->
+            put (String.sub s 0 (k mod max 1 (String.length s)));
+            Error (E.io ~op:E.Write ~path ~transient:true "sim: torn write")
+        | `Hard -> Error (E.io ~op:E.Write ~path "sim: write failed")
+        | `None ->
+            put s;
+            Ok ());
+    sync =
+      (fun p ->
+        match fault (), find p with
+        | (`Torn _ | `Hard), _ ->
+            Error (E.io ~op:E.Sync ~path:p ~transient:true "sim: fsync failed")
+        | `None, Some f ->
+            f.synced <- String.length f.data;
+            Ok ()
+        | `None, None -> Error (E.io ~op:E.Sync ~path:p "sim: no such file"));
+    rename =
+      (fun ~src ~dst ->
+        match find src with
+        | Some f ->
+            Hashtbl.remove disk.files src;
+            Hashtbl.replace disk.files dst f;
+            Ok ()
+        | None -> Error (E.io ~op:E.Rename ~path:src "sim: no such file"));
+    remove =
+      (fun p ->
+        Hashtbl.remove disk.files p;
+        Ok ());
+  }
+
+(* What a crash leaves: each file's fsynced bytes, plus a random piece
+   of what was written after them. *)
+let crash_image rng disk =
+  Hashtbl.iter
+    (fun _ f ->
+      let keep =
+        f.synced + Random.State.int rng (String.length f.data - f.synced + 1)
+      in
+      f.data <- String.sub f.data 0 keep;
+      f.synced <- keep)
+    disk.files
+
+(* The files as they stand with no unsynced byte. *)
+let durable disk =
+  let files = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun p f ->
+      Hashtbl.replace files p { data = String.sub f.data 0 f.synced; synced = f.synced })
+    disk.files;
+  { files; faulty = false }
+
+(* --- the model leader ---------------------------------------------------- *)
+
+type stream = { frames : string Queue.t; mutable closed : bool }
+
+type follower = {
+  id : int;
+  disk : disk;
+  io : Penguin.Fsio.t;
+  mutable st : Core.state option;  (** [None] while down *)
+  mutable stream : stream option;
+  mutable acked : int;  (** the highest version it acked *)
+  mutable epoch_seen : int;
+}
+
+type world = {
+  rng : Random.State.t;
+  rotate_every : int;
+  k : int;  (** the quorum of invariant 6 *)
+  mutable faults : bool;
+  mutable epoch : int;
+  mutable ws : W.t;  (** the leader's state *)
+  mutable base : int;
+  mutable doc : string;  (** its store document, at [base] *)
+  mutable doc_ws : W.t;  (** the same, loaded *)
+  mutable real : string list;  (** its journal's frames, newest first *)
+  mutable served : string list;  (** the same, as followers read them *)
+  mutable torn : string;  (** an append in flight *)
+  mutable image : string;  (** the served journal's bytes *)
+  lineage : (int * int, W.t) Hashtbl.t;  (** (epoch, version) it wrote *)
+  mutable forks : (int * int) list;  (** epoch, version it began after *)
+  mutable followers : follower list;
+  mutable violations : string list;
+  mutable promoted : bool;
+  stats : (string, int) Hashtbl.t;
+  mutable trace : string list;  (** what happened, newest first *)
+}
+
+let target = "follower.pgn"
+let jpath = J.journal_path target
+let note w fmt = Fmt.kstr (fun m -> w.trace <- m :: w.trace) fmt
+let violation w fmt =
+  Fmt.kstr (fun m -> note w "VIOLATION %s" m; w.violations <- m :: w.violations) fmt
+let chance w p = Random.State.float w.rng 1. < p
+let count w what = Hashtbl.replace w.stats what (1 + Option.value ~default:0 (Hashtbl.find_opt w.stats what))
+let tail w = W.version w.ws
+let frame_bytes frames = String.concat "" (List.rev_map J.frame frames)
+
+let rec state_at w ~epoch v =
+  match Hashtbl.find_opt w.lineage (epoch, v) with
+  | Some ws -> Some ws
+  | None -> (
+      match List.assoc_opt epoch w.forks with
+      | Some p when v <= p -> state_at w ~epoch:(epoch - 1) v
+      | _ -> None)
+
+(* Epoch 0's states are the same on every seed: render each once. *)
+let saved = Hashtbl.create 64
+
+let save ws ~epoch =
+  if epoch > 0 then Penguin.Store.save ws
+  else
+    match Hashtbl.find_opt saved (W.version ws) with
+    | Some doc -> doc
+    | None ->
+        let doc = Penguin.Store.save ws in
+        Hashtbl.replace saved (W.version ws) doc;
+        doc
+
+let republish w = w.image <- frame_bytes w.served ^ w.torn
+
+(* Push every follower's stream the frames a relay would: the new
+   record, or a rotation's new journal from its header. *)
+let relay w frame =
+  List.iter
+    (fun f -> Option.iter (fun s -> if not s.closed then Queue.push frame s.frames) f.stream)
+    w.followers
+
+let rotate w =
+  count w "rotations";
+  note w "leader rotates at v%d" (tail w);
+  w.base <- tail w;
+  w.doc_ws <- { w.ws with log = Penguin.Commit_log.of_version w.base };
+  w.doc <- save w.doc_ws ~epoch:w.epoch;
+  let h = J.header_payload ~base:w.base ~epoch:w.epoch in
+  w.real <- [ h ];
+  w.served <- [ h ];
+  w.torn <- "";
+  republish w;
+  relay w h
+
+let commit w =
+  count w "commits";
+  let e = commit_entry w.ws ~epoch:w.epoch (tail w + 1) in
+  w.ws <- check_ok_e (Recovery.apply_entry w.ws e);
+  Hashtbl.replace w.lineage (w.epoch, tail w) w.ws;
+  let payload = J.record_payload [ e ] in
+  let served =
+    if w.faults && chance w 0.05 then (count w "corrupt frames"; "(never a record)")
+    else payload
+  in
+  note w "leader commits v%d at epoch %d%s" (tail w) w.epoch
+    (if served == payload then "" else " (served corrupt)");
+  w.real <- payload :: w.real;
+  w.served <- served :: w.served;
+  w.torn <-
+    (if w.faults && chance w 0.2 then
+       let f = J.frame (J.record_payload [ commit_entry w.ws ~epoch:w.epoch (tail w + 1) ]) in
+       String.sub f 0 (Random.State.int w.rng (String.length f))
+     else "");
+  republish w;
+  relay w served;
+  if List.length w.real > w.rotate_every then rotate w
+
+(* --- a follower's driver ----------------------------------------------------- *)
+
+let feed_fault w what =
+  if w.faults && chance w 0.1 then
+    Some (Core.Fetch_failed (E.io ~op:E.Read ~path:"sim-leader" ~transient:true what))
+  else None
+
+let durable_version f =
+  match R.durable_position ~io:(io_of (durable f.disk)) target with
+  | Ok d -> d.R.d_version
+  | Error _ -> -1
+
+let pp_action ppf = function
+  | Core.Fetch_journal off -> Fmt.pf ppf "fetch journal %d" off
+  | Fetch_head -> Fmt.pf ppf "fetch head"
+  | Fetch_snapshot -> Fmt.pf ppf "fetch snapshot"
+  | Append s -> Fmt.pf ppf "append %d" (String.length s)
+  | Truncate n -> Fmt.pf ppf "truncate %d" n
+  | Fsync -> Fmt.pf ppf "fsync"
+  | Fold (e, ws) -> Fmt.pf ppf "fold v%d epoch %d" (W.version ws) e
+  | Install (_, b, e) -> Fmt.pf ppf "install base %d epoch %d" b e
+  | Ack v -> Fmt.pf ppf "ack v%d" v
+  | Close_stream -> Fmt.pf ppf "close stream"
+  | Fail _ -> Fmt.pf ppf "fail"
+
+let exec w f a =
+  note w "  f%d: %a" f.id pp_action a;
+  match a with
+  | Core.Fetch_journal off ->
+      Some
+        (match feed_fault w "journal" with
+        | Some ev -> ev
+        | None ->
+            let n = String.length w.image in
+            let bytes = if off >= n then "" else String.sub w.image off (n - off) in
+            let frames, _, _ = J.decode_frames ~off0:off bytes in
+            Core.Frames { pushed = false; frames = List.map snd frames })
+  | Fetch_head ->
+      Some
+        (match feed_fault w "head" with
+        | Some ev -> ev
+        | None ->
+            let n = min 1024 (String.length w.image) in
+            Core.Head (R.header_of_bytes (String.sub w.image 0 n)))
+  | Fetch_snapshot ->
+      Some
+        (match feed_fault w "snapshot" with
+        | Some ev -> ev
+        | None -> Core.Snapshot (w.doc, w.doc_ws))
+  | Append frame -> Some (Core.Wrote (f.io.Penguin.Fsio.write ~path:jpath ~append:true frame))
+  | Truncate n -> Some (Core.Wrote (J.truncate_torn (J.create ~io:f.io jpath) ~clean_bytes:n))
+  | Fsync -> Some (Core.Wrote (f.io.Penguin.Fsio.sync jpath))
+  | Fold (epoch, ws) -> Some (Core.Wrote (Recovery.snapshot ~io:f.io ~epoch ~store:target ws))
+  | Install (doc, base, epoch) ->
+      count w "resyncs";
+      Some (Core.Wrote (Recovery.install ~io:f.io ~epoch ~base ~store:target doc))
+  | Ack v ->
+      count w "acks";
+      (* Invariant 1. *)
+      let d = durable_version f in
+      if d < v then violation w "invariant 1: f%d acked v%d, its fsynced files hold v%d" f.id v d;
+      f.acked <- max f.acked v;
+      None
+  | Close_stream ->
+      f.stream <- None;
+      None
+  | Fail _ -> None
+
+(* Invariants 2 (live), 3 and 4 after every round. *)
+let check_live w f st =
+  let v = W.version (Core.workspace st) and e = Core.epoch st in
+  if e < f.epoch_seen then violation w "invariant 3: f%d went from epoch %d to %d" f.id f.epoch_seen e;
+  f.epoch_seen <- max e f.epoch_seen;
+  (match state_at w ~epoch:e v with
+  | Some ws when Database.equal ws.db (Core.workspace st).db -> ()
+  | _ -> violation w "invariant 2: f%d at (epoch %d, v%d) holds no lineage state" f.id e v);
+  if e = w.epoch && v > tail w then
+    violation w "invariant 2: f%d at v%d passed the leader's v%d" f.id v (tail w);
+  let held = Penguin.Commit_log.length (Core.workspace st).log in
+  if held > w.rotate_every then
+    violation w "invariant 4: f%d holds %d log entries, past the threshold %d" f.id held
+      w.rotate_every
+
+(* Step the core until it waits for nothing; true if the round failed. A
+   failed push round loses its stream, as the driver closes it. *)
+let drive w f step =
+  let failed = ref false in
+  let rec go (st, actions) =
+    f.st <- Some st;
+    List.iter
+      (function
+        | Core.Fail _ -> failed := true
+        | a -> Option.iter (fun ev -> go (Core.step (Option.get f.st) ev)) (exec w f a))
+      actions
+  in
+  go step;
+  Option.iter (check_live w f) f.st;
+  if !failed then f.stream <- None;
+  !failed
+
+let run w f ev =
+  note w "f%d: %s" f.id
+    (match ev with
+    | Core.Poll -> "poll"
+    | Frames { frames; _ } -> Fmt.str "%d pushed frame(s)" (List.length frames)
+    | Stream_opened _ -> "subscribed"
+    | Stream_lost _ -> "stream lost"
+    | _ -> "event");
+  match f.st with Some st -> drive w f (Core.step st ev) | None -> true
+
+(* Bring a follower up from its files, as Replica.create does; a crash
+   is checked against invariants 2 and 3 on the way. *)
+let open_follower w f =
+  let step =
+    if not (Hashtbl.mem f.disk.files target) then
+      Some (Core.bootstrap ~refetch_limit:2 ~label:"sim" ~doc:w.doc w.doc_ws)
+    else
+      match Recovery.open_store ~io:f.io ~repair:true target with
+      | Error e ->
+          violation w "invariant 2: f%d's files do not reopen: %s" f.id (E.to_string e);
+          None
+      | Ok (ws, report) ->
+          let v = W.version ws and e = report.Recovery.epoch in
+          note w "f%d reopens at v%d epoch %d" f.id v e;
+          if v < f.acked then
+            violation w "invariant 2: f%d reopened at v%d below its ack v%d" f.id v f.acked;
+          if e < f.epoch_seen then
+            violation w "invariant 3: f%d reopened at epoch %d after epoch %d" f.id e f.epoch_seen;
+          let lineage e' =
+            match state_at w ~epoch:e' v with
+            | Some s -> Database.equal s.db ws.db
+            | None -> false
+          in
+          if not (List.exists lineage (List.init (w.epoch - e + 1) (fun i -> e + i))) then
+            violation w "invariant 2: f%d reopened at (epoch %d, v%d) in no lineage's state"
+              f.id e v;
+          f.epoch_seen <- max f.epoch_seen e;
+          Option.map
+            (Core.resume ~refetch_limit:2 ~label:"sim" ws ~base:report.Recovery.snapshot_version)
+            (check_ok_e (J.replay (J.create ~io:f.io jpath)))
+  in
+  match step with
+  | None -> ()
+  | Some step -> if drive w f step then f.st <- None
+
+let make_follower w id disk =
+  let f =
+    { id; disk; st = None; stream = None; acked = -1; epoch_seen = 0;
+      io =
+        io_of disk ~faults:(fun () ->
+            if chance w 0.1 then
+              if chance w 0.8 then `Torn (Random.State.bits w.rng) else `Hard
+            else `None) }
+  in
+  open_follower w f;
+  f
+
+let crash w f =
+  count w "crashes";
+  crash_image w.rng f.disk;
+  f.st <- None;
+  f.stream <- None;
+  let faulty = f.disk.faulty in
+  f.disk.faulty <- false;
+  open_follower w f;
+  f.disk.faulty <- faulty
+
+(* A subscription, as the listener answers one: refused unless the
+   follower's offset is a frame boundary of the leader's journal. *)
+let subscribe w f st =
+  let frames, clean_end, _ = J.decode_frames w.image in
+  let off = Core.offset st in
+  if off = 0 || off = clean_end || List.mem_assoc off frames then begin
+    count w "subscriptions";
+    let s = { frames = Queue.create (); closed = false } in
+    List.iter (fun (o, p) -> if o >= off then Queue.push p s.frames) frames;
+    f.stream <- Some s;
+    ignore (run w f (Core.Stream_opened (w.base, w.epoch)))
+  end
+
+(* Hand the follower what its link delivers: a few frames, now and then
+   one dropped or duplicated, or the link severed. *)
+let deliver w f s =
+  if s.closed || (w.faults && chance w 0.05) then begin
+    if not s.closed then count w "severs";
+    f.stream <- None;
+    ignore (run w f (Core.Stream_lost "severed"))
+  end
+  else begin
+    let rec take n acc =
+      if n = 0 || Queue.is_empty s.frames then List.rev acc
+      else
+        let fr = Queue.pop s.frames in
+        if w.faults && chance w 0.05 then (count w "drops"; take (n - 1) acc)
+        else if w.faults && chance w 0.05 then (count w "duplicates"; take (n - 1) (fr :: fr :: acc))
+        else take (n - 1) (fr :: acc)
+    in
+    match take (1 + Random.State.int w.rng 4) [] with
+    | [] -> ()
+    | frames -> ignore (run w f (Core.Frames { pushed = true; frames }))
+  end
+
+let rec pull_until_idle w f n =
+  match f.st with
+  | Some _ when n > 0 ->
+      let failed = run w f Core.Poll in
+      let p = Core.progress (Option.get f.st) in
+      if failed || p.Core.records > 0 || p.Core.rotated || p.Core.resynced then
+        pull_until_idle w f (n - 1)
+  | None when n > 0 ->
+      open_follower w f;
+      pull_until_idle w f (n - 1)
+  | _ -> ()
+
+(* Promote the most advanced follower by the durable positions failover
+   tooling reads; its files become the leader of a new epoch, and the
+   deposed leader's own files rejoin in its place. *)
+let promote w =
+  count w "promotions";
+  w.promoted <- true;
+  let position f =
+    match R.durable_position ~io:(io_of f.disk) target with
+    | Ok d -> Some (f, d)
+    | Error _ -> None
+  in
+  match List.filter_map position w.followers with
+  | [] -> ()
+  | first :: rest ->
+      let best, _ =
+        List.fold_left (fun (bf, bd) (f, d) -> if R.more_advanced d bd then (f, d) else (bf, bd))
+          first rest
+      in
+      let io = io_of best.disk in
+      let ws, report = check_ok_e (Recovery.open_store ~io ~repair:true target) in
+      let p = W.version ws in
+      note w "promote f%d at v%d" best.id p;
+      (* Invariant 6. *)
+      let acks = List.sort (fun a b -> compare b a) (List.map (fun f -> f.acked) w.followers) in
+      let quorum = List.nth acks (w.k - 1) in
+      if quorum > p then
+        violation w "invariant 6: v%d was acked by %d followers; the promoted store holds v%d"
+          quorum w.k p;
+      (match state_at w ~epoch:w.epoch p with
+      | Some s when Database.equal s.db ws.db -> ()
+      | _ -> violation w "promotion: the promoted store is not the lineage's v%d" p);
+      let epoch = report.Recovery.epoch + 1 in
+      check_ok_e (Recovery.snapshot ~io ~epoch ~store:target ws);
+      let deposed = { files = Hashtbl.create 8; faulty = false } in
+      let put path data = Hashtbl.replace deposed.files path { data; synced = String.length data } in
+      put target w.doc;
+      put jpath (frame_bytes w.real);
+      List.iter (fun f -> Option.iter (fun s -> s.closed <- true) f.stream) w.followers;
+      w.epoch <- epoch;
+      w.forks <- (epoch, p) :: w.forks;
+      w.ws <- ws;
+      w.base <- p;
+      w.doc <- (Hashtbl.find best.disk.files target).data;
+      w.doc_ws <- { ws with log = Penguin.Commit_log.of_version p };
+      w.real <- [ J.header_payload ~base:p ~epoch ];
+      w.served <- w.real;
+      w.torn <- "";
+      republish w;
+      w.followers <-
+        List.map
+          (fun f -> if f == best then make_follower w f.id deposed else f)
+          w.followers
+
+(* --- the random run ------------------------------------------------------------ *)
+
+let world seed =
+  let rng = Random.State.make [| seed |] in
+  let ws = Lazy.force ws0 in
+  let w =
+    { rng; rotate_every = 4 + Random.State.int rng 6; k = 1 + Random.State.int rng 2;
+      faults = false; epoch = 0; ws; base = W.version ws; doc = ""; doc_ws = ws;
+      real = []; served = []; torn = ""; image = ""; lineage = Hashtbl.create 64;
+      forks = []; followers = []; violations = []; promoted = false;
+      stats = Hashtbl.create 16; trace = [] }
+  in
+  Hashtbl.replace w.lineage (0, W.version ws) ws;
+  rotate w;
+  w.followers <-
+    List.init 3 (fun id -> make_follower w id { files = Hashtbl.create 8; faulty = false });
+  w
+
+let run_seed seed =
+  let w = world seed in
+  w.faults <- true;
+  List.iter (fun f -> f.disk.faulty <- true) w.followers;
+  for _ = 1 to 50 do
+    let f = List.nth w.followers (Random.State.int w.rng 3) in
+    match Random.State.int w.rng 20, f.st, f.stream with
+    | (0 | 1 | 2 | 3 | 4 | 5), _, _ -> commit w
+    | 6, _, _ when (not w.promoted) && tail w >= 4 && chance w 0.3 -> promote w
+    | 7, Some _, _ -> crash w f
+    | _, None, _ -> open_follower w f
+    | (8 | 9 | 10 | 11), Some _, _ -> ignore (run w f Core.Poll)
+    | (12 | 13), Some st, None -> subscribe w f st
+    | _, Some _, Some s -> deliver w f s
+    | _, Some _, None -> ignore (run w f Core.Poll)
+  done;
+  (* Invariant 5: the faults stop, the leader commits, rotates past any
+     corrupt frame and commits again, and everyone catches up. *)
+  w.faults <- false;
+  List.iter
+    (fun f ->
+      f.disk.faulty <- false;
+      f.stream <- None)
+    w.followers;
+  commit w;
+  rotate w;
+  commit w;
+  commit w;
+  List.iter (fun f -> pull_until_idle w f 20) w.followers;
+  List.iter
+    (fun f ->
+      match f.st with
+      | None -> violation w "invariant 5: f%d is down" f.id
+      | Some st ->
+          let ok =
+            W.version (Core.workspace st) = tail w
+            && Core.epoch st = w.epoch
+            && Core.status st = Core.Following
+            && Database.equal (Core.workspace st).db w.ws.db
+          in
+          if not ok then
+            violation w "invariant 5: f%d at (epoch %d, v%d, %s), the leader at (epoch %d, v%d)"
+              f.id (Core.epoch st) (W.version (Core.workspace st))
+              (R.status_label (Core.status st)) w.epoch (tail w))
+    w.followers;
+  w
+
+let seeds = List.init 200 (fun i -> i + 1)
+
+let test_invariants () =
+  let totals = Hashtbl.create 16 in
+  List.iter
+    (fun seed ->
+      let w = run_seed seed in
+      (match List.rev w.violations with
+      | [] -> ()
+      | v :: _ as all ->
+          (* What led there, for the log: the seed's last steps. *)
+          List.iter print_endline (List.rev (List.filteri (fun i _ -> i < 60) w.trace));
+          Alcotest.failf "seed %d: %s (%d violation(s))" seed v (List.length all));
+      Hashtbl.iter
+        (fun k n -> Hashtbl.replace totals k (n + Option.value ~default:0 (Hashtbl.find_opt totals k)))
+        w.stats)
+    seeds;
+  let total k = Option.value ~default:0 (Hashtbl.find_opt totals k) in
+  Fmt.pr "%d seeds:%a@." (List.length seeds)
+    Fmt.(list ~sep:nop (fun ppf (k, n) -> pf ppf " %d %s," n k))
+    (List.sort compare (Hashtbl.fold (fun k n l -> (k, n) :: l) totals []));
+  List.iter
+    (fun k -> Alcotest.(check bool) ("the seeds exercised " ^ k) true (total k > 0))
+    [ "resyncs"; "crashes"; "promotions"; "corrupt frames"; "drops"; "duplicates"; "severs";
+      "acks"; "rotations" ]
+
+let suite =
+  [ Alcotest.test_case "sim: follower invariants hold on 200 seeds" `Quick test_invariants ]
