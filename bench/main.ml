@@ -876,7 +876,7 @@ let e11 () =
            or_fail
              (Penguin.Journal.rotate rotate_t
                 ~snapshot_path:(Filename.concat dir "rotate.pgn")
-                ~snapshot ~base)))
+                ~snapshot ~base ~kept:[])))
   in
   let rows =
     run_group "e11"

@@ -23,6 +23,10 @@ let m_torn_repairs =
 let m_rotations =
   M.counter ~help:"journal rotations into a fresh snapshot" "journal.rotations"
 
+let m_compacted_bytes =
+  M.counter ~help:"bytes written by journal compaction: header plus kept records"
+    "journal.compacted_bytes"
+
 let atom = Sexp.atom
 let l = Sexp.list
 
@@ -50,13 +54,7 @@ let key_to_sexp key = l (atom "key" :: List.map Store.value_to_sexp key)
 let key_of_sexp e =
   let* items = Sexp.as_list e in
   match items with
-  | Sexp.Atom "key" :: vs ->
-      List.fold_left
-        (fun acc v ->
-          let* ks = acc in
-          let* k = Store.value_of_sexp v in
-          Ok (ks @ [ k ]))
-        (Ok []) vs
+  | Sexp.Atom "key" :: vs -> Store.map_m Store.value_of_sexp vs
   | _ -> Error "journal: bad key"
 
 let change_to_sexp (key, change) =
@@ -94,23 +92,15 @@ let delta_to_sexps d =
 
 let delta_of_sexps items =
   let* bindings =
-    List.fold_left
-      (fun acc e ->
-        let* bs = acc in
+    Store.map_m
+      (fun e ->
         let* items = Sexp.as_list e in
         match items with
         | Sexp.Atom "rel" :: Sexp.Atom rel :: changes ->
-            let* changes =
-              List.fold_left
-                (fun acc c ->
-                  let* cs = acc in
-                  let* c = change_of_sexp c in
-                  Ok (cs @ [ c ]))
-                (Ok []) changes
-            in
-            Ok (bs @ [ rel, changes ])
+            let* changes = Store.map_m change_of_sexp changes in
+            Ok (rel, changes)
         | _ -> Error "journal: bad relation changes")
-      (Ok []) items
+      items
   in
   Ok (Delta.of_bindings bindings)
 
@@ -176,13 +166,7 @@ let record_of_payload payload =
   let* doc = Sexp.parse payload in
   let* items = Sexp.as_list doc in
   match items with
-  | Sexp.Atom "commit" :: entries ->
-      List.fold_left
-        (fun acc e ->
-          let* es = acc in
-          let* e = entry_of_sexp e in
-          Ok (es @ [ e ]))
-        (Ok []) entries
+  | Sexp.Atom "commit" :: entries -> Store.map_m entry_of_sexp entries
   | _ -> Error "journal: bad commit record"
 
 (* --- framing ---------------------------------------------------------- *)
@@ -225,23 +209,23 @@ let decode_frames ?(off0 = 0) content =
 let initialize ?(epoch = 0) t ~base =
   Fsio.atomic_write t.io ~path:t.path (frame (header_payload ~base ~epoch))
 
-let append t ?(sync = true) entries =
-  if entries = [] then Ok 0
-  else
-    Obs.Trace.with_span "journal.append" ~tags:[ "sync", string_of_bool sync ]
-    @@ fun () ->
-    M.time m_append_ns @@ fun () ->
-    M.Counter.incr m_appends;
-    let framed = frame (record_payload entries) in
-    let* () = t.io.Fsio.write ~path:t.path ~append:true framed in
-    let* () =
-      if sync then begin
-        M.Counter.incr m_fsyncs;
-        t.io.Fsio.sync t.path
-      end
-      else Ok ()
-    in
-    Ok (String.length framed)
+let append_frame t ?(sync = true) framed =
+  Obs.Trace.with_span "journal.append" ~tags:[ "sync", string_of_bool sync ]
+  @@ fun () ->
+  M.time m_append_ns @@ fun () ->
+  M.Counter.incr m_appends;
+  let* () = t.io.Fsio.write ~path:t.path ~append:true framed in
+  let* () =
+    if sync then begin
+      M.Counter.incr m_fsyncs;
+      t.io.Fsio.sync t.path
+    end
+    else Ok ()
+  in
+  Ok (String.length framed)
+
+let append t ?sync entries =
+  if entries = [] then Ok 0 else append_frame t ?sync (frame (record_payload entries))
 
 type replay = {
   base : int;
@@ -348,12 +332,17 @@ let truncate_torn t ~clean_bytes =
         M.Counter.incr m_torn_repairs;
         Ok ()
 
-let rotate ?epoch t ~snapshot_path ~snapshot ~base =
-  (* Snapshot first, then reset: a crash between the two leaves a newer
-     snapshot under the old journal, and replay skips the entries the
-     snapshot already contains (entry version <= snapshot version). *)
+let rotate ?(epoch = 0) t ~snapshot_path ~snapshot ~base ~kept =
+  (* Snapshot first, then compact: a crash between the two leaves a
+     newer snapshot under the old journal, and replay skips the entries
+     the snapshot already contains (entry version <= snapshot version).
+     The compacted journal holds the same records above [base] as the
+     old one, so a crash on either side of its rename reopens at the
+     same version. *)
   Obs.Trace.with_span "journal.rotate" @@ fun () ->
   let* () = Fsio.atomic_write t.io ~path:snapshot_path snapshot in
-  let* () = initialize ?epoch t ~base in
+  let compacted = String.concat "" (frame (header_payload ~base ~epoch) :: kept) in
+  let* () = Fsio.atomic_write t.io ~path:t.path compacted in
   M.Counter.incr m_rotations;
+  M.Counter.add m_compacted_bytes (String.length compacted);
   Ok ()

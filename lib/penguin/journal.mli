@@ -47,6 +47,11 @@ val append : t -> ?sync:bool -> Commit_log.entry list -> (int, Error.t) result
     framed bytes written. Appending the empty batch is a no-op that
     writes [0] bytes. *)
 
+val append_frame : t -> ?sync:bool -> string -> (int, Error.t) result
+(** {!append} for a record its caller has already framed ({!frame} of
+    {!record_payload}) — what lets a writer keep the exact bytes it
+    appended, to carry them into a compacted journal. *)
+
 type record = Commit_log.entry list
 (** One framed journal record: one commit batch, written by {!append}
     and applied all-or-nothing by {!Recovery.open_store} and
@@ -100,13 +105,19 @@ val truncate_torn : t -> clean_bytes:int -> (unit, Error.t) result
 
 val rotate :
   ?epoch:int -> t -> snapshot_path:string -> snapshot:string -> base:int ->
-  (unit, Error.t) result
-(** Fold the journal into a snapshot: atomically write [snapshot] (tmp
-    file + fsync + rename), then {!initialize} the journal at [base]
-    with [epoch] (default [0] — callers that preserve or bump the epoch
-    pass it explicitly). A crash between the two steps leaves the new
-    snapshot under the old journal; replay application skips entries
-    the snapshot already contains, so recovery is unaffected. *)
+  kept:string list -> (unit, Error.t) result
+(** Fold the journal into a snapshot at version [base] and compact it:
+    atomically write [snapshot] (tmp file + fsync + rename), then
+    atomically replace the journal with a header at [base] stamped with
+    [epoch] (default [0] — callers that preserve or bump the epoch pass
+    it explicitly), followed by [kept]: the framed records the journal
+    holds above [base], in order ([[]] when the snapshot is at the
+    journal's tail). Every crash point reopens at the journal's tail:
+    between the two writes the new snapshot sits under the old journal,
+    and replay skips the entries the snapshot already contains; after
+    the rename the compacted journal holds the same records above
+    [base]. Counts [journal.compacted_bytes], the compacted journal's
+    size. *)
 
 (** {1 Wire building blocks}
 

@@ -182,10 +182,36 @@ module Appender : sig
   val rotate : t -> Workspace.t -> persisted
   (** Fold the journal into a fresh snapshot of the workspace if
       [rotate_threshold] records have accumulated since the last
-      rotation; otherwise do nothing. The workspace must be the one
-      last written (any other is left unrotated). A server calls this
-      apart from {!write} so it can relay the window's record to its
-      push followers before the journal file is replaced. *)
+      rotation, rendering it to completion; otherwise do nothing. The
+      workspace must be the one last written (any other is left
+      unrotated). This is {!start_rotation} plus one unbounded
+      {!rotation_slice}: it keeps no record, since none is appended
+      during the render. When a rotation is already pending, it is
+      finished instead. *)
+
+  val start_rotation : t -> Workspace.t -> unit
+  (** Begin {!rotate}'s rotation without rendering anything yet: the
+      workspace, the one last written at version V, is rendered by
+      later {!rotation_slice}s while {!write} keeps appending. The
+      frames appended meanwhile are kept in memory, so the install
+      never re-reads the journal. Does nothing unless a rotation is due
+      and none is pending. Dropping the appender drops a pending
+      rotation harmlessly: nothing of it is written before its install,
+      and the old journal stays authoritative. A failed {!write} drops
+      it too. *)
+
+  val rotating : t -> bool
+  (** A rotation is pending. *)
+
+  val rotation_slice : t -> rows:int -> persisted option
+  (** Render about [rows] more rows of the pending snapshot
+      (counted in [recovery.snapshot_slices]). After the last slice,
+      install it ([recovery.snapshot_install_ns]) through
+      {!Journal.rotate}: the snapshot at V, then the journal replaced
+      by a header at V, same epoch, followed by the records appended
+      since — and return [Some] of the outcome, with {!rotate}'s
+      [rotate_error] contract. [None] while rendering, or when no
+      rotation is pending. *)
 
   val tail : t -> int
   (** The newest version the journal durably holds. *)

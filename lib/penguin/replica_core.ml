@@ -75,6 +75,9 @@ type state = {
   status : status;
   pushed : bool;  (** this round's frames come off a push stream *)
   locating : bool;  (** this batch locates us: it stops at a record we lack *)
+  barrier : int option;
+      (** since the last header taken and before any record applied:
+          the newest version passed over (the header's base at first) *)
   acked : int;  (** the last version acked on the current stream *)
   wait : wait;
   frames : string list;  (** the batch's frames not yet taken *)
@@ -190,14 +193,27 @@ and next st =
 
 (* A record is validated in memory ({!Recovery.apply_entry}) before its
    frame is appended to our journal, so a record the structural model
-   refuses never lands there. A pulled record we already hold (the
-   overlap a locate reads) is passed over; a pushed one breaks the
+   refuses never lands there. A record we already hold is passed over
+   when it was pulled (the overlap a locate reads), or when it was
+   pushed right after a header barrier and continues the versions passed
+   over since: a compacted journal re-presents the records above its
+   base. Any other pushed record we hold — a duplicate — breaks the
    stream's contiguity and fails validation. *)
 and record st payload rest entries =
   let vers = version st in
-  if (not st.pushed)
-     && List.for_all (fun (e : Commit_log.entry) -> e.version <= vers) entries
-  then next { st with off = st.off + frame_len payload; frames = rest }
+  let held = List.for_all (fun (e : Commit_log.entry) -> e.version <= vers) entries in
+  let follows =
+    match st.barrier, entries with
+    | Some w, (e : Commit_log.entry) :: _ -> e.version = w + 1
+    | _ -> false
+  in
+  if held && ((not st.pushed) || follows) then
+    let last = List.fold_left (fun v (e : Commit_log.entry) -> max v e.version) 0 entries in
+    next
+      { st with
+        off = st.off + frame_len payload;
+        frames = rest;
+        barrier = (if follows then Some last else st.barrier) }
   else if st.locating then settle { st with frames = [] }
   else
     match
@@ -223,7 +239,7 @@ and header st payload rest ~base ~epoch =
   else if epoch > st.epoch || version st < base then resync st
   else if base = st.base && st.off <> 0 then suspect st "a repeated journal header"
   else
-    let st = { st with off = frame_len payload; frames = rest } in
+    let st = { st with off = frame_len payload; frames = rest; barrier = Some base } in
     if base = st.base then next st else fold st ~base ~epoch
 
 let wrote st result =
@@ -240,6 +256,7 @@ let wrote st result =
              own_len = st.own_len + len;
              unsynced = true;
              suspect = None;
+             barrier = None;
              frames = List.tl st.frames;
              progress = { p with records = p.records + 1; applied = p.applied + n } })
   | Truncating, Ok () ->
@@ -317,7 +334,7 @@ let init ~refetch_limit ~label ws ~base ~epoch ~own_len ~own ~wait =
   M.Gauge.set g_epoch (float_of_int epoch);
   { label; refetch_limit = max 1 refetch_limit; ws; base; epoch; off = 0;
     own_len; own; unsynced = false; suspect = None; status = Following;
-    pushed = false; locating = false; acked = -1; wait; frames = []; fault = None;
+    pushed = false; locating = false; barrier = None; acked = -1; wait; frames = []; fault = None;
     progress = no_progress }
 
 (* Files whose journal claims less than they reopen at (a crash between

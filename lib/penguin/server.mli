@@ -82,10 +82,12 @@
     [(error ...)] frame and the connection closed): new journal bytes
     are streamed to it right after every window's append — replication
     latency is the link, not a polling tick — and its [(ack V)] frames,
-    the version it holds durably, feed the replication tracker. A
-    window's record is relayed before a due journal rotation replaces
-    the file, and the fresh journal's header right after: a push stream
-    crosses the rotation.
+    the version it holds durably, feed the replication tracker. A due
+    journal rotation renders its snapshot a slice per event-loop turn
+    (the [select] timeout is zero while one is pending) and then
+    installs it, compacting the journal to a header plus the records
+    appended during the render; the compacted journal is relayed from
+    its header, and a push stream crosses the rotation.
 
     With [sync_replicas = K > 0] the tracker gates client acks: a
     flushed window is locally durable (fsynced) but its batched

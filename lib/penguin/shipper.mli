@@ -24,9 +24,10 @@
     naming the version it holds durably, the first right after it
     accepts the handshake. The stream carries no
     per-frame offsets: bytes are contiguous from the subscribed
-    position. A rotation keeps the stream open — the new journal is
-    streamed from its first byte, and its header frame is the barrier
-    the follower folds its own journal at. An epoch change or an
+    position. A rotation keeps the stream open — the new (compacted)
+    journal is streamed from its first byte, and its header frame is
+    the barrier the follower folds its own journal at, passing over the
+    records after it that it already holds. An epoch change or an
     unwritable socket closes the stream; the follower then catches up
     through the stateless pull path and resubscribes, so push mode is
     an optimization of the feed's latency, never a second source of
@@ -74,8 +75,8 @@ val relay : net:Netio.net -> Replica.feed -> sub -> bool
     new base under the same epoch is a rotation, and the new journal is
     sent from byte 0, its header frame first. [false]: the epoch
     changed, or the read or the send failed, and the caller should
-    close the stream. A writer that rotates calls this before and after
-    the rotation, so the rotating record is not folded away unsent. *)
+    close the stream. A writer calls this after every append and after
+    every rotation's install. *)
 
 val take_ack : sub -> string -> [ `Advanced | `Stale | `Garbage ]
 (** Take in one frame a subscriber sent: an [(ack V)] at or past its

@@ -41,6 +41,26 @@ val save : ?include_data:bool -> Workspace.t -> string
     document records the workspace's commit-log version, so a loaded
     snapshot knows where the {!Journal} takes over. *)
 
+(** {!save}'s document, written a slice at a time: the server renders a
+    snapshot between events instead of stopping for it. A workspace is
+    an immutable value, so the one being rendered stays the version it
+    was when the render started. *)
+module Render : sig
+  type t
+
+  val start : Workspace.t -> t
+  (** Write the definitions now; the data waits for {!slice}. *)
+
+  val slice : t -> rows:int -> string option
+  (** Write about [rows] more rows (a relation's opening or closing
+      counts as one; at least one unit is written). [Some doc] once the
+      document is complete — [doc] is exactly {!save}'s output, for any
+      sequence of slice sizes. *)
+end
+
+val map_m : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
+(** Map over a list in order, stopping at the first error; linear. *)
+
 val load : string -> (Workspace.t, string) result
 (** The loaded workspace's log is {!Commit_log.of_version} of the
     recorded version (its past is a barrier — the deltas live in the

@@ -15,6 +15,7 @@ let set t n v = M.add n v t
 let remove t n = M.remove n t
 let attributes t = List.map fst (M.bindings t)
 let bindings t = M.bindings t
+let iter f t = M.iter f t
 let cardinal t = M.cardinal t
 
 let union a b = M.union (fun _ _ vb -> Some vb) a b

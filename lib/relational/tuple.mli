@@ -23,6 +23,10 @@ val attributes : t -> string list
 (** Attribute names in lexicographic order. *)
 
 val bindings : t -> (string * Value.t) list
+
+val iter : (string -> Value.t -> unit) -> t -> unit
+(** In attribute-name order, as {!bindings}. *)
+
 val cardinal : t -> int
 val union : t -> t -> t
 (** [union a b]: bindings of [b] win on conflicts. *)

@@ -398,6 +398,44 @@ let test_idle_session_pins_history () =
   in
   rm_rf dir
 
+(* The background work of a rotation, through [(stats)]: the server
+   renders the snapshot a slice per event-loop turn, then installs it
+   and compacts the journal. A store past one slice of rows, and one
+   window past the rotation threshold (64 records). *)
+let test_stats_rotation_work () =
+  let dir = temp_dir "server-rotation-stats" in
+  make_bench_store dir 300;
+  let (), _stats =
+    with_server dir (fun sock ->
+        let c = connect sock in
+        let installs () =
+          let json = check_ok (Obs.Json.parse (check_ok_e (C.stats c))) in
+          match
+            Option.bind (Obs.Json.member "histograms" json)
+              (Obs.Json.member "recovery.snapshot_install_ns")
+            |> Fun.flip Option.bind (Obs.Json.member "count")
+          with
+          | Some v -> int_of_float (Option.get (Obs.Json.to_float v))
+          | None -> Alcotest.fail "recovery.snapshot_install_ns missing from stats"
+        in
+        let slices = stat c "counters" "recovery.snapshot_slices" in
+        let compacted = stat c "counters" "journal.compacted_bytes" in
+        let installed = installs () in
+        for i = 1 to 65 do
+          ignore (commit_grade c ~course:(1 + (i mod 300)) ~grade:(Fmt.str "G%d" i))
+        done;
+        Alcotest.(check bool) "the render ran in several slices" true
+          (stat c "counters" "recovery.snapshot_slices" - slices >= 2);
+        Alcotest.(check int) "one install" 1 (installs () - installed);
+        Alcotest.(check bool) "the compacted journal was counted" true
+          (stat c "counters" "journal.compacted_bytes" > compacted);
+        C.close c)
+  in
+  let _, report = Test_recovery.recover dir in
+  Alcotest.(check bool) "the store reopens from the new snapshot" true
+    (report.Penguin.Recovery.snapshot_version > 1);
+  rm_rf dir
+
 (* --- event-loop hardening under signals -------------------------------- *)
 
 let test_signals_mid_window () =
@@ -457,6 +495,8 @@ let suite =
       test_malformed_and_torn_requests;
     Alcotest.test_case "stats: server.* counters and histograms exported"
       `Quick test_stats_surface;
+    Alcotest.test_case "stats: a rotation's slices, install and compaction"
+      `Quick test_stats_rotation_work;
     Alcotest.test_case "signals: EINTR mid-window never drops a commit"
       `Quick test_signals_mid_window;
     Alcotest.test_case "wire: frames pipelined behind an age-flushed commit"

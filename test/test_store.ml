@@ -215,6 +215,133 @@ let workspace_equal (a : Penguin.Workspace.t) (b : Penguin.Workspace.t) =
        a.Penguin.Workspace.objects b.Penguin.Workspace.objects
   && a.Penguin.Workspace.translators = b.Penguin.Workspace.translators
 
+(* The snapshot writer against the tree rendering it replaced: the
+   definitions document, re-read as a tree, plus the data section built
+   as a tree from [tuple_to_sexp] rows and printed by [Sexp.to_string].
+   Output must match byte for byte, whatever slice sizes the render is
+   cut into. *)
+let reference_save ws =
+  let header = check_ok (Sexp.parse (Penguin.Store.save ~include_data:false ws)) in
+  let db = ws.Penguin.Workspace.db in
+  let data =
+    Sexp.List
+      (Sexp.Atom "data"
+      :: List.map
+           (fun n ->
+             let r = Database.relation_exn db n in
+             Sexp.List
+               (Sexp.Atom "relation" :: Sexp.Atom n
+               :: List.map Penguin.Store.tuple_to_sexp (Relation.to_list r)))
+           (Database.relation_names db))
+  in
+  match header with
+  | Sexp.List items -> Sexp.to_string (Sexp.List (items @ [ data ])) ^ "\n"
+  | Sexp.Atom _ -> Alcotest.fail "header is not a list"
+
+(* Names and strings mix bare characters with every character that
+   forces quoting or an escape; long strings and names push rows past
+   the 72-column budget, short ones keep whole relations on one line. *)
+let workspace_gen =
+  let open QCheck.Gen in
+  let char =
+    frequency
+      [ 8, char_range 'a' 'z';
+        1, oneofl [ ' '; '('; ')'; '"'; '\\'; '\n'; '\t'; '\r'; ';'; '\001' ] ]
+  in
+  let str =
+    frequency
+      [ 2, return ""; 8, string_size ~gen:char (int_bound 8);
+        2, string_size ~gen:char (int_range 30 80) ]
+  in
+  let name = string_size ~gen:char (int_range 1 10) in
+  let value dom =
+    match dom with
+    | Value.DInt -> map (fun i -> Value.Int i) (int_range (-100000) 100000)
+    | Value.DFloat ->
+        map (fun f -> Value.Float f)
+          (oneof [ float_range (-1e6) 1e6; oneofl [ 0.; -0.5; 1e-7; 3.25 ] ])
+    | Value.DStr -> map (fun s -> Value.Str s) str
+    | Value.DBool -> map (fun b -> Value.Bool b) bool
+  in
+  let relation i =
+    let* names = list_size (int_range 1 6) name in
+    let attrs = List.sort_uniq compare names in
+    let* doms =
+      flatten_l
+        (List.map
+           (fun _ -> oneofl [ Value.DInt; Value.DFloat; Value.DStr; Value.DBool ])
+           attrs)
+    in
+    let cols = List.combine attrs doms in
+    let key = fst (List.hd cols) in
+    let row =
+      flatten_l
+        (List.mapi
+           (fun j (a, d) ->
+             let* v =
+               if j = 0 then value d
+               else frequency [ 1, return Value.Null; 4, value d ]
+             in
+             return (a, v))
+           cols)
+    in
+    let* rows = list_size (int_bound 3) row in
+    let* rname = name in
+    let schema =
+      Schema.make_exn
+        ~name:(Fmt.str "%s%d" rname i)
+        ~attributes:(List.map (fun (a, d) -> Attribute.make a d) cols)
+        ~key:[ key ]
+    in
+    return (schema, List.map Tuple.make rows)
+  in
+  let* n = int_bound 4 in
+  let* rels = flatten_l (List.init n relation) in
+  let* version = oneof [ int_bound 9; int_bound 1_000_000 ] in
+  let graph = Structural.Schema_graph.make_exn (List.map fst rels) [] in
+  let ws = Penguin.Workspace.create graph in
+  let db =
+    List.fold_left
+      (fun db (schema, rows) ->
+        List.fold_left
+          (fun db t ->
+            match Database.insert db schema.Schema.name t with
+            | Ok db -> db
+            | Error _ -> db (* a repeated key: keep the first row *))
+          db rows)
+      ws.Penguin.Workspace.db rels
+  in
+  return
+    { ws with
+      Penguin.Workspace.db;
+      log = Penguin.Commit_log.of_version version }
+
+let prop_save_matches_tree_rendering =
+  QCheck.Test.make ~name:"snapshot writer matches the tree rendering, in any slices"
+    ~count:500
+    (QCheck.make ~print:reference_save workspace_gen)
+    (fun ws ->
+      let expected = reference_save ws in
+      String.equal (Penguin.Store.save ws) expected
+      && List.for_all
+           (fun rows ->
+             let r = Penguin.Store.Render.start ws in
+             let rec go () =
+               match Penguin.Store.Render.slice r ~rows with
+               | Some doc -> String.equal doc expected
+               | None -> go ()
+             in
+             go ())
+           (List.init 24 (fun i -> i + 1)))
+
+let test_save_matches_tree_rendering_on_fixtures () =
+  List.iter
+    (fun ws ->
+      Alcotest.(check string) "fixture document" (reference_save ws)
+        (Penguin.Store.save ws))
+    [ Penguin.University.workspace (); Penguin.Hospital.workspace ();
+      Penguin.Cad.workspace () ]
+
 let test_workspace_roundtrip () =
   List.iter
     (fun ws ->
@@ -286,6 +413,9 @@ let suite =
     Alcotest.test_case "definition wrong graph" `Quick test_definition_wrong_graph;
     Alcotest.test_case "translator roundtrip" `Quick test_translator_roundtrip;
     Alcotest.test_case "workspace roundtrip" `Quick test_workspace_roundtrip;
+    QCheck_alcotest.to_alcotest prop_save_matches_tree_rendering;
+    Alcotest.test_case "snapshot writer matches the tree rendering on the fixtures"
+      `Quick test_save_matches_tree_rendering_on_fixtures;
     Alcotest.test_case "workspace without data" `Quick test_workspace_without_data;
     Alcotest.test_case "loaded workspace operational" `Quick test_loaded_workspace_is_operational;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
