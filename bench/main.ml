@@ -1217,6 +1217,12 @@ let ablation () =
 
 let surfaces () =
   section "Surface layers: query language, update language, persistence";
+  (* An update statement is one session: staged, then committed whole. *)
+  let commit_stmt ws stmt =
+    Result.bind
+      (Penguin.Session.queue_stmt (Penguin.Session.begin_ ws) "omega" stmt)
+      (Penguin.Session.commit ws)
+  in
   let omega = Penguin.University.omega in
   let db = Penguin.University.seeded_db () in
   let ws = Penguin.University.workspace () in
@@ -1232,12 +1238,10 @@ let surfaces () =
          Test.make ~name:"oql:parse+run" (stage (fun () -> Oql.run db omega query_text));
          Test.make ~name:"upql:grade-change"
            (stage (fun () ->
-                Penguin.Upql.apply ws ~object_name:"omega"
+                commit_stmt ws
                   "set GRADES[pid = 1] grade = 'A+' where course_id = 'CS345'"));
          Test.make ~name:"upql:batch-delete"
-           (stage (fun () ->
-                Penguin.Upql.apply ws ~object_name:"omega"
-                  "delete where level = 'undergrad'"));
+           (stage (fun () -> commit_stmt ws "delete where level = 'undergrad'"));
          Test.make ~name:"store:save" (stage (fun () -> Penguin.Store.save ws));
          Test.make ~name:"store:save-definitions-only"
            (stage (fun () -> Penguin.Store.save ~include_data:false ws));

@@ -358,18 +358,27 @@ let trace_term =
 
 let update () fixture object_name stmt =
   let ws = or_die (workspace_of fixture) in
-  match Penguin.Upql.apply ws ~object_name stmt with
-  | Error e ->
-      Fmt.epr "error: %s@." e;
-      exit 1
-  | Ok (_ws, outcomes) ->
-      List.iter (fun o -> Fmt.pr "%a@." Vo_core.Engine.pp_outcome o) outcomes;
-      Fmt.pr "%d instance(s) affected@."
-        (List.length
-           (List.filter
-              (fun (o : Vo_core.Engine.outcome) ->
-                Option.is_some (Vo_core.Engine.committed o))
-              outcomes))
+  let refuse e =
+    Fmt.epr "error: %s: %s@." (Penguin.Error.kind e) (Penguin.Error.to_string e);
+    exit 1
+  in
+  let sess =
+    match
+      Penguin.Session.queue_stmt (Penguin.Session.begin_ ws) object_name stmt
+    with
+    | Ok sess -> sess
+    | Error e -> refuse e
+  in
+  List.iter
+    (fun (st : Vo_core.Engine.staged) ->
+      Fmt.pr "%s: staged@.ops:@.%a@." st.request_kind Relational.Op.pp_list
+        st.ops)
+    (Penguin.Session.staged sess);
+  match Penguin.Session.commit ws sess with
+  | Ok (_, { committed = 0; _ }) -> Fmt.pr "committed 0 update(s)@."
+  | Ok (_, { committed; version; _ }) ->
+      Fmt.pr "committed %d update(s), up to version %d@." committed version
+  | Error e -> refuse e
 
 let update_cmd =
   let object_name =
@@ -384,7 +393,9 @@ let update_cmd =
   in
   Cmd.v
     (Cmd.info "update"
-       ~doc:"Update through a view object with the textual update language.")
+       ~doc:"Update through a view object with the textual update language: \
+             the statement commits as one transaction or is refused \
+             whole.")
     Term.(const update $ trace_term $ fixture_arg $ object_name $ stmt)
 
 (* --- export / import -------------------------------------------------- *)
@@ -1105,34 +1116,6 @@ let client_seed store courses =
   or_die (write_file store (Penguin.Store.save ws));
   Fmt.pr "seeded %s with %d bench course(s)@." store courses
 
-(* Scan a metrics-registry JSON string for [histogram]'s [field]
-   (e.g. "p99_ns") without a JSON parser: find the histogram's name,
-   then the field after it, then the number. *)
-let histogram_field json ~histogram ~field =
-  let ( let* ) = Option.bind in
-  let find sub from =
-    let n = String.length json and m = String.length sub in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub json i m = sub then Some (i + m)
-      else go (i + 1)
-    in
-    go from
-  in
-  let* i = find (Fmt.str "%S" histogram) 0 in
-  let* j = find (Fmt.str "%S:" field) i in
-  let k = ref j in
-  let n = String.length json in
-  while
-    !k < n
-    && (match json.[!k] with
-       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-       | _ -> false)
-  do
-    incr k
-  done;
-  float_of_string_opt (String.sub json j (!k - j))
-
 let percentile sorted p =
   match Array.length sorted with
   | 0 -> 0.
@@ -1201,9 +1184,12 @@ let client_load sock clients rounds report_path =
   Array.sort compare lat;
   let p50 = percentile lat 0.50 and p99 = percentile lat 0.99 in
   let server_p99_ms =
+    let ( let* ) = Option.bind in
     match
-      histogram_field server_stats ~histogram:"server.commit_ns"
-        ~field:"p99_ns"
+      let* json = Result.to_option (Obs.Json.parse server_stats) in
+      let* hists = Obs.Json.member "histograms" json in
+      let* commit = Obs.Json.member "server.commit_ns" hists in
+      Option.bind (Obs.Json.member "p99_ns" commit) Obs.Json.to_float
     with
     | Some ns -> ns /. 1e6
     | None -> -1.

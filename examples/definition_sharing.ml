@@ -23,6 +23,26 @@ let or_die = function
   | Ok v -> v
   | Error e -> Fmt.failwith "definition_sharing: %s" e
 
+(* One update statement is one session: staged against a snapshot of
+   [ws], then committed whole or refused whole. *)
+let update ws stmt =
+  let committed =
+    Result.bind (Session.queue_stmt (Session.begin_ ws) "omega" stmt)
+      (fun sess ->
+        List.iter
+          (fun (st : Vo_core.Engine.staged) ->
+            Fmt.pr "%s:@.%a@." st.request_kind Op.pp_list st.ops)
+          (Session.staged sess);
+        Session.commit ws sess)
+  in
+  match committed with
+  | Ok (ws, stats) ->
+      Fmt.pr "committed %d update(s)@." stats.Session.committed;
+      ws
+  | Error e ->
+      Fmt.pr "refused (%s): %a@." (Error.kind e) Error.pp e;
+      ws
+
 let () =
   section "Site A: define and export (definitions only)";
   let site_a = University.workspace () in
@@ -88,22 +108,16 @@ let () =
   List.iter (fun i -> Fmt.pr "%s" (Instance.to_ascii i)) grads;
 
   section "Site B: update through the shared object";
-  let site_b, outcomes =
-    or_die
-      (Upql.apply site_b ~object_name:"omega"
-         "set GRADES[pid = 3] grade = 'A' where course_id = 'MB200'")
+  let site_b =
+    update site_b "set GRADES[pid = 3] grade = 'A' where course_id = 'MB200'"
   in
-  List.iter (fun o -> Fmt.pr "%a@." Vo_core.Engine.pp_outcome o) outcomes;
   or_die (Workspace.check_consistency site_b);
 
   section "Site B: the paper's translator still applies";
   (* omega carries the Section 6 translator through the export: renaming
      a course into an existing id needs the merge permission the DBA
      denied at site A *)
-  let _site_b, outcomes =
-    or_die
-      (Upql.apply site_b ~object_name:"omega"
-         "set course_id = 'ASTRO10' where course_id = 'MB200'")
+  let _site_b =
+    update site_b "set course_id = 'ASTRO10' where course_id = 'MB200'"
   in
-  List.iter (fun o -> Fmt.pr "%a@." Vo_core.Engine.pp_outcome o) outcomes;
   Fmt.pr "@.definition sharing complete.@."

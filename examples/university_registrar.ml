@@ -16,6 +16,26 @@ let or_die = function
   | Ok v -> v
   | Error e -> Fmt.failwith "university_registrar: %s" e
 
+(* One update statement is one session: staged against a snapshot of
+   [ws], then committed whole or refused whole. *)
+let update ws stmt =
+  let committed =
+    Result.bind (Session.queue_stmt (Session.begin_ ws) "omega" stmt)
+      (fun sess ->
+        List.iter
+          (fun (st : Vo_core.Engine.staged) ->
+            Fmt.pr "%s:@.%a@." st.request_kind Op.pp_list st.ops)
+          (Session.staged sess);
+        Session.commit ws sess)
+  in
+  match committed with
+  | Ok (ws, stats) ->
+      Fmt.pr "committed %d update(s)@." stats.Session.committed;
+      ws
+  | Error e ->
+      Fmt.pr "refused (%s): %a@." (Error.kind e) Error.pp e;
+      ws
+
 let () =
   section "Figure 1: structural schema";
   Fmt.pr "%s@." (Paper.figure1 ());
@@ -123,7 +143,6 @@ let () =
      Systems', DEPARTMENT.building = null where course_id = 'CS345'"
   in
   Fmt.pr "@.upql> %s@." stmt;
-  let ws, outcomes = or_die (Upql.apply ws ~object_name:"omega" stmt) in
-  List.iter (fun o -> Fmt.pr "%a@." Vo_core.Engine.pp_outcome o) outcomes;
+  let ws = update ws stmt in
   or_die (Workspace.check_consistency ws);
   Fmt.pr "@.registrar workflow complete; database consistent.@."

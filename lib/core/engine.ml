@@ -47,6 +47,7 @@ type outcome = {
   request_kind : string;
   ops : Op.t list;
   result : Transaction.outcome;
+  delta : Delta.t;
 }
 
 module OpSet = Set.Make (Op)
@@ -364,37 +365,38 @@ let plan_groups staged =
 
 let apply ?(validation = Global_validation.Incremental) g db vo spec request =
   let request_kind = Request.kind_name request in
+  let rolled_back ops result =
+    { request_kind; ops; result; delta = Delta.empty }
+  in
   match stage g db vo spec request with
   | Error (Translation_rejected reason) ->
-      { request_kind; ops = []; result = Transaction.reject reason }
+      rolled_back [] (Transaction.reject reason)
   | Error (Application_failed { ops; reason; failed_op }) ->
-      { request_kind; ops; result = Transaction.Rolled_back { reason; failed_op } }
+      rolled_back ops (Transaction.Rolled_back { reason; failed_op })
   | Ok staged -> (
       match commit_group ~validation g db [ staged ] with
-      | Ok (db', _) ->
+      | Ok (db', delta) ->
           Log.info (fun m ->
               m "%s on %s committed (%d op(s), %s validation)" request_kind
                 staged.object_name (List.length staged.ops)
                 (Global_validation.mode_name validation));
-          { request_kind; ops = staged.ops; result = Transaction.Committed db' }
-      | Error (Group_op_failed { reason; failed_op; _ }) ->
           {
             request_kind;
             ops = staged.ops;
-            result = Transaction.Rolled_back { reason; failed_op };
+            result = Transaction.Committed db';
+            delta;
           }
+      | Error (Group_op_failed { reason; failed_op; _ }) ->
+          rolled_back staged.ops (Transaction.Rolled_back { reason; failed_op })
       | Error (Group_validation_failed { reason; _ }) ->
           Log.warn (fun m ->
               m "%s on %s failed global validation: %s" request_kind
                 staged.object_name reason);
-          { request_kind; ops = staged.ops; result = Transaction.reject reason }
+          rolled_back staged.ops (Transaction.reject reason)
       | Error (Group_conflict _ as r) ->
           (* Unreachable: a singleton group cannot self-conflict. *)
-          {
-            request_kind;
-            ops = staged.ops;
-            result = Transaction.reject (group_rejection_reason r);
-          })
+          rolled_back staged.ops
+            (Transaction.reject (group_rejection_reason r)))
 
 let apply_exn ?validation g db vo spec request =
   match (apply ?validation g db vo spec request).result with

@@ -23,6 +23,7 @@ type outcome = {
   request_kind : string;
   ops : Op.t list;  (** translation result (empty when rejected early) *)
   result : Transaction.outcome;
+  delta : Delta.t;  (** the net change committed; empty on rollback *)
 }
 
 val translate :

@@ -239,7 +239,7 @@ let poll_until_idle ?(max_rounds = 1000) t =
   if status t = Promoted then promoted "polling"
   else Result.map_error error_of (until_idle ~max_rounds t)
 
-let create ?(io = Fsio.default) ?cache_mode ?(refetch_limit = 3) ~feed ~target () =
+let create ?(io = Fsio.default) ?(refetch_limit = 3) ~feed ~target () =
   let jnl = Journal.create ~io (Journal.journal_path target) in
   let label = feed.feed_label in
   let* existing = io.Fsio.read target in
@@ -263,7 +263,7 @@ let create ?(io = Fsio.default) ?cache_mode ?(refetch_limit = 3) ~feed ~target (
         Ok (Core.bootstrap ~refetch_limit ~label ~doc ws)
   in
   let st = fst step in
-  let cache = Workspace.attach_cache ?mode:cache_mode (Core.workspace st) in
+  let cache = Workspace.attach_cache (Core.workspace st) in
   let t = { io; feed; target; jnl; cache; st } in
   let* (_ : progress) = Result.map_error error_of (drive t step) in
   Ok t

@@ -107,7 +107,6 @@ type t
 
 val create :
   ?io:Fsio.t ->
-  ?cache_mode:Viewobject.Cache.mode ->
   ?refetch_limit:int ->
   feed:feed ->
   target:string ->
@@ -119,16 +118,15 @@ val create :
     fetched and the replica bootstraps from it. Either way the replica
     then locates itself in the leader's journal — one full read that
     positions the tail so every later {!poll} reads only new bytes —
-    and attaches a view-object cache ([cache_mode] as in
-    {!Workspace.attach_cache}). [refetch_limit] (default 3) is how many
-    times a suspect frame is re-fetched before quarantine. A feed whose
-    header epoch is {e below} the target store's own is a deposed
-    leader; following it would fork the replicated history, so [create]
-    refuses with {!Error.Invalid}. A feed at a {e higher} epoch is a
-    newly promoted leader: the target restarts from its snapshot (a
-    resync), because the target's own history past the new leader's
-    start — a deposed leader's unreplicated tail, say — may not be the
-    new leader's. *)
+    and attaches a view-object cache ({!Workspace.attach_cache}).
+    [refetch_limit] (default 3) is how many times a suspect frame is
+    re-fetched before quarantine. A feed whose header epoch is {e below}
+    the target store's own is a deposed leader; following it would fork
+    the replicated history, so [create] refuses with {!Error.Invalid}.
+    A feed at a {e higher} epoch is a newly promoted leader: the target
+    restarts from its snapshot (a resync), because the target's own
+    history past the new leader's start — a deposed leader's
+    unreplicated tail, say — may not be the new leader's. *)
 
 type progress = Replica_core.progress = {
   records : int;  (** leader journal records ingested this poll *)

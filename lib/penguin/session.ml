@@ -46,6 +46,9 @@ type retry = Workspace.t -> (Vo_core.Request.t option, Error.t) result
 
 type entry = {
   name : string;
+  source : string Lazy.t;
+      (** what the update came from, for refusals; lazy, since formatting
+          it for every queued update costs the server's commit path *)
   retry : retry;
   st : Vo_core.Engine.staged;
 }
@@ -75,10 +78,7 @@ let pending s = s.count
 let entries s = List.rev s.rev_entries
 let staged s = List.rev_map (fun e -> e.st) s.rev_entries
 
-let queue s name ?retry request =
-  let retry =
-    match retry with Some f -> f | None -> fun _ -> Ok (Some request)
-  in
+let stage s name ~source retry request =
   match s.max_queued with
   | Some cap when s.count >= cap ->
       M.Counter.incr m_shed;
@@ -107,37 +107,59 @@ let queue s name ?retry request =
               Ok
                 {
                   s with
-                  rev_entries = { name; retry; st } :: s.rev_entries;
+                  rev_entries = { name; source; retry; st } :: s.rev_entries;
                   count = s.count + 1;
                 }))
 
+let queue s name ?retry request =
+  let retry =
+    match retry with Some f -> f | None -> fun _ -> Ok (Some request)
+  in
+  let source =
+    lazy (Fmt.str "%s on %s" (Vo_core.Request.kind_name request) name)
+  in
+  stage s name ~source retry request
+
 let queue_stmt s name stmt =
-  match Upql.requests s.snapshot ~object_name:name stmt with
-  | Error m -> Error (Error.invalid m)
-  | Ok reqs ->
-      let n = List.length reqs in
-      (* Re-derive instance [i] of the statement's matches against a
-         later state, so a rebase never replays a stale instance image. *)
-      let retry i ws =
+  let ws = s.snapshot in
+  match
+    Workspace.find_object ws name, Upql.requests ws ~object_name:name stmt
+  with
+  | Error m, _ | _, Error m -> Error (Error.invalid m)
+  | Ok vo, Ok reqs ->
+      (* A request is identified by the pivot key of the instance it edits. *)
+      let attrs = Viewobject.Definition.key_attributes ws.Workspace.graph vo in
+      let key
+          Vo_core.Request.(Insert i | Delete i | Replace { old_instance = i; _ })
+          =
+        List.map (Tuple.get i.Viewobject.Instance.tuple) attrs
+      in
+      let edits k r = List.equal Value.equal k (key r) in
+      let keys = List.map key reqs in
+      (* Re-derive the instance with pivot key [k] from the statement
+         against a later state, so a rebase never replays a stale
+         instance image. *)
+      let retry k ws =
         match Upql.requests ws ~object_name:name stmt with
         | Error m -> Error (Error.invalid m)
-        | Ok [] -> Ok None (* the edit already holds in the new state *)
-        | Ok l when List.compare_length_with l n = 0 -> Ok (Some (List.nth l i))
+        | Ok l
+          when List.for_all (fun r -> List.exists (fun k -> edits k r) keys) l
+          ->
+            (* [None]: the edit already holds, or the instance no longer
+               matches *)
+            Ok (List.find_opt (edits k) l)
         | Ok _ ->
-            Error
-              (Error.conflict
-                 (Fmt.str
-                    "%S on %s matches a different set of instances now" stmt
-                    name))
+            Error (Error.conflict "it now matches instances it did not match")
       in
-      let rec add s i = function
+      let source = lazy (Fmt.str "%S on %s" stmt name) in
+      let rec add s = function
         | [] -> Ok s
         | req :: rest -> (
-            match queue s name ~retry:(retry i) req with
-            | Ok s -> add s (i + 1) rest
+            match stage s name ~source (retry (key req)) req with
+            | Ok s -> add s rest
             | Error _ as e -> e)
       in
-      add s 0 reqs
+      add s reqs
 
 type divergence =
   | Clean
@@ -162,15 +184,17 @@ let restage ws todo =
   List.fold_left
     (fun acc e ->
       Result.bind acc (fun s' ->
-          match e.retry ws with
-          | Error _ as err -> err
-          | Ok None ->
-              Log.debug (fun m ->
-                  m "session rebase: %s update on %s became a no-op, dropping"
-                    e.st.Vo_core.Engine.request_kind e.name);
-              M.Counter.incr m_noop_drops;
-              Ok s'
-          | Ok (Some req) -> queue s' e.name ~retry:e.retry req))
+          Result.map_error
+            (fun err -> Error.with_context (Lazy.force e.source) err)
+            (match e.retry ws with
+            | Error _ as err -> err
+            | Ok None ->
+                Log.debug (fun m ->
+                    m "session rebase: %s update on %s became a no-op, dropping"
+                      e.st.Vo_core.Engine.request_kind e.name);
+                M.Counter.incr m_noop_drops;
+                Ok s'
+            | Ok (Some req) -> stage s' e.name ~source:e.source e.retry req)))
     (Ok (begin_ ws))
     todo
   |> Result.map entries
@@ -269,6 +293,22 @@ let culprit rejection parts =
         [ at, Error.invalid (Fmt.str "rejected by the window's validation: %s" reason) ]
   | None -> Fail_all (Error.invalid reason)
 
+(* Session [sl]'s later updates failed to re-derive after a round. If
+   no other session has committed in this window, the rounds committed
+   only [sl]'s own earlier updates, so the failure is deterministic: a
+   fresh session on the same state fails the same way, and [Invalid]
+   stops a client retrying it. Otherwise the other sessions' commits may
+   be the cause: [Conflict]. *)
+let rederive_failure slots sl e =
+  if List.for_all (fun o -> o.at = sl.at || o.done_ = []) slots then
+    Error.invalid (Error.to_string e)
+  else
+    Error.conflict
+      (Fmt.str
+         "%s, after other commits in the same flush window; begin a fresh \
+          session and retry"
+         (Error.to_string e))
+
 (* Append one commit-log entry per update; the versions they took are
    consed onto [done_]. *)
 let record (log, done_) e =
@@ -323,7 +363,8 @@ let rec rounds cur slots =
                       | todo -> (
                           match restage cur todo with
                           | Ok todo -> Left { sl with todo }
-                          | Error e -> Right (sl.at, e)))
+                          | Error e ->
+                              Right (sl.at, rederive_failure slots sl e)))
                     slots
                 in
                 match failed with

@@ -14,6 +14,10 @@
     [penguin serve]'s flush window call it, so an update statement
     changes the database the same way however it arrives.
 
+    Every update statement, whatever its entry point ([penguin update],
+    [penguin session], [penguin serve], [penguin stats]), is staged by
+    {!queue_stmt} and committed here: one statement, one transaction.
+
     Everything is a persistent value: concurrency is modelled by
     several sessions (or single-shot {!Workspace.update}s) advancing
     the same workspace between another session's [begin_] and
@@ -55,12 +59,14 @@ val queue :
 val queue_stmt : t -> string -> string -> (t, Error.t) result
 (** [queue_stmt s object_name stmt] evaluates an update statement
     ({!Upql.requests}) against the session's snapshot and queues one
-    request per matching instance. Each request's retry re-derives its
-    instance from the statement: it reports a no-op when the statement
-    no longer matches anything to change, and refuses with
-    {!Error.Conflict} when the statement now matches a different
-    number of instances. A statement that does not parse or evaluate is
-    {!Error.Invalid}. *)
+    request per matching instance, so that {!commit} commits the whole
+    statement or none of it. A statement that does not parse or
+    evaluate, or one whose edit or translation is refused for some
+    instance, is {!Error.Invalid} and queues nothing. Each request's
+    retry re-derives its own instance (found by pivot key) from the
+    statement: it reports a no-op when that instance no longer needs
+    the change, and refuses with {!Error.Conflict} when the statement
+    now matches an instance it did not match at the snapshot. *)
 
 val pending : t -> int
 val staged : t -> Vo_core.Engine.staged list
@@ -95,7 +101,12 @@ val commit_window :
       dropped.
     - A session's own updates of the same tuple commit in arrival
       order: each round commits one conflict-free group, and the
-      updates it left out are re-derived against its result.
+      updates it left out are re-derived against its result. If one
+      cannot be re-derived (a statement whose instances collide with
+      each other, such as a rename of several courses to one id), the
+      session fails with {!Error.Invalid} naming the update's statement
+      and the reason — unless another session committed in the window,
+      when it is {!Error.Conflict}.
     - A session with an update that collides with an earlier session's
       gets {!Error.Conflict} (retryable from a fresh session).
     - A session the merged validation names as the culprit gets

@@ -5,16 +5,22 @@ let ( let* ) = Result.bind
 let str_err r = Result.map_error Error.to_string r
 
 (* Alternate between two values so every engine update is a real delta
-   (an idempotent edit would be dropped as a no-op by Upql). *)
+   (an idempotent edit stages nothing: Upql drops no-op requests). *)
 let flip_stmt i =
   if i mod 2 = 0 then "set GRADES[pid = 1] grade = 'A+' where course_id = 'CS345'"
   else "set GRADES[pid = 1] grade = 'B+' where course_id = 'CS345'"
+
+(* One statement, one session, one commit. *)
+let commit_stmt ws stmt =
+  let* sess = str_err (Session.queue_stmt (Session.begin_ ws) "omega" stmt) in
+  let* ws, _stats = str_err (Session.commit ws sess) in
+  Ok ws
 
 let engine_traffic ~updates ws =
   let rec go i ws =
     if i >= updates then Ok ws
     else
-      let* ws, _outcomes = Upql.apply ws ~object_name:"omega" (flip_stmt i) in
+      let* ws = commit_stmt ws (flip_stmt i) in
       go (i + 1) ws
   in
   go 0 ws
@@ -35,9 +41,8 @@ let session_traffic ws =
      rebase (OCC retry). *)
   let sess = Session.begin_ ws in
   let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt 1)) in
-  let* ws', _ =
-    Upql.apply ws ~object_name:"omega"
-      "set GRADES[pid = 1] grade = 'C' where course_id = 'CS345'"
+  let* ws' =
+    commit_stmt ws "set GRADES[pid = 1] grade = 'C' where course_id = 'CS345'"
   in
   let* ws', _stats = str_err (Session.commit ws' sess) in
   Ok ws'
@@ -60,9 +65,7 @@ let durability_traffic ws =
       if i >= 2 then Ok ws
       else
         let since = Workspace.version ws in
-        let sess = Session.begin_ ws in
-        let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt i)) in
-        let* ws, _stats = str_err (Session.commit ws sess) in
+        let* ws = commit_stmt ws (flip_stmt i) in
         let* _persisted =
           str_err (Recovery.persist ~rotate_threshold:2 ~store ~since ws)
         in
@@ -232,9 +235,7 @@ let replica_traffic ws =
       if i >= 2 then Ok lws
       else
         let since = Workspace.version lws in
-        let sess = Session.begin_ lws in
-        let* sess = str_err (Session.queue_stmt sess "omega" (flip_stmt i)) in
-        let* lws, _stats = str_err (Session.commit lws sess) in
+        let* lws = commit_stmt lws (flip_stmt i) in
         let* _persisted = str_err (Recovery.persist ~store ~since lws) in
         commit_rounds (i + 1) lws
     in

@@ -12,7 +12,7 @@
 
 val exercise : ?updates:int -> unit -> (unit, string) result
 (** Run the representative workload against the university fixture
-    ([updates] grade changes through the engine, default 8). Purely
+    ([updates] grade changes, each a one-statement session, default 8). Purely
     in-memory except for a temporary store under the system temp
     directory, which is removed before returning. Metrics accumulate in
     the global {!Obs.Metrics} registry (enable it first); trace spans

@@ -276,72 +276,3 @@ let requests ws ~object_name input =
                   :: acc)))
     (Ok []) candidates
   |> Result.map List.rev
-
-let apply ws ~object_name input =
-  let* vo = Workspace.find_object ws object_name in
-  let* stmt = parse vo input in
-  let key_attrs = Definition.key_attributes ws.Workspace.graph vo in
-  let pivot_key_of (i : Instance.t) =
-    List.map (Tuple.get i.Instance.tuple) key_attrs
-  in
-  let condition =
-    match stmt with
-    | Delete c | Set (_, c) | Detach (_, _, c) | Attach { cond = c; _ } -> c
-  in
-  (* One instance at a time against the current database; re-evaluate the
-     query between steps and skip instances already processed (by pivot
-     key). Edits that change nothing are skipped silently — an updated
-     instance may still satisfy the condition under its new key. The
-     first rollback (or a failing edit) stops the batch. *)
-  let rec loop ws outcomes processed fuel =
-    if fuel = 0 then Error "update batch exceeds 10000 instances"
-    else
-      let* candidates = Workspace.query ws object_name condition in
-      let next =
-        List.find_opt
-          (fun i ->
-            not
-              (List.exists
-                 (fun k -> List.compare Value.compare k (pivot_key_of i) = 0)
-                 processed))
-          candidates
-      in
-      match next with
-      | None -> Ok (ws, outcomes)
-      | Some inst -> (
-          let processed = pivot_key_of inst :: processed in
-          let request =
-            match stmt with
-            | Delete _ -> Ok (Some (Vo_core.Request.delete inst))
-            | Set _ | Detach _ | Attach _ -> (
-                match edit_instance vo stmt inst with
-                | Error e -> Error e
-                | Ok (Some new_instance) ->
-                    if Instance.equal new_instance inst then Ok None
-                    else
-                      Ok
-                        (Some
-                           (Vo_core.Request.replace ~old_instance:inst
-                              ~new_instance))
-                | Ok None -> Error "internal: no edited instance")
-          in
-          match request with
-          | Error reason ->
-              (* e.g. the selector matches nothing for this instance *)
-              Ok
-                ( ws,
-                  outcomes
-                  @ [ {
-                        Vo_core.Engine.request_kind = "replacement";
-                        ops = [];
-                        result = Transaction.reject reason;
-                      } ] )
-          | Ok None -> loop ws outcomes processed (fuel - 1)
-          | Ok (Some request) -> (
-              let ws', outcome = Workspace.update ws object_name request in
-              let outcomes = outcomes @ [ outcome ] in
-              match outcome.Vo_core.Engine.result with
-              | Transaction.Rolled_back _ -> Ok (ws', outcomes)
-              | Transaction.Committed _ -> loop ws' outcomes processed (fuel - 1)))
-  in
-  loop ws [] [] 10000

@@ -28,9 +28,9 @@
       update, realized as a replacement).
     - [delete where cond] — complete deletion of every matching instance.
 
-    Statements affecting several instances apply them one at a time,
-    re-evaluating the condition against the current database between
-    steps; the first rollback stops the batch. *)
+    A statement is one transaction: {!Session.queue_stmt} stages its
+    {!requests} — one per matching instance — and {!Session.commit}
+    commits all of them or none. *)
 
 open Relational
 open Viewobject
@@ -62,17 +62,8 @@ val requests :
   (Vo_core.Request.t list, string) result
 (** Evaluate the statement against the workspace {e once} and return
     the update requests it denotes — one per matching instance, no-op
-    edits skipped — without applying anything. This is how a
-    {!Session} queues statements: every request is staged against the
-    same snapshot. (By contrast {!apply} re-evaluates the condition
-    between instances.) *)
-
-val apply :
-  Workspace.t -> object_name:string -> string ->
-  (Workspace.t * Vo_core.Engine.outcome list, string) result
-(** Parse and execute against the named object under its installed
-    translator. The returned outcome list has one entry per affected
-    instance (the last one may be a rollback, which also ends the
-    batch; earlier commits remain applied). *)
+    edits skipped — without applying anything. An edit that does not
+    apply to some matching instance (a selector that matches nothing
+    there, or several sub-instances) fails the whole statement. *)
 
 val pp_statement : Format.formatter -> statement -> unit

@@ -99,61 +99,26 @@ let query ws name condition =
 
 let instances ws name = query ws name Vo_query.C_true
 
-let reject_outcome request e =
-  {
-    Vo_core.Engine.request_kind = Vo_core.Request.kind_name request;
-    ops = [];
-    result = Transaction.reject e;
-  }
-
-let update ?validation ws name request =
+let update ws name request =
   match find_object ws name, translator_of ws name with
-  | Error e, _ | _, Error e -> ws, reject_outcome request e
+  | Error e, _ | _, Error e ->
+      ( ws,
+        {
+          Vo_core.Engine.request_kind = Vo_core.Request.kind_name request;
+          ops = [];
+          result = Transaction.reject e;
+          delta = Delta.empty;
+        } )
   | Ok vo, Ok spec -> (
-      let request_kind = Vo_core.Request.kind_name request in
-      match
-        Vo_core.Engine.stage ~base_version:(version ws) ws.graph ws.db vo spec
-          request
-      with
-      | Error (Vo_core.Engine.Translation_rejected reason) ->
-          ws, reject_outcome request reason
-      | Error (Vo_core.Engine.Application_failed { ops; reason; failed_op }) ->
-          ( ws,
-            {
-              Vo_core.Engine.request_kind;
-              ops;
-              result = Transaction.Rolled_back { reason; failed_op };
-            } )
-      | Ok staged -> (
-          match Vo_core.Engine.commit_group ?validation ws.graph ws.db [ staged ] with
-          | Ok (db, delta) ->
-              let log =
-                Commit_log.append ws.log ~delta
-                  ~kind:(Fmt.str "%s on %s" request_kind name)
-              in
-              ( { ws with db; log },
-                {
-                  Vo_core.Engine.request_kind;
-                  ops = staged.Vo_core.Engine.ops;
-                  result = Transaction.Committed db;
-                } )
-          | Error rejection ->
-              let result =
-                match rejection with
-                | Vo_core.Engine.Group_op_failed { reason; failed_op; _ } ->
-                    Transaction.Rolled_back { reason; failed_op }
-                | Vo_core.Engine.Group_validation_failed { reason; _ } ->
-                    Transaction.reject reason
-                | Vo_core.Engine.Group_conflict _ ->
-                    Transaction.reject
-                      (Vo_core.Engine.group_rejection_reason rejection)
-              in
-              ( ws,
-                {
-                  Vo_core.Engine.request_kind;
-                  ops = staged.Vo_core.Engine.ops;
-                  result;
-                } )))
+      let outcome = Vo_core.Engine.apply ws.graph ws.db vo spec request in
+      match outcome.result with
+      | Transaction.Committed db ->
+          let log =
+            Commit_log.append ws.log ~delta:outcome.delta
+              ~kind:(Fmt.str "%s on %s" outcome.request_kind name)
+          in
+          { ws with db; log }, outcome
+      | Transaction.Rolled_back _ -> ws, outcome)
 
 let oql ws name query =
   let* vo = find_object ws name in

@@ -73,15 +73,14 @@ val query :
 val instances : t -> string -> (Instance.t list, string) result
 (** All instances of the named object. *)
 
-val update :
-  ?validation:Vo_core.Global_validation.mode ->
-  t -> string -> Vo_core.Request.t -> t * Vo_core.Engine.outcome
-(** Apply an update request to the named object under its installed
-    translator (stage + singleton group commit). On commit the
-    workspace database advances and the commit log gains an entry; on
-    rollback both are unchanged. Unknown object names yield a rejected
-    outcome. [validation] is forwarded to
-    {!Vo_core.Engine.commit_group}. *)
+val update : t -> string -> Vo_core.Request.t -> t * Vo_core.Engine.outcome
+(** Apply one update request to the named object under its installed
+    translator: {!Vo_core.Engine.apply}, whose outcome this returns. On
+    commit the workspace database advances and the commit log gains an
+    entry holding the outcome's delta; on rollback both are unchanged.
+    Unknown object names yield a rejected outcome. Update statements
+    do not come through here: they are staged with
+    {!Session.queue_stmt} and committed whole by {!Session.commit}. *)
 
 val oql : t -> string -> string -> (Instance.t list, string) result
 (** [oql ws object query]: run a textual {!Viewobject.Oql} query. *)

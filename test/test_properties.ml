@@ -189,6 +189,13 @@ let prop_deletion_removes_island_only =
               List.mem (Op.relation op) [ "COURSES"; "GRADES"; "CURRICULUM" ])
             ops)
 
+(* An update statement is one session: staged against [ws], committed
+   whole or refused whole. *)
+let run_stmt ws stmt =
+  Result.bind
+    (Penguin.Session.queue_stmt (Penguin.Session.begin_ ws) "omega" stmt)
+    (Penguin.Session.commit ws)
+
 (* Surface layers: random textual updates keep the database consistent,
    and JSON export of arbitrary stored instances is well-formed. *)
 let prop_upql_updates_preserve_consistency =
@@ -211,10 +218,53 @@ let prop_upql_updates_preserve_consistency =
               pid grade course
         | _ -> Fmt.str "delete where course_id = '%s'" course
       in
-      match Penguin.Upql.apply ws ~object_name:"omega" stmt with
-      | Error _ -> false
-      | Ok (ws', _outcomes) ->
-          Result.is_ok (Penguin.Workspace.check_consistency ws'))
+      match run_stmt ws stmt with
+      | Ok (ws', _stats) -> Result.is_ok (Penguin.Workspace.check_consistency ws')
+      | Error (Penguin.Error.Invalid _) ->
+          (* refused whole: nothing was written *)
+          Result.is_ok (Penguin.Workspace.check_consistency ws)
+      | Error _ -> false)
+
+(* The one-transaction rule against the per-request pipeline: whenever a
+   session commits a statement, its database is the one reached by
+   folding [Workspace.update] over the statement's requests. Statements
+   range over one or several instances (by course or by level). *)
+let prop_statement_equals_request_fold =
+  QCheck.Test.make
+    ~name:"a committed statement equals folding Workspace.update over its requests"
+    ~count:80
+    (QCheck.make ~print:Fun.id
+       QCheck.Gen.(
+         let* target =
+           oneof
+             [ map (Fmt.str "course_id = '%s'")
+                 (oneofl [ "CS345"; "CS101"; "MATH51"; "EE280" ]);
+               map (Fmt.str "level = '%s'") (oneofl [ "grad"; "undergrad" ]);
+               return "units >= 3" ]
+         in
+         let* pid = int_range 1 6 in
+         let* grade = oneofl [ "A"; "B+"; "C"; "F" ] in
+         let* units = int_range 1 9 in
+         oneofl
+           [ Fmt.str "set units = %d where %s" units target;
+             Fmt.str "set GRADES[pid = %d] grade = '%s' where %s" pid grade target;
+             Fmt.str "set DEPARTMENT.building = 'B%d' where %s" units target;
+             Fmt.str "delete where %s" target;
+             Fmt.str "set course_id = 'X%d' where %s" units target ]))
+    (fun stmt ->
+      let ws = Penguin.University.workspace () in
+      match run_stmt ws stmt with
+      | Error _ -> true
+      | Ok (committed, _stats) ->
+          let requests =
+            check_ok (Penguin.Upql.requests ws ~object_name:"omega" stmt)
+          in
+          let folded =
+            List.fold_left
+              (fun ws r -> fst (Penguin.Workspace.update ws "omega" r))
+              ws requests
+          in
+          Database.equal committed.Penguin.Workspace.db folded.Penguin.Workspace.db)
 
 let json_balanced json =
   let depth = ref 0 and ok = ref true and in_str = ref false in
@@ -273,6 +323,7 @@ let prop_instance_sexp_roundtrip =
 let suite =
   [
     qtest prop_upql_updates_preserve_consistency;
+    qtest prop_statement_equals_request_fold;
     qtest prop_json_wellformed;
     qtest prop_instance_sexp_roundtrip;
     qtest prop_insert_preserves_consistency;

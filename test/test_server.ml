@@ -281,6 +281,61 @@ let test_malformed_and_torn_requests () =
   in
   rm_rf dir
 
+(* --- one statement, one transaction ---------------------------------------- *)
+
+(* Read until [n] frames have arrived, without waiting for EOF. *)
+let read_n_frames fd n =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    let frames, _, _ = Penguin.Journal.decode_frames (Buffer.contents buf) in
+    if List.length frames >= n then List.map snd frames
+    else
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> List.map snd frames
+      | k ->
+          Buffer.add_subbytes buf chunk 0 k;
+          go ()
+  in
+  go ()
+
+(* Renaming every grad course to one id: each rename stages against the
+   snapshot, but the second collides with the first in the session's
+   own arrival-order rounds. That failure involves no other commit, so
+   the answer is a non-retryable Invalid — a retrying client would
+   otherwise spin — and nothing commits. *)
+let test_self_colliding_statement_is_invalid () =
+  let dir = temp_dir "server-self-collide" in
+  make_bench_store dir 2;
+  let stmt = "set course_id = 'X1' where level = 'grad'" in
+  let answer, stats =
+    with_server dir (fun sock ->
+        let fd = raw_connect sock in
+        List.iter
+          (fun r -> write_raw fd (Penguin.Journal.frame r))
+          [ "(begin)";
+            Relational.Sexp.to_string
+              (Relational.Sexp.List
+                 [ Relational.Sexp.Atom "queue"; Relational.Sexp.Atom "omega";
+                   Relational.Sexp.Atom stmt ]);
+            "(commit)" ];
+        let frames = read_n_frames fd 3 in
+        Unix.close fd;
+        match frames with
+        | [ _begun; _queued; answer ] -> answer
+        | l -> Alcotest.failf "expected three frames, got %d" (List.length l))
+  in
+  (match Relational.Sexp.parse answer with
+  | Ok
+      (Relational.Sexp.List
+         [ Atom "error"; Atom "invalid"; Atom "false"; Atom reason ]) ->
+      Alcotest.(check bool) "names the statement" true
+        (Relational.Strutil.contains ~sub:stmt reason);
+      Alcotest.(check bool) "gives the translator's reason" true
+        (Relational.Strutil.contains ~sub:"merge with it is not allowed" reason)
+  | _ -> Alcotest.failf "expected (error invalid false ...), got %s" answer);
+  Alcotest.(check int) "nothing committed" 0 stats.S.commits;
+  rm_rf dir
+
 (* --- pipelined frames behind a flushed commit ----------------------------- *)
 
 (* With a zero flush interval the age trigger flushes the window at the
@@ -503,4 +558,6 @@ let suite =
       `Quick test_pipelined_after_age_flush;
     Alcotest.test_case "retention: an idle session pins the leader's history"
       `Quick test_idle_session_pins_history;
+    Alcotest.test_case "window: a self-colliding statement is invalid, not retryable"
+      `Quick test_self_colliding_statement_is_invalid;
   ]

@@ -172,6 +172,25 @@ let test_statement_rebase_rederives_each_instance () =
   Alcotest.(check bool) "concurrent effect kept" true
     (grade_of w' ("CS345", 1) = Value.Str "F")
 
+let test_self_colliding_statement_is_invalid () =
+  (* Two grad courses renamed to one id: the second rename collides with
+     the session's own first one. Every fresh session on the unchanged
+     workspace fails the same way, so the refusal must not be a
+     retryable conflict. *)
+  let w = ws () in
+  for _ = 1 to 2 do
+    match
+      Result.bind
+        (Penguin.Session.queue_stmt (Penguin.Session.begin_ w) "omega"
+           "set course_id = 'X1' where level = 'grad'")
+        (Penguin.Session.commit w)
+    with
+    | Ok _ -> Alcotest.fail "the colliding rename committed"
+    | Error e ->
+        Alcotest.(check string) "kind" "invalid" (Penguin.Error.kind e);
+        Alcotest.(check bool) "not retryable" false (Penguin.Error.retryable e)
+  done
+
 let test_rebase_drops_noop () =
   let w = ws () in
   let s = Penguin.Session.begin_ w in
@@ -295,6 +314,8 @@ let suite =
       test_same_tuple_edits_commit_in_order;
     Alcotest.test_case "a statement's rebase re-derives each instance" `Quick
       test_statement_rebase_rederives_each_instance;
+    Alcotest.test_case "a self-colliding statement is invalid" `Quick
+      test_self_colliding_statement_is_invalid;
     Alcotest.test_case "rebase drops no-op updates" `Quick
       test_rebase_drops_noop;
     Alcotest.test_case "barrier forces rebase" `Quick test_barrier_forces_rebase;

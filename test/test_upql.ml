@@ -3,27 +3,34 @@ open Test_util
 
 let ws () = Penguin.University.workspace ()
 
-let apply ws stmt = check_ok (Penguin.Upql.apply ws ~object_name:"omega" stmt)
+(* A statement is one session: staged against [ws], committed whole. *)
+let run ?(object_name = "omega") ws stmt =
+  Result.bind
+    (Penguin.Session.queue_stmt (Penguin.Session.begin_ ws) object_name stmt)
+    (Penguin.Session.commit ws)
 
-let committed outcomes =
-  List.filter
-    (fun (o : Vo_core.Engine.outcome) -> Option.is_some (Vo_core.Engine.committed o))
-    outcomes
+let apply ws stmt =
+  let ws', stats = check_ok_e (run ws stmt) in
+  ws', stats.Penguin.Session.committed
+
+(* The refusal of a statement that commits nothing, as text. *)
+let refusal ?object_name ws stmt =
+  Penguin.Error.to_string (check_err_e (run ?object_name ws stmt))
 
 let course db id =
   Relation.lookup (Database.relation_exn db "COURSES") [ vs id ]
 
 let test_set_pivot_attr () =
-  let ws', outcomes = apply (ws ()) "set units = 4 where course_id = 'CS345'" in
-  Alcotest.(check int) "one commit" 1 (List.length (committed outcomes));
+  let ws', committed = apply (ws ()) "set units = 4 where course_id = 'CS345'" in
+  Alcotest.(check int) "one commit" 1 committed;
   Alcotest.check value_testable "units" (vi 4)
     (Tuple.get (Option.get (course ws'.Penguin.Workspace.db "CS345")) "units")
 
 let test_set_selected_grade () =
-  let ws', outcomes =
+  let ws', committed =
     apply (ws ()) "set GRADES[pid = 1] grade = 'A+' where course_id = 'CS345'"
   in
-  Alcotest.(check int) "one commit" 1 (List.length (committed outcomes));
+  Alcotest.(check int) "one commit" 1 committed;
   let g =
     Option.get
       (Relation.lookup
@@ -46,25 +53,19 @@ let test_set_singular_child () =
   Alcotest.check value_testable "building" (vs "Allen") (Tuple.get d "building")
 
 let test_set_requires_selector_on_set_valued () =
-  let _, outcomes =
-    apply (ws ()) "set GRADES.grade = 'F' where course_id = 'CS345'"
-  in
-  (* two grades match: ambiguous, rejected before any db work *)
-  match outcomes with
-  | [ o ] ->
-      let reason = rollback_reason o in
-      Alcotest.(check bool) "mentions ambiguity" true
-        (Relational.Strutil.contains ~sub:"be more specific" reason)
-  | _ -> Alcotest.fail "expected a single rejected outcome"
+  (* two grades match: ambiguous, refused before any db work *)
+  let reason = refusal (ws ()) "set GRADES.grade = 'F' where course_id = 'CS345'" in
+  Alcotest.(check bool) "mentions ambiguity" true
+    (Relational.Strutil.contains ~sub:"be more specific" reason)
 
 let test_ees345_in_upql () =
   (* the paper's Section 6 example, as one statement *)
-  let ws', outcomes =
+  let ws', committed =
     apply (ws ())
       "set course_id = 'EES345', DEPARTMENT.dept_name = 'Engineering \
        Economic Systems', DEPARTMENT.building = null where course_id = 'CS345'"
   in
-  Alcotest.(check int) "committed" 1 (List.length (committed outcomes));
+  Alcotest.(check int) "committed" 1 committed;
   let db = ws'.Penguin.Workspace.db in
   Alcotest.(check bool) "old gone" true (course db "CS345" = None);
   Alcotest.(check bool) "new there" true (course db "EES345" <> None);
@@ -74,21 +75,24 @@ let test_ees345_in_upql () =
   check_ok (Penguin.Workspace.check_consistency ws')
 
 let test_delete_batch () =
-  let ws', outcomes = apply (ws ()) "delete where level = 'undergrad'" in
-  Alcotest.(check int) "two deletions" 2 (List.length (committed outcomes));
+  let ws', committed = apply (ws ()) "delete where level = 'undergrad'" in
+  Alcotest.(check int) "two deletions" 2 committed;
   Alcotest.(check int) "two courses left" 2
     (Relation.cardinality (Database.relation_exn ws'.Penguin.Workspace.db "COURSES"));
   check_ok (Penguin.Workspace.check_consistency ws')
 
 let test_delete_none () =
-  let _, outcomes = apply (ws ()) "delete where course_id = 'GHOST'" in
-  Alcotest.(check int) "no outcomes" 0 (List.length outcomes)
+  let ws0 = ws () in
+  let ws', committed = apply ws0 "delete where course_id = 'GHOST'" in
+  Alcotest.(check int) "no updates" 0 committed;
+  Alcotest.(check int) "no version taken" (Penguin.Workspace.version ws0)
+    (Penguin.Workspace.version ws')
 
 let test_detach () =
-  let ws', outcomes =
+  let ws', committed =
     apply (ws ()) "detach GRADES[pid = 2] where course_id = 'CS345'"
   in
-  Alcotest.(check int) "one commit" 1 (List.length (committed outcomes));
+  Alcotest.(check int) "one commit" 1 committed;
   Alcotest.(check bool) "grade gone" false
     (Relation.mem_key
        (Database.relation_exn ws'.Penguin.Workspace.db "GRADES")
@@ -98,19 +102,29 @@ let test_detach () =
        (Database.relation_exn ws'.Penguin.Workspace.db "GRADES")
        [ vs "CS345"; vi 1 ])
 
-let test_batch_stops_on_rollback () =
-  (* renaming every grad course to the same id: the first succeeds, the
-     second collides (merge denied by the paper's translator) and the
-     batch stops *)
-  let ws', outcomes =
-    apply (ws ()) "set course_id = 'X1' where level = 'grad'"
-  in
-  Alcotest.(check int) "two outcomes" 2 (List.length outcomes);
-  Alcotest.(check int) "one commit" 1 (List.length (committed outcomes));
-  ignore (rollback_reason (List.nth outcomes 1));
-  (* the committed rename remains (per-instance transactions) *)
-  Alcotest.(check bool) "X1 exists" true
-    (course ws'.Penguin.Workspace.db "X1" <> None)
+let test_statement_is_one_transaction () =
+  (* Renaming every grad course to the same id: each rename is valid
+     against the snapshot, but the second collides with the first (the
+     merge is denied by the paper's translator). The statement commits
+     nothing, and the refusal is Invalid — deterministic, not a
+     retryable conflict. *)
+  let ws0 = ws () in
+  let stmt = "set course_id = 'X1' where level = 'grad'" in
+  match run ws0 stmt with
+  | Ok _ -> Alcotest.fail "the colliding rename committed"
+  | Error (Penguin.Error.Invalid reason) ->
+      Alcotest.(check bool) "names the statement" true
+        (Relational.Strutil.contains ~sub:stmt reason);
+      Alcotest.(check bool) "gives the translator's reason" true
+        (Relational.Strutil.contains ~sub:"merge with it is not allowed" reason);
+      (* nothing was written: the run is a pure function of [ws0] *)
+      Alcotest.(check bool) "CS345 kept" true
+        (course ws0.Penguin.Workspace.db "CS345" <> None);
+      Alcotest.(check bool) "no X1" true
+        (course ws0.Penguin.Workspace.db "X1" = None)
+  | Error e ->
+      Alcotest.failf "expected Invalid, got %s: %s" (Penguin.Error.kind e)
+        (Penguin.Error.to_string e)
 
 let test_translator_gates_upql () =
   let ws0 = ws () in
@@ -118,22 +132,17 @@ let test_translator_gates_upql () =
     Penguin.Workspace.set_translator ws0 "omega"
       Penguin.University.omega_translator_restrictive
   in
-  let _, outcomes =
-    check_ok
-      (Penguin.Upql.apply ws0 ~object_name:"omega"
-         "set DEPARTMENT.dept_name = 'Robotics' where course_id = 'CS345'")
+  let reason =
+    refusal ws0 "set DEPARTMENT.dept_name = 'Robotics' where course_id = 'CS345'"
   in
-  match outcomes with
-  | [ o ] ->
-      Alcotest.(check bool) "restricted" true
-        (Relational.Strutil.contains ~sub:"not allowed" (rollback_reason o))
-  | _ -> Alcotest.fail "expected one outcome"
+  Alcotest.(check bool) "restricted" true
+    (Relational.Strutil.contains ~sub:"not allowed" reason)
 
 let test_attach () =
-  let ws', outcomes =
+  let ws', committed =
     apply (ws ()) "attach GRADES (pid = 5, grade = 'B') where course_id = 'CS345'"
   in
-  Alcotest.(check int) "one commit" 1 (List.length (committed outcomes));
+  Alcotest.(check int) "one commit" 1 committed;
   let g =
     Option.get
       (Relation.lookup
@@ -145,20 +154,15 @@ let test_attach () =
 
 let test_attach_with_parent_selector () =
   let hws = Penguin.Hospital.workspace () in
-  let hws', outcomes =
-    check_ok
-      (Penguin.Upql.apply hws ~object_name:"patient_record"
+  let hws', stats =
+    check_ok_e
+      (run ~object_name:"patient_record" hws
          (Fmt.str
             "attach %s (order_no = 9, drug = 'aspirin', dose = 100, \
              prescriber = 101) in %s[visit_no = 1] where mrn = 7001"
             Penguin.Hospital.orders_label Penguin.Hospital.visit_label))
   in
-  Alcotest.(check int) "one commit" 1
-    (List.length
-       (List.filter
-          (fun (o : Vo_core.Engine.outcome) ->
-            Option.is_some (Vo_core.Engine.committed o))
-          outcomes));
+  Alcotest.(check int) "one commit" 1 stats.Penguin.Session.committed;
   Alcotest.(check bool) "order stored under visit 1" true
     (Relation.mem_key
        (Database.relation_exn hws'.Penguin.Workspace.db "ORDERS")
@@ -166,21 +170,16 @@ let test_attach_with_parent_selector () =
   check_ok (Penguin.Workspace.check_consistency hws')
 
 let test_attach_requires_parent_selector_when_ambiguous () =
-  let hws = Penguin.Hospital.workspace () in
-  let _, outcomes =
-    check_ok
-      (Penguin.Upql.apply hws ~object_name:"patient_record"
-         (Fmt.str
-            "attach %s (order_no = 9, drug = 'aspirin', dose = 100, \
-             prescriber = 101) where mrn = 7001"
-            Penguin.Hospital.orders_label))
-  in
   (* patient 7001 has two visits: the parent occurrence is ambiguous *)
-  match outcomes with
-  | [ o ] ->
-      Alcotest.(check bool) "ambiguous parent" true
-        (Relational.Strutil.contains ~sub:"be more specific" (rollback_reason o))
-  | _ -> Alcotest.fail "expected one rejected outcome"
+  let reason =
+    refusal ~object_name:"patient_record" (Penguin.Hospital.workspace ())
+      (Fmt.str
+         "attach %s (order_no = 9, drug = 'aspirin', dose = 100, \
+          prescriber = 101) where mrn = 7001"
+         Penguin.Hospital.orders_label)
+  in
+  Alcotest.(check bool) "ambiguous parent" true
+    (Relational.Strutil.contains ~sub:"be more specific" reason)
 
 let test_attach_errors () =
   let vo = Penguin.University.omega in
@@ -212,19 +211,13 @@ let test_pp_statement () =
     (String.length (Fmt.str "%a" Penguin.Upql.pp_statement stmt) > 0)
 
 let test_hospital_upql () =
-  let ws = Penguin.Hospital.workspace () in
-  let ws', outcomes =
-    check_ok
-      (Penguin.Upql.apply ws ~object_name:"patient_record"
+  let ws', stats =
+    check_ok_e
+      (run ~object_name:"patient_record" (Penguin.Hospital.workspace ())
          (Fmt.str "set %s[order_no = 2] dose = 75 where mrn = 7001"
             Penguin.Hospital.orders_label))
   in
-  Alcotest.(check int) "one commit" 1
-    (List.length
-       (List.filter
-          (fun (o : Vo_core.Engine.outcome) ->
-            Option.is_some (Vo_core.Engine.committed o))
-          outcomes));
+  Alcotest.(check int) "one commit" 1 stats.Penguin.Session.committed;
   let o =
     Option.get
       (Relation.lookup
@@ -243,7 +236,8 @@ let suite =
     Alcotest.test_case "delete batch" `Quick test_delete_batch;
     Alcotest.test_case "delete none" `Quick test_delete_none;
     Alcotest.test_case "detach" `Quick test_detach;
-    Alcotest.test_case "batch stops on rollback" `Quick test_batch_stops_on_rollback;
+    Alcotest.test_case "a statement is one transaction" `Quick
+      test_statement_is_one_transaction;
     Alcotest.test_case "translator gates" `Quick test_translator_gates_upql;
     Alcotest.test_case "attach" `Quick test_attach;
     Alcotest.test_case "attach with parent selector" `Quick test_attach_with_parent_selector;
