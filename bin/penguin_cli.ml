@@ -725,35 +725,6 @@ let session_cmd =
              store.")
     [ session_begin_cmd; session_queue_cmd; session_commit_cmd ]
 
-(* --- stats ------------------------------------------------------------ *)
-
-let stats () json updates =
-  Obs.Metrics.enable ();
-  (match Penguin.Stats.exercise ~updates () with
-  | Ok () -> ()
-  | Error e ->
-      Fmt.epr "error: stats workload failed: %s@." e;
-      exit 1);
-  if json then Fmt.pr "%s@." (Obs.Json.to_string (Penguin.Stats.json ()))
-  else print_string (Penguin.Stats.table ())
-
-let stats_cmd =
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the metrics registry as JSON instead of a table.")
-  in
-  let updates =
-    Arg.(value & opt int 8
-         & info [ "updates" ] ~docv:"N"
-             ~doc:"Engine updates to drive through the workload.")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:"Run a representative workload through every instrumented \
-             layer and print the metrics registry.")
-    Term.(const stats $ trace_term $ json $ updates)
-
 (* --- replica ---------------------------------------------------------- *)
 
 let replica_feed from sock =
@@ -1336,7 +1307,7 @@ let main_cmd =
           translation (Barsalou, Keller, Siambela & Wiederhold, SIGMOD '91).")
     [ figures_cmd; show_cmd; sql_cmd; oql_cmd; update_cmd; insert_cmd;
       dialog_cmd; dot_cmd; export_cmd; import_cmd; schema_cmd; session_cmd;
-      stats_cmd; replica_cmd; serve_cmd; client_cmd ]
+      replica_cmd; serve_cmd; client_cmd ]
 
 let setup_logging () =
   match Option.map String.lowercase_ascii (Sys.getenv_opt "PENGUIN_LOG") with

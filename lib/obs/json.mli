@@ -1,8 +1,9 @@
 (** A minimal JSON value type with a printer and a parser.
 
-    The observability layer speaks JSON at its edges — [penguin stats
-    --json], the benchmark harness's [--json] output, the trace line
-    emitter — and the CI regression gate reads it back. This module is
+    The observability layer speaks JSON at its edges — a server's
+    [(stats)] answer ([penguin client stats]), the benchmark harness's
+    [--json] output, the trace line emitter — and the CI regression gate
+    reads it back. This module is
     the single (zero-dependency) implementation both sides share, so
     every JSON document the system writes round-trips through its own
     parser. *)

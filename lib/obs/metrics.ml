@@ -237,57 +237,3 @@ let to_json () =
       "gauges", Json.Obj gauges;
       "histograms", Json.Obj histograms;
     ]
-
-let pp_ns ppf ns =
-  if ns < 1e3 then Fmt.pf ppf "%.0f ns" ns
-  else if ns < 1e6 then Fmt.pf ppf "%.1f us" (ns /. 1e3)
-  else if ns < 1e9 then Fmt.pf ppf "%.2f ms" (ns /. 1e6)
-  else Fmt.pf ppf "%.2f s" (ns /. 1e9)
-
-let pp_table ppf () =
-  let metrics = all () in
-  let counters =
-    List.filter_map
-      (function name, help, Counter_m c -> Some (name, help, c) | _ -> None)
-      metrics
-  in
-  let gauges =
-    List.filter_map
-      (function name, help, Gauge_m g -> Some (name, help, g) | _ -> None)
-      metrics
-  in
-  let histograms =
-    List.filter_map
-      (function name, help, Histogram_m h -> Some (name, help, h) | _ -> None)
-      metrics
-  in
-  if counters <> [] then begin
-    Fmt.pf ppf "%-42s %12s  %s@." "counter" "value" "help";
-    List.iter
-      (fun (name, help, c) ->
-        Fmt.pf ppf "%-42s %12d  %s@." name (Counter.value c) help)
-      counters
-  end;
-  if gauges <> [] then begin
-    Fmt.pf ppf "@.%-42s %12s  %s@." "gauge" "value" "help";
-    List.iter
-      (fun (name, help, g) ->
-        Fmt.pf ppf "%-42s %12g  %s@." name (Gauge.value g) help)
-      gauges
-  end;
-  if histograms <> [] then begin
-    Fmt.pf ppf "@.%-42s %8s %10s %10s %10s %10s@." "histogram" "count" "p50"
-      "p90" "p99" "max";
-    List.iter
-      (fun (name, _, h) ->
-        if Histogram.count h = 0 then
-          Fmt.pf ppf "%-42s %8d %10s %10s %10s %10s@." name 0 "-" "-" "-" "-"
-        else
-          let ns v = Fmt.str "%a" pp_ns v in
-          Fmt.pf ppf "%-42s %8d %10s %10s %10s %10s@." name (Histogram.count h)
-            (ns (Histogram.quantile h 0.5))
-            (ns (Histogram.quantile h 0.9))
-            (ns (Histogram.quantile h 0.99))
-            (ns (Histogram.max_value h)))
-      histograms
-  end

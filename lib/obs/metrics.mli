@@ -18,9 +18,8 @@
     per-histogram mutex, and registration itself is mutex-guarded. The
     recorders that share one registry across domains are a
     [Penguin.Server] run in its own domain beside in-process clients —
-    [Stats.exercise], bench E17 and the server, replica and
-    observability tests — and the two-domain hammer in the
-    observability suite. *)
+    bench E17 and the server, replica, quorum and observability tests —
+    and the two-domain hammer in the observability suite. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -110,8 +109,5 @@ val to_json : unit -> Json.t
     [{"counters": {name: value, ...},
       "gauges": {name: value, ...},
       "histograms": {name: {"count": n, "sum_ns": s, "max_ns": m,
-                            "p50_ns": ..., "p90_ns": ..., "p99_ns": ...}}}] *)
-
-val pp_table : Format.formatter -> unit -> unit
-(** Aligned human-readable table of the registry (what [penguin stats]
-    prints). *)
+                            "p50_ns": ..., "p90_ns": ..., "p99_ns": ...}}}]
+    — what a running server answers to [(stats)]. *)

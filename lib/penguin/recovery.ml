@@ -114,7 +114,9 @@ let open_store ?(io = Fsio.default) ?(repair = false) ?cache store =
     | Some c -> Ok c
     | None -> Error (Error.invalid (Fmt.str "no such store: %s" store))
   in
-  let* ws = Result.map_error Error.corrupt (Store.load content) in
+  let* ws, snapshot_epoch =
+    Result.map_error Error.corrupt (Store.load_snapshot content)
+  in
   let snapshot_version = Workspace.version ws in
   let jnl = Journal.create ~io (Journal.journal_path store) in
   let* r = Journal.replay jnl in
@@ -126,7 +128,7 @@ let open_store ?(io = Fsio.default) ?(repair = false) ?cache store =
              snapshot_version;
              replayed = 0;
              version = snapshot_version;
-             epoch = 0;
+             epoch = snapshot_epoch;
              torn_bytes = 0;
              repaired = false;
              journal = false;
@@ -177,22 +179,27 @@ let open_store ?(io = Fsio.default) ?(repair = false) ?cache store =
              snapshot_version;
              replayed;
              version;
-             epoch = r.Journal.epoch;
+             (* The newer of the two: a restart from another lineage's
+                snapshot that crashed before its journal was rewritten
+                left the old epoch in the journal header. *)
+             epoch = max snapshot_epoch r.Journal.epoch;
              torn_bytes = r.Journal.torn_bytes;
              repaired;
              journal = true;
            })
 
-let snapshot ?(io = Fsio.default) ?epoch ~store ws =
-  Journal.rotate ?epoch
+let snapshot ?(io = Fsio.default) ?(epoch = 0) ~store ws =
+  let doc = Store.Render.slice (Store.Render.start ~epoch ws) ~rows:max_int in
+  Journal.rotate ~epoch
     (Journal.create ~io (Journal.journal_path store))
-    ~snapshot_path:store ~snapshot:(Store.save ws)
+    ~snapshot_path:store ~snapshot:(Option.get doc)
     ~base:(Workspace.version ws) ~kept:[]
 
 (* A follower's restart from its leader's snapshot. When our journal runs
    past the new snapshot it is cut back first (to its base, its epoch
    kept): a crash between the next two writes would otherwise reopen our
-   history on top of the new snapshot. *)
+   history on top of the new snapshot. The leader's snapshot records its
+   epoch, so a crash after it lands reopens in that epoch. *)
 let install ?(io = Fsio.default) ~epoch ~base ~store doc =
   let jnl = Journal.create ~io (Journal.journal_path store) in
   let* old = Journal.replay jnl in
@@ -383,7 +390,9 @@ module Appender = struct
   let start_rotation t ws =
     if Option.is_none t.render && t.records >= max 1 t.rotate_threshold
        && Workspace.version ws = t.tail
-    then t.render <- Some { doc = Store.Render.start ws; at = t.tail; kept = [] }
+    then
+      t.render <-
+        Some { doc = Store.Render.start ~epoch:t.epoch ws; at = t.tail; kept = [] }
 
   let rotating t = Option.is_some t.render
 

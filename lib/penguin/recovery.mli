@@ -16,9 +16,10 @@ type report = {
   replayed : int;  (** journal entries applied on top of it *)
   version : int;  (** resulting workspace version *)
   epoch : int;
-      (** leader epoch from the journal header ([0] when no journal, or
-          a pre-epoch format-1 journal) — pass it back to {!persist} as
-          [expect_epoch] to be fenced off if a replica promotes *)
+      (** the store's leader epoch: the newer of the one its snapshot
+          records and its journal header's ([0] when neither has one) —
+          pass it back to {!persist} as [expect_epoch] to be fenced off
+          if a replica promotes *)
   torn_bytes : int;  (** torn journal tail discarded ([0] = clean) *)
   repaired : bool;  (** the torn tail was truncated on disk *)
   journal : bool;  (** a journal file was present *)
@@ -120,7 +121,7 @@ val snapshot :
   (unit, Error.t) result
 (** Atomically rewrite the store document at the workspace's current
     state and reset the journal to extend it ({!Journal.rotate}),
-    stamping [epoch] (default [0]) in the fresh journal header. *)
+    recording [epoch] (default [0]) in both. *)
 
 val install :
   ?io:Fsio.t -> epoch:int -> base:int -> store:string -> string ->
@@ -131,7 +132,10 @@ val install :
     the old journal holds entries past [base], it is first cut back to
     its own base (keeping its epoch), so no crash point reopens those
     entries on top of the new document: every crash point reopens
-    either the old store's state or the new one's. *)
+    either the old store's state or the new one's. A leader's document
+    records its epoch ({!snapshot}, {!Appender}) and a store opens in
+    the newer of its snapshot's and its journal's epochs, so the new
+    state reopens in [epoch] even before the new journal is written. *)
 
 (** The exclusive-writer journal handle, and the one durable-append
     implementation. {!Appender.create} validates the journal with one

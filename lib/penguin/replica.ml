@@ -251,8 +251,7 @@ let create ?(io = Fsio.default) ?(refetch_limit = 3) ~feed ~target () =
            journal is a valid store, opened exactly like a leader's. *)
         let* ws, report = Recovery.open_store ~io ~repair:true target in
         let* own = Journal.replay jnl in
-        let base = report.Recovery.snapshot_version in
-        Ok (Option.map (Core.resume ~refetch_limit ~label ws ~base) own)
+        Ok (Option.map (Core.resume ~refetch_limit ~label ws report) own)
   in
   let* step =
     match resumed with
@@ -452,8 +451,8 @@ let durable_position ?(io = Fsio.default) target =
       match c with
       | None -> Error (Error.invalid (Fmt.str "no such store: %s" target))
       | Some c ->
-          let* ws = Result.map_error Error.corrupt (Store.load c) in
-          Ok { d_version = Workspace.version ws; d_epoch = 0; d_offset = 0 })
+          let* ws, epoch = Result.map_error Error.corrupt (Store.load_snapshot c) in
+          Ok { d_version = Workspace.version ws; d_epoch = epoch; d_offset = 0 })
 
 let more_advanced a b =
   (a.d_epoch, a.d_version, a.d_offset) > (b.d_epoch, b.d_version, b.d_offset)

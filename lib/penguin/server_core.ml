@@ -24,10 +24,6 @@ let m_conflicts =
 let m_dropped_parked =
   counter "server.dropped_parked" "parked commits dropped by a client disconnect"
 let m_windows = counter "server.windows" "flush windows persisted"
-let m_window_commits =
-  M.histogram ~help:"parked commits batched per persisted flush window"
-    ~bounds:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512. ]
-    "server.window_commits"
 let m_commit_ns =
   histogram "server.commit_ns" "commit request latency, park to durable ack"
 let m_request_ns =
@@ -375,7 +371,6 @@ let appended st result =
           trim_log st;
           st.n_windows <- st.n_windows + 1;
           M.Counter.incr m_windows;
-          M.Histogram.observe m_window_commits (float_of_int (List.length acks));
           if st.config.sync_replicas > 0 then begin
             (* Locally durable; the client acks stay parked until K
                followers confirm the window's last version (or the

@@ -15,7 +15,7 @@
     changes the database the same way however it arrives.
 
     Every update statement, whatever its entry point ([penguin update],
-    [penguin session], [penguin serve], [penguin stats]), is staged by
+    [penguin session], [penguin serve]), is staged by
     {!queue_stmt} and committed here: one statement, one transaction.
 
     Everything is a persistent value: concurrency is modelled by

@@ -476,7 +476,7 @@ let add_relation_flat buf r =
   Buffer.add_char buf ')';
   !lists
 
-let header_to_string (ws : Workspace.t) =
+let header_to_string ~epoch (ws : Workspace.t) =
   let g = ws.Workspace.graph in
   let schemas =
     List.map (fun n -> schema_to_sexp (Schema_graph.schema_exn g n))
@@ -489,14 +489,15 @@ let header_to_string (ws : Workspace.t) =
   let translators =
     List.map (fun (_, spec) -> translator_to_sexp spec) ws.Workspace.translators
   in
+  let number field n = l [ atom field; atom (string_of_int n) ] in
   Sexp.to_string
     (l
-       [ atom "penguin-workspace";
-         l [ atom "version"; atom (string_of_int (Workspace.version ws)) ];
-         l (atom "schemas" :: schemas);
-         l (atom "connections" :: connections);
-         l (atom "objects" :: objects);
-         l (atom "translators" :: translators) ])
+       ([ atom "penguin-workspace"; number "version" (Workspace.version ws) ]
+       @ (if epoch = 0 then [] else [ number "epoch" epoch ])
+       @ [ l (atom "schemas" :: schemas);
+           l (atom "connections" :: connections);
+           l (atom "objects" :: objects);
+           l (atom "translators" :: translators) ]))
 
 module Render = struct
   (* Where the writer stands: the relations not yet opened and, inside
@@ -512,13 +513,13 @@ module Render = struct
     Buffer.add_string t.buf ")\n";
     t.finished <- true
 
-  (* The header's six elements already cost more than [width], so the
+  (* The header's elements already cost more than [width], so the
      document is always one element per line: the data list follows the
      header's elements at indent 1, and the header's closing parenthesis
      moves past it. A data list that fits on one line (a store of a few
      short rows) is written whole here. *)
-  let start (ws : Workspace.t) =
-    let header = header_to_string ws in
+  let start ~epoch (ws : Workspace.t) =
+    let header = header_to_string ~epoch ws in
     let db = ws.Workspace.db in
     let rows = Database.total_tuples db in
     let buf = Buffer.create (String.length header + (80 * rows)) in
@@ -580,11 +581,11 @@ module Render = struct
 end
 
 let save ?(include_data = true) (ws : Workspace.t) =
-  if not include_data then header_to_string ws ^ "\n"
+  if not include_data then header_to_string ~epoch:0 ws ^ "\n"
   else
-    Option.get (Render.slice (Render.start ws) ~rows:max_int)
+    Option.get (Render.slice (Render.start ~epoch:0 ws) ~rows:max_int)
 
-let load input =
+let load_snapshot input =
   let* doc = Sexp.parse input in
   let* items = Sexp.as_list doc in
   match items with
@@ -641,17 +642,26 @@ let load input =
                 | _ -> Error "store: bad relation data")
               (Ok ws.Workspace.db) relation_items
       in
-      let* log =
-        match Sexp.keyed_opt "version" rest with
-        | None -> Ok Commit_log.empty
+      let number field =
+        match Sexp.keyed_opt field rest with
+        | None -> Ok None
         | Some [ Sexp.Atom v ] -> (
             match int_of_string_opt v with
-            | Some v when v >= 0 -> Ok (Commit_log.of_version v)
-            | _ -> Error (Fmt.str "store: bad version %s" v))
-        | Some _ -> Error "store: bad version"
+            | Some v when v >= 0 -> Ok (Some v)
+            | _ -> Error (Fmt.str "store: bad %s %s" field v))
+        | Some _ -> Error (Fmt.str "store: bad %s" field)
       in
-      Ok { ws with Workspace.db; objects; translators; log }
+      let* version = number "version" in
+      let* epoch = number "epoch" in
+      let log =
+        Option.fold ~none:Commit_log.empty ~some:Commit_log.of_version version
+      in
+      Ok
+        ( { ws with Workspace.db; objects; translators; log },
+          Option.value epoch ~default:0 )
   | _ -> Error "store: not a penguin-workspace document"
+
+let load input = Result.map fst (load_snapshot input)
 
 let save_file ?include_data ?(io = Fsio.default) ws path =
   (* Crash-safe: a failure (or a crash) mid-save must never corrupt the

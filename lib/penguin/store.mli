@@ -37,8 +37,8 @@ val instance_to_sexp : Viewobject.Instance.t -> Sexp.t
 val instance_of_sexp : Sexp.t -> (Viewobject.Instance.t, string) result
 
 val save : ?include_data:bool -> Workspace.t -> string
-(** Render the workspace ([include_data] defaults to [true]). The
-    document records the workspace's commit-log version, so a loaded
+(** Render the workspace ([include_data] defaults to [true]) at epoch 0.
+    The document records the workspace's commit-log version, so a loaded
     snapshot knows where the {!Journal} takes over. *)
 
 (** {!save}'s document, written a slice at a time: the server renders a
@@ -48,8 +48,10 @@ val save : ?include_data:bool -> Workspace.t -> string
 module Render : sig
   type t
 
-  val start : Workspace.t -> t
-  (** Write the definitions now; the data waits for {!slice}. *)
+  val start : epoch:int -> Workspace.t -> t
+  (** Write the definitions now; the data waits for {!slice}. Past epoch
+      0 the header also records the leader epoch of the lineage the
+      state belongs to, as [(epoch E)]; an epoch-0 document is {!save}'s. *)
 
   val slice : t -> rows:int -> string option
   (** Write about [rows] more rows (a relation's opening or closing
@@ -66,6 +68,9 @@ val load : string -> (Workspace.t, string) result
     recorded version (its past is a barrier — the deltas live in the
     journal, if any); documents predating the version field load at
     version 0 with full (empty) history. *)
+
+val load_snapshot : string -> (Workspace.t * int, string) result
+(** {!load}, and the epoch the document records (0 if none). *)
 
 val save_file :
   ?include_data:bool -> ?io:Fsio.t -> Workspace.t -> string ->

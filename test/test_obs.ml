@@ -1,5 +1,8 @@
-(* The observability layer: metrics registry, trace spans, the stats
-   surface, and the CI bench-regression gate logic. *)
+(* The observability layer: metrics registry, trace spans, the
+   registry as a real server, follower and persist fill it and a
+   [(stats)] scrape shows it, and the CI bench-regression gate logic. *)
+
+open Test_util
 
 module M = Obs.Metrics
 module T = Obs.Trace
@@ -232,128 +235,279 @@ let test_json_roundtrip () =
          unparseable tokens *)
       Alcotest.(check string) "nan is null" "null" (J.to_string (J.Num nan))
 
-(* --- the stats surface -------------------------------------------------- *)
+(* --- the registry, filled by real paths -------------------------------- *)
 
-let test_stats_exercise_and_json () =
+module C = Penguin.Client
+module F = Penguin.Fsio
+module R = Penguin.Replica
+
+(* An io whose first write fails with an injected transient fault:
+   the server's durable append retries it. *)
+let fail_first_write io =
+  let faulty =
+    F.Fault.inject ~seed:1 ~rate:1.0 ~kind:F.Fault.Transient ~ops:[ `Write ] io
+  in
+  let fired = Atomic.make false in
+  { io with
+    F.write =
+      (fun ~path ~append s ->
+        if Atomic.exchange fired true then io.F.write ~path ~append s
+        else faulty.F.write ~path ~append s) }
+
+(* Queue [stmt] on [c]'s open session and send its commit. *)
+let send_stmt c stmt =
+  let n = check_ok_e (C.queue c ~object_name:"omega" stmt) in
+  Alcotest.(check int) "one staged update" 1 n;
+  check_ok_e (C.send_commit c)
+
+let send_grade c ~course ~grade =
+  send_stmt c (Test_server.grade_stmt ~course ~grade)
+
+(* Reads through the server's cache (cold, then warm); an edit to
+   CURRICULUM, outside omega_prime's footprint, so its warm entries skip
+   the patch; then two sessions begun on one version that edit the same
+   tuple: the second to commit rebases. [collect c] waits for the ack of
+   the commit [c] just sent. *)
+let reads_and_rebase c c2 ~collect =
+  List.iter
+    (fun obj ->
+      for _ = 1 to 2 do
+        ignore (check_ok_e (C.oql c ~object_name:obj "course_id = 'BENCH001'"))
+      done)
+    [ "omega"; "omega_prime" ];
+  let _ = check_ok_e (C.begin_ c) in
+  send_stmt c
+    "set CURRICULUM[degree = 'BS CS'] requirement = 'elective' where \
+     course_id = 'CS101'";
+  collect c;
+  let _ = check_ok_e (C.begin_ c) and _ = check_ok_e (C.begin_ c2) in
+  send_grade c ~course:1 ~grade:"A+";
+  collect c;
+  send_grade c2 ~course:1 ~grade:"B+";
+  collect c2
+
+(* The serving path with quorum acks: one push follower on a link that
+   delays every call. The first window's write fault is retried; two
+   sessions on one tuple rebase; a clean window releases by quorum; a
+   stalled one acks under-replicated and evicts the follower, while a
+   second client's commit is shed at the one-slot limiter; the follower
+   catches up and is re-admitted. *)
+let quorum_traffic dir =
+  let config =
+    { Penguin.Server.default_config with
+      Penguin.Server.sync_replicas = 1; repl_deadline_ns = 1e9 }
+  in
+  let limiter =
+    Penguin.Resilience.Limiter.create ~label:"obs" ~max_in_flight:1 ()
+  in
+  let io = fail_first_write F.default in
+  fst
+  @@ Test_server.with_server ~io ~config ~limiter dir
+  @@ fun sock ->
+  let r =
+    check_ok_e
+      (R.create ~feed:(Penguin.Shipper.feed ~sock)
+         ~target:(Test_replica.target_in dir) ())
+  in
+  let _ = Test_replica.catch_up r in
+  let net =
+    Penguin.Netio.Fault.inject ~seed:5 ~rate:1.0
+      ~kind:(Penguin.Netio.Fault.Delay 1e-4) Penguin.Netio.default_net
+  in
+  let p = check_ok_e (R.subscribe ~net r ~sock) in
+  let c = Test_server.connect sock and c2 = Test_server.connect sock in
+  let collect c =
+    Test_quorum.drive_push r p;
+    let ack = check_ok_e (C.recv_commit_ack c) in
+    Alcotest.(check bool) "a driven follower meets the quorum" false
+      ack.C.under_replicated
+  in
+  reads_and_rebase c c2 ~collect;
+  let ack =
+    Test_quorum.pipelined_commit c ~course:2 ~grade:"C" ~between:(fun () ->
+        let _ = check_ok_e (C.begin_ c2) in
+        let _ =
+          check_ok_e
+            (C.queue c2 ~object_name:"omega"
+               (Test_server.grade_stmt ~course:1 ~grade:"D"))
+        in
+        let e = check_err_e (C.commit c2) in
+        Alcotest.(check string) "the one slot is taken: shed" "busy"
+          (Penguin.Error.kind e))
+  in
+  Alcotest.(check bool) "a stalled follower degrades the ack" true
+    ack.C.under_replicated;
+  Test_quorum.drive_push r p;
+  let _ = check_ok_e (C.begin_ c) in
+  send_grade c ~course:2 ~grade:"A";
+  collect c;
+  R.push_close p;
+  C.close c;
+  C.close c2
+
+(* A follower on the leader's files (the CLI's [replica sync]): it
+   catches up, serves a read, quarantines a checksum-valid frame of
+   garbage after refetching it, and is promoted. *)
+let follower_traffic dir =
+  let target = Filename.concat dir "file-follower.pgn" in
+  let r =
+    check_ok_e
+      (R.create ~refetch_limit:2 ~feed:(R.file_feed (Test_recovery.store_in dir))
+         ~target ())
+  in
+  let _ = Test_replica.catch_up r in
+  Alcotest.(check (float 1e-9)) "caught up: no lag" 0.
+    (M.Gauge.value (M.gauge "replica.lag_records"));
+  Alcotest.(check bool) "the follower serves reads" true
+    (check_ok (R.instances r "omega") <> []);
+  check_ok_e
+    (F.default.F.write
+       ~path:(Penguin.Journal.journal_path (Test_recovery.store_in dir))
+       ~append:true
+       (Penguin.Journal.frame "(not a journal record)"));
+  let _ = R.poll r and _ = R.poll r in
+  Alcotest.(check string) "quarantined, not wedged" "degraded"
+    (R.status_label (R.status r));
+  let _ws, epoch = check_ok_e (R.promote r) in
+  Alcotest.(check int) "promotion bumps the epoch" 1 epoch
+
+(* The CLI's [session commit] path: open the store, commit a session
+   in memory, persist it. The persists rotate the journal; a torn tail is
+   cut away by a repairing open; and a breaker over hard fsync faults
+   trips, rejects, then probes and closes past its cooldown. *)
+let persist_traffic dir =
+  Test_recovery.make_store dir;
+  let store = Test_recovery.store_in dir in
+  let commit ?(io = F.default) ?breaker grade =
+    let ws, report = check_ok_e (Penguin.Recovery.open_store store) in
+    let sess =
+      check_ok_e
+        (Penguin.Session.queue_stmt (Penguin.Session.begin_ ws) "omega"
+           (Fmt.str "set GRADES[pid = 2] grade = '%s' where course_id = 'CS345'"
+              grade))
+    in
+    let ws', _ = check_ok_e (Penguin.Session.commit ws sess) in
+    Penguin.Recovery.persist ~io ?breaker ~rotate_threshold:2 ~store
+      ~since:(Penguin.Workspace.version ws)
+      ~expect_epoch:report.Penguin.Recovery.epoch ws'
+  in
+  List.iter (fun grade -> ignore (check_ok_e (commit grade))) [ "A-"; "B-"; "C-" ];
+  check_ok_e
+    (F.default.F.write ~path:(Penguin.Journal.journal_path store) ~append:true
+       "torn");
+  let _, report = check_ok_e (Penguin.Recovery.open_store ~repair:true store) in
+  Alcotest.(check bool) "the torn tail was cut away" true
+    (report.Penguin.Recovery.torn_bytes > 0);
+  let clock = Penguin.Resilience.Clock.instant () in
+  let breaker =
+    Penguin.Resilience.Breaker.create ~label:"obs" ~threshold:1
+      ~cooldown_ns:1e6 ~clock ()
+  in
+  let hard = F.Fault.inject ~seed:4 ~rate:1.0 ~kind:F.Fault.Hard ~ops:[ `Sync ] F.default in
+  Alcotest.(check string) "a hard fault fails the persist" "io"
+    (Penguin.Error.kind (check_err_e (commit ~io:hard ~breaker "D")));
+  Alcotest.(check string) "the open breaker rejects" "busy"
+    (Penguin.Error.kind (check_err_e (commit ~breaker "D")));
+  clock.Penguin.Resilience.Clock.sleep_ns 2e6;
+  ignore (check_ok_e (commit ~breaker "D"))
+
+(* What a server's [(stats)] answer holds, parsed. *)
+let scrape dir =
+  fst
+  @@ Test_server.with_server dir
+  @@ fun sock ->
+  let c = Test_server.connect sock in
+  let json = check_ok_e (C.stats c) in
+  C.close c;
+  check_ok (J.parse json)
+
+let test_real_paths_and_json () =
   fresh ();
-  (match Penguin.Stats.exercise () with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "stats exercise failed: %s" e);
-  let doc = Penguin.Stats.json () in
-  (* What the CLI prints with --json must round-trip through the
-     bundled parser... *)
+  let dir = temp_dir "obs-real" and pdir = temp_dir "obs-persist" in
+  Test_server.make_bench_store dir 2;
+  Test_replica.commit dir "A-";
+  quorum_traffic dir;
+  follower_traffic dir;
+  persist_traffic pdir;
+  let doc = scrape pdir in
+  rm_rf dir;
+  rm_rf pdir;
+  (* The scrape round-trips through the bundled parser... *)
   (match J.parse (J.to_string doc) with
   | Error e -> Alcotest.failf "stats json does not re-parse: %s" e
   | Ok doc' ->
       Alcotest.(check bool) "stats json round-trips" true (J.equal doc doc'));
-  (* ...and must show every instrumented layer fired. *)
-  let counter name =
+  (* ...carries the whole registry... *)
+  List.iter
+    (fun (name, _, m) ->
+      let section =
+        match m with
+        | M.Counter_m _ -> "counters"
+        | M.Gauge_m _ -> "gauges"
+        | M.Histogram_m _ -> "histograms"
+      in
+      if Option.bind (J.member section doc) (J.member name) = None then
+        Alcotest.failf "metric %s missing from the (stats) %s" name section)
+    (M.all ());
+  (* ...and shows every instrumented layer fired. *)
+  let value section name =
     match
-      Option.bind (J.member "counters" doc) (fun c ->
-          Option.bind (J.member name c) J.to_float)
-    with
-    | Some v -> int_of_float v
-    | None -> Alcotest.failf "counter %s missing from stats json" name
-  in
-  Alcotest.(check bool) "engine committed" true (counter "engine.commits" > 0);
-  Alcotest.(check bool) "session committed" true
-    (counter "session.commits" > 0);
-  Alcotest.(check bool) "a rebase was forced" true
-    (counter "session.rebases" > 0);
-  Alcotest.(check bool) "journal appended" true (counter "journal.appends" > 0);
-  Alcotest.(check bool) "journal rotated" true
-    (counter "journal.rotations" > 0);
-  Alcotest.(check bool) "torn tail repaired" true
-    (counter "journal.torn_repairs" > 0);
-  Alcotest.(check bool) "stores opened" true (counter "recovery.opens" > 0);
-  (* the resilience layer: retries over injected faults, admission
-     control shedding, and a full breaker trip/close cycle *)
-  Alcotest.(check bool) "a fault was injected" true
-    (counter "fsio.injected_faults" > 0);
-  Alcotest.(check bool) "a retry was taken" true
-    (counter "resilience.retries" > 0);
-  Alcotest.(check bool) "admission control shed" true
-    (counter "resilience.shed" > 0);
-  Alcotest.(check bool) "breaker tripped" true (counter "breaker.trips" > 0);
-  Alcotest.(check bool) "breaker rejected while open" true
-    (counter "breaker.rejections" > 0);
-  Alcotest.(check bool) "breaker probed and closed" true
-    (counter "breaker.probes" > 0 && counter "breaker.closes" > 0);
-  (* the materialized view-object cache: a cold build, a warm hit, an
-     incremental patch, a disjoint-delta skip, and a barrier
-     invalidation all fired *)
-  Alcotest.(check bool) "cache cold build counted" true
-    (counter "cache.misses" > 0);
-  Alcotest.(check bool) "cache warm hit counted" true
-    (counter "cache.hits" > 0);
-  Alcotest.(check bool) "cache entries patched" true
-    (counter "cache.patched" > 0);
-  Alcotest.(check bool) "cache delta skipped" true
-    (counter "cache.skipped" > 0);
-  Alcotest.(check bool) "cache invalidated on barrier" true
-    (counter "cache.invalidated" > 0);
-  (* the replication layer: a follower caught up (lag back to zero), a
-     corrupt shipped record was refetched, and a promotion bumped the
-     epoch gauge *)
-  let gauge name =
-    match
-      Option.bind (J.member "gauges" doc) (fun g ->
-          Option.bind (J.member name g) J.to_float)
+      Option.bind (J.member section doc) (fun s ->
+          Option.bind (J.member name s) J.to_float)
     with
     | Some v -> v
-    | None -> Alcotest.failf "gauge %s missing from stats json" name
+    | None -> Alcotest.failf "%s %s missing from the (stats) answer" section name
   in
-  Alcotest.(check (float 1e-9)) "follower fully caught up" 0.
-    (gauge "replica.lag_records");
-  Alcotest.(check bool) "promotion bumped the epoch gauge" true
-    (gauge "replica.epoch" >= 1.);
-  Alcotest.(check bool) "suspect frame was refetched" true
-    (counter "replica.refetches" > 0);
-  Alcotest.(check bool) "a follower was promoted" true
-    (counter "replica.promotions" > 0);
-  Alcotest.(check bool) "follower ingested records" true
-    (counter "replica.applied_records" > 0);
-  Alcotest.(check bool) "corrupt record quarantined, not wedged" true
-    (counter "replica.quarantines" > 0);
-  (* the quorum replication layer: a push subscription streamed and acked,
-     a gated window released by quorum, a stalled one degraded with an
-     eviction and a later re-admission, over a fault-injected link *)
-  Alcotest.(check bool) "push subscription accepted" true
-    (counter "shipper.push.subscriptions" > 0);
-  Alcotest.(check bool) "journal bytes pushed" true
-    (counter "shipper.push.pushed_bytes" > 0);
-  Alcotest.(check bool) "push acks received by the shipper" true
-    (counter "shipper.push.acks" > 0);
-  Alcotest.(check bool) "frames ingested off the stream" true
-    (counter "shipper.push.frames" > 0);
-  Alcotest.(check bool) "a network fault was injected" true
-    (counter "netio.injected_faults" > 0);
-  Alcotest.(check bool) "follower acks reached the tracker" true
-    (counter "server.replication.acks" > 0);
-  Alcotest.(check bool) "a window released by quorum" true
-    (counter "server.replication.quorum_commits" > 0);
-  Alcotest.(check bool) "a stalled window degraded" true
-    (counter "server.replication.under_replicated" > 0);
-  Alcotest.(check bool) "the laggard was evicted" true
-    (counter "server.replication.evictions" > 0);
-  Alcotest.(check bool) "the laggard was re-admitted" true
-    (counter "server.replication.readmissions" > 0);
-  (* the table renders every registered metric *)
-  let table = Penguin.Stats.table () in
   List.iter
-    (fun (name, _, _) ->
-      if not (Relational.Strutil.contains ~sub:name table) then
-        Alcotest.failf "metric %s missing from stats table" name)
-    (M.all ())
+    (fun name ->
+      if value "counters" name <= 0. then
+        Alcotest.failf "counter %s never fired on a real path" name)
+    [ (* the served commit path *)
+      "engine.commits"; "session.rebases"; "journal.appends"; "recovery.opens";
+      (* the session-commit persist path *)
+      "session.commits"; "journal.rotations"; "journal.torn_repairs";
+      (* resilience: a retried write fault, a shed commit, and a breaker
+         trip/reject/probe/close cycle *)
+      "fsio.injected_faults"; "resilience.retries"; "resilience.shed";
+      "breaker.trips"; "breaker.rejections"; "breaker.probes";
+      "breaker.closes";
+      (* the server's cache: cold builds, warm hits, patches, skips;
+         promotion invalidates the follower's *)
+      "cache.misses"; "cache.hits"; "cache.patched"; "cache.skipped";
+      "cache.invalidated";
+      (* the followers *)
+      "replica.refetches"; "replica.promotions"; "replica.applied_records";
+      "replica.quarantines";
+      (* push shipping and quorum acks over a fault-injected link *)
+      "shipper.push.subscriptions"; "shipper.push.pushed_bytes";
+      "shipper.push.acks"; "shipper.push.frames"; "netio.injected_faults";
+      "server.replication.acks"; "server.replication.quorum_commits";
+      "server.replication.under_replicated"; "server.replication.evictions";
+      "server.replication.readmissions" ];
+  Alcotest.(check (float 1e-9)) "the promoted follower's epoch" 1.
+    (value "gauges" "replica.epoch")
 
-let test_stats_exercise_traces () =
+let test_real_paths_trace () =
   fresh ();
   let ring = T.Ring.create 4096 in
   T.set_sink (Some (T.Ring.sink ring));
-  (match Penguin.Stats.exercise () with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "stats exercise failed: %s" e);
+  let dir = temp_dir "obs-trace" and pdir = temp_dir "obs-trace-persist" in
+  Test_server.make_bench_store dir 2;
+  Test_replica.commit dir "A-";
+  (* The server runs in a sibling domain and the client emits no spans,
+     so only the server writes to the sink. *)
+  let (), _ =
+    Test_server.with_server dir (fun sock ->
+        let c = Test_server.connect sock and c2 = Test_server.connect sock in
+        reads_and_rebase c c2 ~collect:(fun c ->
+            ignore (check_ok_e (C.recv_commit_ack c)));
+        C.close c;
+        C.close c2)
+  in
+  persist_traffic pdir;
   T.set_sink None;
+  rm_rf dir;
+  rm_rf pdir;
   let names =
     List.sort_uniq String.compare
       (List.map (fun s -> s.T.name) (T.Ring.contents ring))
@@ -361,7 +515,7 @@ let test_stats_exercise_traces () =
   List.iter
     (fun expected ->
       if not (List.mem expected names) then
-        Alcotest.failf "span %s not produced by the stats workload" expected)
+        Alcotest.failf "span %s not produced by a real path" expected)
     [ "engine.stage"; "engine.translate"; "engine.commit_group";
       "engine.global_check"; "session.commit"; "session.rebase";
       "journal.append"; "journal.rotate"; "recovery.open_store";
@@ -503,10 +657,10 @@ let suite =
     Alcotest.test_case "span lines well-formed" `Quick
       test_span_lines_well_formed;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
-    Alcotest.test_case "stats exercise + json round-trip" `Quick
-      test_stats_exercise_and_json;
-    Alcotest.test_case "stats exercise traces every layer" `Quick
-      test_stats_exercise_traces;
+    Alcotest.test_case "real paths fill the (stats) scrape" `Quick
+      test_real_paths_and_json;
+    Alcotest.test_case "real paths trace every layer" `Quick
+      test_real_paths_trace;
     Alcotest.test_case "gate parse + median" `Quick test_gate_parse_and_median;
     Alcotest.test_case "gate passes on baseline" `Quick
       test_gate_passes_on_baseline;

@@ -46,14 +46,16 @@ let make_bench_store dir courses =
   let ws = { ws with Penguin.Workspace.db = add ws.Penguin.Workspace.db 1 } in
   check_ok_e (Penguin.Store.save_file ws (store_in dir))
 
+(* The socket file appears at bind, a moment before the server
+   listens: wait until a connection is accepted. *)
 let await_sock sock =
   let rec go n =
-    if Sys.file_exists sock then ()
-    else if n = 0 then Alcotest.fail "server socket never appeared"
-    else begin
-      Unix.sleepf 0.005;
-      go (n - 1)
-    end
+    match C.connect ~sock with
+    | Ok c -> C.close c
+    | Error _ when n > 0 ->
+        Unix.sleepf 0.005;
+        go (n - 1)
+    | Error e -> Alcotest.failf "server socket never accepted: %s" (E.to_string e)
   in
   go 1000
 

@@ -325,7 +325,7 @@ let prop_save_matches_tree_rendering =
       String.equal (Penguin.Store.save ws) expected
       && List.for_all
            (fun rows ->
-             let r = Penguin.Store.Render.start ws in
+             let r = Penguin.Store.Render.start ~epoch:0 ws in
              let rec go () =
                match Penguin.Store.Render.slice r ~rows with
                | Some doc -> String.equal doc expected
