@@ -16,7 +16,7 @@ open Viewobject
 let quick = ref false
 let json_path : string option ref = ref None
 
-(* --only e17 (or --only e16,e17): run a subset of the experiments —
+(* --only e16 (or --only e13,e16): run a subset of the experiments —
    iteration and CI triage; the gate still wants the full set. *)
 let only : string list ref = ref []
 
@@ -119,23 +119,6 @@ let run_group name tests =
     rows;
   collected := (name, rows) :: !collected;
   rows
-
-(* Record hand-timed rows (name, ns/op) under the same table format and
-   gate document as a bechamel group — for experiments whose unit of
-   work is too coarse or too stateful for the bechamel driver. *)
-let record_group name rows =
-  Fmt.pr "@.%-58s %14s %14s@." "benchmark" "time/run" "runs/sec";
-  Fmt.pr "%s@." (String.make 88 '-');
-  List.iter
-    (fun (n, ns) ->
-      let time_str =
-        if ns < 1_000. then Fmt.str "%.0f ns" ns
-        else if ns < 1_000_000. then Fmt.str "%.2f us" (ns /. 1e3)
-        else Fmt.str "%.3f ms" (ns /. 1e6)
-      in
-      Fmt.pr "%-58s %14s %14.0f@." (name ^ " " ^ n) time_str (1e9 /. ns))
-    rows;
-  collected := (name, rows) :: !collected
 
 let stage = Staged.stage
 
@@ -944,8 +927,8 @@ let e12 () =
   in
   (* Primitive costs, amortized over 1000 iterations so the mode-switch
      wrapper disappears from the per-op figure. *)
-  let c = Obs.Metrics.counter ~help:"E12 probe" "e12.counter" in
-  let h = Obs.Metrics.histogram ~help:"E12 probe" "e12.histogram" in
+  let c = Obs.Metrics.counter "e12.counter" in
+  let h = Obs.Metrics.histogram "e12.histogram" in
   let x1000 f () = for _ = 1 to 1000 do f () done in
   let rows =
     run_group "e12"
@@ -1413,465 +1396,6 @@ let e16 () =
   in
   ignore (run_group "replica.failover" [ failover_test ])
 
-(* --- E17: unix-socket serving, pipelined group commit ------------------- *)
-
-let e17 () =
-  section "E17: group-commit serving (DESIGN.md section 5.9)";
-  let dir =
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Fmt.str "penguin-bench-e17-%d" (Unix.getpid ()))
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-  in
-  let or_fail = function
-    | Ok v -> v
-    | Error e -> failwith (Penguin.Error.to_string e)
-  in
-  let clients = 16 in
-  let rounds = if !quick then 8 else 25 in
-  (* The load store: the university fixture plus one disjoint
-     course/student/grade triple per client, so every client owns a
-     course and a window's worth of grade edits batches without
-     conflicts — the same seed [penguin client seed] writes. *)
-  let seed_store path =
-    let ins rel bindings db =
-      match Database.insert db rel (Tuple.make bindings) with
-      | Ok db -> db
-      | Error e -> failwith (Database.error_to_string e)
-    in
-    let rec add db i =
-      if i > clients then db
-      else
-        let course = Fmt.str "BENCH%03d" i in
-        let pid = 2000 + i in
-        db
-        |> ins "COURSES"
-             [ "course_id", Value.Str course;
-               "title", Value.Str (Fmt.str "Bench %d" i);
-               "units", Value.Int 3; "level", Value.Str "grad";
-               "dept_name", Value.Str "Computer Science" ]
-        |> ins "PEOPLE"
-             [ "pid", Value.Int pid; "name", Value.Str (Fmt.str "S%d" i);
-               "dept_name", Value.Str "Computer Science" ]
-        |> ins "STUDENT"
-             [ "pid", Value.Int pid; "degree_program", Value.Str "MS CS";
-               "year", Value.Int ((i mod 4) + 1) ]
-        |> ins "GRADES"
-             [ "course_id", Value.Str course; "pid", Value.Int pid;
-               "grade", Value.Str "A" ]
-        |> fun db -> add db (i + 1)
-    in
-    let ws = Penguin.University.workspace () in
-    let ws = { ws with Penguin.Workspace.db = add ws.Penguin.Workspace.db 1 } in
-    or_fail (Penguin.Store.save_file ws path)
-  in
-  (* A modeled barrier disk: every fsync pays a fixed 2 ms on top of the
-     real one — a representative commodity-disk write barrier. On the
-     NVMe this host (and CI) runs on, a real fsync is ~0.1 ms, below the
-     serving stack's per-commit CPU, so the native sweep cannot show
-     what group commit amortizes; the modeled sweep isolates it. The
-     grouping mechanism under test is identical in both. *)
-  let sync_delay_ns = 2_000_000. in
-  let slow_io =
-    let d = Penguin.Fsio.default in
-    { d with
-      Penguin.Fsio.sync =
-        (fun path ->
-          Unix.sleepf (sync_delay_ns /. 1e9);
-          d.Penguin.Fsio.sync path) }
-  in
-  let start_server ?io name config =
-    let store = Filename.concat dir (name ^ ".pgn") in
-    seed_store store;
-    let sock = Filename.concat dir (name ^ ".sock") in
-    let dom =
-      Domain.spawn (fun () -> Penguin.Server.serve ?io ~config ~store ~sock ())
-    in
-    let rec await n =
-      if Sys.file_exists sock then ()
-      else if n = 0 then failwith "E17: server socket never appeared"
-      else (Unix.sleepf 0.02; await (n - 1))
-    in
-    await 250;
-    sock, dom
-  in
-  let stop sock dom =
-    let c = or_fail (Penguin.Client.connect ~sock) in
-    (match Penguin.Client.shutdown c with Ok () | Error _ -> ());
-    Penguin.Client.close c;
-    ignore (Domain.join dom)
-  in
-  (* Open-loop driver: write every round's begin/queue/commit for every
-     connection up front, then drain the acks. The server never waits on
-     a client round-trip, so a window fills to the connection count (or
-     the size cap) instead of to whatever one closed-loop round
-     happened to deliver. The grade value varies per driver run and
-     round — an edit that matches the stored value is a no-op the
-     session would skip, and a skipped edit would ack without paying
-     for a commit. *)
-  let run = ref 0 in
-  let drive sock =
-    incr run;
-    let conns =
-      List.init clients (fun i ->
-          i + 1, or_fail (Penguin.Client.connect ~sock))
-    in
-    for r = 1 to rounds do
-      List.iter
-        (fun (i, c) ->
-          or_fail (Penguin.Client.send_begin c);
-          or_fail
-            (Penguin.Client.send_queue c ~object_name:"omega"
-               (Fmt.str
-                  "set GRADES[pid = %d] grade = \'X%dR%d\' where course_id = \
-                   \'BENCH%03d\'"
-                  (2000 + i) !run r i));
-          or_fail (Penguin.Client.send_commit c))
-        conns
-    done;
-    List.iter
-      (fun (_, c) ->
-        for _ = 1 to rounds do
-          ignore (or_fail (Penguin.Client.recv_begin c));
-          ignore (or_fail (Penguin.Client.recv_queue c));
-          ignore (or_fail (Penguin.Client.recv_commit c))
-        done;
-        Penguin.Client.close c)
-      conns
-  in
-  let per_drive = float_of_int (clients * rounds) in
-  (* Throughput is hand-timed over whole drives (median of a few), one
-     server alive at a time: a server is an event loop in a domain, and
-     with several of them parked in [select] inside one OCaml process a
-     bechamel run measures runtime synchronization, not serving. The
-     recorded ns/op is per committed update. *)
-  let single = { Penguin.Server.default_config with flush_window = 1 } in
-  let grouped = Penguin.Server.default_config in
-  let measure ?io fsname config =
-    let sock, dom = start_server ?io fsname config in
-    drive sock;
-    let reps = if !quick then 3 else 5 in
-    let samples =
-      List.init reps (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          drive sock;
-          (Unix.gettimeofday () -. t0) *. 1e9 /. per_drive)
-    in
-    stop sock dom;
-    List.nth (List.sort compare samples) ((reps - 1) / 2)
-  in
-  let configs =
-    [ "window=001:native", "w001", None, single;
-      "window=064:native", "w064", None, grouped;
-      "window=001:sync=2ms", "w001s", Some slow_io, single;
-      "window=064:sync=2ms", "w064s", Some slow_io, grouped ]
-  in
-  let rows =
-    List.map
-      (fun (name, fsname, io, config) -> name, measure ?io fsname config)
-      configs
-  in
-  record_group "server.throughput" rows;
-  let cps ns = 1e9 /. ns in
-  let at name = List.assoc_opt name rows in
-  (match at "window=001:native", at "window=064:native" with
-  | Some n1, Some nn when Float.is_finite n1 && Float.is_finite nn ->
-      Fmt.pr
-        "@.E17 native disk: %.0f commits/sec at window=1, %.0f grouped — \
-         %.2fx (fsync here is ~0.1 ms, below the per-commit CPU; see the \
-         modeled disk for the amortization gate)@."
-        (cps n1) (cps nn) (n1 /. nn)
-  | _ -> ());
-  (match at "window=001:sync=2ms", at "window=064:sync=2ms" with
-  | Some n1, Some nn when Float.is_finite n1 && Float.is_finite nn ->
-      Fmt.pr
-        "@.E17 acceptance (2 ms barrier disk, %d clients): %.0f commits/sec \
-         at window=1 (fsync per commit), %.0f grouped — %.2fx (target >= 3x) \
-         %s@."
-        clients (cps n1) (cps nn) (n1 /. nn)
-        (if n1 /. nn >= 3. then "PASS" else "FAIL")
-  | _ -> ());
-  (* Reads through the serving path: a warm view-object oql over the
-     wire (connect once, query per run) vs the same query against a
-     local warm cache — what the socket hop costs. *)
-  let sockr, domr = start_server "reads" grouped in
-  let read_client = or_fail (Penguin.Client.connect ~sock:sockr) in
-  let lws, _ =
-    or_fail (Penguin.Recovery.open_store (Filename.concat dir "reads.pgn"))
-  in
-  let lcache = Penguin.Workspace.attach_cache lws in
-  let condition = "course_id = \'BENCH001\'" in
-  let read_wire () =
-    match Penguin.Client.oql read_client ~object_name:"omega" condition with
-    | Ok (n, _) -> n
-    | Error e -> failwith (Penguin.Error.to_string e)
-  in
-  let read_local () =
-    match Viewobject.Cache.oql lcache "omega" condition with
-    | Ok is -> List.length is
-    | Error e -> failwith e
-  in
-  ignore (read_wire ());
-  ignore (read_local ());
-  ignore
-    (run_group "server.read"
-       [
-         Test.make ~name:"oql:wire-warm" (stage read_wire);
-         Test.make ~name:"oql:local-warm" (stage read_local);
-       ]);
-  Penguin.Client.close read_client;
-  stop sockr domr
-
-(* --- E18: quorum replication (DESIGN.md section 5.10) ---------------- *)
-
-let e18 () =
-  section "E18: quorum replication (DESIGN.md section 5.10)";
-  let dir =
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Fmt.str "penguin-bench-e18-%d" (Unix.getpid ()))
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-  in
-  let or_fail = function
-    | Ok v -> v
-    | Error e -> failwith (Penguin.Error.to_string e)
-  in
-  (* One bench course on top of the university fixture — the row the
-     driver edits, disjoint from everything the fixture queries. *)
-  let seed_store path =
-    let ins rel bindings db =
-      match Database.insert db rel (Tuple.make bindings) with
-      | Ok db -> db
-      | Error e -> failwith (Database.error_to_string e)
-    in
-    let ws = Penguin.University.workspace () in
-    let db =
-      ws.Penguin.Workspace.db
-      |> ins "COURSES"
-           [ "course_id", Value.Str "BENCH001"; "title", Value.Str "Bench 1";
-             "units", Value.Int 3; "level", Value.Str "grad";
-             "dept_name", Value.Str "Computer Science" ]
-      |> ins "PEOPLE"
-           [ "pid", Value.Int 2001; "name", Value.Str "S1";
-             "dept_name", Value.Str "Computer Science" ]
-      |> ins "STUDENT"
-           [ "pid", Value.Int 2001; "degree_program", Value.Str "MS CS";
-             "year", Value.Int 1 ]
-      |> ins "GRADES"
-           [ "course_id", Value.Str "BENCH001"; "pid", Value.Int 2001;
-             "grade", Value.Str "A" ]
-    in
-    or_fail (Penguin.Store.save_file { ws with Penguin.Workspace.db } path)
-  in
-  (* Syncs are a no-op on both sides: E17 prices the disk barrier; this
-     experiment prices the replication wait, which an fsync floor under
-     every journal append (leader and follower) would mask. *)
-  let nosync =
-    { Penguin.Fsio.default with Penguin.Fsio.sync = (fun _ -> Ok ()) }
-  in
-  let start name config =
-    let store = Filename.concat dir (name ^ ".pgn") in
-    seed_store store;
-    let sock = Filename.concat dir (name ^ ".sock") in
-    let dom =
-      Domain.spawn (fun () ->
-          Penguin.Server.serve ~io:nosync ~config ~store ~sock ())
-    in
-    let rec await n =
-      if Sys.file_exists sock then ()
-      else if n = 0 then failwith "E18: server socket never appeared"
-      else (Unix.sleepf 0.02; await (n - 1))
-    in
-    await 250;
-    sock, dom
-  in
-  let stop sock dom =
-    let c = or_fail (Penguin.Client.connect ~sock) in
-    (match Penguin.Client.shutdown c with Ok () | Error _ -> ());
-    Penguin.Client.close c;
-    ignore (Domain.join dom)
-  in
-  (* One closed-loop commit; the grade varies per run and round so no
-     edit is a storable no-op the session would skip. Returns the acked
-     version — the follower's catch-up target. *)
-  let run = ref 0 in
-  let commit_round c r =
-    ignore (or_fail (Penguin.Client.begin_ c) : int);
-    ignore
-      (or_fail
-         (Penguin.Client.queue c ~object_name:"omega"
-            (Fmt.str
-               "set GRADES[pid = 2001] grade = \'Q%dR%d\' where course_id = \
-                \'BENCH001\'"
-               !run r))
-        : int);
-    match or_fail (Penguin.Client.commit c) with
-    | [] -> failwith "E18: empty commit ack"
-    | vs -> List.fold_left max 0 vs
-  in
-  let follower_target name =
-    Filename.concat dir (name ^ ".follower.pgn")
-  in
-  (* Part A: what a quorum costs the commit path. K=0 acks at local
-     durability; K=1 parks the ack until the streaming follower
-     confirms the window's journal bytes; the delayed variant taxes
-     every byte of the follower link 2 ms each way — a same-region
-     network hop, not a LAN socket. *)
-  let quorum_cfg =
-    { Penguin.Server.default_config with
-      Penguin.Server.sync_replicas = 1;
-      repl_deadline_ns = 1e9 }
-  in
-  let delay_net =
-    Penguin.Netio.Fault.inject ~seed:7 ~rate:1.0
-      ~kind:(Penguin.Netio.Fault.Delay 2e-3) Penguin.Netio.default_net
-  in
-  let rounds = if !quick then 30 else 150 in
-  let measure_commit name config follower =
-    let sock, dom = start name config in
-    incr run;
-    let body () =
-      let c = or_fail (Penguin.Client.connect ~sock) in
-      for r = 1 to 5 do
-        ignore (commit_round c r : int)
-      done;
-      let t0 = Unix.gettimeofday () in
-      for r = 6 to 5 + rounds do
-        ignore (commit_round c r : int)
-      done;
-      let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int rounds in
-      Penguin.Client.close c;
-      ns
-    in
-    let ns =
-      match follower with
-      | None -> body ()
-      | Some net ->
-          (* The follower streams in a sibling domain for the whole
-             measurement — create, catch up, then follow_push until
-             told to stop. *)
-          let r =
-            or_fail
-              (Penguin.Replica.create ~io:nosync
-                 ~feed:(Penguin.Shipper.feed ~sock)
-                 ~target:(follower_target name) ())
-          in
-          ignore (or_fail (Penguin.Replica.poll_until_idle r));
-          let stopf = Atomic.make false in
-          let fdom =
-            Domain.spawn (fun () ->
-                Penguin.Replica.follow_push ~net r ~sock ~poll_timeout:0.01
-                  ~should_stop:(fun _ -> Atomic.get stopf))
-          in
-          Fun.protect
-            ~finally:(fun () ->
-              Atomic.set stopf true;
-              ignore (Domain.join fdom))
-            body
-    in
-    stop sock dom;
-    ns
-  in
-  let k0 =
-    measure_commit "k0" Penguin.Server.default_config None
-  in
-  let k1 = measure_commit "k1" quorum_cfg (Some Penguin.Netio.default_net) in
-  let k1d = measure_commit "k1d" quorum_cfg (Some delay_net) in
-  record_group "server.quorum_commit"
-    [ "sync=0", k0; "sync=1:live", k1; "sync=1:delay=2ms", k1d ];
-  Fmt.pr
-    "@.E18 quorum tax: %.2f ms/commit unreplicated, %.2f ms quorum-acked \
-     (+%.2f ms), %.2f ms over a 2 ms-each-way link@."
-    (k0 /. 1e6) (k1 /. 1e6)
-    ((k1 -. k0) /. 1e6)
-    (k1d /. 1e6);
-  (* Part B: live-tail catch-up, per record. The leader commits one
-     update; how long until the follower has applied it? Push is
-     commit-synchronous — the server streams the window's bytes on the
-     commit path — while a pull follower pays its polling cadence, 5 ms
-     here. *)
-  let tail_rounds = if !quick then 20 else 100 in
-  let tick = 0.005 in
-  let measure_tail name mode =
-    let sock, dom = start name Penguin.Server.default_config in
-    incr run;
-    let r =
-      or_fail
-        (Penguin.Replica.create ~io:nosync
-           ~feed:(Penguin.Shipper.feed ~sock)
-           ~target:(follower_target name) ())
-    in
-    ignore (or_fail (Penguin.Replica.poll_until_idle r));
-    let c = or_fail (Penguin.Client.connect ~sock) in
-    let p =
-      match mode with
-      | `Push -> Some (ref (or_fail (Penguin.Replica.subscribe r ~sock)))
-      | `Pull -> None
-    in
-    let await_v v =
-      match p with
-      | Some p ->
-          let rec go n =
-            if Penguin.Replica.position r >= v then ()
-            else if n = 0 then failwith "E18: push tail stalled"
-            else begin
-              (match Penguin.Replica.push_poll ~timeout:0.05 r !p with
-              | Ok _ -> ()
-              | Error _ ->
-                  (* The stream dropped (a fault, or a rotation this
-                     follower fell behind); do what [follow_push] does —
-                     catch up through the pull feed and resubscribe from
-                     the new position. *)
-                  ignore
-                    (or_fail (Penguin.Replica.poll_until_idle r)
-                      : Penguin.Replica.progress);
-                  p := or_fail (Penguin.Replica.subscribe r ~sock));
-              go (n - 1)
-            end
-          in
-          go 200
-      | None ->
-          let rec go n =
-            if Penguin.Replica.position r >= v then ()
-            else if n = 0 then failwith "E18: pull tail stalled"
-            else begin
-              Unix.sleepf tick;
-              ignore
-                (or_fail (Penguin.Replica.poll r) : Penguin.Replica.progress);
-              go (n - 1)
-            end
-          in
-          go 2000
-    in
-    for r = 1 to 3 do
-      await_v (commit_round c r)
-    done;
-    let t0 = Unix.gettimeofday () in
-    for r = 4 to 3 + tail_rounds do
-      await_v (commit_round c r)
-    done;
-    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int tail_rounds in
-    (match p with Some p -> Penguin.Replica.push_close !p | None -> ());
-    Penguin.Client.close c;
-    stop sock dom;
-    ns
-  in
-  let push_ns = measure_tail "tail-push" `Push in
-  let pull_ns = measure_tail "tail-pull" `Pull in
-  record_group "replica.live_tail"
-    [ "push:per-record", push_ns; "pull:per-record", pull_ns ];
-  Fmt.pr
-    "@.E18 acceptance: %.2f ms/record pushed vs %.2f ms polled at a %.0f ms \
-     cadence — %.2fx (target >= 2x) %s@."
-    (push_ns /. 1e6) (pull_ns /. 1e6) (tick *. 1e3) (pull_ns /. push_ns)
-    (if pull_ns /. push_ns >= 2. then "PASS" else "FAIL")
-
 let () =
   parse_argv ();
   (* Metrics stay on for the whole run (the --json document carries the
@@ -1893,8 +1417,6 @@ let () =
   want "e13" e13;
   want "e14" e14;
   want "e16" e16;
-  want "e17" e17;
-  want "e18" e18;
   want "ablation" ablation;
   want "surfaces" surfaces;
   Option.iter write_json !json_path;

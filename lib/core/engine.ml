@@ -8,40 +8,16 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 module M = Obs.Metrics
 
-let m_translate_ns =
-  M.histogram ~help:"steps 1-3: local validation, propagation, translation"
-    "engine.translate_ns"
-
-let m_stage_apply_ns =
-  M.histogram ~help:"candidate application of the translated ops"
-    "engine.stage_apply_ns"
-
-let m_global_check_ns =
-  M.histogram ~help:"step 4: global validation of a (merged) delta"
-    "engine.global_check_ns"
-
-let m_commit_group_ns =
-  M.histogram ~help:"whole group commit: merge, apply, one validation pass"
-    "engine.commit_group_ns"
-
-let m_commits = M.counter ~help:"group commits accepted" "engine.commits"
-
-let m_committed_updates =
-  M.counter ~help:"staged updates committed" "engine.committed_updates"
-
-let m_translation_rejected =
-  M.counter ~help:"requests refused in steps 1-3" "engine.translation_rejected"
-
-let m_application_failed =
-  M.counter ~help:"translations whose ops failed to apply"
-    "engine.application_failed"
-
-let m_validation_failed =
-  M.counter ~help:"group commits rejected by step 4" "engine.validation_failed"
-
-let m_group_conflicts =
-  M.counter ~help:"group commits rejected for intra-group write overlap"
-    "engine.group_conflicts"
+let m_translate_ns = M.histogram "engine.translate_ns"
+let m_stage_apply_ns = M.histogram "engine.stage_apply_ns"
+let m_global_check_ns = M.histogram "engine.global_check_ns"
+let m_commit_group_ns = M.histogram "engine.commit_group_ns"
+let m_commits = M.counter "engine.commits"
+let m_committed_updates = M.counter "engine.committed_updates"
+let m_translation_rejected = M.counter "engine.translation_rejected"
+let m_application_failed = M.counter "engine.application_failed"
+let m_validation_failed = M.counter "engine.validation_failed"
+let m_group_conflicts = M.counter "engine.group_conflicts"
 
 type outcome = {
   request_kind : string;

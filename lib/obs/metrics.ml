@@ -140,41 +140,41 @@ type metric =
   | Gauge_m of Gauge.t
   | Histogram_m of Histogram.t
 
-let registry : (string, string * metric) Hashtbl.t = Hashtbl.create 64
+let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let registry_lock = Mutex.create ()
 
 let registered f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
 
-let counter ?(help = "") name =
+let counter name =
   registered @@ fun () ->
   match Hashtbl.find_opt registry name with
-  | Some (_, Counter_m c) -> c
+  | Some (Counter_m c) -> c
   | Some _ ->
       invalid_arg
         (Printf.sprintf "metric %s is already registered as another kind" name)
   | None ->
       let c = Atomic.make 0 in
-      Hashtbl.replace registry name (help, Counter_m c);
+      Hashtbl.replace registry name (Counter_m c);
       c
 
-let gauge ?(help = "") name =
+let gauge name =
   registered @@ fun () ->
   match Hashtbl.find_opt registry name with
-  | Some (_, Gauge_m g) -> g
+  | Some (Gauge_m g) -> g
   | Some _ ->
       invalid_arg
         (Printf.sprintf "metric %s is already registered as another kind" name)
   | None ->
       let g = Atomic.make 0. in
-      Hashtbl.replace registry name (help, Gauge_m g);
+      Hashtbl.replace registry name (Gauge_m g);
       g
 
-let histogram ?(help = "") ?(bounds = default_bounds) name =
+let histogram ?(bounds = default_bounds) name =
   registered @@ fun () ->
   match Hashtbl.find_opt registry name with
-  | Some (_, Histogram_m h) -> h
+  | Some (Histogram_m h) -> h
   | Some _ ->
       invalid_arg
         (Printf.sprintf "metric %s is already registered as another kind" name)
@@ -184,7 +184,7 @@ let histogram ?(help = "") ?(bounds = default_bounds) name =
         invalid_arg
           (Printf.sprintf "metric %s: bounds must be strictly increasing" name);
       let h = Histogram.make bounds in
-      Hashtbl.replace registry name (help, Histogram_m h);
+      Hashtbl.replace registry name (Histogram_m h);
       h
 
 let time h f =
@@ -196,12 +196,12 @@ let time h f =
 
 let all () =
   registered (fun () ->
-      Hashtbl.fold (fun name (help, m) acc -> (name, help, m) :: acc) registry [])
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+      Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset () =
   List.iter
-    (fun (_, _, m) ->
+    (fun (_, m) ->
       match m with
       | Counter_m c -> Atomic.set c 0
       | Gauge_m g -> Atomic.set g 0.
@@ -211,7 +211,7 @@ let reset () =
 let to_json () =
   let counters, gauges, histograms =
     List.fold_left
-      (fun (cs, gs, hs) (name, _, m) ->
+      (fun (cs, gs, hs) (name, m) ->
         match m with
         | Counter_m c ->
             (name, Json.Num (Float.of_int (Counter.value c))) :: cs, gs, hs

@@ -18,8 +18,9 @@
     per-histogram mutex, and registration itself is mutex-guarded. The
     recorders that share one registry across domains are a
     [Penguin.Server] run in its own domain beside in-process clients —
-    bench E17 and the server, replica, quorum and observability tests —
-    and the two-domain hammer in the observability suite. *)
+    the server, replica, quorum and observability tests — and the
+    two-domain hammer in the observability suite. A metric is its name:
+    DESIGN.md §5.4 says what each one records. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -38,7 +39,7 @@ module Counter : sig
   val value : t -> int
 end
 
-val counter : ?help:string -> string -> Counter.t
+val counter : string -> Counter.t
 (** Register (or fetch, if already registered) the named counter.
     @raise Invalid_argument if the name is registered as another kind. *)
 
@@ -52,7 +53,7 @@ module Gauge : sig
   val value : t -> float
 end
 
-val gauge : ?help:string -> string -> Gauge.t
+val gauge : string -> Gauge.t
 
 (** {1 Histograms} *)
 
@@ -81,7 +82,7 @@ module Histogram : sig
       fresh, unregistered histogram. Errors when boundaries differ. *)
 end
 
-val histogram : ?help:string -> ?bounds:float list -> string -> Histogram.t
+val histogram : ?bounds:float list -> string -> Histogram.t
 (** [bounds] are bucket upper bounds, strictly increasing (default:
     26 log-spaced latency buckets from 1 µs to ~16.8 s). An implicit
     overflow bucket catches everything above the last bound. *)
@@ -98,8 +99,8 @@ type metric =
   | Gauge_m of Gauge.t
   | Histogram_m of Histogram.t
 
-val all : unit -> (string * string * metric) list
-(** (name, help, metric), sorted by name. *)
+val all : unit -> (string * metric) list
+(** (name, metric), sorted by name. *)
 
 val reset : unit -> unit
 (** Zero every registered metric's value (registrations survive). *)

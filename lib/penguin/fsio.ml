@@ -162,9 +162,7 @@ let with_lock ?deadline_ns ?clock path f =
 module Fault = struct
   module M = Obs.Metrics
 
-  let m_injected =
-    M.counter ~help:"I/O faults injected by the test harness"
-      "fsio.injected_faults"
+  let m_injected = M.counter "fsio.injected_faults"
 
   type kind = Transient | Hard | Torn | Corrupt
 

@@ -6,26 +6,14 @@ let ( let* ) = Result.bind
 
 module M = Obs.Metrics
 
-let m_append_ns =
-  M.histogram ~help:"journal append: frame + write (+ fsync)"
-    "journal.append_ns"
-
-let m_appends = M.counter ~help:"journal appends (commit batches)" "journal.appends"
-let m_fsyncs = M.counter ~help:"journal fsyncs" "journal.fsyncs"
-let m_replays = M.counter ~help:"journal replays" "journal.replays"
-
-let m_replayed_records =
-  M.counter ~help:"commit records parsed by replays" "journal.replayed_records"
-
-let m_torn_repairs =
-  M.counter ~help:"torn tails truncated away" "journal.torn_repairs"
-
-let m_rotations =
-  M.counter ~help:"journal rotations into a fresh snapshot" "journal.rotations"
-
-let m_compacted_bytes =
-  M.counter ~help:"bytes written by journal compaction: header plus kept records"
-    "journal.compacted_bytes"
+let m_append_ns = M.histogram "journal.append_ns"
+let m_appends = M.counter "journal.appends"
+let m_fsyncs = M.counter "journal.fsyncs"
+let m_replays = M.counter "journal.replays"
+let m_replayed_records = M.counter "journal.replayed_records"
+let m_torn_repairs = M.counter "journal.torn_repairs"
+let m_rotations = M.counter "journal.rotations"
+let m_compacted_bytes = M.counter "journal.compacted_bytes"
 
 let atom = Sexp.atom
 let l = Sexp.list

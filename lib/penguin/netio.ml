@@ -52,9 +52,7 @@ let default_net = { net_send = write_all; net_recv = read_some }
 module Fault = struct
   module M = Obs.Metrics
 
-  let m_injected =
-    M.counter ~help:"network faults injected by the test harness"
-      "netio.injected_faults"
+  let m_injected = M.counter "netio.injected_faults"
 
   type kind = Drop | Delay of float | Duplicate | Truncate | Sever
 

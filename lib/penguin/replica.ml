@@ -3,16 +3,12 @@ module Core = Replica_core
 module M = Obs.Metrics
 
 let ( let* ) = Result.bind
-let counter name help = M.counter ~help name
-let c_polls = counter "replica.polls" "replica poll rounds"
-let c_promotions = counter "replica.promotions" "followers promoted to writable leaders"
-let c_push_reconnects =
-  counter "shipper.push.reconnects" "push stream resubscriptions after a drop"
-let c_push_fallbacks =
-  counter "shipper.push.fallbacks" "pull-path catch-up rounds while the push stream was down"
-let h_poll_ns = M.histogram ~help:"one tail/apply poll round" "replica.poll_ns"
-let h_promote_ns =
-  M.histogram ~help:"promotion: repair + epoch-bumping rotation" "replica.promote_ns"
+let c_polls = M.counter "replica.polls"
+let c_promotions = M.counter "replica.promotions"
+let c_push_reconnects = M.counter "shipper.push.reconnects"
+let c_push_fallbacks = M.counter "shipper.push.fallbacks"
+let h_poll_ns = M.histogram "replica.poll_ns"
+let h_promote_ns = M.histogram "replica.promote_ns"
 
 (* --- feeds ------------------------------------------------------------- *)
 

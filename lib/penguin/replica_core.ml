@@ -3,19 +3,14 @@ let src = Logs.Src.create "penguin.replica" ~doc:"journal-shipping follower"
 module Log = (val Logs.src_log src : Logs.LOG)
 module M = Obs.Metrics
 
-let counter name help = M.counter ~help name
-let c_applied = counter "replica.applied_records" "journal records ingested from the leader"
-let c_refetches = counter "replica.refetches" "suspect frames re-fetched instead of applied"
-let c_resyncs =
-  counter "replica.resyncs"
-    "full snapshot resyncs (fell behind a rotation, or met a new epoch)"
-let c_rotations = counter "replica.rotations_followed" "leader journal rotations followed in place"
-let c_quarantines =
-  counter "replica.quarantines" "corrupt shipped records quarantined (degraded, not wedged)"
-let c_push_frames = counter "shipper.push.frames" "journal records ingested off a push stream"
-let g_lag =
-  M.gauge ~help:"complete leader records visible but not yet applied" "replica.lag_records"
-let g_epoch = M.gauge ~help:"leader epoch this replica follows" "replica.epoch"
+let c_applied = M.counter "replica.applied_records"
+let c_refetches = M.counter "replica.refetches"
+let c_resyncs = M.counter "replica.resyncs"
+let c_rotations = M.counter "replica.rotations_followed"
+let c_quarantines = M.counter "replica.quarantines"
+let c_push_frames = M.counter "shipper.push.frames"
+let g_lag = M.gauge "replica.lag_records"
+let g_epoch = M.gauge "replica.epoch"
 
 type status = Following | Degraded of string | Promoted
 

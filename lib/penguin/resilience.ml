@@ -1,37 +1,14 @@
 module M = Obs.Metrics
 
-let m_retries =
-  M.counter ~help:"retry attempts taken after a retryable failure"
-    "resilience.retries"
-
-let m_giveups =
-  M.counter ~help:"retry loops that exhausted their attempts"
-    "resilience.giveups"
-
-let m_deadline_hits =
-  M.counter ~help:"operations abandoned at their deadline"
-    "resilience.deadline_hits"
-
-let m_shed =
-  M.counter ~help:"requests shed by admission control" "resilience.shed"
-
-let m_trips =
-  M.counter ~help:"circuit breaker trips into degraded read-only mode"
-    "breaker.trips"
-
-let m_reopens =
-  M.counter ~help:"failed half-open probes re-opening the breaker"
-    "breaker.reopens"
-
-let m_closes =
-  M.counter ~help:"successful probes re-closing the breaker"
-    "breaker.closes"
-
-let m_rejections =
-  M.counter ~help:"writes rejected while the breaker is open"
-    "breaker.rejections"
-
-let m_probes = M.counter ~help:"half-open probe attempts" "breaker.probes"
+let m_retries = M.counter "resilience.retries"
+let m_giveups = M.counter "resilience.giveups"
+let m_deadline_hits = M.counter "resilience.deadline_hits"
+let m_shed = M.counter "resilience.shed"
+let m_trips = M.counter "breaker.trips"
+let m_reopens = M.counter "breaker.reopens"
+let m_closes = M.counter "breaker.closes"
+let m_rejections = M.counter "breaker.rejections"
+let m_probes = M.counter "breaker.probes"
 
 module Clock = struct
   type t = {

@@ -110,7 +110,8 @@ type on_lag = Server_core.on_lag = Degrade | Fail
 type config = Server_core.config = {
   flush_window : int;
       (** parked commits that force a flush (default 64); [1] degrades
-          to per-request fsync — the E17 baseline *)
+          to per-request fsync — E17's baseline, [penguin serve
+          --window 1] *)
   flush_interval_ns : float;
       (** age of the oldest parked commit that forces a flush (default
           10 ms) — the latency bound when input trickles *)

@@ -5,54 +5,28 @@ let src = Logs.Src.create "penguin.server" ~doc:"network serving front end"
 module Log = (val Logs.src_log src : Logs.LOG)
 module M = Obs.Metrics
 
-let counter name help = M.counter ~help name
-let histogram name help = M.histogram ~help name
-let m_requests = counter "server.requests" "server requests answered"
-let m_request_errors =
-  counter "server.request_errors" "server requests answered with a typed error"
-let m_connections = counter "server.connections" "client connections accepted"
-let m_disconnects =
-  counter "server.disconnects" "client connections closed or dropped"
-let m_frame_errors =
-  counter "server.frame_errors" "connections dropped on a corrupt frame"
-let m_commits = counter "server.commits" "commit requests acked durable"
-let m_updates =
-  counter "server.updates" "staged updates committed through the server"
-let m_conflicts =
-  counter "server.conflicts"
-    "parked commits the window commit refused"
-let m_dropped_parked =
-  counter "server.dropped_parked" "parked commits dropped by a client disconnect"
-let m_windows = counter "server.windows" "flush windows persisted"
-let m_commit_ns =
-  histogram "server.commit_ns" "commit request latency, park to durable ack"
-let m_request_ns =
-  histogram "server.request_ns" "request handling latency (excluding parked wait)"
-let m_oql_ns = histogram "server.oql_ns" "oql read latency"
-let m_flush_ns =
-  histogram "server.flush_ns" "whole flush: the window commit and its journal fsync"
-let m_repl_acks =
-  counter "server.replication.acks" "follower durable-position acks received"
-let m_repl_quorum =
-  counter "server.replication.quorum_commits" "windows released by follower quorum"
-let m_repl_under =
-  counter "server.replication.under_replicated"
-    "windows acked under-replicated after the replication deadline"
-let m_repl_deadline =
-  counter "server.replication.deadline_failures"
-    "commits failed with deadline_exceeded under --on-lag fail"
-let m_repl_evictions =
-  counter "server.replication.evictions"
-    "followers evicted from the quorum set for lagging"
-let m_repl_readmissions =
-  counter "server.replication.readmissions"
-    "evicted followers re-admitted after catching up"
-let m_repl_followers =
-  M.gauge ~help:"push subscribers currently connected"
-    "server.replication.followers"
-let m_log_entries =
-  M.gauge ~help:"commit-log entries the leader holds after its last trim"
-    "server.commit_log_entries"
+let m_requests = M.counter "server.requests"
+let m_request_errors = M.counter "server.request_errors"
+let m_connections = M.counter "server.connections"
+let m_disconnects = M.counter "server.disconnects"
+let m_frame_errors = M.counter "server.frame_errors"
+let m_commits = M.counter "server.commits"
+let m_updates = M.counter "server.updates"
+let m_conflicts = M.counter "server.conflicts"
+let m_dropped_parked = M.counter "server.dropped_parked"
+let m_windows = M.counter "server.windows"
+let m_commit_ns = M.histogram "server.commit_ns"
+let m_request_ns = M.histogram "server.request_ns"
+let m_oql_ns = M.histogram "server.oql_ns"
+let m_flush_ns = M.histogram "server.flush_ns"
+let m_repl_acks = M.counter "server.replication.acks"
+let m_repl_quorum = M.counter "server.replication.quorum_commits"
+let m_repl_under = M.counter "server.replication.under_replicated"
+let m_repl_deadline = M.counter "server.replication.deadline_failures"
+let m_repl_evictions = M.counter "server.replication.evictions"
+let m_repl_readmissions = M.counter "server.replication.readmissions"
+let m_repl_followers = M.gauge "server.replication.followers"
+let m_log_entries = M.gauge "server.commit_log_entries"
 
 type on_lag = Degrade | Fail
 
@@ -411,7 +385,9 @@ let handle_request st c payload =
           c.sess <- None;
           if Session.pending sess = 0 then
             send st c [ "(ok (committed 0) (versions))" ]
-          else if Resilience.Breaker.degraded st.breaker then
+          (* Not while half-open: this window's append is the probe. *)
+          else if Resilience.Breaker.state st.breaker = Resilience.Breaker.Open
+          then
             answer_error st c
               (Error.busy
                  "store is in degraded read-only mode (circuit open): writes \

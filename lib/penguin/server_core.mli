@@ -30,7 +30,8 @@ type on_lag = Degrade | Fail
 type config = {
   flush_window : int;
       (** parked commits that force a flush (default 64); [1] degrades
-          to per-request fsync — the E17 baseline *)
+          to per-request fsync — E17's baseline, [penguin serve
+          --window 1] *)
   flush_interval_ns : float;
       (** age of the oldest parked commit that forces a flush (default
           10 ms) — the latency bound when input trickles *)
@@ -106,7 +107,8 @@ val create :
   state
 (** A core serving the committed workspace. Commits take [limiter]
     slots while parked; [breaker] (the appender's) refuses them while
-    it is open. With [sync_replicas = K], each flushed window's client
+    it is open, and once it is half-open the next window's append is
+    its probe. With [sync_replicas = K], each flushed window's client
     acks wait until K healthy followers ack its last version. *)
 
 val step : state -> event -> state * action list

@@ -6,41 +6,16 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 module M = Obs.Metrics
 
-let m_queue_depth =
-  M.gauge ~help:"staged updates pending in the last-touched session"
-    "session.queue_depth"
-
-let m_queued = M.counter ~help:"updates queued into sessions" "session.queued"
-
-let m_commits = M.counter ~help:"session commits completed" "session.commits"
-
-let m_commit_ns =
-  M.histogram ~help:"whole session commit, including rebases"
-    "session.commit_ns"
-
-let m_rebases =
-  M.counter ~help:"session rebases (staged translations re-derived)"
-    "session.rebases"
-
-let m_rebase_conflict =
-  M.counter ~help:"rebases caused by overlapping concurrent commits"
-    "session.rebase_conflict"
-
-let m_rebase_unknown =
-  M.counter ~help:"rebases caused by a history barrier"
-    "session.rebase_unknown_history"
-
-let m_noop_drops =
-  M.counter ~help:"updates dropped as no-ops during a rebase"
-    "session.noop_drops"
-
-let m_shed =
-  M.counter ~help:"queue attempts shed by the session's admission bound"
-    "session.shed"
-
-let m_deadline_hits =
-  M.counter ~help:"session commits abandoned at their deadline"
-    "session.deadline_exceeded"
+let m_queue_depth = M.gauge "session.queue_depth"
+let m_queued = M.counter "session.queued"
+let m_commits = M.counter "session.commits"
+let m_commit_ns = M.histogram "session.commit_ns"
+let m_rebases = M.counter "session.rebases"
+let m_rebase_conflict = M.counter "session.rebase_conflict"
+let m_rebase_unknown = M.counter "session.rebase_unknown_history"
+let m_noop_drops = M.counter "session.noop_drops"
+let m_shed = M.counter "session.shed"
+let m_deadline_hits = M.counter "session.deadline_exceeded"
 
 type retry = Workspace.t -> (Vo_core.Request.t option, Error.t) result
 

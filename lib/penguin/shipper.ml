@@ -2,25 +2,11 @@ let ( let* ) = Result.bind
 
 module M = Obs.Metrics
 
-let c_requests =
-  M.counter ~help:"follower-feed requests served"
-    "shipper.requests"
-
-let c_request_errors =
-  M.counter ~help:"follower-feed requests answered with an error status"
-    "shipper.request_errors"
-
-let c_push_subscriptions =
-  M.counter ~help:"push-mode subscriptions accepted"
-    "shipper.push.subscriptions"
-
-let c_push_bytes =
-  M.counter ~help:"journal bytes streamed to push subscribers"
-    "shipper.push.pushed_bytes"
-
-let c_push_acks =
-  M.counter ~help:"durable-position acks received from push subscribers"
-    "shipper.push.acks"
+let c_requests = M.counter "shipper.requests"
+let c_request_errors = M.counter "shipper.request_errors"
+let c_push_subscriptions = M.counter "shipper.push.subscriptions"
+let c_push_bytes = M.counter "shipper.push.pushed_bytes"
+let c_push_acks = M.counter "shipper.push.acks"
 
 (* The pull protocol is one request and one response per connection.
    The client writes a single frame holding a request and shuts down its

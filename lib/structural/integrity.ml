@@ -68,9 +68,7 @@ let check_connection g db (c : Connection.t) =
           else dangling_violation c t1 :: acc)
         source []
 
-let m_check_full_ns =
-  Obs.Metrics.histogram ~help:"full structural sweep (Integrity.check)"
-    "integrity.check_full_ns"
+let m_check_full_ns = Obs.Metrics.histogram "integrity.check_full_ns"
 
 let check g db =
   Obs.Metrics.time m_check_full_ns @@ fun () ->
@@ -81,14 +79,8 @@ let check g db =
 (* Observability: how aggressively the delta checker prunes. A fired
    check is one index lookup (or an inverse lookup plus re-checks); a
    pruned one is a connection the firing rule proved irrelevant. *)
-let m_fired =
-  Obs.Metrics.counter ~help:"connection checks fired by check_delta"
-    "integrity.delta_checks_fired"
-
-let m_pruned =
-  Obs.Metrics.counter
-    ~help:"connection checks pruned by check_delta (values unchanged)"
-    "integrity.delta_checks_pruned"
+let m_fired = Obs.Metrics.counter "integrity.delta_checks_fired"
+let m_pruned = Obs.Metrics.counter "integrity.delta_checks_pruned"
 
 let fires changed attrs =
   if changed attrs then begin
@@ -192,9 +184,7 @@ let dedup_violations vs =
     [] vs
   |> List.rev
 
-let m_check_delta_ns =
-  Obs.Metrics.histogram ~help:"delta-driven validation (Integrity.check_delta)"
-    "integrity.check_delta_ns"
+let m_check_delta_ns = Obs.Metrics.histogram "integrity.check_delta_ns"
 
 let check_delta g db ~delta =
   Obs.Metrics.time m_check_delta_ns @@ fun () ->

@@ -7,33 +7,14 @@ let src =
 module Log = (val Logs.src_log src : Logs.LOG)
 module M = Obs.Metrics
 
-let m_hits =
-  M.counter ~help:"cache reads served from a warm definition" "cache.hits"
-
-let m_misses =
-  M.counter ~help:"cache reads that built a cold definition" "cache.misses"
-
-let m_patched =
-  M.counter ~help:"cache entries re-derived or dropped by a delta patch"
-    "cache.patched"
-
-let m_invalidated =
-  M.counter ~help:"cached definitions dropped wholesale" "cache.invalidated"
-
-let m_skipped =
-  M.counter ~help:"per-definition delta skips (disjoint footprint)"
-    "cache.skipped"
-
-let m_divergences =
-  M.counter ~help:"paranoid cross-check failures" "cache.divergences"
-
-let m_patch_ns =
-  M.histogram ~help:"apply_delta: per-definition incremental patch"
-    "cache.patch_ns"
-
-let m_warm_ns =
-  M.histogram ~help:"cold-definition build (full instantiation)"
-    "cache.warm_ns"
+let m_hits = M.counter "cache.hits"
+let m_misses = M.counter "cache.misses"
+let m_patched = M.counter "cache.patched"
+let m_invalidated = M.counter "cache.invalidated"
+let m_skipped = M.counter "cache.skipped"
+let m_divergences = M.counter "cache.divergences"
+let m_patch_ns = M.histogram "cache.patch_ns"
+let m_warm_ns = M.histogram "cache.warm_ns"
 
 let ( let* ) = Result.bind
 

@@ -19,7 +19,7 @@ let fresh () =
 
 let test_counter_gauge () =
   fresh ();
-  let c = M.counter ~help:"t" "t.counter" in
+  let c = M.counter "t.counter" in
   M.Counter.incr c;
   M.Counter.add c 4;
   Alcotest.(check int) "counter accumulates" 5 (M.Counter.value c);
@@ -124,8 +124,7 @@ let test_domain_safety_hammer () =
   Alcotest.(check int) "one registration per name" 3
     (List.length
        (List.filter
-          (fun (name, _, _) ->
-            Relational.Strutil.contains ~sub:"t.hammer" name)
+          (fun (name, _) -> Relational.Strutil.contains ~sub:"t.hammer" name)
           (M.all ())))
 
 let test_time_records_on_raise () =
@@ -439,7 +438,7 @@ let test_real_paths_and_json () =
       Alcotest.(check bool) "stats json round-trips" true (J.equal doc doc'));
   (* ...carries the whole registry... *)
   List.iter
-    (fun (name, _, m) ->
+    (fun (name, m) ->
       let section =
         match m with
         | M.Counter_m _ -> "counters"
