@@ -59,7 +59,37 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
   Log.info (fun m ->
       m "serving %s on %s (window %d, interval %.1f ms)" store sock
         config.flush_window (config.flush_interval_ns /. 1e6));
-  let feed = Replica.file_feed ~io store in
+  (* After a window's append fails, the journal may hold its whole
+     record though no client was acked for it, and the next window cuts
+     it off ({!Recovery.Appender}). Until one lands, followers are
+     served the journal only up to the last acked version, or they
+     would apply a commit the leader drops. *)
+  let failed = ref false in
+  let acked_prefix ~off bytes =
+    let frames, _, _ = Journal.decode_frames ~off0:off bytes in
+    let unacked (at, payload) =
+      at > 0
+      &&
+      match Journal.record_of_payload payload with
+      | Ok es ->
+          List.exists
+            (fun (e : Commit_log.entry) ->
+              e.Commit_log.version > Recovery.Appender.tail appender)
+            es
+      | Error _ -> true
+    in
+    match List.find_opt unacked frames with
+    | Some (at, _) -> String.sub bytes 0 (at - off)
+    | None -> bytes
+  in
+  let feed =
+    let file = Replica.file_feed ~io store in
+    { file with
+      Replica.fetch_journal =
+        (fun ~off ->
+          let* bytes = file.Replica.fetch_journal ~off in
+          Ok (if !failed then acked_prefix ~off bytes else bytes)) }
+  in
   let conns : conn list ref = ref [] (* newest first *) in
   let find id = List.find_opt (fun c -> c.id = id) !conns in
   let next_id = ref 0 in
@@ -95,6 +125,7 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
           Resilience.retry ~policy:persist_policy ~label:"server.persist"
             (fun () -> Recovery.Appender.write appender ~since ws')
         in
+        failed := Result.is_error result;
         if Result.is_ok result then begin
           relay_all ();
           Recovery.Appender.start_rotation appender ws'
