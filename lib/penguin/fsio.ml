@@ -70,7 +70,14 @@ let sync_default path =
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> Unix.fsync fd))
+        (fun () ->
+          (* Some filesystems refuse fsync on a directory fd (EINVAL):
+             there is nothing more to make durable there. Any other
+             failure, EIO above all, is one. *)
+          try Unix.fsync fd
+          with Unix.Unix_error (Unix.EINVAL, _, _)
+          when (Unix.fstat fd).Unix.st_kind = Unix.S_DIR ->
+            ()))
 
 let rename_default ~src ~dst =
   wrap ~op:Error.Rename ~path:dst (fun () -> Sys.rename src dst)
@@ -101,11 +108,9 @@ let atomic_write io ~path content =
   let* () = io.write ~path:tmp ~append:false content in
   let* () = io.sync tmp in
   let* () = io.rename ~src:tmp ~dst:path in
-  (* Make the rename itself durable: sync the containing directory.
-     Tolerated to fail — some filesystems refuse fsync on a directory
-     fd, and the rename's atomicity does not depend on it. *)
-  (match io.sync (Filename.dirname path) with Ok () | Error _ -> ());
-  Ok ()
+  (* The rename is durable only once its directory is: until then a
+     crash may bring the old content back. *)
+  io.sync (Filename.dirname path)
 
 let lock_path path = path ^ ".lock"
 
@@ -158,104 +163,3 @@ let with_lock ?deadline_ns ?clock path f =
     (fun () ->
       let* () = acquire ?deadline_ns ?clock ~path:lp fd in
       f ())
-
-module Fault = struct
-  module M = Obs.Metrics
-
-  let m_injected = M.counter "fsio.injected_faults"
-
-  type kind = Transient | Hard | Torn | Corrupt
-
-  type op = [ `Read | `Write | `Sync | `Rename | `Remove ]
-
-  (* The same keyed 48-bit LCG the backoff jitter uses, but advanced as
-     a stream: one draw per guarded operation, so the fault pattern is a
-     pure function of (seed, operation sequence). *)
-  type rng = { mutable s : int }
-
-  let rng_create seed = { s = (seed * 0x9E3779B9 lxor 0x5DEECE66D) land 0xFFFFFFFFFFFF }
-
-  let draw r =
-    r.s <- ((r.s * 25214903917) + 11) land 0xFFFFFFFFFFFF;
-    float_of_int (r.s lsr 16) /. 4294967296.
-
-  (* A second independent draw for positions (torn cut, corrupt byte). *)
-  let draw_int r n = if n <= 0 then 0 else int_of_float (draw r *. float_of_int n)
-
-  let fail ~kind ~op ~path =
-    M.Counter.incr m_injected;
-    let transient, what =
-      match kind with
-      | Transient -> true, "injected transient fault"
-      | Hard -> false, "injected non-transient fault"
-      | Torn -> true, "injected torn write"
-      | Corrupt -> true, "injected corrupting write"
-    in
-    Error (Error.io ~op ~path ~transient what)
-
-  let flip_byte r content =
-    if content = "" then content
-    else
-      let b = Bytes.of_string content in
-      let i = draw_int r (Bytes.length b) in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
-      Bytes.unsafe_to_string b
-
-  let inject ~seed ~rate ~kind ?(ops = [ `Read; `Write; `Sync; `Rename; `Remove ])
-      io =
-    let r = rng_create seed in
-    let fires () = rate > 0. && draw r < rate in
-    let guarded op = List.mem op ops in
-    {
-      read =
-        (fun path ->
-          if guarded `Read && fires () then
-            fail ~kind:(match kind with Torn | Corrupt -> Transient | k -> k)
-              ~op:Error.Read ~path
-          else io.read path);
-      read_from =
-        (fun ~path ~off ~len ->
-          if guarded `Read && fires () then
-            fail ~kind:(match kind with Torn | Corrupt -> Transient | k -> k)
-              ~op:Error.Read ~path
-          else io.read_from ~path ~off ~len);
-      write =
-        (fun ~path ~append content ->
-          if guarded `Write && fires () then
-            match kind with
-            | Transient | Hard -> fail ~kind ~op:Error.Write ~path
-            | Torn ->
-                (* Persist a strict prefix, report a (transient) error:
-                   the device tore the write and said so. Replay sees a
-                   length/checksum-invalid tail. *)
-                let cut = draw_int r (String.length content) in
-                let (_ : (unit, Error.t) result) =
-                  io.write ~path ~append (String.sub content 0 cut)
-                in
-                fail ~kind ~op:Error.Write ~path
-            | Corrupt ->
-                let (_ : (unit, Error.t) result) =
-                  io.write ~path ~append (flip_byte r content)
-                in
-                fail ~kind ~op:Error.Write ~path
-          else io.write ~path ~append content);
-      sync =
-        (fun path ->
-          if guarded `Sync && fires () then
-            fail ~kind:(match kind with Torn | Corrupt -> Transient | k -> k)
-              ~op:Error.Sync ~path
-          else io.sync path);
-      rename =
-        (fun ~src ~dst ->
-          if guarded `Rename && fires () then
-            fail ~kind:(match kind with Torn | Corrupt -> Transient | k -> k)
-              ~op:Error.Rename ~path:dst
-          else io.rename ~src ~dst);
-      remove =
-        (fun path ->
-          if guarded `Remove && fires () then
-            fail ~kind:(match kind with Torn | Corrupt -> Transient | k -> k)
-              ~op:Error.Remove ~path
-          else io.remove path);
-    }
-end

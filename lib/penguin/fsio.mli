@@ -11,9 +11,10 @@
     Failures are typed ({!Error.Io}): each carries the primitive, the
     path, and a transient flag classified from the errno
     ({!Error.of_unix}), which is what {!Resilience.retry} routes on.
-    Beyond crash points, {!Fault} wraps any [t] with seeded transient,
-    torn-write, byte-corrupting, or hard faults at per-operation rates —
-    the harness behind the [@fault-suite] property tests. *)
+    The tests' one disk model ([test/test_disk.ml]) implements [t] with
+    the losses a kernel may inflict — pages a failed fsync dropped,
+    renames not yet made durable by a directory fsync — and seeded
+    faults and crash points. *)
 
 type t = {
   read : string -> (string option, Error.t) result;
@@ -31,21 +32,27 @@ type t = {
       (** Write the full content (create; truncate or append). Makes no
           durability promise — pair with {!field-sync}. *)
   sync : string -> (unit, Error.t) result;
-      (** fsync the file (or directory) at the path. *)
+      (** fsync the file (or directory) at the path. After a failure
+          the pages it was to write may be gone while reads still return
+          them: a later good fsync does not make them durable. *)
   rename : src:string -> dst:string -> (unit, Error.t) result;
       (** Atomic within a filesystem (POSIX rename). *)
   remove : string -> (unit, Error.t) result;
 }
 
 val default : t
-(** The real filesystem (Unix-backed). *)
+(** The real filesystem (Unix-backed). Its [sync] of a directory that
+    the filesystem refuses to fsync (EINVAL) succeeds: there is nothing
+    more to make durable. *)
 
 val atomic_write : t -> path:string -> string -> (unit, Error.t) result
 (** Crash-safe whole-file replacement: write a staging file next to
     [path] (named uniquely per call, so concurrent writers never share
     one), fsync it, rename over [path], fsync the directory. A crash at
     any point leaves either the old or the new content at [path], never
-    a mixture. *)
+    a mixture; once it returns [Ok], the new content is durable. A
+    failed directory fsync fails the write, since the old content may
+    come back. *)
 
 val lock_path : string -> string
 (** The lock-file path guarding [path]: [path ^ ".lock"]. *)
@@ -77,47 +84,3 @@ val with_lock :
     the serving process's whole lifetime (the {!Recovery.Appender}
     contract); and follower promotion, which holds it while it bumps
     the epoch. *)
-
-(** Seeded injection of non-crash faults into any {!t}.
-
-    Where the crash harness (test_recovery) kills the process at chosen
-    I/O points, this wrapper makes I/O {e fail and continue}: the
-    faulted operation returns a typed {!Error.Io} and the caller's
-    retry/breaker logic must cope. Draws come from a private
-    deterministic generator — same seed, same operation sequence, same
-    faults — so every property test names its seed and reproduces
-    exactly. *)
-module Fault : sig
-  type kind =
-    | Transient
-        (** fail with a transient [Io] {e before} touching the disk —
-            the operation has no effect and an identical retry may
-            succeed *)
-    | Hard
-        (** fail with a non-transient [Io] before touching the disk —
-            what feeds the circuit breaker *)
-    | Torn
-        (** writes only: persist a strict prefix of the content, then
-            fail with a transient [Io] — a torn append whose device
-            reported the error; replay sees a checksum-invalid tail.
-            Non-write operations degrade to [Transient]. *)
-    | Corrupt
-        (** writes only: persist the full content with one byte
-            flipped, then fail with a transient [Io] — detected
-            corruption on the wire. Non-write operations degrade to
-            [Transient]. *)
-
-  type op = [ `Read | `Write | `Sync | `Rename | `Remove ]
-
-  val inject :
-    seed:int ->
-    rate:float ->
-    kind:kind ->
-    ?ops:op list ->
-    t ->
-    t
-  (** Wrap [t] so each operation in [ops] (default: all five) fails
-      with probability [rate] (0..1) and kind [kind]; non-selected
-      operations and non-firing draws pass through untouched. Each
-      injected fault increments the [fsio.injected_faults] counter. *)
-end

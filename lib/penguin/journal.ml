@@ -320,6 +320,8 @@ let truncate_torn t ~clean_bytes =
         M.Counter.incr m_torn_repairs;
         Ok ()
 
+let sync_name t = t.io.Fsio.sync (Filename.dirname t.path)
+
 let rotate ?(epoch = 0) t ~snapshot_path ~snapshot ~base ~kept =
   (* Snapshot first, then compact: a crash between the two leaves a
      newer snapshot under the old journal, and replay skips the entries

@@ -100,8 +100,13 @@ val read_header : t -> ((int * int) option, Error.t) result
     file. [Ok None] when the journal does not exist. *)
 
 val truncate_torn : t -> clean_bytes:int -> (unit, Error.t) result
-(** Atomically rewrite the journal to its valid prefix (from a {!replay}
-    that reported a torn tail), so later appends extend a clean file. *)
+(** Atomically rewrite the journal to its first [clean_bytes] bytes (a
+    {!replay}'s clean prefix, or the end of the last record a writer
+    keeps), so later appends extend a clean file. [Ok] means the cut is
+    durable, directory entry included. *)
+
+val sync_name : t -> (unit, Error.t) result
+(** fsync the journal's directory, making its current name durable. *)
 
 val rotate :
   ?epoch:int -> t -> snapshot_path:string -> snapshot:string -> base:int ->

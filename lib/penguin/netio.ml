@@ -58,9 +58,9 @@ module Fault = struct
 
   type dir = [ `Send | `Recv ]
 
-  (* The same keyed 48-bit LCG {!Fsio.Fault} advances: one draw per
-     guarded operation, so the fault pattern is a pure function of
-     (seed, operation sequence). *)
+  (* The keyed 48-bit LCG of the backoff jitter ({!Resilience}),
+     advanced as a stream: one draw per guarded operation, so the fault
+     pattern is a pure function of (seed, operation sequence). *)
   type rng = { mutable s : int }
 
   let rng_create seed =

@@ -47,7 +47,7 @@ type net = {
 val default_net : net
 (** {!write_all} / {!read_some}. *)
 
-(** Seeded network fault injection, mirroring {!Fsio.Fault}: wrap a
+(** Seeded network fault injection: wrap a
     {!net} and each guarded operation draws from a keyed 48-bit LCG —
     the fault pattern is a pure function of [(seed, operation
     sequence)], so a chaos run replays exactly. Injections count into

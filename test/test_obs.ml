@@ -240,19 +240,6 @@ module C = Penguin.Client
 module F = Penguin.Fsio
 module R = Penguin.Replica
 
-(* An io whose first write fails with an injected transient fault:
-   the server's durable append retries it. *)
-let fail_first_write io =
-  let faulty =
-    F.Fault.inject ~seed:1 ~rate:1.0 ~kind:F.Fault.Transient ~ops:[ `Write ] io
-  in
-  let fired = Atomic.make false in
-  { io with
-    F.write =
-      (fun ~path ~append s ->
-        if Atomic.exchange fired true then io.F.write ~path ~append s
-        else faulty.F.write ~path ~append s) }
-
 (* Queue [stmt] on [c]'s open session and send its commit. *)
 let send_stmt c stmt =
   let n = check_ok_e (C.queue c ~object_name:"omega" stmt) in
@@ -299,9 +286,18 @@ let quorum_traffic dir =
   let limiter =
     Penguin.Resilience.Limiter.create ~label:"obs" ~max_in_flight:1 ()
   in
-  let io = fail_first_write F.default in
+  (* The first journal append fails transiently: the server's durable
+     append retries it. *)
+  let disk =
+    Test_disk.real
+      ~schedule:
+        (Test_disk.Once
+           [ `Write, Penguin.Journal.journal_path (Test_server.store_in dir),
+             Test_disk.Transient ])
+      ()
+  in
   fst
-  @@ Test_server.with_server ~io ~config ~limiter dir
+  @@ Test_server.with_server ~io:(Test_disk.io disk) ~config ~limiter dir
   @@ fun sock ->
   let r =
     check_ok_e
@@ -402,7 +398,12 @@ let persist_traffic dir =
     Penguin.Resilience.Breaker.create ~label:"obs" ~threshold:1
       ~cooldown_ns:1e6 ~clock ()
   in
-  let hard = F.Fault.inject ~seed:4 ~rate:1.0 ~kind:F.Fault.Hard ~ops:[ `Sync ] F.default in
+  let hard =
+    Test_disk.io
+      (Test_disk.real
+         ~schedule:(Test_disk.Rate { rate = 1.0; kinds = [ Test_disk.Hard ]; ops = [ `Sync ] })
+         ())
+  in
   Alcotest.(check string) "a hard fault fails the persist" "io"
     (Penguin.Error.kind (check_err_e (commit ~io:hard ~breaker "D")));
   Alcotest.(check string) "the open breaker rejects" "busy"
@@ -467,7 +468,7 @@ let test_real_paths_and_json () =
       "session.commits"; "journal.rotations"; "journal.torn_repairs";
       (* resilience: a retried write fault, a shed commit, and a breaker
          trip/reject/probe/close cycle *)
-      "fsio.injected_faults"; "resilience.retries"; "resilience.shed";
+      "resilience.retries"; "resilience.shed";
       "breaker.trips"; "breaker.rejections"; "breaker.probes";
       "breaker.closes";
       (* the server's cache: cold builds, warm hits, patches, skips;

@@ -435,36 +435,25 @@ let test_install_crash_keeps_the_epoch () =
   (* The old leader commits once more, and an in-memory follower takes
      it: it stands past the fork, in epoch 0. *)
   commit dir "F";
-  let disk = { Test_replica_sim.files = Hashtbl.create 8; faulty = true } in
-  let crashed = ref false in
-  let mem = Test_replica_sim.io_of disk ~faults:(fun () -> if !crashed then `Hard else `None) in
+  let disk = Test_disk.mem () in
+  let io = Test_disk.io disk in
   let target = "follower.pgn" in
-  let armed = ref false in
-  let io =
-    { mem with
-      Penguin.Fsio.rename =
-        (fun ~src ~dst ->
-          let r = mem.Penguin.Fsio.rename ~src ~dst in
-          if !armed && dst = target then crashed := true;
-          r) }
-  in
   let _ = catch_up (check_ok_e (R.create ~io ~feed:(R.file_feed (store_in dir)) ~target ())) in
   (* Following the new leader resyncs; the process dies as soon as the
      new snapshot is renamed into place. *)
-  armed := true;
-  let _ = R.create ~io ~feed:(R.file_feed (store_in new_dir)) ~target () in
-  Alcotest.(check bool) "the crash point was reached" true !crashed;
-  let ws, report = check_ok_e (Penguin.Recovery.open_store ~io:mem target) in
+  Test_disk.set_schedule disk (Test_disk.Once [ `Rename, target, Test_disk.Crash_at `After ]);
+  (match R.create ~io ~feed:(R.file_feed (store_in new_dir)) ~target () with
+  | exception Test_disk.Crash -> ()
+  | _ -> Alcotest.fail "the crash point was not reached");
+  let ws, report = check_ok_e (Penguin.Recovery.open_store ~io target) in
   Alcotest.(check string) "the files hold the new leader's state" "C-"
     (str_val (Test_recovery.grade_of ws ("CS345", 2)));
   Alcotest.(check int) "and reopen in its epoch" epoch report.Penguin.Recovery.epoch;
   (* The restarted follower acks under its journal header, which is also
      what a failover compares: it must carry the new epoch before any
      frame of that epoch is appended. *)
-  crashed := false;
-  armed := false;
   let _ = catch_up (check_ok_e (R.create ~io ~feed:(R.file_feed (store_in new_dir)) ~target ())) in
-  let d = check_ok_e (R.durable_position ~io:mem target) in
+  let d = check_ok_e (R.durable_position ~io target) in
   Alcotest.(check int) "the restarted follower's position is in the new epoch" epoch
     d.R.d_epoch;
   rm_rf dir;
@@ -710,63 +699,54 @@ let test_shipper_kill_points () =
 
 let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter name)
 
-(* An io whose first append to [path] writes half its bytes and fails:
-   a torn write to the follower's own journal. *)
-let tear_first_append path =
-  let io = Penguin.Fsio.default in
-  let torn = ref false in
-  { io with
-    Penguin.Fsio.write =
-      (fun ~path:p ~append content ->
-        if append && p = path && not !torn then begin
-          torn := true;
-          let half = String.sub content 0 (String.length content / 2) in
-          Result.bind (io.Penguin.Fsio.write ~path:p ~append half) (fun () ->
-              Error
-                (Penguin.Error.io ~op:Penguin.Error.Write ~path:p
-                   ~transient:true "injected torn append"))
-        end
-        else io.Penguin.Fsio.write ~path:p ~append content) }
-
 (* A torn write to the follower's own journal is a local fault, not a
    corrupt leader frame: the journal is cut back to its clean length
    before the next append, so every version the follower reports is one
-   its files reopen at. *)
+   its files reopen at, a power loss included. A failed fsync of it is
+   mended the same way: the journal is written afresh, as the pages the
+   fsync dropped are not written back by a later one. *)
 let test_torn_own_append () =
   Obs.Metrics.enable ();
-  let dir = temp_dir "replica-torn-own" in
-  Test_recovery.make_store dir;
-  let target = target_in dir in
-  let r =
-    check_ok_e
-      (R.create ~io:(tear_first_append (J.journal_path target))
-         ~refetch_limit:2 ~feed:(R.file_feed (store_in dir)) ~target ())
-  in
-  List.iter (commit dir) [ "A-"; "B-"; "C+" ];
-  let refetches = counter "replica.refetches" in
-  let quarantines = counter "replica.quarantines" in
-  let first = R.poll r in
-  let _ = catch_up r in
-  let lws, _ = Test_recovery.recover dir in
-  Alcotest.(check int) "caught up to the leader"
-    (Penguin.Workspace.version lws) (R.position r);
-  let d = check_ok_e (R.durable_position target) in
-  Alcotest.(check int) "the durable position is the reported one"
-    (R.position r) d.R.d_version;
-  let fws, report = check_ok_e (Penguin.Recovery.open_store target) in
-  Alcotest.(check int) "the files reopen at the reported position"
-    (R.position r) (Penguin.Workspace.version fws);
-  Alcotest.(check int) "no torn bytes left behind" 0
-    report.Penguin.Recovery.torn_bytes;
-  db_equal "the reopened follower equals the leader" lws fws;
-  Alcotest.(check int) "not counted as a refetch" refetches
-    (counter "replica.refetches");
-  Alcotest.(check int) "not counted as a quarantine" quarantines
-    (counter "replica.quarantines");
-  let err = check_err_e ~msg:"the torn append is returned" first in
-  Alcotest.(check bool) "the torn append's own error" true
-    (Strutil.contains ~sub:"injected torn append" (Penguin.Error.to_string err));
-  rm_rf dir
+  List.iter
+    (fun (op, kind, what) ->
+      let dir = temp_dir "replica-torn-own" in
+      Test_recovery.make_store dir;
+      let target = target_in dir in
+      let disk =
+        Test_disk.real ~schedule:(Test_disk.Once [ op, J.journal_path target, kind ]) ()
+      in
+      let r =
+        check_ok_e
+          (R.create ~io:(Test_disk.io disk) ~refetch_limit:2
+             ~feed:(R.file_feed (store_in dir)) ~target ())
+      in
+      List.iter (commit dir) [ "A-"; "B-"; "C+" ];
+      let refetches = counter "replica.refetches" in
+      let quarantines = counter "replica.quarantines" in
+      let first = R.poll r in
+      let _ = catch_up r in
+      Test_disk.crash disk;
+      let lws, _ = Test_recovery.recover dir in
+      Alcotest.(check int) "caught up to the leader"
+        (Penguin.Workspace.version lws) (R.position r);
+      let d = check_ok_e (R.durable_position target) in
+      Alcotest.(check int) "the durable position is the reported one"
+        (R.position r) d.R.d_version;
+      let fws, report = check_ok_e (Penguin.Recovery.open_store target) in
+      Alcotest.(check int) "the files reopen at the reported position"
+        (R.position r) (Penguin.Workspace.version fws);
+      Alcotest.(check int) "no torn bytes left behind" 0
+        report.Penguin.Recovery.torn_bytes;
+      db_equal "the reopened follower equals the leader" lws fws;
+      Alcotest.(check int) "not counted as a refetch" refetches
+        (counter "replica.refetches");
+      Alcotest.(check int) "not counted as a quarantine" quarantines
+        (counter "replica.quarantines");
+      let err = check_err_e ~msg:"the faulted round is returned" first in
+      Alcotest.(check bool) ("the fault's own error: " ^ what) true
+        (Strutil.contains ~sub:what (Penguin.Error.to_string err));
+      rm_rf dir)
+    [ `Write, Test_disk.Torn, "injected torn write"; `Sync, Test_disk.Hard, "injected hard fault" ]
 
 (* A hard fault on the follower's own files ends the push driver: it
    cannot mend by retrying, and retrying would spin silently. *)
@@ -777,8 +757,10 @@ let test_follow_push_own_fault () =
   with_server dir (fun sock ->
       let _ = catch_up (follower dir) in
       let faulty =
-        Penguin.Fsio.Fault.inject ~seed:5 ~rate:1.0
-          ~kind:Penguin.Fsio.Fault.Hard ~ops:[ `Write ] Penguin.Fsio.default
+        Test_disk.io
+          (Test_disk.real
+             ~schedule:(Test_disk.Rate { rate = 1.0; kinds = [ Test_disk.Hard ]; ops = [ `Write ] })
+             ())
       in
       let r =
         check_ok_e

@@ -134,16 +134,18 @@ let test_breaker_degraded_reads () =
   let dir = temp_dir "server-degraded" in
   make_bench_store dir 2;
   (* Prime the journal with one clean commit so the serve-time open
-     finds it initialized, then fail every fsync hard: the first flush
-     trips the threshold-1 breaker. *)
+     finds it initialized, then, once the server is up, fail every
+     fsync hard: the first flush trips the threshold-1 breaker. *)
   let _ =
     check_ok_e
       (Test_recovery.commit_grade ~io:F.default dir ("CS345", 2) "B+")
   in
-  let io = F.Fault.inject ~seed:7 ~rate:1.0 ~kind:F.Fault.Hard ~ops:[ `Sync ] F.default in
+  let disk = Test_disk.real () in
   let breaker = Penguin.Resilience.Breaker.create ~label:"test" ~threshold:1 () in
   let (), stats =
-    with_server ~io ~breaker dir (fun sock ->
+    with_server ~io:(Test_disk.io disk) ~breaker dir (fun sock ->
+        Test_disk.set_schedule disk
+          (Test_disk.Rate { rate = 1.0; kinds = [ Test_disk.Hard ]; ops = [ `Sync ] });
         let c = connect sock in
         let _ = check_ok_e (C.begin_ c) in
         let _ =
@@ -176,20 +178,13 @@ let test_breaker_degraded_reads () =
   Alcotest.(check int) "nothing acked durable" 0 stats.S.commits;
   rm_rf dir
 
-(* An io whose first fsync of the store's journal (the first window's
-   durability point) fails once, then passes everything through. The
-   failed fsync drops the pages it was to write ({!Test_fault.lossy_fsync}):
-   the returned [crash] shows what the disk holds. *)
-let fail_journal_sync_once ~transient dir =
-  let journal = Penguin.Journal.journal_path (store_in dir) in
-  let armed = Atomic.make true in
-  Test_fault.lossy_fsync
-    { F.default with
-      F.sync =
-        (fun path ->
-          if path = journal && Atomic.compare_and_set armed true false then
-            Error (E.io ~op:E.Sync ~path ~transient "injected fsync fault")
-          else F.default.F.sync path) }
+(* A disk model over the real files whose first fsync of the store's
+   journal (the first window's durability point) fails. *)
+let journal_sync_fault kind dir =
+  Test_disk.real
+    ~schedule:
+      (Test_disk.Once [ `Sync, Penguin.Journal.journal_path (store_in dir), kind ])
+    ()
 
 let reopen dir =
   let ws, _ = check_ok_e (Penguin.Recovery.open_store (store_in dir)) in
@@ -213,9 +208,9 @@ let test_transient_fsync_fault () =
   let dir = temp_dir "server-fsync-fault" in
   make_bench_store dir 2;
   let v0 = Penguin.Workspace.version (reopen dir) in
-  let io, crash = fail_journal_sync_once ~transient:true dir in
+  let disk = journal_sync_fault Test_disk.Transient dir in
   let (), stats =
-    with_server ~io dir (fun sock ->
+    with_server ~io:(Test_disk.io disk) dir (fun sock ->
         let c = connect sock in
         Alcotest.(check (list int)) "the faulted commit acks" [ v0 + 1 ]
           (commit_grade c ~course:1 ~grade:"B");
@@ -224,7 +219,7 @@ let test_transient_fsync_fault () =
         C.close c)
   in
   Alcotest.(check int) "two commits acked" 2 stats.S.commits;
-  crash ();
+  Test_disk.crash disk;
   Alcotest.(check int) "the store reopens at the acked version" (v0 + 2)
     (Penguin.Workspace.version (reopen dir));
   Alcotest.(check bool) "the faulted commit is on disk" true
@@ -240,13 +235,13 @@ let test_breaker_recloses () =
   let dir = temp_dir "server-breaker-recloses" in
   make_bench_store dir 2;
   let v0 = Penguin.Workspace.version (reopen dir) in
-  let io, crash = fail_journal_sync_once ~transient:false dir in
+  let disk = journal_sync_fault Test_disk.Hard dir in
   let breaker =
     Penguin.Resilience.Breaker.create ~label:"test" ~threshold:1
       ~cooldown_ns:1e6 ()
   in
   let (), stats =
-    with_server ~io ~breaker dir (fun sock ->
+    with_server ~io:(Test_disk.io disk) ~breaker dir (fun sock ->
         let c = connect sock in
         let _ = check_ok_e (C.begin_ c) in
         let _ =
@@ -266,7 +261,7 @@ let test_breaker_recloses () =
         C.close c)
   in
   Alcotest.(check int) "one commit acked" 1 stats.S.commits;
-  crash ();
+  Test_disk.crash disk;
   Alcotest.(check int) "the store reopens at the acked version" (v0 + 1)
     (Penguin.Workspace.version (reopen dir));
   Alcotest.(check bool) "it holds the probe, not the failed commit" true
@@ -285,7 +280,7 @@ let test_follower_skips_failed_window () =
     check_ok_e (Test_recovery.commit_grade ~io:F.default dir ("CS345", 2) "B+")
   in
   let v0 = Penguin.Workspace.version (reopen dir) in
-  let io, _crash = fail_journal_sync_once ~transient:false dir in
+  let disk = journal_sync_fault Test_disk.Hard dir in
   let breaker =
     Penguin.Resilience.Breaker.create ~label:"test" ~threshold:1
       ~cooldown_ns:1e6 ()
@@ -298,7 +293,7 @@ let test_follower_skips_failed_window () =
       (Relational.Relation.lookup r [ vs "BENCH001"; vi 2001 ])
   in
   let (), _ =
-    with_server ~io ~breaker dir (fun sock ->
+    with_server ~io:(Test_disk.io disk) ~breaker dir (fun sock ->
         let r =
           check_ok_e
             (Penguin.Replica.create ~feed:(Penguin.Shipper.feed ~sock) ~target
