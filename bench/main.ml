@@ -1150,6 +1150,26 @@ let e14 () =
       Cache.apply_delta cache ~post:db' fwd;
       Cache.apply_delta cache ~post:db back
   in
+  (* A point read by pivot key is a lookup: served through the cache
+     (parse included, as the server pays it) or instantiated fresh, it
+     should cost the same at 200 and at 2000 courses. *)
+  let sizes = [ 200; 2000 ] in
+  let q = "course_id = 'BENCH100'" in
+  let cond =
+    match Oql.parse omega q with Ok c -> c | Error e -> failwith e
+  in
+  let point_reads n =
+    let db = Workloads.courses_db n in
+    let cache = Cache.create Penguin.University.graph ~db in
+    Cache.register cache omega;
+    Cache.warm cache;
+    [
+      Test.make ~name:(Fmt.str "cache-oql,courses=%d" n)
+        (stage (fun () -> Cache.oql cache "omega" q));
+      Test.make ~name:(Fmt.str "vo-query-run,courses=%d" n)
+        (stage (fun () -> Vo_query.run db omega cond));
+    ]
+  in
   ignore
     (run_group "e14"
        [
@@ -1168,7 +1188,25 @@ let e14 () =
            (stage (patch_roundtrip cache16 db16 "CS345" 2));
          Test.make ~name:"patch-roundtrip:cs345,dbsize=256"
            (stage (patch_roundtrip cache256 db256 "CS345" 2));
-       ])
+       ]);
+  (* Its own group, built after the one above: the 2000-course state
+     would otherwise sit in the heap while those rows are timed. *)
+  let rows = run_group "e14.point-read" (List.concat_map point_reads sizes) in
+  List.iter
+    (fun path ->
+      let at n =
+        List.assoc_opt (Fmt.str "e14.point-read %s,courses=%d" path n) rows
+      in
+      match at 200, at 2000 with
+      | Some small, Some large ->
+          let ratio = large /. small in
+          Fmt.pr "%s %s point read at 2000 courses: %.2f us, %.2fx the \
+                  %.2f us at 200 (%s 1.5x)@."
+            (if ratio <= 1.5 then "acceptance:" else "ACCEPTANCE FAILED:")
+            path (large /. 1e3) ratio (small /. 1e3)
+            (if ratio <= 1.5 then "<=" else ">")
+      | _ -> ())
+    [ "cache-oql"; "vo-query-run" ]
 
 let ablation () =
   section "Ablation: translate / apply split (DESIGN.md section 5.1)";

@@ -41,117 +41,13 @@ let read_all fd =
 
 (* The send/recv vtable the streaming paths (server conns, push-mode
    shipping) thread their socket I/O through — the network counterpart
-   of the {!Fsio.t} seam, and where {!Fault} injects. *)
+   of the {!Fsio.t} seam, and where a test injects link faults. *)
 type net = {
   net_send : Unix.file_descr -> string -> unit;
   net_recv : Unix.file_descr -> bytes -> int;
 }
 
 let default_net = { net_send = write_all; net_recv = read_some }
-
-module Fault = struct
-  module M = Obs.Metrics
-
-  let m_injected = M.counter "netio.injected_faults"
-
-  type kind = Drop | Delay of float | Duplicate | Truncate | Sever
-
-  type dir = [ `Send | `Recv ]
-
-  (* The keyed 48-bit LCG of the backoff jitter ({!Resilience}),
-     advanced as a stream: one draw per guarded operation, so the fault
-     pattern is a pure function of (seed, operation sequence). *)
-  type rng = { mutable s : int }
-
-  let rng_create seed =
-    { s = (seed * 0x9E3779B9 lxor 0x5DEECE66D) land 0xFFFFFFFFFFFF }
-
-  let draw r =
-    r.s <- ((r.s * 25214903917) + 11) land 0xFFFFFFFFFFFF;
-    float_of_int (r.s lsr 16) /. 4294967296.
-
-  (* A second independent draw for cut positions. *)
-  let draw_int r n =
-    if n <= 0 then 0 else int_of_float (draw r *. float_of_int n)
-
-  let inject ~seed ~rate ~kind ?(dirs = [ `Send; `Recv ]) net =
-    let r = rng_create seed in
-    let severed = ref false in
-    let replay = ref "" in
-    let fires () = rate > 0. && draw r < rate in
-    let guarded d = List.mem d dirs in
-    (* An injected net models one link: once severed it stays severed,
-       like a cut cable — both directions fail from then on. *)
-    let cut fn =
-      severed := true;
-      raise (Unix.Unix_error (Unix.ECONNRESET, fn, "injected sever"))
-    in
-    let check fn =
-      if !severed then
-        raise (Unix.Unix_error (Unix.ECONNRESET, fn, "injected sever"))
-    in
-    {
-      net_send =
-        (fun fd s ->
-          check "send";
-          if guarded `Send && fires () then begin
-            M.Counter.incr m_injected;
-            match kind with
-            | Drop -> () (* the bytes vanish; the sender believes they landed *)
-            | Delay d ->
-                Unix.sleepf d;
-                net.net_send fd s
-            | Duplicate ->
-                net.net_send fd s;
-                net.net_send fd s
-            | Truncate ->
-                let k = draw_int r (String.length s) in
-                (try net.net_send fd (String.sub s 0 k)
-                 with Unix.Unix_error _ -> ());
-                cut "send"
-            | Sever -> cut "send"
-          end
-          else net.net_send fd s);
-      net_recv =
-        (fun fd buf ->
-          check "recv";
-          if !replay <> "" then begin
-            (* A duplicated chunk awaiting redelivery. *)
-            let s = !replay in
-            let k = min (String.length s) (Bytes.length buf) in
-            Bytes.blit_string s 0 buf 0 k;
-            replay := String.sub s k (String.length s - k);
-            k
-          end
-          else if guarded `Recv && fires () then begin
-            M.Counter.incr m_injected;
-            match kind with
-            | Drop ->
-                (* The peer's bytes are lost on the wire: consume and
-                   discard them, then report "nothing arrived". A drop
-                   mid-frame leaves the stream decoder on garbage — the
-                   checksum catches it downstream. *)
-                let (_ : int) = net.net_recv fd buf in
-                raise (Unix.Unix_error (Unix.EAGAIN, "recv", "injected drop"))
-            | Delay d ->
-                Unix.sleepf d;
-                net.net_recv fd buf
-            | Duplicate ->
-                let k = net.net_recv fd buf in
-                if k > 0 then replay := Bytes.sub_string buf 0 k;
-                k
-            | Truncate ->
-                let k = net.net_recv fd buf in
-                let c = draw_int r k in
-                severed := true;
-                if c = 0 then
-                  raise (Unix.Unix_error (Unix.ECONNRESET, "recv", "injected sever"))
-                else c
-            | Sever -> cut "recv"
-          end
-          else net.net_recv fd buf);
-    }
-end
 
 let listen ~sock =
   (try Unix.unlink sock with Unix.Unix_error _ -> ());

@@ -36,9 +36,9 @@ val read_all : Unix.file_descr -> string
 
 (** The send/recv vtable the streaming paths (server connections,
     push-mode shipping) route their socket I/O through — the network
-    counterpart of the {!Fsio.t} seam, and the point where {!Fault}
-    injects. Both calls raise [Unix.Unix_error] like the syscalls they
-    wrap. *)
+    counterpart of the {!Fsio.t} seam, and the point where a test
+    injects link faults. Both calls raise [Unix.Unix_error] like the
+    syscalls they wrap. *)
 type net = {
   net_send : Unix.file_descr -> string -> unit;
   net_recv : Unix.file_descr -> bytes -> int;
@@ -46,31 +46,6 @@ type net = {
 
 val default_net : net
 (** {!write_all} / {!read_some}. *)
-
-(** Seeded network fault injection: wrap a
-    {!net} and each guarded operation draws from a keyed 48-bit LCG —
-    the fault pattern is a pure function of [(seed, operation
-    sequence)], so a chaos run replays exactly. Injections count into
-    the [netio.injected_faults] metric. *)
-module Fault : sig
-  type kind =
-    | Drop  (** sent bytes vanish / received bytes are discarded *)
-    | Delay of float  (** the operation completes after [s] seconds *)
-    | Duplicate  (** the chunk is delivered twice *)
-    | Truncate
-        (** a strict prefix crosses, then the link is severed — the
-            network's torn write *)
-    | Sever  (** [ECONNRESET], and the link stays dead afterwards *)
-
-  type dir = [ `Send | `Recv ]
-
-  val inject :
-    seed:int -> rate:float -> kind:kind -> ?dirs:dir list -> net -> net
-  (** Guard the given directions (default both) of one link: each
-      guarded call fires with probability [rate]. A severed link (from
-      [Sever] or [Truncate]) fails every later call on either
-      direction — a cut cable, not a dropped packet. *)
-end
 
 val listen : sock:string -> (Unix.file_descr, Error.t) result
 (** Bind and listen on a Unix-domain socket path, unlinking any stale

@@ -155,6 +155,6 @@ val serve :
     to a fresh one bounded by [config.max_parked]; [breaker] to a fresh
     default breaker. [io] is the durability layer's injectable seam —
     the fault tests drive degraded read-only serving through it — and
-    [net] (default {!Netio.default_net}) the socket seam
-    {!Netio.Fault} wraps for partition chaos. Returns serving totals
+    [net] (default {!Netio.default_net}) the socket seam the tests
+    wrap with link faults for partition chaos. Returns serving totals
     after a clean shutdown. *)

@@ -126,7 +126,7 @@ let dump r =
   let cell t a =
     match Tuple.get t a with
     | Value.Null -> "null"
-    | v -> escape_cell (Fmt.str "%a" Value.pp_plain v)
+    | v -> escape_cell (Value.to_plain_string v)
   in
   let row t = String.concat "," (List.map (cell t) attrs) in
   String.concat "\n"

@@ -138,6 +138,21 @@ let attributes p =
   in
   List.rev (go [] p)
 
+(* The constant each [key] attribute is bound to by an [Eq] in [p]'s
+   positive conjunction (the first such binding), when all of them are.
+   [Or] and [Not] hide their bindings: a key under them still scans. *)
+let fixed_key key p =
+  let rec bound a = function
+    | Cmp (b, Eq, v) when String.equal a b -> Some v
+    | And (p1, p2) -> (
+        match bound a p1 with None -> bound a p2 | Some _ as v -> v)
+    | True | False | Cmp _ | Cmp_attr _ | Cmp_scalar _ | Is_null _
+    | Not_null _ | Or _ | Not _ ->
+        None
+  in
+  let vs = List.filter_map (fun a -> bound a p) key in
+  if List.compare_lengths vs key = 0 then Some vs else None
+
 let matches_tuple t =
   conj
     (List.map

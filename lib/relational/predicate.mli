@@ -59,6 +59,15 @@ val conj : t list -> t
 val attributes : t -> string list
 (** Attribute names mentioned, without duplicates. *)
 
+val fixed_key : string list -> t -> Value.t list option
+(** [fixed_key key p] is the value of every attribute of [key] (in
+    [key]'s order) when [p]'s positive conjunction binds each with [Eq]
+    to a constant, [None] otherwise: a binding under [Or] or [Not], or a
+    key left partly unbound, fixes nothing. Any tuple satisfying [p]
+    carries that key, so a caller may look it up and then {!eval} [p]
+    on the one tuple found. With conflicting bindings the first wins;
+    the [eval] then rejects the tuple. *)
+
 val matches_tuple : Tuple.t -> t
 (** Predicate selecting exactly the tuples equal to the given one on its
     bound attributes. *)

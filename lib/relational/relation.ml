@@ -120,7 +120,12 @@ let iter f r = KMap.iter (fun _ t -> f t) r.tuples
 let to_list r = List.rev (fold (fun t acc -> t :: acc) r [])
 
 let select p r =
-  List.filter (fun t -> Predicate.eval p t) (to_list r)
+  match Predicate.fixed_key (Schema.key_attributes r.schema) p with
+  | Some k -> (
+      match KMap.find_opt k r.tuples with
+      | Some t when Predicate.eval p t -> [ t ]
+      | Some _ | None -> [])
+  | None -> List.filter (fun t -> Predicate.eval p t) (to_list r)
 
 (* --- secondary indexes ------------------------------------------------ *)
 

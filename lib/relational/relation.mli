@@ -45,6 +45,9 @@ val find_matching : t -> Tuple.t -> Tuple.t option
     tuple. *)
 
 val select : Predicate.t -> t -> Tuple.t list
+(** Tuples satisfying the predicate, in key order. A lookup when the
+    predicate fixes the whole primary key ({!Predicate.fixed_key}): the
+    one tuple with that key, if [p] holds on it. A scan otherwise. *)
 
 (** {1 Secondary indexes}
 

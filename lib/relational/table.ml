@@ -35,7 +35,7 @@ let render ~header rows =
 
 let of_tuples ~attrs tuples =
   let row t =
-    List.map (fun a -> Fmt.str "%a" Value.pp_plain (Tuple.get t a)) attrs
+    List.map (fun a -> Value.to_plain_string (Tuple.get t a)) attrs
   in
   render ~header:attrs (List.map row tuples)
 

@@ -69,9 +69,14 @@ let pp ppf = function
   | Str s -> Fmt.pf ppf "%S" s
   | Bool b -> Fmt.bool ppf b
 
-let pp_plain ppf = function
-  | Str s -> Fmt.string ppf s
-  | v -> pp ppf v
+let to_plain_string = function
+  | Null -> "null"
+  | Int i -> Int.to_string i
+  | Float f -> float_to_string f
+  | Str s -> s
+  | Bool b -> Bool.to_string b
+
+let pp_plain ppf v = Fmt.string ppf (to_plain_string v)
 
 let pp_domain ppf d = Fmt.string ppf (domain_name d)
 

@@ -45,6 +45,9 @@ val pp : Format.formatter -> t -> unit
 val pp_plain : Format.formatter -> t -> unit
 (** Unquoted form used in table cells and instance renderings. *)
 
+val to_plain_string : t -> string
+(** The {!pp_plain} form as a string, built without a formatter. *)
+
 val pp_domain : Format.formatter -> domain -> unit
 
 val to_string : t -> string

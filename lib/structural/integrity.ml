@@ -381,62 +381,40 @@ let cascade_delete g db ~policy ~seeds =
   in
   Ok (merged @ deletions)
 
-let minimal_tuple schema bindings =
-  ignore schema;
-  Tuple.make bindings
-
+(* Existence goes through {!has_source} and {!reference_resolves}, so
+   the connection index serves it. A null connecting attribute matches
+   no parent, as [Eq] against [Null] does in a selection. *)
 let missing_dependencies g db rel t =
-  let needs =
-    (* rel as the dependent end of ownership/subset: needs its parent. *)
-    List.filter_map
+  (* rel as the dependent end of ownership/subset: needs its parent. *)
+  List.filter_map
+    (fun (c : Connection.t) ->
+      match c.kind with
+      | Connection.Ownership | Connection.Subset ->
+          if has_source db c t then None
+          else
+            Some
+              ( c,
+                Tuple.make
+                  (List.map2
+                     (fun x1 x2 -> x1, Tuple.get t x2)
+                     c.source_attrs c.target_attrs) )
+      | Connection.Reference -> None)
+    (Schema_graph.incoming g rel)
+  (* rel as the referencing end: non-null references must resolve. *)
+  @ List.filter_map
       (fun (c : Connection.t) ->
         match c.kind with
-        | Connection.Ownership | Connection.Subset ->
-            let parent_schema = Schema_graph.schema_exn g c.source in
-            let bindings =
-              List.map2 (fun x1 x2 -> x1, Tuple.get t x2) c.source_attrs
-                c.target_attrs
-            in
-            let exists =
-              Relation.select
-                (Predicate.conj
-                   (List.map
-                      (fun (a, v) -> Predicate.Cmp (a, Predicate.Eq, v))
-                      bindings))
-                (Database.relation_exn db c.source)
-              <> []
-            in
-            if exists then None
-            else Some (c, minimal_tuple parent_schema bindings)
-        | Connection.Reference -> None)
-      (Schema_graph.incoming g rel)
-    (* rel as the referencing end: non-null references must resolve. *)
-    @ List.filter_map
-        (fun (c : Connection.t) ->
-          match c.kind with
-          | Connection.Reference ->
-              if Tuple.has_nulls_on c.source_attrs t then None
-              else
-                let target_schema = Schema_graph.schema_exn g c.target in
-                let bindings =
-                  List.map2 (fun x1 x2 -> x2, Tuple.get t x1) c.source_attrs
-                    c.target_attrs
-                in
-                let exists =
-                  Relation.select
-                    (Predicate.conj
-                       (List.map
-                          (fun (a, v) -> Predicate.Cmp (a, Predicate.Eq, v))
-                          bindings))
-                    (Database.relation_exn db c.target)
-                  <> []
-                in
-                if exists then None
-                else Some (c, minimal_tuple target_schema bindings)
-          | Connection.Ownership | Connection.Subset -> None)
-        (Schema_graph.outgoing g rel)
-  in
-  needs
+        | Connection.Reference ->
+            if reference_resolves db c t then None
+            else
+              Some
+                ( c,
+                  Tuple.make
+                    (List.map2
+                       (fun x1 x2 -> x2, Tuple.get t x1)
+                       c.source_attrs c.target_attrs) )
+        | Connection.Ownership | Connection.Subset -> None)
+      (Schema_graph.outgoing g rel)
 
 let key_replacement_fixups g db ~relation ~old_tuple ~new_tuple ~exclude =
   (* Recursive propagation of connecting-attribute changes (rules 3 of

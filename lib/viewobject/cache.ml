@@ -278,6 +278,7 @@ let warm t =
 
 (* --- reads ----------------------------------------------------------- *)
 
+(* The entries of [ds], built first when it is cold (a miss). *)
 let served t ds =
   (match ds.entries with
   | Some _ ->
@@ -287,19 +288,39 @@ let served t ds =
       t.s_misses <- t.s_misses + 1;
       M.Counter.incr m_misses;
       build_def t ds);
-  match ds.entries with
-  | Some m -> List.map (fun (_, ne) -> ne.inst) (KMap.bindings m)
-  | None -> assert false
+  match ds.entries with Some m -> m | None -> assert false
 
-let instances t name = Result.map (served t) (find_state t name)
+let instances t name =
+  let* ds = find_state t name in
+  Ok (List.map (fun (_, ne) -> ne.inst) (KMap.bindings (served t ds)))
+
+(* A condition whose pushed-down pivot predicate fixes the pivot key
+   reads one entry; any other condition filters them all. *)
+let query_state t ds cond =
+  let m = served t ds in
+  let holds ne = Vo_query.holds cond ne.inst in
+  let key =
+    Schema.key_attributes
+      (Schema_graph.schema_exn t.graph ds.def.Definition.pivot)
+  in
+  match Predicate.fixed_key key (Vo_query.pushdown ds.def cond) with
+  | Some k -> (
+      match KMap.find_opt k m with
+      | Some ne when holds ne -> [ ne.inst ]
+      | Some _ | None -> [])
+  | None ->
+      List.filter_map
+        (fun (_, ne) -> if holds ne then Some ne.inst else None)
+        (KMap.bindings m)
 
 let query t name cond =
-  Result.map (List.filter (Vo_query.holds cond)) (instances t name)
+  let* ds = find_state t name in
+  Ok (query_state t ds cond)
 
 let oql t name q =
   let* ds = find_state t name in
   let* cond = Oql.parse ds.def q in
-  Ok (List.filter (Vo_query.holds cond) (served t ds))
+  Ok (query_state t ds cond)
 
 (* --- incremental maintenance ----------------------------------------- *)
 

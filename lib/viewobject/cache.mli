@@ -79,11 +79,16 @@ val instances : t -> string -> (Instance.t list, string) result
 
 val query : t -> string -> Vo_query.condition -> (Instance.t list, string) result
 (** {!instances} filtered by {!Vo_query.holds} — equal to
-    [Vo_query.run (db t) vo condition]. *)
+    [Vo_query.run (db t) vo condition]. A lookup when the condition's
+    pivot predicate ({!Vo_query.pushdown}) fixes the whole pivot key
+    ({!Relational.Predicate.fixed_key}): the one entry under that key is
+    read and [holds] runs on it alone. Any other condition (a key under
+    [or] or [not], part of a composite key, no key) scans every entry. *)
 
 val oql : t -> string -> string -> (Instance.t list, string) result
 (** Parse an OQL condition against the named definition and {!query}
-    through the cache — the cached counterpart of {!Oql.run}. *)
+    through the cache — the cached counterpart of {!Oql.run}, and a
+    lookup in the same cases. *)
 
 val apply_delta : t -> post:Database.t -> Delta.t -> unit
 (** Advance the cache from its current database to [post], patching

@@ -91,20 +91,28 @@ let conforms (vo : Definition.t) inst =
 
 let to_ascii inst =
   let buf = Buffer.create 256 in
-  let pp_tuple t =
-    String.concat ", "
-      (List.map
-         (fun (a, v) -> Fmt.str "%s=%a" a Value.pp_plain v)
-         (Tuple.bindings t))
+  let add = Buffer.add_string buf in
+  let add_tuple t =
+    List.iteri
+      (fun n (a, v) ->
+        if n > 0 then add ", ";
+        add a;
+        add "=";
+        add (Value.to_plain_string v))
+      (Tuple.bindings t)
   in
   let rec go indent i =
-    Buffer.add_string buf (Fmt.str "%s(%s: %s" indent i.label (pp_tuple i.tuple));
-    if List.for_all (fun (_, cs) -> cs = []) i.children then
-      Buffer.add_string buf ")\n"
+    add indent;
+    add "(";
+    add i.label;
+    add ": ";
+    add_tuple i.tuple;
+    if List.for_all (fun (_, cs) -> cs = []) i.children then add ")\n"
     else begin
-      Buffer.add_string buf "\n";
+      add "\n";
       List.iter (fun (_, cs) -> List.iter (go (indent ^ "  ")) cs) i.children;
-      Buffer.add_string buf (indent ^ ")\n")
+      add indent;
+      add ")\n"
     end
   in
   go "" inst;

@@ -24,9 +24,12 @@ val holds : condition -> Instance.t -> bool
 val run :
   Database.t -> Definition.t -> condition -> Instance.t list
 (** Instantiate and filter. Pivot-level predicates occurring in positive
-    conjunctive position are pushed down to the pivot scan (the
+    conjunctive position are pushed down to the pivot selection (the
     "composition with the object's structure" the paper describes), so
-    non-qualifying pivot tuples are never assembled. *)
+    non-qualifying pivot tuples are never assembled. When they fix the
+    whole pivot key, that selection is a key lookup
+    ({!Relational.Relation.select}) and at most one instance is built;
+    otherwise the pivot relation is scanned. *)
 
 val pushdown : Definition.t -> condition -> Predicate.t
 (** The pivot predicate extracted by the optimizer ({!run} uses it; it is

@@ -393,6 +393,192 @@ let test_paranoid_divergence () =
   Cache.set_position cache (Ws.version ws');
   assert_matches ~msg:"after divergence" ws' cache
 
+(* --- keyed reads equal scanned reads ------------------------------------ *)
+
+(* A read whose pivot predicate fixes the pivot key is a lookup in both
+   Relation.select and Cache.query. On random states of the bench
+   workloads, every such read must equal the scan it replaces. Keys and
+   literals come from fixed pools, so each is present in some states and
+   absent in others. *)
+let grades_vo =
+  let g = Penguin.University.graph in
+  match
+    Generate.prune g
+      (Generate.tree Metric.default g ~pivot:"GRADES")
+      ~name:"grades" ~keep:[ "GRADES", [] ]
+  with
+  | Ok vo -> vo
+  | Error e -> invalid_arg e
+
+let course_pool = [ "'BENCH001'"; "'BENCH007'"; "'BENCH1'"; "'CS345'"; "'NEW1'"; "'NOPE'" ]
+let pid_pool = [ "1"; "2"; "1001"; "2001"; "2007"; "99" ]
+
+(* Key atoms, with [= null] and wrong-typed literals among them. *)
+let course_atom =
+  QCheck.Gen.(
+    oneof
+      [ map (Fmt.str "course_id = %s") (oneofl course_pool);
+        oneofl [ "course_id = null"; "course_id = 3" ] ])
+
+let pid_atom =
+  QCheck.Gen.(
+    oneof
+      [ map (Fmt.str "pid = %s") (oneofl pid_pool);
+        oneofl [ "pid = null"; "pid = 'x'"; "pid > 2003" ] ])
+
+(* Conditions on omega (pivot COURSES): key atoms mixed with pivot
+   attributes, child-node and count conditions under and/or/not. *)
+let omega_atom =
+  QCheck.Gen.(
+    frequency
+      [ 4, course_atom;
+        1, oneofl [ "level = 'grad'"; "units = 3"; "units > 3"; "title is null" ];
+        1, map (Fmt.str "GRADES.pid = %s") (oneofl pid_pool);
+        1, oneofl [ "GRADES.grade = 'A'"; "count(GRADES) >= 1"; "count(GRADES) = 0" ];
+        1, map (Fmt.str "COURSES[course_id = %s and level = 'grad']") (oneofl course_pool) ])
+
+(* Conditions on the GRADES-pivoted object: its key is the composite
+   (course_id, pid), so a single atom binds only part of it. *)
+let grades_atom =
+  QCheck.Gen.(frequency [ 2, course_atom; 2, pid_atom; 1, return "grade = 'A'" ])
+
+(* Selection predicates over COURSES and GRADES, built directly, so that
+   keys also appear under [Or] and [Not] inside one predicate. *)
+let pred_atom =
+  let open QCheck.Gen in
+  let course = oneofl [ "BENCH001"; "BENCH007"; "BENCH1"; "CS345"; "NOPE" ] in
+  let pid = oneofl [ 1; 2; 1001; 2001; 2007; 99 ] in
+  frequency
+    [ 3, map (fun c -> Predicate.eq_str "course_id" c) course;
+      3, map (fun p -> Predicate.eq_int "pid" p) pid;
+      1, oneofl
+           Predicate.
+             [ eq "course_id" Value.Null; eq "pid" Value.Null;
+               eq_int "course_id" 3; eq_str "pid" "x"; eq_str "grade" "A";
+               gt_int "pid" 2003; eq_str "level" "grad" ] ]
+
+let rec pred_gen depth =
+  let open QCheck.Gen in
+  if depth = 0 then pred_atom
+  else
+    let sub = pred_gen (depth - 1) in
+    frequency
+      [ 2, pred_atom;
+        3, map2 (fun a b -> Predicate.And (a, b)) sub sub;
+        1, map2 (fun a b -> Predicate.Or (a, b)) sub sub;
+        1, map (fun a -> Predicate.Not a) sub ]
+
+let rec cond_gen atom depth =
+  let open QCheck.Gen in
+  if depth = 0 then atom
+  else
+    let sub = cond_gen atom (depth - 1) in
+    frequency
+      [ 2, atom;
+        3, map2 (Fmt.str "(%s) and (%s)") sub sub;
+        1, map2 (Fmt.str "(%s) or (%s)") sub sub;
+        1, map (Fmt.str "not (%s)") sub ]
+
+(* A state: a bench workload of a random size, then a few seeded
+   single-op commits fed to a Paranoid cache. *)
+type point_case = {
+  courses : bool;  (** [courses_db] or [enrollment_db] *)
+  size : int;
+  edits : int;  (** seed of the commit sequence *)
+  omega_qs : string list;
+  grades_qs : string list;
+  preds : Predicate.t list;  (** run on COURSES and on GRADES *)
+}
+
+let point_case_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* courses = bool in
+    let* size = int_bound 24 in
+    let* edits = int_bound 1_000_000 in
+    let* omega_qs = list_size (int_range 1 6) (cond_gen omega_atom 2) in
+    let* grades_qs = list_size (int_range 1 6) (cond_gen grades_atom 2) in
+    let* preds = list_size (int_range 1 6) (pred_gen 3) in
+    return { courses; size; edits; omega_qs; grades_qs; preds }
+  in
+  QCheck.make gen ~print:(fun c ->
+      Fmt.str "%s %d, edits seed %d@.omega: %a@.grades: %a@.select: %a"
+        (if c.courses then "courses_db" else "enrollment_db")
+        c.size c.edits
+        Fmt.(list ~sep:(any " | ") string) c.omega_qs
+        Fmt.(list ~sep:(any " | ") string) c.grades_qs
+        Fmt.(list ~sep:(any " | ") Predicate.pp) c.preds)
+
+let random_edit st db i =
+  let r = Database.relation_exn db "GRADES" in
+  let grades = Relation.to_list r in
+  let pick () = List.nth grades (Random.State.int st (List.length grades)) in
+  match Random.State.int st 3, grades with
+  | 0, _ :: _ ->
+      let t = pick () in
+      Op.Replace
+        ("GRADES", Relation.key_of r t, Tuple.set t "grade" (Value.Str (Fmt.str "Z%d" i)))
+  | 1, _ :: _ -> Op.Delete ("GRADES", Relation.key_of r (pick ()))
+  | _ ->
+      Op.Insert
+        ( "COURSES",
+          Tuple.make
+            [ "course_id", Value.Str (Fmt.str "NEW%d" i); "title", Value.Null;
+              "units", Value.Int 4; "level", Value.Str "grad";
+              "dept_name", Value.Str "Computer Science" ] )
+
+let point_state c =
+  let db =
+    if c.courses then Workloads.courses_db c.size
+    else Workloads.enrollment_db c.size
+  in
+  let cache = Cache.create ~mode:Cache.Paranoid Penguin.University.graph ~db in
+  Cache.register cache Penguin.University.omega;
+  Cache.register cache grades_vo;
+  Cache.warm cache;
+  let st = Random.State.make [| c.edits |] in
+  let db = ref db in
+  for i = 1 to Random.State.int st 4 do
+    match Database.apply_all_delta !db [ random_edit st !db i ] with
+    | Ok (db', delta) ->
+        Cache.apply_delta cache ~post:db' delta;
+        db := db'
+    | Error (e, _) -> Alcotest.fail (Database.error_to_string e)
+  done;
+  !db, cache
+
+let same_instances what q a b =
+  List.equal Instance.equal a b
+  || QCheck.Test.fail_reportf "%s differ on %S: %d vs %d instances" what q
+       (List.length a) (List.length b)
+
+let prop_keyed_reads_equal_scans =
+  QCheck.Test.make ~name:"keyed reads = scanned reads (cache, OQL, select)"
+    ~count:150 point_case_arb (fun c ->
+      let db, cache = point_state c in
+      let select rel p =
+        let r = Database.relation_exn db rel in
+        List.equal Tuple.equal (Relation.select p r)
+          (List.filter (Predicate.eval p) (Relation.to_list r))
+        || QCheck.Test.fail_reportf "Relation.select on %s differs on %a" rel
+             Predicate.pp p
+      in
+      let reads (vo : Definition.t) q =
+        let cond = check_ok (Oql.parse vo q) in
+        let scanned =
+          List.filter (Vo_query.holds cond) (Instantiate.instantiate db vo)
+        in
+        same_instances "Cache.oql and the scan" q
+          (check_ok (Cache.oql cache vo.Definition.name q)) scanned
+        && same_instances "Oql.run and the scan" q
+             (check_ok (Oql.run db vo q)) scanned
+        && select vo.Definition.pivot (Vo_query.pushdown vo cond)
+      in
+      List.for_all (reads Penguin.University.omega) c.omega_qs
+      && List.for_all (reads grades_vo) c.grades_qs
+      && List.for_all (fun p -> select "COURSES" p && select "GRADES" p) c.preds
+      && (Cache.stats cache).Cache.divergences = 0)
+
 let suite =
   [
     Alcotest.test_case "cold miss, warm hit, both equal fresh" `Quick
@@ -414,4 +600,5 @@ let suite =
       test_paranoid_divergence;
     qtest prop_cached_equals_fresh;
     qtest prop_paranoid_never_diverges;
+    qtest prop_keyed_reads_equal_scans;
   ]

@@ -68,6 +68,78 @@ let test_to_ascii () =
   Alcotest.(check bool) "nested student" true
     (Relational.Strutil.contains ~sub:"(STUDENT#2:" s)
 
+(* The Fmt-based rendering [Instance.to_ascii] used before it wrote
+   straight into a buffer, with the formatter-based [Value.pp_plain] of
+   that time: the reference the buffer writer must match byte for
+   byte. *)
+let fmt_to_ascii inst =
+  let buf = Buffer.create 256 in
+  let pp_plain ppf = function
+    | Value.Str s -> Fmt.string ppf s
+    | v -> Value.pp ppf v
+  in
+  let pp_tuple t =
+    String.concat ", "
+      (List.map (fun (a, v) -> Fmt.str "%s=%a" a pp_plain v) (Tuple.bindings t))
+  in
+  let rec go indent (i : Instance.t) =
+    Buffer.add_string buf
+      (Fmt.str "%s(%s: %s" indent i.Instance.label (pp_tuple i.Instance.tuple));
+    if List.for_all (fun (_, cs) -> cs = []) i.Instance.children then
+      Buffer.add_string buf ")\n"
+    else begin
+      Buffer.add_string buf "\n";
+      List.iter (fun (_, cs) -> List.iter (go (indent ^ "  ")) cs) i.Instance.children;
+      Buffer.add_string buf (indent ^ ")\n")
+    end
+  in
+  go "" inst;
+  Buffer.contents buf
+
+(* Random instances: values include nulls, special floats and strings
+   with quotes, backslashes, newlines and long runs (past a formatter's
+   margin). *)
+let instance_gen =
+  let open QCheck.Gen in
+  let str =
+    oneof
+      [ string_size ~gen:printable (int_bound 12);
+        oneofl
+          [ ""; "a \"quoted\" word"; "back\\slash"; "line\nbreak"; "tab\there";
+            "caf\xc3\xa9"; String.make 120 'x' ^ " " ^ String.make 40 'y' ] ]
+  in
+  let value =
+    frequency
+      [ 1, return Value.Null;
+        2, map (fun i -> Value.Int i) (int_range (-100000) 100000);
+        1, map (fun i -> Value.Int i) (oneofl [ max_int; min_int; 0 ]);
+        2, map (fun f -> Value.Float f) float;
+        1, map (fun f -> Value.Float f) (oneofl [ 0.1; -0.; 1e300; nan; infinity; 3. ]);
+        3, map (fun s -> Value.Str s) str;
+        1, map (fun b -> Value.Bool b) bool ]
+  in
+  let label_gen = oneofl [ "COURSES"; "GRADES"; "STUDENT#2"; "D" ] in
+  let tuple =
+    map Tuple.make
+      (list_size (int_bound 5) (pair (oneofl [ "a"; "b"; "pid"; "x_1"; "grade" ]) value))
+  in
+  sized_size (int_bound 3)
+  @@ fix (fun self depth ->
+         let* label = label_gen and* tuple = tuple in
+         let* children =
+           if depth = 0 then return []
+           else
+             list_size (int_bound 3)
+               (pair label_gen (list_size (int_bound 3) (self (depth - 1))))
+         in
+         return (Instance.make ~label ~relation:label ~tuple ~children))
+
+let prop_ascii_matches_fmt =
+  QCheck.Test.make ~name:"to_ascii = the Fmt rendering, byte for byte"
+    ~count:500
+    (QCheck.make ~print:fmt_to_ascii instance_gen)
+    (fun i -> String.equal (Instance.to_ascii i) (fmt_to_ascii i))
+
 (* Component editing (partial updates). *)
 let test_modify_component () =
   let open Vo_core in
@@ -148,6 +220,7 @@ let suite =
     Alcotest.test_case "conforms projection" `Quick test_conforms_attr_outside_projection;
     Alcotest.test_case "conforms singleton" `Quick test_conforms_singleton;
     Alcotest.test_case "ascii (Fig 4 style)" `Quick test_to_ascii;
+    qtest prop_ascii_matches_fmt;
     Alcotest.test_case "modify component" `Quick test_modify_component;
     Alcotest.test_case "detach component" `Quick test_detach_component;
     Alcotest.test_case "attach component" `Quick test_attach_component;

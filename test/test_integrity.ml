@@ -137,6 +137,50 @@ let test_missing_dependencies () =
   Alcotest.(check int) "null ref ok" 0
     (List.length (Integrity.missing_dependencies g d "PEOPLE" t3))
 
+(* A null connecting attribute matches no parent: the dependent tuple
+   reports its owner missing, with the null binding, and a null
+   reference needs nothing. *)
+let test_missing_dependencies_null () =
+  let d = db () in
+  let t = tuple [ "course_id", Value.Null; "pid", vi 1; "grade", vs "A" ] in
+  match Integrity.missing_dependencies g d "GRADES" t with
+  | [ ((c : Connection.t), parent) ] ->
+      Alcotest.(check string) "the owner" "COURSES" c.Connection.source;
+      Alcotest.(check bool) "with the null binding" true
+        (Value.is_null (Tuple.get parent "course_id"))
+  | l -> Alcotest.failf "expected one missing owner, got %d" (List.length l)
+
+(* One dependent tuple against its parent present, then absent, for
+   an ownership and a reference connection. *)
+let test_missing_dependencies_parent () =
+  let d = db () in
+  let grade = tuple [ "course_id", vs "CS345"; "pid", vi 1; "grade", vs "A" ] in
+  let row =
+    tuple
+      [ "degree", vs "MS CS"; "course_id", vs "CS345"; "requirement", vs "core" ]
+  in
+  let missing d rel t =
+    List.map
+      (fun ((c : Connection.t), parent) ->
+        (if c.Connection.target = rel then c.Connection.source
+         else c.Connection.target),
+        Tuple.get parent "course_id")
+      (Integrity.missing_dependencies g d rel t)
+  in
+  let value = Alcotest.testable Value.pp Value.equal in
+  let pairs = Alcotest.(list (pair string value)) in
+  Alcotest.check pairs "owner present" [] (missing d "GRADES" grade);
+  Alcotest.check pairs "referenced present" [] (missing d "CURRICULUM" row);
+  let d =
+    match Database.delete d "COURSES" [ vs "CS345" ] with
+    | Ok d -> d
+    | Error e -> Alcotest.fail (Database.error_to_string e)
+  in
+  Alcotest.check pairs "owner absent" [ "COURSES", vs "CS345" ]
+    (missing d "GRADES" grade);
+  Alcotest.check pairs "referenced absent" [ "COURSES", vs "CS345" ]
+    (missing d "CURRICULUM" row)
+
 let test_key_replacement_fixups () =
   let d = db () in
   let old_tuple = course d in
@@ -191,6 +235,10 @@ let suite =
     Alcotest.test_case "nullify legal on nonkey" `Quick test_cascade_nullify_legal;
     Alcotest.test_case "cascade depth" `Quick test_cascade_depth;
     Alcotest.test_case "missing dependencies" `Quick test_missing_dependencies;
+    Alcotest.test_case "missing dependencies: null connecting attribute" `Quick
+      test_missing_dependencies_null;
+    Alcotest.test_case "missing dependencies: parent present, then absent" `Quick
+      test_missing_dependencies_parent;
     Alcotest.test_case "key replacement fixups" `Quick test_key_replacement_fixups;
     Alcotest.test_case "key replacement exclude" `Quick test_key_replacement_exclude;
     Alcotest.test_case "key replacement no change" `Quick test_key_replacement_no_change;

@@ -306,8 +306,8 @@ let quorum_traffic dir =
   in
   let _ = Test_replica.catch_up r in
   let net =
-    Penguin.Netio.Fault.inject ~seed:5 ~rate:1.0
-      ~kind:(Penguin.Netio.Fault.Delay 1e-4) Penguin.Netio.default_net
+    Test_net.inject ~seed:5 ~rate:1.0 ~kind:(Test_net.Delay 1e-4)
+      Penguin.Netio.default_net
   in
   let p = check_ok_e (R.subscribe ~net r ~sock) in
   let c = Test_server.connect sock and c2 = Test_server.connect sock in
@@ -480,7 +480,7 @@ let test_real_paths_and_json () =
       "replica.quarantines";
       (* push shipping and quorum acks over a fault-injected link *)
       "shipper.push.subscriptions"; "shipper.push.pushed_bytes";
-      "shipper.push.acks"; "shipper.push.frames"; "netio.injected_faults";
+      "shipper.push.acks"; "shipper.push.frames";
       "server.replication.acks"; "server.replication.quorum_commits";
       "server.replication.under_replicated"; "server.replication.evictions";
       "server.replication.readmissions" ];

@@ -117,7 +117,7 @@ let test_push_faults_fall_back () =
       let _ = check_ok_e (R.poll_until_idle r) in
       (* A severed link: the subscription fails with a transient error
          and the stateless pull path still converges. *)
-      let severed = N.Fault.inject ~seed:(seed 3) ~rate:1.0 ~kind:N.Fault.Sever N.default_net in
+      let severed = Test_net.inject ~seed:(seed 3) ~rate:1.0 ~kind:Test_net.Sever N.default_net in
       let err = check_err_e (R.subscribe ~net:severed r ~sock) in
       Alcotest.(check bool) "sever is transient" true (E.retryable err);
       Test_replica.serve_commit sock "B+";
@@ -128,7 +128,7 @@ let test_push_faults_fall_back () =
          record stream: contiguity breaks, the stream closes typed
          transient, and the pull path re-finds footing. *)
       let dup =
-        N.Fault.inject ~seed:(seed 7) ~rate:1.0 ~kind:N.Fault.Duplicate
+        Test_net.inject ~seed:(seed 7) ~rate:1.0 ~kind:Test_net.Duplicate
           ~dirs:[ `Recv ] N.default_net
       in
       let p = check_ok_e (R.subscribe ~net:dup r ~sock) in
@@ -154,7 +154,7 @@ let test_push_faults_fall_back () =
       let lws, _ = Test_recovery.recover dir in
       let target_v = Penguin.Workspace.version lws in
       let flaky =
-        N.Fault.inject ~seed:(seed 11) ~rate:0.2 ~kind:N.Fault.Truncate N.default_net
+        Test_net.inject ~seed:(seed 11) ~rate:0.2 ~kind:Test_net.Truncate N.default_net
       in
       let fast =
         {
