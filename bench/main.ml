@@ -1189,6 +1189,14 @@ let e14 () =
          Test.make ~name:"patch-roundtrip:cs345,dbsize=256"
            (stage (patch_roundtrip cache256 db256 "CS345" 2));
        ]);
+  (* [what] at [n] courses within 1.5x of [n0] courses. *)
+  let acceptance what (n0, t0) (n, t) =
+    let ratio = t /. t0 in
+    Fmt.pr "%s %s at %d courses: %.2f us, %.2fx the %.2f us at %d (%s 1.5x)@."
+      (if ratio <= 1.5 then "acceptance:" else "ACCEPTANCE FAILED:")
+      what n (t /. 1e3) ratio (t0 /. 1e3) n0
+      (if ratio <= 1.5 then "<=" else ">")
+  in
   (* Its own group, built after the one above: the 2000-course state
      would otherwise sit in the heap while those rows are timed. *)
   let rows = run_group "e14.point-read" (List.concat_map point_reads sizes) in
@@ -1199,14 +1207,28 @@ let e14 () =
       in
       match at 200, at 2000 with
       | Some small, Some large ->
-          let ratio = large /. small in
-          Fmt.pr "%s %s point read at 2000 courses: %.2f us, %.2fx the \
-                  %.2f us at 200 (%s 1.5x)@."
-            (if ratio <= 1.5 then "acceptance:" else "ACCEPTANCE FAILED:")
-            path (large /. 1e3) ratio (small /. 1e3)
-            (if ratio <= 1.5 then "<=" else ">")
+          acceptance (path ^ " point read") (200, small) (2000, large)
       | _ -> ())
-    [ "cache-oql"; "vo-query-run" ]
+    [ "cache-oql"; "vo-query-run" ];
+  (* A single-grade statement, staged and committed as the server does
+     it, on the serve-path benchmark's store shape (16 grades per
+     course): with every point access a lookup, its cost does not grow
+     with the store. Built last, for the same reason as above. *)
+  let point_stmt n =
+    let ws = Workloads.graded_workspace ~courses:n ~fanout:16 in
+    let stmt = Workloads.grade_stmt ~course:(n / 2) ~slot:3 ~grade:"Z" in
+    Test.make ~name:(Fmt.str "queue+commit,courses=%d" n)
+      (stage (fun () ->
+           Result.bind
+             (Penguin.Session.queue_stmt (Penguin.Session.begin_ ws) "omega" stmt)
+             (Penguin.Session.commit ws)))
+  in
+  let rows = run_group "e14.point-stmt" (List.map point_stmt [ 50; 2000 ]) in
+  let at n = List.assoc_opt (Fmt.str "e14.point-stmt queue+commit,courses=%d" n) rows in
+  match at 50, at 2000 with
+  | Some small, Some large ->
+      acceptance "single-grade statement" (50, small) (2000, large)
+  | _ -> ()
 
 let ablation () =
   section "Ablation: translate / apply split (DESIGN.md section 5.1)";

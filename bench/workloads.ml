@@ -210,6 +210,55 @@ let courses_db n =
   in
   add db 1
 
+(* The serve-path benchmark's store shape: the university workspace plus
+   [courses] courses [C00000 ...], each graded for the same [fanout]
+   students [5000 ...]. *)
+let graded_workspace ~courses ~fanout =
+  let ins rel bindings db =
+    match Database.insert db rel (Tuple.make bindings) with
+    | Ok db -> db
+    | Error e -> invalid_arg (Database.error_to_string e)
+  in
+  let ws = Penguin.University.workspace () in
+  let student j = Value.Int (5000 + j) in
+  let course i = Value.Str (Fmt.str "C%05d" i) in
+  let db =
+    List.fold_left
+      (fun db j ->
+        db
+        |> ins "PEOPLE"
+             [ "pid", student j; "name", Value.Str (Fmt.str "S%d" j);
+               "dept_name", Value.Str "Computer Science" ]
+        |> ins "STUDENT"
+             [ "pid", student j; "degree_program", Value.Str "MS CS";
+               "year", Value.Int ((j mod 4) + 1) ])
+      ws.Penguin.Workspace.db (List.init fanout Fun.id)
+  in
+  let db =
+    List.fold_left
+      (fun db i ->
+        let db =
+          ins "COURSES"
+            [ "course_id", course i; "title", Value.Str (Fmt.str "Bench %d" i);
+              "units", Value.Int 3; "level", Value.Str "grad";
+              "dept_name", Value.Str "Computer Science" ]
+            db
+        in
+        List.fold_left
+          (fun db j ->
+            ins "GRADES"
+              [ "course_id", course i; "pid", student j; "grade", Value.Str "A" ]
+              db)
+          db (List.init fanout Fun.id))
+      db (List.init courses Fun.id)
+  in
+  { ws with Penguin.Workspace.db }
+
+(* The serve-path benchmark's write: one grade of one course. *)
+let grade_stmt ~course ~slot ~grade =
+  Fmt.str "set GRADES[pid = %d] grade = '%s' where course_id = 'C%05d'"
+    (5000 + slot) grade course
+
 let course_instance db i =
   match
     Instantiate.instantiate

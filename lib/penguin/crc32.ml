@@ -1,28 +1,24 @@
 (* Table-driven CRC-32 (the IEEE 802.3 / zlib polynomial, reflected
    form 0xEDB88320), computed over bytes with the conventional
-   pre/post-inversion. Matches zlib's crc32(). *)
+   pre/post-inversion. Matches zlib's crc32(). The table and the running
+   value are unboxed [int]s holding 32 bits; only the result is boxed. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
+        else c := !c lsr 1
+      done;
+      !c)
 
 let update crc s =
-  let table = Lazy.force table in
-  let crc = ref (Int32.logxor crc 0xFFFFFFFFl) in
-  String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      crc := Int32.logxor table.(i) (Int32.shift_right_logical !crc 8))
-    s;
-  Int32.logxor !crc 0xFFFFFFFFl
+  let crc = ref ((Int32.to_int crc land 0xFFFFFFFF) lxor 0xFFFFFFFF) in
+  for i = 0 to String.length s - 1 do
+    crc :=
+      Array.unsafe_get table ((!crc lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!crc lsr 8)
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
 
 let digest s = update 0l s

@@ -632,13 +632,10 @@ let load_snapshot input =
                 let* items = Sexp.as_list e in
                 match items with
                 | Sexp.Atom "relation" :: Sexp.Atom name :: rows ->
-                    List.fold_left
-                      (fun acc row ->
-                        let* db = acc in
-                        let* t = tuple_of_sexp row in
-                        Result.map_error Database.error_to_string
-                          (Database.insert db name t))
-                      (Ok db) rows
+                    let* ts = map_m tuple_of_sexp rows in
+                    Result.map_error Database.error_to_string
+                      (Database.with_relation db name (fun r ->
+                           Relation.insert_all r ts))
                 | _ -> Error "store: bad relation data")
               (Ok ws.Workspace.db) relation_items
       in

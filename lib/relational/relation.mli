@@ -26,6 +26,11 @@ val insert : t -> Tuple.t -> (t, error) result
     [Null] for declared attributes left unbound (unless they are key
     attributes, which must be non-null). *)
 
+val insert_all : t -> Tuple.t list -> (t, error) result
+(** {!insert} of each tuple in order, failing at the first error, with
+    the secondary indexes built once at the end instead of maintained
+    tuple by tuple (the bulk path of a store load). *)
+
 val delete_key : t -> Value.t list -> (t, error) result
 val delete_tuple : t -> Tuple.t -> (t, error) result
 (** Delete by the key of the given tuple. *)
@@ -52,15 +57,19 @@ val select : Predicate.t -> t -> Tuple.t list
 (** {1 Secondary indexes}
 
     A relation may carry any number of secondary indexes, each over an
-    attribute list. Indexes are maintained by {!insert}, {!delete_key}
-    and {!replace}, and are consulted by {!lookup_eq} — the equality
-    lookup instantiation and integrity maintenance use to follow
-    connections. They are derived state: not persisted, not part of
-    {!equal}. *)
+    attribute list and mapping attribute values to the ordered set of
+    primary keys carrying them. Indexes are maintained by {!insert},
+    {!delete_key} and {!replace} in O(log n) per index; a {!replace}
+    that keeps the key and an index's values leaves that index as it
+    was. They are consulted by {!lookup_eq} and {!exists_eq} — the
+    equality lookups instantiation and integrity maintenance use to
+    follow connections. They are derived state: not persisted, not part
+    of {!equal}. *)
 
 val create_index : t -> string list -> (t, error) result
-(** Build (or rebuild) an index over the given non-empty attribute list.
-    Unknown attributes yield [Nonconforming]. *)
+(** Build (or rebuild) an index over the given non-empty attribute list,
+    in one pass over the tuples. Unknown attributes yield
+    [Nonconforming]. *)
 
 val has_index : t -> string list -> bool
 (** Attribute order does not matter. *)
@@ -69,9 +78,14 @@ val indexes : t -> string list list
 
 val lookup_eq : t -> (string * Value.t) list -> Tuple.t list
 (** Tuples agreeing with all bindings ([Null] bindings match nothing,
-    per the connection-matching rule). Uses an index over exactly the
-    bound attributes when one exists, a scan otherwise. Results are in
-    key order either way. *)
+    per the connection-matching rule), in ascending key order. Uses an
+    index over exactly the bound attributes when one exists (its posting
+    set is walked in key order, nothing is sorted), a scan otherwise. *)
+
+val exists_eq : t -> (string * Value.t) list -> bool
+(** [exists_eq r b] is [lookup_eq r b <> []] without building the list:
+    with an index it stops at the first live key of the posting set,
+    without one the scan stops at the first match. *)
 
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Tuple.t -> unit) -> t -> unit

@@ -45,23 +45,18 @@ let values_of attrs t = List.map (get t) attrs
 
 let conforms schema t =
   let names = Schema.attribute_names schema in
-  let name_set = SSet.of_list names in
-  let extra = List.filter (fun n -> not (SSet.mem n name_set)) (attributes t) in
-  match extra with
-  | n :: _ ->
+  match List.find_opt (fun n -> not (List.mem n names)) (attributes t) with
+  | Some n ->
       Error (Fmt.str "tuple does not conform to %s: extra attribute %s"
                schema.Schema.name n)
-  | [] ->
+  | None ->
       let bad_domain =
         List.find_opt
-          (fun n ->
-            match Schema.domain_of schema n with
-            | Some d -> not (Value.conforms d (get t n))
-            | None -> false)
-          names
+          (fun (a : Attribute.t) -> not (Value.conforms a.domain (get t a.name)))
+          schema.Schema.attributes
       in
       (match bad_domain with
-      | Some n ->
+      | Some { Attribute.name = n; _ } ->
           Error (Fmt.str "tuple does not conform to %s: wrong domain for %s"
                    schema.Schema.name n)
       | None -> (

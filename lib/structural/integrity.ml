@@ -36,7 +36,7 @@ let has_source db (c : Connection.t) t2 =
   let bindings =
     List.map2 (fun x1 x2 -> x1, Tuple.get t2 x2) c.source_attrs c.target_attrs
   in
-  Relation.lookup_eq (Database.relation_exn db c.source) bindings <> []
+  Relation.exists_eq (Database.relation_exn db c.source) bindings
 
 (* Rule 1 of Def. 2.3 for one source tuple: does its non-null reference
    resolve? (Null references are vacuously fine.) *)
@@ -46,13 +46,13 @@ let reference_resolves db (c : Connection.t) t1 =
   let bindings =
     List.map2 (fun x1 x2 -> x2, Tuple.get t1 x1) c.source_attrs c.target_attrs
   in
-  Relation.lookup_eq (Database.relation_exn db c.target) bindings <> []
+  Relation.exists_eq (Database.relation_exn db c.target) bindings
 
 let check_connection g db (c : Connection.t) =
   let source = Database.relation_exn db c.source in
   let target = Database.relation_exn db c.target in
   ignore (Schema_graph.schema_exn g c.source);
-  (* Existence tests go through {!Relation.lookup_eq} so a secondary
+  (* Existence tests go through {!Relation.exists_eq} so a secondary
      index on the connecting attributes serves them. *)
   match c.kind with
   | Connection.Ownership | Connection.Subset ->

@@ -127,6 +127,98 @@ let prop_lookup_eq_index_equals_scan =
             (Relation.lookup_eq plain b)
             (Relation.lookup_eq indexed b))
 
+(* Index maintenance under random edits. Ids 0..11 and groups g0..g2
+   plus Null collide often: replaces keep or change the key, keep or
+   change an indexed value, and move tuples in and out of Null. *)
+type edit =
+  | Ins of int * int option * int  (** id, group (None = Null), x *)
+  | Del of int  (** position among the live keys *)
+  | Rep of int * int option * int option * int
+      (** position among the live keys, new id (None = keep), group, x *)
+
+let grp = function Some g -> vs (Fmt.str "g%d" g) | None -> Value.Null
+
+let pp_edit ppf = function
+  | Ins (id, g, x) -> Fmt.pf ppf "ins(%d,%a,%d)" id Value.pp (grp g) x
+  | Del i -> Fmt.pf ppf "del#%d" i
+  | Rep (i, id, g, x) ->
+      Fmt.pf ppf "rep#%d(%a,%a,%d)" i Fmt.(option ~none:(any "=") int) id
+        Value.pp (grp g) x
+
+let gen_edit =
+  let open QCheck.Gen in
+  let group = opt ~ratio:0.8 (int_bound 2) in
+  frequency
+    [
+      3, map3 (fun id g x -> Ins (id, g, x)) (int_bound 11) group (int_bound 1);
+      1, map (fun i -> Del i) (int_bound 11);
+      4,
+      map2
+        (fun (i, id) (g, x) -> Rep (i, id, g, x))
+        (pair (int_bound 11) (opt ~ratio:0.4 (int_bound 11)))
+        (pair group (int_bound 1));
+    ]
+
+let row id g x = tuple [ "id", vi id; "grp", grp g; "x", vi x ]
+
+(* A failed edit (duplicate key, nothing to delete) leaves [r] as it was. *)
+let apply_edit r edit =
+  let nth i = List.nth_opt (Relation.to_list r) (i mod max 1 (Relation.cardinality r)) in
+  let result =
+    match edit with
+    | Ins (id, g, x) -> Relation.insert r (row id g x)
+    | Del i -> (
+        match nth i with
+        | Some t -> Relation.delete_tuple r t
+        | None -> Ok r)
+    | Rep (i, id, g, x) -> (
+        match nth i with
+        | Some t ->
+            let old_key = Relation.key_of r t in
+            let id = Option.value id ~default:(match old_key with [ Value.Int k ] -> k | _ -> 0) in
+            Relation.replace r ~old_key (row id g x)
+        | None -> Ok r)
+  in
+  Result.value result ~default:r
+
+let probes =
+  List.concat_map
+    (fun g ->
+      [ "grp", grp g ] :: List.map (fun x -> [ "grp", grp g; "x", vi x ]) [ 0; 1 ])
+    [ Some 0; Some 1; Some 2; None ]
+
+let agrees_with_scan r =
+  List.for_all
+    (fun b ->
+      let scan =
+        Relation.select
+          (Predicate.conj
+             (List.map (fun (a, v) -> Predicate.Cmp (a, Predicate.Eq, v)) b))
+          r
+      in
+      List.equal Tuple.equal (Relation.lookup_eq r b) scan
+      && Relation.exists_eq r b = (scan <> []))
+    probes
+
+let prop_index_maintenance =
+  QCheck.Test.make ~name:"lookup_eq/exists_eq = scan after every edit" ~count:300
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(list ~sep:sp pp_edit))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_bound 60) gen_edit))
+    (fun edits ->
+      let r0 = Relation.of_list_exn schema [] in
+      let r0 = Result.get_ok (Relation.create_index r0 [ "grp" ]) in
+      let r0 = Result.get_ok (Relation.create_index r0 [ "grp"; "x" ]) in
+      (* ...and the indexes built in bulk from the final tuples agree too. *)
+      let rec go r = function
+        | [] -> agrees_with_scan (Result.get_ok (Relation.insert_all r0 (Relation.to_list r)))
+        | e :: rest ->
+            let r = apply_edit r e in
+            agrees_with_scan r && go r rest
+      in
+      go r0 edits)
+
 let suite =
   [
     Alcotest.test_case "create index" `Quick test_create_index;
@@ -140,4 +232,5 @@ let suite =
     Alcotest.test_case "database create_index" `Quick test_database_create_index;
     Alcotest.test_case "workspace index_connections" `Quick test_workspace_index_connections;
     qtest prop_lookup_eq_index_equals_scan;
+    qtest prop_index_maintenance;
   ]

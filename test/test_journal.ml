@@ -51,6 +51,32 @@ let test_crc32_vector () =
   Alcotest.(check int32) "incremental agrees" (Penguin.Crc32.digest "123456789")
     (Penguin.Crc32.update (Penguin.Crc32.digest "12345") "6789")
 
+(* CRC-32 one bit at a time, in boxed [Int32] arithmetic: no table, so
+   it shares nothing with the implementation under test. *)
+let crc32_bitwise s =
+  let crc = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      crc := Int32.logxor !crc (Int32.of_int (Char.code ch));
+      for _ = 0 to 7 do
+        crc :=
+          if Int32.logand !crc 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !crc 1)
+          else Int32.shift_right_logical !crc 1
+      done)
+    s;
+  Int32.logxor !crc 0xFFFFFFFFl
+
+let prop_crc32_reference =
+  QCheck.Test.make ~name:"crc32 = bitwise reference, update = digest of concat"
+    ~count:300
+    QCheck.(pair (string_of_size (Gen.int_bound 300)) (string_of_size (Gen.int_bound 300)))
+    (fun (a, b) ->
+      Int32.equal (Penguin.Crc32.digest a) (crc32_bitwise a)
+      && Int32.equal
+           (Penguin.Crc32.update (Penguin.Crc32.digest a) b)
+           (Penguin.Crc32.digest (a ^ b)))
+
 let test_initialize_replay () =
   let dir = temp_dir "journal" in
   let t = journal_in dir in
@@ -176,6 +202,7 @@ let test_rotate () =
 let suite =
   [
     Alcotest.test_case "crc32 check vector" `Quick test_crc32_vector;
+    qtest prop_crc32_reference;
     Alcotest.test_case "initialize and replay" `Quick test_initialize_replay;
     Alcotest.test_case "append/replay roundtrip" `Quick
       test_append_replay_roundtrip;
