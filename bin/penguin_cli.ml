@@ -327,7 +327,7 @@ let schema_cmd =
    sink is installed before the command body runs and the channel is
    closed at process exit, so every span the invocation produced is on
    disk when the process ends. *)
-let setup_trace trace format =
+let setup_trace trace =
   match trace with
   | None -> ()
   | Some path ->
@@ -338,7 +338,7 @@ let setup_trace trace format =
           exit 1
       in
       at_exit (fun () -> try close_out oc with Sys_error _ -> ());
-      Obs.Trace.set_sink (Some (Obs.Trace.channel_sink ~format oc))
+      Obs.Trace.set_sink (Some (Obs.Trace.channel_sink oc))
 
 let trace_term =
   let trace =
@@ -347,12 +347,7 @@ let trace_term =
              ~doc:"Write this invocation's trace spans to $(docv), one \
                    span per line (children before parents).")
   in
-  let format =
-    Arg.(value & opt (enum [ "sexp", `Sexp; "json", `Json ]) `Sexp
-         & info [ "trace-format" ] ~docv:"FORMAT"
-             ~doc:"Trace line format: $(b,sexp) (default) or $(b,json).")
-  in
-  Term.(const setup_trace $ trace $ format)
+  Term.(const setup_trace $ trace)
 
 (* --- update ----------------------------------------------------------- *)
 

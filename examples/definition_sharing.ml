@@ -100,8 +100,7 @@ let () =
   Fmt.pr "loaded %d tuple(s); database consistent@."
     (Database.total_tuples site_b.Workspace.db);
 
-  section "Site B: index the connections and query";
-  let site_b = Workspace.index_connections site_b in
+  section "Site B: query";
   let grads =
     or_die (Workspace.oql site_b "omega" "level = 'grad' and count(GRADES) >= 2")
   in

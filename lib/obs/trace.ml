@@ -129,21 +129,7 @@ let sexp_line sp =
   Buffer.add_string b ")";
   Buffer.contents b
 
-let json_line sp =
-  Json.to_string
-    (Json.Obj
-       [
-         "id", Json.Num (Float.of_int sp.id);
-         "parent", Json.Num (Float.of_int sp.parent);
-         "depth", Json.Num (Float.of_int sp.depth);
-         "name", Json.Str sp.name;
-         "start_ns", Json.Num sp.start_ns;
-         "dur_ns", Json.Num sp.duration_ns;
-         "tags", Json.Obj (List.map (fun (k, v) -> k, Json.Str v) sp.tags);
-       ])
-
-let channel_sink ~format oc sp =
-  let line = match format with `Sexp -> sexp_line sp | `Json -> json_line sp in
-  output_string oc line;
+let channel_sink oc sp =
+  output_string oc (sexp_line sp);
   output_char oc '\n';
   flush oc

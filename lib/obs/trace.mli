@@ -56,16 +56,13 @@ module Ring : sig
   val clear : t -> unit
 end
 
-val channel_sink : format:[ `Sexp | `Json ] -> out_channel -> sink
-(** Write one line per finished span to the channel (the [--trace FILE]
-    emitter). The channel is flushed per line, so a crashed process
-    leaves at most the in-flight line incomplete. *)
+val channel_sink : out_channel -> sink
+(** Write one {!sexp_line} per finished span to the channel (the
+    [--trace FILE] emitter). The channel is flushed per line, so a
+    crashed process leaves at most the in-flight line incomplete. *)
 
-(** {1 Line formats} *)
+(** {1 Line format} *)
 
 val sexp_line : span -> string
 (** [(span (id N) (parent N) (depth N) (name "...") (start_ns N)
     (dur_ns N) (tags (k "v") ...))] — parses with {!Relational.Sexp}. *)
-
-val json_line : span -> string
-(** The span as a single-line JSON object (parses with {!Json}). *)

@@ -363,141 +363,75 @@ let rec instance_of_sexp e =
 
 (* --- the snapshot writer ------------------------------------------------ *)
 
-(* The data section is written straight from the relations, byte for
-   byte what {!Sexp.to_string} prints for the tree of [(data (relation
-   NAME (row (a VALUE) ...) ...) ...)], without building that tree. The
-   layout rule is {!Sexp}'s: a list goes on one line when its cost is
-   at most [width], else each element goes on its own line, indented one
-   column past the list's own. A list's cost — 2 for the parentheses
-   plus each element's cost and 1, an atom costing its printed width —
-   is its one-line width plus one for every non-empty list it holds. So
-   each writer below writes its list on one line, counting those lists,
-   and cuts it back to write it broken if it costs too much. A list
-   that fits holds only lists that fit. *)
-
-let width = 72
+(* The document's layout: each top-level element on its own line at
+   indent 1, each item of a section (a schema, a connection, an object, a
+   translator, a relation) on its own line at indent 2, and each data row
+   on its own line at indent 3. Items and rows are printed flat. The data
+   section is written straight from the relations, without building its
+   tree. *)
 
 let newline buf indent =
   Buffer.add_char buf '\n';
-  for _ = 0 to indent do Buffer.add_char buf ' ' done
+  for _ = 1 to indent do Buffer.add_char buf ' ' done
 
-(* Write one line with [flat], which returns the non-empty lists in it,
-   and keep it if it fits; otherwise cut it back and say so. *)
-let one_line buf flat =
-  let start = Buffer.length buf in
-  let lists = flat () in
-  Buffer.length buf - start + lists <= width
-  || begin
-       Buffer.truncate buf start;
-       false
-     end
+(* A value as [value_to_sexp] prints it: [null] or [(TAG ATOM)]. *)
+let add_value buf v =
+  let tagged tag s =
+    Buffer.add_char buf '(';
+    Buffer.add_string buf tag;
+    Buffer.add_char buf ' ';
+    Sexp.add_atom buf s;
+    Buffer.add_char buf ')'
+  in
+  match v with
+  | Value.Null -> Buffer.add_string buf "null"
+  | Value.Int i -> tagged "int" (string_of_int i)
+  | Value.Float f -> tagged "float" (Value.float_to_string f)
+  | Value.Str s -> tagged "str" s
+  | Value.Bool b -> tagged "bool" (string_of_bool b)
 
-(* A non-null value is the list [(TAG ATOM)]. *)
-let tagged = function
-  | Value.Null -> None
-  | Value.Int i -> Some ("int", string_of_int i)
-  | Value.Float f -> Some ("float", Value.float_to_string f)
-  | Value.Str s -> Some ("str", s)
-  | Value.Bool b -> Some ("bool", string_of_bool b)
-
-let add_value_flat buf v =
-  match tagged v with
-  | None ->
-      Buffer.add_string buf "null";
-      0
-  | Some (tag, s) ->
-      Buffer.add_char buf '(';
-      Buffer.add_string buf tag;
-      Buffer.add_char buf ' ';
-      Sexp.add_atom buf s;
-      Buffer.add_char buf ')';
-      1
-
-let add_binding_flat buf a v =
-  Buffer.add_char buf '(';
-  Sexp.add_atom buf a;
-  Buffer.add_char buf ' ';
-  let lists = add_value_flat buf v in
-  Buffer.add_char buf ')';
-  1 + lists
-
-let add_row_flat buf t =
+let add_row buf t =
   Buffer.add_string buf "(row";
-  let lists = ref 1 in
   Tuple.iter
     (fun a v ->
+      Buffer.add_string buf " (";
+      Sexp.add_atom buf a;
       Buffer.add_char buf ' ';
-      lists := !lists + add_binding_flat buf a v)
+      add_value buf v;
+      Buffer.add_char buf ')')
     t;
-  Buffer.add_char buf ')';
-  !lists
+  Buffer.add_char buf ')'
 
-let add_value buf indent v =
-  if not (one_line buf (fun () -> add_value_flat buf v)) then
-    Option.iter
-      (fun (tag, s) ->
-        Buffer.add_char buf '(';
-        Buffer.add_string buf tag;
-        newline buf indent;
-        Sexp.add_atom buf s;
-        Buffer.add_char buf ')')
-      (tagged v)
-
-let add_row buf indent t =
-  if not (one_line buf (fun () -> add_row_flat buf t)) then begin
-    Buffer.add_string buf "(row";
-    Tuple.iter
-      (fun a v ->
-        newline buf indent;
-        if not (one_line buf (fun () -> add_binding_flat buf a v)) then begin
-          Buffer.add_char buf '(';
-          Sexp.add_atom buf a;
-          newline buf (indent + 1);
-          add_value buf (indent + 2) v;
-          Buffer.add_char buf ')'
-        end)
-      t;
-    Buffer.add_char buf ')'
-  end
-
-(* No row costs less than 7 (["(row)"] and its separator): a relation
-   or data list past that bound is not tried on one line. *)
-let may_fit rows = 7 * rows <= width
-
-let add_relation_flat buf r =
-  Buffer.add_string buf "(relation ";
-  Sexp.add_atom buf (Relation.name r);
-  let lists = ref 1 in
-  Relation.iter
-    (fun t ->
-      Buffer.add_char buf ' ';
-      lists := !lists + add_row_flat buf t)
-    r;
-  Buffer.add_char buf ')';
-  !lists
-
-let header_to_string ~epoch (ws : Workspace.t) =
+(* The document up to its data section, without the closing parenthesis. *)
+let add_header buf ~epoch (ws : Workspace.t) =
   let g = ws.Workspace.graph in
-  let schemas =
-    List.map (fun n -> schema_to_sexp (Schema_graph.schema_exn g n))
-      (Schema_graph.relations g)
+  let element e =
+    newline buf 1;
+    Buffer.add_string buf (Sexp.to_string e)
   in
-  let connections = List.map connection_to_sexp (Schema_graph.connections g) in
-  let objects =
-    List.map (fun (_, vo) -> definition_to_sexp vo) ws.Workspace.objects
-  in
-  let translators =
-    List.map (fun (_, spec) -> translator_to_sexp spec) ws.Workspace.translators
+  let section name items =
+    newline buf 1;
+    Buffer.add_char buf '(';
+    Buffer.add_string buf name;
+    List.iter
+      (fun e ->
+        newline buf 2;
+        Buffer.add_string buf (Sexp.to_string e))
+      items;
+    Buffer.add_char buf ')'
   in
   let number field n = l [ atom field; atom (string_of_int n) ] in
-  Sexp.to_string
-    (l
-       ([ atom "penguin-workspace"; number "version" (Workspace.version ws) ]
-       @ (if epoch = 0 then [] else [ number "epoch" epoch ])
-       @ [ l (atom "schemas" :: schemas);
-           l (atom "connections" :: connections);
-           l (atom "objects" :: objects);
-           l (atom "translators" :: translators) ]))
+  Buffer.add_string buf "(penguin-workspace";
+  element (number "version" (Workspace.version ws));
+  if epoch <> 0 then element (number "epoch" epoch);
+  section "schemas"
+    (List.map (fun n -> schema_to_sexp (Schema_graph.schema_exn g n))
+       (Schema_graph.relations g));
+  section "connections" (List.map connection_to_sexp (Schema_graph.connections g));
+  section "objects"
+    (List.map (fun (_, vo) -> definition_to_sexp vo) ws.Workspace.objects);
+  section "translators"
+    (List.map (fun (_, spec) -> translator_to_sexp spec) ws.Workspace.translators)
 
 module Render = struct
   (* Where the writer stands: the relations not yet opened and, inside
@@ -509,67 +443,36 @@ module Render = struct
     mutable finished : bool;
   }
 
-  let finish t =
-    Buffer.add_string t.buf ")\n";
-    t.finished <- true
-
-  (* The header's elements already cost more than [width], so the
-     document is always one element per line: the data list follows the
-     header's elements at indent 1, and the header's closing parenthesis
-     moves past it. A data list that fits on one line (a store of a few
-     short rows) is written whole here. *)
   let start ~epoch (ws : Workspace.t) =
-    let header = header_to_string ~epoch ws in
     let db = ws.Workspace.db in
-    let rows = Database.total_tuples db in
-    let buf = Buffer.create (String.length header + (80 * rows)) in
-    Buffer.add_substring buf header 0 (String.length header - 1);
-    newline buf 0;
+    let buf = Buffer.create (4096 + (80 * Database.total_tuples db)) in
+    add_header buf ~epoch ws;
+    newline buf 1;
+    Buffer.add_string buf "(data";
     let relations = List.map (Database.relation_exn db) (Database.relation_names db) in
-    let t = { buf; relations; rows = None; finished = false } in
-    let flat_data () =
-      Buffer.add_string buf "(data";
-      let lists =
-        List.fold_left
-          (fun n r ->
-            Buffer.add_char buf ' ';
-            n + add_relation_flat buf r)
-          1 relations
-      in
-      Buffer.add_char buf ')';
-      lists
-    in
-    if may_fit rows && one_line buf flat_data then finish t
-    else Buffer.add_string buf "(data";
-    t
+    { buf; relations; rows = None; finished = false }
 
-  (* One unit of work: open the next relation (writing it whole when it
-     fits on a line), write one row, or close what is done. *)
+  (* One unit of work: open the next relation, write one row, or close
+     what is done. *)
   let step t =
     let buf = t.buf in
     match t.rows, t.relations with
     | Some (row :: rest), _ ->
-        newline buf 2;
-        add_row buf 3 row;
+        newline buf 3;
+        add_row buf row;
         t.rows <- Some rest
     | Some [], _ ->
         Buffer.add_char buf ')';
         t.rows <- None
     | None, r :: rest ->
         t.relations <- rest;
-        newline buf 1;
-        if not
-             (may_fit (Relation.cardinality r)
-             && one_line buf (fun () -> add_relation_flat buf r))
-        then begin
-          Buffer.add_string buf "(relation";
-          newline buf 2;
-          Sexp.add_atom buf (Relation.name r);
-          t.rows <- Some (Relation.to_list r)
-        end
+        newline buf 2;
+        Buffer.add_string buf "(relation ";
+        Sexp.add_atom buf (Relation.name r);
+        t.rows <- Some (Relation.to_list r)
     | None, [] ->
-        Buffer.add_char buf ')';
-        finish t
+        Buffer.add_string buf "))\n";
+        t.finished <- true
 
   let slice t ~rows =
     let n = ref (max 1 rows) in
@@ -581,7 +484,12 @@ module Render = struct
 end
 
 let save ?(include_data = true) (ws : Workspace.t) =
-  if not include_data then header_to_string ~epoch:0 ws ^ "\n"
+  if not include_data then begin
+    let buf = Buffer.create 4096 in
+    add_header buf ~epoch:0 ws;
+    Buffer.add_string buf ")\n";
+    Buffer.contents buf
+  end
   else
     Option.get (Render.slice (Render.start ~epoch:0 ws) ~rows:max_int)
 

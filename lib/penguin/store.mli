@@ -5,16 +5,34 @@
     module persists exactly the definitional state of a {!Workspace.t} —
     relation schemas, structural connections, view-object definitions and
     their translators — plus, optionally, the base data, as a single
-    S-expression document:
+    S-expression document in one fixed layout:
 
     {v
     (penguin-workspace
-      (schemas (schema NAME (attrs (a int) ...) (key ...)) ...)
-      (connections (connection ownership R1 R2 (on (...) (...))) ...)
-      (objects (object NAME PIVOT <node>) ...)
-      (translators (translator NAME ...) ...)
-      (data (relation NAME (row (attr <value>) ...) ...) ...))
-    v} *)
+     (version V)
+     (schemas
+      (schema NAME (attrs (a int) ...) (key ...))
+      ...)
+     (connections
+      (connection ownership R1 R2 (on (...) (...)))
+      ...)
+     (objects
+      (object NAME PIVOT <node>)
+      ...)
+     (translators
+      (translator NAME ...)
+      ...)
+     (data
+      (relation NAME
+       (row (attr <value>) ...)
+       ...)
+      ...))
+    v}
+
+    Each top-level element is on its own line, each item of a section (a
+    schema, a connection, an object, a translator, a relation) on its
+    own line, printed flat by {!Relational.Sexp.to_string}, and each data
+    row on its own line. The readers ignore layout. *)
 
 open Relational
 

@@ -34,22 +34,6 @@ let run_sql ws script =
   in
   Ok ({ ws with db; log }, answers)
 
-let index_connections ws =
-  let db =
-    List.fold_left
-      (fun db (c : Structural.Connection.t) ->
-        let add db rel attrs =
-          match Database.create_index db rel attrs with
-          | Ok db -> db
-          | Error _ -> db
-        in
-        let db = add db c.Structural.Connection.target c.Structural.Connection.target_attrs in
-        add db c.Structural.Connection.source c.Structural.Connection.source_attrs)
-      ws.db
-      (Schema_graph.connections ws.graph)
-  in
-  { ws with db }
-
 let set_assoc key v l =
   if List.mem_assoc key l then
     List.map (fun (k, old) -> if k = key then k, v else k, old) l

@@ -21,7 +21,9 @@ type t = {
 }
 
 val create : Schema_graph.t -> t
-(** Workspace over an empty database with the graph's relations. *)
+(** Workspace over an empty database with the graph's relations, each
+    indexed on both endpoints of every structural connection
+    ({!Structural.Schema_graph.create_database}). *)
 
 val version : t -> int
 (** Latest committed version ({!Commit_log.version} of the log). *)
@@ -33,13 +35,6 @@ val with_db : t -> Database.t -> t
 
 val run_sql : t -> string -> (t * Sql.answer list, string) result
 (** Execute a SQL-ish script against the workspace database. *)
-
-val index_connections : t -> t
-(** Build a secondary index on both endpoints of every structural
-    connection (the attribute lists instantiation and integrity
-    maintenance look up by). Purely a performance choice — results are
-    identical with or without; see the E4 index ablation in
-    EXPERIMENTS.md. *)
 
 val define_object :
   ?metric:Metric.t ->

@@ -36,60 +36,20 @@ let add_atom buf s =
   end
   else Buffer.add_string buf s
 
-(* The printed width of an atom, without building it. *)
-let atom_width s =
-  if needs_quoting s then
-    String.fold_left
-      (fun n c ->
-        match c with '"' | '\\' | '\n' | '\t' | '\r' -> n + 2 | _ -> n + 1)
-      2 s
-  else String.length s
-
-(* Pretty printing: short lists on one line, long ones indented. A list
-   is short when its flat width — 2 for the parentheses plus each
-   element's width and one separator — is at most 72. [spend budget e]
-   is what is left of [budget] once [e] is printed flat, or a negative
-   number as soon as the budget is spent; so each check visits at most
-   about 72 nodes and rendering stays linear. *)
-let rec spend budget = function
-  | Atom s -> if String.length s > budget then -1 else budget - atom_width s
-  | List l -> spend_items (budget - 2) l
-
-and spend_items budget = function
-  | _ when budget < 0 -> budget
-  | [] -> budget
-  | e :: rest -> spend_items (spend budget e - 1) rest
-
-let rec render_flat buf = function
+let rec render buf = function
   | Atom s -> add_atom buf s
   | List l ->
       Buffer.add_char buf '(';
       List.iteri
         (fun i e ->
           if i > 0 then Buffer.add_char buf ' ';
-          render_flat buf e)
-        l;
-      Buffer.add_char buf ')'
-
-let rec render buf indent e =
-  match e with
-  | Atom s -> add_atom buf s
-  | List _ when spend 72 e >= 0 -> render_flat buf e
-  | List l ->
-      Buffer.add_char buf '(';
-      List.iteri
-        (fun i e ->
-          if i > 0 then begin
-            Buffer.add_char buf '\n';
-            for _ = 0 to indent do Buffer.add_char buf ' ' done
-          end;
-          render buf (indent + 1) e)
+          render buf e)
         l;
       Buffer.add_char buf ')'
 
 let to_string e =
   let buf = Buffer.create 256 in
-  render buf 0 e;
+  render buf e;
   Buffer.contents buf
 
 let pp ppf e = Fmt.string ppf (to_string e)

@@ -16,16 +16,15 @@ val list : t list -> t
 val equal : t -> t -> bool
 
 val to_string : t -> string
-(** Pretty-printed with indentation (stable across parse/print). A list
-    goes on one line when its cost — 2 for the parentheses plus each
-    element's cost and 1 — is at most 72, an atom costing its printed
-    width; otherwise each element goes on its own line, indented one
-    column past the list's own indent. *)
+(** Printed on one line: a list's elements separated by one space. An
+    atom's newlines are escaped, so the result holds no newline and
+    {!parse} reads it back. *)
 
 val add_atom : Buffer.t -> string -> unit
 (** Print an atom as {!to_string} does: bare, or quoted with escapes. *)
 
 val pp : Format.formatter -> t -> unit
+(** {!to_string}. *)
 
 val parse : string -> (t, string) result
 (** Parse one S-expression (surrounding whitespace allowed; [;] starts a

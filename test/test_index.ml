@@ -90,16 +90,32 @@ let test_database_create_index () =
   | Error (Database.Unknown_relation _) -> ()
   | _ -> Alcotest.fail "expected Unknown_relation"
 
-let test_workspace_index_connections () =
-  let ws = Penguin.University.workspace () in
-  let ws = Penguin.Workspace.index_connections ws in
+(* Every workspace database comes from [Schema_graph.create_database],
+   so both ends of every connection are indexed from the start. *)
+let test_workspace_create_indexes () =
+  let ws = Penguin.Workspace.create Penguin.University.graph in
   Alcotest.(check bool) "grades indexed on course_id" true
     (Relation.has_index
        (Database.relation_exn ws.Penguin.Workspace.db "GRADES")
        [ "course_id" ]);
-  (* results are identical with indexes on *)
-  let i = Penguin.University.cs345_instance ws.Penguin.Workspace.db in
-  let i' = Penguin.University.cs345_instance (Penguin.University.seeded_db ()) in
+  let ws = Penguin.University.workspace () in
+  (* results are identical to those over an unindexed copy *)
+  let db = ws.Penguin.Workspace.db in
+  let unindexed =
+    List.fold_left
+      (fun copy n ->
+        let r = Database.relation_exn db n in
+        let copy = Database.create_relation_exn copy (Relation.schema r) in
+        check_ok
+          (Result.map_error Database.error_to_string
+             (Database.with_relation copy n (fun r' ->
+                  Relation.insert_all r' (Relation.to_list r)))))
+      Database.empty (Database.relation_names db)
+  in
+  Alcotest.(check bool) "copy unindexed" false
+    (Relation.has_index (Database.relation_exn unindexed "GRADES") [ "course_id" ]);
+  let i = Penguin.University.cs345_instance db in
+  let i' = Penguin.University.cs345_instance unindexed in
   Alcotest.(check bool) "same instance" true (Viewobject.Instance.equal i i');
   (* updates still work and stay consistent *)
   let ws', outcome =
@@ -230,7 +246,7 @@ let suite =
     Alcotest.test_case "multi-attribute index" `Quick test_multi_attr_index;
     Alcotest.test_case "equality ignores indexes" `Quick test_equal_ignores_indexes;
     Alcotest.test_case "database create_index" `Quick test_database_create_index;
-    Alcotest.test_case "workspace index_connections" `Quick test_workspace_index_connections;
+    Alcotest.test_case "workspace create indexes" `Quick test_workspace_create_indexes;
     qtest prop_lookup_eq_index_equals_scan;
     qtest prop_index_maintenance;
   ]

@@ -198,19 +198,23 @@ let test_span_lines_well_formed () =
   let ring = T.Ring.create 64 in
   T.set_sink (Some (T.Ring.sink ring));
   T.with_span "outer" ~tags:[ "mode", "incremental"; "quote", {|a"b|} ]
-    (fun () -> T.with_span "inner" ignore);
+    (fun () -> T.with_span "inner \"quoted\"\nname" ignore);
   T.set_sink None;
   List.iter
     (fun s ->
-      (match Relational.Sexp.parse (T.sexp_line s) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "sexp line unparseable: %s" e);
-      match J.parse (T.json_line s) with
-      | Error e -> Alcotest.failf "json line unparseable: %s" e
-      | Ok doc ->
-          Alcotest.(check (option string))
-            "name survives the round-trip" (Some s.T.name)
-            (Option.bind (J.member "name" doc) J.to_str))
+      let line = T.sexp_line s in
+      Alcotest.(check bool) "one line" false (String.contains line '\n');
+      match Relational.Sexp.parse line with
+      | Error e -> Alcotest.failf "sexp line unparseable: %s" e
+      | Ok (Relational.Sexp.List (Relational.Sexp.Atom "span" :: fields)) ->
+          Alcotest.(check (option (list string)))
+            "name survives the round-trip" (Some [ s.T.name ])
+            (Option.map
+               (List.map (function
+                 | Relational.Sexp.Atom a -> a
+                 | Relational.Sexp.List _ -> Alcotest.fail "name is a list"))
+               (Relational.Sexp.keyed_opt "name" fields))
+      | Ok _ -> Alcotest.failf "not a span line: %s" line)
     (T.Ring.contents ring)
 
 (* --- json --------------------------------------------------------------- *)

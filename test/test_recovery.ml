@@ -379,6 +379,127 @@ let test_commit_repairs_torn_tail () =
     && grade_of ws ("EE280", 1) = Value.Str "C");
   rm_rf dir
 
+(* A store and journal in the layout written before every document was
+   printed one item per line: lists longer than 72 columns broke into one
+   element per line, so a data row and a commit record span several
+   lines. The readers ignore layout; such a store must still open. *)
+let pinned_multiline_store =
+  {|(penguin-workspace
+ (version 1)
+ (schemas
+  (schema
+   COURSES
+   (attrs (course_id string) (title string))
+   (key course_id))
+  (schema
+   GRADES
+   (attrs (course_id string) (pid int) (grade string))
+   (key course_id pid)))
+ (connections
+  (connection ownership COURSES GRADES (on (course_id) (course_id))))
+ (objects
+  (object
+   omega
+   COURSES
+   (node
+    COURSES
+    COURSES
+    (attrs course_id title)
+    (path)
+    (children
+     (node
+      GRADES
+      GRADES
+      (attrs pid grade)
+      (path (edge forward "COURSES->GRADES:ownership(course_id;course_id)"))
+      (children))))))
+ (translators
+  (translator
+   omega
+   (insertion true)
+   (deletion true)
+   (replacement true)
+   (island-keys)
+   (outside)
+   (reference-actions)
+   (default-outside (true true true))
+   (default-reference-action delete-referencing)))
+ (data
+  (relation
+   COURSES
+   (row
+    (course_id (str CS345))
+    (title
+     (str
+      "Database Systems: updating relational databases through object-based views"))))
+  (relation
+   GRADES
+   (row (course_id (str CS345)) (grade (str B)) (pid (int 1)))
+   (row (course_id (str CS345)) (grade (str A-)) (pid (int 2))))))
+|}
+
+let pinned_multiline_journal =
+  [ {|(penguin-journal 2 (base 1) (epoch 0))|};
+    {|(commit
+ (entry
+  2
+  (kind "replacement on omega")
+  (delta
+   (rel
+    GRADES
+    (upd
+     (key (str CS345) (int 2))
+     (row (course_id (str CS345)) (grade (str A-)) (pid (int 2)))
+     (row (course_id (str CS345)) (grade (str A)) (pid (int 2)))))))
+ (entry
+  3
+  (kind "replacement on omega")
+  (delta
+   (rel
+    COURSES
+    (upd
+     (key (str CS345))
+     (row
+      (course_id (str CS345))
+      (title
+       (str
+        "Database Systems: updating relational databases through object-based views")))
+     (row
+      (course_id (str CS345))
+      (title
+       (str
+        "Database Systems: view objects over a relational schema, updated"))))))))|} ]
+
+let test_multiline_store_opens () =
+  let io = D.io (D.mem ()) in
+  let store = store_in "." in
+  check_ok_e (Penguin.Fsio.atomic_write io ~path:store pinned_multiline_store);
+  check_ok_e
+    (Penguin.Fsio.atomic_write io ~path:(Penguin.Journal.journal_path store)
+       (String.concat "" (List.map Penguin.Journal.frame pinned_multiline_journal)));
+  let ws, report = recover ~io "." in
+  Alcotest.(check int) "snapshot version" 1 report.Penguin.Recovery.snapshot_version;
+  Alcotest.(check int) "two replayed entries" 2 report.Penguin.Recovery.replayed;
+  Alcotest.(check int) "version" 3 (Penguin.Workspace.version ws);
+  let db = ws.Penguin.Workspace.db in
+  let row rel key =
+    match Relation.lookup (Database.relation_exn db rel) key with
+    | Some t -> t
+    | None -> Alcotest.failf "%s: row missing" rel
+  in
+  Alcotest.check value_testable "replayed title"
+    (Value.Str "Database Systems: view objects over a relational schema, updated")
+    (Tuple.get (row "COURSES" [ Value.Str "CS345" ]) "title");
+  Alcotest.check value_testable "replayed grade" (Value.Str "A")
+    (Tuple.get (row "GRADES" [ Value.Str "CS345"; Value.Int 2 ]) "grade");
+  Alcotest.check value_testable "untouched grade" (Value.Str "B")
+    (Tuple.get (row "GRADES" [ Value.Str "CS345"; Value.Int 1 ]) "grade");
+  Alcotest.(check int) "three tuples" 3 (Database.total_tuples db);
+  Alcotest.(check (list string)) "objects" [ "omega" ]
+    (List.map fst ws.Penguin.Workspace.objects);
+  Alcotest.(check (list string)) "translators" [ "omega" ]
+    (List.map fst ws.Penguin.Workspace.translators)
+
 (* Frames of the retired two-phase cross-shard protocol: a plain store
    never wrote them, and a journal record is one commit batch, so a
    checksummed [(prepare …)], [(decide …)] or [(mark …)] frame is
@@ -849,6 +970,8 @@ let suite =
       test_recovery_truncates_torn_tail;
     Alcotest.test_case "a commit repairs a torn tail before appending" `Quick
       test_commit_repairs_torn_tail;
+    Alcotest.test_case "a store and journal in the multi-line layout open"
+      `Quick test_multiline_store_opens;
     Alcotest.test_case "recovery rejects legacy two-phase frames" `Quick
       test_recovery_rejects_legacy_2pc_frames;
     Alcotest.test_case "rotation bounds replay length" `Quick

@@ -27,74 +27,8 @@ let test_sexp_roundtrip () =
         (check_ok (Sexp.parse printed)))
     cases
 
-(* The renderer before its width check was bounded: [width] measured the
-   whole subtree at every nesting level and built each escaped atom to
-   do it. [Sexp.to_string] must print exactly what it printed. *)
-module Reference_render = struct
-  let needs_quoting s =
-    s = ""
-    || String.exists
-         (fun c ->
-           c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '(' || c = ')'
-           || c = '"' || c = ';' || Char.code c < 32)
-         s
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-
-  let atom_to_string s = if needs_quoting s then escape s else s
-
-  let rec width = function
-    | Sexp.Atom s -> String.length (atom_to_string s)
-    | Sexp.List l -> 2 + List.fold_left (fun acc e -> acc + width e + 1) 0 l
-
-  let rec render buf indent e =
-    match e with
-    | Sexp.Atom s -> Buffer.add_string buf (atom_to_string s)
-    | Sexp.List l ->
-        if width e <= 72 then begin
-          Buffer.add_char buf '(';
-          List.iteri
-            (fun i e ->
-              if i > 0 then Buffer.add_char buf ' ';
-              render buf indent e)
-            l;
-          Buffer.add_char buf ')'
-        end
-        else begin
-          Buffer.add_char buf '(';
-          List.iteri
-            (fun i e ->
-              if i > 0 then begin
-                Buffer.add_char buf '\n';
-                Buffer.add_string buf (String.make (indent + 1) ' ')
-              end;
-              render buf (indent + 1) e)
-            l;
-          Buffer.add_char buf ')'
-        end
-
-  let to_string e =
-    let buf = Buffer.create 256 in
-    render buf 0 e;
-    Buffer.contents buf
-end
-
 (* Atoms mix bare characters with every character that forces quoting
-   or an escape; lengths straddle the 72-column budget. *)
+   or an escape, newlines included; some are long. *)
 let sexp_gen =
   let open QCheck.Gen in
   let char =
@@ -117,11 +51,13 @@ let sexp_gen =
                list_size (int_bound 10) (self (n / 3))
                |> map (fun l -> Sexp.List l) ])
 
-let prop_sexp_render_matches_reference =
-  QCheck.Test.make ~name:"sexp render matches the unbounded-width reference"
-    ~count:2000
-    (QCheck.make ~print:Reference_render.to_string sexp_gen)
-    (fun e -> String.equal (Sexp.to_string e) (Reference_render.to_string e))
+let prop_sexp_one_line =
+  QCheck.Test.make ~name:"sexp one line, parses back" ~count:2000
+    (QCheck.make ~print:Sexp.to_string sexp_gen)
+    (fun e ->
+      let printed = Sexp.to_string e in
+      (not (String.contains printed '\n'))
+      && Sexp.equal (check_ok (Sexp.parse printed)) e)
 
 let test_sexp_parse () =
   Alcotest.check sexp_testable "comments skipped"
@@ -215,11 +151,43 @@ let workspace_equal (a : Penguin.Workspace.t) (b : Penguin.Workspace.t) =
        a.Penguin.Workspace.objects b.Penguin.Workspace.objects
   && a.Penguin.Workspace.translators = b.Penguin.Workspace.translators
 
-(* The snapshot writer against the tree rendering it replaced: the
-   definitions document, re-read as a tree, plus the data section built
-   as a tree from [tuple_to_sexp] rows and printed by [Sexp.to_string].
-   Output must match byte for byte, whatever slice sizes the render is
-   cut into. *)
+(* The document layout, printed from the tree: a broken list keeps its
+   leading atoms on its first line and puts each list it holds on a line
+   of its own, one column further in. The document breaks, and so does
+   each of its elements; in the data section each relation breaks too.
+   Everything else is printed flat. *)
+let reference_layout doc =
+  let buf = Buffer.create 4096 in
+  let rec print ~levels indent e =
+    match e with
+    | Sexp.List items when levels > 0 ->
+        let atoms, lists =
+          List.partition (function Sexp.Atom _ -> true | Sexp.List _ -> false) items
+        in
+        Buffer.add_char buf '(';
+        Buffer.add_string buf (String.concat " " (List.map Sexp.to_string atoms));
+        List.iter
+          (fun e ->
+            Buffer.add_char buf '\n';
+            Buffer.add_string buf (String.make (indent + 1) ' ');
+            let levels =
+              match e with
+              | Sexp.List (Sexp.Atom "data" :: _) when indent = 0 -> 2
+              | _ -> levels - 1
+            in
+            print ~levels (indent + 1) e)
+          lists;
+        Buffer.add_char buf ')'
+    | e -> Buffer.add_string buf (Sexp.to_string e)
+  in
+  print ~levels:2 0 doc;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* The snapshot writer against the tree it writes: the definitions
+   document, re-read as a tree, plus the data section built as a tree
+   from [tuple_to_sexp] rows, printed by [reference_layout]. Output must
+   match byte for byte, whatever slice sizes the render is cut into. *)
 let reference_save ws =
   let header = check_ok (Sexp.parse (Penguin.Store.save ~include_data:false ws)) in
   let db = ws.Penguin.Workspace.db in
@@ -235,12 +203,11 @@ let reference_save ws =
            (Database.relation_names db))
   in
   match header with
-  | Sexp.List items -> Sexp.to_string (Sexp.List (items @ [ data ])) ^ "\n"
+  | Sexp.List items -> reference_layout (Sexp.List (items @ [ data ]))
   | Sexp.Atom _ -> Alcotest.fail "header is not a list"
 
 (* Names and strings mix bare characters with every character that
-   forces quoting or an escape; long strings and names push rows past
-   the 72-column budget, short ones keep whole relations on one line. *)
+   forces quoting or an escape; some strings are long, some empty. *)
 let workspace_gen =
   let open QCheck.Gen in
   let char =
@@ -316,13 +283,15 @@ let workspace_gen =
       Penguin.Workspace.db;
       log = Penguin.Commit_log.of_version version }
 
-let prop_save_matches_tree_rendering =
-  QCheck.Test.make ~name:"snapshot writer matches the tree rendering, in any slices"
+let prop_save_matches_reference_layout =
+  QCheck.Test.make ~name:"snapshot writer matches the reference layout, in any slices"
     ~count:500
     (QCheck.make ~print:reference_save workspace_gen)
     (fun ws ->
       let expected = reference_save ws in
-      String.equal (Penguin.Store.save ws) expected
+      let defs = Penguin.Store.save ~include_data:false ws in
+      String.equal defs (reference_layout (check_ok (Sexp.parse defs)))
+      && String.equal (Penguin.Store.save ws) expected
       && List.for_all
            (fun rows ->
              let r = Penguin.Store.Render.start ~epoch:0 ws in
@@ -334,7 +303,7 @@ let prop_save_matches_tree_rendering =
              go ())
            (List.init 24 (fun i -> i + 1)))
 
-let test_save_matches_tree_rendering_on_fixtures () =
+let test_save_matches_reference_layout_on_fixtures () =
   List.iter
     (fun ws ->
       Alcotest.(check string) "fixture document" (reference_save ws)
@@ -406,16 +375,16 @@ let suite =
     Alcotest.test_case "sexp roundtrip" `Quick test_sexp_roundtrip;
     Alcotest.test_case "sexp parse" `Quick test_sexp_parse;
     Alcotest.test_case "sexp keyed" `Quick test_sexp_keyed;
-    QCheck_alcotest.to_alcotest prop_sexp_render_matches_reference;
+    QCheck_alcotest.to_alcotest prop_sexp_one_line;
     Alcotest.test_case "value roundtrip" `Quick test_value_roundtrip;
     Alcotest.test_case "instance roundtrip" `Quick test_instance_roundtrip;
     Alcotest.test_case "definition roundtrip" `Quick test_definition_roundtrip;
     Alcotest.test_case "definition wrong graph" `Quick test_definition_wrong_graph;
     Alcotest.test_case "translator roundtrip" `Quick test_translator_roundtrip;
     Alcotest.test_case "workspace roundtrip" `Quick test_workspace_roundtrip;
-    QCheck_alcotest.to_alcotest prop_save_matches_tree_rendering;
-    Alcotest.test_case "snapshot writer matches the tree rendering on the fixtures"
-      `Quick test_save_matches_tree_rendering_on_fixtures;
+    QCheck_alcotest.to_alcotest prop_save_matches_reference_layout;
+    Alcotest.test_case "snapshot writer matches the reference layout on the fixtures"
+      `Quick test_save_matches_reference_layout_on_fixtures;
     Alcotest.test_case "workspace without data" `Quick test_workspace_without_data;
     Alcotest.test_case "loaded workspace operational" `Quick test_loaded_workspace_is_operational;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
