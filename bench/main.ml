@@ -889,7 +889,79 @@ let e11 () =
          integrity cross-check) %.1f us (%.2f us/record).@."
         len (r /. 1e3) (o /. 1e3)
         (o /. 1e3 /. float_of_int len)
-  | _ -> ())
+  | _ -> ());
+  (* Worst-case recovery under the rotation rule, on the serve-path
+     store shape (16 grades per course): an open with an empty journal,
+     and with a journal just below its rotation point — single-grade
+     commits through the appender until one more record would bring
+     their bytes to the snapshot's size. The appends skip the fsync,
+     which recovery never sees. *)
+  let unsynced = { Penguin.Fsio.default with Penguin.Fsio.sync = (fun _ -> Ok ()) } in
+  let open_store_rows n =
+    let ws = Workloads.graded_workspace ~courses:n ~fanout:16 in
+    let store journal = Filename.concat dir (Fmt.str "graded-%d-%s.pgn" n journal) in
+    let empty = store "empty" and full = store "full" in
+    List.iter (fun s -> or_fail (Penguin.Store.save_file ws s)) [ empty; full ];
+    let ws0, report = or_fail (Penguin.Recovery.open_store full) in
+    let snapshot_bytes = report.Penguin.Recovery.snapshot_bytes in
+    ignore (or_fail (Penguin.Recovery.Appender.create ~store:empty ws0));
+    let app =
+      or_fail
+        (Penguin.Recovery.Appender.create ~io:unsynced ~snapshot_bytes ~store:full ws0)
+    in
+    let rec fill ws i records =
+      let stmt =
+        Workloads.grade_stmt ~course:(i mod n) ~slot:(i / n mod 16)
+          ~grade:(Fmt.str "G%d" i)
+      in
+      let ws', _ =
+        or_fail
+          (Result.bind
+             (Penguin.Session.queue_stmt (Penguin.Session.begin_ ws) "omega" stmt)
+             (Penguin.Session.commit ws))
+      in
+      let since = Penguin.Workspace.version ws in
+      let record =
+        Penguin.Journal.frame
+          (Penguin.Journal.record_payload
+             (Penguin.Commit_log.entries_since ws'.Penguin.Workspace.log since))
+      in
+      if records + String.length record >= snapshot_bytes then records
+      else (
+        or_fail (Penguin.Recovery.Appender.write app ~since ws');
+        fill ws' (i + 1) (records + String.length record))
+    in
+    let records = fill ws0 0 0 in
+    Fmt.pr "open-store at %d courses: a %d KB snapshot, %d KB of journal records@."
+      n (snapshot_bytes / 1024) (records / 1024);
+    List.map
+      (fun (journal, store) ->
+        Test.make ~name:(Fmt.str "open-store:courses=%d,journal=%s" n journal)
+          (stage (fun () -> or_fail (Penguin.Recovery.open_store store))))
+      [ "empty", empty; "full", full ]
+  in
+  let courses = if !quick then [ 50; 500 ] else [ 50; 500; 2000 ] in
+  let rows = run_group "e11.open-store" (List.concat_map open_store_rows courses) in
+  List.iter
+    (fun n ->
+      let at journal =
+        List.assoc_opt
+          (Fmt.str "e11.open-store open-store:courses=%d,journal=%s" n journal)
+          rows
+      in
+      match at "empty", at "full" with
+      | Some empty, Some full ->
+          let ratio = full /. empty in
+          Fmt.pr
+            "%s open-store at %d courses, journal just below its rotation point: \
+             %.2f ms, %.2fx the empty journal's %.2f ms (%s 2x)@."
+            (if ratio <= 2. then "acceptance:" else "ACCEPTANCE FAILED:")
+            n (full /. 1e6) ratio (empty /. 1e6)
+            (if ratio <= 2. then "<=" else ">")
+      | _ -> ())
+    courses;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
 
 (* --- E12: observability overhead -------------------------------------- *)
 

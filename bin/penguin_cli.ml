@@ -250,7 +250,12 @@ let insert fixture object_name file =
       let _ws, outcome =
         Penguin.Workspace.update ws object_name (Vo_core.Request.insert instance)
       in
-      Fmt.pr "%a@." Vo_core.Engine.pp_outcome outcome
+      Fmt.pr "%a@." Vo_core.Engine.pp_outcome outcome;
+      (* A rolled-back insertion committed nothing: exit non-zero, as
+         [update] does on a refused statement. *)
+      match outcome.Vo_core.Engine.result with
+      | Relational.Transaction.Committed _ -> ()
+      | Relational.Transaction.Rolled_back _ -> exit 1
 
 let insert_cmd =
   let object_name =
@@ -637,7 +642,8 @@ let session_commit () deadline session =
               follower was promoted since, this commit is refused rather
               than forking the replicated history. *)
            Penguin.Recovery.persist ~store:doc.sess_store ~since:current
-             ~expect_epoch:report.Penguin.Recovery.epoch ws'))
+             ~expect_epoch:report.Penguin.Recovery.epoch
+             ~snapshot_bytes:report.Penguin.Recovery.snapshot_bytes ws'))
   in
   (* The commit is durable (journal fsynced) from here on; everything
      past this point — rotation, session-file removal — must not make it

@@ -130,6 +130,8 @@ let header_payload ~base ~epoch =
        [ atom "penguin-journal"; atom "2"; l [ atom "base"; int_atom base ];
          l [ atom "epoch"; int_atom epoch ] ])
 
+let header_length ~base ~epoch = 8 + String.length (header_payload ~base ~epoch)
+
 let header_of_payload payload =
   let* doc = Sexp.parse payload in
   let* items = Sexp.as_list doc in

@@ -148,3 +148,6 @@ val record_of_payload : string -> (record, string) result
 val header_payload : base:int -> epoch:int -> string
 val header_of_payload : string -> (int * int, string) result
 (** [(base, epoch)]; accepts format 1 (no epoch field) as epoch [0]. *)
+
+val header_length : base:int -> epoch:int -> int
+(** The length of the header frame {!initialize} and {!rotate} write. *)

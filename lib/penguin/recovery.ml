@@ -21,6 +21,7 @@ type report = {
   torn_bytes : int;
   repaired : bool;
   journal : bool;
+  snapshot_bytes : int;
 }
 
 let pp_report ppf r =
@@ -122,6 +123,7 @@ let open_store ?(io = Fsio.default) ?(repair = false) ?cache store =
     Result.map_error Error.corrupt (Store.load_snapshot content)
   in
   let snapshot_version = Workspace.version ws in
+  let snapshot_bytes = String.length content in
   let jnl = Journal.create ~io (Journal.journal_path store) in
   let* r = Journal.replay jnl in
   match r with
@@ -136,6 +138,7 @@ let open_store ?(io = Fsio.default) ?(repair = false) ?cache store =
              torn_bytes = 0;
              repaired = false;
              journal = false;
+             snapshot_bytes;
            })
   | Some r ->
       let* repaired =
@@ -191,6 +194,7 @@ let open_store ?(io = Fsio.default) ?(repair = false) ?cache store =
              torn_bytes = r.Journal.torn_bytes;
              repaired;
              journal = true;
+             snapshot_bytes;
            })
 
 let snapshot ?(io = Fsio.default) ?(epoch = 0) ~store ws =
@@ -238,10 +242,11 @@ module Appender = struct
     io : Fsio.t;
     store : string;
     jnl : Journal.t;
-    rotate_threshold : int;
     breaker : Resilience.Breaker.t option;
     epoch : int;
-    mutable records : int;  (* records the journal holds *)
+    mutable journal_bytes : int;  (* the journal's length, header included *)
+    mutable header_bytes : int;  (* its header frame's *)
+    mutable snapshot_bytes : int;  (* the store document's under it *)
     mutable tail : int;  (* newest version the journal holds *)
     mutable dirty : dirty;
     mutable render : render option;
@@ -265,6 +270,19 @@ module Appender = struct
   let m_install_ns = M.histogram "recovery.snapshot_install_ns"
   let m_appends = M.counter "recovery.appender_appends"
   let m_revalidations = M.counter "recovery.appender_revalidations"
+  let g_journal_bytes = M.gauge "recovery.journal_bytes"
+  let g_snapshot_bytes = M.gauge "recovery.snapshot_bytes"
+
+  (* The counts the rotation rule reads change only here, so the
+     gauges show an operator how far the next rotation is. *)
+  let set_journal t ~bytes ~header =
+    t.journal_bytes <- bytes;
+    t.header_bytes <- header;
+    M.Gauge.set g_journal_bytes (float_of_int bytes)
+
+  let set_snapshot t bytes =
+    t.snapshot_bytes <- bytes;
+    M.Gauge.set g_snapshot_bytes (float_of_int bytes)
 
   (* The journal's tail must still be the version [at] the caller's
      workspace was prepared against: if another process slipped a commit
@@ -278,8 +296,9 @@ module Appender = struct
           (concurrent commit?); reopen the store and retry"
          store tail at)
 
-  (* One full replay against version [at]; returns (records, epoch). A
-     journal-less store gets a journal based at [at]. Records past [at]
+  (* One full replay against version [at]; returns the journal's length
+     once claimed, its header's and its epoch. A journal-less store gets
+     a journal based at [at]. Records past [at]
      are refused as a concurrent commit, with one exception: a single
      record whose payload is [own], the record of this writer's own
      failed append, just failed or left by a cut that failed too. It is
@@ -291,7 +310,8 @@ module Appender = struct
     | None ->
         let epoch = Option.value expect_epoch ~default:0 in
         let* () = Journal.initialize ~epoch jnl ~base:at in
-        Ok (0, epoch)
+        let header = Journal.header_length ~base:at ~epoch in
+        Ok (header, header, epoch)
     | Some r ->
         (* Epoch fencing: if a follower promoted since this handle's
            store was opened, the journal header carries a newer epoch
@@ -315,9 +335,7 @@ module Appender = struct
             (fun acc (e : Commit_log.entry) -> max acc e.Commit_log.version)
             base entries
         in
-        let held, past =
-          List.partition (fun (_, es) -> top at es = at) r.Journal.framed
-        in
+        let past = List.filter (fun (_, es) -> top at es > at) r.Journal.framed in
         let tail = top r.Journal.base r.Journal.entries in
         let* clean_bytes =
           match past with
@@ -334,17 +352,39 @@ module Appender = struct
               m "journal for %s: cutting %d byte(s) past v%d (torn tail or \
                  failed append)" store cut at);
         let* () = claim jnl r ~clean_bytes in
-        Ok (List.length held, r.Journal.epoch)
+        let header =
+          match r.Journal.framed with
+          | (off, _) :: _ -> off
+          | [] -> r.Journal.clean_bytes
+        in
+        Ok (clean_bytes, header, r.Journal.epoch)
 
-  let open_at ~io ~rotate_threshold ?breaker ?expect_epoch ?own ~store at =
+  (* Without the size of the snapshot the caller opened, the store is
+     read once for it. *)
+  let open_at ~io ?snapshot_bytes ?breaker ?expect_epoch ?own ~store at =
+    let* snapshot =
+      match snapshot_bytes with
+      | Some n -> Ok n
+      | None -> (
+          let* doc = io.Fsio.read store in
+          match doc with
+          | Some doc -> Ok (String.length doc)
+          | None -> Error (Error.invalid (Fmt.str "no such store: %s" store)))
+    in
     let jnl = Journal.create ~io (Journal.journal_path store) in
-    let* records, epoch = validate ?expect_epoch ?own ~store jnl ~at in
-    Ok { io; store; jnl; rotate_threshold; breaker; epoch; records; tail = at;
-         dirty = Clean; render = None }
+    let* bytes, header, epoch = validate ?expect_epoch ?own ~store jnl ~at in
+    let t =
+      { io; store; jnl; breaker; epoch; journal_bytes = bytes;
+        header_bytes = header; snapshot_bytes = snapshot; tail = at;
+        dirty = Clean; render = None }
+    in
+    set_journal t ~bytes ~header;
+    set_snapshot t snapshot;
+    Ok t
 
-  let create ?(io = Fsio.default) ?(rotate_threshold = 64) ?breaker
-      ?expect_epoch ~store ws =
-    open_at ~io ~rotate_threshold ?breaker ?expect_epoch ~store
+  let create ?(io = Fsio.default) ?snapshot_bytes ?breaker ?expect_epoch
+      ~store ws =
+    open_at ~io ?snapshot_bytes ?breaker ?expect_epoch ~store
       (Workspace.version ws)
 
   let tail t = t.tail
@@ -364,10 +404,10 @@ module Appender = struct
      whole record [own]. *)
   let revalidate ?own t =
     M.Counter.incr m_revalidations;
-    let* records, _epoch =
+    let* bytes, header, _epoch =
       validate ~expect_epoch:t.epoch ?own ~store:t.store t.jnl ~at:t.tail
     in
-    t.records <- records;
+    set_journal t ~bytes ~header;
     Ok ()
 
   let write_entries t entries ws =
@@ -401,22 +441,28 @@ module Appender = struct
             t.dirty <- Uncut payload;
             t.render <- None);
           Error e
-      | Ok (_ : int) ->
+      | Ok n ->
           M.Counter.incr m_appends;
           Option.iter (fun r -> r.kept <- framed :: r.kept) t.render;
-          t.records <- t.records + 1;
+          set_journal t ~bytes:(t.journal_bytes + n) ~header:t.header_bytes;
           t.tail <- Workspace.version ws;
           Ok ()
 
-  (* A rotation starts when [rotate_threshold] records (at least one)
-     have piled up, with a render of the workspace last written: every
-     rotation's base is past the last one's. The render runs in slices;
-     the journal keeps taking appends meanwhile, and their frames are
-     kept for the compacted journal. *)
+  (* A rotation is paid for by the journal it folds: it starts once the
+     records past the header hold at least as many bytes as the
+     snapshot under them (and so at least one record), with a render of
+     the workspace last written, so every rotation's base is past the
+     last one's. Rewriting the snapshot then costs each byte appended
+     at most one more byte written, and an open reads at most about as
+     much journal as snapshot. The render runs in slices; the journal
+     keeps taking appends meanwhile, and their frames are kept for the
+     compacted journal. *)
+  let due t =
+    let records = t.journal_bytes - t.header_bytes in
+    records > 0 && records >= t.snapshot_bytes
+
   let start_rotation t ws =
-    if Option.is_none t.render && t.records >= max 1 t.rotate_threshold
-       && Workspace.version ws = t.tail
-    then
+    if Option.is_none t.render && due t && Workspace.version ws = t.tail then
       t.render <-
         Some { doc = Store.Render.start ~epoch:t.epoch ws; at = t.tail; kept = [] }
 
@@ -436,7 +482,10 @@ module Appender = struct
         ~base:r.at ~kept
     with
     | Ok () ->
-        t.records <- List.length kept;
+        let header = Journal.header_length ~base:r.at ~epoch:t.epoch in
+        set_journal t ~header
+          ~bytes:(List.fold_left (fun n f -> n + String.length f) header kept);
+        set_snapshot t (String.length doc);
         { rotated = true; rotate_error = None }
     | Error e ->
         t.dirty <- Rotate_failed;
@@ -484,8 +533,8 @@ module Appender = struct
     Ok (rotate t ws)
 end
 
-let persist ?(io = Fsio.default) ?(rotate_threshold = 64) ?breaker
-    ?expect_epoch ~store ~since ws =
+let persist ?(io = Fsio.default) ?snapshot_bytes ?breaker ?expect_epoch ~store
+    ~since ws =
   Appender.guarded breaker @@ fun () ->
   Obs.Trace.with_span "recovery.persist" @@ fun () ->
   M.time m_persist_ns @@ fun () ->
@@ -493,7 +542,7 @@ let persist ?(io = Fsio.default) ?(rotate_threshold = 64) ?breaker
   (* A retried persist whose earlier attempt failed, and failed to cut
      its record back off, finds that record one past [since]. *)
   let* t =
-    Appender.open_at ~io ~rotate_threshold ?expect_epoch
+    Appender.open_at ~io ?snapshot_bytes ?expect_epoch
       ~own:(Journal.record_payload entries) ~store since
   in
   let* () = Appender.write_entries t entries ws in

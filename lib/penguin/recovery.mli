@@ -23,6 +23,9 @@ type report = {
   torn_bytes : int;  (** torn journal tail discarded ([0] = clean) *)
   repaired : bool;  (** the torn tail was truncated on disk *)
   journal : bool;  (** a journal file was present *)
+  snapshot_bytes : int;
+      (** the store document's length — pass it to {!persist} or
+          {!Appender.create} as [snapshot_bytes] *)
 }
 
 val pp_report : Format.formatter -> report -> unit
@@ -81,7 +84,7 @@ type persisted = {
 
 val persist :
   ?io:Fsio.t ->
-  ?rotate_threshold:int ->
+  ?snapshot_bytes:int ->
   ?breaker:Resilience.Breaker.t ->
   ?expect_epoch:int ->
   store:string ->
@@ -106,12 +109,17 @@ val persist :
     past [since], a retried persist cuts it off and appends it afresh,
     so retrying a persist is safe. A torn journal tail is truncated
     before the append, and a journal kept as found has its directory
-    fsynced first, so its name is durable. When the journal reaches [rotate_threshold] records
-    (default 64) it is folded into a fresh snapshot ({!snapshot}),
-    bounding replay cost by the threshold rather than the store's
-    lifetime; a rotation failure {e after} the append's fsync is
-    reported as [rotate_error], not [Error] — the commit is already
-    durable and must not be retried. Failures are typed: a lost race is
+    fsynced first, so its name is durable. Once the journal's records
+    (its bytes past the header) are at least as many bytes as the store
+    document under them, it is folded into a fresh snapshot
+    ({!snapshot}): a rotation rewrites the snapshot only after as many
+    bytes of journal have been written, and replay reads at most about
+    a snapshot's worth of journal, however long the store has lived.
+    [snapshot_bytes] is that document's length, the
+    [report.snapshot_bytes] of the open [since] came from; without it
+    the store is read once to learn it. A rotation failure {e after}
+    the append's fsync is reported as [rotate_error], not [Error] — the
+    commit is already durable and must not be retried. Failures are typed: a lost race is
     {!Error.Conflict} (retryable after reopening), a stale [since] is
     {!Error.Invalid}, disk faults are {!Error.Io}. When [breaker] is
     given the whole durable path, the journal replay included, runs
@@ -169,7 +177,7 @@ module Appender : sig
 
   val create :
     ?io:Fsio.t ->
-    ?rotate_threshold:int ->
+    ?snapshot_bytes:int ->
     ?breaker:Resilience.Breaker.t ->
     ?expect_epoch:int ->
     store:string ->
@@ -178,17 +186,24 @@ module Appender : sig
   (** Validate the journal once — epoch fence against [expect_epoch]
       (refusing with {!Error.Invalid} "fenced" if a replica promoted),
       truncate any torn tail, initialize a journal for a plain exported
-      store — and capture the record count and tail version. Refuses
-      with a "store advanced" {!Error.Conflict} if the journal's tail
-      does not match the workspace's version (the workspace must come
-      from {!open_store} on the same store, under the same lock).
+      store — and capture the journal's length, its header's and the
+      tail version. [snapshot_bytes] is the length of the store
+      document the workspace was opened from ({!report}'s
+      [snapshot_bytes]); without it the store is read once to learn it.
+      Refuses with a "store advanced" {!Error.Conflict} if the journal's
+      tail does not match the workspace's version (the workspace must
+      come from {!open_store} on the same store, under the same lock).
       [breaker] guards every subsequent {!append}, as {!persist}'s
-      [breaker] does. *)
+      [breaker] does. The appender keeps the journal's length, by the
+      bytes of each record it appends and the compacted journal's length
+      at each install, and the snapshot's, by each installed document's;
+      it sets the [recovery.journal_bytes] and
+      [recovery.snapshot_bytes] gauges to them as they change. *)
 
   val append : t -> since:int -> Workspace.t -> (persisted, Error.t) result
   (** {!write}, then {!rotate}: the whole durable step in one call, as
-      {!persist} takes it. Rotation at [rotate_threshold] and the
-      [rotate_error] contract match {!persist}. *)
+      {!persist} takes it, with {!persist}'s rotation rule and
+      [rotate_error] contract. *)
 
   val write : t -> since:int -> Workspace.t -> (unit, Error.t) result
   (** Durably record the workspace's commits after version [since] with
@@ -198,11 +213,10 @@ module Appender : sig
       the create-time [breaker], if any. *)
 
   val rotate : t -> Workspace.t -> persisted
-  (** Fold the journal into a fresh snapshot of the workspace if
-      [rotate_threshold] records have accumulated since the last
-      rotation, rendering it to completion; otherwise do nothing. The
-      workspace must be the one last written (any other is left
-      unrotated). This is {!start_rotation} plus one unbounded
+  (** Fold the journal into a fresh snapshot of the workspace if a
+      rotation is due ({!start_rotation}), rendering it to completion;
+      otherwise do nothing. The workspace must be the one last written
+      (any other is left unrotated). This is {!start_rotation} plus one unbounded
       {!rotation_slice}: it keeps no record, since none is appended
       during the render. When a rotation is already pending, it is
       finished instead. *)
@@ -212,11 +226,14 @@ module Appender : sig
       workspace, the one last written at version V, is rendered by
       later {!rotation_slice}s while {!write} keeps appending. The
       frames appended meanwhile are kept in memory, so the install
-      never re-reads the journal. Does nothing unless a rotation is due
-      and none is pending. Dropping the appender drops a pending
-      rotation harmlessly: nothing of it is written before its install,
-      and the old journal stays authoritative. A failed {!write} whose
-      record cannot be cut back off drops it too. *)
+      never re-reads the journal. A rotation is due once the journal's
+      records — its bytes past the header, at least one record — are at
+      least as many bytes as the snapshot under them: its length at
+      {!create}, then each installed document's. Does nothing unless a
+      rotation is due and none is pending. Dropping the appender drops a
+      pending rotation harmlessly: nothing of it is written before its
+      install, and the old journal stays authoritative. A failed
+      {!write} whose record cannot be cut back off drops it too. *)
 
   val rotating : t -> bool
   (** A rotation is pending. *)

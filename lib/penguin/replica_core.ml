@@ -81,7 +81,6 @@ type state = {
 }
 
 let frame_len payload = 8 + String.length payload
-let header_len ~base ~epoch = frame_len (Journal.header_payload ~base ~epoch)
 let version st = Workspace.version st.ws
 
 let transient st msg =
@@ -266,13 +265,13 @@ let wrote st result =
       let p = st.progress in
       next
         { (adopt { st with ws } ~base ~epoch) with
-          own_len = header_len ~base:v ~epoch;
+          own_len = Journal.header_length ~base:v ~epoch;
           progress = { p with rotated = p.rotated || rotated } }
   | Installing (ws, base, epoch), Ok () ->
       let st = adopt { st with ws } ~base ~epoch in
       locate
         { st with
-          own_len = header_len ~base:(Workspace.version ws) ~epoch;
+          own_len = Journal.header_length ~base:(Workspace.version ws) ~epoch;
           progress = { st.progress with resynced = true } }
   | Syncing, Ok () -> settle { st with unsynced = false }
   | (Appending _ | Truncating | Syncing), Error e ->

@@ -52,7 +52,7 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
      replay would make every flush pay for the whole journal. *)
   let* appender =
     Recovery.Appender.create ~io ~breaker ~expect_epoch:report.Recovery.epoch
-      ~store ws0
+      ~snapshot_bytes:report.Recovery.snapshot_bytes ~store ws0
   in
   let core = Core.create ~config ~limiter ~breaker ws0 in
   let* srv = Netio.listen ~sock in

@@ -354,15 +354,18 @@ let test_rotation_invalidates () =
     (fun () ->
       let ws = Penguin.University.workspace () in
       check_ok_e (Penguin.Store.save_file ws store);
-      let ws0, _report = check_ok_e (Penguin.Recovery.open_store store) in
+      let ws0, report = check_ok_e (Penguin.Recovery.open_store store) in
       let cache = Ws.attach_cache ws0 in
       Cache.warm cache;
       let since = Ws.version ws0 in
       let ws1 = commit ws0 "omega" (grade_edit ws0 "CS345" 2 "E") in
-      let ws1 = commit ws1 "omega" (grade_edit ws1 "CS101" 1 "F") in
+      (* A grade as long as the snapshot: the record reaches its size. *)
+      let snapshot_bytes = report.Penguin.Recovery.snapshot_bytes in
+      let ws1 =
+        commit ws1 "omega" (grade_edit ws1 "CS101" 1 (String.make snapshot_bytes 'F'))
+      in
       let persisted =
-        check_ok_e
-          (Penguin.Recovery.persist ~rotate_threshold:1 ~store ~since ws1)
+        check_ok_e (Penguin.Recovery.persist ~snapshot_bytes ~store ~since ws1)
       in
       Alcotest.(check bool) "journal folded into a snapshot" true
         persisted.Penguin.Recovery.rotated;

@@ -386,11 +386,15 @@ let persist_traffic dir =
               grade))
     in
     let ws', _ = check_ok_e (Penguin.Session.commit ws sess) in
-    Penguin.Recovery.persist ~io ?breaker ~rotate_threshold:2 ~store
+    Penguin.Recovery.persist ~io ?breaker
+      ~snapshot_bytes:report.Penguin.Recovery.snapshot_bytes ~store
       ~since:(Penguin.Workspace.version ws)
       ~expect_epoch:report.Penguin.Recovery.epoch ws'
   in
-  List.iter (fun grade -> ignore (check_ok_e (commit grade))) [ "A-"; "B-"; "C-" ];
+  (* The second grade is as long as the snapshot: its commit rotates. *)
+  List.iter
+    (fun grade -> ignore (check_ok_e (commit grade)))
+    [ "A-"; Test_recovery.rotating_grade dir; "C-" ];
   check_ok_e
     (F.default.F.write ~path:(Penguin.Journal.journal_path store) ~append:true
        "torn");
@@ -434,6 +438,10 @@ let test_real_paths_and_json () =
   follower_traffic dir;
   persist_traffic pdir;
   let doc = scrape pdir in
+  let file_bytes path = float_of_int (String.length (Test_recovery.read_raw path)) in
+  let store = Test_recovery.store_in pdir in
+  let journal_bytes = file_bytes (Penguin.Journal.journal_path store)
+  and snapshot_bytes = file_bytes store in
   rm_rf dir;
   rm_rf pdir;
   (* The scrape round-trips through the bundled parser... *)
@@ -489,7 +497,12 @@ let test_real_paths_and_json () =
       "server.replication.under_replicated"; "server.replication.evictions";
       "server.replication.readmissions" ];
   Alcotest.(check (float 1e-9)) "the promoted follower's epoch" 1.
-    (value "gauges" "replica.epoch")
+    (value "gauges" "replica.epoch");
+  (* The scraped server's appender counts the files it opened. *)
+  Alcotest.(check (float 1e-9)) "recovery.journal_bytes is the journal's length"
+    journal_bytes (value "gauges" "recovery.journal_bytes");
+  Alcotest.(check (float 1e-9)) "recovery.snapshot_bytes is the snapshot's length"
+    snapshot_bytes (value "gauges" "recovery.snapshot_bytes")
 
 let test_real_paths_trace () =
   fresh ();

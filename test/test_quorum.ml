@@ -342,9 +342,23 @@ let test_evict_and_readmit () =
 
 let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter name)
 
+(* Whether the leader's next window rotates its journal, when its record
+   is as long as the last one: the records past the header then reach
+   the snapshot's size. The windows' grades have one width, so past the
+   first few (a course's first grade replaces a shorter one, and
+   versions gain a digit at v10), every record has one length. *)
+let next_window_rotates dir =
+  let journal = read_file (J.journal_path (store_in dir)) in
+  match J.decode_frames journal with
+  | (_, header) :: (_ :: _ as records), _, _ ->
+      let last = String.length (J.frame (snd (List.hd (List.rev records)))) in
+      String.length journal - String.length (J.frame header) + last
+      >= String.length (read_file (store_in dir))
+  | _ -> false
+
 (* Every window must wait for its quorum, the one whose append rotates
-   the journal included: with no follower at all, each commit past the
-   default rotation threshold sheds with the typed deadline error. *)
+   the journal included: with no follower at all, each commit sheds
+   with the typed deadline error, past the rotation too. *)
 let test_rotating_window_waits () =
   Obs.Metrics.enable ();
   let dir = temp_dir "quorum-rotating-window" in
@@ -390,6 +404,15 @@ let push_stream_crosses_rotations ~spanning =
   Obs.Metrics.enable ();
   let dir = temp_dir "quorum-cross-rotations" in
   Test_server.make_bench_store dir (if spanning then 8000 else 4);
+  (* A single-grade record is a few hundred bytes. On the small store
+     that is enough for a rotation every few dozen commits; the large
+     store's grades carry an eightieth of its snapshot each, so a
+     record (a grade before and after) is a fortieth of it, and the
+     journal reaches the snapshot's size about every 40 commits. *)
+  let pad =
+    if spanning then String.make (String.length (read_file (store_in dir)) / 80) 'p'
+    else ""
+  in
   let names =
     [ "replica.rotations_followed"; "replica.resyncs"; "shipper.push.fallbacks";
       "shipper.push.subscriptions"; "server.replication.under_replicated";
@@ -418,7 +441,7 @@ let push_stream_crosses_rotations ~spanning =
             check_ok_e
               (C.queue c ~object_name:"omega"
                  (Test_server.grade_stmt ~course:(1 + (i mod 4))
-                    ~grade:(Fmt.str "g%d" i)))
+                    ~grade:(Fmt.str "g%d%s" i pad)))
           in
           check_ok_e (C.send_commit c);
           let ack = check_ok_e (C.recv_commit_ack c) in
@@ -487,7 +510,7 @@ let test_subscription_waits_for_ack () =
     | ((_, h) :: _, _, _), Some (base, _) -> (base, String.length (J.frame h))
     | _ -> Alcotest.fail "the leader journal has no header"
   in
-  let (), stats =
+  let followed, stats =
     Test_server.with_server
       ~config:(quorum_config ~deadline:1e9 ~on_lag:S.Fail 1)
       dir
@@ -500,29 +523,32 @@ let test_subscription_waits_for_ack () =
         let _ = check_ok_e (R.poll_until_idle r) in
         let p = check_ok_e (R.subscribe r ~sock) in
         let c = Test_server.connect sock in
-        (* The default threshold rotates the server's fresh journal at
-           its 64th record: one window per commit. *)
-        for i = 1 to 63 do
+        (* One window per commit, followed until the next one brings the
+           server's fresh journal to its snapshot's size. *)
+        let rec follow i =
           let ack =
-            pipelined_commit c ~course:(1 + (i mod 4)) ~grade:(Fmt.str "g%d" i)
+            pipelined_commit c ~course:(1 + (i mod 4)) ~grade:(Fmt.str "g%03d" i)
               ~between:(fun () -> drive_push r p)
           in
           Alcotest.(check bool) (Fmt.str "commit %d is quorum-acked" i) false
-            ack.C.under_replicated
-        done;
+            ack.C.under_replicated;
+          if next_window_rotates dir then i else follow (i + 1)
+        in
+        let followed = follow 1 in
         R.push_close p;
         let base0, _ = leader_header () in
         let _v = check_ok_e (C.begin_ c) in
         let _ =
           check_ok_e
             (C.queue c ~object_name:"omega"
-               (Test_server.grade_stmt ~course:1 ~grade:"g64"))
+               (Test_server.grade_stmt ~course:(1 + ((followed + 1) mod 4))
+                  ~grade:(Fmt.str "g%03d" (followed + 1))))
         in
         check_ok_e (C.send_commit c);
         let rec rotated n =
           match leader_header () with
           | base, hlen when base <> base0 -> (base, hlen)
-          | _ when n > 2000 -> Alcotest.fail "the 64th window never rotated"
+          | _ when n > 2000 -> Alcotest.fail "the rotating window never rotated"
           | _ ->
               Unix.sleepf 0.001;
               rotated (n + 1)
@@ -548,9 +574,10 @@ let test_subscription_waits_for_ack () =
         Alcotest.(check string) "the rotating window sheds at its deadline"
           "deadline" (E.kind err);
         Unix.close fd;
-        C.close c)
+        C.close c;
+        followed)
   in
-  Alcotest.(check int) "only the followed commits acked" 63 stats.S.commits;
+  Alcotest.(check int) "only the followed commits acked" followed stats.S.commits;
   rm_rf dir
 
 (* A follower link that hands over at most one frame per read, so one
@@ -593,10 +620,11 @@ let test_kill_after_rotating_ack () =
         let _ = check_ok_e (R.poll_until_idle r) in
         let p = check_ok_e (R.subscribe ~net:(one_frame_net ()) r ~sock) in
         let c = Test_server.connect sock in
-        (* The default threshold rotates the server's fresh journal at
-           its 64th record: one window per commit. *)
-        for i = 1 to 64 do
-          let course = 1 + (i mod 4) and grade = Fmt.str "g%d" i in
+        (* One window per commit, up to the one that brings the server's
+           fresh journal to its snapshot's size. *)
+        let rec commit i =
+          let rotates = next_window_rotates dir in
+          let course = 1 + (i mod 4) and grade = Fmt.str "g%03d" i in
           let ack =
             pipelined_commit c ~course ~grade ~between:(fun () ->
                 let rec go n =
@@ -607,8 +635,10 @@ let test_kill_after_rotating_ack () =
                 go 0)
           in
           Hashtbl.replace acked course grade;
-          last := List.fold_left max !last ack.C.versions
-        done;
+          last := List.fold_left max !last ack.C.versions;
+          if not rotates then commit (i + 1)
+        in
+        commit 1;
         (* The leader is lost here: the header frame behind the last
            record is never read. *)
         R.push_close p;
@@ -895,7 +925,8 @@ let test_subscribe_refusal_shape () =
   in
   (* The leader commits and rotates while the follower is away: its
      position is no longer a frame boundary of the leader journal. *)
-  Test_replica.commit ~rotate_threshold:1 dir "C+";
+  Test_replica.commit dir "C+";
+  Test_replica.commit_rotating dir;
   Test_replica.with_server dir (fun sock ->
       let err = check_err_e (R.subscribe r ~sock) in
       Alcotest.(check bool)

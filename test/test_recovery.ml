@@ -48,6 +48,12 @@ let grade_of ws (course, pid) =
 
 let store_in dir = Filename.concat dir "store.pgn"
 
+let read_raw ?(io = Penguin.Fsio.default) path =
+  match io.Penguin.Fsio.read path with
+  | Ok (Some s) -> s
+  | Ok None -> Alcotest.failf "%s: no such file" path
+  | Error e -> Alcotest.failf "%s: %s" path (Penguin.Error.to_string e)
+
 let make_store ?io dir =
   let ws = Penguin.University.workspace () in
   check_ok_e (Penguin.Store.save_file ?io ws (store_in dir))
@@ -61,16 +67,23 @@ let apply_edit ws enrolment grade =
 
 (* One durable commit, the way the CLI does it: recover the current
    state, translate and apply an update, persist the new commits. *)
-let commit_grade ?rotate_threshold ~io dir enrolment grade =
+let commit_grade ~io dir enrolment grade =
   let ( let* ) = Result.bind in
   let store = store_in dir in
-  let* ws, _report = Penguin.Recovery.open_store ~io store in
+  let* ws, report = Penguin.Recovery.open_store ~io store in
   let ws' = apply_edit ws enrolment grade in
   let* _rotated =
-    Penguin.Recovery.persist ~io ?rotate_threshold ~store
+    Penguin.Recovery.persist ~io
+      ~snapshot_bytes:report.Penguin.Recovery.snapshot_bytes ~store
       ~since:(Penguin.Workspace.version ws) ws'
   in
   Ok ()
+
+(* A grade as long as the store's snapshot: a commit that sets it
+   appends a record longer than the snapshot, which brings the journal
+   to the snapshot's size, so that commit rotates the journal. *)
+let rotating_grade ?io dir =
+  String.make (String.length (read_raw ?io (store_in dir))) 'R'
 
 let recover ?io dir =
   let ws, report = check_ok_e (Penguin.Recovery.open_store ?io (store_in dir)) in
@@ -177,10 +190,10 @@ let test_crash_during_append_to_existing_journal () =
 let test_crash_during_rotate () =
   assert_crash_recoverable ~setup:primed
     ~action:(fun ~io dir ->
-      (* rotate_threshold 2: the append is followed by folding the whole
-         journal into a fresh snapshot — tmp writes, fsyncs and renames
-         on both the store and the journal. *)
-      commit_grade ~rotate_threshold:2 ~io dir ("CS345", 2) "A-")
+      (* A record longer than the snapshot: the append is followed by
+         folding the whole journal into a fresh snapshot — tmp writes,
+         fsyncs and renames on both the store and the journal. *)
+      commit_grade ~io dir ("CS345", 2) (rotating_grade ~io dir))
     ()
 
 (* Snapshot-only persistence: the atomic write protocol alone must never
@@ -210,14 +223,14 @@ let spanning_rotation ~io ~acked dir =
   let module A = Penguin.Recovery.Appender in
   let store = store_in dir in
   let* ws, _ = Penguin.Recovery.open_store ~io store in
-  let* app = A.create ~io ~rotate_threshold:2 ~store ws in
+  let* app = A.create ~io ~store ws in
   let write ws g =
     let ws' = apply_edit ws ("CS345", 2) g in
     let* () = A.write app ~since:(Penguin.Workspace.version ws) ws' in
     acked := Penguin.Workspace.version ws';
     Ok ws'
   in
-  let* ws1 = write ws "A-" in
+  let* ws1 = write ws (rotating_grade ~io dir) in
   A.start_rotation app ws1;
   let slice () = Option.is_some (A.rotation_slice app ~rows:4) in
   Alcotest.(check bool) "the render takes several slices" false (slice ());
@@ -239,7 +252,7 @@ let test_crash_during_spanning_rotation () =
     let io = D.io (D.mem ()) in
     primed ~io ".";
     let ws0, _ = recover ~io "." in
-    let ws1 = apply_edit ws0 ("CS345", 2) "A-" in
+    let ws1 = apply_edit ws0 ("CS345", 2) (rotating_grade ~io ".") in
     let ws2 = apply_edit ws1 ("CS345", 2) "B+" in
     let ws3 = apply_edit ws2 ("CS345", 2) "C" in
     List.map (fun ws -> Penguin.Workspace.version ws, ws) [ ws0; ws1; ws2; ws3 ]
@@ -330,12 +343,6 @@ let test_recovery_replays_journal () =
   Alcotest.(check int) "version = snapshot + 2" (report.Penguin.Recovery.snapshot_version + 2)
     report.Penguin.Recovery.version;
   rm_rf dir
-
-let read_raw path =
-  match Penguin.Fsio.default.Penguin.Fsio.read path with
-  | Ok (Some s) -> s
-  | Ok None -> Alcotest.failf "%s: no such file" path
-  | Error e -> Alcotest.failf "%s: %s" path (Penguin.Error.to_string e)
 
 let test_recovery_truncates_torn_tail () =
   let dir = temp_dir "recovery" in
@@ -563,19 +570,22 @@ let test_recovery_rejects_legacy_2pc_frames () =
 let test_rotation_bounds_replay () =
   let dir = temp_dir "recovery" in
   make_store dir;
-  let grades = [ "A-"; "B"; "C+"; "A"; "B-" ] in
-  List.iteri
-    (fun i g ->
-      check_ok_e (commit_grade ~rotate_threshold:2 ~io:Penguin.Fsio.default dir ("CS345", 2) g);
-      ignore i)
-    grades;
+  (* Each grade is as long as the snapshot it is committed on. *)
+  let grades =
+    List.map
+      (fun g ->
+        let g = rotating_grade dir ^ g in
+        check_ok_e (commit_grade ~io:Penguin.Fsio.default dir ("CS345", 2) g);
+        g)
+      [ "A-"; "B"; "C+"; "A"; "B-" ]
+  in
   let ws, report = recover dir in
   Alcotest.(check bool) "snapshot advanced past the origin" true
     (report.Penguin.Recovery.snapshot_version > 1);
-  Alcotest.(check bool) "replay is bounded by the rotation threshold" true
+  Alcotest.(check bool) "replay is bounded by the rotation rule" true
     (report.Penguin.Recovery.replayed < List.length grades);
   Alcotest.(check bool) "last write wins" true
-    (grade_of ws ("CS345", 2) = Value.Str "B-");
+    (grade_of ws ("CS345", 2) = Value.Str (List.nth grades 4));
   check_ok ~msg:"consistent" (Penguin.Workspace.check_consistency ws);
   rm_rf dir
 
@@ -729,7 +739,8 @@ let test_rotation_is_a_barrier_for_older_sessions () =
   let sess = queue_edit (Penguin.Session.begin_ ws_a) ws_a ("CS345", 2) "A-" in
   (* B's commit rotates the journal into a fresh snapshot: the history
      A's session spans is no longer held as deltas. *)
-  check_ok_e (commit_grade ~rotate_threshold:1 ~io:Penguin.Fsio.default dir ("EE280", 1) "C");
+  check_ok_e
+    (commit_grade ~io:Penguin.Fsio.default dir ("EE280", 1) (rotating_grade dir));
   let ws_now, _ = check_ok_e (Penguin.Recovery.open_store store) in
   Alcotest.(check bool) "history unknown after rotation" true
     (Penguin.Session.divergence ws_now sess = Penguin.Session.Unknown_history);
@@ -772,37 +783,54 @@ let test_appender_incremental_appends () =
     (grade_of ws' ("CS345", 2) = Value.Str "B");
   rm_rf dir
 
-let test_appender_rotates_at_threshold () =
-  let dir = temp_dir "appender" in
-  make_store dir;
-  let store = store_in dir in
-  let ws, _ = check_ok_e (Penguin.Recovery.open_store store) in
-  let app =
-    check_ok_e
-      (Penguin.Recovery.Appender.create ~rotate_threshold:3 ~store ws)
-  in
-  let rotations = ref 0 in
-  let _ =
-    List.fold_left
-      (fun ws g ->
-        let ws' = apply_edit ws ("CS345", 2) g in
-        let p =
-          check_ok_e
-            (Penguin.Recovery.Appender.append app
-               ~since:(Penguin.Workspace.version ws) ws')
-        in
-        if p.Penguin.Recovery.rotated then incr rotations;
-        ws')
-      ws
-      [ "A-"; "B+"; "C"; "A-"; "B+"; "C"; "A-" ]
-  in
-  Alcotest.(check int) "a rotation per threshold records" 2 !rotations;
-  let _, report = recover dir in
-  Alcotest.(check bool) "replay is bounded by the threshold" true
-    (report.Penguin.Recovery.replayed <= 3);
-  rm_rf dir
+(* The journal's bytes past its header, read off the file. *)
+let records_bytes content =
+  match Penguin.Journal.decode_frames content with
+  | (_, header) :: _, _, _ ->
+      String.length content - String.length (Penguin.Journal.frame header)
+  | [], _, _ -> Alcotest.fail "a journal without a header"
 
-(* The same threshold, with the rotation rendered in slices while later
+(* Ordinary single-grade commits: each append rotates exactly when the
+   records on file reach the snapshot on file, so a rotation comes
+   after many records, not after each one. *)
+let test_appender_rotates_at_snapshot_size () =
+  let module A = Penguin.Recovery.Appender in
+  let io = D.io (D.mem ()) in
+  make_store ~io ".";
+  let store = store_in "." in
+  let jpath = Penguin.Journal.journal_path store in
+  let ws, _ = recover ~io "." in
+  let app = check_ok_e (A.create ~io ~store ws) in
+  let rec go ws i since_rotation gaps =
+    if List.length gaps = 2 then ws, gaps
+    else if i > 500 then Alcotest.fail "500 appends and no second rotation"
+    else
+      let ws' = apply_edit ws ("CS345", 2) (Fmt.str "G%03d" i) in
+      check_ok_e (A.write app ~since:(Penguin.Workspace.version ws) ws');
+      let due =
+        records_bytes (read_raw ~io jpath) >= String.length (read_raw ~io store)
+      in
+      let p = A.rotate app ws' in
+      Alcotest.(check bool)
+        (Fmt.str "append %d rotates exactly when the journal reaches the snapshot" i)
+        due p.Penguin.Recovery.rotated;
+      if p.Penguin.Recovery.rotated then go ws' (i + 1) 0 ((since_rotation + 1) :: gaps)
+      else go ws' (i + 1) (since_rotation + 1) gaps
+  in
+  let last, gaps = go ws 1 0 [] in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Fmt.str "a rotation per snapshot's worth of records (%d)" n)
+        true (n > 10))
+    gaps;
+  let _, report = recover ~io "." in
+  Alcotest.(check int) "reopens at the last append" (Penguin.Workspace.version last)
+    report.Penguin.Recovery.version;
+  Alcotest.(check bool) "replay is bounded by the snapshot's size" true
+    (records_bytes (read_raw ~io jpath) < String.length (read_raw ~io store))
+
+(* The same rule, with the rotation rendered in slices while later
    windows append, as the server runs it: the compacted journal keeps
    those records, and they count toward the next rotation. *)
 let test_appender_sliced_rotation_keeps_records () =
@@ -813,7 +841,7 @@ let test_appender_sliced_rotation_keeps_records () =
   make_store dir;
   let store = store_in dir in
   let ws, _ = check_ok_e (Penguin.Recovery.open_store store) in
-  let app = check_ok_e (A.create ~rotate_threshold:3 ~store ws) in
+  let app = check_ok_e (A.create ~store ws) in
   let write ws g =
     let ws' = apply_edit ws ("CS345", 2) g in
     check_ok_e (A.write app ~since:(Penguin.Workspace.version ws) ws');
@@ -821,7 +849,7 @@ let test_appender_sliced_rotation_keeps_records () =
   in
   let slices = counter "recovery.snapshot_slices" in
   let compacted = counter "journal.compacted_bytes" in
-  let ws3 = List.fold_left write ws [ "A-"; "B+"; "C" ] in
+  let ws3 = List.fold_left write ws [ rotating_grade dir; "B+"; "C" ] in
   A.start_rotation app ws3;
   Alcotest.(check bool) "a rotation is pending" true (A.rotating app);
   let rec render ws = function
@@ -853,8 +881,21 @@ let test_appender_sliced_rotation_keeps_records () =
     report.Penguin.Recovery.version;
   Alcotest.(check bool) "last grade wins" true
     (grade_of recovered ("CS345", 2) = Value.Str "B");
-  (* The kept records count: one more write makes the next rotation due. *)
-  let ws6 = write ws5 "C-" in
+  (* The kept records count: one more record, smaller than the new
+     snapshot by exactly their bytes, makes the next rotation due. *)
+  let snapshot = String.length (read_raw store) in
+  let kept = records_bytes (read_raw jpath) in
+  let record g =
+    let ws' = apply_edit ws5 ("CS345", 2) g in
+    Penguin.Journal.frame
+      (Penguin.Journal.record_payload
+         (Penguin.Commit_log.entries_since ws'.Penguin.Workspace.log
+            (Penguin.Workspace.version ws5)))
+  in
+  let grade = String.make (snapshot - kept - String.length (record "x") + 1) 'x' in
+  Alcotest.(check int) "the record makes up the rest of the snapshot's size"
+    (snapshot - kept) (String.length (record grade));
+  let ws6 = write ws5 grade in
   A.start_rotation app ws6;
   Alcotest.(check bool) "the next rotation is due after one more record" true
     (A.rotating app);
@@ -870,8 +911,8 @@ let test_appender_empty_commit_writes_nothing () =
   let store = store_in dir in
   let jpath = Penguin.Journal.journal_path store in
   let ws, _ = check_ok_e (Penguin.Recovery.open_store store) in
-  let app = check_ok_e (A.create ~rotate_threshold:1 ~store ws) in
-  let ws1 = apply_edit ws ("CS345", 2) "A-" in
+  let app = check_ok_e (A.create ~store ws) in
+  let ws1 = apply_edit ws ("CS345", 2) (rotating_grade dir) in
   check_ok_e (A.write app ~since:(Penguin.Workspace.version ws) ws1);
   let v1 = Penguin.Workspace.version ws1 in
   let before = read_raw jpath in
@@ -950,6 +991,158 @@ let test_appender_revalidates_after_torn_append () =
   Alcotest.(check int) "exactly one replayed entry" 1
     report.Penguin.Recovery.replayed
 
+(* --- the appender's counts, property-checked ------------------------- *)
+
+type step =
+  | Append of int  (** a grade of this many bytes *)
+  | Empty  (** a window with nothing to write *)
+  | Failed_append of D.kind
+      (** the record's write ([Torn], [Corrupt], [Transient]) or fsync
+          ([Hard]) fails; its cut succeeds *)
+  | Failed_cut  (** a torn append whose cut back fails too *)
+  | Torn_tail of int  (** a dead writer's remnant of this many bytes, reopened *)
+  | Reopen of bool  (** with the open's snapshot size, or without it *)
+  | Slice of int  (** rows of a pending rotation's render *)
+
+let pp_step ppf = function
+  | Append n -> Fmt.pf ppf "append %d" n
+  | Empty -> Fmt.string ppf "empty"
+  | Failed_append k ->
+      Fmt.pf ppf "failed append (%s)"
+        (match k with D.Torn -> "torn" | D.Corrupt -> "corrupt"
+         | D.Transient -> "transient" | D.Hard -> "fsync" | _ -> "?")
+  | Failed_cut -> Fmt.string ppf "failed cut"
+  | Torn_tail n -> Fmt.pf ppf "torn tail %d" n
+  | Reopen given -> Fmt.pf ppf "reopen%s" (if given then "" else " (read size)")
+  | Slice n -> Fmt.pf ppf "slice %d" n
+
+let step_gen =
+  let open QCheck.Gen in
+  frequency
+    [ 8, map (fun n -> Append n) (frequency [ 4, int_range 1 8; 1, int_range 100 4000 ]);
+      1, return Empty;
+      2, map (fun k -> Failed_append k)
+           (oneofl [ D.Torn; D.Corrupt; D.Transient; D.Hard ]);
+      1, return Failed_cut;
+      1, map (fun n -> Torn_tail n) (int_range 1 40);
+      1, map (fun b -> Reopen b) bool;
+      3, map (fun n -> Slice n) (oneofl [ 1; 8; max_int ]) ]
+
+(* The end of the journal's records at or below [tail]: the whole file,
+   unless a failed write left a remnant its next write cuts off. *)
+let good_end content ~tail =
+  let held (_, payload) =
+    match Penguin.Journal.record_of_payload payload with
+    | Ok es -> List.for_all (fun (e : Penguin.Commit_log.entry) -> e.version <= tail) es
+    | Error _ -> false
+  in
+  match Penguin.Journal.decode_frames content with
+  | [], _, _ -> Alcotest.fail "a journal without a header"
+  | _ :: records, clean, _ -> (
+      match List.find_opt (fun r -> not (held r)) records with
+      | Some (off, _) -> off
+      | None -> clean)
+
+let run_steps steps =
+  let module A = Penguin.Recovery.Appender in
+  Obs.Metrics.enable ();
+  let gauge name = int_of_float (Obs.Metrics.Gauge.value (Obs.Metrics.gauge name)) in
+  let d = D.mem () in
+  let io = D.io d in
+  make_store ~io ".";
+  let store = store_in "." and jpath = Penguin.Journal.journal_path (store_in ".") in
+  let ws = ref (fst (recover ~io ".")) in
+  let open_app ~given =
+    let ws', report = check_ok_e (Penguin.Recovery.open_store ~io store) in
+    Alcotest.(check int) "reopens at the last append" (Penguin.Workspace.version !ws)
+      (Penguin.Workspace.version ws');
+    ws := ws';
+    let snapshot_bytes =
+      if given then Some report.Penguin.Recovery.snapshot_bytes else None
+    in
+    check_ok_e (A.create ~io ?snapshot_bytes ~store ws')
+  in
+  let app = ref (open_app ~given:true) in
+  let i = ref 0 in
+  let edit len =
+    incr i;
+    apply_edit !ws ("CS345", 2) (string_of_int !i ^ String.make len 'g')
+  in
+  (* Write [ws'], then start a rotation as the server does: it must be
+     pending exactly when the records on file reach the snapshot on
+     file (or was already). *)
+  let append ws' =
+    let pending = A.rotating !app in
+    match A.write !app ~since:(Penguin.Workspace.version !ws) ws' with
+    | Error e -> Error e
+    | Ok () ->
+        ws := ws';
+        A.start_rotation !app ws';
+        let records = records_bytes (read_raw ~io jpath) in
+        let due = records > 0 && records >= String.length (read_raw ~io store) in
+        if not pending then
+          Alcotest.(check bool)
+            (Fmt.str "a rotation starts at the append that reaches the snapshot \
+                      (records %d, snapshot %d)" records
+               (String.length (read_raw ~io store)))
+            due (A.rotating !app);
+        Ok ()
+  in
+  let failing schedule ws' =
+    D.set_schedule d (D.Once schedule);
+    let r = A.write !app ~since:(Penguin.Workspace.version !ws) ws' in
+    D.set_schedule d D.never;
+    Alcotest.(check bool) "the faulted append fails" true (Result.is_error r)
+  in
+  (* A failed cut leaves a remnant until the next write, or an open,
+     cuts it. *)
+  let remnant = ref false in
+  List.iter
+    (fun step ->
+      (match step with
+      | Append n -> check_ok_e (append (edit n))
+      | Empty -> check_ok_e (append !ws)
+      | Failed_append k ->
+          let op = if k = D.Hard then `Sync else `Write in
+          failing [ op, jpath, k ] (edit 4)
+      | Failed_cut -> failing [ `Write, jpath, D.Torn; `Rename, jpath, D.Hard ] (edit 4)
+      | Torn_tail n ->
+          check_ok_e
+            (io.Penguin.Fsio.write ~path:jpath ~append:true
+               (String.sub (Penguin.Journal.frame (String.make 64 'x')) 0 n));
+          app := open_app ~given:true
+      | Reopen given -> app := open_app ~given
+      | Slice rows ->
+          Option.iter
+            (fun p ->
+              Alcotest.(check bool) "the install lands" true p.Penguin.Recovery.rotated)
+            (A.rotation_slice !app ~rows));
+      (match step with
+      | Failed_cut -> remnant := true
+      | Slice _ -> ()
+      | _ -> remnant := false);
+      let content = read_raw ~io jpath in
+      let good = good_end content ~tail:(A.tail !app) in
+      Alcotest.(check int)
+        (Fmt.str "after %a: the appender counts the journal's bytes" pp_step step)
+        good (gauge "recovery.journal_bytes");
+      if not !remnant then
+        Alcotest.(check int)
+          (Fmt.str "after %a: the journal's length" pp_step step)
+          (String.length content) good;
+      Alcotest.(check int)
+        (Fmt.str "after %a: the appender counts the snapshot's bytes" pp_step step)
+        (String.length (read_raw ~io store)) (gauge "recovery.snapshot_bytes"))
+    steps;
+  true
+
+let prop_appender_counts =
+  QCheck.Test.make ~name:"appender counts the journal's bytes; rotates at the snapshot's size"
+    ~count:60
+    (QCheck.make ~print:(Fmt.str "%a" (Fmt.Dump.list pp_step))
+       QCheck.Gen.(list_size (int_range 10 60) step_gen))
+    run_steps
+
 let suite =
   [
     Alcotest.test_case "crash anywhere in the first durable commit" `Quick
@@ -988,8 +1181,8 @@ let suite =
       test_rotation_is_a_barrier_for_older_sessions;
     Alcotest.test_case "appender: incremental appends replay" `Quick
       test_appender_incremental_appends;
-    Alcotest.test_case "appender: rotation at the record threshold" `Quick
-      test_appender_rotates_at_threshold;
+    Alcotest.test_case "appender: rotation at the snapshot's size" `Quick
+      test_appender_rotates_at_snapshot_size;
     Alcotest.test_case "appender: a sliced rotation keeps later records" `Quick
       test_appender_sliced_rotation_keeps_records;
     Alcotest.test_case "appender: an empty commit writes nothing" `Quick
@@ -998,4 +1191,5 @@ let suite =
       test_appender_refuses_stale_since;
     Alcotest.test_case "appender: revalidates after a torn append" `Quick
       test_appender_revalidates_after_torn_append;
+    qtest prop_appender_counts;
   ]

@@ -21,10 +21,16 @@ let full_sweep = Sys.getenv_opt "PENGUIN_REPLICA_SWEEP" = Some "full"
 let store_in = Test_recovery.store_in
 let target_in dir = Filename.concat dir "follower.pgn"
 
-let commit ?rotate_threshold dir grade =
+let commit dir grade =
   check_ok_e
-    (Test_recovery.commit_grade ?rotate_threshold ~io:Penguin.Fsio.default dir
-       ("CS345", 2) grade)
+    (Test_recovery.commit_grade ~io:Penguin.Fsio.default dir ("CS345", 2) grade)
+
+(* A commit that folds the journal into the snapshot: its grade, on
+   another enrolment, is as long as the snapshot. *)
+let commit_rotating dir =
+  check_ok_e
+    (Test_recovery.commit_grade ~io:Penguin.Fsio.default dir ("EE280", 1)
+       (Test_recovery.rotating_grade dir))
 
 let follower dir =
   check_ok_e
@@ -194,10 +200,11 @@ let test_rotation_resync_when_behind () =
   commit dir "A-";
   let r = follower dir in
   let _ = catch_up r in
-  (* Two commits land and the second folds the journal: the follower
-     missed both, and the new base is past its position. *)
+  (* Three commits land and the last folds the journal: the follower
+     missed them all, and the new base is past its position. *)
   commit dir "B-";
-  commit ~rotate_threshold:1 dir "C+";
+  commit dir "C+";
+  commit_rotating dir;
   let p = catch_up r in
   Alcotest.(check bool) "fell back to a full resync" true p.R.resynced;
   let lws, _ = Test_recovery.recover dir in
@@ -322,7 +329,8 @@ let test_heal_under_rotation () =
   (* The leader repairs its tail and rotates while the follower is
      still quarantined: a fresh journal at a new base. *)
   check_ok_e (io.Penguin.Fsio.write ~path:jpath ~append:false clean);
-  commit ~rotate_threshold:1 dir "B+";
+  commit dir "B+";
+  commit_rotating dir;
   let p = catch_up r in
   (match R.status r with
   | R.Following -> ()
@@ -423,15 +431,16 @@ let test_install_crash_keeps_the_epoch () =
   let new_dir = temp_dir "replica-install-crash-new" in
   Test_recovery.make_store dir;
   commit dir "A-";
-  (* The new leader: a follower of the old one, promoted, then one
-     commit folded into its snapshot. *)
+  (* The new leader: a follower of the old one, promoted, then two
+     commits folded into its snapshot. *)
   let _ =
     catch_up
       (check_ok_e
          (R.create ~feed:(R.file_feed (store_in dir)) ~target:(store_in new_dir) ()))
   in
   let _, epoch = check_ok_e (R.promote_store (store_in new_dir)) in
-  commit ~rotate_threshold:1 new_dir "C-";
+  commit new_dir "C-";
+  commit_rotating new_dir;
   (* The old leader commits once more, and an in-memory follower takes
      it: it stands past the fork, in epoch 0. *)
   commit dir "F";
@@ -470,11 +479,17 @@ let build_workload dir n =
     let ws, _ = Test_recovery.recover dir in
     states.(k) <- Some ws
   in
+  (* A snapshot larger than the workload's records (each well under 400
+     bytes) keeps the whole workload in one journal: a grade that long,
+     and as long as the snapshot, so its commit folds the journal before
+     the workload starts. *)
+  check_ok_e
+    (Test_recovery.commit_grade ~io:Penguin.Fsio.default dir ("EE280", 1)
+       (Test_recovery.rotating_grade dir ^ String.make (400 * n) 'P'));
   record 0;
   for i = 1 to n do
-    (* Distinct values so states are pairwise distinguishable; a high
-       threshold keeps the whole workload in one journal. *)
-    commit ~rotate_threshold:100000 dir (Fmt.str "G%03d" i);
+    (* Distinct values so states are pairwise distinguishable. *)
+    commit dir (Fmt.str "G%03d" i);
     record i
   done;
   Array.map

@@ -604,11 +604,13 @@ let test_idle_session_pins_history () =
 
 (* The background work of a rotation, through [(stats)]: the server
    renders the snapshot a slice per event-loop turn, then installs it
-   and compacts the journal. A store past one slice of rows, and one
-   window past the rotation threshold (64 records). *)
+   and compacts the journal. A store past one slice of rows; 64 windows
+   far below its size, then one whose grade is as long as the snapshot,
+   which brings the journal to the snapshot's size. *)
 let test_stats_rotation_work () =
   let dir = temp_dir "server-rotation-stats" in
   make_bench_store dir 300;
+  let snapshot_bytes = String.length (Test_recovery.read_raw (store_in dir)) in
   let (), _stats =
     with_server dir (fun sock ->
         let c = connect sock in
@@ -626,7 +628,10 @@ let test_stats_rotation_work () =
         let compacted = stat c "counters" "journal.compacted_bytes" in
         let installed = installs () in
         for i = 1 to 65 do
-          ignore (commit_grade c ~course:(1 + (i mod 300)) ~grade:(Fmt.str "G%d" i))
+          let grade =
+            if i = 65 then String.make snapshot_bytes 'G' else Fmt.str "G%d" i
+          in
+          ignore (commit_grade c ~course:(1 + (i mod 300)) ~grade)
         done;
         Alcotest.(check bool) "the render ran in several slices" true
           (stat c "counters" "recovery.snapshot_slices" - slices >= 2);
