@@ -239,10 +239,7 @@ let insert fixture object_name file =
       Fmt.epr "error: %s@." e;
       exit 1
   in
-  let result =
-    Result.bind (Relational.Sexp.parse content) Penguin.Store.instance_of_sexp
-  in
-  match result with
+  match Penguin.Store.instance_of_string content with
   | Error e ->
       Fmt.epr "error: %s@." e;
       exit 1

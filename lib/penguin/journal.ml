@@ -39,12 +39,6 @@ let int_of_sexp e =
 
 let key_to_sexp key = l (atom "key" :: List.map Store.value_to_sexp key)
 
-let key_of_sexp e =
-  let* items = Sexp.as_list e in
-  match items with
-  | Sexp.Atom "key" :: vs -> Store.map_m Store.value_of_sexp vs
-  | _ -> Error "journal: bad key"
-
 let change_to_sexp (key, change) =
   match change with
   | Delta.Added t -> l [ atom "add"; key_to_sexp key; Store.tuple_to_sexp t ]
@@ -54,43 +48,11 @@ let change_to_sexp (key, change) =
         [ atom "upd"; key_to_sexp key; Store.tuple_to_sexp before;
           Store.tuple_to_sexp after ]
 
-let change_of_sexp e =
-  let* items = Sexp.as_list e in
-  match items with
-  | [ Sexp.Atom "add"; key; row ] ->
-      let* key = key_of_sexp key in
-      let* t = Store.tuple_of_sexp row in
-      Ok (key, Delta.Added t)
-  | [ Sexp.Atom "del"; key; row ] ->
-      let* key = key_of_sexp key in
-      let* t = Store.tuple_of_sexp row in
-      Ok (key, Delta.Removed t)
-  | [ Sexp.Atom "upd"; key; before; after ] ->
-      let* key = key_of_sexp key in
-      let* before = Store.tuple_of_sexp before in
-      let* after = Store.tuple_of_sexp after in
-      Ok (key, Delta.Updated { before; after })
-  | _ -> Error "journal: bad change"
-
 let delta_to_sexps d =
   List.map
     (fun (rel, changes) ->
       l (atom "rel" :: atom rel :: List.map change_to_sexp changes))
     (Delta.bindings d)
-
-let delta_of_sexps items =
-  let* bindings =
-    Store.map_m
-      (fun e ->
-        let* items = Sexp.as_list e in
-        match items with
-        | Sexp.Atom "rel" :: Sexp.Atom rel :: changes ->
-            let* changes = Store.map_m change_of_sexp changes in
-            Ok (rel, changes)
-        | _ -> Error "journal: bad relation changes")
-      items
-  in
-  Ok (Delta.of_bindings bindings)
 
 let entry_to_sexp (e : Commit_log.entry) =
   let change =
@@ -102,24 +64,103 @@ let entry_to_sexp (e : Commit_log.entry) =
     [ atom "entry"; int_atom e.Commit_log.version;
       l [ atom "kind"; atom e.Commit_log.kind ]; change ]
 
-let entry_of_sexp e =
-  let* items = Sexp.as_list e in
-  match items with
-  | [ Sexp.Atom "entry"; version; Sexp.List [ Sexp.Atom "kind"; Sexp.Atom kind ];
-      change ] ->
-      let* version = int_of_sexp version in
-      let* change =
-        let* items = Sexp.as_list change in
-        match items with
-        | Sexp.Atom "delta" :: rels ->
-            let* d = delta_of_sexps rels in
-            Ok (Commit_log.Delta d)
-        | [ Sexp.Atom "barrier"; Sexp.Atom reason ] ->
+(* Commit records are read by streaming over their tokens with the
+   store's row reader, never as a tree ({!Store.read_row}); each reader
+   consumes its whole expression and refuses a malformed one with the
+   message the tree decoders gave it, shape before contents. *)
+
+module L = Sexp.Lexer
+
+let read_int t tok =
+  match tok with
+  | L.Atom -> (
+      let a = L.text t in
+      match int_of_string_opt a with
+      | Some i -> Ok i
+      | None -> Error (Fmt.str "journal: bad integer %s" a))
+  | _ ->
+      L.skip t tok;
+      Error "sexp: expected an atom"
+
+let read_key t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"journal: bad key" (fun () ->
+          L.want t "key";
+          L.elements t Store.read_value)
+
+let read_change t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"journal: bad change" (fun () ->
+          L.want_atom t;
+          let kind =
+            if L.is t "upd" then `Upd
+            else if L.is t "add" then `Add
+            else if L.is t "del" then `Del
+            else L.give_up ()
+          in
+          let key = read_key t (L.elem t) in
+          let row () = Store.read_row t (L.elem t) in
+          let change =
+            match kind with
+            | `Add -> Result.map (fun r -> Delta.Added r) (row ())
+            | `Del -> Result.map (fun r -> Delta.Removed r) (row ())
+            | `Upd ->
+                let before = row () in
+                let after = row () in
+                let* before = before in
+                let* after = after in
+                Ok (Delta.Updated { before; after })
+          in
+          L.want_close t;
+          let* key = key in
+          let* change = change in
+          Ok (key, change))
+
+let read_relation_changes t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"journal: bad relation changes" (fun () ->
+          L.want t "rel";
+          let rel = L.want_text t in
+          Result.map (fun changes -> rel, changes) (L.elements t read_change))
+
+let read_entry_change t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"journal: bad entry change" (fun () ->
+          L.want_atom t;
+          if L.is t "delta" then
+            L.elements t read_relation_changes
+            |> Result.map (fun b -> Commit_log.Delta (Delta.of_bindings b))
+          else if L.is t "barrier" then begin
+            let reason = L.want_text t in
+            L.want_close t;
             Ok (Commit_log.Barrier reason)
-        | _ -> Error "journal: bad entry change"
-      in
-      Ok { Commit_log.version; kind; change }
-  | _ -> Error "journal: bad entry"
+          end
+          else L.give_up ())
+
+let read_entry t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"journal: bad entry" (fun () ->
+          L.want t "entry";
+          let version = read_int t (L.elem t) in
+          L.want_open t;
+          L.want t "kind";
+          let kind = L.want_text t in
+          L.want_close t;
+          let change = read_entry_change t (L.elem t) in
+          L.want_close t;
+          let* version = version in
+          let* change = change in
+          Ok { Commit_log.version; kind; change })
 
 (* Header format 2 adds the leader epoch for replication fencing; a
    format-1 header (every journal written before epochs existed) reads
@@ -153,11 +194,13 @@ let record_payload entries =
   Sexp.to_string (l (atom "commit" :: List.map entry_to_sexp entries))
 
 let record_of_payload payload =
-  let* doc = Sexp.parse payload in
-  let* items = Sexp.as_list doc in
-  match items with
-  | Sexp.Atom "commit" :: entries -> Store.map_m entry_of_sexp entries
-  | _ -> Error "journal: bad commit record"
+  Sexp.decode payload (fun t tok ->
+      match tok with
+      | L.Atom -> L.not_a_list t
+      | _ ->
+          L.shaped t ~bad:"journal: bad commit record" (fun () ->
+              L.want t "commit";
+              L.elements t read_entry))
 
 (* --- framing ---------------------------------------------------------- *)
 

@@ -24,23 +24,6 @@ let value_to_sexp = function
   | Value.Str s -> l [ atom "str"; atom s ]
   | Value.Bool b -> l [ atom "bool"; atom (string_of_bool b) ]
 
-let value_of_sexp = function
-  | Sexp.Atom "null" -> Ok Value.Null
-  | Sexp.List [ Sexp.Atom "int"; Sexp.Atom i ] -> (
-      match int_of_string_opt i with
-      | Some i -> Ok (Value.Int i)
-      | None -> Error (Fmt.str "store: bad int %s" i))
-  | Sexp.List [ Sexp.Atom "float"; Sexp.Atom f ] -> (
-      match float_of_string_opt f with
-      | Some f -> Ok (Value.Float f)
-      | None -> Error (Fmt.str "store: bad float %s" f))
-  | Sexp.List [ Sexp.Atom "str"; Sexp.Atom s ] -> Ok (Value.Str s)
-  | Sexp.List [ Sexp.Atom "bool"; Sexp.Atom b ] -> (
-      match bool_of_string_opt b with
-      | Some b -> Ok (Value.Bool b)
-      | None -> Error (Fmt.str "store: bad bool %s" b))
-  | e -> Error (Fmt.str "store: bad value %s" (Sexp.to_string e))
-
 (* --- schemas and connections ----------------------------------------- *)
 
 let schema_to_sexp (s : Schema.t) =
@@ -312,24 +295,6 @@ let tuple_to_sexp t =
          (fun (a, v) -> l [ atom a; value_to_sexp v ])
          (Tuple.bindings t))
 
-let tuple_of_sexp e =
-  let* items = Sexp.as_list e in
-  match items with
-  | Sexp.Atom "row" :: bindings ->
-      let* bindings =
-        map_m
-          (fun b ->
-            let* items = Sexp.as_list b in
-            match items with
-            | [ Sexp.Atom a; v ] ->
-                let* v = value_of_sexp v in
-                Ok (a, v)
-            | _ -> Error "store: bad binding")
-          bindings
-      in
-      Ok (Tuple.make bindings)
-  | _ -> Error "store: bad row"
-
 let rec instance_to_sexp (i : Instance.t) =
   l
     [ atom "instance"; atom i.Instance.label; atom i.Instance.relation;
@@ -341,25 +306,173 @@ let rec instance_to_sexp (i : Instance.t) =
                l (atom label :: List.map instance_to_sexp subs))
              i.Instance.children) ]
 
-let rec instance_of_sexp e =
-  let* items = Sexp.as_list e in
-  match items with
-  | [ Sexp.Atom "instance"; Sexp.Atom label; Sexp.Atom relation; row;
-      Sexp.List (Sexp.Atom "children" :: child_groups) ] ->
-      let* tuple = tuple_of_sexp row in
-      let* children =
-        map_m
-          (fun group ->
-            let* items = Sexp.as_list group in
-            match items with
-            | Sexp.Atom child_label :: subs ->
-                let* subs = map_m instance_of_sexp subs in
-                Ok (child_label, subs)
-            | _ -> Error "store: bad child group")
-          child_groups
+(* --- the row reader ------------------------------------------------------ *)
+
+(* Rows, values and instances are read token by token from the input
+   ({!Sexp.Lexer}), never as a tree. Each reader is given the first token
+   of its expression and consumes all of it, also when it fails.
+
+   A value or a row is first read plainly, as the writer prints it. The
+   plain reader gives up on anything else, and the expression is read
+   again from its first token by a checking reader, which refuses it
+   with the message the tree decoders gave, shape before contents. *)
+
+module L = Sexp.Lexer
+
+let tagged_int s =
+  match int_of_string_opt s with
+  | Some i -> Ok (Value.Int i)
+  | None -> Error (Fmt.str "store: bad int %s" s)
+
+let tagged_float s =
+  match float_of_string_opt s with
+  | Some f -> Ok (Value.Float f)
+  | None -> Error (Fmt.str "store: bad float %s" s)
+
+let tagged_str s = Ok (Value.Str s)
+
+let tagged_bool s =
+  match bool_of_string_opt s with
+  | Some b -> Ok (Value.Bool b)
+  | None -> Error (Fmt.str "store: bad bool %s" s)
+
+let tagged t =
+  if L.is t "str" then Some tagged_str
+  else if L.is t "int" then Some tagged_int
+  else if L.is t "float" then Some tagged_float
+  else if L.is t "bool" then Some tagged_bool
+  else None
+
+(* The plain readers give up by raising [Unusual]. *)
+exception Unusual
+
+let plain_atom t = match L.next t with L.Atom -> () | _ -> raise Unusual
+let plain_close t = match L.next t with L.Close -> () | _ -> raise Unusual
+
+let payload t =
+  plain_atom t;
+  L.text t
+
+let parsed = function Some v -> v | None -> raise Unusual
+
+(* [null] or [(TAG ATOM)] with a well-formed payload. *)
+let plain_value t tok =
+  match tok with
+  | L.Atom when L.is t "null" -> Value.Null
+  | L.Open ->
+      plain_atom t;
+      let v =
+        if L.is t "str" then Value.Str (payload t)
+        else if L.is t "int" then Value.Int (parsed (int_of_string_opt (payload t)))
+        else if L.is t "float" then Value.Float (parsed (float_of_string_opt (payload t)))
+        else if L.is t "bool" then Value.Bool (parsed (bool_of_string_opt (payload t)))
+        else raise Unusual
       in
-      Ok (Instance.make ~label ~relation ~tuple ~children)
-  | _ -> Error "store: bad instance"
+      plain_close t;
+      v
+  | _ -> raise Unusual
+
+let checked_value t tok =
+  let bad_value e = Error (Fmt.str "store: bad value %s" (Sexp.to_string e)) in
+  match tok with
+  | L.Atom -> if L.is t "null" then Ok Value.Null else bad_value (Sexp.Atom (L.text t))
+  | _ -> (
+      let m = L.mark t in
+      let decode =
+        match L.next t with
+        | L.Atom -> (
+            match tagged t with
+            | Some decode -> (
+                match L.next t with
+                | L.Atom -> (
+                    let payload = L.text t in
+                    match L.next t with L.Close -> Some (decode payload) | _ -> None)
+                | _ -> None)
+            | None -> None)
+        | _ -> None
+      in
+      match decode with
+      | Some result -> result
+      | None ->
+          L.reset t m;
+          bad_value (L.read t))
+
+(* [plain], or, if it gives up, [checked] from the same first token. *)
+let plain_or_checked plain checked t tok =
+  let m = L.mark t in
+  match plain t tok with
+  | v -> Ok v
+  | exception Unusual ->
+      L.reset t m;
+      checked t (L.next t)
+
+let read_value = plain_or_checked plain_value checked_value
+
+let read_binding t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"store: bad binding" (fun () ->
+          let a = L.want_text t in
+          let v = read_value t (L.elem t) in
+          L.want_close t;
+          Result.map (fun v -> a, v) v)
+
+let rec plain_bindings t tuple =
+  match L.next t with
+  | L.Close -> tuple
+  | L.Open ->
+      plain_atom t;
+      let a = L.intern t in
+      let v = plain_value t (L.next t) in
+      plain_close t;
+      plain_bindings t (Tuple.set tuple a v)
+  | _ -> raise Unusual
+
+let plain_row t tok =
+  match tok with
+  | L.Open -> (
+      match L.next t with
+      | L.Atom when L.is t "row" -> plain_bindings t Tuple.empty
+      | _ -> raise Unusual)
+  | _ -> raise Unusual
+
+let checked_row t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"store: bad row" (fun () ->
+          L.want t "row";
+          Result.map Tuple.make (L.elements t read_binding))
+
+let read_row = plain_or_checked plain_row checked_row
+
+let rec read_instance t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"store: bad instance" (fun () ->
+          L.want t "instance";
+          let label = L.want_text t in
+          let relation = L.want_text t in
+          let tuple = read_row t (L.elem t) in
+          L.want_open t;
+          L.want t "children";
+          let children = L.elements t read_child_group in
+          L.want_close t;
+          let* tuple = tuple in
+          let* children = children in
+          Ok (Instance.make ~label ~relation ~tuple ~children))
+
+and read_child_group t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"store: bad child group" (fun () ->
+          let label = L.want_text t in
+          Result.map (fun subs -> label, subs) (L.elements t read_instance))
+
+let instance_of_string input = Sexp.decode input read_instance
 
 (* --- the snapshot writer ------------------------------------------------ *)
 
@@ -493,78 +606,112 @@ let save ?(include_data = true) (ws : Workspace.t) =
   else
     Option.get (Render.slice (Render.start ~epoch:0 ws) ~rows:max_int)
 
+(* --- the snapshot reader --------------------------------------------------- *)
+
+(* The document is read in one pass. The header sections are small and
+   are read as trees; the data section is read by the row reader, each
+   relation item into its rows (or the error that stopped them). The
+   relations are built afterwards, in file order, once the header has
+   given their schemas — so the header's errors come first, as a tree
+   reader checking the header before the data reports them. *)
+
+let read_relation t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"store: bad relation data" (fun () ->
+          L.want t "relation";
+          let name = L.want_text t in
+          Result.map (fun rows -> name, rows) (L.elements t read_row))
+
+(* The document's top-level sections: the header's as trees, and each
+   data section's relation items. *)
+let read_document t tok =
+  match tok with
+  | L.Atom -> L.not_a_list t
+  | _ ->
+      L.shaped t ~bad:"store: not a penguin-workspace document" (fun () ->
+          L.want t "penguin-workspace";
+          let rec sections header data =
+            match L.next t with
+            | L.Close -> Ok (List.rev header, data)
+            | L.Open -> (
+                let m = L.mark t in
+                match L.next t with
+                | L.Atom when L.is t "data" ->
+                    (* Each item keeps its own result: reading them never fails. *)
+                    let items = L.elements t (fun t tok -> Ok (read_relation t tok)) in
+                    sections header (Result.get_ok items :: data)
+                | _ ->
+                    L.reset t m;
+                    sections (L.read t :: header) data)
+            | _ -> sections header data
+          in
+          sections [] [])
+
+let decode_workspace rest data =
+  let* schema_items = Sexp.keyed "schemas" rest in
+  let* schemas = map_m schema_of_sexp schema_items in
+  let* conn_items = Sexp.keyed "connections" rest in
+  let* conns = map_m connection_of_sexp conn_items in
+  let* graph = Schema_graph.make schemas conns in
+  let ws = Workspace.create graph in
+  let* object_items = Sexp.keyed "objects" rest in
+  let* objects =
+    map_m
+      (fun e ->
+        let* vo = definition_of_sexp graph e in
+        Ok (vo.Definition.name, vo))
+      object_items
+  in
+  let* translator_items = Sexp.keyed "translators" rest in
+  let* translators =
+    map_m
+      (fun e ->
+        let* spec = translator_of_sexp e in
+        Ok (spec.Vo_core.Translator_spec.object_name, spec))
+      translator_items
+  in
+  let* () =
+    match
+      List.find_opt (fun (name, _) -> not (List.mem_assoc name translators)) objects
+    with
+    | Some (name, _) -> Error (Fmt.str "store: object %s has no translator" name)
+    | None -> Ok ()
+  in
+  let* relation_items =
+    match data with
+    | [] -> Ok []
+    | [ items ] -> Ok items
+    | _ -> Error "sexp: duplicate (data ...)"
+  in
+  let* db =
+    List.fold_left
+      (fun acc item ->
+        let* db = acc in
+        let* name, ts = item in
+        Result.map_error Database.error_to_string
+          (Database.with_relation db name (fun r -> Relation.insert_all r ts)))
+      (Ok ws.Workspace.db) relation_items
+  in
+  let number field =
+    match Sexp.keyed_opt field rest with
+    | None -> Ok None
+    | Some [ Sexp.Atom v ] -> (
+        match int_of_string_opt v with
+        | Some v when v >= 0 -> Ok (Some v)
+        | _ -> Error (Fmt.str "store: bad %s %s" field v))
+    | Some _ -> Error (Fmt.str "store: bad %s" field)
+  in
+  let* version = number "version" in
+  let* epoch = number "epoch" in
+  let log = Option.fold ~none:Commit_log.empty ~some:Commit_log.of_version version in
+  Ok ({ ws with Workspace.db; objects; translators; log }, Option.value epoch ~default:0)
+
 let load_snapshot input =
-  let* doc = Sexp.parse input in
-  let* items = Sexp.as_list doc in
-  match items with
-  | Sexp.Atom "penguin-workspace" :: rest ->
-      let* schema_items = Sexp.keyed "schemas" rest in
-      let* schemas = map_m schema_of_sexp schema_items in
-      let* conn_items = Sexp.keyed "connections" rest in
-      let* conns = map_m connection_of_sexp conn_items in
-      let* graph = Schema_graph.make schemas conns in
-      let ws = Workspace.create graph in
-      let* object_items = Sexp.keyed "objects" rest in
-      let* objects =
-        map_m
-          (fun e ->
-            let* vo = definition_of_sexp graph e in
-            Ok (vo.Definition.name, vo))
-          object_items
-      in
-      let* translator_items = Sexp.keyed "translators" rest in
-      let* translators =
-        map_m
-          (fun e ->
-            let* spec = translator_of_sexp e in
-            Ok (spec.Vo_core.Translator_spec.object_name, spec))
-          translator_items
-      in
-      let* () =
-        match
-          List.find_opt
-            (fun (name, _) -> not (List.mem_assoc name translators))
-            objects
-        with
-        | Some (name, _) ->
-            Error (Fmt.str "store: object %s has no translator" name)
-        | None -> Ok ()
-      in
-      let* db =
-        match Sexp.keyed_opt "data" rest with
-        | None -> Ok ws.Workspace.db
-        | Some relation_items ->
-            List.fold_left
-              (fun acc e ->
-                let* db = acc in
-                let* items = Sexp.as_list e in
-                match items with
-                | Sexp.Atom "relation" :: Sexp.Atom name :: rows ->
-                    let* ts = map_m tuple_of_sexp rows in
-                    Result.map_error Database.error_to_string
-                      (Database.with_relation db name (fun r ->
-                           Relation.insert_all r ts))
-                | _ -> Error "store: bad relation data")
-              (Ok ws.Workspace.db) relation_items
-      in
-      let number field =
-        match Sexp.keyed_opt field rest with
-        | None -> Ok None
-        | Some [ Sexp.Atom v ] -> (
-            match int_of_string_opt v with
-            | Some v when v >= 0 -> Ok (Some v)
-            | _ -> Error (Fmt.str "store: bad %s %s" field v))
-        | Some _ -> Error (Fmt.str "store: bad %s" field)
-      in
-      let* version = number "version" in
-      let* epoch = number "epoch" in
-      let log =
-        Option.fold ~none:Commit_log.empty ~some:Commit_log.of_version version
-      in
-      Ok
-        ( { ws with Workspace.db; objects; translators; log },
-          Option.value epoch ~default:0 )
-  | _ -> Error "store: not a penguin-workspace document"
+  Sexp.decode input (fun t tok ->
+      let* header, data = read_document t tok in
+      decode_workspace header data)
 
 let load input = Result.map fst (load_snapshot input)
 

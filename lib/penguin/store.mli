@@ -37,10 +37,7 @@
 open Relational
 
 val value_to_sexp : Value.t -> Sexp.t
-val value_of_sexp : Sexp.t -> (Value.t, string) result
-
 val tuple_to_sexp : Tuple.t -> Sexp.t
-val tuple_of_sexp : Sexp.t -> (Tuple.t, string) result
 
 val definition_to_sexp : Viewobject.Definition.t -> Sexp.t
 val definition_of_sexp :
@@ -52,7 +49,23 @@ val translator_to_sexp : Vo_core.Translator_spec.t -> Sexp.t
 val translator_of_sexp : Sexp.t -> (Vo_core.Translator_spec.t, string) result
 
 val instance_to_sexp : Viewobject.Instance.t -> Sexp.t
-val instance_of_sexp : Sexp.t -> (Viewobject.Instance.t, string) result
+
+(** {1 The row reader}
+
+    Values, rows and instances are read from text by streaming over
+    {!Relational.Sexp.Lexer}'s tokens, without building a tree. Each
+    reader is given the first token of its expression (already read) and
+    consumes the whole expression, also when it refuses it. *)
+
+val read_value : Sexp.Lexer.t -> Sexp.Lexer.token -> (Value.t, string) result
+(** What {!value_to_sexp} writes: [null] or [(TAG ATOM)], for the tags
+    [int], [float], [str] and [bool]. *)
+
+val read_row : Sexp.Lexer.t -> Sexp.Lexer.token -> (Tuple.t, string) result
+(** What {!tuple_to_sexp} writes: [(row (ATTR VALUE) ...)]. *)
+
+val instance_of_string : string -> (Viewobject.Instance.t, string) result
+(** One instance as {!instance_to_sexp} prints it. *)
 
 val save : ?include_data:bool -> Workspace.t -> string
 (** Render the workspace ([include_data] defaults to [true]) at epoch 0.
@@ -78,9 +91,6 @@ module Render : sig
       sequence of slice sizes. *)
 end
 
-val map_m : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
-(** Map over a list in order, stopping at the first error; linear. *)
-
 val load : string -> (Workspace.t, string) result
 (** The loaded workspace's log is {!Commit_log.of_version} of the
     recorded version (its past is a barrier — the deltas live in the
@@ -88,7 +98,16 @@ val load : string -> (Workspace.t, string) result
     version 0 with full (empty) history. *)
 
 val load_snapshot : string -> (Workspace.t * int, string) result
-(** {!load}, and the epoch the document records (0 if none). *)
+(** {!load}, and the epoch the document records (0 if none).
+
+    One pass over the text: the header sections are read as trees, the
+    data section by the row reader, without a tree, and each relation is
+    built by {!Relational.Relation.insert_all} once the header has given
+    its schema. A document is refused with the error a tree reader gave:
+    its first syntax error if it has one, else the header's first fault,
+    else the first relation item (in file order) holding a malformed row,
+    a duplicate key or a nonconforming row, else a bad version or epoch.
+    Two data sections are refused as a duplicate. *)
 
 val save_file :
   ?include_data:bool -> ?io:Fsio.t -> Workspace.t -> string ->

@@ -27,9 +27,13 @@ val insert : t -> Tuple.t -> (t, error) result
     attributes, which must be non-null). *)
 
 val insert_all : t -> Tuple.t list -> (t, error) result
-(** {!insert} of each tuple in order, failing at the first error, with
-    the secondary indexes built once at the end instead of maintained
-    tuple by tuple (the bulk path of a store load). *)
+(** The bulk constructor (a store load's path): the relation with every
+    tuple inserted, as {!insert} of each in order would give it, and the
+    same error — the first tuple, in list order, that does not conform
+    or whose key is taken. It is built from one sorted run: the tuples
+    are checked, sorted once by key (a run already in key order is not
+    re-sorted), duplicates are found between neighbours, and the key map
+    and each secondary index are built once. *)
 
 val delete_key : t -> Value.t list -> (t, error) result
 val delete_tuple : t -> Tuple.t -> (t, error) result

@@ -54,82 +54,287 @@ let to_string e =
 
 let pp ppf e = Fmt.string ppf (to_string e)
 
-(* --- parsing --------------------------------------------------------- *)
+(* --- the tokenizer ------------------------------------------------------ *)
 
-let parse_all input =
-  let n = String.length input in
-  let rec skip_ws i =
+type sexp = t
+
+module Lexer = struct
+  type token = Open | Close | Atom | Eof
+
+  exception Syntax of string
+
+  type t = {
+    input : string;
+    mutable pos : int;  (* the next unread byte *)
+    mutable depth : int;  (* lists opened and not yet closed *)
+    mutable start : int;  (* the last token's first byte... *)
+    mutable start_depth : int;  (* ... and the depth before it *)
+    mutable a_start : int;  (* the last atom's text, quotes excluded *)
+    mutable a_end : int;
+    mutable escaped : bool;  (* whether that text holds an escape *)
+    mutable interned : string list;  (* in the order first seen, at most [max_interned] *)
+    mutable n_interned : int;
+    mutable after_hit : string list;  (* those after the one [intern] last found *)
+  }
+
+  let max_interned = 64
+
+  let create input =
+    {
+      input;
+      pos = 0;
+      depth = 0;
+      start = 0;
+      start_depth = 0;
+      a_start = 0;
+      a_end = 0;
+      escaped = false;
+      interned = [];
+      n_interned = 0;
+      after_hit = [];
+    }
+
+  let rec skip_ws s n i =
     if i >= n then i
     else
-      match input.[i] with
-      | ' ' | '\t' | '\n' | '\r' -> skip_ws (i + 1)
-      | ';' ->
-          let rec eol i = if i >= n || input.[i] = '\n' then i else eol (i + 1) in
-          skip_ws (eol i)
+      match String.unsafe_get s i with
+      | ' ' | '\t' | '\n' | '\r' -> skip_ws s n (i + 1)
+      | ';' -> (
+          match String.index_from_opt s i '\n' with
+          | Some j -> skip_ws s n (j + 1)
+          | None -> n)
       | _ -> i
-  in
-  let rec parse_one i =
-    let i = skip_ws i in
-    if i >= n then Error "sexp: unexpected end of input"
-    else
-      match input.[i] with
-      | '(' -> parse_items (i + 1) []
-      | ')' -> Error (Fmt.str "sexp: unexpected ')' at offset %d" i)
-      | '"' -> parse_quoted (i + 1) (Buffer.create 16)
-      | _ -> parse_bare i (Buffer.create 16)
-  and parse_items i acc =
-    let i = skip_ws i in
-    if i >= n then Error "sexp: unterminated list"
-    else if input.[i] = ')' then Ok (List (List.rev acc), i + 1)
-    else
-      match parse_one i with
-      | Error e -> Error e
-      | Ok (e, i) -> parse_items i (e :: acc)
-  and parse_quoted i buf =
-    if i >= n then Error "sexp: unterminated string"
-    else
-      match input.[i] with
-      | '"' -> Ok (Atom (Buffer.contents buf), i + 1)
-      | '\\' ->
-          if i + 1 >= n then Error "sexp: dangling escape"
-          else begin
-            (match input.[i + 1] with
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | c -> Buffer.add_char buf c);
-            parse_quoted (i + 2) buf
-          end
-      | c ->
-          Buffer.add_char buf c;
-          parse_quoted (i + 1) buf
-  and parse_bare i buf =
-    if
-      i >= n
-      ||
-      match input.[i] with
-      | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> true
-      | _ -> false
-    then Ok (Atom (Buffer.contents buf), i)
-    else begin
-      Buffer.add_char buf input.[i];
-      parse_bare (i + 1) buf
-    end
-  in
-  let rec go i acc =
-    let i = skip_ws i in
-    if i >= n then Ok (List.rev acc)
-    else
-      match parse_one i with
-      | Error e -> Error e
-      | Ok (e, i) -> go i (e :: acc)
-  in
-  go 0 []
 
-let parse_many = parse_all
+  let rec bare_end s n i =
+    if i >= n then i
+    else
+      match String.unsafe_get s i with
+      | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> i
+      | _ -> bare_end s n (i + 1)
+
+  (* The closing quote's offset; [t.escaped] records a backslash. *)
+  let rec quoted_end t s n i =
+    if i >= n then raise (Syntax "sexp: unterminated string")
+    else
+      match String.unsafe_get s i with
+      | '"' -> i
+      | '\\' ->
+          if i + 1 >= n then raise (Syntax "sexp: dangling escape");
+          t.escaped <- true;
+          quoted_end t s n (i + 2)
+      | _ -> quoted_end t s n (i + 1)
+
+  let next t =
+    let s = t.input in
+    let n = String.length s in
+    let i = skip_ws s n t.pos in
+    t.start <- i;
+    t.start_depth <- t.depth;
+    if i >= n then begin
+      t.pos <- n;
+      if t.depth > 0 then raise (Syntax "sexp: unterminated list");
+      Eof
+    end
+    else
+      match String.unsafe_get s i with
+      | '(' ->
+          t.pos <- i + 1;
+          t.depth <- t.depth + 1;
+          Open
+      | ')' ->
+          if t.depth = 0 then
+            raise (Syntax (Fmt.str "sexp: unexpected ')' at offset %d" i));
+          t.pos <- i + 1;
+          t.depth <- t.depth - 1;
+          Close
+      | '"' ->
+          t.escaped <- false;
+          let e = quoted_end t s n (i + 1) in
+          t.a_start <- i + 1;
+          t.a_end <- e;
+          t.pos <- e + 1;
+          Atom
+      | _ ->
+          let e = bare_end s n (i + 1) in
+          t.escaped <- false;
+          t.a_start <- i;
+          t.a_end <- e;
+          t.pos <- e;
+          Atom
+
+  let text t =
+    let s = t.input in
+    if not t.escaped then String.sub s t.a_start (t.a_end - t.a_start)
+    else begin
+      let buf = Buffer.create (t.a_end - t.a_start) in
+      let i = ref t.a_start in
+      while !i < t.a_end do
+        (match s.[!i] with
+        | '\\' ->
+            incr i;
+            Buffer.add_char buf
+              (match s.[!i] with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | c -> c)
+        | c -> Buffer.add_char buf c);
+        incr i
+      done;
+      Buffer.contents buf
+    end
+
+  (* [s] from [off] and [a] agree on bytes [k, len): eight at a time,
+     then one by one. *)
+  let rec same s off a k len =
+    if k + 8 <= len then
+      Int64.equal (String.get_int64_le s (off + k)) (String.get_int64_le a k)
+      && same s off a (k + 8) len
+    else
+      k >= len
+      || Char.equal (String.unsafe_get s (off + k)) (String.unsafe_get a k)
+         && same s off a (k + 1) len
+
+  let is t a =
+    if t.escaped then String.equal (text t) a
+    else
+      let len = t.a_end - t.a_start in
+      len = String.length a && same t.input t.a_start a 0 len
+
+  let rec find t = function
+    | [] -> []
+    | a :: _ as names when is t a -> names
+    | _ :: rest -> find t rest
+
+  (* Names recur in the order they were first seen (a relation's
+     attributes, row after row), so the one after the last found is
+     tried first. *)
+  let intern t =
+    let found =
+      match t.after_hit with
+      | a :: _ as names when is t a -> names
+      | _ -> find t t.interned
+    in
+    match found with
+    | a :: rest ->
+        t.after_hit <- rest;
+        a
+    | [] ->
+        let a = text t in
+        if t.n_interned < max_interned then begin
+          t.interned <- t.interned @ [ a ];
+          t.n_interned <- t.n_interned + 1
+        end;
+        a
+
+  let leave t d = while t.depth >= d do ignore (next t) done
+
+  let skip t tok = match tok with Open -> leave t t.depth | Close | Atom | Eof -> ()
+
+  let rec read_tok t tok : sexp =
+    match tok with
+    | Atom -> (Atom (text t) : sexp)
+    | Open ->
+        let rec items acc =
+          match next t with
+          | Close -> (List (List.rev acc) : sexp)
+          | tok -> items (read_tok t tok :: acc)
+        in
+        items []
+    | Close | Eof -> raise (Syntax "sexp: unexpected end of input")
+
+  let read t = read_tok t (next t)
+
+  type mark = { off : int; off_depth : int }
+
+  let mark t = { off = t.start; off_depth = t.start_depth }
+
+  let reset t m =
+    t.pos <- m.off;
+    t.depth <- m.off_depth
+
+  exception Shape
+
+  let give_up () = raise Shape
+  let elem t = match next t with Close -> raise Shape | tok -> tok
+  let want_atom t = match next t with Atom -> () | Open | Close | Eof -> raise Shape
+  let want t a =
+    want_atom t;
+    if not (is t a) then raise Shape
+
+  let want_text t =
+    want_atom t;
+    text t
+
+  let want_open t = match next t with Open -> () | Close | Atom | Eof -> raise Shape
+  let want_close t = match next t with Close -> () | Open | Atom | Eof -> raise Shape
+
+  let shaped t ~bad f =
+    let d = t.depth in
+    try f ()
+    with Shape ->
+      leave t d;
+      Error bad
+
+  let not_a_list t = Error (Fmt.str "sexp: expected a list, got atom %s" (text t))
+
+  let elements t f =
+    let d = t.depth in
+    let rec go acc =
+      match next t with
+      | Close -> Ok (List.rev acc)
+      | tok -> (
+          match f t tok with
+          | Ok x -> go (x :: acc)
+          | Error _ as e -> leave t d; e)
+    in
+    go []
+end
+
+let validate input =
+  let t = Lexer.create input in
+  let rec go count =
+    match Lexer.next t with
+    | Lexer.Eof -> count
+    | tok ->
+        Lexer.skip t tok;
+        go (count + 1)
+  in
+  match go 0 with
+  | 1 -> Ok ()
+  | 0 -> Error "sexp: empty input"
+  | _ -> Error "sexp: expected a single expression"
+  | exception Lexer.Syntax e -> Error e
+
+let decode input f =
+  let t = Lexer.create input in
+  let result =
+    try
+      match Lexer.next t with
+      | Lexer.Eof -> Error "sexp: empty input"
+      | tok -> (
+          match f t tok with
+          | Ok _ as ok -> (
+              match Lexer.next t with
+              | Lexer.Eof -> ok
+              | _ -> Error "sexp: expected a single expression")
+          | Error _ as e -> e)
+    with Lexer.Syntax e -> Error e
+  in
+  (* The first syntax error, wherever it lies, wins over what the
+     decoder found: a document that does not parse is reported as such,
+     as {!parse} reports it. *)
+  match result with
+  | Ok _ -> result
+  | Error e -> ( match validate input with Ok () -> Error e | Error s -> Error s)
+
+let parse_many input =
+  let t = Lexer.create input in
+  let rec go acc =
+    match Lexer.next t with
+    | Lexer.Eof -> Ok (List.rev acc)
+    | tok -> go (Lexer.read_tok t tok :: acc)
+  in
+  try go [] with Lexer.Syntax e -> Error e
 
 let parse input =
-  match parse_all input with
+  match parse_many input with
   | Ok [ e ] -> Ok e
   | Ok [] -> Error "sexp: empty input"
   | Ok _ -> Error "sexp: expected a single expression"

@@ -235,6 +235,53 @@ let prop_index_maintenance =
       in
       go r0 edits)
 
+(* The bulk constructor against inserting one tuple at a time, on rows in
+   any order with repeated keys, a null key, a value of the wrong domain,
+   a missing attribute (padded with null) or an extra one (dropped), into
+   an empty or a filled relation: the same relation, with indexes that
+   agree with a scan, or the same error. *)
+let prop_bulk_equals_inserts =
+  let row =
+    QCheck.Gen.(
+      map3
+        (fun id g x -> id, g, x)
+        (frequency [ 8, map (fun i -> Some i) (int_bound 12); 1, return None ])
+        (int_bound 3)
+        (frequency [ 6, map (fun x -> `Int x) (int_bound 3); 1, return `Wrong; 1, return `Missing; 1, return `Extra ]))
+  in
+  let tuple_of (id, g, x) =
+    let id = match id with Some i -> vi i | None -> Value.Null in
+    let base = [ "id", id; "grp", vs (Fmt.str "g%d" g) ] in
+    tuple
+      (match x with
+      | `Int x -> base @ [ "x", vi x ]
+      | `Wrong -> base @ [ "x", vs "ten" ]
+      | `Missing -> base
+      | `Extra -> base @ [ "x", vi 1; "y", vi 2 ])
+  in
+  QCheck.Test.make ~name:"insert_all = inserting one tuple at a time" ~count:500
+    QCheck.(pair bool (make QCheck.Gen.(list_size (int_bound 30) row)))
+    (fun (filled, rows) ->
+      let r0 = Relation.of_list_exn schema [] in
+      let r0 = Result.get_ok (Relation.create_index r0 [ "grp" ]) in
+      let r0 = Result.get_ok (Relation.create_index r0 [ "grp"; "x" ]) in
+      let r0 =
+        if filled then
+          Result.get_ok
+            (Relation.insert_all r0
+               [ tuple [ "id", vi 3; "grp", vs "g1"; "x", vi 0 ];
+                 tuple [ "id", vi 20; "grp", vs "g0"; "x", vi 1 ] ])
+        else r0
+      in
+      let ts = List.map tuple_of rows in
+      let one_by_one =
+        List.fold_left (fun acc t -> Result.bind acc (fun r -> Relation.insert r t)) (Ok r0) ts
+      in
+      match Relation.insert_all r0 ts, one_by_one with
+      | Ok bulk, Ok r -> Relation.equal bulk r && agrees_with_scan bulk
+      | Error e, Error e' -> Relation.error_to_string e = Relation.error_to_string e'
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 let suite =
   [
     Alcotest.test_case "create index" `Quick test_create_index;
@@ -249,4 +296,5 @@ let suite =
     Alcotest.test_case "workspace create indexes" `Quick test_workspace_create_indexes;
     qtest prop_lookup_eq_index_equals_scan;
     qtest prop_index_maintenance;
+    qtest prop_bulk_equals_inserts;
   ]

@@ -199,10 +199,69 @@ let test_rotate () =
   | None -> Alcotest.fail "journal should exist");
   rm_rf dir
 
+(* --- the record reader against the tree reader ---------------------------- *)
+
+(* Commit records of add, del and upd changes and barriers, with names and
+   strings that need quoting, printed flat (as the writer does) or in the
+   wrapped layout, edited and cut as the snapshot property does. *)
+let record_case_gen =
+  let open QCheck.Gen in
+  let char =
+    frequency
+      [ 8, char_range 'a' 'z'; 1, oneofl [ ' '; '('; ')'; '"'; '\\'; '\n'; ';' ] ]
+  in
+  let str = string_size ~gen:char (int_bound 8) in
+  let value =
+    oneof
+      [ return Value.Null; map (fun i -> Value.Int i) (int_range (-1000) 1000);
+        map (fun f -> Value.Float f) (oneofl [ 0.; -2.5; 1e-7; 3.25 ]);
+        map (fun s -> Value.Str s) str; map (fun b -> Value.Bool b) bool ]
+  in
+  let row = map Tuple.make (list_size (int_range 1 3) (pair str value)) in
+  let key = list_size (int_range 1 2) value in
+  let change =
+    oneof
+      [ map2 (fun k t -> k, Delta.Added t) key row;
+        map2 (fun k t -> k, Delta.Removed t) key row;
+        map3 (fun k before after -> k, Delta.Updated { before; after }) key row row ]
+  in
+  let delta = map Delta.of_bindings (list_size (int_bound 2) (pair str (list_size (int_range 1 3) change))) in
+  let entry =
+    map3
+      (fun version kind change -> { Penguin.Commit_log.version; kind; change })
+      (int_bound 100_000) str
+      (frequency
+         [ 4, map (fun d -> Penguin.Commit_log.Delta d) delta;
+           1, map (fun r -> Penguin.Commit_log.Barrier r) str ])
+  in
+  let* record = list_size (int_range 1 3) entry in
+  let tree = Test_util.check_ok (Sexp.parse (Penguin.Journal.record_payload record)) in
+  let* edits = int_bound 2 in
+  let rec edit n t = if n = 0 then return t else Test_store.mutation t >>= edit (n - 1) in
+  let* tree = edit edits tree in
+  Test_store.render ~layout:(oneofl [ Sexp.to_string; Test_store.wrapped_layout ]) tree
+
+let entry_equal (a : Penguin.Commit_log.entry) (b : Penguin.Commit_log.entry) =
+  a.version = b.version && String.equal a.kind b.kind
+  &&
+  match a.change, b.change with
+  | Penguin.Commit_log.Delta d, Penguin.Commit_log.Delta d' -> Delta.equal d d'
+  | Penguin.Commit_log.Barrier r, Penguin.Commit_log.Barrier r' -> String.equal r r'
+  | _ -> false
+
+let prop_record_reader_matches_tree_reader =
+  QCheck.Test.make ~name:"record reader = tree reader, on any payload" ~count:400
+    (QCheck.make ~print:Fun.id record_case_gen)
+    (fun payload ->
+      Test_store.same_result (List.equal entry_equal)
+        (Penguin.Journal.record_of_payload payload)
+        (Tree_reader.record_of_payload payload))
+
 let suite =
   [
     Alcotest.test_case "crc32 check vector" `Quick test_crc32_vector;
     qtest prop_crc32_reference;
+    qtest prop_record_reader_matches_tree_reader;
     Alcotest.test_case "initialize and replay" `Quick test_initialize_replay;
     Alcotest.test_case "append/replay roundtrip" `Quick
       test_append_replay_roundtrip;

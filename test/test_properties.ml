@@ -311,10 +311,8 @@ let prop_instance_sexp_roundtrip =
           List.for_all
             (fun i ->
               match
-                Result.bind
-                  (Relational.Sexp.parse
-                     (Relational.Sexp.to_string (Penguin.Store.instance_to_sexp i)))
-                  Penguin.Store.instance_of_sexp
+                Penguin.Store.instance_of_string
+                  (Relational.Sexp.to_string (Penguin.Store.instance_to_sexp i))
               with
               | Ok i' -> Instance.equal i i'
               | Error _ -> false)

@@ -477,6 +477,76 @@ let pinned_multiline_journal =
        (str
         "Database Systems: view objects over a relational schema, updated"))))))))|} ]
 
+(* --- the snapshot reader's refusals ---------------------------------------- *)
+
+(* A one-course store in the writer's layout, its GRADES rows given. *)
+let store_with_grades rows =
+  Printf.sprintf
+    {|(penguin-workspace
+ (version 1)
+ (schemas
+  (schema COURSES (attrs (course_id string) (title string)) (key course_id))
+  (schema GRADES (attrs (course_id string) (pid int) (grade string)) (key course_id pid)))
+ (connections
+  (connection ownership COURSES GRADES (on (course_id) (course_id))))
+ (objects
+  (object omega COURSES (node COURSES COURSES (attrs course_id title) (path) (children (node GRADES GRADES (attrs pid grade) (path (edge forward "COURSES->GRADES:ownership(course_id;course_id)")) (children))))))
+ (translators
+  (translator omega (insertion true) (deletion true) (replacement true) (island-keys) (outside) (reference-actions) (default-outside (true true true)) (default-reference-action delete-referencing)))
+ (data
+  (relation COURSES
+   (row (course_id (str CS345)) (title (str "Database Systems"))))
+  (relation GRADES%s)))
+|}
+    (String.concat "" (List.map (fun r -> "\n   " ^ r) rows))
+
+let grade_row ?(pid = "(int 1)") ?(grade = "(str B)") () =
+  Printf.sprintf "(row (course_id (str CS345)) (grade %s) (pid %s))" grade pid
+
+let open_doc doc =
+  let io = D.io (D.mem ()) in
+  check_ok_e (Penguin.Fsio.atomic_write io ~path:(store_in ".") doc);
+  Penguin.Recovery.open_store ~io (store_in ".")
+
+(* [open_store] refuses the document as corrupt, naming [sub]. *)
+let refused ~sub doc =
+  match open_doc doc with
+  | Error (Penguin.Error.Corrupt { detail; _ }) ->
+      if not (Strutil.contains ~sub detail) then
+        Alcotest.failf "refusal %S does not name %S" detail sub
+  | Error e -> Alcotest.failf "not a corrupt store: %s" (Penguin.Error.to_string e)
+  | Ok _ -> Alcotest.failf "opened a store that should be refused (%s)" sub
+
+let test_reader_refusals () =
+  let two = store_with_grades [ grade_row (); grade_row ~pid:"(int 2)" () ] in
+  let rec index_of sub i =
+    if String.sub two i (String.length sub) = sub then i else index_of sub (i + 1)
+  in
+  refused ~sub:"unterminated list" (String.sub two 0 (index_of "(pid (int 2" 0 + 8));
+  refused ~sub:"unterminated string"
+    (store_with_grades [ grade_row ~grade:{|(str "A-)|} () ]);
+  refused ~sub:"bad value (num 5)" (store_with_grades [ grade_row ~grade:"(num 5)" () ]);
+  refused ~sub:"bad int two" (store_with_grades [ grade_row ~pid:"(int two)" () ]);
+  (* A duplicate key and a nonconforming row in one relation: the one
+     first in file order is named, whichever it is. *)
+  let wrong_domain = grade_row ~pid:"(int 3)" ~grade:"(int 7)" () in
+  refused ~sub:"duplicate key"
+    (store_with_grades [ grade_row (); grade_row (); wrong_domain ]);
+  refused ~sub:"wrong domain for grade"
+    (store_with_grades [ grade_row (); wrong_domain; grade_row () ])
+
+let test_reader_skips_comments_between_rows () =
+  let doc =
+    store_with_grades
+      [ grade_row (); "; a comment between rows (with a paren and a \" quote";
+        grade_row ~pid:"(int 2)" ~grade:"(str A)" () ]
+  in
+  match open_doc doc with
+  | Ok (ws, _) ->
+      Alcotest.(check int) "both grades" 2
+        (Relation.cardinality (Database.relation_exn ws.Penguin.Workspace.db "GRADES"))
+  | Error e -> Alcotest.failf "refused: %s" (Penguin.Error.to_string e)
+
 let test_multiline_store_opens () =
   let io = D.io (D.mem ()) in
   let store = store_in "." in
@@ -1165,6 +1235,10 @@ let suite =
       test_commit_repairs_torn_tail;
     Alcotest.test_case "a store and journal in the multi-line layout open"
       `Quick test_multiline_store_opens;
+    Alcotest.test_case "the snapshot reader refuses malformed data as corrupt"
+      `Quick test_reader_refusals;
+    Alcotest.test_case "the snapshot reader skips comments between rows" `Quick
+      test_reader_skips_comments_between_rows;
     Alcotest.test_case "recovery rejects legacy two-phase frames" `Quick
       test_recovery_rejects_legacy_2pc_frames;
     Alcotest.test_case "rotation bounds replay length" `Quick

@@ -154,6 +154,39 @@ let prop_cardinality =
       in
       Relation.cardinality r = List.length distinct)
 
+(* Keymap against the standard library's [Map] over the same keys: after
+   any sequence of adds and removes, from empty or from a map built by
+   [of_sorted], lookups, order, size and equality agree. *)
+module KM = Map.Make (struct
+  type t = Value.t list
+
+  let compare = List.compare Value.compare
+end)
+
+let prop_keymap_matches_map =
+  let key = QCheck.Gen.(map (fun (a, b) -> [ vi a; vs (string_of_int b) ]) (pair (int_bound 9) (int_bound 3))) in
+  let op = QCheck.Gen.(pair bool (pair key (int_bound 100))) in
+  QCheck.Test.make ~name:"Keymap = Map, after any adds and removes" ~count:500
+    QCheck.(make QCheck.Gen.(pair (int_bound 40) (list_size (int_bound 80) op)))
+    (fun (n, ops) ->
+      let sorted = Array.init n (fun i -> [ vi (i / 4); vs (string_of_int (i mod 4)) ], i) in
+      let m0 = Keymap.of_sorted n ~key:(fun i -> fst sorted.(i)) ~data:(fun i -> snd sorted.(i)) in
+      let r0 = Array.fold_left (fun m (k, d) -> KM.add k d m) KM.empty sorted in
+      let m, r =
+        List.fold_left
+          (fun (m, r) (add, (k, d)) ->
+            if add then Keymap.add k d m, KM.add k d r else Keymap.remove k m, KM.remove k r)
+          (m0, r0) ops
+      in
+      Keymap.fold (fun k d acc -> (k, d) :: acc) m [] = List.rev (KM.bindings r)
+      && Keymap.keys m = List.map fst (KM.bindings r)
+      && Keymap.cardinal m = KM.cardinal r
+      && List.for_all (fun (_, (k, _)) -> Keymap.find_opt k m = KM.find_opt k r) ops
+      && Keymap.equal Int.equal m
+           (Keymap.of_sorted (KM.cardinal r)
+              ~key:(fun i -> fst (List.nth (KM.bindings r) i))
+              ~data:(fun i -> snd (List.nth (KM.bindings r) i))))
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -172,4 +205,5 @@ let suite =
     Alcotest.test_case "equal" `Quick test_equal;
     qtest prop_insert_delete_roundtrip;
     qtest prop_cardinality;
+    qtest prop_keymap_matches_map;
   ]

@@ -90,7 +90,10 @@ let test_value_roundtrip () =
       Alcotest.check value_testable
         (Fmt.str "value %a" Value.pp v)
         v
-        (check_ok (Penguin.Store.value_of_sexp (Penguin.Store.value_to_sexp v))))
+        (check_ok
+           (Sexp.decode
+              (Sexp.to_string (Penguin.Store.value_to_sexp v))
+              Penguin.Store.read_value)))
     [ Value.Null; vi 42; vi (-1); vf 3.25; vf 33.333333333333336;
       vs "plain"; vs "with (parens) and \"quotes\""; vb true; vb false ]
 
@@ -98,7 +101,9 @@ let test_instance_roundtrip () =
   let db = Penguin.University.seeded_db () in
   let i = Penguin.University.cs345_instance db in
   let i' =
-    check_ok (Penguin.Store.instance_of_sexp (Penguin.Store.instance_to_sexp i))
+    check_ok
+      (Penguin.Store.instance_of_string
+         (Sexp.to_string (Penguin.Store.instance_to_sexp i)))
   in
   Alcotest.(check bool) "instance roundtrip" true (Instance.equal i i')
 
@@ -184,11 +189,10 @@ let reference_layout doc =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-(* The snapshot writer against the tree it writes: the definitions
-   document, re-read as a tree, plus the data section built as a tree
-   from [tuple_to_sexp] rows, printed by [reference_layout]. Output must
-   match byte for byte, whatever slice sizes the render is cut into. *)
-let reference_save ws =
+(* The tree the snapshot writer writes: the definitions document,
+   re-read as a tree, plus the data section built as a tree from
+   [tuple_to_sexp] rows. *)
+let document_tree ws =
   let header = check_ok (Sexp.parse (Penguin.Store.save ~include_data:false ws)) in
   let db = ws.Penguin.Workspace.db in
   let data =
@@ -203,8 +207,13 @@ let reference_save ws =
            (Database.relation_names db))
   in
   match header with
-  | Sexp.List items -> reference_layout (Sexp.List (items @ [ data ]))
+  | Sexp.List items -> Sexp.List (items @ [ data ])
   | Sexp.Atom _ -> Alcotest.fail "header is not a list"
+
+(* The snapshot writer against the tree it writes, printed by
+   [reference_layout]. Output must match byte for byte, whatever slice
+   sizes the render is cut into. *)
+let reference_save ws = reference_layout (document_tree ws)
 
 (* Names and strings mix bare characters with every character that
    forces quoting or an escape; some strings are long, some empty. *)
@@ -303,6 +312,198 @@ let prop_save_matches_reference_layout =
              go ())
            (List.init 24 (fun i -> i + 1)))
 
+(* --- the streaming reader against the tree reader ------------------------ *)
+
+(* The layout written before every document was printed one item per
+   line: a list that does not fit in 72 columns breaks, its head on its
+   first line and each further element on a line of its own. *)
+let wrapped_layout e =
+  let buf = Buffer.create 1024 in
+  let rec print indent e =
+    let flat = Sexp.to_string e in
+    match e with
+    | Sexp.List (head :: rest) when indent + String.length flat > 72 ->
+        Buffer.add_char buf '(';
+        Buffer.add_string buf (Sexp.to_string head);
+        List.iter
+          (fun e ->
+            Buffer.add_char buf '\n';
+            Buffer.add_string buf (String.make (indent + 1) ' ');
+            print (indent + 1) e)
+          rest;
+        Buffer.add_char buf ')'
+    | _ -> Buffer.add_string buf flat
+  in
+  print 0 e;
+  Buffer.contents buf
+
+let rec tree_size = function
+  | Sexp.Atom _ -> 1
+  | Sexp.List l -> List.fold_left (fun n e -> n + tree_size e) 1 l
+
+(* The [k]-th node in pre-order, and the tree with it replaced. *)
+let nth_node k e =
+  let i = ref (-1) in
+  let rec go e =
+    incr i;
+    if !i = k then Some e
+    else match e with Sexp.Atom _ -> None | Sexp.List l -> List.find_map go l
+  in
+  Option.get (go e)
+
+let replace_nth k r e =
+  let i = ref (-1) in
+  let rec go e =
+    incr i;
+    if !i = k then r
+    else match e with Sexp.Atom _ -> e | Sexp.List l -> Sexp.List (List.map go l)
+  in
+  go e
+
+(* One edit at a random node: another atom, an empty or wrapping list, a
+   value of a wrong, unknown or malformed tag, or, in a list, an element
+   dropped, repeated or moved. Repeated rows are duplicate keys; a value
+   of the wrong domain, or [null] in a key, is a nonconforming row. *)
+let mutation e =
+  let open QCheck.Gen in
+  let* k = int_bound (tree_size e - 1) in
+  let node = nth_node k e in
+  let tagged tag a = Sexp.List [ Sexp.Atom tag; Sexp.Atom a ] in
+  let edits =
+    [ 1, oneofl [ Sexp.Atom "x"; Sexp.Atom "null"; Sexp.Atom "" ];
+      1, return (Sexp.List []);
+      1, return (Sexp.List [ node ]);
+      3,
+      oneofl
+        [ tagged "int" "x7"; tagged "int" "12"; tagged "float" "1.5e"; tagged "bool" "yes";
+          tagged "bool" "true"; tagged "num" "5"; tagged "str" "a\"b\\c";
+          Sexp.List [ Sexp.Atom "str" ]; Sexp.List [ Sexp.Atom "int"; Sexp.Atom "1"; Sexp.Atom "2" ];
+          Sexp.List [ Sexp.Atom "str"; Sexp.List [] ] ] ]
+    @
+    match node with
+    | Sexp.List (_ :: _ as l) ->
+        let n = List.length l in
+        [ 2, map (fun i -> Sexp.List (List.filteri (fun j _ -> j <> i) l)) (int_bound (n - 1));
+          3,
+          map
+            (fun i -> Sexp.List (List.concat (List.mapi (fun j x -> if j = i then [ x; x ] else [ x ]) l)))
+            (int_bound (n - 1));
+          2, map (fun l -> Sexp.List l) (shuffle_l l) ]
+    | _ -> []
+  in
+  map (fun r -> replace_nth k r e) (frequency edits)
+
+(* A document (or record) as text: in the writer's layout, the wrapped
+   layout or on one line, then perhaps cut short, with a comment after
+   some line, or with one byte overwritten. *)
+let render ~layout tree =
+  let open QCheck.Gen in
+  let* layout = layout in
+  let text = layout tree in
+  let n = String.length text in
+  frequency
+    [ 5, return text;
+      1, map (fun i -> String.sub text 0 i) (int_bound (max 0 (n - 1)));
+      2,
+      map
+        (fun i ->
+          match String.index_from_opt text (min i (n - 1)) '\n' with
+          | Some j -> String.sub text 0 (j + 1) ^ " ; a (comment) \"\n" ^ String.sub text (j + 1) (n - j - 1)
+          | None -> text ^ "\n; trailing")
+        (int_bound (max 0 (n - 1)));
+      1,
+      map2
+        (fun i c -> String.mapi (fun j x -> if j = i then c else x) text)
+        (int_bound (max 0 (n - 1)))
+        (oneofl [ '"'; '('; ')'; '\\'; ';'; ' ' ]) ]
+
+(* A row of a relation repeated somewhere in it: a duplicate key. *)
+let repeated_row data =
+  let open QCheck.Gen in
+  match data with
+  | Sexp.List (head :: rels) when rels <> [] ->
+      let* r = int_bound (List.length rels - 1) in
+      let repeat = function
+        | Sexp.List (rel :: name :: (_ :: _ as rows)) ->
+            let* i = int_bound (List.length rows - 1) in
+            let* j = int_bound (List.length rows) in
+            let row = List.nth rows i in
+            return
+              (Sexp.List
+                 (rel :: name
+                 :: (List.filteri (fun k _ -> k < j) rows
+                    @ (row :: List.filteri (fun k _ -> k >= j) rows))))
+        | rel -> return rel
+      in
+      let* rels = flatten_l (List.mapi (fun k rel -> if k = r then repeat rel else return rel) rels) in
+      return (Sexp.List (head :: rels))
+  | _ -> return data
+
+(* A value of some row given another domain's value, or [null]: in a
+   key, or across domains, the row does not conform. *)
+let retyped_value data =
+  let open QCheck.Gen in
+  let rec count = function
+    | Sexp.List [ Sexp.Atom _; _ ] -> 1
+    | Sexp.List l -> List.fold_left (fun n e -> n + count e) 0 l
+    | Sexp.Atom _ -> 0
+  in
+  let bindings = count data in
+  if bindings = 0 then return data
+  else
+    let* k = int_bound (bindings - 1) in
+    let* v =
+      oneofl
+        [ Sexp.Atom "null"; Sexp.List [ Sexp.Atom "bool"; Sexp.Atom "true" ];
+          Sexp.List [ Sexp.Atom "int"; Sexp.Atom "3" ];
+          Sexp.List [ Sexp.Atom "str"; Sexp.Atom "s" ] ]
+    in
+    let i = ref (-1) in
+    let rec go = function
+      | Sexp.List [ (Sexp.Atom _ as a); _ ] as b ->
+          incr i;
+          if !i = k then Sexp.List [ a; v ] else b
+      | Sexp.List l -> Sexp.List (List.map go l)
+      | e -> e
+    in
+    return (go data)
+
+let reader_case_gen =
+  let open QCheck.Gen in
+  let* ws = workspace_gen in
+  let doc = document_tree ws in
+  let* doc =
+    match doc with
+    | Sexp.List items -> (
+        match List.rev items with
+        | data :: rev_header ->
+            let* data = frequency [ 2, return data; 1, repeated_row data ] in
+            let* data = frequency [ 2, return data; 1, retyped_value data ] in
+            let* edits = int_bound 2 in
+            let rec edit n d = if n = 0 then return d else mutation d >>= edit (n - 1) in
+            map (fun data -> Sexp.List (List.rev (data :: rev_header))) (edit edits data)
+        | [] -> return doc)
+    | Sexp.Atom _ -> return doc
+  in
+  render ~layout:(oneofl [ reference_layout; wrapped_layout; Sexp.to_string ]) doc
+
+let same_result equal a b =
+  match a, b with
+  | Ok a, Ok b -> equal a b
+  | Error a, Error b -> String.equal a b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let prop_reader_matches_tree_reader =
+  QCheck.Test.make ~name:"snapshot reader = tree reader, on any document" ~count:400
+    (QCheck.make ~print:Fun.id reader_case_gen)
+    (fun doc ->
+      same_result
+        (fun (ws, e) (ws', e') ->
+          workspace_equal ws ws' && e = e'
+          && Penguin.Workspace.version ws = Penguin.Workspace.version ws')
+        (Penguin.Store.load_snapshot doc)
+        (Tree_reader.load_snapshot doc))
+
 let test_save_matches_reference_layout_on_fixtures () =
   List.iter
     (fun ws ->
@@ -383,6 +584,7 @@ let suite =
     Alcotest.test_case "translator roundtrip" `Quick test_translator_roundtrip;
     Alcotest.test_case "workspace roundtrip" `Quick test_workspace_roundtrip;
     QCheck_alcotest.to_alcotest prop_save_matches_reference_layout;
+    QCheck_alcotest.to_alcotest prop_reader_matches_tree_reader;
     Alcotest.test_case "snapshot writer matches the reference layout on the fixtures"
       `Quick test_save_matches_reference_layout_on_fixtures;
     Alcotest.test_case "workspace without data" `Quick test_workspace_without_data;
