@@ -1301,6 +1301,39 @@ let e14 () =
          Test.make ~name:"patch-roundtrip:cs345,dbsize=256"
            (stage (patch_roundtrip cache256 db256 "CS345" 2));
        ]);
+  (* Maintenance against a cold build of the same entry, over BENCH1's
+     fanout: a grade commit rebuilds the one course it reaches, so half
+     a round trip should track one [of_pivot_tuple]. Its own group, so
+     the rows above keep their median. *)
+  let fanouts = [ 1; 4; 16; 64; 256 ] in
+  let maintain g =
+    let db, cache = mk_cache g in
+    let bench1 =
+      Option.get
+        (Relation.lookup (Database.relation_exn db "COURSES")
+           [ Value.Str "BENCH1" ])
+    in
+    [
+      Test.make ~name:(Fmt.str "patch-roundtrip:bench1,fanout=%d" g)
+        (stage (patch_roundtrip cache db "BENCH1" 1001));
+      Test.make ~name:(Fmt.str "cold:of_pivot_tuple,fanout=%d" g)
+        (stage (fun () -> Instantiate.of_pivot_tuple db omega bench1));
+    ]
+  in
+  let rows = run_group "e14.maintain" (List.concat_map maintain fanouts) in
+  List.iter
+    (fun g ->
+      let at what =
+        List.assoc_opt (Fmt.str "e14.maintain %s,fanout=%d" what g) rows
+      in
+      match at "patch-roundtrip:bench1", at "cold:of_pivot_tuple" with
+      | Some rt, Some cold ->
+          Fmt.pr
+            "maintain fanout=%d: one patch %.2f us, %.2fx the %.2f us cold \
+             build@."
+            g (rt /. 2e3) (rt /. 2. /. cold) (cold /. 1e3)
+      | _ -> ())
+    fanouts;
   (* [what] at [n] courses within 1.5x of [n0] courses. *)
   let acceptance what (n0, t0) (n, t) =
     let ratio = t /. t0 in

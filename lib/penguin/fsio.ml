@@ -13,15 +13,6 @@ let wrap ~op ~path f =
   | Unix.Unix_error (e, fn, arg) -> Error (Error.of_unix ~op ~path ~fn ~arg e)
   | Sys_error e -> Error (Error.io ~op ~path e)
 
-let read_default path =
-  if not (Sys.file_exists path) then Ok None
-  else
-    wrap ~op:Error.Read ~path (fun () ->
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> Some (really_input_string ic (in_channel_length ic))))
-
 let read_from_default ~path ~off ~len =
   if not (Sys.file_exists path) then Ok None
   else
@@ -45,7 +36,10 @@ let read_from_default ~path ~off ~len =
                 let n = Unix.read fd buf !got (want - !got) in
                 if n = 0 then eof := true else got := !got + n
               done;
-              Some (Bytes.sub_string buf 0 !got)
+              (* [buf] is not used again: a full read needs no copy. *)
+              Some
+                (if !got = want then Bytes.unsafe_to_string buf
+                 else Bytes.sub_string buf 0 !got)
             end))
 
 let write_default ~path ~append content =
@@ -87,7 +81,7 @@ let remove_default path =
 
 let default =
   {
-    read = read_default;
+    read = (fun path -> read_from_default ~path ~off:0 ~len:None);
     read_from = read_from_default;
     write = write_default;
     sync = sync_default;

@@ -722,10 +722,7 @@ let save_file ?include_data ?(io = Fsio.default) ws path =
   Fsio.atomic_write io ~path (save ?include_data ws)
 
 let load_file path =
-  try
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    load content
-  with Sys_error e -> Error e
+  match Fsio.default.read path with
+  | Ok (Some content) -> load content
+  | Ok None -> Error (Fmt.str "%s: no such file" path)
+  | Error e -> Error (Error.to_string e)

@@ -118,3 +118,5 @@ val save_file :
     seam; failures are typed {!Error.Io}. *)
 
 val load_file : string -> (Workspace.t, string) result
+(** {!load} of the file's bytes, read through [Fsio.default]; a missing
+    or unreadable file is an [Error]. *)

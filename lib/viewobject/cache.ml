@@ -33,25 +33,13 @@ module KSet = Set.Make (struct
   let compare = List.compare Value.compare
 end)
 
-(* A cached instance keeps, alongside each projected node, the *full*
-   stored tuple it was derived from: patches re-run [follow_path] at any
-   level (full tuples down, as in [Instantiate.of_pivot_tuple]) and match
-   results against cached subtrees by database key. *)
-type node_entry = {
-  full : Tuple.t;
-  inst : Instance.t;
-  subs : (string * node_entry list) list;  (** by child label *)
-}
-
 type def_state = {
   def : Definition.t;
   deps : SSet.t;
       (** every relation instantiation reads: nodes + path intermediates *)
   chains : Schema_graph.edge list list SMap.t;
       (** relation → root-to-relation edge chains (backwalk routes) *)
-  child_deps : SSet.t SMap.t;
-      (** child label → relations its subtree computation reads *)
-  mutable entries : node_entry KMap.t option;  (** [None] = cold *)
+  mutable entries : Instance.t KMap.t option;  (** [None] = cold *)
 }
 
 type mode =
@@ -99,14 +87,13 @@ let edge_key (e : Schema_graph.edge) =
 
 let chain_id c = String.concat "/" (List.map edge_key c)
 
-(* One pass over the tree computes the three derived views the
-   maintenance loop needs: the dependency set (skip decision), every
+(* One pass over the tree computes the two derived views the
+   maintenance loop needs: the dependency set (skip decision) and every
    root-to-relation chain prefix (backwalk routes for affected-key
-   discovery), and per-child subtree dependencies (reuse decision). *)
+   discovery). *)
 let compute_meta (vo : Definition.t) =
   let deps = ref (SSet.singleton vo.pivot) in
   let chains = ref SMap.empty in
-  let child_deps = ref SMap.empty in
   let add_chain rel c =
     chains :=
       SMap.update rel
@@ -117,35 +104,29 @@ let compute_meta (vo : Definition.t) =
           else Some (l @ [ c ]))
         !chains
   in
-  (* Returns the relations read to compute [dn]'s subtree from [dn]'s
-     own full tuple (path intermediates of its children included, its
-     own relation not). *)
   let rec go prefix (dn : Definition.node) =
     deps := SSet.add dn.relation !deps;
-    List.fold_left
-      (fun acc (cn : Definition.node) ->
-        let _, path_rels =
+    List.iter
+      (fun (cn : Definition.node) ->
+        let prefix =
           List.fold_left
-            (fun (pfx, rels) e ->
+            (fun pfx e ->
               let pfx = pfx @ [ e ] in
               let rel = Schema_graph.edge_to e in
               deps := SSet.add rel !deps;
               add_chain rel pfx;
-              pfx, SSet.add rel rels)
-            (prefix, SSet.empty) cn.path
+              pfx)
+            prefix cn.path
         in
-        let below = go (prefix @ cn.path) cn in
-        let cdeps = SSet.union path_rels below in
-        child_deps := SMap.add cn.label cdeps !child_deps;
-        SSet.union acc cdeps)
-      SSet.empty dn.children
+        go prefix cn)
+      dn.children
   in
-  ignore (go [] vo.root : SSet.t);
-  !deps, !chains, !child_deps
+  go [] vo.root;
+  !deps, !chains
 
 let register t vo =
-  let deps, chains, child_deps = compute_meta vo in
-  let ds = { def = vo; deps; chains; child_deps; entries = None } in
+  let deps, chains = compute_meta vo in
+  let ds = { def = vo; deps; chains; entries = None } in
   let name = vo.Definition.name in
   if List.mem_assoc name t.defs then
     t.defs <-
@@ -169,103 +150,23 @@ let dependencies t name =
   | None -> []
   | Some ds -> SSet.elements ds.deps
 
-(* --- entry construction and refresh --------------------------------- *)
+(* --- entry construction ---------------------------------------------- *)
 
-let connected_via (e : Schema_graph.edge) db u =
-  let from_attrs = Schema_graph.edge_from_attrs e in
-  let to_attrs = Schema_graph.edge_to_attrs e in
-  Relation.lookup_eq
-    (Database.relation_exn db (Schema_graph.edge_to e))
-    (List.map2 (fun fa ta -> ta, Tuple.get u fa) from_attrs to_attrs)
-
-let below_deps ds (dn : Definition.node) =
-  List.fold_left
-    (fun acc (cn : Definition.node) ->
-      SSet.union acc
-        (Option.value
-           (SMap.find_opt cn.label ds.child_deps)
-           ~default:SSet.empty))
-    SSet.empty dn.children
-
-(* Re-derive the subtree rooted at [dn] for the full tuple [full],
-   reusing [old] (the previous entry at the same database key) wherever
-   the touched relations cannot have changed the result:
-   - the whole entry, when [full] is unchanged and no relation below is
-     touched;
-   - a whole child list, when nothing on the child's path or below it is
-     touched and the parent's linking attributes are unchanged;
-   - individual sub-entries, matched by database key after a fresh
-     [follow_path].
-   A cold build is the same walk with no [old] to reuse. *)
-let rec entry_of ds db touched old (dn : Definition.node) full =
-  match old with
-  | Some ne
-    when Tuple.equal ne.full full && SSet.disjoint (below_deps ds dn) touched
-    -> ne
-  | _ ->
-      let subs =
-        List.map
-          (fun (cn : Definition.node) ->
-            let old_subs =
-              match old with
-              | Some ne ->
-                  Option.value (List.assoc_opt cn.label ne.subs) ~default:[]
-              | None -> []
-            in
-            let cdeps =
-              Option.value
-                (SMap.find_opt cn.label ds.child_deps)
-                ~default:SSet.empty
-            in
-            let link_attrs =
-              match cn.path with
-              | e :: _ -> Schema_graph.edge_from_attrs e
-              | [] -> []
-            in
-            let reuse_whole_list =
-              match old with
-              | Some ne ->
-                  SSet.disjoint cdeps touched
-                  && Tuple.equal_on link_attrs ne.full full
-              | None -> false
-            in
-            if reuse_whole_list then cn.label, old_subs
-            else
-              let schema = Relation.schema (Database.relation_exn db cn.relation) in
-              let by_key =
-                List.fold_left
-                  (fun m ne -> KMap.add (Tuple.key_of schema ne.full) ne m)
-                  KMap.empty old_subs
-              in
-              ( cn.label,
-                List.map
-                  (fun sub_full ->
-                    entry_of ds db touched
-                      (KMap.find_opt (Tuple.key_of schema sub_full) by_key)
-                      cn sub_full)
-                  (Instantiate.follow_path db cn.path full) ))
-          dn.children
-      in
-      let inst =
-        Instance.make ~label:dn.label ~relation:dn.relation
-          ~tuple:(Tuple.project dn.attrs full)
-          ~children:
-            (List.map (fun (l, nes) -> l, List.map (fun ne -> ne.inst) nes) subs)
-      in
-      { full; inst; subs }
-
+(* One entry per pivot tuple: the pivot tuple determines its instance
+   (Figure 4), and building it is a walk of index lookups, so a commit
+   rebuilds the keys it reaches the same way ([patch_def]). *)
 let build_def t ds =
   M.time m_warm_ns @@ fun () ->
   Obs.Trace.with_span "cache.warm"
     ~tags:[ "object", ds.def.Definition.name ]
   @@ fun () ->
-  let schema = Schema_graph.schema_exn t.graph ds.def.Definition.pivot in
   let pivot_rel = Database.relation_exn t.db ds.def.Definition.pivot in
   let entries =
     List.fold_left
       (fun m full ->
-        KMap.add (Tuple.key_of schema full)
-          (entry_of ds t.db SSet.empty None ds.def.Definition.root full)
+        KMap.add
+          (Relation.key_of pivot_rel full)
+          (Instantiate.of_pivot_tuple t.db ds.def full)
           m)
       KMap.empty (Relation.to_list pivot_rel)
   in
@@ -292,13 +193,13 @@ let served t ds =
 
 let instances t name =
   let* ds = find_state t name in
-  Ok (List.map (fun (_, ne) -> ne.inst) (KMap.bindings (served t ds)))
+  Ok (List.map snd (KMap.bindings (served t ds)))
 
 (* A condition whose pushed-down pivot predicate fixes the pivot key
    reads one entry; any other condition filters them all. *)
 let query_state t ds cond =
   let m = served t ds in
-  let holds ne = Vo_query.holds cond ne.inst in
+  let holds = Vo_query.holds cond in
   let key =
     Schema.key_attributes
       (Schema_graph.schema_exn t.graph ds.def.Definition.pivot)
@@ -306,11 +207,11 @@ let query_state t ds cond =
   match Predicate.fixed_key key (Vo_query.pushdown ds.def cond) with
   | Some k -> (
       match KMap.find_opt k m with
-      | Some ne when holds ne -> [ ne.inst ]
+      | Some i when holds i -> [ i ]
       | Some _ | None -> [])
   | None ->
       List.filter_map
-        (fun (_, ne) -> if holds ne then Some ne.inst else None)
+        (fun (_, i) -> if holds i then Some i else None)
         (KMap.bindings m)
 
 let query t name cond =
@@ -363,7 +264,7 @@ let paranoid_check t =
       match ds.entries with
       | None -> ()
       | Some m ->
-          let cached = List.map (fun (_, ne) -> ne.inst) (KMap.bindings m) in
+          let cached = List.map snd (KMap.bindings m) in
           let fresh = Instantiate.instantiate t.db ds.def in
           if not (List.equal Instance.equal cached fresh) then begin
             t.s_divergences <- t.s_divergences + 1;
@@ -375,14 +276,13 @@ let paranoid_check t =
           end)
     t.defs
 
-let patch_def t ds ~post d touched =
+let patch_def t ds ~post d =
   M.time m_patch_ns @@ fun () ->
   Obs.Trace.with_span "cache.patch"
     ~tags:[ "object", ds.def.Definition.name ]
   @@ fun () ->
   let entries = match ds.entries with Some m -> m | None -> assert false in
   let pivot = ds.def.Definition.pivot in
-  let pivot_schema = Schema_graph.schema_exn t.graph pivot in
   let pivot_rel = Database.relation_exn post pivot in
   (* Affected pivot keys: direct pivot changes carry their key; any
      other change is walked backwards through every chain that reaches
@@ -412,24 +312,24 @@ let patch_def t ds ~post d touched =
                   List.iter
                     (fun p ->
                       affected :=
-                        KSet.add (Tuple.key_of pivot_schema p) !affected)
+                        KSet.add (Relation.key_of pivot_rel p) !affected)
                     (List.fold_left
-                       (fun ts e -> List.concat_map (connected_via e post) ts)
+                       (fun ts e ->
+                         List.concat_map (Instantiate.connected_via e post) ts)
                        [ img ] back))
                 images)
             chains)
     (Delta.bindings d);
   let n = KSet.cardinal !affected in
+  (* Each affected key is rebuilt against [post], or dropped with its
+     pivot tuple. *)
   let entries =
     KSet.fold
       (fun key m ->
         match Relation.lookup pivot_rel key with
         | None -> KMap.remove key m
         | Some full ->
-            KMap.add key
-              (entry_of ds post touched (KMap.find_opt key m)
-                 ds.def.Definition.root full)
-              m)
+            KMap.add key (Instantiate.of_pivot_tuple post ds.def full) m)
       !affected entries
   in
   ds.entries <- Some entries;
@@ -457,7 +357,7 @@ let apply_delta t ~post d =
     skipped;
   (if relevant <> [] then
      if truthful_against t.db d then
-       List.iter (fun (_, ds) -> patch_def t ds ~post d touched) relevant
+       List.iter (fun (_, ds) -> patch_def t ds ~post d) relevant
      else begin
        Log.warn (fun k ->
            k "cache: delta contradicts the cached state (foreign lineage?); \

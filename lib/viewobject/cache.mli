@@ -1,23 +1,26 @@
 (** A materialized store of instantiated view objects, maintained
     incrementally from committed {!Relational.Delta.t}s.
 
-    Every read today pays a full {!Instantiate.instantiate} walk; this
-    module applies the incremental move PR 1 made on the write path
-    ([Integrity.check_delta]) to the read path. Per registered
-    definition the cache holds one entry per pivot tuple, keyed by the
-    pivot's database key, and on each committed delta it decides
-    {e skip} / {e patch} / {e invalidate}:
+    Without it every read pays a full {!Instantiate.instantiate} walk;
+    this module makes the read path incremental the way
+    [Integrity.check_delta] makes the write path's check. Per registered
+    definition the cache holds one {!Instance.t} per pivot tuple, keyed
+    by the pivot's database key — the instance
+    {!Instantiate.of_pivot_tuple} builds from that tuple — and on each
+    committed delta it decides {e skip} / {e patch} / {e invalidate}:
 
     - {b skip} when [Delta.relations] is disjoint from the definition's
       dependency set (its {!Island} plus every relation on a connection
       path — peninsulas and reference targets included, since
       instantiation reads through them);
     - {b patch} otherwise: changed tuples are walked {e backwards}
-      through the definition's connection chains (the inverse of
-      {!Instantiate.follow_path}, served by the same connection
-      indexes) to the pivot keys they can influence, and only those
-      entries are re-derived — reusing every cached subtree whose
-      relations were not touched (semi-naive);
+      through the definition's connection chains
+      ({!Instantiate.connected_via} over inverse edges, served by the
+      same connection indexes as the forward walk) to the pivot keys
+      they can influence; each such entry is rebuilt by
+      {!Instantiate.of_pivot_tuple} against the new state, or dropped
+      when its pivot tuple is gone. Rebuilding k keys costs k entry
+      builds, never more than a cold build;
     - {b invalidate} (drop all entries, rebuild lazily) when the delta
       cannot be trusted: a history barrier, a delta whose old images
       contradict the cached state, or a Paranoid-mode divergence.
@@ -107,7 +110,7 @@ val invalidate_all : t -> db:Database.t -> unit
 type stats = {
   hits : int;  (** reads served from a warm definition *)
   misses : int;  (** reads that had to build a cold definition *)
-  patched : int;  (** entries re-derived or dropped by a patch *)
+  patched : int;  (** entries rebuilt or dropped by a patch *)
   invalidated : int;  (** definitions dropped wholesale *)
   skipped : int;  (** per-definition delta skips (disjoint footprint) *)
   divergences : int;  (** Paranoid cross-check failures *)

@@ -29,6 +29,8 @@ let dedup_by_key schema ts =
 let follow_path db path t =
   match path with
   | [] -> [ t ]
+  (* One relation's lookup already returns distinct keys. *)
+  | [ e ] -> connected_via e db t
   | _ ->
       let finals =
         List.fold_left

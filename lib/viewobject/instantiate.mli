@@ -10,6 +10,14 @@
 open Relational
 open Structural
 
+val connected_via :
+  Schema_graph.edge -> Database.t -> Tuple.t -> Tuple.t list
+(** Full tuples of the edge's target relation connected to the given
+    (full) tuple of its source: one equality lookup, served by a
+    secondary index on the connecting attributes when one exists. Walked
+    over {!Schema_graph.inverse} edges it maps a changed tuple back to
+    the tuples that reach it. *)
+
 val follow_path :
   Database.t -> Schema_graph.edge list -> Tuple.t -> Tuple.t list
 (** Full tuples of the path's final relation connected to the given

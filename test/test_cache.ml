@@ -223,6 +223,61 @@ let test_patch_on_commit () =
   (* The patched reads above were hits — no rebuild happened. *)
   Alcotest.(check int) "no rebuild" 0 (Cache.stats cache).Cache.misses
 
+(* A commit rebuilds exactly the entries its changed tuples reach: one
+   course for a grade, every course of a department (counted here from
+   a fresh instantiation, not from the backwalk) for a department. *)
+let test_rebuild_stays_local () =
+  let omega = Penguin.University.omega in
+  let db = Penguin.University.seeded_db () in
+  let cache = Cache.create Penguin.University.graph ~db in
+  Cache.register cache omega;
+  Cache.warm cache;
+  let edit ~what ~rebuilt db rel key f =
+    let t0 = Option.get (Relation.lookup (Database.relation_exn db rel) key) in
+    let d =
+      Delta.record Delta.empty ~rel ~key ~old_image:(Some t0)
+        ~new_image:(Some (f t0))
+    in
+    let post =
+      check_ok (Result.map_error Database.error_to_string (Database.apply_delta db d))
+    in
+    let before = (Cache.stats cache).Cache.patched in
+    Cache.apply_delta cache ~post d;
+    let s = Cache.stats cache in
+    Alcotest.(check int) (what ^ ": entries rebuilt") rebuilt
+      (s.Cache.patched - before);
+    Alcotest.(check int) (what ^ ": nothing invalidated") 0 s.Cache.invalidated;
+    Alcotest.(check int) (what ^ ": no miss") 0 s.Cache.misses;
+    Alcotest.check (Alcotest.list instance_t)
+      (what ^ ": cached = fresh")
+      (Instantiate.instantiate post omega)
+      (cached cache "omega");
+    post
+  in
+  let db =
+    edit ~what:"grade in CS345" ~rebuilt:1 db "GRADES"
+      [ Value.Str "CS345"; Value.Int 2 ]
+      (fun t -> Tuple.set t "grade" (Value.Str "A-"))
+  in
+  let dept = Value.Str "Computer Science" in
+  let courses =
+    List.length
+      (List.filter
+         (fun i ->
+           List.exists
+             (fun (d : Instance.t) ->
+               Value.equal (Tuple.get d.Instance.tuple "dept_name") dept)
+             (Instance.children_of i "DEPARTMENT"))
+         (Instantiate.instantiate db omega))
+  in
+  Alcotest.(check bool) "the department has some courses, not all" true
+    (courses > 1 && courses < List.length (cached cache "omega"));
+  ignore
+    (edit ~what:"department building" ~rebuilt:courses db "DEPARTMENT"
+       [ dept ]
+       (fun t -> Tuple.set t "building" (Value.Str "Huang"))
+      : Database.t)
+
 let test_skip_disjoint_delta () =
   let ws = Penguin.University.workspace () in
   let cache = Ws.attach_cache ws in
@@ -589,6 +644,8 @@ let suite =
     Alcotest.test_case "OQL through the cache" `Quick test_oql_through_cache;
     Alcotest.test_case "commit + sync patches incrementally" `Quick
       test_patch_on_commit;
+    Alcotest.test_case "a commit rebuilds only the entries it reaches" `Quick
+      test_rebuild_stays_local;
     Alcotest.test_case "disjoint delta skips" `Quick test_skip_disjoint_delta;
     Alcotest.test_case "dependency sets include path intermediates" `Quick
       test_dependencies;

@@ -550,6 +550,23 @@ let test_file_roundtrip () =
   Sys.remove path;
   Alcotest.(check bool) "file roundtrip" true (workspace_equal ws ws')
 
+(* A missing file is [None], an empty one [Some ""], and any other
+   failure (here: reading a directory) a typed [Read] error. *)
+let test_whole_file_read () =
+  let read = Penguin.Fsio.default.Penguin.Fsio.read in
+  let dir = temp_dir "penguin-read" in
+  let path = Filename.concat dir "empty" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Alcotest.(check (option string)) "missing file" None (check_ok_e (read path));
+  check_ok_e (Penguin.Fsio.default.Penguin.Fsio.write ~path ~append:false "");
+  Alcotest.(check (option string)) "empty file" (Some "") (check_ok_e (read path));
+  (match read dir with
+  | Error (Penguin.Error.Io { op = Penguin.Error.Read; _ }) -> ()
+  | Error e -> Alcotest.failf "not a Read error: %s" (Penguin.Error.to_string e)
+  | Ok _ -> Alcotest.fail "a directory read as a file");
+  ignore (check_err (Penguin.Store.load_file dir));
+  ignore (check_err (Penguin.Store.load_file path))
+
 let test_load_errors () =
   check_err_contains ~sub:"not a penguin-workspace" (Penguin.Store.load "(x)");
   ignore (check_err (Penguin.Store.load "((("));
@@ -591,4 +608,6 @@ let suite =
     Alcotest.test_case "loaded workspace operational" `Quick test_loaded_workspace_is_operational;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "load errors" `Quick test_load_errors;
+    Alcotest.test_case "whole-file read: missing, empty, unreadable" `Quick
+      test_whole_file_read;
   ]
