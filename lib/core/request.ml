@@ -59,33 +59,26 @@ let edit_where inst ~label ~sel ~(f : Instance.t -> Instance.t option) =
     | 0 -> Error (Fmt.str "no sub-instance of node %s matches" label)
     | n -> Error (Fmt.str "%d sub-instances of node %s match; be more specific" n label)
 
-let edit_matching inst ~label ~at ~f =
-  edit_where inst ~label ~sel:(fun t -> tuple_agrees ~at t) ~f
-
-let modify_component inst ~label ~at ~f =
-  edit_matching inst ~label ~at ~f:(fun s ->
-      Some { s with Instance.tuple = f s.Instance.tuple })
-
 let modify_where inst ~label ~sel ~f =
   edit_where inst ~label ~sel ~f:(fun s ->
       Some { s with Instance.tuple = f s.Instance.tuple })
 
-let detach_component inst ~label ~at =
-  edit_matching inst ~label ~at ~f:(fun _ -> None)
-
 let detach_where inst ~label ~sel = edit_where inst ~label ~sel ~f:(fun _ -> None)
-
-let attach_component inst ~parent_label ~at ~child =
-  edit_matching inst ~label:parent_label ~at ~f:(fun s ->
-      Some
-        (Instance.with_children s child.Instance.label
-           (Instance.children_of s child.Instance.label @ [ child ])))
 
 let attach_where inst ~parent_label ~sel ~child =
   edit_where inst ~label:parent_label ~sel ~f:(fun s ->
       Some
         (Instance.with_children s child.Instance.label
            (Instance.children_of s child.Instance.label @ [ child ])))
+
+let modify_component inst ~label ~at ~f =
+  modify_where inst ~label ~sel:(tuple_agrees ~at) ~f
+
+let detach_component inst ~label ~at =
+  detach_where inst ~label ~sel:(tuple_agrees ~at)
+
+let attach_component inst ~parent_label ~at ~child =
+  attach_where inst ~parent_label ~sel:(tuple_agrees ~at) ~child
 
 let as_replace old_instance result =
   Result.map (fun new_instance -> Replace { old_instance; new_instance }) result

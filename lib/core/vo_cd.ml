@@ -3,6 +3,33 @@ open Viewobject
 
 let ( let* ) = Result.bind
 
+(* Collect the island tuples of [inst] as deletion seeds, verifying each
+   against the database as we go, and close them under cascade deletion. *)
+let island_cascade g db spec ~island (inst : Instance.t) =
+  let rec collect (i : Instance.t) =
+    if not (List.mem i.Instance.label island) then Ok []
+    else
+      let* db_tuple =
+        Instance_db.verify_current g db ~label:i.Instance.label
+          i.Instance.relation i.Instance.tuple
+      in
+      let* below =
+        List.fold_left
+          (fun acc (_, subs) ->
+            List.fold_left
+              (fun acc sub ->
+                let* sofar = acc in
+                let* more = collect sub in
+                Ok (sofar @ more))
+              acc subs)
+          (Ok []) i.Instance.children
+      in
+      Ok ((i.Instance.relation, db_tuple) :: below)
+  in
+  let* seeds = collect inst in
+  Integrity.cascade_delete g db ~policy:(Translator_spec.delete_policy spec)
+    ~seeds
+
 let translate g db (vo : Definition.t) spec inst =
   if not spec.Translator_spec.allow_deletion then
     Error
@@ -11,31 +38,4 @@ let translate g db (vo : Definition.t) spec inst =
   else
     let* () = Instance.conforms vo inst in
     let* extended = Instantiate.extend_inherited g vo inst in
-    (* Isolate the dependency island and collect its tuples as deletion
-       seeds, verifying the instance against the database as we go. *)
-    let island = Island.island_labels vo in
-    let* seeds =
-      let rec collect (i : Instance.t) =
-        if not (List.mem i.Instance.label island) then Ok []
-        else
-          let* db_tuple =
-            Instance_db.verify_current g db ~label:i.Instance.label
-              i.Instance.relation i.Instance.tuple
-          in
-          let* below =
-            List.fold_left
-              (fun acc (_, subs) ->
-                List.fold_left
-                  (fun acc sub ->
-                    let* sofar = acc in
-                    let* more = collect sub in
-                    Ok (sofar @ more))
-                  acc subs)
-              (Ok []) i.Instance.children
-          in
-          Ok ((i.Instance.relation, db_tuple) :: below)
-      in
-      collect extended
-    in
-    Integrity.cascade_delete g db ~policy:(Translator_spec.delete_policy spec)
-      ~seeds
+    island_cascade g db spec ~island:(Island.island_labels vo) extended

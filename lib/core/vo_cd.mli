@@ -13,7 +13,10 @@
     and fixes the foreign keys of any further referencing relations —
     this implementation computes both through
     {!Structural.Integrity.cascade_delete}, whose closure starts from the
-    island tuples of the instance. *)
+    island tuples of the instance.
+
+    VO-R ({!Vo_r}) deletes an island sub-instance that the new instance
+    drops through the same {!island_cascade}. *)
 
 open Relational
 open Structural
@@ -31,3 +34,16 @@ val translate :
     list deletes every island tuple of the instance, everything those
     deletions force, and repairs or removes referencing tuples according
     to the translator's per-connection reference actions. *)
+
+val island_cascade :
+  Schema_graph.t ->
+  Database.t ->
+  Translator_spec.t ->
+  island:string list ->
+  Instance.t ->
+  (Op.t list, string) result
+(** [island_cascade g db spec ~island inst] collects the tuples of the
+    extended (sub-)instance [inst] whose nodes are in [island] (labels),
+    checking each against [db] with {!Instance_db.verify_current}, and
+    closes those deletions under {!Structural.Integrity.cascade_delete}
+    with the translator's delete policy. *)

@@ -32,115 +32,16 @@ let is_inverse_reference dn =
     when conn.Connection.kind = Connection.Reference -> true
   | _ -> false
 
-let bound_equal a b = Tuple.equal a b
-
 let keys_equal k1 k2 = List.compare Value.compare k1 k2 = 0
 
 let tuple_of (i : Instance.t) = i.Instance.tuple
 
-(* Insert-subtree handling ((None, Some n) pairs): VO-CI case analysis
-   against the simulated database. *)
-let rec insert_subtree g _vo spec island (dn : Definition.node) st (n : Instance.t) =
-  let in_island = List.mem n.Instance.label island in
-  let* existing = Instance_db.lookup g st.db n.Instance.relation (tuple_of n) in
-  let* st =
-    match existing with
-    | None ->
-        if in_island then apply_op st (Op.Insert (n.Instance.relation, tuple_of n))
-        else
-          let policy =
-            Translator_spec.modification_policy_for spec n.Instance.relation
-          in
-          if policy.Translator_spec.modifiable && policy.Translator_spec.allow_insert
-          then apply_op st (Op.Insert (n.Instance.relation, tuple_of n))
-          else
-            Error
-              (Fmt.str
-                 "node %s: inserting a new tuple into %s is not allowed by \
-                  the translator"
-                 n.Instance.label n.Instance.relation)
-    | Some db_tuple ->
-        let identical =
-          List.for_all
-            (fun (a, v) -> Value.equal v (Tuple.get db_tuple a))
-            (Tuple.bindings (tuple_of n))
-        in
-        if identical then
-          if in_island then
-            Error
-              (Fmt.str
-                 "node %s: an identical tuple already exists in island \
-                  relation %s"
-                 n.Instance.label n.Instance.relation)
-          else Ok st
-        else if in_island then
-          Error
-            (Fmt.str
-               "node %s: a conflicting tuple already exists in island \
-                relation %s"
-               n.Instance.label n.Instance.relation)
-        else
-          let policy =
-            Translator_spec.modification_policy_for spec n.Instance.relation
-          in
-          if policy.Translator_spec.modifiable && policy.Translator_spec.allow_modify
-          then
-            let* key = Instance_db.db_key g n.Instance.relation (tuple_of n) in
-            apply_op st
-              (Op.Replace
-                 (n.Instance.relation, key, Instance_db.merged ~base:db_tuple (tuple_of n)))
-          else
-            Error
-              (Fmt.str
-                 "node %s: modifying the existing tuple in %s is not allowed \
-                  by the translator"
-                 n.Instance.label n.Instance.relation)
-  in
-  List.fold_left
-    (fun state (cn : Definition.node) ->
-      let* st = state in
-      List.fold_left
-        (fun state sub ->
-          let* st = state in
-          insert_subtree g _vo spec island cn st sub)
-        (Ok st)
-        (Instance.children_of n cn.Definition.label))
-    (Ok st) dn.Definition.children
-
-(* Delete-subtree handling ((Some o, None) pairs on island nodes): the
-   dropped island tuples disappear with full cascade semantics. *)
-let delete_subtree g original_db spec island (dn : Definition.node) st (o : Instance.t) =
-  let rec seeds (dn : Definition.node) (i : Instance.t) =
-    if not (List.mem i.Instance.label island) then Ok []
-    else
-      let* db_tuple =
-        Instance_db.verify_current g original_db ~label:i.Instance.label
-          i.Instance.relation (tuple_of i)
-      in
-      List.fold_left
-        (fun acc (cn : Definition.node) ->
-          let* sofar = acc in
-          List.fold_left
-            (fun acc sub ->
-              let* sofar = acc in
-              let* more = seeds cn sub in
-              Ok (sofar @ more))
-            (Ok sofar)
-            (Instance.children_of i cn.Definition.label))
-        (Ok [ i.Instance.relation, db_tuple ])
-        dn.Definition.children
-  in
-  let* ss = seeds dn o in
-  let* cascade =
-    Integrity.cascade_delete g original_db
-      ~policy:(Translator_spec.delete_policy spec)
-      ~seeds:ss
-  in
+let apply_ops st ops =
   List.fold_left
     (fun state op ->
       let* st = state in
       apply_op st op)
-    (Ok st) cascade
+    (Ok st) ops
 
 let translate g db (vo : Definition.t) spec ~old_instance ~new_instance =
   if not spec.Translator_spec.allow_replacement then
@@ -165,10 +66,16 @@ let translate g db (vo : Definition.t) spec ~old_instance ~new_instance =
         (pair : Instance.t option * Instance.t option) =
       match pair with
       | None, None -> Ok st
-      | None, Some n -> insert_subtree g vo spec island dn st n
+      | None, Some n ->
+          (* A sub-instance met only in the new instance is VO-CI's
+             insertion against the simulated database. *)
+          let* db, ops = Vo_ci.insert_extended g st.db spec ~island n in
+          Ok { st with db; ops = st.ops @ ops }
       | Some o, None ->
           if List.mem dn.Definition.label island then
-            delete_subtree g original_db spec island dn st o
+            (* A dropped island sub-instance is VO-CD's island cascade. *)
+            let* cascade = Vo_cd.island_cascade g original_db spec ~island o in
+            apply_ops st cascade
           else
             (* Outside the island the old tuple is shared data; dropping
                it from the instance touches nothing. *)
@@ -201,7 +108,7 @@ let translate g db (vo : Definition.t) spec ~old_instance ~new_instance =
         Instance_db.verify_current g original_db ~label:o.Instance.label rel
           (tuple_of o)
       in
-      if bound_equal (tuple_of o) (tuple_of n) then (* Case R-1 *) Ok st
+      if Tuple.equal (tuple_of o) (tuple_of n) then (* Case R-1 *) Ok st
       else
         let* old_key = Instance_db.db_key g rel (tuple_of o) in
         let* new_key = Instance_db.db_key g rel (tuple_of n) in
@@ -225,76 +132,58 @@ let translate g db (vo : Definition.t) spec ~old_instance ~new_instance =
                   not allowed"
                  o.Instance.label rel)
           else
-            let* existing =
-              let* r =
-                Result.map_error Database.error_to_string
-                  (Database.relation st.db rel)
-              in
-              Ok (Relation.lookup r new_key)
-            in
-            match existing with
-            | None ->
-                let merged = Instance_db.merged ~base:db_old (tuple_of n) in
-                let* st = apply_op st (Op.Replace (rel, old_key, merged)) in
-                Ok
-                  {
-                    st with
-                    key_replacements =
-                      st.key_replacements @ [ rel, db_old, merged ];
-                  }
-            | Some existing_tuple ->
-                if not policy.Translator_spec.allow_merge_with_existing then
+            let* existing = Instance_db.lookup g st.db rel (tuple_of n) in
+            let* merged, ops =
+              match existing with
+              | None ->
+                  let merged = Instance_db.merged ~base:db_old (tuple_of n) in
+                  Ok (merged, [ Op.Replace (rel, old_key, merged) ])
+              | Some _ when not policy.Translator_spec.allow_merge_with_existing ->
                   Error
                     (Fmt.str
                        "node %s: a tuple of %s with the new key already \
                         exists, and deleting the old tuple to merge with it \
                         is not allowed"
                        o.Instance.label rel)
-                else
+              | Some existing_tuple ->
                   let merged =
                     Instance_db.merged ~base:existing_tuple (tuple_of n)
                   in
-                  let* st = apply_op st (Op.Delete (rel, old_key)) in
-                  let* st = apply_op st (Op.Replace (rel, new_key, merged)) in
                   Ok
-                    {
-                      st with
-                      key_replacements =
-                        st.key_replacements @ [ rel, db_old, merged ];
-                    }
+                    ( merged,
+                      [ Op.Delete (rel, old_key); Op.Replace (rel, new_key, merged) ] )
+            in
+            let* st = apply_ops st ops in
+            Ok
+              {
+                st with
+                key_replacements = st.key_replacements @ [ rel, db_old, merged ];
+              }
         end
 
     and state_i (dn : Definition.node) st (o : Instance.t) (n : Instance.t) =
       let rel = dn.Definition.relation in
+      let label = o.Instance.label in
       let* old_key = Instance_db.db_key g rel (tuple_of o) in
       let* new_key = Instance_db.db_key g rel (tuple_of n) in
       if keys_equal old_key new_key then
         (* Case I-1: handle as state R, gated by the modification policy
            of the outside relation. *)
-        if bound_equal (tuple_of o) (tuple_of n) then Ok st
+        if Tuple.equal (tuple_of o) (tuple_of n) then Ok st
         else
-          let policy = Translator_spec.modification_policy_for spec rel in
-          if policy.Translator_spec.modifiable && policy.Translator_spec.allow_modify
-          then
-            let* db_old =
-              Instance_db.verify_current g original_db ~label:o.Instance.label
-                rel (tuple_of o)
-            in
-            apply_op st
-              (Op.Replace (rel, old_key, Instance_db.merged ~base:db_old (tuple_of n)))
-          else
-            Error
-              (Fmt.str
-                 "node %s: modifying the existing tuple in %s is not allowed \
-                  by the translator"
-                 o.Instance.label rel)
+          let* () = Vo_ci.permit spec ~label rel `Modify in
+          let* db_old =
+            Instance_db.verify_current g original_db ~label rel (tuple_of o)
+          in
+          apply_op st
+            (Op.Replace (rel, old_key, Instance_db.merged ~base:db_old (tuple_of n)))
       else if is_inverse_reference dn then begin
         (* The node's tuples reference their parent. Changes to the own
            part of the key are the prohibited peninsula key replacement;
            changes to the inherited part are consequences of a parent key
            change and are realized by the structural fix-ups. *)
         let inherited = Definition.inherited_attrs dn in
-        let own_changed =
+        let own_changed attrs =
           List.exists
             (fun a ->
               (not (List.mem a inherited))
@@ -302,86 +191,33 @@ let translate g db (vo : Definition.t) spec ~old_instance ~new_instance =
                    (Value.equal
                       (Tuple.get (tuple_of o) a)
                       (Tuple.get (tuple_of n) a)))
-            (Schema.key_attributes (Schema_graph.schema_exn g rel))
+            attrs
         in
-        if own_changed then
+        if own_changed (Schema.key_attributes (Schema_graph.schema_exn g rel))
+        then
           Error
             (Fmt.str
                "node %s: replacements on keys of referencing relation %s are \
                 inherently ambiguous and hence prohibited"
-               o.Instance.label rel)
+               label rel)
+        else if not (own_changed (Tuple.attributes (tuple_of o))) then Ok st
         else
-          (* Inherited key parts changed. Non-key value changes, if any,
+          (* Inherited key parts and non-key values changed: the values
              are applied after the fix-ups have moved the tuple to its
              new key. *)
-          let nonkey_changed =
-            List.exists
-              (fun a ->
-                (not (List.mem a inherited))
-                && not
-                     (Value.equal
-                        (Tuple.get (tuple_of o) a)
-                        (Tuple.get (tuple_of n) a)))
-              (Tuple.attributes (tuple_of o))
+          let* () = Vo_ci.permit spec ~label rel `Modify in
+          let* db_old =
+            Instance_db.verify_current g original_db ~label rel (tuple_of o)
           in
-          if not nonkey_changed then Ok st
-          else
-            let policy = Translator_spec.modification_policy_for spec rel in
-            if policy.Translator_spec.modifiable && policy.Translator_spec.allow_modify
-            then
-              let* db_old =
-                Instance_db.verify_current g original_db
-                  ~label:o.Instance.label rel (tuple_of o)
-              in
-              let merged = Instance_db.merged ~base:db_old (tuple_of n) in
-              Ok { st with deferred = st.deferred @ [ Op.Replace (rel, new_key, merged) ] }
-            else
-              Error
-                (Fmt.str
-                   "node %s: modifying the existing tuple in %s is not \
-                    allowed by the translator"
-                   o.Instance.label rel)
+          let merged = Instance_db.merged ~base:db_old (tuple_of n) in
+          Ok { st with deferred = st.deferred @ [ Op.Replace (rel, new_key, merged) ] }
       end
-      else begin
-        (* Cases I-2 / I-3 / I-4 against the simulated database. *)
-        let* existing =
-          let* r =
-            Result.map_error Database.error_to_string (Database.relation st.db rel)
-          in
-          Ok (Relation.lookup r new_key)
+      else
+        (* Cases I-2 / I-3 / I-4 are VO-CI's cases on the new tuple. *)
+        let* op =
+          Vo_ci.case_op g st.db spec ~in_island:false ~label rel (tuple_of n)
         in
-        let policy = Translator_spec.modification_policy_for spec rel in
-        match existing with
-        | None ->
-            (* Case I-2. *)
-            if policy.Translator_spec.modifiable && policy.Translator_spec.allow_insert
-            then apply_op st (Op.Insert (rel, tuple_of n))
-            else
-              Error
-                (Fmt.str
-                   "node %s: inserting a new tuple into %s is not allowed by \
-                    the translator"
-                   o.Instance.label rel)
-        | Some db_tuple ->
-            let identical =
-              List.for_all
-                (fun (a, v) -> Value.equal v (Tuple.get db_tuple a))
-                (Tuple.bindings (tuple_of n))
-            in
-            if identical then (* Case I-3 *) Ok st
-            else if
-              (* Case I-4. *)
-              policy.Translator_spec.modifiable && policy.Translator_spec.allow_modify
-            then
-              apply_op st
-                (Op.Replace (rel, new_key, Instance_db.merged ~base:db_tuple (tuple_of n)))
-            else
-              Error
-                (Fmt.str
-                   "node %s: modifying the existing tuple in %s is not \
-                    allowed by the translator"
-                   o.Instance.label rel)
-      end
+        apply_ops st (Option.to_list op)
     in
 
     let st0 = { db; ops = []; deferred = []; key_replacements = [] } in
@@ -398,5 +234,5 @@ let translate g db (vo : Definition.t) spec ~old_instance ~new_instance =
             ~exclude:(fun r -> List.mem r island_rels))
         st.key_replacements
     in
-    Global_validation.dependency_closure g db (spec)
+    Global_validation.dependency_closure g db spec
       (st.ops @ fixups @ st.deferred)

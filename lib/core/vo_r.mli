@@ -13,6 +13,14 @@
     conflict (I-4) — the last two gated by the outside-relation
     modification policy.
 
+    Cases I-2..I-4 are VO-CI's cases 2, 1 and 3 outside the island
+    ({!Vo_ci.case_op} on the new tuple). A sub-instance that appears only
+    in the new instance is inserted by VO-CI's walk
+    ({!Vo_ci.insert_extended}; island conflicts reject), and an island sub-instance that the new
+    instance drops is deleted by VO-CD's {!Vo_cd.island_cascade} from the
+    original database. I-1 and the referencing-peninsula branch check the
+    translator with {!Vo_ci.permit}.
+
     Key-handling rules (Section 5.3): replacements on island elements
     translate literally; a replacement of the key of a {e referenced}
     relation leads to an insertion; key replacements on referencing

@@ -77,7 +77,8 @@ module Histogram = struct
 
   let record h v =
     locked h @@ fun () ->
-    h.counts.(bucket_of h v) <- h.counts.(bucket_of h v) + 1;
+    let b = bucket_of h v in
+    h.counts.(b) <- h.counts.(b) + 1;
     h.count <- h.count + 1;
     h.sum <- h.sum +. v;
     if v > h.max_v then h.max_v <- v

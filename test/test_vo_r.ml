@@ -210,6 +210,33 @@ let test_i2_insert_grade () =
   let d' = check_ok (Transaction.run_result d ops) in
   Alcotest.(check int) "consistent" 0 (List.length (Integrity.check g d'))
 
+(* Attach a GRADES sub-instance of student 1 (the seeded STUDENT row)
+   to CS345. *)
+let attach_grade d grade =
+  let child =
+    Instance.make ~label:"GRADES" ~relation:"GRADES"
+      ~tuple:(tuple [ "pid", vi 1; "grade", vs grade ])
+      ~children:
+        [ "STUDENT#2",
+          [ Instance.leaf ~label:"STUDENT#2" ~relation:"STUDENT"
+              (tuple [ "pid", vi 1; "degree_program", vs "MS CS"; "year", vi 2 ]) ] ]
+  in
+  let old_i = cs345 d in
+  let new_i =
+    check_ok
+      (Vo_core.Request.attach_component old_i ~parent_label:"COURSES"
+         ~at:(tuple [ "course_id", vs "CS345" ]) ~child)
+  in
+  translate d ~old_i ~new_i
+
+let test_attach_identical_grade_rejected () =
+  (* Student 1 already has grade A in CS345: VO-CI case 1 in the island. *)
+  check_err_contains ~sub:"already exists" (attach_grade (db ()) "A")
+
+let test_attach_conflicting_grade_rejected () =
+  (* Same key (CS345, 1), different grade: VO-CI case 3 in the island. *)
+  check_err_contains ~sub:"same key" (attach_grade (db ()) "C")
+
 let test_island_subtree_removal_deletes () =
   let d = db () in
   let i = cs345 d in
@@ -328,6 +355,8 @@ let suite =
     Alcotest.test_case "peninsula own key prohibited" `Quick test_peninsula_own_key_prohibited;
     Alcotest.test_case "peninsula nonkey change" `Quick test_peninsula_nonkey_change;
     Alcotest.test_case "I-2 attach grade" `Quick test_i2_insert_grade;
+    Alcotest.test_case "attach identical grade rejected" `Quick test_attach_identical_grade_rejected;
+    Alcotest.test_case "attach same-key grade rejected" `Quick test_attach_conflicting_grade_rejected;
     Alcotest.test_case "island subtree removal" `Quick test_island_subtree_removal_deletes;
     Alcotest.test_case "outside removal no-op" `Quick test_outside_removal_is_noop;
     Alcotest.test_case "I-1 outside modify" `Quick test_i1_outside_modify;
