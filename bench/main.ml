@@ -1029,19 +1029,19 @@ let e12 () =
   (* Each test re-establishes its obs configuration on every run: the
      mode switch is two stores, negligible against the us-scale path,
      and it keeps the measurement correct whatever order bechamel runs
-     the tests in. *)
-  let ring = Obs.Trace.Ring.create 4096 in
+     the tests in. The sink is a closure that drops each span, so the
+     figures price the region call, not a sink's storage. *)
   let with_mode ~metrics ~trace f () =
     if metrics then Obs.Metrics.enable () else Obs.Metrics.disable ();
-    Obs.Trace.set_sink
-      (if trace then Some (Obs.Trace.Ring.sink ring) else None);
+    Obs.Trace.set_sink (if trace then Some ignore else None);
     f ()
   in
   (* Primitive costs, amortized over 1000 iterations so the mode-switch
      wrapper disappears from the per-op figure. *)
   let c = Obs.Metrics.counter "e12.counter" in
-  let h = Obs.Metrics.histogram "e12.histogram" in
+  let h = Obs.Metrics.histogram "e12.region_ns" in
   let x1000 f () = for _ = 1 to 1000 do f () done in
+  let region () = Obs.Trace.with_span h ignore in
   let rows =
     run_group "e12"
       [
@@ -1059,23 +1059,20 @@ let e12 () =
           (stage
              (with_mode ~metrics:true ~trace:false
                 (x1000 (fun () -> Obs.Metrics.Counter.incr c))));
-        Test.make ~name:"histogram-observe-x1000:disabled"
-          (stage
-             (with_mode ~metrics:false ~trace:false
-                (x1000 (fun () -> Obs.Metrics.Histogram.observe h 4096.))));
-        Test.make ~name:"histogram-observe-x1000:enabled"
-          (stage
-             (with_mode ~metrics:true ~trace:false
-                (x1000 (fun () -> Obs.Metrics.Histogram.observe h 4096.))));
-        Test.make ~name:"span-x1000:no-sink"
-          (stage
-             (with_mode ~metrics:false ~trace:false
-                (x1000 (fun () -> Obs.Trace.with_span "e12" ignore))));
-        Test.make ~name:"span-x1000:ring-sink"
-          (stage
-             (with_mode ~metrics:false ~trace:true
-                (x1000 (fun () -> Obs.Trace.with_span "e12" ignore))));
+        Test.make ~name:"region-x1000:off"
+          (stage (with_mode ~metrics:false ~trace:false (x1000 region)));
+        Test.make ~name:"region-x1000:metrics"
+          (stage (with_mode ~metrics:true ~trace:false (x1000 region)));
+        Test.make ~name:"region-x1000:metrics+sink"
+          (stage (with_mode ~metrics:true ~trace:true (x1000 region)));
       ]
+  in
+  (* The regions one commit enters, counted off a sink. *)
+  let regions =
+    let n = ref 0 in
+    Obs.Trace.set_sink (Some (fun _ -> incr n));
+    ignore (commit ());
+    !n
   in
   (* e12 must not decide the obs configuration of whatever runs next. *)
   Obs.Metrics.enable ();
@@ -1091,37 +1088,38 @@ let e12 () =
         (tr /. 1e3)
         (100. *. (tr -. off) /. off)
   | _ -> ());
+  (match
+     t "region-x1000:off", t "region-x1000:metrics", t "region-x1000:metrics+sink"
+   with
+  | Some off, Some on, Some sink ->
+      Fmt.pr
+        "region call: %.2f ns off, %.2f ns with metrics, %.2f ns with \
+         metrics and a sink.@."
+        (off /. 1000.) (on /. 1000.) (sink /. 1000.)
+  | _ -> ());
   (* The acceptance figure is derived from the primitive branch costs
      rather than the difference of two noisy commit measurements: count
      the instrumentation touches one disabled-mode commit pays and
-     price them at the measured disabled per-op cost. Touch counts for
-     a batch of n: 2 spans and 2 timed histograms (commit_group,
-     global_check), 2 result counters, and ~3 pruned-connection-check
-     counter touches per update inside check_delta. *)
+     price them at the measured disabled per-op cost. A batch of n
+     touches [regions] regions (counted above), 2 result counters, and
+     ~3 pruned-connection-check counter touches per update inside
+     check_delta. *)
   match
-    ( t "commit:obs-off",
-      t "counter-incr-x1000:disabled",
-      t "histogram-observe-x1000:disabled",
-      t "span-x1000:no-sink" )
+    t "commit:obs-off", t "counter-incr-x1000:disabled", t "region-x1000:off"
   with
-  | Some off, Some c1000, Some h1000, Some s1000 ->
+  | Some off, Some c1000, Some r1000 ->
       let branch = c1000 /. 1000. in
-      let observe = h1000 /. 1000. in
-      let span = s1000 /. 1000. in
+      let region = r1000 /. 1000. in
       let est =
         (float_of_int (2 + (3 * n)) *. branch)
-        +. (2. *. span) +. (2. *. observe)
+        +. (float_of_int regions *. region)
       in
       let pct = 100. *. est /. off in
-      Fmt.pr
-        "@.disabled-mode primitives: counter %.2f ns, histogram %.2f ns, \
-         span %.2f ns per touch.@."
-        branch observe span;
       if pct < 5. then
         Fmt.pr
-          "acceptance: disabled instrumentation costs ~%.0f ns of a %.1f us \
-           commit = %.2f%% (< 5%%).@."
-          est (off /. 1e3) pct
+          "acceptance: %d region(s) and ~%d counter touches per commit cost \
+           ~%.0f ns disabled, of a %.1f us commit = %.2f%% (< 5%%).@."
+          regions (2 + (3 * n)) est (off /. 1e3) pct
       else
         Fmt.pr
           "ACCEPTANCE FAILED: disabled instrumentation estimated at %.2f%% \

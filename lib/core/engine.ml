@@ -8,6 +8,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 module M = Obs.Metrics
 
+let m_stage_ns = M.histogram "engine.stage_ns"
 let m_translate_ns = M.histogram "engine.translate_ns"
 let m_stage_apply_ns = M.histogram "engine.stage_apply_ns"
 let m_global_check_ns = M.histogram "engine.global_check_ns"
@@ -42,12 +43,11 @@ let dedup_ops ops =
   List.rev rev
 
 let translate g db vo spec request =
-  Obs.Trace.with_span "engine.translate"
+  Obs.Trace.with_span m_translate_ns
     ~tags:
       [ "object", vo.Viewobject.Definition.name;
         "kind", Request.kind_name request ]
   @@ fun () ->
-  M.time m_translate_ns @@ fun () ->
   let result =
     match request with
     | Request.Insert inst -> Vo_ci.translate g db vo spec inst
@@ -120,7 +120,7 @@ let instance_reads g vo db fp request =
 let stage ?(base_version = 0) g db vo spec request =
   let request_kind = Request.kind_name request in
   let object_name = vo.Viewobject.Definition.name in
-  Obs.Trace.with_span "engine.stage"
+  Obs.Trace.with_span m_stage_ns
     ~tags:[ "object", object_name; "kind", request_kind ]
   @@ fun () ->
   Log.debug (fun m -> m "%s on %s: staging" request_kind object_name);
@@ -136,8 +136,8 @@ let stage ?(base_version = 0) g db vo spec request =
           m "%s on %s: %d operation(s)" request_kind object_name
             (List.length ops));
       match
-        Obs.Trace.with_span "engine.stage_apply" @@ fun () ->
-        M.time m_stage_apply_ns @@ fun () -> Transaction.run_delta db ops
+        Obs.Trace.with_span m_stage_apply_ns @@ fun () ->
+        Transaction.run_delta db ops
       with
       | Transaction.Rolled_back { reason; failed_op }, _ ->
           M.Counter.incr m_application_failed;
@@ -276,20 +276,18 @@ let commit_group ?(validation = Global_validation.Incremental) g db staged =
   | [] -> Ok (db, Delta.empty)
   | _ ->
       let result =
-        Obs.Trace.with_span "engine.commit_group"
+        Obs.Trace.with_span m_commit_group_ns
           ~tags:
             [ "batch", string_of_int (List.length staged);
               "mode", Global_validation.mode_name validation ]
         @@ fun () ->
-        M.time m_commit_group_ns @@ fun () ->
         let ( let* ) = Result.bind in
         let* merged = merge_deltas staged in
         let* post = apply_group db merged staged in
         match
-          Obs.Trace.with_span "engine.global_check"
+          Obs.Trace.with_span m_global_check_ns
             ~tags:[ "mode", Global_validation.mode_name validation ]
           @@ fun () ->
-          M.time m_global_check_ns @@ fun () ->
           Global_validation.validate validation g ~pre:db ~post ~delta:merged
         with
         | Ok () ->

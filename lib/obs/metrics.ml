@@ -38,27 +38,49 @@ module Gauge = struct
   let value g = Atomic.get g
 end
 
-(* 1 µs .. ~16.8 s, doubling: wide enough for a single fsync'd commit
-   and fine enough to separate the µs-scale pipeline stages. *)
-let default_bounds = List.init 25 (fun i -> 1e3 *. Float.of_int (1 lsl i))
+(* One layout for every histogram: 8 sub-buckets per octave from 1 ns
+   to 2^36 ns (~68.7 s), then one overflow bucket. Bucket [i] covers
+   [2^o * (1 + s/8), 2^o * (1 + (s+1)/8)) for o = i / 8, s = i mod 8, so
+   its upper bound is at most 12.5% above anything it holds. Values
+   below 1 ns share the first bucket. *)
+let sub_buckets = 8
+let octaves = 36
+let overflow = octaves * sub_buckets
+let limit = Float.ldexp 1. octaves
+
+let bucket_of v =
+  if v < 1. then 0
+  else if not (v < limit) then overflow
+  else
+    (* v = m * 2^e with 0.5 <= m < 1: octave e - 1, and the eighth of
+       it is read off the mantissa. *)
+    let m, e = Float.frexp v in
+    ((e - 1) * sub_buckets) + int_of_float ((m -. 0.5) *. 16.)
+
+let upper_bound i =
+  if i >= overflow then infinity
+  else
+    Float.ldexp
+      (1. +. (Float.of_int ((i mod sub_buckets) + 1) /. Float.of_int sub_buckets))
+      (i / sub_buckets)
 
 module Histogram = struct
   type t = {
-    bounds : float array;  (* strictly increasing upper bounds *)
-    counts : int array;  (* length = Array.length bounds + 1 (overflow) *)
+    name : string;
+    counts : int array;  (* overflow + 1 buckets *)
     mutable count : int;
     mutable sum : float;
     mutable max_v : float;
     lock : Mutex.t;
         (* An observation updates four fields; the mutex keeps them
            mutually consistent across domains. Uncontended lock/unlock
-           is tens of ns — noise next to the µs-scale spans recorded. *)
+           is tens of ns — noise next to the µs-scale regions recorded. *)
   }
 
-  let make bounds =
+  let make name =
     {
-      bounds = Array.of_list bounds;
-      counts = Array.make (List.length bounds + 1) 0;
+      name;
+      counts = Array.make (overflow + 1) 0;
       count = 0;
       sum = 0.;
       max_v = 0.;
@@ -69,21 +91,18 @@ module Histogram = struct
     Mutex.lock h.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock h.lock) f
 
-  (* The bucket walk is over a fixed-size array: O(1) per observation. *)
-  let bucket_of h v =
-    let n = Array.length h.bounds in
-    let rec go i = if i >= n || v <= h.bounds.(i) then i else go (i + 1) in
-    go 0
+  let name h = h.name
 
-  let record h v =
-    locked h @@ fun () ->
-    let b = bucket_of h v in
-    h.counts.(b) <- h.counts.(b) + 1;
-    h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
-    if v > h.max_v then h.max_v <- v
+  let observe h v =
+    if !on then begin
+      let b = bucket_of v in
+      locked h @@ fun () ->
+      h.counts.(b) <- h.counts.(b) + 1;
+      h.count <- h.count + 1;
+      h.sum <- h.sum +. v;
+      if v > h.max_v then h.max_v <- v
+    end
 
-  let observe h v = if !on then record h v
   let count h = locked h (fun () -> h.count)
   let sum h = locked h (fun () -> h.sum)
   let max_value h = locked h (fun () -> h.max_v)
@@ -92,41 +111,19 @@ module Histogram = struct
     locked h @@ fun () ->
     if h.count = 0 then 0.
     else
-      let target = q *. Float.of_int h.count in
-      let n = Array.length h.bounds in
+      let rank = max 1 (int_of_float (Float.ceil (q *. Float.of_int h.count))) in
       let rec go i seen =
-        if i > n then h.max_v
-        else
-          let seen = seen + h.counts.(i) in
-          if Float.of_int seen >= target then
-            if i >= n then h.max_v else Float.min h.bounds.(i) h.max_v
-          else go (i + 1) seen
+        let seen = seen + h.counts.(i) in
+        if seen >= rank || i = overflow then Float.min (upper_bound i) h.max_v
+        else go (i + 1) seen
       in
       go 0 0
 
   let buckets h =
     locked h @@ fun () ->
-    List.init
-      (Array.length h.counts)
-      (fun i ->
-        ( (if i < Array.length h.bounds then h.bounds.(i) else infinity),
-          h.counts.(i) ))
-
-  let merge a b =
-    if a.bounds <> b.bounds then Error "histogram merge: different buckets"
-    else begin
-      (* Snapshot each side under its own lock (never both at once — no
-         lock-order hazard), then combine the snapshots. *)
-      let snap h = locked h (fun () -> Array.copy h.counts, h.count, h.sum, h.max_v) in
-      let ca, na, sa, ma = snap a in
-      let cb, nb, sb, mb = snap b in
-      let m = make (Array.to_list a.bounds) in
-      Array.iteri (fun i c -> m.counts.(i) <- c + cb.(i)) ca;
-      m.count <- na + nb;
-      m.sum <- sa +. sb;
-      m.max_v <- Float.max ma mb;
-      Ok m
-    end
+    List.filter_map
+      (fun i -> if h.counts.(i) = 0 then None else Some (upper_bound i, h.counts.(i)))
+      (List.init (overflow + 1) Fun.id)
 
   let reset h =
     locked h @@ fun () ->
@@ -172,7 +169,7 @@ let gauge name =
       Hashtbl.replace registry name (Gauge_m g);
       g
 
-let histogram ?(bounds = default_bounds) name =
+let histogram name =
   registered @@ fun () ->
   match Hashtbl.find_opt registry name with
   | Some (Histogram_m h) -> h
@@ -180,20 +177,9 @@ let histogram ?(bounds = default_bounds) name =
       invalid_arg
         (Printf.sprintf "metric %s is already registered as another kind" name)
   | None ->
-      let sorted = List.sort_uniq Float.compare bounds in
-      if sorted <> bounds || bounds = [] then
-        invalid_arg
-          (Printf.sprintf "metric %s: bounds must be strictly increasing" name);
-      let h = Histogram.make bounds in
+      let h = Histogram.make name in
       Hashtbl.replace registry name (Histogram_m h);
       h
-
-let time h f =
-  if not !on then f ()
-  else begin
-    let t0 = now_ns () in
-    Fun.protect ~finally:(fun () -> Histogram.record h (now_ns () -. t0)) f
-  end
 
 let all () =
   registered (fun () ->

@@ -1,13 +1,20 @@
 (** A process-wide metrics registry: monotonic counters, gauges, and
-    fixed-bucket latency histograms.
+    latency histograms.
 
     Every primitive is O(1) on the hot path — a counter increment is a
     flag test plus an integer store, a histogram observation a flag
-    test plus one bucket walk over a fixed array — and the whole layer
-    collapses to the flag test when disabled ({!enable} has not been
-    called), so instrumented code pays one branch in production-off
-    mode. See DESIGN.md §5.4 for the metric-name taxonomy and the
-    disabled-mode guarantees.
+    test plus a bucket index read off the value's binary exponent and
+    mantissa — and the whole layer collapses to the flag test when
+    disabled ({!enable} has not been called), so instrumented code pays
+    one branch in production-off mode. See DESIGN.md §5.4 for the
+    metric-name taxonomy and the disabled-mode guarantees.
+
+    A latency histogram named [<region>_ns] is recorded by
+    {!Obs.Trace.with_span}, which also emits the region's trace span:
+    one call times one region for both. Only histograms whose
+    observations are not one region's duration (the server's
+    tick-timed commit and flush latencies) call {!Histogram.observe}
+    directly.
 
     Metrics are registered once (by name, at first use) and live for
     the process; {!reset} zeroes values but keeps registrations, so a
@@ -55,13 +62,22 @@ end
 
 val gauge : string -> Gauge.t
 
-(** {1 Histograms} *)
+(** {1 Histograms}
+
+    Every histogram has the same log-linear layout: 8 sub-buckets per
+    octave from 1 ns to 2{^36} ns (about 69 s), plus one overflow
+    bucket; values below 1 ns share the first bucket. A bucket's upper
+    bound is at most 12.5% above any value it holds. *)
 
 module Histogram : sig
   type t
 
+  val name : t -> string
+  (** The name it is registered under. *)
+
   val observe : t -> float -> unit
-  (** Record one observation (nanoseconds for latency histograms). *)
+  (** Record one observation (nanoseconds for latency histograms) when
+      metrics are enabled. *)
 
   val count : t -> int
   val sum : t -> float
@@ -69,28 +85,20 @@ module Histogram : sig
 
   val quantile : t -> float -> float
   (** [quantile h q] (0 ≤ q ≤ 1): the upper bound of the bucket holding
-      the q-th observation, clamped to the observed maximum (so the
-      unbounded overflow bucket reports a finite figure) — an estimate
-      whose error is the bucket width. 0 when the histogram is empty. *)
+      the ⌈q·n⌉-th smallest of the [n] observations (at least the
+      first), clamped to the observed maximum. For observations between
+      1 ns and 2{^36} ns the figure is at least [exact], that order
+      statistic, and at most [1.125 *. exact]. 0 when the histogram is
+      empty. *)
 
   val buckets : t -> (float * int) list
-  (** (upper bound, count) pairs, in bound order; the final pair has
-      bound [infinity] (the overflow bucket). *)
-
-  val merge : t -> t -> (t, string) result
-  (** Combine two histograms over the same bucket boundaries into a
-      fresh, unregistered histogram. Errors when boundaries differ. *)
+  (** (upper bound, count) pairs of the non-empty buckets, in bound
+      order; the overflow bucket's bound is [infinity]. *)
 end
 
-val histogram : ?bounds:float list -> string -> Histogram.t
-(** [bounds] are bucket upper bounds, strictly increasing (default:
-    26 log-spaced latency buckets from 1 µs to ~16.8 s). An implicit
-    overflow bucket catches everything above the last bound. *)
-
-val time : Histogram.t -> (unit -> 'a) -> 'a
-(** Run the thunk, recording its wall-clock duration (ns) when metrics
-    are enabled; when disabled, exactly the thunk. The duration is
-    recorded whether the thunk returns or raises. *)
+val histogram : string -> Histogram.t
+(** Register (or fetch, if already registered) the named histogram.
+    @raise Invalid_argument if the name is registered as another kind. *)
 
 (** {1 Registry} *)
 

@@ -19,11 +19,31 @@ let set_sink s =
   stack := [];
   next_id := 1
 
-let active () = Option.is_some !the_sink
+(* Pop [sp] off the open-span stack, through the entry even if an
+   exception unwound past intermediate frames without their finalizers
+   running. *)
+let pop sp =
+  match !stack with
+  | s :: rest when s == sp -> stack := rest
+  | other ->
+      let rec drop = function
+        | s :: rest -> if s == sp then rest else drop rest
+        | [] -> other
+      in
+      stack := drop other
 
-let with_span ?(tags = []) name f =
+let span_name h =
+  let n = Metrics.Histogram.name h in
+  if String.ends_with ~suffix:"_ns" n then String.sub n 0 (String.length n - 3)
+  else n
+
+let with_span ?(tags = []) h f =
   match !the_sink with
-  | None -> f ()
+  | None when not (Metrics.enabled ()) -> f ()
+  | None ->
+      let t0 = Metrics.now_ns () in
+      Fun.protect f ~finally:(fun () ->
+          Metrics.Histogram.observe h (Metrics.now_ns () -. t0))
   | Some emit ->
       let parent, depth =
         match !stack with [] -> 0, 0 | s :: _ -> s.id, s.depth + 1
@@ -33,7 +53,7 @@ let with_span ?(tags = []) name f =
           id = !next_id;
           parent;
           depth;
-          name;
+          name = span_name h;
           tags;
           start_ns = Metrics.now_ns ();
           duration_ns = 0.;
@@ -41,59 +61,16 @@ let with_span ?(tags = []) name f =
       in
       incr next_id;
       stack := sp :: !stack;
-      let finally () =
-        sp.duration_ns <- Metrics.now_ns () -. sp.start_ns;
-        (* Pop through the entry even if an exception unwound past
-           intermediate frames without their finalizers running. *)
-        (match !stack with
-        | s :: rest when s == sp -> stack := rest
-        | other -> (
-            match List.find_opt (fun s -> s == sp) other with
-            | None -> ()
-            | Some _ ->
-                let rec drop = function
-                  | s :: rest -> if s == sp then rest else drop rest
-                  | [] -> []
-                in
-                stack := drop other));
-        emit sp
-      in
-      Fun.protect ~finally f
+      Fun.protect f ~finally:(fun () ->
+          sp.duration_ns <- Metrics.now_ns () -. sp.start_ns;
+          Metrics.Histogram.observe h sp.duration_ns;
+          pop sp;
+          emit sp)
 
 let tag k v =
   match !stack with
   | [] -> ()
   | sp :: _ -> sp.tags <- sp.tags @ [ k, v ]
-
-(* --- sinks ------------------------------------------------------------ *)
-
-module Ring = struct
-  type t = {
-    capacity : int;
-    buf : span option array;
-    mutable next : int;  (* total spans ever written *)
-  }
-
-  let create capacity =
-    let capacity = max capacity 1 in
-    { capacity; buf = Array.make capacity None; next = 0 }
-
-  let sink r sp =
-    r.buf.(r.next mod r.capacity) <- Some sp;
-    r.next <- r.next + 1
-
-  let sink r = sink r
-
-  let contents r =
-    let n = min r.next r.capacity in
-    List.init n (fun i ->
-        r.buf.((r.next - n + i) mod r.capacity))
-    |> List.filter_map Fun.id
-
-  let clear r =
-    Array.fill r.buf 0 r.capacity None;
-    r.next <- 0
-end
 
 (* --- line formats ----------------------------------------------------- *)
 

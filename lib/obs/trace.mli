@@ -1,15 +1,19 @@
-(** Structured trace spans: where a request's time goes, step by step.
+(** Timed regions: where a request's time goes, step by step.
 
-    A span covers one named region of execution (a pipeline stage, a
-    journal append, a session rebase). Spans nest — a span opened while
-    another is active records it as its parent — and carry string tags
-    (the validation mode, the object name, the rebase cause). Finished
-    spans are delivered to the installed {!type-sink}; with no sink
-    installed ({!active} is false) the whole layer is a single pointer
-    test and instrumented code runs untraced.
+    A region is one timed stretch of execution (a pipeline stage, a
+    journal append, a session rebase), and {!with_span} is the one call
+    that times it. A region is named by its registered latency
+    histogram [<region>_ns]: the call records the region's duration
+    there when metrics are enabled, and, when a sink is installed, it
+    also emits a span named [<region>] — both from one pair of clock
+    reads. Spans nest — a span opened while another is active records
+    it as its parent — and carry string tags (the validation mode, the
+    object name, the rebase cause). Finished spans are delivered to
+    the installed {!type-sink}; with no sink installed and metrics
+    disabled the call is two flag tests and the thunk.
 
     Span ids are unique per process run, dense from 1; [parent = 0]
-    marks a root span. See DESIGN.md §5.4 for the span taxonomy. *)
+    marks a root span. See DESIGN.md §5.4 for the region table. *)
 
 type span = {
   id : int;
@@ -28,33 +32,23 @@ val set_sink : sink option -> unit
 (** Install the sink ([None] disables tracing). Installing a sink also
     resets the id counter and the open-span stack. *)
 
-val active : unit -> bool
-
-val with_span : ?tags:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a span of the given name. The span is
-    finished (and emitted) whether the thunk returns or raises. With no
-    sink installed, exactly the thunk. *)
+val with_span :
+  ?tags:(string * string) list -> Metrics.Histogram.t -> (unit -> 'a) -> 'a
+(** [with_span h f] runs [f] as the region [h] names: its duration is
+    recorded into [h] (when metrics are enabled) and emitted as a span
+    named after [h] without its [_ns] suffix (when a sink is
+    installed). Both happen whether the thunk returns or raises. With
+    no sink and metrics disabled, exactly the thunk. *)
 
 val tag : string -> string -> unit
 (** Attach a tag to the innermost open span (no-op when none is open
     or tracing is off) — for facts only known mid-span, e.g. how many
     updates a commit rebased. *)
 
-(** {1 Sinks} *)
+(** {1 Sinks}
 
-module Ring : sig
-  (** A fixed-capacity in-memory sink holding the most recent spans —
-      the default destination when no file sink is given. *)
-
-  type t
-
-  val create : int -> t
-  val sink : t -> sink
-  val contents : t -> span list
-  (** Oldest first; at most [capacity] spans. *)
-
-  val clear : t -> unit
-end
+    Any [span -> unit] closure is a sink: a test collects spans with
+    one that conses onto a list. *)
 
 val channel_sink : out_channel -> sink
 (** Write one {!sexp_line} per finished span to the channel (the

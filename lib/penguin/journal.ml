@@ -7,6 +7,8 @@ let ( let* ) = Result.bind
 module M = Obs.Metrics
 
 let m_append_ns = M.histogram "journal.append_ns"
+let m_replay_ns = M.histogram "journal.replay_ns"
+let m_rotate_ns = M.histogram "journal.rotate_ns"
 let m_appends = M.counter "journal.appends"
 let m_fsyncs = M.counter "journal.fsyncs"
 let m_replays = M.counter "journal.replays"
@@ -243,9 +245,8 @@ let initialize ?(epoch = 0) t ~base =
   Fsio.atomic_write t.io ~path:t.path (frame (header_payload ~base ~epoch))
 
 let append_frame t ?(sync = true) framed =
-  Obs.Trace.with_span "journal.append" ~tags:[ "sync", string_of_bool sync ]
+  Obs.Trace.with_span m_append_ns ~tags:[ "sync", string_of_bool sync ]
   @@ fun () ->
-  M.time m_append_ns @@ fun () ->
   M.Counter.incr m_appends;
   let* () = t.io.Fsio.write ~path:t.path ~append:true framed in
   let* () =
@@ -286,7 +287,7 @@ let decode_trail ~path framed =
   go 0 [] framed
 
 let replay t =
-  Obs.Trace.with_span "journal.replay" @@ fun () ->
+  Obs.Trace.with_span m_replay_ns @@ fun () ->
   M.Counter.incr m_replays;
   let* content = t.io.Fsio.read t.path in
   match content with
@@ -374,7 +375,7 @@ let rotate ?(epoch = 0) t ~snapshot_path ~snapshot ~base ~kept =
      The compacted journal holds the same records above [base] as the
      old one, so a crash on either side of its rename reopens at the
      same version. *)
-  Obs.Trace.with_span "journal.rotate" @@ fun () ->
+  Obs.Trace.with_span m_rotate_ns @@ fun () ->
   let* () = Fsio.atomic_write t.io ~path:snapshot_path snapshot in
   let compacted = String.concat "" (frame (header_payload ~base ~epoch) :: kept) in
   let* () = Fsio.atomic_write t.io ~path:t.path compacted in

@@ -100,8 +100,7 @@ let claim jnl (r : Journal.replay) ~clean_bytes =
    under the store's exclusive lock in the CLI; pass [~repair:true] only
    when holding that lock (or when provably the sole process). *)
 let open_store ?(io = Fsio.default) ?(repair = false) ?cache store =
-  Obs.Trace.with_span "recovery.open_store" @@ fun () ->
-  M.time m_open_ns @@ fun () ->
+  Obs.Trace.with_span m_open_ns @@ fun () ->
   M.Counter.incr m_opens;
   (* An attached cache is replay-warmed: the journal entries applied
      below land in the workspace's log as real deltas, so syncing the
@@ -267,6 +266,7 @@ module Appender = struct
   }
 
   let m_slices = M.counter "recovery.snapshot_slices"
+  let m_slice_ns = M.histogram "recovery.snapshot_slice_ns"
   let m_install_ns = M.histogram "recovery.snapshot_install_ns"
   let m_appends = M.counter "recovery.appender_appends"
   let m_revalidations = M.counter "recovery.appender_revalidations"
@@ -474,10 +474,10 @@ module Appender = struct
      so the cursor is rebuilt before the next append. Rotation preserves
      the epoch: folding the journal is not a leadership change. *)
   let install t r doc =
+    Obs.Trace.with_span m_install_ns @@ fun () ->
     t.render <- None;
     let kept = List.rev r.kept in
     match
-      M.time m_install_ns @@ fun () ->
       Journal.rotate ~epoch:t.epoch t.jnl ~snapshot_path:t.store ~snapshot:doc
         ~base:r.at ~kept
     with
@@ -497,7 +497,7 @@ module Appender = struct
     | Some r -> (
         M.Counter.incr m_slices;
         match
-          Obs.Trace.with_span "recovery.snapshot_slice" @@ fun () ->
+          Obs.Trace.with_span m_slice_ns @@ fun () ->
           Store.Render.slice r.doc ~rows
         with
         | None -> None
@@ -521,8 +521,7 @@ module Appender = struct
 
   let write t ~since ws =
     guarded t.breaker @@ fun () ->
-    Obs.Trace.with_span "recovery.append" @@ fun () ->
-    M.time m_persist_ns @@ fun () ->
+    Obs.Trace.with_span m_persist_ns @@ fun () ->
     let* entries = held_since ~since ws in
     if since <> t.tail then
       Error (advanced ~store:t.store ~tail:t.tail ~at:since)
@@ -536,8 +535,7 @@ end
 let persist ?(io = Fsio.default) ?snapshot_bytes ?breaker ?expect_epoch ~store
     ~since ws =
   Appender.guarded breaker @@ fun () ->
-  Obs.Trace.with_span "recovery.persist" @@ fun () ->
-  M.time m_persist_ns @@ fun () ->
+  Obs.Trace.with_span m_persist_ns @@ fun () ->
   let* entries = Appender.held_since ~since ws in
   (* A retried persist whose earlier attempt failed, and failed to cut
      its record back off, finds that record one past [since]. *)

@@ -215,7 +215,7 @@ let round ?push t ev = drive ?push t (Core.step t.st ev)
 
 let pull t =
   M.Counter.incr c_polls;
-  M.time h_poll_ns @@ fun () -> round t Core.Poll
+  Obs.Trace.with_span h_poll_ns @@ fun () -> round t Core.Poll
 
 let poll t =
   if status t = Promoted then promoted "polling"
@@ -328,7 +328,7 @@ let push_step ~timeout t p =
     Error (Core.Feed (transient ~sock:p.push_sock "replica: push stream closed"))
   else begin
     M.Counter.incr c_polls;
-    M.time h_poll_ns @@ fun () ->
+    Obs.Trace.with_span h_poll_ns @@ fun () ->
     let ready = Netio.Stream.ready p.push_stream in
     let lost =
       match Unix.select [ p.push_fd ] [] [] (if ready then 0. else timeout) with
@@ -467,7 +467,7 @@ let oql t name condition = Viewobject.Cache.oql t.cache name condition
    the old epoch is fenced: its persist sees the newer header epoch and
    refuses. Returns the writable workspace and the new epoch. *)
 let promote_store ?(io = Fsio.default) ?(peers = []) store =
-  M.time h_promote_ns @@ fun () ->
+  Obs.Trace.with_span h_promote_ns @@ fun () ->
   let* () =
     (* Failover discipline: promote the most-advanced candidate, or
        lose every quorum-acked commit past this store's position. With

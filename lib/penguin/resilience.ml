@@ -50,9 +50,6 @@ module Policy = struct
       seed = 0;
     }
 
-  let no_retry = { default with max_attempts = 1 }
-  let occ = { default with max_attempts = 3; base_delay_ns = 0.; jitter = 0. }
-
   (* A deterministic unit draw in [0, 1) from (seed, attempt): a 48-bit
      LCG (the classic drand48 constants) keyed on both and iterated a
      few rounds so nearby keys decorrelate. Native-int arithmetic only —

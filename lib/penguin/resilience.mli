@@ -51,14 +51,6 @@ module Policy : sig
   (** 5 attempts, 1 ms base doubling to a 100 ms cap, 20% jitter,
       seed 0. *)
 
-  val no_retry : t
-  (** A single attempt; {!retry} degenerates to calling the function. *)
-
-  val occ : t
-  (** In-process OCC rebases: 3 attempts, no backoff. Re-deriving
-      against an in-memory workspace is deterministic — sleeping cannot
-      change the outcome, so the loop only needs a bound. *)
-
   val backoff_ns : t -> attempt:int -> float
   (** Delay after failed attempt [attempt] (1-based). Deterministic in
       [(policy, attempt)]: [base * multiplier^(attempt-1)], capped at

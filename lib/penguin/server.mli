@@ -31,8 +31,10 @@
     path — when repeated durability faults trip it, commits are refused
     with {!Error.Busy} while [oql] reads keep serving through the
     materialized {!Viewobject.Cache} (degraded read-only serving).
-    Per-request latency histograms and [server.*] counters flow through
-    {!Obs.Metrics}; the flush path is spanned through {!Obs.Trace}.
+    Request handling, oql reads and each flush's window commit are
+    timed regions ({!Obs.Trace.with_span}); the commit and flush
+    latencies, which span loop turns, are observed from tick times
+    into {!Obs.Metrics}, with the [server.*] counters.
 
     {2 Core and event loop}
 

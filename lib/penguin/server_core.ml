@@ -19,6 +19,7 @@ let m_commit_ns = M.histogram "server.commit_ns"
 let m_request_ns = M.histogram "server.request_ns"
 let m_oql_ns = M.histogram "server.oql_ns"
 let m_flush_ns = M.histogram "server.flush_ns"
+let m_window_commit_ns = M.histogram "server.window_commit_ns"
 let m_repl_acks = M.counter "server.replication.acks"
 let m_repl_quorum = M.counter "server.replication.quorum_commits"
 let m_repl_under = M.counter "server.replication.under_replicated"
@@ -283,7 +284,7 @@ let flush st reason =
   | parked ->
       st.window <- [];
       let t0 = st.now in
-      Obs.Trace.with_span "server.flush"
+      Obs.Trace.with_span m_window_commit_ns
         ~tags:[ "reason", reason; "parked", string_of_int (List.length parked) ]
       @@ fun () ->
       let cur = st.ws in
@@ -362,7 +363,7 @@ let appended st result =
 (* --- request handling ---------------------------------------------------- *)
 
 let handle_request st c payload =
-  M.time m_request_ns @@ fun () ->
+  Obs.Trace.with_span m_request_ns @@ fun () ->
   match Sexp.parse payload with
   | Error m -> answer_error st c (Error.invalid ("bad request: " ^ m))
   | Ok (Sexp.List [ Sexp.Atom "ping" ]) -> send st c [ "(ok pong)" ]
@@ -407,7 +408,7 @@ let handle_request st c payload =
                 if List.length st.window >= st.config.flush_window then
                   flush st "size"))
   | Ok (Sexp.List [ Sexp.Atom "oql"; Sexp.Atom obj; Sexp.Atom q ]) -> (
-      M.time m_oql_ns @@ fun () ->
+      Obs.Trace.with_span m_oql_ns @@ fun () ->
       match Viewobject.Cache.oql st.cache obj q with
       | Error m -> answer_error st c (Error.invalid m)
       | Ok instances ->

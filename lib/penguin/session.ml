@@ -10,6 +10,7 @@ let m_queue_depth = M.gauge "session.queue_depth"
 let m_queued = M.counter "session.queued"
 let m_commits = M.counter "session.commits"
 let m_commit_ns = M.histogram "session.commit_ns"
+let m_rebase_ns = M.histogram "session.rebase_ns"
 let m_rebases = M.counter "session.rebases"
 let m_rebase_conflict = M.counter "session.rebase_conflict"
 let m_rebase_unknown = M.counter "session.rebase_unknown_history"
@@ -182,7 +183,7 @@ let restage ws todo =
 let onto ws s =
   let rebase cause =
     M.Counter.incr m_rebases;
-    Obs.Trace.with_span "session.rebase" ~tags:[ "cause", cause ] @@ fun () ->
+    Obs.Trace.with_span m_rebase_ns ~tags:[ "cause", cause ] @@ fun () ->
     match restage ws (entries s) with
     | Ok todo -> Ok (todo, true)
     | Error e ->
@@ -406,10 +407,9 @@ let commit ?deadline_ns ?cache ws s =
                  at v%d"
                 s.base_version (Workspace.version ws)))
     | _ -> (
-        Obs.Trace.with_span "session.commit"
+        Obs.Trace.with_span m_commit_ns
           ~tags:[ "queued", string_of_int s.count ]
         @@ fun () ->
-        M.time m_commit_ns @@ fun () ->
         match commit_window ws [ s ] with
         | ws', [ Ok { versions; rebased } ] ->
             let version = Workspace.version ws' in

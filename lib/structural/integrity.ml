@@ -71,7 +71,7 @@ let check_connection g db (c : Connection.t) =
 let m_check_full_ns = Obs.Metrics.histogram "integrity.check_full_ns"
 
 let check g db =
-  Obs.Metrics.time m_check_full_ns @@ fun () ->
+  Obs.Trace.with_span m_check_full_ns @@ fun () ->
   List.concat_map (check_connection g db) (Schema_graph.connections g)
 
 (* --- incremental (delta-driven) checking ------------------------------ *)
@@ -187,7 +187,7 @@ let dedup_violations vs =
 let m_check_delta_ns = Obs.Metrics.histogram "integrity.check_delta_ns"
 
 let check_delta g db ~delta =
-  Obs.Metrics.time m_check_delta_ns @@ fun () ->
+  Obs.Trace.with_span m_check_delta_ns @@ fun () ->
   let always _ = true in
   Delta.fold
     (fun rel change acc ->

@@ -15,6 +15,7 @@ let m_skipped = M.counter "cache.skipped"
 let m_divergences = M.counter "cache.divergences"
 let m_patch_ns = M.histogram "cache.patch_ns"
 let m_warm_ns = M.histogram "cache.warm_ns"
+let m_apply_delta_ns = M.histogram "cache.apply_delta_ns"
 
 let ( let* ) = Result.bind
 
@@ -156,8 +157,7 @@ let dependencies t name =
    (Figure 4), and building it is a walk of index lookups, so a commit
    rebuilds the keys it reaches the same way ([patch_def]). *)
 let build_def t ds =
-  M.time m_warm_ns @@ fun () ->
-  Obs.Trace.with_span "cache.warm"
+  Obs.Trace.with_span m_warm_ns
     ~tags:[ "object", ds.def.Definition.name ]
   @@ fun () ->
   let pivot_rel = Database.relation_exn t.db ds.def.Definition.pivot in
@@ -277,8 +277,7 @@ let paranoid_check t =
     t.defs
 
 let patch_def t ds ~post d =
-  M.time m_patch_ns @@ fun () ->
-  Obs.Trace.with_span "cache.patch"
+  Obs.Trace.with_span m_patch_ns
     ~tags:[ "object", ds.def.Definition.name ]
   @@ fun () ->
   let entries = match ds.entries with Some m -> m | None -> assert false in
@@ -342,7 +341,7 @@ let patch_def t ds ~post d =
         ds.def.Definition.name)
 
 let apply_delta t ~post d =
-  Obs.Trace.with_span "cache.apply_delta" @@ fun () ->
+  Obs.Trace.with_span m_apply_delta_ns @@ fun () ->
   let touched = SSet.of_list (Delta.relations d) in
   let warm_defs = List.filter (fun (_, ds) -> ds.entries <> None) t.defs in
   let relevant, skipped =

@@ -40,54 +40,70 @@ let test_counter_gauge () =
     (Invalid_argument "metric t.counter is already registered as another kind")
     (fun () -> ignore (M.gauge "t.counter"))
 
+(* Every histogram has one layout: 8 sub-buckets per octave, so the
+   bucket holding v covers [2^o (1 + s/8), 2^o (1 + (s+1)/8)). *)
 let test_histogram_bucketing () =
   fresh ();
-  let h = M.histogram ~bounds:[ 10.; 100.; 1000. ] "t.hist" in
-  List.iter (M.Histogram.observe h) [ 5.; 7.; 50.; 500.; 5000.; 50000. ];
-  Alcotest.(check int) "count" 6 (M.Histogram.count h);
-  Alcotest.(check (float 1e-6)) "sum" 55562. (M.Histogram.sum h);
-  Alcotest.(check (float 1e-6)) "max" 50000. (M.Histogram.max_value h);
-  (* Each observation lands in the first bucket whose bound admits it;
-     everything past the last bound lands in the overflow bucket. *)
+  let h = M.histogram "t.hist" in
+  List.iter (M.Histogram.observe h) [ 5.; 7.; 50.; 500.; 4096.; 50000.; 1e11 ];
+  Alcotest.(check int) "count" 7 (M.Histogram.count h);
+  Alcotest.(check (float 1e-6)) "sum" (1e11 +. 54658.) (M.Histogram.sum h);
+  Alcotest.(check (float 1e-6)) "max" 1e11 (M.Histogram.max_value h);
+  (* 5 is in [5, 5.5) of the octave [4, 8); a power of two opens its
+     octave's first eighth; 1e11 is past 2^36 ns, in the overflow
+     bucket. *)
   Alcotest.(check (list (pair (float 1e-6) int)))
     "bucket occupancy"
-    [ 10., 2; 100., 1; 1000., 1; infinity, 2 ]
+    [ 5.5, 1; 7.5, 1; 52., 1; 512., 1; 4608., 1; 53248., 1; infinity, 1 ]
     (M.Histogram.buckets h);
-  (* Quantiles report the upper bound of the holding bucket. *)
-  Alcotest.(check (float 1e-6)) "p50 in second bucket" 100.
-    (M.Histogram.quantile h 0.5);
-  Alcotest.(check (float 1e-6)) "p0 is the first bucket" 10.
+  (* A quantile is the upper bound of the bucket holding the
+     ceil(q n)-th observation: here the 4th, 500. *)
+  Alcotest.(check (float 1e-6)) "p50" 512. (M.Histogram.quantile h 0.5);
+  Alcotest.(check (float 1e-6)) "p0 is the smallest observation's bucket" 5.5
     (M.Histogram.quantile h 0.0);
   (* the overflow bucket has no upper bound; the estimate clamps to the
      observed maximum instead of reporting infinity *)
-  Alcotest.(check (float 1e-6)) "p100 clamps to the observed max" 50000.
+  Alcotest.(check (float 1e-6)) "p100 clamps to the observed max" 1e11
     (M.Histogram.quantile h 1.0);
-  let empty = M.histogram ~bounds:[ 10. ] "t.hist.empty" in
+  let tiny = M.histogram "t.hist.tiny" in
+  M.Histogram.observe tiny 0.25;
+  Alcotest.(check (list (pair (float 1e-6) int)))
+    "below 1 ns: the first bucket" [ 1.125, 1 ] (M.Histogram.buckets tiny);
+  Alcotest.(check (float 1e-6)) "clamped to the max" 0.25
+    (M.Histogram.quantile tiny 0.5);
+  let empty = M.histogram "t.hist.empty" in
   Alcotest.(check (float 1e-6)) "empty histogram quantile" 0.
     (M.Histogram.quantile empty 0.5)
 
-let test_histogram_merge () =
+(* Against exact order statistics of random samples, log-uniform over
+   1 us .. 10 s: the reported quantile is never below the exact one and
+   at most 12.5% above it. *)
+let prop_quantile_within_bound =
+  let arb =
+    QCheck.make
+      ~print:(fun (us, q) ->
+        Fmt.str "n=%d q=%g first=%g" (List.length us) q
+          (match us with u :: _ -> u | [] -> nan))
+      QCheck.Gen.(
+        pair
+          (list_size (int_range 1 2000) (float_range 0. 1.))
+          (float_range 0. 1.))
+  in
+  QCheck.Test.make ~name:"quantile within 12.5% of the exact order statistic"
+    ~count:200 arb
+  @@ fun (us, q) ->
   fresh ();
-  let a = M.histogram ~bounds:[ 10.; 100. ] "t.merge.a" in
-  let b = M.histogram ~bounds:[ 10.; 100. ] "t.merge.b" in
-  List.iter (M.Histogram.observe a) [ 5.; 50. ];
-  List.iter (M.Histogram.observe b) [ 7.; 700. ];
-  (match M.Histogram.merge a b with
-  | Error e -> Alcotest.failf "merge failed: %s" e
-  | Ok m ->
-      Alcotest.(check int) "merged count" 4 (M.Histogram.count m);
-      Alcotest.(check (float 1e-6)) "merged sum" 762. (M.Histogram.sum m);
-      Alcotest.(check (float 1e-6)) "merged max" 700. (M.Histogram.max_value m);
-      Alcotest.(check (list (pair (float 1e-6) int)))
-        "merged buckets"
-        [ 10., 2; 100., 1; infinity, 1 ]
-        (M.Histogram.buckets m);
-      (* The merge is a fresh value: the inputs are untouched. *)
-      Alcotest.(check int) "input a untouched" 2 (M.Histogram.count a));
-  let c = M.histogram ~bounds:[ 10.; 200. ] "t.merge.c" in
-  match M.Histogram.merge a c with
-  | Ok _ -> Alcotest.fail "merge across different bounds must fail"
-  | Error _ -> ()
+  let h = M.histogram "t.quantile" in
+  let samples = List.map (fun u -> 1e3 *. (10. ** (7. *. u))) us in
+  List.iter (M.Histogram.observe h) samples;
+  let sorted = Array.of_list (List.sort Float.compare samples) in
+  let n = Array.length sorted in
+  List.for_all
+    (fun q ->
+      let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+      let exact = sorted.(rank - 1) and got = M.Histogram.quantile h q in
+      exact <= got && got <= 1.125 *. exact)
+    [ 0.; 0.5; 0.9; 0.99; 1.; q ]
 
 (* Two domains hammering the same metrics concurrently: counters are
    Atomic fetch-and-add, histograms take a per-histogram mutex, and
@@ -101,7 +117,7 @@ let test_domain_safety_hammer () =
        must race safely and return the one shared metric. *)
     let c = M.counter "t.hammer.counter" in
     let g = M.gauge "t.hammer.gauge" in
-    let h = M.histogram ~bounds:[ 10.; 100. ] "t.hammer.hist" in
+    let h = M.histogram "t.hammer.hist" in
     for i = 1 to rounds do
       M.Counter.incr c;
       M.Gauge.add g 1.0;
@@ -116,7 +132,7 @@ let test_domain_safety_hammer () =
   Alcotest.(check (float 1e-6)) "no gauge add lost"
     (float_of_int (2 * rounds))
     (M.Gauge.value (M.gauge "t.hammer.gauge"));
-  let h = M.histogram ~bounds:[ 10.; 100. ] "t.hammer.hist" in
+  let h = M.histogram "t.hammer.hist" in
   Alcotest.(check int) "no observation lost" (2 * rounds)
     (M.Histogram.count h);
   Alcotest.(check int) "bucket counts also sum up" (2 * rounds)
@@ -127,31 +143,46 @@ let test_domain_safety_hammer () =
           (fun (name, _) -> Relational.Strutil.contains ~sub:"t.hammer" name)
           (M.all ())))
 
+(* --- timed regions ------------------------------------------------------- *)
+
+(* Install a sink that keeps every finished span; the returned function
+   uninstalls it and gives the spans in finish order. *)
+let collect_spans () =
+  let spans = ref [] in
+  T.set_sink (Some (fun s -> spans := s :: !spans));
+  fun () ->
+    T.set_sink None;
+    List.rev !spans
+
 let test_time_records_on_raise () =
   fresh ();
-  let h = M.histogram "t.time" in
-  (try M.time h (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "raising thunk still observed" 1 (M.Histogram.count h)
-
-(* --- trace spans -------------------------------------------------------- *)
+  let h = M.histogram "t.time_ns" in
+  (try T.with_span h (fun () -> failwith "boom") with Failure _ -> ());
+  Alcotest.(check int) "raising thunk still observed" 1 (M.Histogram.count h);
+  M.disable ();
+  T.with_span h ignore;
+  M.enable ();
+  Alcotest.(check int) "metrics off, no sink: not observed" 1
+    (M.Histogram.count h)
 
 let test_span_nesting () =
   fresh ();
-  let ring = T.Ring.create 16 in
-  T.set_sink (Some (T.Ring.sink ring));
+  let outer_h = M.histogram "t.outer_ns" and inner_h = M.histogram "t.inner_ns" in
+  let spans = collect_spans () in
   let result =
-    T.with_span "outer" ~tags:[ "k", "v" ] (fun () ->
-        T.with_span "inner" (fun () ->
+    T.with_span outer_h ~tags:[ "k", "v" ] (fun () ->
+        T.with_span inner_h (fun () ->
             T.tag "mid" "yes";
             7))
   in
-  T.set_sink None;
+  let spans = spans () in
   Alcotest.(check int) "thunk result" 7 result;
-  match T.Ring.contents ring with
+  match spans with
   | [ inner; outer ] ->
-      (* children finish (and are emitted) before parents *)
-      Alcotest.(check string) "inner first" "inner" inner.T.name;
-      Alcotest.(check string) "outer second" "outer" outer.T.name;
+      (* children finish (and are emitted) before parents; a span is
+         named after its histogram, without the _ns *)
+      Alcotest.(check string) "inner first" "t.inner" inner.T.name;
+      Alcotest.(check string) "outer second" "t.outer" outer.T.name;
       Alcotest.(check int) "root parent is 0" 0 outer.T.parent;
       Alcotest.(check int) "inner's parent is outer" outer.T.id inner.T.parent;
       Alcotest.(check int) "outer depth" 0 outer.T.depth;
@@ -163,43 +194,34 @@ let test_span_nesting () =
       Alcotest.(check (list (pair string string))) "tag hits innermost span"
         [ "mid", "yes" ] inner.T.tags;
       Alcotest.(check bool) "durations non-negative" true
-        (inner.T.duration_ns >= 0. && outer.T.duration_ns >= 0.)
+        (inner.T.duration_ns >= 0. && outer.T.duration_ns >= 0.);
+      (* one clock pair feeds both: the histogram holds the span's
+         duration *)
+      Alcotest.(check (float 0.)) "histogram records the span's duration"
+        outer.T.duration_ns (M.Histogram.sum outer_h);
+      Alcotest.(check int) "inner recorded once" 1 (M.Histogram.count inner_h)
   | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
 
 let test_span_finishes_on_raise () =
   fresh ();
-  let ring = T.Ring.create 16 in
-  T.set_sink (Some (T.Ring.sink ring));
-  (try T.with_span "raising" (fun () -> failwith "boom")
-   with Failure _ -> ());
+  let raising = M.histogram "t.raising_ns" and after = M.histogram "t.after_ns" in
+  let spans = collect_spans () in
+  (try T.with_span raising (fun () -> failwith "boom") with Failure _ -> ());
   (* the stack must be clean: a next root span really is a root *)
-  T.with_span "after" ignore;
-  T.set_sink None;
-  match T.Ring.contents ring with
+  T.with_span after ignore;
+  match spans () with
   | [ raising; after ] ->
-      Alcotest.(check string) "raising span emitted" "raising" raising.T.name;
+      Alcotest.(check string) "raising span emitted" "t.raising" raising.T.name;
       Alcotest.(check int) "stack popped on raise" 0 after.T.parent
   | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
 
-let test_ring_capacity () =
-  fresh ();
-  let ring = T.Ring.create 3 in
-  T.set_sink (Some (T.Ring.sink ring));
-  for i = 1 to 5 do
-    T.with_span (Fmt.str "s%d" i) ignore
-  done;
-  T.set_sink None;
-  Alcotest.(check (list string)) "keeps the most recent, oldest first"
-    [ "s3"; "s4"; "s5" ]
-    (List.map (fun s -> s.T.name) (T.Ring.contents ring))
-
 let test_span_lines_well_formed () =
   fresh ();
-  let ring = T.Ring.create 64 in
-  T.set_sink (Some (T.Ring.sink ring));
-  T.with_span "outer" ~tags:[ "mode", "incremental"; "quote", {|a"b|} ]
-    (fun () -> T.with_span "inner \"quoted\"\nname" ignore);
-  T.set_sink None;
+  let outer = M.histogram "t.lines.outer_ns"
+  and inner = M.histogram "inner \"quoted\"\nname_ns" in
+  let spans = collect_spans () in
+  T.with_span outer ~tags:[ "mode", "incremental"; "quote", {|a"b|} ]
+    (fun () -> T.with_span inner ignore);
   List.iter
     (fun s ->
       let line = T.sexp_line s in
@@ -215,7 +237,7 @@ let test_span_lines_well_formed () =
                  | Relational.Sexp.List _ -> Alcotest.fail "name is a list"))
                (Relational.Sexp.keyed_opt "name" fields))
       | Ok _ -> Alcotest.failf "not a span line: %s" line)
-    (T.Ring.contents ring)
+    (spans ())
 
 (* --- json --------------------------------------------------------------- *)
 
@@ -506,8 +528,7 @@ let test_real_paths_and_json () =
 
 let test_real_paths_trace () =
   fresh ();
-  let ring = T.Ring.create 4096 in
-  T.set_sink (Some (T.Ring.sink ring));
+  let spans = collect_spans () in
   let dir = temp_dir "obs-trace" and pdir = temp_dir "obs-trace-persist" in
   Test_server.make_bench_store dir 2;
   Test_replica.commit dir "A-";
@@ -522,13 +543,9 @@ let test_real_paths_trace () =
         C.close c2)
   in
   persist_traffic pdir;
-  T.set_sink None;
+  let names = List.sort_uniq String.compare (List.map (fun s -> s.T.name) (spans ())) in
   rm_rf dir;
   rm_rf pdir;
-  let names =
-    List.sort_uniq String.compare
-      (List.map (fun s -> s.T.name) (T.Ring.contents ring))
-  in
   List.iter
     (fun expected ->
       if not (List.mem expected names) then
@@ -536,7 +553,17 @@ let test_real_paths_trace () =
     [ "engine.stage"; "engine.translate"; "engine.commit_group";
       "engine.global_check"; "session.commit"; "session.rebase";
       "journal.append"; "journal.rotate"; "recovery.open_store";
-      "recovery.persist"; "cache.warm"; "cache.apply_delta"; "cache.patch" ]
+      "recovery.persist"; "cache.warm"; "cache.apply_delta"; "cache.patch" ];
+  (* One taxonomy: every span is a region whose histogram <name>_ns
+     recorded it. *)
+  let histograms = M.all () in
+  List.iter
+    (fun name ->
+      match List.assoc_opt (name ^ "_ns") histograms with
+      | Some (M.Histogram_m h) when M.Histogram.count h >= 1 -> ()
+      | Some (M.Histogram_m _) -> Alcotest.failf "span %s: histogram %s_ns is empty" name name
+      | _ -> Alcotest.failf "span %s has no histogram %s_ns" name name)
+    names
 
 (* --- the bench-regression gate ------------------------------------------ *)
 
@@ -662,7 +689,7 @@ let suite =
   [
     Alcotest.test_case "counters and gauges" `Quick test_counter_gauge;
     Alcotest.test_case "histogram bucketing" `Quick test_histogram_bucketing;
-    Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
+    QCheck_alcotest.to_alcotest prop_quantile_within_bound;
     Alcotest.test_case "time records on raise" `Quick
       test_time_records_on_raise;
     Alcotest.test_case "two domains hammer the registry" `Quick
@@ -670,7 +697,6 @@ let suite =
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span finishes on raise" `Quick
       test_span_finishes_on_raise;
-    Alcotest.test_case "ring capacity" `Quick test_ring_capacity;
     Alcotest.test_case "span lines well-formed" `Quick
       test_span_lines_well_formed;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;

@@ -58,8 +58,10 @@ let test_schedule_bounds () =
   Alcotest.(check (float 1e-6)) "capped"
     pure.R.Policy.max_delay_ns
     (R.Policy.backoff_ns pure ~attempt:50);
-  Alcotest.(check (list (float 1e-6))) "occ policy never sleeps" [ 0.; 0. ]
-    (R.Policy.schedule R.Policy.occ)
+  Alcotest.(check (list (float 1e-6))) "a zero base delay never sleeps"
+    [ 0.; 0. ]
+    (R.Policy.schedule
+       { p with max_attempts = 3; base_delay_ns = 0.; jitter = 0. })
 
 (* --- retry ------------------------------------------------------------- *)
 
