@@ -867,7 +867,7 @@ let e11 () =
            or_fail
              (Penguin.Journal.rotate rotate_t
                 ~snapshot_path:(Filename.concat dir "rotate.pgn")
-                ~snapshot ~base ~kept:[])))
+                ~snapshot ~base)))
   in
   let rows =
     run_group "e11"

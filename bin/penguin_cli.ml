@@ -824,10 +824,14 @@ let replica_status target from sock json =
        another process is tailing. This is what failover tooling
        compares across candidates before $(b,promote). *)
     let d = or_die (Penguin.Replica.durable_position target) in
-    Fmt.pr
-      {|{"target": %S, "version": %d, "epoch": %d, "durable_offset": %d}@.|}
-      target d.Penguin.Replica.d_version d.Penguin.Replica.d_epoch
-      d.Penguin.Replica.d_offset
+    let int n = Obs.Json.Num (float_of_int n) in
+    print_endline
+      (Obs.Json.to_string
+         (Obs.Json.Obj
+            [ "target", Obs.Json.Str target;
+              "version", int d.Penguin.Replica.d_version;
+              "epoch", int d.Penguin.Replica.d_epoch;
+              "durable_offset", int d.Penguin.Replica.d_offset ]))
   end
   else begin
     let feed = replica_feed from sock in

@@ -24,14 +24,16 @@ let escape b s =
     s;
   Buffer.add_char b '"'
 
-(* Integral floats print without a fractional part; everything else with
-   enough digits to round-trip. NaN and infinities are not JSON — emit
-   null, matching what the bench harness did for unmeasured rows. *)
+(* The shorter of 15 and 17 significant digits that reads back equal (17
+   always does), so integral floats below 1e15 print without a
+   fractional part. NaN and infinities are not JSON — emit null,
+   matching what the bench harness did for unmeasured rows. *)
 let number b f =
   if Float.is_nan f || Float.abs f = infinity then Buffer.add_string b "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" f)
-  else Buffer.add_string b (Printf.sprintf "%.12g" f)
+  else
+    let short = Printf.sprintf "%.15g" f in
+    Buffer.add_string b
+      (if float_of_string short = f then short else Printf.sprintf "%.17g" f)
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"

@@ -17,9 +17,10 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact, single-line rendering (no newlines anywhere): numbers are
-    printed with enough precision to round-trip, strings are escaped
-    per RFC 8259. *)
+(** Compact, single-line rendering (no newlines anywhere): a finite
+    number is printed with the fewer of 15 and 17 significant digits
+    that {!parse} reads back equal, NaN and the infinities as [null];
+    strings are escaped per RFC 8259. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented multi-line rendering, for human-facing output. *)

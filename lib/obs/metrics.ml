@@ -11,7 +11,9 @@ let enable () = on := true
 let disable () = on := false
 let enabled () = !on
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+external now_ns : unit -> (float[@unboxed])
+  = "obs_monotonic_ns_byte" "obs_monotonic_ns"
+[@@noalloc]
 
 module Counter = struct
   type t = int Atomic.t

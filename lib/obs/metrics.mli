@@ -33,8 +33,13 @@ val enable : unit -> unit
 val disable : unit -> unit
 val enabled : unit -> bool
 
-val now_ns : unit -> float
-(** Wall-clock time in nanoseconds (the span/latency timebase). *)
+external now_ns : unit -> (float[@unboxed])
+  = "obs_monotonic_ns_byte" "obs_monotonic_ns"
+[@@noalloc]
+(** Monotonic time in nanoseconds since an unspecified start
+    ([CLOCK_MONOTONIC]): the span, latency and deadline timebase. A
+    step of the system clock does not move it, so a duration is never
+    negative; a reading means nothing to another process. *)
 
 (** {1 Counters} *)
 

@@ -15,7 +15,6 @@ let m_replays = M.counter "journal.replays"
 let m_replayed_records = M.counter "journal.replayed_records"
 let m_torn_repairs = M.counter "journal.torn_repairs"
 let m_rotations = M.counter "journal.rotations"
-let m_compacted_bytes = M.counter "journal.compacted_bytes"
 
 let atom = Sexp.atom
 let l = Sexp.list
@@ -368,17 +367,14 @@ let truncate_torn t ~clean_bytes =
 
 let sync_name t = t.io.Fsio.sync (Filename.dirname t.path)
 
-let rotate ?(epoch = 0) t ~snapshot_path ~snapshot ~base ~kept =
+let rotate ?(epoch = 0) t ~snapshot_path ~snapshot ~base =
   (* Snapshot first, then compact: a crash between the two leaves a
      newer snapshot under the old journal, and replay skips the entries
      the snapshot already contains (entry version <= snapshot version).
-     The compacted journal holds the same records above [base] as the
-     old one, so a crash on either side of its rename reopens at the
-     same version. *)
+     After the rename the journal is a header at the snapshot's
+     version, so a crash on either side of it reopens at [base]. *)
   Obs.Trace.with_span m_rotate_ns @@ fun () ->
   let* () = Fsio.atomic_write t.io ~path:snapshot_path snapshot in
-  let compacted = String.concat "" (frame (header_payload ~base ~epoch) :: kept) in
-  let* () = Fsio.atomic_write t.io ~path:t.path compacted in
+  let* () = initialize ~epoch t ~base in
   M.Counter.incr m_rotations;
-  M.Counter.add m_compacted_bytes (String.length compacted);
   Ok ()

@@ -49,8 +49,8 @@ val append : t -> ?sync:bool -> Commit_log.entry list -> (int, Error.t) result
 
 val append_frame : t -> ?sync:bool -> string -> (int, Error.t) result
 (** {!append} for a record its caller has already framed ({!frame} of
-    {!record_payload}) — what lets a writer keep the exact bytes it
-    appended, to carry them into a compacted journal. *)
+    {!record_payload}) — what lets a writer that keeps the payload (to
+    know its own record after a failed append) encode it only once. *)
 
 type record = Commit_log.entry list
 (** One framed journal record: one commit batch, written by {!append}
@@ -110,19 +110,16 @@ val sync_name : t -> (unit, Error.t) result
 
 val rotate :
   ?epoch:int -> t -> snapshot_path:string -> snapshot:string -> base:int ->
-  kept:string list -> (unit, Error.t) result
-(** Fold the journal into a snapshot at version [base] and compact it:
-    atomically write [snapshot] (tmp file + fsync + rename), then
-    atomically replace the journal with a header at [base] stamped with
-    [epoch] (default [0] — callers that preserve or bump the epoch pass
-    it explicitly), followed by [kept]: the framed records the journal
-    holds above [base], in order ([[]] when the snapshot is at the
-    journal's tail). Every crash point reopens at the journal's tail:
-    between the two writes the new snapshot sits under the old journal,
-    and replay skips the entries the snapshot already contains; after
-    the rename the compacted journal holds the same records above
-    [base]. Counts [journal.compacted_bytes], the compacted journal's
-    size. *)
+  (unit, Error.t) result
+(** Fold the journal into a snapshot at version [base], the journal's
+    tail, and compact it: atomically write [snapshot] (tmp file + fsync
+    + rename), then atomically replace the journal with a header at
+    [base] stamped with [epoch] (default [0] — callers that preserve or
+    bump the epoch pass it explicitly). Every crash point reopens at
+    [base]: between the two writes the new snapshot sits under the old
+    journal, and replay skips the entries the snapshot already
+    contains; after the rename the journal holds no record. Counts
+    [journal.rotations]. *)
 
 (** {1 Wire building blocks}
 

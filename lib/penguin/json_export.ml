@@ -2,29 +2,15 @@ open Relational
 open Structural
 open Viewobject
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string s = Obs.Json.to_string (Obs.Json.Str s)
 
+(* Ints print exactly, past 2^53 too; a float is a JSON number, or null
+   when it is not finite. *)
 let value = function
   | Value.Null -> "null"
   | Value.Int i -> string_of_int i
-  | Value.Float f -> Value.float_to_string f
-  | Value.Str s -> escape_string s
+  | Value.Float f -> Obs.Json.to_string (Obs.Json.Num f)
+  | Value.Str s -> json_string s
   | Value.Bool b -> string_of_bool b
 
 (* A child node is structurally singular when its last connection is a
@@ -48,14 +34,14 @@ let rec render buf (dn : Definition.node) (i : Instance.t) =
   List.iter
     (fun a ->
       comma ();
-      Buffer.add_string buf (escape_string a);
+      Buffer.add_string buf (json_string a);
       Buffer.add_char buf ':';
       Buffer.add_string buf (value (Tuple.get i.Instance.tuple a)))
     dn.Definition.attrs;
   List.iter
     (fun (cn : Definition.node) ->
       comma ();
-      Buffer.add_string buf (escape_string cn.Definition.label);
+      Buffer.add_string buf (json_string cn.Definition.label);
       Buffer.add_char buf ':';
       let subs = Instance.children_of i cn.Definition.label in
       if singular cn then (

@@ -12,7 +12,8 @@
 open Viewobject
 
 val value : Relational.Value.t -> string
-(** Scalar rendering: numbers bare, strings escaped per RFC 8259, null. *)
+(** Scalar rendering: ints exactly, floats and strings as {!Obs.Json}
+    prints them (a float that is not finite as [null]), null. *)
 
 val instance : Definition.t -> Instance.t -> string
 val instances : Definition.t -> Instance.t list -> string

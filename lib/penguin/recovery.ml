@@ -197,11 +197,10 @@ let open_store ?(io = Fsio.default) ?(repair = false) ?cache store =
            })
 
 let snapshot ?(io = Fsio.default) ?(epoch = 0) ~store ws =
-  let doc = Store.Render.slice (Store.Render.start ~epoch ws) ~rows:max_int in
   Journal.rotate ~epoch
     (Journal.create ~io (Journal.journal_path store))
-    ~snapshot_path:store ~snapshot:(Option.get doc)
-    ~base:(Workspace.version ws) ~kept:[]
+    ~snapshot_path:store ~snapshot:(Store.save ~epoch ws)
+    ~base:(Workspace.version ws)
 
 (* A follower's restart from its leader's snapshot. When our journal runs
    past the new snapshot it is cut back first (to its base, its epoch
@@ -248,7 +247,6 @@ module Appender = struct
     mutable snapshot_bytes : int;  (* the store document's under it *)
     mutable tail : int;  (* newest version the journal holds *)
     mutable dirty : dirty;
-    mutable render : render option;
   }
 
   (* What a failed write may have left past the tail. *)
@@ -257,16 +255,6 @@ module Appender = struct
     | Rotate_failed  (* a rotation's files, mid-rewrite *)
     | Uncut of string  (* the record of an append whose cut failed *)
 
-  (* A snapshot being rendered at version [at], and the framed records
-     appended since, newest first: the compacted journal's body. *)
-  and render = {
-    doc : Store.Render.t;
-    at : int;
-    mutable kept : string list;
-  }
-
-  let m_slices = M.counter "recovery.snapshot_slices"
-  let m_slice_ns = M.histogram "recovery.snapshot_slice_ns"
   let m_install_ns = M.histogram "recovery.snapshot_install_ns"
   let m_appends = M.counter "recovery.appender_appends"
   let m_revalidations = M.counter "recovery.appender_revalidations"
@@ -376,7 +364,7 @@ module Appender = struct
     let t =
       { io; store; jnl; breaker; epoch; journal_bytes = bytes;
         header_bytes = header; snapshot_bytes = snapshot; tail = at;
-        dirty = Clean; render = None }
+        dirty = Clean }
     in
     set_journal t ~bytes ~header;
     set_snapshot t snapshot;
@@ -429,85 +417,55 @@ module Appender = struct
     if entries = [] then Ok ()
     else
       let payload = Journal.record_payload entries in
-      let framed = Journal.frame payload in
-      match Journal.append_frame t.jnl framed with
+      match Journal.append_frame t.jnl (Journal.frame payload) with
       | Error e ->
           (* The record may lie whole in the file with its pages dropped
              by the failed fsync, and it is reported failed: cut it back
              off before reporting, so no reopen finds it. Should the cut
-             fail too, the next write cuts it; the render goes, as the
-             file may hold more than it kept. *)
-          if Result.is_error (revalidate ~own:payload t) then (
+             fail too, the next write cuts it. *)
+          if Result.is_error (revalidate ~own:payload t) then
             t.dirty <- Uncut payload;
-            t.render <- None);
           Error e
       | Ok n ->
           M.Counter.incr m_appends;
-          Option.iter (fun r -> r.kept <- framed :: r.kept) t.render;
           set_journal t ~bytes:(t.journal_bytes + n) ~header:t.header_bytes;
           t.tail <- Workspace.version ws;
           Ok ()
 
-  (* A rotation is paid for by the journal it folds: it starts once the
+  (* A rotation is paid for by the journal it folds: it is due once the
      records past the header hold at least as many bytes as the
-     snapshot under them (and so at least one record), with a render of
+     snapshot under them (and so at least one record), and it renders
      the workspace last written, so every rotation's base is past the
      last one's. Rewriting the snapshot then costs each byte appended
      at most one more byte written, and an open reads at most about as
-     much journal as snapshot. The render runs in slices; the journal
-     keeps taking appends meanwhile, and their frames are kept for the
-     compacted journal. *)
+     much journal as snapshot. *)
   let due t =
     let records = t.journal_bytes - t.header_bytes in
     records > 0 && records >= t.snapshot_bytes
 
-  let start_rotation t ws =
-    if Option.is_none t.render && due t && Workspace.version ws = t.tail then
-      t.render <-
-        Some { doc = Store.Render.start ~epoch:t.epoch ws; at = t.tail; kept = [] }
-
-  let rotating t = Option.is_some t.render
-
-  (* The append's fsync is the durability point. An install failure past
+  (* The append's fsync is the durability point. A rotation failure past
      it is a warning, not a failed commit — the journal is intact and a
      later rotation retries — but it may have left the files mid-rotate,
      so the cursor is rebuilt before the next append. Rotation preserves
      the epoch: folding the journal is not a leadership change. *)
-  let install t r doc =
-    Obs.Trace.with_span m_install_ns @@ fun () ->
-    t.render <- None;
-    let kept = List.rev r.kept in
-    match
-      Journal.rotate ~epoch:t.epoch t.jnl ~snapshot_path:t.store ~snapshot:doc
-        ~base:r.at ~kept
-    with
-    | Ok () ->
-        let header = Journal.header_length ~base:r.at ~epoch:t.epoch in
-        set_journal t ~header
-          ~bytes:(List.fold_left (fun n f -> n + String.length f) header kept);
-        set_snapshot t (String.length doc);
-        { rotated = true; rotate_error = None }
-    | Error e ->
-        t.dirty <- Rotate_failed;
-        { rotated = false; rotate_error = Some e }
-
-  let rotation_slice t ~rows =
-    match t.render with
-    | None -> None
-    | Some r -> (
-        M.Counter.incr m_slices;
-        match
-          Obs.Trace.with_span m_slice_ns @@ fun () ->
-          Store.Render.slice r.doc ~rows
-        with
-        | None -> None
-        | Some doc -> Some (install t r doc))
-
   let rotate t ws =
-    start_rotation t ws;
-    match rotation_slice t ~rows:max_int with
-    | Some p -> p
-    | None -> { rotated = false; rotate_error = None }
+    if not (due t && Workspace.version ws = t.tail) then
+      { rotated = false; rotate_error = None }
+    else
+      Obs.Trace.with_span m_install_ns @@ fun () ->
+      let doc = Store.save ~epoch:t.epoch ws in
+      match
+        Journal.rotate ~epoch:t.epoch t.jnl ~snapshot_path:t.store ~snapshot:doc
+          ~base:t.tail
+      with
+      | Ok () ->
+          let header = Journal.header_length ~base:t.tail ~epoch:t.epoch in
+          set_journal t ~header ~bytes:header;
+          set_snapshot t (String.length doc);
+          { rotated = true; rotate_error = None }
+      | Error e ->
+          t.dirty <- Rotate_failed;
+          { rotated = false; rotate_error = Some e }
 
   (* The breaker wraps the whole durable path: K consecutive
      {!Error.breaker_fault} outcomes (non-transient I/O, corruption) trip

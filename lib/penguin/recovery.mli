@@ -195,8 +195,8 @@ module Appender : sig
       come from {!open_store} on the same store, under the same lock).
       [breaker] guards every subsequent {!append}, as {!persist}'s
       [breaker] does. The appender keeps the journal's length, by the
-      bytes of each record it appends and the compacted journal's length
-      at each install, and the snapshot's, by each installed document's;
+      bytes of each record it appends and the new header's length at
+      each rotation, and the snapshot's, by each rotation's document's;
       it sets the [recovery.journal_bytes] and
       [recovery.snapshot_bytes] gauges to them as they change. *)
 
@@ -214,39 +214,16 @@ module Appender : sig
 
   val rotate : t -> Workspace.t -> persisted
   (** Fold the journal into a fresh snapshot of the workspace if a
-      rotation is due ({!start_rotation}), rendering it to completion;
-      otherwise do nothing. The workspace must be the one last written
-      (any other is left unrotated). This is {!start_rotation} plus one unbounded
-      {!rotation_slice}: it keeps no record, since none is appended
-      during the render. When a rotation is already pending, it is
-      finished instead. *)
-
-  val start_rotation : t -> Workspace.t -> unit
-  (** Begin {!rotate}'s rotation without rendering anything yet: the
-      workspace, the one last written at version V, is rendered by
-      later {!rotation_slice}s while {!write} keeps appending. The
-      frames appended meanwhile are kept in memory, so the install
-      never re-reads the journal. A rotation is due once the journal's
-      records — its bytes past the header, at least one record — are at
-      least as many bytes as the snapshot under them: its length at
-      {!create}, then each installed document's. Does nothing unless a
-      rotation is due and none is pending. Dropping the appender drops a
-      pending rotation harmlessly: nothing of it is written before its
-      install, and the old journal stays authoritative. A failed
-      {!write} whose record cannot be cut back off drops it too. *)
-
-  val rotating : t -> bool
-  (** A rotation is pending. *)
-
-  val rotation_slice : t -> rows:int -> persisted option
-  (** Render about [rows] more rows of the pending snapshot
-      (counted in [recovery.snapshot_slices]). After the last slice,
-      install it ([recovery.snapshot_install_ns]) through
-      {!Journal.rotate}: the snapshot at V, then the journal replaced
-      by a header at V, same epoch, followed by the records appended
-      since — and return [Some] of the outcome, with {!rotate}'s
-      [rotate_error] contract. [None] while rendering, or when no
-      rotation is pending. *)
+      rotation is due; otherwise do nothing. A rotation is due once the
+      journal's records — its bytes past the header, at least one
+      record — are at least as many bytes as the snapshot under them:
+      its length at {!create}, then each rotation's document's. The
+      workspace must be the one last written, at version V (any other
+      is left unrotated). The rotation renders it ({!Store.save}) and
+      installs it through {!Journal.rotate}: the snapshot at V, then the
+      journal replaced by a header at V with the same epoch. It is
+      timed whole in [recovery.snapshot_install_ns]. A failure is
+      reported as [rotate_error], as {!persist} reports it. *)
 
   val tail : t -> int
   (** The newest version the journal durably holds. *)

@@ -190,8 +190,8 @@ val oql :
     streams its new journal from the first byte, and a follower whose
     version covers the new base takes the header frame as a barrier —
     it folds its own journal in place and re-anchors at the header's
-    end, passing over the records of the compacted journal it already
-    holds, with no resync and no pull round trip. The stream is an
+    end, passing over any records after the header it already holds,
+    with no resync and no pull round trip. The stream is an
     optimization, never a second source of truth — any other anomaly (a
     rotation the follower fell behind, an epoch change, sever, corrupt
     or invalid frame) closes it, the stateless pull path re-finds

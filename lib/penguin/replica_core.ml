@@ -190,9 +190,9 @@ and next st =
    refuses never lands there. A record we already hold is passed over
    when it was pulled (the overlap a locate reads), or when it was
    pushed right after a header barrier and continues the versions passed
-   over since: a compacted journal re-presents the records above its
-   base. Any other pushed record we hold — a duplicate — breaks the
-   stream's contiguity and fails validation. *)
+   over since: a journal compacted by an older leader re-presents the
+   records above its base. Any other pushed record we hold — a
+   duplicate — breaks the stream's contiguity and fails validation. *)
 and record st payload rest entries =
   let vers = version st in
   let held = List.for_all (fun (e : Commit_log.entry) -> e.version <= vers) entries in

@@ -19,12 +19,12 @@
     between following a rotation in place (fold our journal into our
     snapshot), a resync from the leader's snapshot (a rotation we fell
     behind, or any higher epoch), and refusing a deposed leader (a lower
-    epoch). The leader compacts its journal at a rotation, so the new
-    journal re-presents the records above its base: records at or below
-    the follower's version that follow a header barrier, each continuing
-    the versions before it, are passed over on either path, advancing
-    the leader offset. Elsewhere on a stream such a record is a
-    duplicate and breaks it.
+    epoch). A journal compacted by an older leader, which rendered its
+    snapshot while later windows appended, re-presents the records
+    above its base: records at or below the follower's version that
+    follow a header barrier, each continuing the versions before it,
+    are passed over on either path, advancing the leader offset.
+    Elsewhere on a stream such a record is a duplicate and breaks it.
 
     A failed write or fsync on the follower's own journal marks it dirty:
     it is cut back to its clean length before anything else is appended,

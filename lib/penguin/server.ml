@@ -16,10 +16,6 @@ type stats = Core.stats = { requests : int; commits : int; windows : int }
 
 let default_config = Core.default_config
 
-(* Rows of a pending snapshot rendered per event-loop turn: about a
-   millisecond of work, so a rotation delays no request by more. *)
-let snapshot_slice_rows = 1024
-
 (* The event loop's half of a connection: its socket, the bytes read off it
    and not yet handed to the core, and — for a push follower — the
    {!Shipper} subscription its journal bytes are relayed through. *)
@@ -31,9 +27,10 @@ type conn = {
 }
 
 let serve ?(io = Fsio.default) ?(net = Netio.default_net)
-    ?(config = default_config) ?limiter ?breaker ~store ~sock () =
-  let limiter = match limiter with Some l -> l | None ->
-    Resilience.Limiter.create ~label:"server" ~max_in_flight:config.max_parked () in
+    ?(config = default_config) ?breaker ~store ~sock () =
+  let limiter =
+    Resilience.Limiter.create ~label:"server" ~max_in_flight:config.max_parked ()
+  in
   let breaker = match breaker with Some b -> b | None ->
     Resilience.Breaker.create ~label:("server:" ^ store) () in
   (* Writes to a connection the client already closed must surface as
@@ -120,8 +117,10 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
     | Core.Append (since, ws') ->
         (* One journal append + one fsync for the whole window,
            breaker-guarded; transient disk faults retry briefly. The
-           window's record reaches the push followers at once; a due
-           rotation only starts its render here (see [loop]). *)
+           window's record reaches the push followers before a due
+           rotation replaces the journal: a caught-up follower then
+           meets the new header at its own version, not past it. The
+           new journal is relayed from its header. *)
         let result =
           Resilience.retry ~policy:persist_policy ~label:"server.persist"
             (fun () -> Recovery.Appender.write appender ~since ws')
@@ -129,7 +128,14 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
         failed := Result.is_error result;
         if Result.is_ok result then begin
           relay_all ();
-          Recovery.Appender.start_rotation appender ws'
+          let p = Recovery.Appender.rotate appender ws' in
+          if p.Recovery.rotated then relay_all ();
+          Option.iter
+            (fun e ->
+              Log.warn (fun m ->
+                  m "window durable, but journal rotation failed (a later \
+                     flush retries): %a" Error.pp e))
+            p.Recovery.rotate_error
         end;
         Queue.push (Core.Tick (M.now_ns ())) events;
         Queue.push (Core.Appended result) events
@@ -192,29 +198,12 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
     | 0 -> pump (Core.Closed c.id)
     | k -> Netio.Stream.feed c.stream chunk k
   in
-  (* One slice of a pending snapshot per turn. Its install replaces the
-     journal with a compacted one — header first, then the records
-     appended during the render — which the push followers are streamed
-     from its first byte: the streams cross the rotation. *)
-  let render_slice () =
-    match Recovery.Appender.rotation_slice appender ~rows:snapshot_slice_rows with
-    | None -> ()
-    | Some p ->
-        if p.Recovery.rotated then relay_all ();
-        Option.iter
-          (fun e ->
-            Log.warn (fun m ->
-                m "window durable, but journal rotation failed (a later \
-                   flush retries): %a" Error.pp e))
-          p.Recovery.rotate_error
-  in
   let rec loop () =
     List.iter drain !conns;
     if not (Core.stopped core) then begin
       let timeout =
         let ready c = if Netio.Stream.ready c.stream then Some c.id else None in
         match Core.wake core ~held:(List.filter_map ready !conns) with
-        | _ when Recovery.Appender.rotating appender -> 0.
         | None -> -1.
         | Some at -> Float.max 0. ((at -. M.now_ns ()) /. 1e9)
       in
@@ -228,7 +217,6 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
               if fd == srv then accept_new ()
               else Option.iter read_into (List.find_opt (fun c -> c.fd == fd) !conns))
             readable;
-          render_slice ();
           loop ()
     end
   in

@@ -84,12 +84,12 @@
     [(error ...)] frame and the connection closed): new journal bytes
     are streamed to it right after every window's append — replication
     latency is the link, not a polling tick — and its [(ack V)] frames,
-    the version it holds durably, feed the replication tracker. A due
-    journal rotation renders its snapshot a slice per event-loop turn
-    (the [select] timeout is zero while one is pending) and then
-    installs it, compacting the journal to a header plus the records
-    appended during the render; the compacted journal is relayed from
-    its header, and a push stream crosses the rotation.
+    the version it holds durably, feed the replication tracker. A
+    window whose append makes a journal rotation due rotates right
+    after its record is relayed and before its clients are answered
+    ({!Recovery.Appender.rotate}): the snapshot is rewritten at the
+    window's version and the journal replaced by a header there, which
+    is relayed next, so a push stream crosses the rotation.
 
     With [sync_replicas = K > 0] the tracker gates client acks: a
     flushed window is locally durable (fsynced) but its batched
@@ -118,8 +118,8 @@ type config = Server_core.config = {
       (** age of the oldest parked commit that forces a flush (default
           10 ms) — the latency bound when input trickles *)
   max_parked : int;
-      (** admission bound on parked commits (default 256): the
-          {!Resilience.Limiter}'s slot count when [serve] creates one *)
+      (** admission bound on parked commits (default 256): the slot
+          count of the {!Resilience.Limiter} [serve] creates *)
   max_queued : int;
       (** per-session staged-update bound (default 128), enforced by
           {!Session.queue}'s admission check *)
@@ -143,7 +143,6 @@ val serve :
   ?io:Fsio.t ->
   ?net:Netio.net ->
   ?config:config ->
-  ?limiter:Resilience.Limiter.t ->
   ?breaker:Resilience.Breaker.t ->
   store:string ->
   sock:string ->
@@ -153,10 +152,12 @@ val serve :
     take its cross-process lock for the server's lifetime (a serving
     store has exactly one writer — CLI commits against it are held off,
     not raced), attach a materialized {!Viewobject.Cache} for reads,
-    and serve [sock] until a [(shutdown)] request. [limiter] defaults
-    to a fresh one bounded by [config.max_parked]; [breaker] to a fresh
-    default breaker. [io] is the durability layer's injectable seam —
-    the fault tests drive degraded read-only serving through it — and
-    [net] (default {!Netio.default_net}) the socket seam the tests
-    wrap with link faults for partition chaos. Returns serving totals
-    after a clean shutdown. *)
+    and serve [sock] until a [(shutdown)] request. Parked commits take
+    the slots of a {!Resilience.Limiter} bounded by [config.max_parked].
+    [breaker] defaults to a fresh default breaker; the fault tests pass
+    one that trips at the first fault and cools down in a millisecond.
+    [io] is the durability layer's injectable seam — the fault tests
+    drive degraded read-only serving through it — and [net] (default
+    {!Netio.default_net}) the socket seam the tests wrap with link
+    faults for partition chaos. Returns serving totals after a clean
+    shutdown. *)

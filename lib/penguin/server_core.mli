@@ -36,8 +36,8 @@ type config = {
       (** age of the oldest parked commit that forces a flush (default
           10 ms) — the latency bound when input trickles *)
   max_parked : int;
-      (** admission bound on parked commits (default 256): the
-          {!Resilience.Limiter}'s slot count when [serve] creates one *)
+      (** admission bound on parked commits (default 256): the slot
+          count of the {!Resilience.Limiter} [serve] creates *)
   max_queued : int;
       (** per-session staged-update bound (default 128), enforced by
           {!Session.queue}'s admission check *)
@@ -90,7 +90,8 @@ type action =
   | Close of conn_id  (** close the socket; the core has forgotten it *)
   | Append of int * Workspace.t
       (** append the workspace's commits after this version to the
-          journal (one fsync) and answer with {!Appended} *)
+          journal (one fsync), rotate the journal if that made a
+          rotation due, and answer with {!Appended} *)
   | Feed of conn_id * string
       (** answer this follower-feed request ({!Shipper.accept}); report
           a subscription with {!Subscribed} *)

@@ -124,7 +124,7 @@ let relay_frames ~net feed s =
           true)
 
 (* The journal header is the stream's validity token. A new base under
-   the same epoch is a rotation: the new (compacted) journal streams
+   the same epoch is a rotation: the new journal streams
    from byte 0, its header frame first, as the barrier. A new epoch ends the
    stream. *)
 let relay ~net feed s =

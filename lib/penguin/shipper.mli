@@ -24,10 +24,10 @@
     naming the version it holds durably, the first right after it
     accepts the handshake. The stream carries no
     per-frame offsets: bytes are contiguous from the subscribed
-    position. A rotation keeps the stream open — the new (compacted)
-    journal is streamed from its first byte, and its header frame is
-    the barrier the follower folds its own journal at, passing over the
-    records after it that it already holds. An epoch change or an
+    position. A rotation keeps the stream open — the new journal is
+    streamed from its first byte, and its header frame is the barrier
+    the follower folds its own journal at, passing over any records
+    after it that it already holds. An epoch change or an
     unwritable socket closes the stream; the follower then catches up
     through the stateless pull path and resubscribes, so push mode is
     an optimization of the feed's latency, never a second source of

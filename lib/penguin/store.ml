@@ -546,65 +546,32 @@ let add_header buf ~epoch (ws : Workspace.t) =
   section "translators"
     (List.map (fun (_, spec) -> translator_to_sexp spec) ws.Workspace.translators)
 
-module Render = struct
-  (* Where the writer stands: the relations not yet opened and, inside
-     an open one, its rows not yet written. *)
-  type t = {
-    buf : Buffer.t;
-    mutable relations : Relation.t list;
-    mutable rows : Tuple.t list option;  (* [Some] while a relation is open *)
-    mutable finished : bool;
-  }
-
-  let start ~epoch (ws : Workspace.t) =
-    let db = ws.Workspace.db in
-    let buf = Buffer.create (4096 + (80 * Database.total_tuples db)) in
-    add_header buf ~epoch ws;
+let save ?(include_data = true) ?(epoch = 0) (ws : Workspace.t) =
+  let db = ws.Workspace.db in
+  let buf =
+    Buffer.create (4096 + if include_data then 80 * Database.total_tuples db else 0)
+  in
+  add_header buf ~epoch ws;
+  if include_data then begin
     newline buf 1;
     Buffer.add_string buf "(data";
-    let relations = List.map (Database.relation_exn db) (Database.relation_names db) in
-    { buf; relations; rows = None; finished = false }
-
-  (* One unit of work: open the next relation, write one row, or close
-     what is done. *)
-  let step t =
-    let buf = t.buf in
-    match t.rows, t.relations with
-    | Some (row :: rest), _ ->
-        newline buf 3;
-        add_row buf row;
-        t.rows <- Some rest
-    | Some [], _ ->
-        Buffer.add_char buf ')';
-        t.rows <- None
-    | None, r :: rest ->
-        t.relations <- rest;
+    List.iter
+      (fun name ->
+        let r = Database.relation_exn db name in
         newline buf 2;
         Buffer.add_string buf "(relation ";
         Sexp.add_atom buf (Relation.name r);
-        t.rows <- Some (Relation.to_list r)
-    | None, [] ->
-        Buffer.add_string buf "))\n";
-        t.finished <- true
-
-  let slice t ~rows =
-    let n = ref (max 1 rows) in
-    while !n > 0 && not t.finished do
-      step t;
-      decr n
-    done;
-    if t.finished then Some (Buffer.contents t.buf) else None
-end
-
-let save ?(include_data = true) (ws : Workspace.t) =
-  if not include_data then begin
-    let buf = Buffer.create 4096 in
-    add_header buf ~epoch:0 ws;
-    Buffer.add_string buf ")\n";
-    Buffer.contents buf
-  end
-  else
-    Option.get (Render.slice (Render.start ~epoch:0 ws) ~rows:max_int)
+        Relation.iter
+          (fun row ->
+            newline buf 3;
+            add_row buf row)
+          r;
+        Buffer.add_char buf ')')
+      (Database.relation_names db);
+    Buffer.add_char buf ')'
+  end;
+  Buffer.add_string buf ")\n";
+  Buffer.contents buf
 
 (* --- the snapshot reader --------------------------------------------------- *)
 

@@ -67,29 +67,12 @@ val read_row : Sexp.Lexer.t -> Sexp.Lexer.token -> (Tuple.t, string) result
 val instance_of_string : string -> (Viewobject.Instance.t, string) result
 (** One instance as {!instance_to_sexp} prints it. *)
 
-val save : ?include_data:bool -> Workspace.t -> string
-(** Render the workspace ([include_data] defaults to [true]) at epoch 0.
-    The document records the workspace's commit-log version, so a loaded
-    snapshot knows where the {!Journal} takes over. *)
-
-(** {!save}'s document, written a slice at a time: the server renders a
-    snapshot between events instead of stopping for it. A workspace is
-    an immutable value, so the one being rendered stays the version it
-    was when the render started. *)
-module Render : sig
-  type t
-
-  val start : epoch:int -> Workspace.t -> t
-  (** Write the definitions now; the data waits for {!slice}. Past epoch
-      0 the header also records the leader epoch of the lineage the
-      state belongs to, as [(epoch E)]; an epoch-0 document is {!save}'s. *)
-
-  val slice : t -> rows:int -> string option
-  (** Write about [rows] more rows (a relation's opening or closing
-      counts as one; at least one unit is written). [Some doc] once the
-      document is complete — [doc] is exactly {!save}'s output, for any
-      sequence of slice sizes. *)
-end
+val save : ?include_data:bool -> ?epoch:int -> Workspace.t -> string
+(** Render the workspace ([include_data] defaults to [true]). The
+    document records the workspace's commit-log version, so a loaded
+    snapshot knows where the {!Journal} takes over. Past [epoch] 0
+    (the default) the header also records the leader epoch of the
+    lineage the state belongs to, as [(epoch E)]. *)
 
 val load : string -> (Workspace.t, string) result
 (** The loaded workspace's log is {!Commit_log.of_version} of the

@@ -187,8 +187,7 @@ let test_rotate () =
   check_ok (Penguin.Journal.initialize t ~base:0);
   check_appended (Penguin.Journal.append t [ delta_entry 1; delta_entry 2 ]);
   check_ok
-    (Penguin.Journal.rotate t ~snapshot_path ~snapshot:"snapshot-at-v2\n" ~base:2
-       ~kept:[]);
+    (Penguin.Journal.rotate t ~snapshot_path ~snapshot:"snapshot-at-v2\n" ~base:2);
   (match Penguin.Fsio.default.Penguin.Fsio.read snapshot_path with
   | Ok (Some s) -> Alcotest.(check string) "snapshot written" "snapshot-at-v2\n" s
   | _ -> Alcotest.fail "snapshot missing");

@@ -16,6 +16,29 @@ let test_values () =
   Alcotest.(check string) "control chars" "\"\\u0001\""
     (Penguin.Json_export.value (vs "\001"))
 
+(* [nan] and the infinities are not JSON numbers: they render as null,
+   and an instance holding them still parses. An int past 2^53 stays
+   exact. *)
+let test_non_finite_floats () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Fmt.str "%h is null" f) "null"
+        (Penguin.Json_export.value (vf f)))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check string) "an int past 2^53" "9007199254740993"
+    (Penguin.Json_export.value (vi 9007199254740993));
+  Alcotest.(check string) "a float reads back equal" "0.30000000000000004"
+    (Penguin.Json_export.value (vf (0.1 +. 0.2)));
+  let i = Penguin.University.cs345_instance (db ()) in
+  let i =
+    Instance.with_tuple i (Relational.Tuple.set i.Instance.tuple "units" (vf nan))
+  in
+  match Obs.Json.parse (Penguin.Json_export.instance omega i) with
+  | Ok doc ->
+      Alcotest.(check bool) "units is null" true
+        (Obs.Json.member "units" doc = Some Obs.Json.Null)
+  | Error e -> Alcotest.failf "not JSON: %s" e
+
 let test_instance_shape () =
   let i = Penguin.University.cs345_instance (db ()) in
   let json = Penguin.Json_export.instance omega i in
@@ -80,6 +103,7 @@ let test_unbound_attr_is_null () =
 let suite =
   [
     Alcotest.test_case "scalar values" `Quick test_values;
+    Alcotest.test_case "non-finite floats are null" `Quick test_non_finite_floats;
     Alcotest.test_case "instance shape" `Quick test_instance_shape;
     Alcotest.test_case "missing singleton" `Quick test_missing_singleton_is_null;
     Alcotest.test_case "empty set" `Quick test_empty_set_is_array;

@@ -260,6 +260,27 @@ let test_json_roundtrip () =
          unparseable tokens *)
       Alcotest.(check string) "nan is null" "null" (J.to_string (J.Num nan))
 
+(* Any finite float, printed and parsed back, is the same float: a
+   double's bits, a sum whose shortest decimal needs 17 digits, and an
+   integer past 1e15. *)
+let prop_json_number_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ 4, map Int64.float_of_bits int64;
+          2, map2 (fun a b -> float_of_int a /. 10. +. (float_of_int b /. 10.))
+               small_signed_int small_signed_int;
+          2, map float_of_int int;
+          1, oneofl [ 0.1 +. 0.2; 1234567890123456.; -0.; 5e-324; max_float ] ])
+  in
+  QCheck.Test.make ~name:"a finite json number reads back equal" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match J.parse (J.to_string (J.Num f)) with
+      | Ok (J.Num g) -> Float.equal f g
+      | _ -> false)
+
 (* --- the registry, filled by real paths -------------------------------- *)
 
 module C = Penguin.Client
@@ -302,15 +323,12 @@ let reads_and_rebase c c2 ~collect =
    delays every call. The first window's write fault is retried; two
    sessions on one tuple rebase; a clean window releases by quorum; a
    stalled one acks under-replicated and evicts the follower, while a
-   second client's commit is shed at the one-slot limiter; the follower
+   second client's commit is shed at the one parking slot; the follower
    catches up and is re-admitted. *)
 let quorum_traffic dir =
   let config =
     { Penguin.Server.default_config with
-      Penguin.Server.sync_replicas = 1; repl_deadline_ns = 1e9 }
-  in
-  let limiter =
-    Penguin.Resilience.Limiter.create ~label:"obs" ~max_in_flight:1 ()
+      Penguin.Server.sync_replicas = 1; repl_deadline_ns = 1e9; max_parked = 1 }
   in
   (* The first journal append fails transiently: the server's durable
      append retries it. *)
@@ -323,7 +341,7 @@ let quorum_traffic dir =
       ()
   in
   fst
-  @@ Test_server.with_server ~io:(Test_disk.io disk) ~config ~limiter dir
+  @@ Test_server.with_server ~io:(Test_disk.io disk) ~config dir
   @@ fun sock ->
   let r =
     check_ok_e
@@ -700,6 +718,7 @@ let suite =
     Alcotest.test_case "span lines well-formed" `Quick
       test_span_lines_well_formed;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_number_roundtrip;
     Alcotest.test_case "real paths fill the (stats) scrape" `Quick
       test_real_paths_and_json;
     Alcotest.test_case "real paths trace every layer" `Quick

@@ -214,121 +214,6 @@ let test_crash_during_snapshot () =
 let test_crash_during_save_file () =
   crash_during_save (fun ~io store ws -> Penguin.Store.save_file ~io ws store)
 
-(* A rotation whose render spans later appends, as the server runs it:
-   the snapshot at V is rendered a slice at a time while two more
-   windows append, and the install keeps their records above V. [acked]
-   is the last version whose write returned. *)
-let spanning_rotation ~io ~acked dir =
-  let ( let* ) = Result.bind in
-  let module A = Penguin.Recovery.Appender in
-  let store = store_in dir in
-  let* ws, _ = Penguin.Recovery.open_store ~io store in
-  let* app = A.create ~io ~store ws in
-  let write ws g =
-    let ws' = apply_edit ws ("CS345", 2) g in
-    let* () = A.write app ~since:(Penguin.Workspace.version ws) ws' in
-    acked := Penguin.Workspace.version ws';
-    Ok ws'
-  in
-  let* ws1 = write ws (rotating_grade ~io dir) in
-  A.start_rotation app ws1;
-  let slice () = Option.is_some (A.rotation_slice app ~rows:4) in
-  Alcotest.(check bool) "the render takes several slices" false (slice ());
-  let* ws2 = write ws1 "B+" in
-  let* _ws3 = write ws2 "C" in
-  let rec install () =
-    match A.rotation_slice app ~rows:4 with
-    | None -> install ()
-    | Some { Penguin.Recovery.rotate_error = Some e; _ } -> Error e
-    | Some p ->
-        Alcotest.(check bool) "installed" true p.Penguin.Recovery.rotated;
-        Ok ()
-  in
-  install ()
-
-let test_crash_during_spanning_rotation () =
-  (* The states the store may reopen in, by version. *)
-  let states =
-    let io = D.io (D.mem ()) in
-    primed ~io ".";
-    let ws0, _ = recover ~io "." in
-    let ws1 = apply_edit ws0 ("CS345", 2) (rotating_grade ~io ".") in
-    let ws2 = apply_edit ws1 ("CS345", 2) "B+" in
-    let ws3 = apply_edit ws2 ("CS345", 2) "C" in
-    List.map (fun ws -> Penguin.Workspace.version ws, ws) [ ws0; ws1; ws2; ws3 ]
-  in
-  let v0 = fst (List.hd states) in
-  let snapshot_at = v0 + 1 in
-  let seen = Hashtbl.create 3 in
-  let classify d =
-    let io = D.io d in
-    let store = store_in "." in
-    let snap =
-      match check_ok_e (io.Penguin.Fsio.read store) with
-      | Some doc -> check_ok (Penguin.Store.load doc)
-      | None -> Alcotest.fail "the store vanished"
-    in
-    let base =
-      match
-        check_ok_e
-          (Penguin.Journal.read_header
-             (Penguin.Journal.create ~io (Penguin.Journal.journal_path store)))
-      with
-      | Some (base, _) -> base
-      | None -> -1
-    in
-    let torn_tmp =
-      List.exists (fun f -> Strutil.contains ~sub:".journal.tmp." f) (D.files d)
-    in
-    if base = snapshot_at then Hashtbl.replace seen "after the rename" ()
-    else if torn_tmp && Penguin.Workspace.version snap = snapshot_at then
-      Hashtbl.replace seen "compaction tmp torn" ()
-    else if Penguin.Workspace.version snap = snapshot_at then
-      Hashtbl.replace seen "snapshot written, journal not compacted" ()
-  in
-  let check ~ctx ~acked io =
-    let ws, _ = recover ~io "." in
-    let v = Penguin.Workspace.version ws in
-    if v < acked || v > acked + 1 then
-      Alcotest.failf "%s: reopened at v%d, the last acked version is v%d" ctx v acked;
-    match List.assoc_opt v states with
-    | Some ref_ws when Database.equal ref_ws.Penguin.Workspace.db ws.Penguin.Workspace.db -> ()
-    | _ -> Alcotest.failf "%s: v%d does not hold the acked grades" ctx v
-  in
-  List.iter
-    (fun flavor ->
-      let rec go k =
-        if k > 200 then Alcotest.fail "fault enumeration did not terminate by fuse 200";
-        let d = D.mem ~seed:k () in
-        let io = D.io d in
-        primed ~io ".";
-        let acked = ref v0 in
-        D.set_schedule d (D.Nth (k, D.Crash_at flavor));
-        match spanning_rotation ~io ~acked "." with
-        | exception D.Crash ->
-            classify d;
-            let ctx = Fmt.str "crash %s op %d" (flavor_name flavor) k in
-            check ~ctx ~acked:!acked io;
-            D.crash d;
-            check ~ctx:(ctx ^ ", then power loss") ~acked:!acked io;
-            go (k + 1)
-        | Ok () ->
-            check ~ctx:"completed" ~acked:!acked io;
-            let _, report = recover ~io "." in
-            Alcotest.(check int) "the snapshot is at the render's version" snapshot_at
-              report.Penguin.Recovery.snapshot_version;
-            Alcotest.(check int) "the records above it were kept" 2
-              report.Penguin.Recovery.replayed
-        | Error e ->
-            Alcotest.failf "action failed without crashing: %s" (Penguin.Error.to_string e)
-      in
-      go 1)
-    [ `Before; `Torn; `After ];
-  List.iter
-    (fun point ->
-      Alcotest.(check bool) ("crash point reached: " ^ point) true (Hashtbl.mem seen point))
-    [ "snapshot written, journal not compacted"; "compaction tmp torn"; "after the rename" ]
-
 (* --- recovery semantics ----------------------------------------------- *)
 
 let test_recovery_replays_journal () =
@@ -900,80 +785,10 @@ let test_appender_rotates_at_snapshot_size () =
   Alcotest.(check bool) "replay is bounded by the snapshot's size" true
     (records_bytes (read_raw ~io jpath) < String.length (read_raw ~io store))
 
-(* The same rule, with the rotation rendered in slices while later
-   windows append, as the server runs it: the compacted journal keeps
-   those records, and they count toward the next rotation. *)
-let test_appender_sliced_rotation_keeps_records () =
-  let module A = Penguin.Recovery.Appender in
-  let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter name) in
-  Obs.Metrics.enable ();
-  let dir = temp_dir "appender" in
-  make_store dir;
-  let store = store_in dir in
-  let ws, _ = check_ok_e (Penguin.Recovery.open_store store) in
-  let app = check_ok_e (A.create ~store ws) in
-  let write ws g =
-    let ws' = apply_edit ws ("CS345", 2) g in
-    check_ok_e (A.write app ~since:(Penguin.Workspace.version ws) ws');
-    ws'
-  in
-  let slices = counter "recovery.snapshot_slices" in
-  let compacted = counter "journal.compacted_bytes" in
-  let ws3 = List.fold_left write ws [ rotating_grade dir; "B+"; "C" ] in
-  A.start_rotation app ws3;
-  Alcotest.(check bool) "a rotation is pending" true (A.rotating app);
-  let rec render ws = function
-    | [] -> ws
-    | g :: rest ->
-        Alcotest.(check bool) "still rendering" true
-          (A.rotation_slice app ~rows:1 = None);
-        render (write ws g) rest
-  in
-  let ws5 = render ws3 [ "A"; "B" ] in
-  let rec install () =
-    match A.rotation_slice app ~rows:1 with None -> install () | Some p -> p
-  in
-  let p = install () in
-  Alcotest.(check bool) "installed" true p.Penguin.Recovery.rotated;
-  Alcotest.(check bool) "no rotation pending" false (A.rotating app);
-  Alcotest.(check bool) "slices counted" true
-    (counter "recovery.snapshot_slices" - slices > 2);
-  let jpath = Penguin.Journal.journal_path store in
-  let r = Option.get (check_ok_e (Penguin.Journal.replay (Penguin.Journal.create jpath))) in
-  Alcotest.(check int) "the journal is based at the render's version"
-    (Penguin.Workspace.version ws3) r.Penguin.Journal.base;
-  Alcotest.(check int) "the two records above it were kept" 2 r.Penguin.Journal.records;
-  Alcotest.(check int) "compacted bytes are the new journal"
-    (String.length (read_raw jpath))
-    (counter "journal.compacted_bytes" - compacted);
-  let recovered, report = recover dir in
-  Alcotest.(check int) "reopens at the last write" (Penguin.Workspace.version ws5)
-    report.Penguin.Recovery.version;
-  Alcotest.(check bool) "last grade wins" true
-    (grade_of recovered ("CS345", 2) = Value.Str "B");
-  (* The kept records count: one more record, smaller than the new
-     snapshot by exactly their bytes, makes the next rotation due. *)
-  let snapshot = String.length (read_raw store) in
-  let kept = records_bytes (read_raw jpath) in
-  let record g =
-    let ws' = apply_edit ws5 ("CS345", 2) g in
-    Penguin.Journal.frame
-      (Penguin.Journal.record_payload
-         (Penguin.Commit_log.entries_since ws'.Penguin.Workspace.log
-            (Penguin.Workspace.version ws5)))
-  in
-  let grade = String.make (snapshot - kept - String.length (record "x") + 1) 'x' in
-  Alcotest.(check int) "the record makes up the rest of the snapshot's size"
-    (snapshot - kept) (String.length (record grade));
-  let ws6 = write ws5 grade in
-  A.start_rotation app ws6;
-  Alcotest.(check bool) "the next rotation is due after one more record" true
-    (A.rotating app);
-  rm_rf dir
-
 (* A window of only empty sessions (a probe's commit) writes nothing:
-   the journal's bytes are unchanged, and a compaction installed after
-   it keeps no empty record for a follower to trip over. *)
+   the journal's bytes are unchanged, and the rotation that follows it
+   leaves a journal of one header, with no empty record for a follower
+   to trip over. *)
 let test_appender_empty_commit_writes_nothing () =
   let module A = Penguin.Recovery.Appender in
   let dir = temp_dir "appender" in
@@ -990,15 +805,9 @@ let test_appender_empty_commit_writes_nothing () =
   Alcotest.(check string) "an empty commit leaves the journal bytes" before
     (read_raw jpath);
   Alcotest.(check int) "the tail stays" v1 (A.tail app);
-  A.start_rotation app ws1;
-  Alcotest.(check bool) "a rotation is pending" true (A.rotating app);
-  check_ok_e (A.write app ~since:v1 ws1);
-  let rec install () =
-    match A.rotation_slice app ~rows:1 with None -> install () | Some p -> p
-  in
-  Alcotest.(check bool) "installed" true (install ()).Penguin.Recovery.rotated;
+  Alcotest.(check bool) "rotated" true (A.rotate app ws1).Penguin.Recovery.rotated;
   let r = Option.get (check_ok_e (Penguin.Journal.replay (Penguin.Journal.create jpath))) in
-  Alcotest.(check int) "based at the render's version" v1 r.Penguin.Journal.base;
+  Alcotest.(check int) "based at the written version" v1 r.Penguin.Journal.base;
   Alcotest.(check int) "the compaction kept no empty record" 0 r.Penguin.Journal.records;
   rm_rf dir
 
@@ -1072,7 +881,6 @@ type step =
   | Failed_cut  (** a torn append whose cut back fails too *)
   | Torn_tail of int  (** a dead writer's remnant of this many bytes, reopened *)
   | Reopen of bool  (** with the open's snapshot size, or without it *)
-  | Slice of int  (** rows of a pending rotation's render *)
 
 let pp_step ppf = function
   | Append n -> Fmt.pf ppf "append %d" n
@@ -1084,7 +892,6 @@ let pp_step ppf = function
   | Failed_cut -> Fmt.string ppf "failed cut"
   | Torn_tail n -> Fmt.pf ppf "torn tail %d" n
   | Reopen given -> Fmt.pf ppf "reopen%s" (if given then "" else " (read size)")
-  | Slice n -> Fmt.pf ppf "slice %d" n
 
 let step_gen =
   let open QCheck.Gen in
@@ -1095,8 +902,7 @@ let step_gen =
            (oneofl [ D.Torn; D.Corrupt; D.Transient; D.Hard ]);
       1, return Failed_cut;
       1, map (fun n -> Torn_tail n) (int_range 1 40);
-      1, map (fun b -> Reopen b) bool;
-      3, map (fun n -> Slice n) (oneofl [ 1; 8; max_int ]) ]
+      1, map (fun b -> Reopen b) bool ]
 
 (* The end of the journal's records at or below [tail]: the whole file,
    unless a failed write left a remnant its next write cuts off. *)
@@ -1138,24 +944,20 @@ let run_steps steps =
     incr i;
     apply_edit !ws ("CS345", 2) (string_of_int !i ^ String.make len 'g')
   in
-  (* Write [ws'], then start a rotation as the server does: it must be
-     pending exactly when the records on file reach the snapshot on
-     file (or was already). *)
+  (* Write [ws'], then rotate as the server does: it must rotate
+     exactly when the records on file reach the snapshot on file. *)
   let append ws' =
-    let pending = A.rotating !app in
     match A.write !app ~since:(Penguin.Workspace.version !ws) ws' with
     | Error e -> Error e
     | Ok () ->
         ws := ws';
-        A.start_rotation !app ws';
         let records = records_bytes (read_raw ~io jpath) in
-        let due = records > 0 && records >= String.length (read_raw ~io store) in
-        if not pending then
-          Alcotest.(check bool)
-            (Fmt.str "a rotation starts at the append that reaches the snapshot \
-                      (records %d, snapshot %d)" records
-               (String.length (read_raw ~io store)))
-            due (A.rotating !app);
+        let snapshot = String.length (read_raw ~io store) in
+        let p = A.rotate !app ws' in
+        Alcotest.(check bool)
+          (Fmt.str "a rotation comes at the append that reaches the snapshot \
+                    (records %d, snapshot %d)" records snapshot)
+          (records > 0 && records >= snapshot) p.Penguin.Recovery.rotated;
         Ok ()
   in
   let failing schedule ws' =
@@ -1181,16 +983,8 @@ let run_steps steps =
             (io.Penguin.Fsio.write ~path:jpath ~append:true
                (String.sub (Penguin.Journal.frame (String.make 64 'x')) 0 n));
           app := open_app ~given:true
-      | Reopen given -> app := open_app ~given
-      | Slice rows ->
-          Option.iter
-            (fun p ->
-              Alcotest.(check bool) "the install lands" true p.Penguin.Recovery.rotated)
-            (A.rotation_slice !app ~rows));
-      (match step with
-      | Failed_cut -> remnant := true
-      | Slice _ -> ()
-      | _ -> remnant := false);
+      | Reopen given -> app := open_app ~given);
+      remnant := step = Failed_cut;
       let content = read_raw ~io jpath in
       let good = good_end content ~tail:(A.tail !app) in
       Alcotest.(check int)
@@ -1221,8 +1015,6 @@ let suite =
       `Quick test_crash_during_append_to_existing_journal;
     Alcotest.test_case "crash anywhere during rotation" `Quick
       test_crash_during_rotate;
-    Alcotest.test_case "crash anywhere during a rotation spanning appends" `Quick
-      test_crash_during_spanning_rotation;
     Alcotest.test_case "crash anywhere during an atomic snapshot save" `Quick
       test_crash_during_snapshot;
     Alcotest.test_case "crash anywhere during a store export" `Quick
@@ -1257,8 +1049,6 @@ let suite =
       test_appender_incremental_appends;
     Alcotest.test_case "appender: rotation at the snapshot's size" `Quick
       test_appender_rotates_at_snapshot_size;
-    Alcotest.test_case "appender: a sliced rotation keeps later records" `Quick
-      test_appender_sliced_rotation_keeps_records;
     Alcotest.test_case "appender: an empty commit writes nothing" `Quick
       test_appender_empty_commit_writes_nothing;
     Alcotest.test_case "appender: refuses a stale since" `Quick

@@ -135,8 +135,7 @@ let rec state_at w ~epoch v =
 let saved = Hashtbl.create 64
 
 let save ws ~epoch =
-  if epoch > 0 then
-    Option.get (Penguin.Store.Render.(slice (start ~epoch ws) ~rows:max_int))
+  if epoch > 0 then Penguin.Store.save ~epoch ws
   else
     match Hashtbl.find_opt saved (W.version ws) with
     | Some doc -> doc

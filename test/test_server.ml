@@ -61,11 +61,11 @@ let await_sock sock =
 
 (* Run [f sock] against a server in a sibling domain; returns [f]'s
    result and the server's serving totals after a clean shutdown. *)
-let with_server ?io ?config ?limiter ?breaker dir f =
+let with_server ?io ?config ?breaker dir f =
   let sock = Filename.concat dir "serve.sock" in
   let srv =
     Domain.spawn (fun () ->
-        S.serve ?io ?config ?limiter ?breaker ~store:(store_in dir) ~sock ())
+        S.serve ?io ?config ?breaker ~store:(store_in dir) ~sock ())
   in
   let result = Fun.protect ~finally:(fun () -> ()) (fun () ->
       await_sock sock;
@@ -602,19 +602,21 @@ let test_idle_session_pins_history () =
   in
   rm_rf dir
 
-(* The background work of a rotation, through [(stats)]: the server
-   renders the snapshot a slice per event-loop turn, then installs it
-   and compacts the journal. A store past one slice of rows; 64 windows
-   far below its size, then one whose grade is as long as the snapshot,
-   which brings the journal to the snapshot's size. *)
-let test_stats_rotation_work () =
+(* A rotation is over when its window acks: the window whose grade is
+   as long as the snapshot brings the journal to the snapshot's size,
+   and by its ack the store file is the snapshot at its version and the
+   journal one header there. [(stats)] shows the one rotation, timed
+   whole and counted. *)
+let test_stats_rotation_done_at_ack () =
   let dir = temp_dir "server-rotation-stats" in
   make_bench_store dir 300;
-  let snapshot_bytes = String.length (Test_recovery.read_raw (store_in dir)) in
-  let (), _stats =
+  let store = store_in dir in
+  let jpath = Penguin.Journal.journal_path store in
+  let snapshot_bytes = String.length (Test_recovery.read_raw store) in
+  let acked, _stats =
     with_server dir (fun sock ->
         let c = connect sock in
-        let installs () =
+        let rotations () =
           let json = check_ok (Obs.Json.parse (check_ok_e (C.stats c))) in
           match
             Option.bind (Obs.Json.member "histograms" json)
@@ -624,25 +626,35 @@ let test_stats_rotation_work () =
           | Some v -> int_of_float (Option.get (Obs.Json.to_float v))
           | None -> Alcotest.fail "recovery.snapshot_install_ns missing from stats"
         in
-        let slices = stat c "counters" "recovery.snapshot_slices" in
-        let compacted = stat c "counters" "journal.compacted_bytes" in
-        let installed = installs () in
-        for i = 1 to 65 do
-          let grade =
-            if i = 65 then String.make snapshot_bytes 'G' else Fmt.str "G%d" i
-          in
-          ignore (commit_grade c ~course:(1 + (i mod 300)) ~grade)
+        let counted = stat c "counters" "journal.rotations" in
+        let rotated = rotations () in
+        for i = 1 to 3 do
+          ignore (commit_grade c ~course:i ~grade:(Fmt.str "G%d" i))
         done;
-        Alcotest.(check bool) "the render ran in several slices" true
-          (stat c "counters" "recovery.snapshot_slices" - slices >= 2);
-        Alcotest.(check int) "one install" 1 (installs () - installed);
-        Alcotest.(check bool) "the compacted journal was counted" true
-          (stat c "counters" "journal.compacted_bytes" > compacted);
-        C.close c)
+        Alcotest.(check int) "small windows do not rotate" rotated (rotations ());
+        let v =
+          match commit_grade c ~course:4 ~grade:(String.make snapshot_bytes 'G') with
+          | [ v ] -> v
+          | vs -> Alcotest.failf "%d versions for one commit" (List.length vs)
+        in
+        let doc = Test_recovery.read_raw store in
+        Alcotest.(check int) "the store file is the snapshot at the acked version" v
+          (Penguin.Workspace.version (check_ok (Penguin.Store.load doc)));
+        (match check_ok_e (Penguin.Journal.replay (Penguin.Journal.create jpath)) with
+        | Some r ->
+            Alcotest.(check int) "the journal is based there" v r.Penguin.Journal.base;
+            Alcotest.(check int) "and holds only its header" 0 r.Penguin.Journal.records
+        | None -> Alcotest.fail "the journal is gone");
+        Alcotest.(check int) "one rotation, timed" 1 (rotations () - rotated);
+        Alcotest.(check int) "and counted" 1 (stat c "counters" "journal.rotations" - counted);
+        C.close c;
+        v)
   in
   let _, report = Test_recovery.recover dir in
-  Alcotest.(check bool) "the store reopens from the new snapshot" true
-    (report.Penguin.Recovery.snapshot_version > 1);
+  Alcotest.(check int) "the store reopens at the acked version" acked
+    report.Penguin.Recovery.version;
+  Alcotest.(check int) "from the new snapshot, replaying nothing" 0
+    report.Penguin.Recovery.replayed;
   rm_rf dir
 
 (* --- event-loop hardening under signals -------------------------------- *)
@@ -710,8 +722,8 @@ let suite =
       test_malformed_and_torn_requests;
     Alcotest.test_case "stats: server.* counters and histograms exported"
       `Quick test_stats_surface;
-    Alcotest.test_case "stats: a rotation's slices, install and compaction"
-      `Quick test_stats_rotation_work;
+    Alcotest.test_case "stats: a rotation is on disk by its window's ack"
+      `Quick test_stats_rotation_done_at_ack;
     Alcotest.test_case "signals: EINTR mid-window never drops a commit"
       `Quick test_signals_mid_window;
     Alcotest.test_case "wire: frames pipelined behind an age-flushed commit"

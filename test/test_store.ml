@@ -211,8 +211,7 @@ let document_tree ws =
   | Sexp.Atom _ -> Alcotest.fail "header is not a list"
 
 (* The snapshot writer against the tree it writes, printed by
-   [reference_layout]. Output must match byte for byte, whatever slice
-   sizes the render is cut into. *)
+   [reference_layout]. Output must match byte for byte. *)
 let reference_save ws = reference_layout (document_tree ws)
 
 (* Names and strings mix bare characters with every character that
@@ -293,24 +292,13 @@ let workspace_gen =
       log = Penguin.Commit_log.of_version version }
 
 let prop_save_matches_reference_layout =
-  QCheck.Test.make ~name:"snapshot writer matches the reference layout, in any slices"
+  QCheck.Test.make ~name:"snapshot writer matches the reference layout"
     ~count:500
     (QCheck.make ~print:reference_save workspace_gen)
     (fun ws ->
-      let expected = reference_save ws in
       let defs = Penguin.Store.save ~include_data:false ws in
       String.equal defs (reference_layout (check_ok (Sexp.parse defs)))
-      && String.equal (Penguin.Store.save ws) expected
-      && List.for_all
-           (fun rows ->
-             let r = Penguin.Store.Render.start ~epoch:0 ws in
-             let rec go () =
-               match Penguin.Store.Render.slice r ~rows with
-               | Some doc -> String.equal doc expected
-               | None -> go ()
-             in
-             go ())
-           (List.init 24 (fun i -> i + 1)))
+      && String.equal (Penguin.Store.save ws) (reference_save ws))
 
 (* --- the streaming reader against the tree reader ------------------------ *)
 
