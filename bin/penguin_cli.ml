@@ -35,6 +35,12 @@ let or_die = function
       Fmt.epr "error: %s@." (Penguin.Error.to_string e);
       exit 1
 
+let read_file path =
+  match Penguin.Fsio.default.Penguin.Fsio.read path with
+  | Ok (Some s) -> Ok s
+  | Ok None -> Error (Penguin.Error.invalid (Fmt.str "%s: no such file" path))
+  | Error e -> Error e
+
 let fixture_arg =
   let doc = "Fixture database: university, hospital or cad." in
   Arg.(required & pos 0 (some (enum (List.map (fun f -> f, f) fixtures))) None
@@ -228,17 +234,7 @@ let dialog_cmd =
 
 let insert fixture object_name file =
   let ws = or_die (workspace_of fixture) in
-  let content =
-    try
-      let ic = open_in file in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      s
-    with Sys_error e ->
-      Fmt.epr "error: %s@." e;
-      exit 1
-  in
+  let content = or_die (read_file file) in
   match Penguin.Store.instance_of_string content with
   | Error e ->
       Fmt.epr "error: %s@." e;
@@ -272,17 +268,7 @@ let insert_cmd =
 (* --- schema ------------------------------------------------------------ *)
 
 let schema file pivot dot =
-  let content =
-    try
-      let ic = open_in file in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      s
-    with Sys_error e ->
-      Fmt.epr "error: %s@." e;
-      exit 1
-  in
+  let content = or_die (read_file file) in
   match Structural.Schema_lang.parse content with
   | Error e ->
       Fmt.epr "error: %s@." e;
@@ -462,12 +448,6 @@ let import_cmd =
    Commit serializes against other committers with an exclusive lock on
    [STORE.lock] (Fsio.with_lock) held across the whole reopen → rebase
    → persist sequence; begin and queue only read and take no lock. *)
-
-let read_file path =
-  match Penguin.Fsio.default.Penguin.Fsio.read path with
-  | Ok (Some s) -> Ok s
-  | Ok None -> Error (Penguin.Error.invalid (Fmt.str "%s: no such file" path))
-  | Error e -> Error e
 
 let write_file path content =
   Penguin.Fsio.(atomic_write default) ~path content
@@ -927,8 +907,7 @@ let serve () store sock window interval_ms max_parked sync_replicas
     repl_deadline_ms on_lag =
   let config =
     {
-      Penguin.Server.default_config with
-      flush_window = window;
+      Penguin.Server.flush_window = window;
       flush_interval_ns = interval_ms *. 1e6;
       max_parked;
       sync_replicas;

@@ -240,7 +240,6 @@ module Appender = struct
     io : Fsio.t;
     store : string;
     jnl : Journal.t;
-    breaker : Resilience.Breaker.t option;
     epoch : int;
     mutable journal_bytes : int;  (* the journal's length, header included *)
     mutable header_bytes : int;  (* its header frame's *)
@@ -349,7 +348,7 @@ module Appender = struct
 
   (* Without the size of the snapshot the caller opened, the store is
      read once for it. *)
-  let open_at ~io ?snapshot_bytes ?breaker ?expect_epoch ?own ~store at =
+  let open_at ~io ?snapshot_bytes ?expect_epoch ?own ~store at =
     let* snapshot =
       match snapshot_bytes with
       | Some n -> Ok n
@@ -362,7 +361,7 @@ module Appender = struct
     let jnl = Journal.create ~io (Journal.journal_path store) in
     let* bytes, header, epoch = validate ?expect_epoch ?own ~store jnl ~at in
     let t =
-      { io; store; jnl; breaker; epoch; journal_bytes = bytes;
+      { io; store; jnl; epoch; journal_bytes = bytes;
         header_bytes = header; snapshot_bytes = snapshot; tail = at;
         dirty = Clean }
     in
@@ -370,9 +369,8 @@ module Appender = struct
     set_snapshot t snapshot;
     Ok t
 
-  let create ?(io = Fsio.default) ?snapshot_bytes ?breaker ?expect_epoch
-      ~store ws =
-    open_at ~io ?snapshot_bytes ?breaker ?expect_epoch ~store
+  let create ?(io = Fsio.default) ?snapshot_bytes ?expect_epoch ~store ws =
+    open_at ~io ?snapshot_bytes ?expect_epoch ~store
       (Workspace.version ws)
 
   let tail t = t.tail
@@ -467,18 +465,7 @@ module Appender = struct
           t.dirty <- Rotate_failed;
           { rotated = false; rotate_error = Some e }
 
-  (* The breaker wraps the whole durable path: K consecutive
-     {!Error.breaker_fault} outcomes (non-transient I/O, corruption) trip
-     it and later writes are shed with [Busy] — degraded read-only mode.
-     [open_store] never passes through a breaker, so reads keep working
-     while the store heals. *)
-  let guarded breaker run =
-    match breaker with
-    | None -> run ()
-    | Some b -> Resilience.Breaker.protect b run
-
   let write t ~since ws =
-    guarded t.breaker @@ fun () ->
     Obs.Trace.with_span m_persist_ns @@ fun () ->
     let* entries = held_since ~since ws in
     if since <> t.tail then
@@ -490,9 +477,8 @@ module Appender = struct
     Ok (rotate t ws)
 end
 
-let persist ?(io = Fsio.default) ?snapshot_bytes ?breaker ?expect_epoch ~store
-    ~since ws =
-  Appender.guarded breaker @@ fun () ->
+let persist ?(io = Fsio.default) ?snapshot_bytes ?expect_epoch ~store ~since
+    ws =
   Obs.Trace.with_span m_persist_ns @@ fun () ->
   let* entries = Appender.held_since ~since ws in
   (* A retried persist whose earlier attempt failed, and failed to cut

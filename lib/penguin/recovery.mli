@@ -85,7 +85,6 @@ type persisted = {
 val persist :
   ?io:Fsio.t ->
   ?snapshot_bytes:int ->
-  ?breaker:Resilience.Breaker.t ->
   ?expect_epoch:int ->
   store:string ->
   since:int ->
@@ -121,12 +120,10 @@ val persist :
     the append's fsync is reported as [rotate_error], not [Error] — the
     commit is already durable and must not be retried. Failures are typed: a lost race is
     {!Error.Conflict} (retryable after reopening), a stale [since] is
-    {!Error.Invalid}, disk faults are {!Error.Io}. When [breaker] is
-    given the whole durable path, the journal replay included, runs
-    under {!Resilience.Breaker.protect}: after K consecutive
-    non-transient durability failures it trips and later persists are
-    shed with {!Error.Busy} (degraded read-only mode — {!open_store} is
-    never gated), until a post-cooldown probe succeeds.
+    {!Error.Invalid}, disk faults are {!Error.Io}. A caller that wants
+    degraded read-only mode wraps the persist in
+    {!Resilience.Breaker.protect}, as [penguin serve] wraps each
+    window's write; {!open_store} is never gated.
 
     [expect_epoch] (from the {!report} of the open this commit was
     prepared against) arms epoch fencing: if the journal header's epoch
@@ -178,7 +175,6 @@ module Appender : sig
   val create :
     ?io:Fsio.t ->
     ?snapshot_bytes:int ->
-    ?breaker:Resilience.Breaker.t ->
     ?expect_epoch:int ->
     store:string ->
     Workspace.t ->
@@ -193,8 +189,7 @@ module Appender : sig
       Refuses with a "store advanced" {!Error.Conflict} if the journal's
       tail does not match the workspace's version (the workspace must
       come from {!open_store} on the same store, under the same lock).
-      [breaker] guards every subsequent {!append}, as {!persist}'s
-      [breaker] does. The appender keeps the journal's length, by the
+      The appender keeps the journal's length, by the
       bytes of each record it appends and the new header's length at
       each rotation, and the snapshot's, by each rotation's document's;
       it sets the [recovery.journal_bytes] and
@@ -209,8 +204,7 @@ module Appender : sig
   (** Durably record the workspace's commits after version [since] with
       one journal append + one fsync — no replay, and no rotation.
       [since] must equal the appender's cursor (the version of the last
-      write, or of {!create}); otherwise {!Error.Conflict}. Runs under
-      the create-time [breaker], if any. *)
+      write, or of {!create}); otherwise {!Error.Conflict}. *)
 
   val rotate : t -> Workspace.t -> persisted
   (** Fold the journal into a fresh snapshot of the workspace if a

@@ -3,7 +3,6 @@ module M = Obs.Metrics
 let m_retries = M.counter "resilience.retries"
 let m_giveups = M.counter "resilience.giveups"
 let m_deadline_hits = M.counter "resilience.deadline_hits"
-let m_shed = M.counter "resilience.shed"
 let m_trips = M.counter "breaker.trips"
 let m_reopens = M.counter "breaker.reopens"
 let m_closes = M.counter "breaker.closes"
@@ -119,42 +118,6 @@ let retry ?(policy = Policy.default) ?(clock = Clock.real) ?deadline_ns
       | Error _ as err -> err
   in
   attempt 1
-
-module Limiter = struct
-  type t = {
-    label : string;
-    max_in_flight : int;
-    mutable in_flight : int;
-  }
-
-  let create ?(label = "limiter") ~max_in_flight () =
-    if max_in_flight < 1 then
-      invalid_arg "Resilience.Limiter.create: max_in_flight must be >= 1";
-    { label; max_in_flight; in_flight = 0 }
-
-  let in_flight l = l.in_flight
-
-  let try_acquire l =
-    if l.in_flight >= l.max_in_flight then begin
-      M.Counter.incr m_shed;
-      Obs.Trace.tag "shed" "true";
-      Error
-        (Error.Busy
-           (Fmt.str "%s: %d operation(s) in flight (limit %d); request shed"
-              l.label l.in_flight l.max_in_flight))
-    end
-    else begin
-      l.in_flight <- l.in_flight + 1;
-      Ok ()
-    end
-
-  let release l = if l.in_flight > 0 then l.in_flight <- l.in_flight - 1
-
-  let with_slot l f =
-    match try_acquire l with
-    | Error _ as e -> e
-    | Ok () -> Fun.protect ~finally:(fun () -> release l) f
-end
 
 module Breaker = struct
   type state = Closed | Open | Half_open

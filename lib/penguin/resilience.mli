@@ -1,6 +1,6 @@
 (** Bounded-cost responses to classified faults: retry with backoff and
-    deadlines, admission control, and a circuit breaker into degraded
-    read-only mode.
+    deadlines, and a circuit breaker into degraded read-only mode.
+    Admission control is the server's own ({!Server_core}).
 
     Everything here routes on {!Error.retryable} / {!Error.breaker_fault}
     — the taxonomy decides {e whether} to retry or trip; this module
@@ -12,9 +12,9 @@
 
     Events flow into {!Obs.Metrics}: [resilience.retries] (sleeps
     taken), [resilience.giveups] (retryable error, attempts exhausted),
-    [resilience.deadline_hits], [resilience.shed] (admission control),
-    and the breaker's [breaker.trips] / [breaker.rejections] /
-    [breaker.probes] / [breaker.closes] / [breaker.reopens]. *)
+    [resilience.deadline_hits], and the breaker's [breaker.trips] /
+    [breaker.rejections] / [breaker.probes] / [breaker.closes] /
+    [breaker.reopens]. *)
 
 (** Injectable time: a monotonic-enough clock and a sleep. *)
 module Clock : sig
@@ -76,32 +76,6 @@ val retry :
     not slept — both return {!Error.Deadline_exceeded} naming the last
     underlying error. [label] names the operation in the error message
     and the trace span tag. *)
-
-(** Admission control: a bounded count of in-flight operations, with
-    explicit shedding. *)
-module Limiter : sig
-  type t
-
-  val create : ?label:string -> max_in_flight:int -> unit -> t
-
-  val in_flight : t -> int
-
-  val with_slot : t -> (unit -> ('a, Error.t) result) -> ('a, Error.t) result
-  (** Run the function holding one slot; when all slots are taken,
-      shed immediately with {!Error.Busy} (counted in
-      [resilience.shed]) instead of queueing unboundedly. The slot is
-      released however the function exits. *)
-
-  val try_acquire : t -> (unit, Error.t) result
-  (** Take one slot without scoping its release — for admission that
-      outlives a call frame, like a commit parked on a flush window.
-      Sheds with {!Error.Busy} (counted in [resilience.shed]) when all
-      slots are taken; on [Ok] the caller owes exactly one {!release}
-      however the admitted work ends. *)
-
-  val release : t -> unit
-  (** Return a slot taken by {!try_acquire}. *)
-end
 
 (** A circuit breaker guarding the durable write path.
 

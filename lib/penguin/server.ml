@@ -8,8 +8,7 @@ type on_lag = Core.on_lag = Degrade | Fail
 
 type config = Core.config = {
   flush_window : int; flush_interval_ns : float; max_parked : int;
-  max_queued : int; sync_replicas : int; repl_deadline_ns : float;
-  on_lag : on_lag;
+  sync_replicas : int; repl_deadline_ns : float; on_lag : on_lag;
 }
 
 type stats = Core.stats = { requests : int; commits : int; windows : int }
@@ -28,9 +27,6 @@ type conn = {
 
 let serve ?(io = Fsio.default) ?(net = Netio.default_net)
     ?(config = default_config) ?breaker ~store ~sock () =
-  let limiter =
-    Resilience.Limiter.create ~label:"server" ~max_in_flight:config.max_parked ()
-  in
   let breaker = match breaker with Some b -> b | None ->
     Resilience.Breaker.create ~label:("server:" ^ store) () in
   (* Writes to a connection the client already closed must surface as
@@ -48,10 +44,10 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
      there, and appends incrementally — {!Recovery.persist}'s per-call
      replay would make every flush pay for the whole journal. *)
   let* appender =
-    Recovery.Appender.create ~io ~breaker ~expect_epoch:report.Recovery.epoch
+    Recovery.Appender.create ~io ~expect_epoch:report.Recovery.epoch
       ~snapshot_bytes:report.Recovery.snapshot_bytes ~store ws0
   in
-  let core = Core.create ~config ~limiter ~breaker ws0 in
+  let core = Core.create ~config ws0 in
   let* srv = Netio.listen ~sock in
   Log.info (fun m ->
       m "serving %s on %s (window %d, interval %.1f ms)" store sock
@@ -115,13 +111,17 @@ let serve ?(io = Fsio.default) ?(net = Netio.default_net)
             try Unix.close c.fd with Unix.Unix_error _ -> ())
           (find id)
     | Core.Append (since, ws') ->
-        (* One journal append + one fsync for the whole window,
-           breaker-guarded; transient disk faults retry briefly. The
-           window's record reaches the push followers before a due
-           rotation replaces the journal: a caught-up follower then
-           meets the new header at its own version, not past it. The
-           new journal is relayed from its header. *)
+        (* One journal append + one fsync for the whole window;
+           transient disk faults retry briefly, inside the breaker, so
+           an open breaker refuses the window once, without touching
+           the disk (degraded read-only mode), and a half-open one
+           takes the window as its probe. The window's record reaches
+           the push followers before a due rotation replaces the
+           journal: a caught-up follower then meets the new header at
+           its own version, not past it. The new journal is relayed
+           from its header. *)
         let result =
+          Resilience.Breaker.protect breaker @@ fun () ->
           Resilience.retry ~policy:persist_policy ~label:"server.persist"
             (fun () -> Recovery.Appender.write appender ~since ws')
         in

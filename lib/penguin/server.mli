@@ -25,12 +25,13 @@
     the merged validation's sequential replay ([invalid]) — are answered
     with per-request typed errors while the rest of the batch lands.
 
-    Admission and degradation reuse the resilience layer: parked
-    commits take {!Resilience.Limiter} slots (full → immediate
-    {!Error.Busy} shed), and a {!Resilience.Breaker} guards the durable
-    path — when repeated durability faults trip it, commits are refused
-    with {!Error.Busy} while [oql] reads keep serving through the
-    materialized {!Viewobject.Cache} (degraded read-only serving).
+    Admission is the core's: past [max_parked] parked commits, or 128
+    statements queued in one session, a request is shed at once with
+    {!Error.Busy}. A {!Resilience.Breaker} guards each window's durable
+    append — when repeated durability faults trip it, each window's
+    commits are refused with {!Error.Busy} while [oql] reads keep
+    serving through the materialized {!Viewobject.Cache} (degraded
+    read-only serving).
     Request handling, oql reads and each flush's window commit are
     timed regions ({!Obs.Trace.with_span}); the commit and flush
     latencies, which span loop turns, are observed from tick times
@@ -118,11 +119,8 @@ type config = Server_core.config = {
       (** age of the oldest parked commit that forces a flush (default
           10 ms) — the latency bound when input trickles *)
   max_parked : int;
-      (** admission bound on parked commits (default 256): the slot
-          count of the {!Resilience.Limiter} [serve] creates *)
-  max_queued : int;
-      (** per-session staged-update bound (default 128), enforced by
-          {!Session.queue}'s admission check *)
+      (** admission bound on connections parked on a commit (default
+          256) *)
   sync_replicas : int;
       (** followers that must ack a window before its client acks are
           released (default 0: fsync-only acks, no replication wait) *)
@@ -152,8 +150,9 @@ val serve :
     take its cross-process lock for the server's lifetime (a serving
     store has exactly one writer — CLI commits against it are held off,
     not raced), attach a materialized {!Viewobject.Cache} for reads,
-    and serve [sock] until a [(shutdown)] request. Parked commits take
-    the slots of a {!Resilience.Limiter} bounded by [config.max_parked].
+    and serve [sock] until a [(shutdown)] request. Each window's append
+    runs under [breaker], with transient faults retried inside it, so
+    an open breaker refuses a window once, without touching the disk.
     [breaker] defaults to a fresh default breaker; the fault tests pass
     one that trips at the first fault and cools down in a millisecond.
     [io] is the durability layer's injectable seam — the fault tests

@@ -14,6 +14,7 @@ let m_commits = M.counter "server.commits"
 let m_updates = M.counter "server.updates"
 let m_conflicts = M.counter "server.conflicts"
 let m_dropped_parked = M.counter "server.dropped_parked"
+let m_shed = M.counter "resilience.shed"
 let m_windows = M.counter "server.windows"
 let m_commit_ns = M.histogram "server.commit_ns"
 let m_request_ns = M.histogram "server.request_ns"
@@ -35,7 +36,6 @@ type config = {
   flush_window : int;
   flush_interval_ns : float;
   max_parked : int;
-  max_queued : int;
   sync_replicas : int;
   repl_deadline_ns : float;
   on_lag : on_lag;
@@ -43,8 +43,13 @@ type config = {
 
 let default_config =
   { flush_window = 64; flush_interval_ns = 10e6; max_parked = 256;
-    max_queued = 128; sync_replicas = 0; repl_deadline_ns = 50e6;
-    on_lag = Degrade }
+    sync_replicas = 0; repl_deadline_ns = 50e6; on_lag = Degrade }
+
+(* The per-session admission bound: statements a connection may queue
+   before its (commit). It counts what the client sent, not the updates
+   a statement expands to, so one statement over many instances is never
+   refused for its size. *)
+let max_stmts = 128
 
 type stats = { requests : int; commits : int; windows : int }
 type conn_id = int
@@ -74,6 +79,7 @@ type action =
 type conn = {
   id : conn_id;
   mutable sess : Session.t option;
+  mutable stmts : int;  (** statements queued in [sess] *)
   mutable parked : bool;
   mutable follower : bool;
   mutable acked : int;
@@ -103,12 +109,11 @@ type inflight = {
 
 type state = {
   config : config;
-  limiter : Resilience.Limiter.t;
-  breaker : Resilience.Breaker.t;
   cache : Viewobject.Cache.t;
   conns : (conn_id, conn) Hashtbl.t;  (** live connections only *)
   mutable ws : Workspace.t;
   mutable now : float;
+  mutable n_parked : int;  (** connections parked on a commit *)
   mutable window : parked list;  (** newest first *)
   mutable pendings : pending list;  (** oldest first *)
   mutable inflight : inflight option;
@@ -120,10 +125,10 @@ type state = {
   mutable n_windows : int;
 }
 
-let create ?(config = default_config) ~limiter ~breaker ws =
+let create ?(config = default_config) ws =
   {
-    config; limiter; breaker; cache = Workspace.attach_cache ws;
-    conns = Hashtbl.create 64; ws; now = 0.; window = [];
+    config; cache = Workspace.attach_cache ws;
+    conns = Hashtbl.create 64; ws; now = 0.; n_parked = 0; window = [];
     pendings = []; inflight = None; stopping = None; stopped = false;
     out = []; n_requests = 0; n_commits = 0; n_windows = 0;
   }
@@ -131,6 +136,7 @@ let create ?(config = default_config) ~limiter ~breaker ws =
 let stats st = { requests = st.n_requests; commits = st.n_commits; windows = st.n_windows }
 
 let stopped st = st.stopped
+let parked st = st.n_parked
 
 (* Open and not parked on a commit: free to take its next frame. *)
 let free st id =
@@ -158,6 +164,11 @@ let count_followers st =
 
 let alive st c = Hashtbl.mem st.conns c.id
 
+(* The one place a parked commit leaves the admission count. *)
+let unpark st c =
+  c.parked <- false;
+  st.n_parked <- st.n_parked - 1
+
 let kill st c =
   if alive st c then begin
     Hashtbl.remove st.conns c.id;
@@ -165,14 +176,12 @@ let kill st c =
     if c.parked then begin
       (* The client vanished while its commit was parked: drop the
          commit from the window, its append in flight or its pending
-         quorum wait — the rest of the batch still lands — and return
-         its admission slot. *)
+         quorum wait — the rest of the batch still lands. *)
       let others (p, _) = p.p_conn != c in
       st.window <- List.filter (fun p -> p.p_conn != c) st.window;
       List.iter (fun w -> w.w_acks <- List.filter others w.w_acks) st.pendings;
       Option.iter (fun f -> f.f_acks <- List.filter others f.f_acks) st.inflight;
-      Resilience.Limiter.release st.limiter;
-      c.parked <- false;
+      unpark st c;
       M.Counter.incr m_dropped_parked;
       Log.info (fun m ->
           m "conn %d: disconnected while parked; commit dropped" c.id)
@@ -190,11 +199,17 @@ let answer_error st c e =
     [ sexp Sexp.[ Atom "error"; Atom (Error.kind e); Atom retryable;
                   Atom (Error.to_string e) ] ]
 
+(* Admission control: past a bound the request is refused at once with
+   [Busy] rather than queued. *)
+let shed st c msg =
+  M.Counter.incr m_shed;
+  Obs.Trace.tag "shed" "true";
+  answer_error st c (Error.busy msg)
+
 (* --- quorum replication tracker ---------------------------------------- *)
 
 let ack_commit st ?(warn = false) (p, versions) =
-  Resilience.Limiter.release st.limiter;
-  p.p_conn.parked <- false;
+  unpark st p.p_conn;
   st.n_commits <- st.n_commits + 1;
   M.Counter.incr m_commits;
   M.Counter.add m_updates (List.length versions);
@@ -206,8 +221,7 @@ let ack_commit st ?(warn = false) (p, versions) =
         (String.concat "" vs) warning ]
 
 let reject_parked st p e =
-  Resilience.Limiter.release st.limiter;
-  p.p_conn.parked <- false;
+  unpark st p.p_conn;
   answer_error st p.p_conn e
 
 let quorum_reached st w =
@@ -368,16 +382,22 @@ let handle_request st c payload =
   | Error m -> answer_error st c (Error.invalid ("bad request: " ^ m))
   | Ok (Sexp.List [ Sexp.Atom "ping" ]) -> send st c [ "(ok pong)" ]
   | Ok (Sexp.List [ Sexp.Atom "begin" ]) ->
-      c.sess <- Some (Session.begin_ ~max_queued:st.config.max_queued st.ws);
+      c.sess <- Some (Session.begin_ st.ws);
+      c.stmts <- 0;
       send st c [ Fmt.str "(ok (begun %d))" (Workspace.version st.ws) ]
   | Ok (Sexp.List [ Sexp.Atom "queue"; Sexp.Atom obj; Sexp.Atom stmt ]) -> (
       match c.sess with
       | None -> answer_error st c (Error.invalid "no session: send (begin) first")
+      | Some _ when c.stmts >= max_stmts ->
+          shed st c
+            (Fmt.str "session: %d statement(s) already queued (bound %d); \
+                      commit or begin a fresh session" c.stmts max_stmts)
       | Some sess -> (
           match Session.queue_stmt sess obj stmt with
           | Error e -> answer_error st c e
           | Ok sess' ->
               c.sess <- Some sess';
+              c.stmts <- c.stmts + 1;
               send st c [ Fmt.str "(ok (queued %d))" (Session.pending sess') ]))
   | Ok (Sexp.List [ Sexp.Atom "commit" ]) -> (
       match c.sess with
@@ -386,27 +406,23 @@ let handle_request st c payload =
           c.sess <- None;
           if Session.pending sess = 0 then
             send st c [ "(ok (committed 0) (versions))" ]
-          (* Not while half-open: this window's append is the probe. *)
-          else if Resilience.Breaker.state st.breaker = Resilience.Breaker.Open
-          then
-            answer_error st c
-              (Error.busy
-                 "store is in degraded read-only mode (circuit open): writes \
-                  refused, reads still served")
-          else (
-            match Resilience.Limiter.try_acquire st.limiter with
-            | Error e -> answer_error st c e
-            | Ok () ->
-                c.parked <- true;
-                st.window <-
-                  { p_conn = c; p_sess = sess; p_t0 = st.now } :: st.window;
-                (* The size trigger fires at park time, not at the next
-                   loop head: with flush_window = 1 every commit pays its
-                   own fsync (the group-commit baseline) instead of
-                   riding a batch the event loop happened to read in the
-                   same round. *)
-                if List.length st.window >= st.config.flush_window then
-                  flush st "size"))
+          else if st.n_parked >= st.config.max_parked then
+            shed st c
+              (Fmt.str "server: %d commit(s) parked (limit %d); request shed"
+                 st.n_parked st.config.max_parked)
+          else begin
+            c.parked <- true;
+            st.n_parked <- st.n_parked + 1;
+            st.window <-
+              { p_conn = c; p_sess = sess; p_t0 = st.now } :: st.window;
+            (* The size trigger fires at park time, not at the next loop
+               head: with flush_window = 1 every commit pays its own
+               fsync (the group-commit baseline) instead of riding a
+               batch the event loop happened to read in the same
+               round. *)
+            if List.length st.window >= st.config.flush_window then
+              flush st "size"
+          end)
   | Ok (Sexp.List [ Sexp.Atom "oql"; Sexp.Atom obj; Sexp.Atom q ]) -> (
       Obs.Trace.with_span m_oql_ns @@ fun () ->
       match Viewobject.Cache.oql st.cache obj q with
@@ -440,7 +456,7 @@ let step st ev =
   (match ev with
   | Opened id ->
       Hashtbl.replace st.conns id
-        { id; sess = None; parked = false; follower = false;
+        { id; sess = None; stmts = 0; parked = false; follower = false;
           acked = 0; healthy = false };
       M.Counter.incr m_connections
   | Closed id -> with_conn id (kill st)

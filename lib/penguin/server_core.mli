@@ -12,16 +12,25 @@
     came of them as further events. That is what lets a seeded
     simulator drive the real engine through random orderings — fake
     clock, fake appender, fake followers — and check the serving
-    invariants on each.
+    invariants on each. The circuit breaker is the event loop's too: it
+    guards the append, so in degraded mode a commit is refused by its
+    window's {!Appended} error, not at [(commit)].
+
+    Admission is decided from the core's own state. A [(commit)] past
+    [max_parked] parked connections, and a [(queue)] past 128 statements
+    queued in the connection's session, are refused at once with
+    {!Error.Busy} (counted in [resilience.shed]). The session bound
+    counts statements, what the client sent, not the updates a
+    statement expands to.
 
     Nor does the core know the journal's bytes: a replication position
     is a commit version, which a journal rotation does not change, so
     rotating — and relaying each window's record to the push followers
     first — is the event loop's business.
 
-    {!step} mutates the state record (and the {!Resilience.Limiter} and
-    {!Viewobject.Cache} it owns) and returns it with the step's
-    actions, in the order they must be carried out. *)
+    {!step} mutates the state record (and the {!Viewobject.Cache} it
+    owns) and returns it with the step's actions, in the order they must
+    be carried out. *)
 
 (** Policy for a window whose replication deadline passes with fewer
     than [sync_replicas] follower acks. *)
@@ -36,11 +45,8 @@ type config = {
       (** age of the oldest parked commit that forces a flush (default
           10 ms) — the latency bound when input trickles *)
   max_parked : int;
-      (** admission bound on parked commits (default 256): the slot
-          count of the {!Resilience.Limiter} [serve] creates *)
-  max_queued : int;
-      (** per-session staged-update bound (default 128), enforced by
-          {!Session.queue}'s admission check *)
+      (** admission bound on connections parked on a commit (default
+          256) *)
   sync_replicas : int;
       (** followers that must ack a window before its client acks are
           released (default 0: fsync-only acks, no replication wait) *)
@@ -100,17 +106,10 @@ type state
 
 val src : Logs.src
 
-val create :
-  ?config:config ->
-  limiter:Resilience.Limiter.t ->
-  breaker:Resilience.Breaker.t ->
-  Workspace.t ->
-  state
-(** A core serving the committed workspace. Commits take [limiter]
-    slots while parked; [breaker] (the appender's) refuses them while
-    it is open, and once it is half-open the next window's append is
-    its probe. With [sync_replicas = K], each flushed window's client
-    acks wait until K healthy followers ack its last version. *)
+val create : ?config:config -> Workspace.t -> state
+(** A core serving the committed workspace. With [sync_replicas = K],
+    each flushed window's client acks wait until K healthy followers ack
+    its last version. *)
 
 val step : state -> event -> state * action list
 
@@ -129,5 +128,8 @@ val wake : state -> held:conn_id list -> float option
 
 val stopped : state -> bool
 (** A [(shutdown)] was answered: every connection is closed. *)
+
+val parked : state -> int
+(** Connections parked on a commit: what [max_parked] bounds. *)
 
 val stats : state -> stats

@@ -15,7 +15,6 @@ let m_rebases = M.counter "session.rebases"
 let m_rebase_conflict = M.counter "session.rebase_conflict"
 let m_rebase_unknown = M.counter "session.rebase_unknown_history"
 let m_noop_drops = M.counter "session.noop_drops"
-let m_shed = M.counter "session.shed"
 let m_deadline_hits = M.counter "session.deadline_exceeded"
 
 type retry = Workspace.t -> (Vo_core.Request.t option, Error.t) result
@@ -37,16 +36,14 @@ type t = {
      per queue, O(n^2) across a session. *)
   rev_entries : entry list;
   count : int;
-  max_queued : int option;
 }
 
-let begin_ ?max_queued ws =
+let begin_ ws =
   {
     snapshot = ws;
     base_version = Workspace.version ws;
     rev_entries = [];
     count = 0;
-    max_queued;
   }
 
 let base_version s = s.base_version
@@ -55,37 +52,27 @@ let entries s = List.rev s.rev_entries
 let staged s = List.rev_map (fun e -> e.st) s.rev_entries
 
 let stage s name ~source retry request =
-  match s.max_queued with
-  | Some cap when s.count >= cap ->
-      M.Counter.incr m_shed;
-      Error
-        (Error.Busy
-           (Fmt.str
-              "session: %d update(s) already queued (admission bound %d); \
-               commit or begin a fresh session"
-              s.count cap))
-  | _ -> (
-      let ws = s.snapshot in
-      match Workspace.find_object ws name, Workspace.translator_of ws name with
-      | Error e, _ | _, Error e -> Error (Error.invalid e)
-      | Ok vo, Ok spec -> (
-          match
-            Vo_core.Engine.stage ~base_version:s.base_version ws.Workspace.graph
-              ws.Workspace.db vo spec request
-          with
-          | Error e -> Error (Error.invalid (Vo_core.Engine.stage_error_reason e))
-          | Ok st ->
-              Log.debug (fun m ->
-                  m "session@v%d: queued %s on %s (%d staged)" s.base_version
-                    st.Vo_core.Engine.request_kind name (s.count + 1));
-              M.Counter.incr m_queued;
-              M.Gauge.set m_queue_depth (Float.of_int (s.count + 1));
-              Ok
-                {
-                  s with
-                  rev_entries = { name; source; retry; st } :: s.rev_entries;
-                  count = s.count + 1;
-                }))
+  let ws = s.snapshot in
+  match Workspace.find_object ws name, Workspace.translator_of ws name with
+  | Error e, _ | _, Error e -> Error (Error.invalid e)
+  | Ok vo, Ok spec -> (
+      match
+        Vo_core.Engine.stage ~base_version:s.base_version ws.Workspace.graph
+          ws.Workspace.db vo spec request
+      with
+      | Error e -> Error (Error.invalid (Vo_core.Engine.stage_error_reason e))
+      | Ok st ->
+          Log.debug (fun m ->
+              m "session@v%d: queued %s on %s (%d staged)" s.base_version
+                st.Vo_core.Engine.request_kind name (s.count + 1));
+          M.Counter.incr m_queued;
+          M.Gauge.set m_queue_depth (Float.of_int (s.count + 1));
+          Ok
+            {
+              s with
+              rev_entries = { name; source; retry; st } :: s.rev_entries;
+              count = s.count + 1;
+            })
 
 let queue s name ?retry request =
   let retry =
@@ -384,9 +371,8 @@ type commit_stats = {
   committed : int;
 }
 
-let commit ?deadline_ns ?cache ws s =
-  if s.rev_entries = [] then begin
-    Option.iter (Workspace.sync_cache ws) cache;
+let commit ?deadline_ns ws s =
+  if s.rev_entries = [] then
     Ok
       ( ws,
         {
@@ -395,7 +381,6 @@ let commit ?deadline_ns ?cache ws s =
           rebased = false;
           committed = 0;
         } )
-  end
   else
     match deadline_ns with
     | Some d when M.now_ns () > d ->
@@ -423,8 +408,5 @@ let commit ?deadline_ns ?cache ws s =
                 m "session@v%d committed %d update(s) as v%d%s" s.base_version
                   committed version
                   (if rebased then " (rebased)" else ""));
-            (* An attached cache follows the committed state: only the
-               entries the committed deltas can influence are re-derived. *)
-            Option.iter (Workspace.sync_cache ws') cache;
             Ok (ws', { version; attempts; rebased; committed })
         | _, verdicts -> Error (Result.get_error (List.hd verdicts)))

@@ -27,12 +27,11 @@ open Relational
 
 type t
 
-val begin_ : ?max_queued:int -> Workspace.t -> t
-(** Snapshot the workspace and record its version. [max_queued]
-    (default: unbounded) is the session's admission bound: once that
-    many updates are staged, further {!queue} calls are shed with
-    {!Error.Busy} instead of growing the batch — a commit's cost (and
-    its rebase blast radius) stays bounded under load. *)
+val begin_ : Workspace.t -> t
+(** Snapshot the workspace and record its version. A session has no
+    bound of its own, so a statement stages the same updates from the
+    CLI and from the server; [penguin serve] bounds the statements a
+    connection queues ({!Server_core}). *)
 
 val base_version : t -> int
 
@@ -45,8 +44,7 @@ val queue :
   t -> string -> ?retry:retry -> Vo_core.Request.t -> (t, Error.t) result
 (** Stage a request on the named object against the snapshot. Errors
     with {!Error.Invalid} on unknown objects, translation rejections,
-    and ops that do not apply to the snapshot; with {!Error.Busy} when
-    the session's admission bound is full. Queueing is O(1) — the
+    and ops that do not apply to the snapshot. Queueing is O(1) — the
     arrival order is materialized once, at commit. [retry] (default:
     replay the same request) is how a rebase re-derives this update
     against a newer state — a request embeds the instance image it was
@@ -127,15 +125,10 @@ type commit_stats = {
 
 val commit :
   ?deadline_ns:float ->
-  ?cache:Viewobject.Cache.t ->
   Workspace.t ->
   t ->
   (Workspace.t * commit_stats, Error.t) result
 (** Commit one session: {!commit_window} on a window of one. Fails with
     {!Error.Deadline_exceeded} without trying when [deadline_ns]
-    (absolute, on {!Obs.Metrics.now_ns}) has passed. [cache] (an
-    attached {!Viewobject.Cache.t}) is {!Workspace.sync_cache}d to the
-    resulting workspace on success, so reads through it stay equal to
-    fresh instantiation while paying only for the entries the committed
-    deltas touch. [attempts] is 0 for the empty session (which commits
+    (absolute, on {!Obs.Metrics.now_ns}) has passed. [attempts] is 0 for the empty session (which commits
     trivially), 2 when the session rebased and 1 otherwise. *)

@@ -23,8 +23,9 @@ module D = Test_disk
 open Test_recovery
 
 (* One durable commit the CLI's way — open, translate, persist — with
-   the persist (the faulted leg) wrapped in the retry policy. *)
-let commit_grade ~io ?breaker ~clock dir enrolment grade =
+   the persist (the faulted leg) under the breaker, wrapped in the retry
+   policy. *)
+let commit_grade ~io ~breaker ~clock dir enrolment grade =
   let ( let* ) = Result.bind in
   let store = store_in dir in
   let* ws, _ = Penguin.Recovery.open_store ~io store in
@@ -33,7 +34,8 @@ let commit_grade ~io ?breaker ~clock dir enrolment grade =
     R.retry ~clock
       ~policy:{ R.Policy.default with max_attempts = 24; seed = 11 }
       ~label:"persist" (fun () ->
-        Penguin.Recovery.persist ~io ?breaker ~store
+        R.Breaker.protect breaker @@ fun () ->
+        Penguin.Recovery.persist ~io ~store
           ~since:(Penguin.Workspace.version ws) ws')
   in
   Ok ()
@@ -162,7 +164,8 @@ let test_hard_faults_trip_into_degraded_mode () =
     let* ws, _ = Penguin.Recovery.open_store ~io store in
     let ws' = apply_edit ws ("EE280", 1) grade in
     Result.map ignore
-      (Penguin.Recovery.persist ~io ~breaker ~store
+      (R.Breaker.protect breaker @@ fun () ->
+       Penguin.Recovery.persist ~io ~store
          ~since:(Penguin.Workspace.version ws) ws')
   in
   (* every fsync reports a non-transient disk fault: the breaker trips

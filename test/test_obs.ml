@@ -426,10 +426,15 @@ let persist_traffic dir =
               grade))
     in
     let ws', _ = check_ok_e (Penguin.Session.commit ws sess) in
-    Penguin.Recovery.persist ~io ?breaker
-      ~snapshot_bytes:report.Penguin.Recovery.snapshot_bytes ~store
-      ~since:(Penguin.Workspace.version ws)
-      ~expect_epoch:report.Penguin.Recovery.epoch ws'
+    let persist () =
+      Penguin.Recovery.persist ~io
+        ~snapshot_bytes:report.Penguin.Recovery.snapshot_bytes ~store
+        ~since:(Penguin.Workspace.version ws)
+        ~expect_epoch:report.Penguin.Recovery.epoch ws'
+    in
+    match breaker with
+    | None -> persist ()
+    | Some b -> Penguin.Resilience.Breaker.protect b persist
   in
   (* The second grade is as long as the snapshot: its commit rotates. *)
   List.iter

@@ -1,6 +1,6 @@
 (* The resilience layer in isolation: deterministic backoff schedules,
-   retry/deadline semantics over a virtual clock, admission control, and
-   the circuit breaker's state machine. Everything here is seeded and
+   retry/deadline semantics over a virtual clock, and the circuit
+   breaker's state machine. Everything here is seeded and
    clocked — no wall time, no randomness, so every run sees the same
    nanoseconds. *)
 
@@ -145,30 +145,6 @@ let test_retry_deadline () =
      4ms backoff overshoots the 3.5ms budget, so exactly 3 calls ran *)
   Alcotest.(check int) "attempts bounded by the deadline" 3 !calls
 
-(* --- admission control -------------------------------------------------- *)
-
-let test_limiter_sheds () =
-  M.enable ();
-  let lim = R.Limiter.create ~label:"t" ~max_in_flight:2 () in
-  let before = counter "resilience.shed" in
-  let r =
-    R.Limiter.with_slot lim (fun () ->
-        Alcotest.(check int) "one in flight" 1 (R.Limiter.in_flight lim);
-        R.Limiter.with_slot lim (fun () ->
-            Alcotest.(check int) "two in flight" 2 (R.Limiter.in_flight lim);
-            match R.Limiter.with_slot lim (fun () -> Ok ()) with
-            | Error (E.Busy _) -> Ok `Shed
-            | _ -> Alcotest.fail "third slot must shed"))
-  in
-  Alcotest.(check bool) "shed observed" true (r = Ok `Shed);
-  Alcotest.(check int) "shed counted" (before + 1) (counter "resilience.shed");
-  Alcotest.(check int) "slots drained" 0 (R.Limiter.in_flight lim);
-  (* the slot is released on raise too *)
-  (try
-     ignore (R.Limiter.with_slot lim (fun () -> failwith "boom"))
-   with Failure _ -> ());
-  Alcotest.(check int) "slot released on raise" 0 (R.Limiter.in_flight lim)
-
 (* --- the circuit breaker ------------------------------------------------ *)
 
 let test_breaker_trips_only_on_durability_faults () =
@@ -280,7 +256,6 @@ let suite =
       test_retry_fatal_is_immediate;
     Alcotest.test_case "deadline cuts the retry loop" `Quick
       test_retry_deadline;
-    Alcotest.test_case "limiter sheds past its bound" `Quick test_limiter_sheds;
     Alcotest.test_case "breaker trips only on durability faults" `Quick
       test_breaker_trips_only_on_durability_faults;
     Alcotest.test_case "breaker open/probe/close cycle" `Quick

@@ -4,7 +4,7 @@
    per-connection without killing the accept loop; frames pipelined
    behind a commit are answered once its window flushes), the stats
    surface and EINTR hardening. The window semantics — batching,
-   per-request culprits, disconnect while parked, limiter shedding — are
+   per-request culprits, disconnect while parked, admission shedding — are
    checked on the decision core by the simulator in test_server_sim.ml. *)
 open Test_util
 
@@ -485,6 +485,50 @@ let test_self_colliding_statement_is_invalid () =
   Alcotest.(check int) "nothing committed" 0 stats.S.commits;
   rm_rf dir
 
+(* --- one statement over many instances ------------------------------------ *)
+
+(* A statement stages one update per instance it matches, and the server
+   commits it whole, as [Session.commit] does, however many instances
+   that is: no admission bound counts a statement's updates. *)
+let test_wide_statement_commits_whole () =
+  let dir = temp_dir "server-wide-statement" in
+  make_bench_store dir 200;
+  let stmt = "set units = 4 where level = 'grad'" in
+  let ws0 = reopen dir in
+  let sess =
+    check_ok_e
+      (Penguin.Session.queue_stmt (Penguin.Session.begin_ ws0) "omega" stmt)
+  in
+  let staged = Penguin.Session.pending sess in
+  let expected, _ = check_ok_e (Penguin.Session.commit ws0 sess) in
+  Alcotest.(check bool) "the statement matches more than 128 instances" true
+    (staged > 128);
+  let answer, stats =
+    with_server dir (fun sock ->
+        let c = connect sock in
+        let _ = check_ok_e (C.begin_ c) in
+        let answer =
+          Result.bind (C.queue c ~object_name:"omega" stmt) (fun n ->
+              Alcotest.(check int) "every instance staged" staged n;
+              C.commit c)
+        in
+        C.close c;
+        answer)
+  in
+  (match answer with
+  | Ok versions ->
+      Alcotest.(check int) "one version per instance" staged
+        (List.length versions)
+  | Error e ->
+      Alcotest.failf "the statement was refused: %s (retryable %b)"
+        (E.to_string e) (E.retryable e));
+  Alcotest.(check int) "one commit acked" 1 stats.S.commits;
+  Alcotest.(check int) "in one window" 1 stats.S.windows;
+  Alcotest.(check bool) "the store holds what Session.commit reaches" true
+    (Relational.Database.equal expected.Penguin.Workspace.db
+       (reopen dir).Penguin.Workspace.db);
+  rm_rf dir
+
 (* --- pipelined frames behind a flushed commit ----------------------------- *)
 
 (* With a zero flush interval the age trigger flushes the window at the
@@ -732,4 +776,6 @@ let suite =
       `Quick test_idle_session_pins_history;
     Alcotest.test_case "window: a self-colliding statement is invalid, not retryable"
       `Quick test_self_colliding_statement_is_invalid;
+    Alcotest.test_case "window: a statement over 200 instances commits whole"
+      `Quick test_wide_statement_commits_whole;
   ]

@@ -67,7 +67,6 @@ type answer = Acked of int list * bool | Failed of string * bool  (** kind, retr
 type world = {
   core : Core.state;
   config : Core.config;
-  limiter : Penguin.Resilience.Limiter.t;
   mutable now : float;
   conns : (int, conn) Hashtbl.t;
   mutable next_id : int;
@@ -92,17 +91,12 @@ type world = {
   mutable violations : string list;
 }
 
-let world ?(config = Core.default_config) ?(max_in_flight = 256)
-    ?(rotate_every = max_int) ?(fail = fun () -> false)
-    ?(defer = fun () -> false) () =
+let world ?(config = Core.default_config) ?(rotate_every = max_int)
+    ?(fail = fun () -> false) ?(defer = fun () -> false) () =
   let ws = Lazy.force ws0 in
-  let limiter =
-    Penguin.Resilience.Limiter.create ~label:"sim" ~max_in_flight ()
-  in
-  let breaker = Penguin.Resilience.Breaker.create ~label:"sim" () in
   {
-    core = Core.create ~config ~limiter ~breaker ws;
-    config; limiter; now = 0.; conns = Hashtbl.create 16; next_id = 0;
+    core = Core.create ~config ws;
+    config; now = 0.; conns = Hashtbl.create 16; next_id = 0;
     events = Queue.create (); rotate_every; fail; defer; landing = None;
     tail = Penguin.Workspace.version ws; db = ws.db; appends = 0; rotations = 0;
     floor = 0;
@@ -471,9 +465,9 @@ let run_seed ?faithful seed =
   if Obs.Metrics.Counter.value unknown <> unknown0 then
     violation w "invariant 4: %d session(s) rebased through Unknown_history"
       (Obs.Metrics.Counter.value unknown - unknown0);
-  if Penguin.Resilience.Limiter.in_flight w.limiter <> 0 then
-    violation w "%d limiter slot(s) never returned"
-      (Penguin.Resilience.Limiter.in_flight w.limiter);
+  if Core.parked w.core <> 0 then
+    violation w "%d parked commit(s) never returned their admission slot"
+      (Core.parked w.core);
   (* Invariant 2: every delivered request answered unless its client
      left; the records hold exactly the acked commits. *)
   Hashtbl.iter
@@ -709,8 +703,9 @@ let test_disconnect_while_parked () =
 
 let test_limiter_shed () =
   let w =
-    world ~max_in_flight:1
-      ~config:{ Core.default_config with flush_window = 16; flush_interval_ns = 60e9 } ()
+    world
+      ~config:{ Core.default_config with flush_window = 16; flush_interval_ns = 60e9;
+                                         max_parked = 1 } ()
   in
   let a = open_conn w and b = open_conn w in
   let na = txn w a ~course:1 in
@@ -724,6 +719,19 @@ let test_limiter_shed () =
       Alcotest.(check string) "shed with typed Busy" "busy" kind;
       Alcotest.(check bool) "busy is retryable" true retryable
   | _ -> Alcotest.fail "B's commit not shed");
+  (* A session's 129th statement is shed the same way: the bound counts
+     statements, whatever each one expands to. *)
+  let d = open_conn w in
+  write d
+    (("(begin)", Plain)
+    :: List.init 129 (fun i -> queue_frame (grade_stmt ~course:3 (Fmt.str "q%d" i))));
+  drain w;
+  (match d.sent with
+  | shed :: queued :: _ ->
+      Alcotest.(check string) "128 statements queued" "(ok (queued 128))" queued;
+      Alcotest.(check bool) "the 129th shed with typed Busy" true
+        (String.starts_with ~prefix:"(error busy true" shed)
+  | _ -> Alcotest.fail "D's statements not answered");
   (* Shutdown flushes the held window: A's parked commit still lands and
      is acked before the server stops. *)
   Alcotest.(check bool) "A still parked" false (Hashtbl.mem w.answers na);
@@ -759,12 +767,10 @@ let test_disconnect_on_quorum_wait () =
   Alcotest.(check int) "one append for the window" 1 w.appends;
   Alcotest.(check bool) "both parked on the quorum" false
     (Hashtbl.mem w.answers na || Hashtbl.mem w.answers nb);
-  Alcotest.(check int) "two limiter slots held" 2
-    (Penguin.Resilience.Limiter.in_flight w.limiter);
+  Alcotest.(check int) "two commits parked" 2 (Core.parked w.core);
   let sent_to_a = List.length a.sent in
   disconnect w a;
-  Alcotest.(check int) "A's limiter slot returned" 1
-    (Penguin.Resilience.Limiter.in_flight w.limiter);
+  Alcotest.(check int) "A's admission slot returned" 1 (Core.parked w.core);
   Alcotest.(check int) "server.dropped_parked counts it" (before + 1)
     (Obs.Metrics.Counter.value dropped);
   pump w (Core.Follower_ack (f.id, w.tail));
@@ -775,8 +781,7 @@ let test_disconnect_on_quorum_wait () =
   | _ -> Alcotest.fail "B's commit not released by the follower's ack");
   Alcotest.(check int) "nothing sent to A" sent_to_a (List.length a.sent);
   Alcotest.(check int) "only B counted committed" 1 (Core.stats w.core).Core.commits;
-  Alcotest.(check int) "every slot returned" 0
-    (Penguin.Resilience.Limiter.in_flight w.limiter)
+  Alcotest.(check int) "every slot returned" 0 (Core.parked w.core)
 
 (* A follower that resubscribes at the journal's end — after catching up
    through the pull feed — already holds a parked window: its
